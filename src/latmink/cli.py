@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Every subcommand prints a deterministic JSON run report to stdout; --pretty
-switches to a human-readable rendering. Exit codes: 0 success, 1 verification
-failure (verify-paper), 2 input error, 3 resource cap exceeded.
+switches to a human-readable rendering. The global flags (--pretty, --cap,
+--seed, --timing) go before or after the subcommand. Exit codes: 0 success,
+1 verification failure (verify-paper), 2 input error (including a ValueError
+raised by the library on an out-of-range argument), 3 resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .geometry import DEFAULT_BOX_CAP, LatticePolytope, ResourceLimitError
 from .groups import check_boundary_equality, omega_boundary, word_ball
 from .minkowski import check_equality, decompose, minkowski_power
 from .triangulation import (
+    DEFAULT_POINT_CAP,
+    DEFAULT_SEARCH_BUDGET,
     LatticeSimplex,
     classify_simplex,
     search_primitive_triangulation,
@@ -328,33 +332,61 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
+def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False) -> None:
+    def default(value):
+        return argparse.SUPPRESS if suppress else value
+
+    parser.add_argument(
+        "--pretty",
+        action="store_true",
+        default=default(False),
+        help="human-readable output instead of JSON",
+    )
+    parser.add_argument(
+        "--cap", type=int, default=default(DEFAULT_BOX_CAP), help="enumeration size cap"
+    )
+    parser.add_argument(
+        "--seed", type=int, default=default(0), help="seed for randomized verification rows"
+    )
+    parser.add_argument(
+        "--timing",
+        action="store_true",
+        default=default(False),
+        help="include elapsed_ms in JSON reports",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latmink",
         description="Exact lattice-polytope dilations, Minkowski powers, primitive triangulations and word-ball boundaries.",
     )
-    parser.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
-    parser.add_argument("--cap", type=int, default=DEFAULT_BOX_CAP, help="enumeration size cap")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized verification rows")
-    parser.add_argument("--timing", action="store_true", help="include elapsed_ms in JSON reports")
+    _add_global_flags(parser)
+    # Subcommands take the global flags too, defaulting to SUPPRESS so that a
+    # flag given before the subcommand is not reset by the subparser.
+    flags = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(flags, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("points", help="integer points of the n-fold dilation")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, parents=[flags])
+
+    p = command("points", help="integer points of the n-fold dilation")
     p.add_argument("polytope")
     p.add_argument("n", type=int)
     p.set_defaults(fn=_cmd_points)
 
-    p = sub.add_parser("minkowski", help="n-fold Minkowski sum of the polytope's integer points")
+    p = command("minkowski", help="n-fold Minkowski sum of the polytope's integer points")
     p.add_argument("polytope")
     p.add_argument("n", type=int)
     p.set_defaults(fn=_cmd_minkowski)
 
-    p = sub.add_parser("check-equality", help="dilation vs Minkowski power over a range of n")
+    p = command("check-equality", help="dilation vs Minkowski power over a range of n")
     p.add_argument("polytope")
     p.add_argument("range", help="single n or a..b")
     p.set_defaults(fn=_cmd_check_equality)
 
-    p = sub.add_parser("decompose", help="write a dilation point as n summands")
+    p = command("decompose", help="write a dilation point as n summands")
     p.add_argument("polytope")
     p.add_argument("n", type=int)
     p.add_argument(
@@ -363,44 +395,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="integer coordinates, space- or comma-separated (e.g. '-1 2' or 1,2)",
     )
     p.add_argument("--triangulation", help="triangulation file (searched for if omitted)")
-    p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--point-cap", type=int, default=14)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
     p.set_defaults(fn=_cmd_decompose)
 
-    p = sub.add_parser("classify", help="elementary/primitive classification of a simplex")
+    p = command("classify", help="elementary/primitive classification of a simplex")
     p.add_argument("simplex", help="polytope file with d+1 vertices")
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("lemma1", help="unimodularity criteria of a square integer matrix")
+    p = command("lemma1", help="unimodularity criteria of a square integer matrix")
     p.add_argument("matrix", help="JSON file with a square integer matrix")
     p.set_defaults(fn=_cmd_lemma1)
 
-    p = sub.add_parser("validate-triangulation", help="exact validation of a triangulation file")
+    p = command("validate-triangulation", help="exact validation of a triangulation file")
     p.add_argument("triangulation")
     p.set_defaults(fn=_cmd_validate_triangulation)
 
-    p = sub.add_parser("search-primitive", help="search for a primitive triangulation")
+    p = command("search-primitive", help="search for a primitive triangulation")
     p.add_argument("polytope")
-    p.add_argument("--budget", type=int, default=200_000)
-    p.add_argument("--point-cap", type=int, default=14)
+    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+    p.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
     p.set_defaults(fn=_cmd_search_primitive)
 
-    p = sub.add_parser("word-ball", help="radius-n ball of a group presentation")
+    p = command("word-ball", help="radius-n ball of a group presentation")
     p.add_argument("group")
     p.add_argument("n", type=int)
     p.set_defaults(fn=_cmd_word_ball)
 
-    p = sub.add_parser("boundary", help="boundary of the radius-n ball")
+    p = command("boundary", help="boundary of the radius-n ball")
     p.add_argument("group")
     p.add_argument("n", type=int)
     p.set_defaults(fn=_cmd_boundary)
 
-    p = sub.add_parser("check-boundary", help="ball boundary vs fresh layer over a range of n")
+    p = command("check-boundary", help="ball boundary vs fresh layer over a range of n")
     p.add_argument("group")
     p.add_argument("range", help="single n or a..b")
     p.set_defaults(fn=_cmd_check_boundary)
 
-    p = sub.add_parser("verify-paper", help="run the bundled reproduction suite")
+    p = command("verify-paper", help="run the bundled reproduction suite")
     p.add_argument("--quick", action="store_true", help="smaller randomized samples")
     p.set_defaults(fn=_cmd_verify_paper)
 
@@ -413,7 +445,7 @@ def main(argv=None) -> int:
     args._start = time.monotonic()
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except ResourceLimitError as exc:

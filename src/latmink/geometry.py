@@ -1,10 +1,12 @@
 """Lattice polytopes with exact predicates.
 
-A lattice polytope is stored by its irredundant integer vertex list; facets
-are derived on demand by brute force over vertex subsets, which is entirely
-adequate at desk scale (d <= 6, a handful of vertices). All queries --
-membership, integer point enumeration, volume -- are exact: coordinates are
-Python ints and derived scalars are fractions.Fraction.
+A lattice polytope is stored by its irredundant integer vertex list and its
+facet inequalities, both found in one beneath-beyond convex hull pass in
+integer arithmetic (Barber, Dobkin and Huhdanpaa, "The Quickhull algorithm
+for convex hulls", ACM TOMS 1996). A lower-dimensional polytope is hulled
+in coordinates onto which its affine hull projects bijectively. All queries
+-- membership, integer point enumeration, volume -- are exact: coordinates
+are Python ints and derived scalars are fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -54,9 +56,106 @@ def affine_dim(points: Sequence[Point]) -> int:
     """Dimension of the affine hull of the given points."""
     if not points:
         raise ValueError("no points")
+    return len(_affine_frame(points)[0]) - 1
+
+
+def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
+    """Indices of affinely independent points spanning the affine hull.
+
+    Greedy from the first point: point i joins when its edge row from
+    points[0] is independent of those kept. The echelon of the kept edge
+    rows has pivot columns on which the affine hull projects bijectively.
+    """
     base = points[0]
-    rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return linalg.rank(rows)
+    dim = len(base)
+    chosen = [0]
+    echelon = linalg.Echelon()
+    for i in range(1, len(points)):
+        if echelon.add([x - b for x, b in zip(points[i], base)]):
+            chosen.append(i)
+            if len(chosen) > dim:
+                break
+    return chosen, echelon
+
+
+class _Face:
+    """One simplex of the hull boundary, with the points that see it."""
+
+    __slots__ = ("verts", "normal", "offset", "outside")
+
+
+def _beneath_beyond(
+    pts: Sequence[Point], simplex: Sequence[int]
+) -> tuple[list[int], list[tuple[Point, int]]]:
+    """Vertex indices and facet planes of conv(pts), pts full-dimensional in Z^k.
+
+    The boundary is kept as simplices, started from the ascending indices
+    `simplex` of k+1 affinely independent points and grown one point at a
+    time. A point sees a face when it lies strictly beyond its hyperplane; a
+    point on the hyperplane counts as beneath. Each face keeps the points
+    that see it, so a point that sees no face is inside the hull for good.
+    The returned planes are primitive outward (normal, offset) pairs in
+    ascending order; a point is a vertex when the facet normals through it
+    have rank k.
+    """
+    k = len(pts[0])
+    # (k+1) times the centroid of the start simplex: strictly inside the hull
+    inner = [sum(pts[i][j] for i in simplex) for j in range(k)]
+    scale = k + 1
+
+    def make_face(verts: tuple[int, ...]) -> _Face:
+        base = pts[verts[0]]
+        rows = [[x - b for x, b in zip(pts[i], base)] for i in verts[1:]]
+        normal = linalg.primitive_vector(linalg.cofactor_normal(rows, k))
+        offset = dot(normal, base)
+        if dot(normal, inner) > scale * offset:
+            normal = tuple(-x for x in normal)
+            offset = -offset
+        face = _Face()
+        face.verts, face.normal, face.offset, face.outside = verts, normal, offset, []
+        return face
+
+    def assign(indices: Iterable[int], faces: Sequence[_Face]) -> None:
+        for i in indices:
+            p = pts[i]
+            for face in faces:
+                if dot(face.normal, p) > face.offset:
+                    face.outside.append(i)
+                    break
+
+    start = [make_face(tuple(i for i in simplex if i != omit)) for omit in simplex]
+    alive = dict.fromkeys(start)  # an insertion-ordered set, so the work done is deterministic
+    members = set(simplex)
+    assign((i for i in range(len(pts)) if i not in members), start)
+    pending = [face for face in start if face.outside]
+    while pending:
+        face = pending.pop()
+        if face not in alive:
+            continue
+        eye = max(face.outside, key=lambda i: dot(face.normal, pts[i]))
+        p = pts[eye]
+        visible = [g for g in alive if dot(g.normal, p) > g.offset]
+        ridges: dict[tuple[int, ...], int] = {}
+        for g in visible:
+            del alive[g]
+            for ridge in itertools.combinations(g.verts, k - 1):
+                ridges[ridge] = ridges.get(ridge, 0) + 1
+        # the horizon: ridges of exactly one visible face
+        new = [make_face(tuple(sorted(r + (eye,)))) for r, seen in ridges.items() if seen == 1]
+        alive.update(dict.fromkeys(new))
+        assign((i for g in visible for i in g.outside if i != eye), new)
+        pending.extend(g for g in new if g.outside)
+
+    planes = set()
+    normals_at: dict[int, set[Point]] = {}
+    for face in alive:
+        planes.add((face.normal, face.offset))
+        for i in face.verts:
+            normals_at.setdefault(i, set()).add(face.normal)
+    vertices = sorted(
+        i for i, normals in normals_at.items() if len(normals) >= k and linalg.rank(normals) == k
+    )
+    return vertices, sorted(planes)
 
 
 @dataclass(frozen=True)
@@ -134,8 +233,12 @@ class LatticePolytope:
     """Convex hull of finitely many integer points, stored by its vertices.
 
     Construction canonicalizes: duplicates and non-vertex points are dropped
-    (each candidate is tested against the hull of the others by exact LP),
-    and the surviving vertices are kept in lexicographic order.
+    and the surviving vertices are kept in lexicographic order. One exact
+    beneath-beyond hull pass finds the vertices and the facet inequalities
+    together. A lower-dimensional polytope is hulled in the coordinates
+    `_cols`, onto which its affine hull projects bijectively; `_planes` are
+    then the facets of that projection and `_edges` span the affine hull's
+    directions, for lifting points back.
     """
 
     def __init__(self, points: Iterable):
@@ -146,16 +249,18 @@ class LatticePolytope:
         if any(len(p) != d for p in pts):
             raise ValueError("mixed dimensions in point list")
         self.dim = d
-        self.affine_dim = affine_dim(pts)
-        if len(pts) == 1:
-            self.vertices: tuple[Point, ...] = tuple(pts)
+        simplex, echelon = _affine_frame(pts)
+        k = len(simplex) - 1
+        self.affine_dim = k
+        self._cols = cols = tuple(sorted(echelon.pivots))
+        self._edges = tuple(tuple(x - b for x, b in zip(pts[i], pts[0])) for i in simplex[1:])
+        if k == 0:
+            found, planes = [0], []
         else:
-            verts = []
-            for i, p in enumerate(pts):
-                others = pts[:i] + pts[i + 1 :]
-                if not lp.point_in_convex_hull(others, p):
-                    verts.append(p)
-            self.vertices = tuple(verts)
+            work = pts if k == d else [tuple(p[c] for c in cols) for p in pts]
+            found, planes = _beneath_beyond(work, simplex)
+        self.vertices: tuple[Point, ...] = tuple(pts[i] for i in found)
+        self._planes: tuple[tuple[Point, int], ...] = tuple(planes)
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -165,39 +270,28 @@ class LatticePolytope:
     def facets(self) -> tuple[Halfspace, ...]:
         """Irredundant facet halfspaces (full-dimensional polytopes only).
 
-        Brute force: every d-subset of vertices proposes a hyperplane, kept
-        when all vertices lie weakly on one side; normals are primitive and
-        point outward.
+        Normals are primitive and point outward; the halfspaces come in
+        ascending (normal, offset) order.
         """
         if not self.is_full_dimensional:
             raise ValueError("facet enumeration requires a full-dimensional polytope")
-        d = self.dim
-        found: dict[tuple[Point, int], Halfspace] = {}
-        for subset in itertools.combinations(self.vertices, d):
-            base = subset[0]
-            rows = [[q[i] - base[i] for i in range(d)] for q in subset[1:]]
-            normal = linalg.cofactor_normal(rows, d)
-            if not any(normal):
-                continue  # affinely dependent subset
-            normal = linalg.primitive_vector(normal)
-            offset = dot(normal, base)
-            values = [dot(normal, v) - offset for v in self.vertices]
-            if any(v > 0 for v in values):
-                if any(v < 0 for v in values):
-                    continue  # hyperplane cuts the polytope
-                normal = tuple(-x for x in normal)
-                offset = -offset
-            key = (normal, offset)
-            if key not in found:
-                found[key] = Halfspace(normal, offset)
-        return tuple(sorted(found.values(), key=lambda h: (h.normal, h.offset)))
+        return tuple(Halfspace(normal, offset) for normal, offset in self._planes)
+
+    def _lift(self, y: Sequence, base: Sequence) -> tuple:
+        """The point of base + span(_edges) whose `_cols` coordinates are y."""
+        cols, edges = self._cols, self._edges
+        coeffs = linalg.solve_exact(
+            [[e[c] for e in edges] for c in cols], [yc - base[c] for yc, c in zip(y, cols)]
+        )
+        return tuple(b + sum(t * e[i] for t, e in zip(coeffs, edges)) for i, b in enumerate(base))
 
     def contains(self, point: Iterable, strict: bool = False) -> bool:
         """Exact membership of a rational point.
 
-        Full-dimensional polytopes use the facet inequalities; lower
-        dimensional ones fall back to LP feasibility. With strict=True this
-        tests membership in the topological interior.
+        Tests the facet inequalities; a lower-dimensional polytope also
+        requires the point to lie on its affine hull, and tests the point's
+        projection. With strict=True this tests membership in the
+        topological interior.
         """
         q = as_rational_point(point)
         if len(q) != self.dim:
@@ -208,7 +302,10 @@ class LatticePolytope:
             return all(h.slack(q) >= 0 for h in self.facets)
         if strict:
             return False  # empty interior
-        return self.contains_lp(q)
+        y = tuple(q[c] for c in self._cols)
+        return self._lift(y, self.vertices[0]) == q and all(
+            dot(a, y) <= b for a, b in self._planes
+        )
 
     def contains_lp(self, point: Iterable) -> bool:
         """Membership decided by LP feasibility; independent of the facet path."""
@@ -221,17 +318,19 @@ class LatticePolytope:
         """All integer points of the n-fold dilation, canonically ordered.
 
         Scans the integer bounding box of the dilation against the dilated
-        facet inequalities (LP membership for lower-dimensional polytopes).
-        n == 0 yields {0} by convention. Boxes larger than cap raise
-        ResourceLimitError.
+        facet inequalities. A lower-dimensional polytope is scanned in its
+        projection, and each point found is lifted back to the affine hull
+        and kept when the lift is integral. n == 0 yields {0} by convention.
+        Boxes of more than cap candidates raise ResourceLimitError.
         """
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
         d = self.dim
         if n == 0:
             return PointSet([(0,) * d], d)
-        los = [min(n * v[i] for v in self.vertices) for i in range(d)]
-        his = [max(n * v[i] for v in self.vertices) for i in range(d)]
+        cols = self._cols
+        los = [min(n * v[c] for v in self.vertices) for c in cols]
+        his = [max(n * v[c] for v in self.vertices) for c in cols]
         count = 1
         for lo, hi in zip(los, his):
             count *= hi - lo + 1
@@ -240,21 +339,17 @@ class LatticePolytope:
                 f"bounding box has {count} candidate points, cap is {cap}"
             )
         ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
+        dilated = [(a, n * b) for a, b in self._planes]
+        inside = (
+            p for p in itertools.product(*ranges) if all(dot(a, p) <= b for a, b in dilated)
+        )
         if self.is_full_dimensional:
-            dilated = [(h.normal, n * h.offset) for h in self.facets]
-            pts = [
-                p
-                for p in itertools.product(*ranges)
-                if all(dot(a, p) <= b for a, b in dilated)
-            ]
-        else:
-            scaled = [tuple(n * x for x in v) for v in self.vertices]
-            pts = [
-                p
-                for p in itertools.product(*ranges)
-                if lp.point_in_convex_hull(scaled, p)
-            ]
-        return PointSet(pts, d)
+            return PointSet(inside, d)
+        base = tuple(n * x for x in self.vertices[0])
+        lifts = (self._lift(y, base) for y in inside)
+        return PointSet(
+            (tuple(map(int, x)) for x in lifts if all(c.denominator == 1 for c in x)), d
+        )
 
     def dilate(self, n: int) -> "LatticePolytope":
         """The polytope with every vertex scaled by n (n >= 0)."""

@@ -61,28 +61,39 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ..
     return tuple(row[n] for row in a)
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank over the rationals."""
-    work = [[Fraction(x) for x in r] for r in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = work[r][col]
-        work[r] = [x / inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    return r
+class Echelon:
+    """Integer row echelon form grown one row at a time, fraction-free.
+
+    Each kept row is primitive and zero in the pivot columns of the rows
+    kept before it, so len(rows) is the rank of everything added so far.
+    """
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self):
+        self.rows: list[IntVector] = []
+        self.pivots: list[int] = []
+
+    def add(self, row: Sequence[int]) -> bool:
+        """Reduce row against the kept rows; keep it and return True if independent."""
+        v = tuple(row)
+        for col, kept in zip(self.pivots, self.rows):
+            x = v[col]
+            if x:
+                p = kept[col]
+                v = tuple(p * a - x * b for a, b in zip(v, kept))
+        for col, x in enumerate(v):
+            if x:
+                self.rows.append(primitive_vector(v))
+                self.pivots.append(col)
+                return True
+        return False
+
+
+def rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix."""
+    echelon = Echelon()
+    return sum(echelon.add(row) for row in rows)
 
 
 def primitive_vector(v: Sequence[int]) -> IntVector:

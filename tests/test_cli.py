@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from latmink.cli import main
 
 
@@ -226,3 +228,52 @@ class TestVerifyPaper:
         code, out, _ = run(capsys, "--pretty", "verify-paper", "--quick")
         assert code == 0
         assert out.count("PASS") >= 18
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("points", "unit-square", "-1"),
+            ("word-ball", "cross-2d", "-1"),
+            ("minkowski", "unit-square", "-2"),
+            ("check-equality", "unit-square", "0"),
+            ("check-boundary", "cross-2d", "0..2"),
+        ],
+    )
+    def test_bad_n_exits_2_with_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestGlobalFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--cap", "5", "points", "unit-square", "2"),
+            ("points", "unit-square", "2", "--cap", "5"),
+        ],
+    )
+    def test_cap_before_or_after_subcommand(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--pretty", "points", "unit-square", "1"),
+            ("points", "unit-square", "1", "--pretty"),
+        ],
+    )
+    def test_pretty_before_or_after_subcommand(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.startswith("4 integer points")
+
+    def test_timing_after_subcommand(self, capsys):
+        code, doc, _ = run_json(capsys, "points", "unit-square", "1", "--timing")
+        assert code == 0
+        assert "elapsed_ms" in doc

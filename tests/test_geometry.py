@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latmink import (
@@ -15,7 +15,12 @@ from latmink import (
 )
 from latmink.geometry import affine_dim, as_point
 
-from conftest import brute_force_integer_points
+from conftest import (
+    brute_force_facets,
+    brute_force_integer_points,
+    lp_vertices,
+    oracle_volume,
+)
 
 points_2d = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=8
@@ -25,6 +30,27 @@ points_3d = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+
+@st.composite
+def lattice_clouds(draw, max_dim=4):
+    """Points base + sum c_j * u_j for small integer coefficients c_j.
+
+    With fewer directions u_j than coordinates the cloud is lower
+    dimensional; coefficient grids put many points on common facets and
+    edges, and repeated coefficients give duplicate points.
+    """
+    d = draw(st.integers(1, max_dim))
+    k = draw(st.integers(0, d))
+    coord = st.integers(-2, 2)
+    base = draw(st.tuples(*[coord] * d))
+    dirs = [draw(st.tuples(*[coord] * d)) for _ in range(k)]
+    coeffs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=1, max_size=10))
+    return [
+        tuple(b + sum(c * u[i] for c, u in zip(cs, dirs)) for i, b in enumerate(base))
+        for cs in coeffs
+    ]
 
 
 class TestAsPoint:
@@ -101,6 +127,67 @@ class TestHull:
     def test_idempotent_3d(self, pts):
         p = hull(pts)
         assert hull(p.vertices) == p
+
+
+class TestHullOracles:
+    """The beneath-beyond hull against LP vertex pruning and brute-force facets."""
+
+    @given(st.one_of(lattice_clouds(), points_2d, points_3d))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lp_and_brute_force(self, pts):
+        p = hull(pts)
+        assert p.vertices == lp_vertices(pts)
+        assert p.affine_dim == affine_dim(pts)
+        if p.is_full_dimensional:
+            assert [(h.normal, h.offset) for h in p.facets] == brute_force_facets(p.vertices)
+            assert p.volume() == oracle_volume(p.vertices)
+
+    @given(lattice_clouds(), st.integers(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_lower_dimensional_integer_points(self, pts, n):
+        p = hull(pts)
+        assume(not p.is_full_dimensional)
+        box = 1
+        for i in range(p.dim):
+            box *= n * (max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices)) + 1
+        assume(box <= 400)
+        assert p.integer_points(n) == brute_force_integer_points(p, n)
+
+    @given(lattice_clouds(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lower_dimensional_membership(self, pts, data):
+        p = hull(pts)
+        assume(not p.is_full_dimensional)
+        den = data.draw(st.integers(1, 3))
+        probe = data.draw(
+            st.one_of(
+                st.tuples(*[st.integers(-9, 9)] * p.dim),
+                st.sampled_from(sorted(p.integer_points(1).points)),
+            )
+        )
+        probe = tuple(Fraction(x, den) for x in probe)
+        assert p.contains(probe) == p.contains_lp(probe)
+
+    def test_edge_midpoints_of_4d_cross_polytope(self):
+        # each edge lies on four facets whose normals have rank three, so
+        # only the rank test tells its midpoint from a vertex
+        corners = cross_polytope(4).dilate(2).vertices
+        mids = {tuple((a + b) // 2 for a, b in zip(u, v)) for u in corners for v in corners}
+        p = hull(list(corners) + sorted(mids))
+        assert p.vertices == corners
+        assert [(h.normal, h.offset) for h in p.facets] == brute_force_facets(corners)
+
+    def test_segment_in_z3(self):
+        seg = LatticePolytope([(0, 0, 0), (8, 8, 8), (4, 4, 4)])
+        assert seg.vertices == ((0, 0, 0), (8, 8, 8))
+        assert seg.integer_points(2).points == tuple((i, i, i) for i in range(17))
+
+    def test_triangle_in_z4(self):
+        tri = LatticePolytope([(0, 0, 0, 0), (2, 0, 1, 1), (0, 2, 1, -1), (1, 1, 1, 0)])
+        assert tri.affine_dim == 2
+        assert tri.vertices == ((0, 0, 0, 0), (0, 2, 1, -1), (2, 0, 1, 1))
+        for n in (1, 2):
+            assert tri.integer_points(n) == brute_force_integer_points(tri, n)
 
 
 class TestFacets:
