@@ -22,7 +22,9 @@ from .groups import (
     BoundaryReport,
     ElementSet,
     GroupPresentation,
+    ball_layers,
     check_boundary_equality,
+    check_boundary_equality_range,
     gl2z_swap_shear_generators,
     omega_boundary,
     omega_interior,
@@ -33,6 +35,7 @@ from .minkowski import (
     Decomposition,
     EqualityReport,
     check_equality,
+    check_equality_range,
     decompose,
     generates_zd,
     minkowski_power,
@@ -75,8 +78,11 @@ __all__ = [
     "Triangulation",
     "TriangulationReport",
     "UnimodularCriteria",
+    "ball_layers",
     "check_boundary_equality",
+    "check_boundary_equality_range",
     "check_equality",
+    "check_equality_range",
     "classify_simplex",
     "cross_polytope",
     "cube",

@@ -2,7 +2,8 @@
 
 Every subcommand prints a deterministic JSON run report to stdout; --pretty
 switches to a human-readable rendering. The global flags (--pretty, --cap,
---seed, --timing) go before or after the subcommand. Exit codes: 0 success,
+--seed, --timing) go before or after the subcommand; without --cap each
+command keeps its library's default cap. Exit codes: 0 success,
 1 verification failure (verify-paper), 2 input error (including a ValueError
 raised by the library on an out-of-range argument), 3 resource cap exceeded.
 """
@@ -10,6 +11,7 @@ raised by the library on an out-of-range argument), 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -17,9 +19,9 @@ from importlib import resources
 from pathlib import Path
 
 from . import serialize, verify
-from .geometry import DEFAULT_BOX_CAP, LatticePolytope, ResourceLimitError
-from .groups import check_boundary_equality, omega_boundary, word_ball
-from .minkowski import check_equality, decompose, minkowski_power
+from .geometry import LatticePolytope, ResourceLimitError
+from .groups import check_boundary_equality_range, omega_boundary, word_ball
+from .minkowski import check_equality_range, decompose, minkowski_power
 from .triangulation import (
     DEFAULT_POINT_CAP,
     DEFAULT_SEARCH_BUDGET,
@@ -59,20 +61,14 @@ def _read_document(name: str):
 
 def _parse_range(text: str) -> range:
     """Parse 'a..b' (inclusive) or a single integer."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        try:
-            lo, hi = int(lo_text), int(hi_text)
-        except ValueError as exc:
-            raise InputError(f"bad range {text!r}") from exc
-        if lo > hi:
-            raise InputError(f"empty range {text!r}")
-        return range(lo, hi + 1)
+    lo_text, dots, hi_text = text.partition("..")
     try:
-        n = int(text)
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
     except ValueError as exc:
         raise InputError(f"bad range {text!r}") from exc
-    return range(n, n + 1)
+    if lo > hi:
+        raise InputError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _parse_point(text: str) -> tuple[int, ...]:
@@ -99,63 +95,46 @@ def _load_group(name: str):
     return group
 
 
-def _emit(args, command: str, inputs: dict, result, pretty_lines=None) -> None:
-    if args.pretty and pretty_lines is not None:
+def _emit(args, inputs: dict, result, pretty_lines: list[str]) -> int:
+    """Print the report of the subcommand args.command; returns EXIT_OK."""
+    if args.pretty:
         for line in pretty_lines:
             print(line)
-        return
-    report = {"command": command, "inputs": inputs, "result": result}
+        return EXIT_OK
+    report = {"command": args.command, "inputs": inputs, "result": result}
     if args.timing:
         report["elapsed_ms"] = int((time.monotonic() - args._start) * 1000)
     print(json.dumps(report, sort_keys=True, indent=2))
+    return EXIT_OK
 
 
 def _cmd_points(args) -> int:
+    """points and minkowski: the integer points of nP, or the n-fold sum of those of P."""
     poly = _load_polytope(args.polytope)
-    pts = poly.integer_points(args.n, cap=args.cap)
+    if args.command == "points":
+        pts = poly.integer_points(args.n, cap=args.cap)
+        what = f"integer points in the {args.n}-fold dilation"
+    else:
+        pts = minkowski_power(poly.integer_points(1, cap=args.cap), args.n)
+        what = f"points in the {args.n}-fold Minkowski sum"
     points = serialize.point_set_to_list(pts)
-    _emit(
+    return _emit(
         args,
-        "points",
         {"polytope": serialize.polytope_to_dict(poly), "n": args.n},
         {"count": len(points), "points": points},
-        pretty_lines=[f"{len(points)} integer points in the {args.n}-fold dilation:"]
-        + [" ".join(map(str, p)) for p in points],
+        [f"{len(points)} {what}:"] + [" ".join(map(str, p)) for p in points],
     )
-    return EXIT_OK
-
-
-def _cmd_minkowski(args) -> int:
-    poly = _load_polytope(args.polytope)
-    omega = poly.integer_points(1, cap=args.cap)
-    power = minkowski_power(omega, args.n)
-    points = serialize.point_set_to_list(power)
-    _emit(
-        args,
-        "minkowski",
-        {"polytope": serialize.polytope_to_dict(poly), "n": args.n},
-        {"count": len(points), "points": points},
-        pretty_lines=[f"{len(points)} points in the {args.n}-fold Minkowski sum:"]
-        + [" ".join(map(str, p)) for p in points],
-    )
-    return EXIT_OK
 
 
 def _cmd_check_equality(args) -> int:
     poly = _load_polytope(args.polytope)
-    reports = [check_equality(poly, n, cap=args.cap) for n in _parse_range(args.range)]
-    result = [serialize.equality_report_to_dict(r) for r in reports]
-    pretty = [
-        f"n={r.n}: {'holds' if r.holds else f'FAILS, witness {r.witness}'}" for r in reports
-    ]
-    _emit(
+    reports = check_equality_range(poly, _parse_range(args.range), cap=args.cap)
+    return _emit(
         args,
-        "check-equality",
         {"polytope": serialize.polytope_to_dict(poly), "range": args.range},
-        result,
-        pretty_lines=pretty,
+        [serialize.equality_report_to_dict(r) for r in reports],
+        [f"n={r.n}: {'holds' if r.holds else f'FAILS, witness {r.witness}'}" for r in reports],
     )
-    return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
@@ -181,38 +160,31 @@ def _cmd_decompose(args) -> int:
         dec = decompose(poly, tri, args.n, point)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    result = serialize.decomposition_to_dict(dec)
-    _emit(
+    return _emit(
         args,
-        "decompose",
         {"polytope": serialize.polytope_to_dict(poly), "n": args.n, "point": list(point)},
-        result,
-        pretty_lines=[f"{point} = " + " + ".join(str(s) for s in dec.summands)],
+        serialize.decomposition_to_dict(dec),
+        [f"{point} = " + " + ".join(str(s) for s in dec.summands)],
     )
-    return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
-    poly_doc = _read_document(args.simplex)
     try:
-        poly = serialize.parse_polytope(poly_doc)
+        poly = serialize.parse_polytope(_read_document(args.simplex))
         simplex = LatticeSimplex(poly.vertices)
     except ValueError as exc:
         raise InputError(f"{args.simplex}: {exc}") from exc
     cls = classify_simplex(simplex)
-    result = serialize.simplex_class_to_dict(cls)
-    _emit(
+    return _emit(
         args,
-        "classify",
         {"simplex": [list(v) for v in simplex.vertices]},
-        result,
-        pretty_lines=[
+        serialize.simplex_class_to_dict(cls),
+        [
             f"normalized volume {cls.normalized_volume}; "
             f"elementary: {cls.is_elementary}; primitive: {cls.is_primitive}; "
             f"non-vertex points: {serialize.point_set_to_list(cls.non_vertex_points)}"
         ],
     )
-    return EXIT_OK
 
 
 def _cmd_lemma1(args) -> int:
@@ -222,14 +194,7 @@ def _cmd_lemma1(args) -> int:
     except ValueError as exc:
         raise InputError(f"{args.matrix}: {exc}") from exc
     result = serialize.criteria_to_dict(criteria)
-    _emit(
-        args,
-        "lemma1",
-        {"matrix": matrix},
-        result,
-        pretty_lines=[f"{key}: {value}" for key, value in result.items()],
-    )
-    return EXIT_OK
+    return _emit(args, {"matrix": matrix}, result, [f"{key}: {value}" for key, value in result.items()])
 
 
 def _cmd_validate_triangulation(args) -> int:
@@ -242,8 +207,7 @@ def _cmd_validate_triangulation(args) -> int:
     pretty = [
         f"valid: {report.valid}; elementary: {report.is_elementary}; primitive: {report.is_primitive}"
     ] + [f"problem: {p}" for p in report.problems]
-    _emit(args, "validate-triangulation", {"simplices": len(tri.simplices)}, result, pretty)
-    return EXIT_OK
+    return _emit(args, {"simplices": len(tri.simplices)}, result, pretty)
 
 
 def _cmd_search_primitive(args) -> int:
@@ -260,64 +224,41 @@ def _cmd_search_primitive(args) -> int:
         pretty = ["no primitive triangulation exists (candidate space exhausted)"]
     else:
         pretty = [f"no primitive triangulation found within budget ({result.nodes} nodes)"]
-    _emit(args, "search-primitive", {"polytope": serialize.polytope_to_dict(poly)}, doc, pretty)
-    return EXIT_OK
+    return _emit(args, {"polytope": serialize.polytope_to_dict(poly)}, doc, pretty)
 
 
 def _cmd_word_ball(args) -> int:
+    """word-ball and boundary: the radius-n ball, or its boundary."""
     group = _load_group(args.group)
-    ball = word_ball(group, args.n, cap=args.cap)
+    ball, what = word_ball(group, args.n, cap=args.cap), "elements in"
+    if args.command == "boundary":
+        ball, what = omega_boundary(group, ball), "boundary elements of"
     elements = serialize.element_set_to_list(ball)
-    _emit(
+    return _emit(
         args,
-        "word-ball",
         {"group": serialize.group_to_dict(group), "n": args.n},
         {"count": len(elements), "elements": elements},
-        pretty_lines=[f"{len(elements)} elements in the radius-{args.n} ball:"]
-        + [json.dumps(e) for e in elements],
+        [f"{len(elements)} {what} the radius-{args.n} ball:"] + [json.dumps(e) for e in elements],
     )
-    return EXIT_OK
-
-
-def _cmd_boundary(args) -> int:
-    group = _load_group(args.group)
-    ball = word_ball(group, args.n, cap=args.cap)
-    boundary = omega_boundary(group, ball)
-    elements = serialize.element_set_to_list(boundary)
-    _emit(
-        args,
-        "boundary",
-        {"group": serialize.group_to_dict(group), "n": args.n},
-        {"count": len(elements), "elements": elements},
-        pretty_lines=[f"{len(elements)} boundary elements of the radius-{args.n} ball:"]
-        + [json.dumps(e) for e in elements],
-    )
-    return EXIT_OK
 
 
 def _cmd_check_boundary(args) -> int:
     group = _load_group(args.group)
-    reports = [check_boundary_equality(group, n, cap=args.cap) for n in _parse_range(args.range)]
-    result = [serialize.boundary_report_to_dict(r) for r in reports]
-    pretty = [
-        f"n={r.n}: "
-        + ("holds" if r.holds else f"FAILS, fresh layer has {len(r.rhs_minus_lhs)} non-boundary elements")
-        for r in reports
-    ]
-    _emit(
+    reports = check_boundary_equality_range(group, _parse_range(args.range), cap=args.cap)
+    return _emit(
         args,
-        "check-boundary",
         {"group": serialize.group_to_dict(group), "range": args.range},
-        result,
-        pretty_lines=pretty,
+        [serialize.boundary_report_to_dict(r) for r in reports],
+        [
+            f"n={r.n}: "
+            + ("holds" if r.holds else f"FAILS, fresh layer has {len(r.rhs_minus_lhs)} non-boundary elements")
+            for r in reports
+        ],
     )
-    return EXIT_OK
 
 
 def _cmd_verify_paper(args) -> int:
-    kwargs = {}
-    if args.quick:
-        kwargs = {"polygon_samples": 25, "matrix_samples": 60}
+    kwargs = {"polygon_samples": 25, "matrix_samples": 60} if args.quick else {}
     results = verify.run_all(seed=args.seed, **kwargs)
     rows = [
         {"claim": r.claim, "description": r.description, "ok": r.ok, "detail": r.detail}
@@ -328,7 +269,7 @@ def _cmd_verify_paper(args) -> int:
     pretty = [
         f"{'PASS' if r.ok else 'FAIL'}  {r.claim}: {r.detail}" for r in results
     ] + [f"{len(results) - len(failed)} passed, {len(failed)} failed"]
-    _emit(args, "verify-paper", {"seed": args.seed}, summary, pretty)
+    _emit(args, {"seed": args.seed}, summary, pretty)
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
@@ -343,7 +284,10 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False) -
         help="human-readable output instead of JSON",
     )
     parser.add_argument(
-        "--cap", type=int, default=default(DEFAULT_BOX_CAP), help="enumeration size cap"
+        "--cap",
+        type=int,
+        default=default(None),
+        help="size cap (default: DEFAULT_BOX_CAP, or DEFAULT_BALL_CAP for group commands)",
     )
     parser.add_argument(
         "--seed", type=int, default=default(0), help="seed for randomized verification rows"
@@ -356,6 +300,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False) -
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latmink",
@@ -379,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("minkowski", help="n-fold Minkowski sum of the polytope's integer points")
     p.add_argument("polytope")
     p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_minkowski)
+    p.set_defaults(fn=_cmd_points)
 
     p = command("check-equality", help="dilation vs Minkowski power over a range of n")
     p.add_argument("polytope")
@@ -425,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("boundary", help="boundary of the radius-n ball")
     p.add_argument("group")
     p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_boundary)
+    p.set_defaults(fn=_cmd_word_ball)
 
     p = command("check-boundary", help="ball boundary vs fresh layer over a range of n")
     p.add_argument("group")

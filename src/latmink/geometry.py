@@ -212,10 +212,6 @@ class PointSet:
     def __repr__(self) -> str:
         return f"PointSet(dim={self.dim}, {len(self.points)} points)"
 
-    def union(self, other: "PointSet") -> "PointSet":
-        self._check_dim(other)
-        return PointSet(self.points + other.points, self.dim)
-
     def difference(self, other: "PointSet") -> "PointSet":
         self._check_dim(other)
         return PointSet((p for p in self.points if p not in other._members), self.dim)
@@ -314,17 +310,19 @@ class LatticePolytope:
             raise ValueError(f"point has dimension {len(q)}, expected {self.dim}")
         return lp.point_in_convex_hull(self.vertices, q)
 
-    def integer_points(self, n: int, cap: int = DEFAULT_BOX_CAP) -> PointSet:
+    def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.
 
         Scans the integer bounding box of the dilation against the dilated
         facet inequalities. A lower-dimensional polytope is scanned in its
         projection, and each point found is lifted back to the affine hull
         and kept when the lift is integral. n == 0 yields {0} by convention.
-        Boxes of more than cap candidates raise ResourceLimitError.
+        Boxes of more than cap (DEFAULT_BOX_CAP when None) candidates raise
+        ResourceLimitError.
         """
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
+        cap = DEFAULT_BOX_CAP if cap is None else cap
         d = self.dim
         if n == 0:
             return PointSet([(0,) * d], d)

@@ -6,6 +6,10 @@ determinant +-1, stored as nested tuples). The generating set must contain
 the identity, so the ball of radius n equals the set of words of length
 exactly n. All interior/boundary notions use left multiplication.
 
+Balls come from one engine, ball_layers, which streams each ball with its
+fresh layer and multiplies only that layer. word_ball, the boundary checks
+and minkowski.minkowski_power (over Z^d, after a translation) all read it.
+
 Whether a given generating set actually generates the whole group as a
 semigroup is not verified (undecidable at this level of machinery for matrix
 groups); callers are trusted on that point.
@@ -13,8 +17,10 @@ groups); callers are trusted on that point.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from operator import add
+from typing import Iterable, Iterator
 
 from .geometry import LatticePolytope, ResourceLimitError, as_point
 
@@ -114,7 +120,7 @@ class GroupPresentation:
     def mul(self, a, b):
         """Group product a * b."""
         if self.kind == KIND_ZD:
-            return tuple(x + y for x, y in zip(a, b))
+            return tuple(map(add, a, b))
         return (
             (
                 a[0][0] * b[0][0] + a[0][1] * b[1][0],
@@ -131,20 +137,39 @@ class GroupPresentation:
         return f"GroupPresentation({where}, {len(self.generators)} generators)"
 
 
-def word_ball(group: GroupPresentation, n: int, cap: int = DEFAULT_BALL_CAP) -> ElementSet:
+def ball_layers(group: GroupPresentation, cap: int | None = None) -> Iterator[tuple[frozenset, tuple]]:
+    """Yield (ball(n), layer(n)) for n = 0, 1, 2, ...: the radius-n ball as a
+    frozenset and its fresh layer ball(n) minus ball(n-1) as a tuple.
+
+    The identity generator gives ball(n) = ball(n-1) | S*layer(n-1), so each
+    round multiplies only the fresh layer. The cap (DEFAULT_BALL_CAP when
+    None) is checked as each new element arrives.
+    """
+    cap = DEFAULT_BALL_CAP if cap is None else cap
+    ball, layer = {group.identity}, (group.identity,)
+    while True:
+        yield frozenset(ball), layer
+        fresh = []
+        for a in layer:
+            for w in group.generators.elements:
+                x = group.mul(w, a)
+                if x not in ball:
+                    if len(ball) >= cap:
+                        raise ResourceLimitError(f"word ball exceeded {cap} elements")
+                    ball.add(x)
+                    fresh.append(x)
+        layer = tuple(fresh)
+
+
+def word_ball(group: GroupPresentation, n: int, cap: int | None = None) -> ElementSet:
     """All products of at most n generators (the radius-n word-metric ball).
 
-    Computed as n rounds of left multiplication by the generating set; the
-    identity generator makes the balls increasing, so length "at most n" and
-    "exactly n" coincide.
+    The n-th ball of ball_layers; the identity generator makes the balls
+    increasing, so length "at most n" and "exactly n" coincide.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    ball = {group.identity}
-    for _ in range(n):
-        ball = {group.mul(w, a) for w in group.generators.elements for a in ball}
-        if len(ball) > cap:
-            raise ResourceLimitError(f"word ball exceeded {cap} elements")
+    ball, _ = next(itertools.islice(ball_layers(group, cap), n, None))
     return ElementSet(ball)
 
 
@@ -176,23 +201,30 @@ class BoundaryReport:
     rhs_minus_lhs: ElementSet
 
 
-def check_boundary_equality(
-    group: GroupPresentation, n: int, cap: int = DEFAULT_BALL_CAP
-) -> BoundaryReport:
+def check_boundary_equality(group: GroupPresentation, n: int, cap: int | None = None) -> BoundaryReport:
     """Does the boundary of the radius-n ball equal its fresh layer?"""
-    if n < 1:
+    return check_boundary_equality_range(group, range(n, n + 1), cap)[0]
+
+
+def check_boundary_equality_range(
+    group: GroupPresentation, ns: range, cap: int | None = None
+) -> list[BoundaryReport]:
+    """check_boundary_equality for every n in ns, in increasing order, read
+    off one ball_layers stream: rhs is the stream's fresh layer."""
+    if ns and min(ns) < 1:
         raise ValueError("n must be >= 1")
-    smaller = word_ball(group, n - 1, cap=cap)
-    ball = word_ball(group, n, cap=cap)
-    lhs = omega_boundary(group, ball)
-    rhs = ball.difference(smaller)
-    lhs_minus_rhs = lhs.difference(rhs)
-    if len(lhs_minus_rhs) != 0:
-        raise RuntimeError(
-            "internal inconsistency: boundary escaped the fresh layer"
-        )
-    rhs_minus_lhs = rhs.difference(lhs)
-    return BoundaryReport(n, len(rhs_minus_lhs) == 0, lhs_minus_rhs, rhs_minus_lhs)
+    reports = []
+    for n, (ball, layer) in zip(range(max(ns, default=-1) + 1), ball_layers(group, cap)):
+        if n not in ns:
+            continue
+        rhs = ElementSet(layer)
+        lhs = omega_boundary(group, ElementSet(ball))
+        lhs_minus_rhs = lhs.difference(rhs)
+        if len(lhs_minus_rhs) != 0:
+            raise RuntimeError("internal inconsistency: boundary escaped the fresh layer")
+        rhs_minus_lhs = rhs.difference(lhs)
+        reports.append(BoundaryReport(n, len(rhs_minus_lhs) == 0, lhs_minus_rhs, rhs_minus_lhs))
+    return reports
 
 
 def zd_presentation_from_polytope(poly: LatticePolytope) -> GroupPresentation:

@@ -5,15 +5,20 @@ n*Omega is always contained in the integer points of the dilation nP; this
 module decides whether the two sets coincide, produces the lex-least missing
 point as a witness when they do not, and constructively decomposes integer
 points of nP into n summands from Omega via a primitive triangulation.
+n*Omega comes from the word-ball engine of groups, over Z^d after a
+translation; minkowski_sum is the direct pairwise form.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 
 from . import linalg
-from .geometry import DEFAULT_BOX_CAP, LatticePolytope, Point, PointSet, as_point
+from .geometry import LatticePolytope, Point, PointSet, as_point
+from .groups import GroupPresentation, ball_layers, word_ball
 from .triangulation import Triangulation
 
 
@@ -25,20 +30,26 @@ def minkowski_sum(a: PointSet, b: PointSet) -> PointSet:
     return PointSet(sums, a.dim)
 
 
+def _translated_group(s: PointSet) -> GroupPresentation:
+    """Z^d generated by s - t, t the lex-least point of s. It contains 0, and
+    n*s is its radius-n word ball shifted by n*t."""
+    t = s.points[0]
+    return GroupPresentation.zd(s.dim, [tuple(map(sub, p, t)) for p in s.points])
+
+
 def minkowski_power(s: PointSet, n: int) -> PointSet:
     """The n-fold Minkowski sum of s with itself; n == 0 gives {0}.
 
-    Folds with deduplication after every round, so the intermediate sets are
-    exactly the word balls of the additive group generated by s.
+    Read off the word-ball engine through _translated_group, with no ball
+    cap: like minkowski_sum, it computes the whole set whatever its size.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return PointSet([(0,) * s.dim], s.dim)
-    acc = s
-    for _ in range(n - 1):
-        acc = minkowski_sum(acc, s)
-    return acc
+    if not s.points:
+        return PointSet([(0,) * s.dim] if n == 0 else [], s.dim)
+    shift = tuple(n * c for c in s.points[0])
+    ball = word_ball(_translated_group(s), n, cap=sys.maxsize)
+    return PointSet((tuple(map(add, p, shift)) for p in ball), s.dim)
 
 
 @dataclass(frozen=True)
@@ -58,19 +69,32 @@ class EqualityReport:
             raise ValueError("a failing report needs a witness")
 
 
-def check_equality(poly: LatticePolytope, n: int, cap: int = DEFAULT_BOX_CAP) -> EqualityReport:
+def check_equality(poly: LatticePolytope, n: int, cap: int | None = None) -> EqualityReport:
     """Does the n-fold Minkowski sum of the integer points fill the dilation?"""
-    if n < 1:
+    return check_equality_range(poly, range(n, n + 1), cap)[0]
+
+
+def check_equality_range(
+    poly: LatticePolytope, ns: range, cap: int | None = None
+) -> list[EqualityReport]:
+    """check_equality for every n in ns, in increasing order, reading n*Omega
+    off one ball_layers stream of _translated_group(Omega). The box cap bounds
+    each dilation nP, which holds n*Omega, so the stream needs no cap."""
+    if ns and min(ns) < 1:
         raise ValueError("n must be >= 1")
     omega = poly.integer_points(1, cap=cap)
-    ball = minkowski_power(omega, n)
-    full = poly.integer_points(n, cap=cap)
-    if not ball.issubset(full):
-        raise RuntimeError("internal inconsistency: sums escaped the dilation")
-    missing = full.difference(ball)
-    if len(missing) == 0:
-        return EqualityReport(n, True, None)
-    return EqualityReport(n, False, missing.points[0])
+    balls = ball_layers(_translated_group(omega), cap=sys.maxsize)
+    reports = []
+    for n, (ball, _) in zip(range(max(ns, default=-1) + 1), balls):
+        if n not in ns:
+            continue
+        full = poly.integer_points(n, cap=cap)
+        shift = tuple(n * c for c in omega.points[0])
+        missing = [p for p in full.points if tuple(map(sub, p, shift)) not in ball]
+        if len(full) - len(missing) != len(ball):
+            raise RuntimeError("internal inconsistency: sums escaped the dilation")
+        reports.append(EqualityReport(n, not missing, missing[0] if missing else None))
+    return reports
 
 
 @dataclass(frozen=True)

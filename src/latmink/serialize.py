@@ -21,6 +21,7 @@ from typing import Any
 
 from .geometry import LatticePolytope, PointSet
 from .groups import (
+    GL2Z_IDENTITY,
     KIND_GL2Z,
     KIND_ZD,
     ElementSet,
@@ -121,28 +122,25 @@ def parse_group(doc: Any) -> tuple[GroupPresentation, list[str]]:
     gens = doc["generators"]
     if not isinstance(gens, list) or not gens:
         raise ValueError('"generators" must be a non-empty list')
+    dim = doc.get("dim")
     if kind == KIND_ZD:
-        dim = doc.get("dim")
         if type(dim) is not int or dim < 1:
             raise ValueError('zd group documents need an integer "dim" >= 1')
         parsed = [tuple(_int_list(g, "generator")) for g in gens]
         identity = (0,) * dim
-        if identity not in parsed:
-            parsed.append(identity)
-            warnings.append("identity element was missing from the generators; inserted")
-        return GroupPresentation.zd(dim, parsed), warnings
-    if kind == KIND_GL2Z:
+    elif kind == KIND_GL2Z:
         parsed = []
         for g in gens:
             if not isinstance(g, list) or len(g) != 2:
                 raise ValueError("gl2z generators must be 2x2 integer matrices")
             parsed.append(tuple(tuple(_int_list(row, "matrix row")) for row in g))
-        identity = ((1, 0), (0, 1))
-        if identity not in parsed:
-            parsed.append(identity)
-            warnings.append("identity element was missing from the generators; inserted")
-        return GroupPresentation.gl2z(parsed), warnings
-    raise ValueError(f"unknown group kind {kind!r}")
+        identity = GL2Z_IDENTITY
+    else:
+        raise ValueError(f"unknown group kind {kind!r}")
+    if identity not in parsed:
+        parsed.append(identity)
+        warnings.append("identity element was missing from the generators; inserted")
+    return GroupPresentation(kind, parsed, dim=dim), warnings
 
 
 def group_to_dict(group: GroupPresentation) -> dict:

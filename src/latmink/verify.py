@@ -15,15 +15,18 @@ from typing import Callable
 
 from .geometry import LatticePolytope, PointSet, cross_polytope, cube
 from .groups import (
+    ElementSet,
     GroupPresentation,
+    ball_layers,
     check_boundary_equality,
+    check_boundary_equality_range,
     gl2z_swap_shear_generators,
     omega_boundary,
     omega_interior,
     word_ball,
     zd_presentation_from_polytope,
 )
-from .minkowski import check_equality, decompose, minkowski_power, minkowski_sum, generates_zd
+from .minkowski import check_equality_range, decompose, minkowski_power, minkowski_sum, generates_zd
 from .triangulation import (
     LatticeSimplex,
     Triangulation,
@@ -79,10 +82,6 @@ def orthant_fan(dim: int) -> Triangulation:
     return Triangulation(poly, tuple(simplices))
 
 
-def _unit_vector(dim: int, index: int) -> tuple[int, ...]:
-    return tuple(1 if j == index else 0 for j in range(dim))
-
-
 def _claim_sigma_interior_points(seed: int, **_) -> tuple[bool, str]:
     for d in (3, 4, 5):
         for m in range(1, 7):
@@ -120,15 +119,14 @@ def _claim_sigma32_sum_misses_e3(seed: int, **_) -> tuple[bool, str]:
 
 def _claim_sigma32_equality(seed: int, **_) -> tuple[bool, str]:
     poly = LatticePolytope(sigma(3, 2).vertices)
-    r1 = check_equality(poly, 1)
-    r2 = check_equality(poly, 2)
+    r1, r2 = check_equality_range(poly, range(1, 3))
     ok = r1.holds and not r2.holds and r2.witness == (0, 0, 1)
     return ok, f"n=1 holds={r1.holds}; n=2 holds={r2.holds} witness={r2.witness}"
 
 
 def _claim_sigma52_delayed(seed: int, **_) -> tuple[bool, str]:
     poly = LatticePolytope(sigma(5, 2).vertices)
-    results = [check_equality(poly, n).holds for n in (1, 2, 3)]
+    results = [r.holds for r in check_equality_range(poly, range(1, 4))]
     ok = results == [True, True, False]
     return ok, f"holds at n=1,2,3: {results}"
 
@@ -166,10 +164,9 @@ def _claim_polygon_equality(seed: int, polygon_samples: int = DEFAULT_POLYGON_SA
     rng = random.Random(seed)
     for i in range(polygon_samples):
         poly = random_lattice_polygon(rng)
-        for n in range(1, 6):
-            report = check_equality(poly, n)
+        for report in check_equality_range(poly, range(1, 6)):
             if not report.holds:
-                return False, f"polygon #{i} {list(poly.vertices)} fails at n={n}, witness {report.witness}"
+                return False, f"polygon #{i} {list(poly.vertices)} fails at n={report.n}, witness {report.witness}"
     return True, f"{polygon_samples} seeded polygons satisfy equality for n <= 5"
 
 
@@ -255,10 +252,9 @@ def _claim_zd_boundary_equality(seed: int, **_) -> tuple[bool, str]:
     ]
     for name, poly in cases:
         group = zd_presentation_from_polytope(poly)
-        for n in range(1, 6):
-            report = check_boundary_equality(group, n)
+        for report in check_boundary_equality_range(group, range(1, 6)):
             if not report.holds:
-                return False, f"{name}: boundary equality fails at n={n}"
+                return False, f"{name}: boundary equality fails at n={report.n}"
     return True, "boundary of the radius-n ball equals its fresh layer for n <= 5"
 
 
@@ -308,7 +304,7 @@ def _test_groups() -> list[tuple[str, GroupPresentation]]:
 
 def _claim_inclusion_chains(seed: int, **_) -> tuple[bool, str]:
     for name, group in _test_groups():
-        balls = [word_ball(group, n) for n in range(6)]
+        balls = [ElementSet(ball) for ball, _ in itertools.islice(ball_layers(group), 6)]
         for n in range(1, 6):
             interior = omega_interior(group, balls[n])
             boundary = omega_boundary(group, balls[n])
@@ -331,11 +327,12 @@ def _claim_word_ball_equals_minkowski(seed: int, **_) -> tuple[bool, str]:
     for name, poly in polytopes:
         group = zd_presentation_from_polytope(poly)
         omega = poly.integer_points(1)
+        power = PointSet([(0,) * poly.dim], poly.dim)
         for n in range(6):
-            ball = word_ball(group, n)
-            power = minkowski_power(omega, n)
-            if set(ball) != set(power.points):
+            # The fold of minkowski_sum, not minkowski_power, which reads word balls.
+            if set(word_ball(group, n)) != set(power.points):
                 return False, f"{name}: ball({n}) != {n}-fold Minkowski sum"
+            power = minkowski_sum(power, omega)
     return True, "word balls match n-fold Minkowski sums for n <= 5"
 
 

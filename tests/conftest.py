@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the code paths they check: vertices and
 membership by LP instead of the hull, facets by trying every vertex subset,
-point counts by exhaustive scan, determinants by permutation expansion.
+point counts by exhaustive scan, determinants by permutation expansion, word
+balls by multiplying the whole ball each round, Minkowski powers by folding
+minkowski_sum.
 """
 
 import itertools
@@ -10,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from latmink import LatticePolytope, PointSet, linalg, lp
+from latmink import ElementSet, LatticePolytope, PointSet, linalg, lp, minkowski_sum
 from latmink.geometry import dot
 
 
@@ -96,6 +98,31 @@ def is_n_fold_sum(omega: PointSet, n: int, target) -> bool:
             tuple(a + b for a, b in zip(p, q)) for p in reachable for q in omega.points
         }
     return tuple(target) in reachable
+
+
+def _product(a, b):
+    """Group product of two Z^d tuples or two 2x2 integer matrices."""
+    if isinstance(a[0], tuple):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2)) for i in range(2)
+        )
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def brute_force_word_ball(group, n: int) -> ElementSet:
+    """Radius-n ball by left-multiplying the whole ball by every generator, n times."""
+    ball = {group.identity}
+    for _ in range(n):
+        ball = {_product(w, a) for w in group.generators for a in ball}
+    return ElementSet(ball)
+
+
+def folded_minkowski_power(s: PointSet, n: int) -> PointSet:
+    """n-fold Minkowski sum as n folds of minkowski_sum, starting from {0}."""
+    acc = PointSet([(0,) * s.dim], s.dim)
+    for _ in range(n):
+        acc = minkowski_sum(acc, s)
+    return acc
 
 
 @pytest.fixture

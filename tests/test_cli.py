@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from latmink.cli import main
+from latmink import geometry, groups
+from latmink.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -277,3 +278,42 @@ class TestGlobalFlags:
         code, doc, _ = run_json(capsys, "points", "unit-square", "1", "--timing")
         assert code == 0
         assert "elapsed_ms" in doc
+
+    def test_parser_is_built_once_and_keeps_no_flag_state(self, capsys):
+        assert build_parser() is build_parser()
+        code, out, _ = run(capsys, "--pretty", "points", "unit-square", "1")
+        assert code == 0 and out.startswith("4 integer points")
+        code, doc, _ = run_json(capsys, "points", "unit-square", "1")
+        assert code == 0 and doc["result"]["count"] == 4
+        assert "elapsed_ms" not in doc
+
+
+class TestBallCap:
+    # |ball(4)| = 178 for the swap-shear generators of GL(2, Z).
+    COMMANDS = [("word-ball", "4"), ("boundary", "4"), ("check-boundary", "1..4")]
+
+    @pytest.mark.parametrize("command, n", COMMANDS)
+    def test_cap_at_the_ball_size(self, capsys, command, n):
+        code, _, err = run(capsys, command, "gl2z-swap-shear", n, "--cap", "177")
+        assert code == 3 and "exceeded 177 elements" in err
+        code, _, _ = run(capsys, command, "gl2z-swap-shear", n, "--cap", "178")
+        assert code == 0
+
+    @pytest.mark.parametrize("command, n", COMMANDS)
+    def test_default_is_the_ball_cap(self, capsys, monkeypatch, command, n):
+        monkeypatch.setattr(geometry, "DEFAULT_BOX_CAP", 1)
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 177)
+        code, _, err = run(capsys, command, "gl2z-swap-shear", n)
+        assert code == 3 and "exceeded 177 elements" in err
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 178)
+        code, _, _ = run(capsys, command, "gl2z-swap-shear", n)
+        assert code == 0
+
+    def test_polytope_commands_keep_the_box_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_BALL_CAP", 1)
+        monkeypatch.setattr(geometry, "DEFAULT_BOX_CAP", 8)
+        code, _, err = run(capsys, "points", "unit-square", "2")
+        assert code == 3 and "cap is 8" in err
+        monkeypatch.setattr(geometry, "DEFAULT_BOX_CAP", 9)
+        code, doc, _ = run_json(capsys, "check-equality", "unit-square", "1..2")
+        assert code == 0 and all(r["holds"] for r in doc["result"])

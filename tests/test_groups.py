@@ -1,11 +1,17 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmink import (
     ElementSet,
     GroupPresentation,
     LatticePolytope,
     ResourceLimitError,
+    ball_layers,
     check_boundary_equality,
+    check_boundary_equality_range,
     check_equality,
     cross_polytope,
     cube,
@@ -16,10 +22,34 @@ from latmink import (
     word_ball,
     zd_presentation_from_polytope,
 )
-from latmink.groups import as_gl2z
+from latmink.groups import GL2Z_IDENTITY, as_gl2z
 from latmink.verify import random_lattice_polygon, symmetric_example_polytope
 
+from conftest import brute_force_word_ball
+
 import random
+
+
+def _small_gl2z():
+    """The 40 elements of GL(2, Z) with entries in {-1, 0, 1}."""
+    found = []
+    for a, b, c, d in itertools.product((-1, 0, 1), repeat=4):
+        if a * d - b * c in (1, -1):
+            found.append(((a, b), (c, d)))
+    return found
+
+
+@st.composite
+def zd_groups(draw):
+    """Z^d presentations with d <= 3 and up to five generators besides 0."""
+    d = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    return GroupPresentation.zd(d, [(0,) * d] + draw(st.lists(point, max_size=5)))
+
+
+gl2z_groups = st.lists(st.sampled_from(_small_gl2z()), max_size=4).map(
+    lambda gens: GroupPresentation.gl2z([GL2Z_IDENTITY] + gens)
+)
 
 
 def l1_ball(radius):
@@ -108,6 +138,51 @@ class TestWordBall:
             word_ball(z2_cross, -1)
 
 
+class TestBallEngine:
+    """word_ball and ball_layers against the rebuild-every-round oracle."""
+
+    @given(zd_groups(), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_zd_word_ball_matches_oracle(self, group, n):
+        assert word_ball(group, n) == brute_force_word_ball(group, n)
+
+    @given(gl2z_groups, st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_gl2z_word_ball_matches_oracle(self, group, n):
+        assert word_ball(group, n) == brute_force_word_ball(group, n)
+
+    @given(st.one_of(zd_groups(), gl2z_groups))
+    @settings(max_examples=40, deadline=None)
+    def test_layers_are_the_fresh_elements(self, group):
+        previous = set()
+        for n, (ball, layer) in zip(range(5), ball_layers(group)):
+            expected = brute_force_word_ball(group, n)
+            assert ball == set(expected)
+            assert sorted(layer) == [x for x in expected if x not in previous]
+            previous = ball
+
+    def test_cap_is_exact_at_the_ball_size(self, gl2z):
+        assert len(word_ball(gl2z, 4, cap=178)) == 178
+        with pytest.raises(ResourceLimitError, match="exceeded 177 elements"):
+            word_ball(gl2z, 4, cap=177)
+
+    def test_cap_fires_before_a_full_round(self, gl2z, monkeypatch):
+        # Only elements already in the ball get multiplied, so fewer than
+        # |S| * cap products are formed before the cap fires. Multiplying the
+        # whole ball each round would form 20,922 here.
+        calls = [0]
+        mul = GroupPresentation.mul
+
+        def counting_mul(self, a, b):
+            calls[0] += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(GroupPresentation, "mul", counting_mul)
+        with pytest.raises(ResourceLimitError):
+            word_ball(gl2z, 40, cap=2000)
+        assert 0 < calls[0] < len(gl2z.generators) * 2000
+
+
 class TestInteriorAndBoundary:
     def test_z1_segment(self):
         group = GroupPresentation.zd(1, [(-1,), (0,), (1,)])
@@ -162,6 +237,25 @@ class TestCheckBoundaryEquality:
     def test_rejects_n_zero(self, z2_cross):
         with pytest.raises(ValueError):
             check_boundary_equality(z2_cross, 0)
+        with pytest.raises(ValueError):
+            check_boundary_equality_range(z2_cross, range(0, 3))
+
+    @given(st.one_of(zd_groups(), gl2z_groups), st.integers(1, 4), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_range_matches_oracle_balls(self, group, lo, extra):
+        reports = check_boundary_equality_range(group, range(lo, lo + extra + 1))
+        assert [r.n for r in reports] == list(range(lo, lo + extra + 1))
+        for r in reports:
+            ball = brute_force_word_ball(group, r.n)
+            fresh = ball.difference(brute_force_word_ball(group, r.n - 1))
+            boundary = omega_boundary(group, ball)
+            assert r.rhs_minus_lhs == fresh.difference(boundary)
+            assert len(r.lhs_minus_rhs) == 0
+            assert r.holds == (len(r.rhs_minus_lhs) == 0)
+            assert r == check_boundary_equality(group, r.n)
+
+    def test_empty_range(self, gl2z):
+        assert check_boundary_equality_range(gl2z, range(3, 3)) == []
 
 
 class TestInclusionChains:
@@ -205,6 +299,16 @@ class TestZdPresentationFromPolytope:
 
 
 class TestWordBallOracle:
+    def test_verify_claim_does_not_compare_the_engine_with_itself(self, monkeypatch):
+        from latmink import verify
+
+        def engine_power(*args):
+            raise AssertionError("minkowski_power reads the same engine as word_ball")
+
+        monkeypatch.setattr(verify, "minkowski_power", engine_power)
+        ok, detail = verify._claim_word_ball_equals_minkowski(0)
+        assert ok and detail == "word balls match n-fold Minkowski sums for n <= 5"
+
     def test_equals_minkowski_power(self):
         polytopes = [
             LatticePolytope([(-1,), (1,)]),

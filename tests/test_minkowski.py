@@ -10,6 +10,7 @@ from latmink import (
     PointSet,
     Triangulation,
     check_equality,
+    check_equality_range,
     cross_polytope,
     cube,
     decompose,
@@ -21,7 +22,7 @@ from latmink import (
 )
 from latmink.verify import orthant_fan, symmetric_example_polytope
 
-from conftest import is_n_fold_sum
+from conftest import folded_minkowski_power, is_n_fold_sum
 
 small_sets_1d = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(
     lambda xs: PointSet([(x,) for x in xs])
@@ -86,6 +87,26 @@ class TestMinkowskiPower:
         with pytest.raises(ValueError):
             minkowski_power(PointSet([(0,)]), -1)
 
+    @given(st.data(), st.integers(1, 3), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_folded_sums_away_from_origin(self, data, d, n):
+        # The engine translates by the lex-least point; the oracle does not.
+        point = st.tuples(*[st.integers(1, 3)] * d)
+        s = PointSet(data.draw(st.lists(point, min_size=1, max_size=5)), d)
+        assert (0,) * d not in s
+        assert minkowski_power(s, n) == folded_minkowski_power(s, n)
+
+    @given(small_sets_2d, st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_folded_sums(self, s, n):
+        assert minkowski_power(s, n) == folded_minkowski_power(s, n)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_empty_set(self, n):
+        empty = PointSet([], 2)
+        assert minkowski_power(empty, n) == folded_minkowski_power(empty, n)
+        assert len(minkowski_power(empty, n)) == (1 if n == 0 else 0)
+
     @given(small_sets_2d, st.integers(1, 3))
     @settings(max_examples=60, deadline=None)
     def test_scaled_copies_are_contained(self, s, n):
@@ -139,6 +160,32 @@ class TestCheckEquality:
     def test_rejects_n_zero(self, unit_square):
         with pytest.raises(ValueError):
             check_equality(unit_square, 0)
+        with pytest.raises(ValueError):
+            check_equality_range(unit_square, range(0, 2))
+
+    @given(
+        st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=6),
+        st.integers(1, 2),
+        st.integers(0, 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_range_matches_folded_sums(self, pts, lo, extra):
+        poly = hull(pts)
+        omega = poly.integer_points(1)
+        reports = check_equality_range(poly, range(lo, lo + extra + 1))
+        assert [r.n for r in reports] == list(range(lo, lo + extra + 1))
+        for r in reports:
+            power = folded_minkowski_power(omega, r.n)
+            missing = [p for p in poly.integer_points(r.n) if p not in power]
+            assert r.holds == (not missing)
+            assert r.witness == (missing[0] if missing else None)
+            assert r == check_equality(poly, r.n)
+
+    def test_range_sigma_5_2(self):
+        p = LatticePolytope(sigma(5, 2).vertices)
+        reports = check_equality_range(p, range(1, 4))
+        assert [r.holds for r in reports] == [True, True, False]
+        assert check_equality_range(p, range(2, 2)) == []
 
 
 class TestDecompose:
