@@ -11,6 +11,7 @@ by deterministic backtracking at desk scale.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,17 @@ DEFAULT_SEARCH_BUDGET = 200_000
 DEFAULT_POINT_CAP = 14
 
 
+def _edge_rows(pts: Sequence[Point]) -> list[list[int]]:
+    """The rows p - pts[0] for the points p after the first."""
+    base = pts[0]
+    return [[x - b for x, b in zip(p, base)] for p in pts[1:]]
+
+
+def _on_boundary(poly_facets: Sequence[Halfspace], points: Sequence[Point]) -> bool:
+    """True when all the points lie on one facet plane of the polytope."""
+    return any(all(h.slack(p) == 0 for p in points) for h in poly_facets)
+
+
 class LatticeSimplex:
     """Full-dimensional lattice simplex: d+1 affinely independent points of Z^d.
 
@@ -48,18 +60,13 @@ class LatticeSimplex:
             raise ValueError("mixed dimensions in simplex")
         if len(pts) != d + 1:
             raise ValueError(f"a simplex in Z^{d} needs {d + 1} distinct vertices, got {len(pts)}")
-        det = linalg.det_int(self._edge_rows(pts))
+        det = linalg.det_int(_edge_rows(pts))
         if det == 0:
             raise ValueError("degenerate simplex: vertices are affinely dependent")
         self.vertices: tuple[Point, ...] = tuple(pts)
         self.dim = d
         self.normalized_volume = abs(det)
         self._facets: tuple[Halfspace, ...] | None = None
-
-    @staticmethod
-    def _edge_rows(pts: Sequence[Point]) -> list[list[int]]:
-        base = pts[0]
-        return [[p[i] - base[i] for i in range(len(base))] for p in pts[1:]]
 
     def volume(self) -> Fraction:
         return Fraction(self.normalized_volume, factorial(self.dim))
@@ -84,16 +91,11 @@ class LatticeSimplex:
         """The d+1 facet halfspaces, oriented to contain the simplex."""
         if self._facets is None:
             out = []
-            d = self.dim
-            for omit in range(d + 1):
-                rest = [v for i, v in enumerate(self.vertices) if i != omit]
-                base = rest[0]
-                rows = [[q[i] - base[i] for i in range(d)] for q in rest[1:]]
-                normal = linalg.primitive_vector(linalg.cofactor_normal(rows, d))
-                offset = dot(normal, base)
+            for omit, rest in enumerate(self.facet_vertex_sets()):
+                normal = linalg.primitive_vector(linalg.cofactor_normal(_edge_rows(rest), self.dim))
+                offset = dot(normal, rest[0])
                 if dot(normal, self.vertices[omit]) > offset:
-                    normal = tuple(-x for x in normal)
-                    offset = -offset
+                    normal, offset = tuple(-x for x in normal), -offset
                 out.append(Halfspace(normal, offset))
             self._facets = tuple(out)
         return self._facets
@@ -286,15 +288,11 @@ def relative_interiors_intersect(a: LatticeSimplex, b: LatticeSimplex) -> bool:
     d = a.dim
     k = d + 1
     # variables: t, s_0..s_d (lambda_i = t + s_i), u_0..u_d (mu_j = t + u_j)
-    nvars = 1 + 2 * k
-    a_eq = []
-    b_eq = []
-    row = [Fraction(k)] + [Fraction(1)] * k + [Fraction(0)] * k
-    a_eq.append(row)
-    b_eq.append(Fraction(1))
-    row = [Fraction(k)] + [Fraction(0)] * k + [Fraction(1)] * k
-    a_eq.append(row)
-    b_eq.append(Fraction(1))
+    a_eq = [
+        [Fraction(k)] + [Fraction(1)] * k + [Fraction(0)] * k,
+        [Fraction(k)] + [Fraction(0)] * k + [Fraction(1)] * k,
+    ]
+    b_eq = [Fraction(1), Fraction(1)]
     for i in range(d):
         coeff = [Fraction(sum(v[i] for v in a.vertices) - sum(w[i] for w in b.vertices))]
         coeff += [Fraction(v[i]) for v in a.vertices]
@@ -311,100 +309,131 @@ def relative_interiors_intersect(a: LatticeSimplex, b: LatticeSimplex) -> bool:
 def _intersection_vertices(a: LatticeSimplex, b: LatticeSimplex) -> set:
     """Vertices of the intersection polytope, by exhausting d-subsets of facets."""
     halfspaces = list(dict.fromkeys(a.facets + b.facets))
-    d = a.dim
     found = set()
-    for subset in itertools.combinations(halfspaces, d):
+    for subset in itertools.combinations(halfspaces, a.dim):
         point = linalg.solve_exact([h.normal for h in subset], [h.offset for h in subset])
-        if point is None:
-            continue
-        if all(h.slack(point) >= 0 for h in halfspaces):
+        if point is not None and all(h.slack(point) >= 0 for h in halfspaces):
             found.add(point)
     return found
 
 
 def _boxes_disjoint(a: LatticeSimplex, b: LatticeSimplex) -> bool:
-    for (alo, ahi), (blo, bhi) in zip(a.bounding_box(), b.bounding_box()):
-        if ahi < blo or bhi < alo:
+    return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a.bounding_box(), b.bounding_box()))
+
+
+def _separated(a: LatticeSimplex, b: LatticeSimplex) -> bool:
+    """Integer certificate that a and b have disjoint interiors and meet face-to-face.
+
+    It holds when a halfspace containing one simplex s has the other, t, on
+    its closed far side, and s or t meets its plane H in exactly the shared
+    vertices: the intersection lies in H, so it is their hull, a face of
+    both. Tried are each facet halfspace of s (t then meets H in at least
+    the shared vertices) and the sum of those through the shared vertices,
+    whose plane meets s in exactly them.
+    """
+    common = set(a.vertices) & set(b.vertices)
+    if len(common) > a.dim:
+        return False  # the same simplex twice
+    for s, t in ((a, b), (b, a)):
+        through = [h for v, h in zip(s.vertices, s.facets) if v not in common]
+        summed = Halfspace(tuple(map(sum, zip(*(h.normal for h in through)))), sum(h.offset for h in through))
+        if max(summed.slack(v) for v in t.vertices) <= 0:
             return True
+        for h in s.facets:
+            slacks = [h.slack(v) for v in t.vertices]
+            if max(slacks) <= 0 and slacks.count(0) == len(common):
+                return True
     return False
 
 
 def simplices_face_to_face(a: LatticeSimplex, b: LatticeSimplex) -> bool:
     """Is the intersection of the two simplices a common face of both?
 
-    Every vertex subset of a simplex spans a face, so this reduces to
-    checking that the intersection equals the hull of the shared vertices:
-    each vertex of the intersection must have barycentric support inside
-    the shared vertex set.
+    That is, the hull of the shared vertices. Disjoint boxes or the
+    certificate of `_separated` mean yes; a shared facet without it has both
+    apexes on one side (no). Otherwise each vertex of the intersection,
+    found by exact solves, must have barycentric support in the shared set.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     if a.vertices == b.vertices:
         return True
-    if _boxes_disjoint(a, b):
+    if _boxes_disjoint(a, b) or _separated(a, b):
         return True
     common = set(a.vertices) & set(b.vertices)
     if len(common) == a.dim:
-        # shared facet: face-to-face iff the two apexes lie strictly on
-        # opposite sides of its hyperplane
-        shared = sorted(common)
-        base = shared[0]
-        d = a.dim
-        rows = [[q[i] - base[i] for i in range(d)] for q in shared[1:]]
-        normal = linalg.cofactor_normal(rows, d)
-        offset = dot(normal, base)
-        apex_a = next(v for v in a.vertices if v not in common)
-        apex_b = next(v for v in b.vertices if v not in common)
-        va = dot(normal, apex_a) - offset
-        vb = dot(normal, apex_b) - offset
-        return (va > 0) != (vb > 0)
+        return False
     for x in _intersection_vertices(a, b):
-        coords = a.barycentric(x)
-        for coeff, vertex in zip(coords, a.vertices):
+        for coeff, vertex in zip(a.barycentric(x), a.vertices):
             if coeff != 0 and vertex not in common:
                 return False
     return True
 
 
-def spans_face(simplex: LatticeSimplex, subset: Iterable[Point]) -> bool:
-    """Supporting-hyperplane check that a vertex subset spans a face.
-
-    The vertices lying on every simplex facet that contains the subset must
-    be exactly the subset; for genuine simplices this always holds.
-    """
-    wanted = set(as_point(p) for p in subset)
-    if not wanted <= set(simplex.vertices):
-        return False
-    if not wanted:
-        return True
-    carried = set(simplex.vertices)
-    for h in simplex.facets:
-        if all(h.slack(p) == 0 for p in wanted):
-            carried &= {v for v in simplex.vertices if h.slack(v) == 0}
-    return carried == wanted
+def _facets_matched(simplices: Sequence[LatticeSimplex], poly_facets: Sequence[Halfspace]) -> bool:
+    """True when each facet (a vertex tuple) with one owner lies on a facet
+    plane of the polytope and each other facet has two owners whose apexes
+    lie strictly on opposite sides of it."""
+    owners: dict[tuple[Point, ...], list[tuple[LatticeSimplex, int]]] = {}
+    for s in simplices:
+        for omit, fkey in enumerate(s.facet_vertex_sets()):
+            owners.setdefault(fkey, []).append((s, omit))
+    for fkey, owned in owners.items():
+        if len(owned) > 2 or (len(owned) == 1 and not _on_boundary(poly_facets, fkey)):
+            return False
+        if len(owned) == 2:
+            (s, omit), (t, t_omit) = owned
+            if s.facets[omit].slack(t.vertices[t_omit]) >= 0:
+                return False
+    return True
 
 
 def validate_triangulation(tri: Triangulation) -> TriangulationReport:
     """Exhaustive exact validation of a claimed triangulation.
 
-    Checks: every simplex inside the polytope; deduplicated volumes summing
-    to the polytope volume; pairwise disjoint relative interiors; pairwise
-    face-to-face intersections with the shared vertices spanning a face of
-    each. All failures are reported, none raise.
+    Checks: every simplex inside the polytope P; no duplicates; volumes
+    summing to vol(P); pairwise disjoint interiors; pairwise face-to-face
+    intersections. All failures are reported, none raise.
+
+    When the first three checks pass, the facet-adjacency pass of
+    `_facets_matched` settles the other two in integer arithmetic, linear
+    in the number of simplices: each facet with one owner lies on a facet
+    plane of P, and each other facet has two owners, with apexes strictly
+    on opposite sides. This is the interior-facet plus covering
+    characterization (De Loera, Rambau and Santos, *Triangulations*, 2010,
+    Ch. 4). Sketch:
+
+    - Covering. Let m(x) count the simplices whose interior holds x. A
+      facet through a point of P's interior is not on P's boundary, so it
+      has one owner on either side: m does not change across a facet plane
+      away from the (d-2)-faces and the other planes, which paths in P's
+      interior can avoid (codimension two). So m is a constant c almost
+      everywhere on P; as every simplex lies in P, c vol(P) = vol(P) and
+      c = 1. The interiors are disjoint and cover P.
+    - Face-to-face. Let F be the carrier face of a point x in one simplex.
+      The simplices having F as a face are closed under crossing their
+      facets through x (the other owner has F as a face too); the facets
+      not crossed lie on P's boundary. So their tangent cones at x fill
+      P's, and a simplex through x with another carrier face would overlap
+      one of them. Any two simplices thus meet in the hull of their shared
+      vertices.
+
+    Otherwise (a problem is recorded, or a facet is unmatched) each pair
+    with overlapping boxes and no `_separated` certificate gets the exact
+    LP of `relative_interiors_intersect`, then `simplices_face_to_face`.
     """
     problems: list[str] = []
     poly = tri.polytope
     simplices = tri.simplices
 
     if not poly.is_full_dimensional:
-        problems.append("polytope is not full-dimensional")
-        return TriangulationReport(False, False, False, Fraction(0), tuple(problems))
+        return TriangulationReport(False, False, False, Fraction(0), ("polytope is not full-dimensional",))
 
+    inside = {v: poly.contains(v) for v in {v for s in simplices for v in s.vertices}}
     for idx, s in enumerate(simplices):
-        for v in s.vertices:
-            if not poly.contains(v):
-                problems.append(f"simplex {idx} has vertex {v} outside the polytope")
-                break
+        outside = next((v for v in s.vertices if not inside[v]), None)
+        if outside is not None:
+            problems.append(f"simplex {idx} has vertex {outside} outside the polytope")
 
     seen: dict[tuple[Point, ...], int] = {}
     distinct: list[LatticeSimplex] = []
@@ -420,19 +449,19 @@ def validate_triangulation(tri: Triangulation) -> TriangulationReport:
     if covered != target:
         problems.append(f"covered volume {covered} != polytope volume {target}")
 
-    for i, j in itertools.combinations(range(len(simplices)), 2):
-        a, b = simplices[i], simplices[j]
-        if _boxes_disjoint(a, b):
-            continue
-        if a.vertices == b.vertices or relative_interiors_intersect(a, b):
-            problems.append(f"simplices {i} and {j} have intersecting interiors")
-            continue
-        if not simplices_face_to_face(a, b):
-            problems.append(f"simplices {i} and {j} do not meet face-to-face")
-            continue
-        shared = set(a.vertices) & set(b.vertices)
-        if shared and not (spans_face(a, shared) and spans_face(b, shared)):
-            problems.append(f"shared vertices of simplices {i} and {j} span no common face")
+    if problems or not _facets_matched(simplices, poly.facets):
+        clean = not problems
+        for i, j in itertools.combinations(range(len(simplices)), 2):
+            a, b = simplices[i], simplices[j]
+            if _boxes_disjoint(a, b) or _separated(a, b):
+                continue
+            if a.vertices == b.vertices or relative_interiors_intersect(a, b):
+                problems.append(f"simplices {i} and {j} have intersecting interiors")
+                continue
+            if not simplices_face_to_face(a, b):
+                problems.append(f"simplices {i} and {j} do not meet face-to-face")
+        if clean and not problems:
+            raise RuntimeError("internal inconsistency: a facet is unmatched but every pair is valid")
 
     classes = [classify_simplex(s) for s in simplices]
     return TriangulationReport(
@@ -491,62 +520,32 @@ def search_primitive_triangulation(
 
     candidates: list[LatticeSimplex] = []
     for comb in itertools.combinations(points, d + 1):
-        base = comb[0]
-        rows = [[q[i] - base[i] for i in range(d)] for q in comb[1:]]
-        if abs(linalg.det_int(rows)) == 1:
+        if abs(linalg.det_int(_edge_rows(comb))) == 1:
             candidates.append(LatticeSimplex(comb))
     if not candidates:
         return SearchResult(None, True, 0)
     candidates.sort(key=lambda s: s.vertices)
 
-    # hyperplane through each facet vertex set, plus each candidate's side
-    hyperplanes: dict[tuple[Point, ...], tuple[Point, int]] = {}
-
-    def facet_plane(fkey: tuple[Point, ...]) -> tuple[Point, int]:
-        plane = hyperplanes.get(fkey)
-        if plane is None:
-            base = fkey[0]
-            rows = [[q[i] - base[i] for i in range(d)] for q in fkey[1:]]
-            normal = linalg.primitive_vector(linalg.cofactor_normal(rows, d))
-            for x in normal:
-                if x:
-                    if x < 0:
-                        normal = tuple(-y for y in normal)
-                    break
-            plane = (normal, dot(normal, base))
-            hyperplanes[fkey] = plane
-        return plane
-
+    # each candidate's facets, with the side of the apex: +1 when it lies
+    # above the facet's plane oriented by a positive first nonzero entry
     cand_facets: list[list[tuple[tuple[Point, ...], int]]] = []
     by_facet: dict[tuple[Point, ...], list[tuple[int, int]]] = {}
     for idx, cand in enumerate(candidates):
         entry = []
-        for omit, fkey in enumerate(cand.facet_vertex_sets()):
-            normal, offset = facet_plane(fkey)
-            side = 1 if dot(normal, cand.vertices[omit]) > offset else -1
+        for fkey, h in zip(cand.facet_vertex_sets(), cand.facets):
+            side = 1 if next(x for x in h.normal if x) < 0 else -1
             entry.append((fkey, side))
             by_facet.setdefault(fkey, []).append((idx, side))
         cand_facets.append(entry)
 
-    boundary_cache: dict[tuple[Point, ...], bool] = {}
-    poly_facets = poly.facets
+    on_boundary = functools.cache(functools.partial(_on_boundary, poly.facets))
 
-    def on_boundary(fkey: tuple[Point, ...]) -> bool:
-        res = boundary_cache.get(fkey)
-        if res is None:
-            res = any(all(h.slack(p) == 0 for p in fkey) for h in poly_facets)
-            boundary_cache[fkey] = res
-        return res
-
-    compat_cache: dict[tuple[int, int], bool] = {}
+    @functools.cache
+    def face_to_face(i: int, j: int) -> bool:
+        return simplices_face_to_face(candidates[i], candidates[j])
 
     def compatible(i: int, j: int) -> bool:
-        key = (i, j) if i < j else (j, i)
-        res = compat_cache.get(key)
-        if res is None:
-            res = simplices_face_to_face(candidates[i], candidates[j])
-            compat_cache[key] = res
-        return res
+        return face_to_face(min(i, j), max(i, j))
 
     nodes = 0
     budget_hit = False
@@ -609,11 +608,11 @@ def search_primitive_triangulation(
             if result is not None:
                 report = validate_triangulation(result)
                 if not (report.valid and report.is_primitive):
-                    raise RuntimeError(
-                        f"search produced an invalid triangulation: {report.problems}"
-                    )
+                    raise RuntimeError(f"search produced an invalid triangulation: {report.problems}")
                 return SearchResult(result, False, nodes)
             unplace(seed)
     except _Budget:
         budget_hit = True
+    finally:
+        del extend  # it refers to itself: free the search's tables now, not at a later gc pass
     return SearchResult(None, not budget_hit, nodes)

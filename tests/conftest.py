@@ -4,7 +4,8 @@ The oracles here deliberately avoid the code paths they check: vertices and
 membership by LP instead of the hull, facets by trying every vertex subset,
 point counts by exhaustive scan, determinants by permutation expansion, word
 balls by multiplying the whole ball each round, Minkowski powers by folding
-minkowski_sum.
+minkowski_sum, triangulations by an exact LP and an intersection-vertex test
+on every pair of simplices.
 """
 
 import itertools
@@ -12,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
-from latmink import ElementSet, LatticePolytope, PointSet, linalg, lp, minkowski_sum
-from latmink.geometry import dot
+from latmink import ElementSet, LatticePolytope, PointSet, classify_simplex, linalg, lp, minkowski_sum
+from latmink.geometry import as_point, dot
+from latmink.triangulation import TriangulationReport, relative_interiors_intersect
 
 
 def lp_vertices(points) -> tuple:
@@ -123,6 +125,113 @@ def folded_minkowski_power(s: PointSet, n: int) -> PointSet:
     for _ in range(n):
         acc = minkowski_sum(acc, s)
     return acc
+
+
+def spans_face(simplex, subset) -> bool:
+    """Supporting-hyperplane check that a vertex subset spans a face.
+
+    The vertices lying on every simplex facet that contains the subset must
+    be exactly the subset; for genuine simplices this always holds.
+    """
+    wanted = set(as_point(p) for p in subset)
+    if not wanted <= set(simplex.vertices):
+        return False
+    if not wanted:
+        return True
+    carried = set(simplex.vertices)
+    for h in simplex.facets:
+        if all(h.slack(p) == 0 for p in wanted):
+            carried &= {v for v in simplex.vertices if h.slack(v) == 0}
+    return carried == wanted
+
+
+def _boxes_disjoint(a, b) -> bool:
+    return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a.bounding_box(), b.bounding_box()))
+
+
+def _intersection_vertices(a, b) -> set:
+    """Vertices of the intersection of two simplices, by exhausting d-subsets of facets."""
+    halfspaces = list(dict.fromkeys(a.facets + b.facets))
+    found = set()
+    for subset in itertools.combinations(halfspaces, a.dim):
+        point = linalg.solve_exact([h.normal for h in subset], [h.offset for h in subset])
+        if point is not None and all(h.slack(point) >= 0 for h in halfspaces):
+            found.add(point)
+    return found
+
+
+def pairwise_face_to_face(a, b) -> bool:
+    """Face-to-face by the vertices of the intersection, with no separation certificate."""
+    if a.vertices == b.vertices or _boxes_disjoint(a, b):
+        return True
+    common = set(a.vertices) & set(b.vertices)
+    if len(common) == a.dim:
+        shared = sorted(common)
+        base = shared[0]
+        rows = [[q[i] - base[i] for i in range(a.dim)] for q in shared[1:]]
+        normal = linalg.cofactor_normal(rows, a.dim)
+        offset = dot(normal, base)
+        apex_a = next(v for v in a.vertices if v not in common)
+        apex_b = next(v for v in b.vertices if v not in common)
+        return (dot(normal, apex_a) > offset) != (dot(normal, apex_b) > offset)
+    for x in _intersection_vertices(a, b):
+        for coeff, vertex in zip(a.barycentric(x), a.vertices):
+            if coeff != 0 and vertex not in common:
+                return False
+    return True
+
+
+def pairwise_validate_triangulation(tri) -> TriangulationReport:
+    """The validator that tests every pair of simplices with overlapping boxes.
+
+    Same checks and problem strings as `validate_triangulation`: vertices
+    inside the polytope, duplicates, the volume sum, then per pair an exact
+    LP for intersecting interiors, face-to-face by intersection vertices,
+    and `spans_face` on the shared vertices.
+    """
+    problems = []
+    poly = tri.polytope
+    simplices = tri.simplices
+    if not poly.is_full_dimensional:
+        return TriangulationReport(False, False, False, Fraction(0), ("polytope is not full-dimensional",))
+    for idx, s in enumerate(simplices):
+        for v in s.vertices:
+            if not poly.contains(v):
+                problems.append(f"simplex {idx} has vertex {v} outside the polytope")
+                break
+    seen = {}
+    distinct = []
+    for idx, s in enumerate(simplices):
+        if s.vertices in seen:
+            problems.append(f"simplex {idx} duplicates simplex {seen[s.vertices]}")
+        else:
+            seen[s.vertices] = idx
+            distinct.append(s)
+    covered = sum((s.volume() for s in distinct), Fraction(0))
+    target = poly.volume()
+    if covered != target:
+        problems.append(f"covered volume {covered} != polytope volume {target}")
+    for i, j in itertools.combinations(range(len(simplices)), 2):
+        a, b = simplices[i], simplices[j]
+        if _boxes_disjoint(a, b):
+            continue
+        if a.vertices == b.vertices or relative_interiors_intersect(a, b):
+            problems.append(f"simplices {i} and {j} have intersecting interiors")
+            continue
+        if not pairwise_face_to_face(a, b):
+            problems.append(f"simplices {i} and {j} do not meet face-to-face")
+            continue
+        shared = set(a.vertices) & set(b.vertices)
+        if shared and not (spans_face(a, shared) and spans_face(b, shared)):
+            problems.append(f"shared vertices of simplices {i} and {j} span no common face")
+    classes = [classify_simplex(s) for s in simplices]
+    return TriangulationReport(
+        valid=not problems,
+        is_elementary=all(c.is_elementary for c in classes),
+        is_primitive=all(c.is_primitive for c in classes),
+        covered_volume=covered,
+        problems=tuple(problems),
+    )
 
 
 @pytest.fixture

@@ -1,10 +1,14 @@
+import functools
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pairwise_face_to_face, pairwise_validate_triangulation, spans_face
 from latmink import (
     LatticePolytope,
     LatticeSimplex,
@@ -16,14 +20,16 @@ from latmink import (
     cube,
     is_elementary_polytope,
     is_unimodular,
+    lp,
     search_primitive_triangulation,
+    serialize,
     sigma,
     sigma_prime,
     simplices_face_to_face,
     unimodular_criteria,
     validate_triangulation,
 )
-from latmink.triangulation import relative_interiors_intersect, spans_face
+from latmink.triangulation import relative_interiors_intersect
 from latmink.verify import orthant_fan
 
 SIGMA_3_2_MATRIX = [[1, 0, -1], [0, 1, -1], [0, 0, 2]]
@@ -257,6 +263,35 @@ class TestFaceToFace:
         assert spans_face(s, [])
         assert not spans_face(s, [(5, 5)])
 
+    @given(st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.tuples(*[st.integers(-3, 3)] * d), min_size=d + 1, max_size=d + 1, unique=True
+    )))
+    @settings(max_examples=150, deadline=None)
+    def test_every_vertex_subset_spans_a_face(self, pts):
+        # validate_triangulation relies on this instead of calling spans_face
+        try:
+            s = LatticeSimplex(pts)
+        except ValueError:
+            return
+        for mask in range(1 << len(s.vertices)):
+            subset = [v for k, v in enumerate(s.vertices) if mask >> k & 1]
+            assert spans_face(s, subset)
+
+    @given(st.integers(2, 4).flatmap(lambda d: st.tuples(
+        st.integers(0, d),
+        *[st.lists(st.tuples(*[st.integers(-1, 2)] * d), min_size=d + 1, max_size=d + 1)] * 2,
+    )))
+    @settings(max_examples=400, deadline=None)
+    def test_face_to_face_matches_oracle_with_shared_vertices(self, case):
+        # the first k vertices of q are replaced by those of p, so the pair
+        # shares up to k vertices
+        k, p, q = case
+        try:
+            a, b = LatticeSimplex(p), LatticeSimplex(p[:k] + q[k:])
+        except ValueError:
+            return
+        assert simplices_face_to_face(a, b) == pairwise_face_to_face(a, b)
+
 
 class TestValidateTriangulation:
     def test_square_diagonal_valid(self, unit_square):
@@ -346,6 +381,197 @@ class TestValidateTriangulation:
         report = validate_triangulation(tri)
         assert report.valid
         assert report.is_elementary and not report.is_primitive
+
+    def test_t_junction_fails(self):
+        # volumes and vertices check out, but the edge (0,0)-(2,0) above is
+        # matched by two half edges below
+        tri = _diamond_t_junction()
+        report = validate_triangulation(tri)
+        assert report.problems == (
+            "simplices 0 and 1 do not meet face-to-face",
+            "simplices 0 and 2 do not meet face-to-face",
+        )
+        assert report == pairwise_validate_triangulation(tri)
+
+
+def _diamond_t_junction() -> Triangulation:
+    poly = LatticePolytope([(0, 0), (2, 0), (1, 1), (1, -1)])
+    return Triangulation(
+        poly,
+        (
+            LatticeSimplex([(0, 0), (2, 0), (1, 1)]),
+            LatticeSimplex([(0, 0), (1, 0), (1, -1)]),
+            LatticeSimplex([(1, 0), (2, 0), (1, -1)]),
+        ),
+    )
+
+
+def _seeded_polygons(seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        poly = LatticePolytope([(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(3, 6))])
+        if poly.is_full_dimensional and len(poly.integer_points(1)) <= 10:
+            out.append(poly)
+    return out
+
+
+def _sheared_prisms(seed: int, count: int) -> list:
+    """Prisms over small polygons, sheared by an integer map that fixes the base."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        base = LatticePolytope([(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(rng.randint(3, 5))])
+        if not base.is_full_dimensional or len(base.integer_points(1)) > 4:
+            continue
+        a, b = rng.randint(-1, 1), rng.randint(-1, 1)
+        out.append(LatticePolytope([(x, y, z + a * x + b * y) for x, y in base.vertices for z in (0, 1)]))
+    return out
+
+
+def _bundled_polytopes() -> list:
+    out = []
+    for entry in sorted(resources.files("latmink.data").iterdir(), key=lambda e: e.name):
+        doc = json.loads(entry.read_text())
+        if "vertices" in doc:
+            out.append(serialize.parse_polytope(doc))
+    return out
+
+
+@functools.cache
+def _found_triangulations() -> tuple:
+    """The orthant fans and the search's triangulations of the corpus polytopes."""
+    polys = _seeded_polygons(5, 6) + _sheared_prisms(5, 3) + [cube(3), cross_polytope(3)]
+    found = [search_primitive_triangulation(p).triangulation for p in polys]
+    assert None not in found
+    return (orthant_fan(2), orthant_fan(3), *found)
+
+
+def _interior_facets(simplices) -> list:
+    """(i, j, facet) for each facet shared by simplices i < j."""
+    owners: dict = {}
+    for k, s in enumerate(simplices):
+        for facet in s.facet_vertex_sets():
+            owners.setdefault(facet, []).append(k)
+    return [(ks[0], ks[1], facet) for facet, ks in owners.items() if len(ks) == 2]
+
+
+def _scaled(s: LatticeSimplex, k: int) -> LatticeSimplex:
+    return LatticeSimplex([tuple(k * x for x in v) for v in s.vertices])
+
+
+MUTATIONS = ("none", "drop", "duplicate", "outside", "flip", "t-junction")
+
+
+def _mutate(tri: Triangulation, kind: str, index: int) -> Triangulation:
+    """A copy of tri changed by one mutation; `index` picks the simplex or facet."""
+    poly, simplices = tri.polytope, list(tri.simplices)
+    i = index % len(simplices)
+    if kind == "drop" and len(simplices) > 1:
+        del simplices[i]
+    elif kind == "duplicate":
+        simplices.append(simplices[i])
+    elif kind == "outside":
+        width = max(v[0] for v in poly.vertices) - min(v[0] for v in poly.vertices)
+        simplices[i] = LatticeSimplex([(v[0] + width + 1,) + v[1:] for v in simplices[i].vertices])
+    elif kind == "flip" and _interior_facets(simplices):
+        # swap the diagonal: replace two simplices across a facet by the
+        # nondegenerate simplices on the segment between their apexes
+        facets = _interior_facets(simplices)
+        i, j, facet = facets[index % len(facets)]
+        apexes = [next(v for v in simplices[k].vertices if v not in facet) for k in (i, j)]
+        flipped = []
+        for f in facet:
+            try:
+                flipped.append(LatticeSimplex([v for v in facet if v != f] + apexes))
+            except ValueError:
+                pass
+        simplices = [s for k, s in enumerate(simplices) if k not in (i, j)] + flipped
+    elif kind == "t-junction" and _interior_facets(simplices):
+        # double everything, then split one owner of an interior facet at
+        # the midpoint of a facet edge: the other owner's facet is matched
+        # by two smaller facets
+        poly, simplices = poly.dilate(2), [_scaled(s, 2) for s in simplices]
+        facets = _interior_facets(simplices)
+        i, _, facet = facets[index % len(facets)]
+        u, v = facet[0], facet[1]
+        mid = tuple((x + y) // 2 for x, y in zip(u, v))
+        s = simplices[i].vertices
+        simplices[i : i + 1] = [
+            LatticeSimplex([mid if w == u else w for w in s]),
+            LatticeSimplex([mid if w == v else w for w in s]),
+        ]
+    return Triangulation(poly, tuple(simplices))
+
+
+class TestValidatorAgainstPairwiseOracle:
+    """The facet-adjacency validator gives the whole report of the pairwise one."""
+
+    def test_every_found_triangulation_and_mutation(self):
+        corpus = _found_triangulations()
+        for n, tri in enumerate(corpus):
+            assert validate_triangulation(tri).valid
+            for kind in MUTATIONS:
+                mutated = _mutate(tri, kind, n)
+                assert validate_triangulation(mutated) == pairwise_validate_triangulation(mutated), (n, kind)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_mutations(self, data):
+        corpus = _found_triangulations()
+        tri = data.draw(st.sampled_from(corpus))
+        kind = data.draw(st.sampled_from(MUTATIONS))
+        mutated = _mutate(tri, kind, data.draw(st.integers(0, 200)))
+        assert validate_triangulation(mutated) == pairwise_validate_triangulation(mutated)
+
+    def test_mutations_are_caught(self):
+        for tri in _found_triangulations():
+            for kind in ("drop", "duplicate", "outside"):
+                assert not validate_triangulation(_mutate(tri, kind, 1)).valid
+            if _interior_facets(tri.simplices):
+                assert not validate_triangulation(_mutate(tri, "t-junction", 0)).valid
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Counts the calls of lp.maximize while the test runs."""
+    calls = []
+    maximize = lp.maximize
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return maximize(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "maximize", counting)
+    return calls
+
+
+class TestValidationWork:
+    """Valid triangulations are settled by facet adjacency, without any LP."""
+
+    def test_orthant_fans(self, lp_calls):
+        for d in (1, 2, 3, 4):
+            assert validate_triangulation(orthant_fan(d)).valid
+        assert lp_calls == []
+
+    def test_search_outputs(self, lp_calls):
+        polys = [cube(3), cross_polytope(3)]
+        for poly in _bundled_polytopes():
+            if poly.is_full_dimensional and len(poly.integer_points(1)) <= 14:
+                polys.append(poly)
+        found = 0
+        for poly in polys:
+            result = search_primitive_triangulation(poly)  # validates its output too
+            assert lp_calls == []
+            if result.triangulation is not None:
+                found += 1
+                assert validate_triangulation(result.triangulation).valid
+                assert lp_calls == []
+        assert found == 9  # cube(3), cross_polytope(3) and seven bundled polytopes
+
+    def test_rejected_input_falls_back_to_lp(self, lp_calls):
+        assert not validate_triangulation(_diamond_t_junction()).valid
+        assert lp_calls
 
 
 class TestSearch:
