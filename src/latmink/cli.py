@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 from . import serialize, verify
@@ -95,8 +96,8 @@ def _load_group(name: str):
     return group
 
 
-def _emit(args, inputs: dict, result, pretty_lines: list[str]) -> int:
-    """Print the report of the subcommand args.command; returns EXIT_OK."""
+def _emit(args, inputs: dict, result, pretty_lines) -> int:
+    """Print the report of args.command; pretty_lines is read only under --pretty."""
     if args.pretty:
         for line in pretty_lines:
             print(line)
@@ -122,7 +123,7 @@ def _cmd_points(args) -> int:
         args,
         {"polytope": serialize.polytope_to_dict(poly), "n": args.n},
         {"count": len(points), "points": points},
-        [f"{len(points)} {what}:"] + [" ".join(map(str, p)) for p in points],
+        chain([f"{len(points)} {what}:"], (" ".join(map(str, p)) for p in points)),
     )
 
 
@@ -238,7 +239,7 @@ def _cmd_word_ball(args) -> int:
         args,
         {"group": serialize.group_to_dict(group), "n": args.n},
         {"count": len(elements), "elements": elements},
-        [f"{len(elements)} {what} the radius-{args.n} ball:"] + [json.dumps(e) for e in elements],
+        chain([f"{len(elements)} {what} the radius-{args.n} ball:"], map(json.dumps, elements)),
     )
 
 

@@ -15,7 +15,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, lcm, prod
+from operator import floordiv, sub
 from typing import Iterable, Sequence
 
 from . import linalg, lp
@@ -158,6 +159,33 @@ def _beneath_beyond(
     return vertices, sorted(planes)
 
 
+def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Sequence[int]) -> list[Point]:
+    """The integer points y of the box [los, his] (k >= 1 coordinates) with <a, y> <= b
+    for all (a, b) in planes, which bound a polytope, in lex order. Loops over prefixes
+    carrying each residual r = b - <a, prefix>, one subtraction a step; with c = a_k, a
+    line keeps y_k <= floor(r/c) if c > 0, y_k >= ceil(r/c) if c < 0, r >= 0 if c == 0."""
+    planes = sorted(planes, key=lambda p: (p[0][-1] <= 0, p[0][-1] == 0))  # c > 0, c < 0, c == 0
+    ups, downs = [a[-1] for a, _ in planes if a[-1] > 0], [-a[-1] for a, _ in planes if a[-1] < 0]
+    p, q, last = len(ups), len(ups) + len(downs), len(los) - 1
+    found: list[Point] = []
+
+    def scan(j: int, prefix: Point, res: list[int]) -> None:
+        if j == last:
+            hi = min(map(floordiv, res[:p], ups), default=his[j])
+            lo = -min(map(floordiv, res[p:q], downs), default=-los[j])
+            if lo <= hi and min(res[q:], default=0) >= 0:
+                found.extend(prefix + (y,) for y in range(lo, hi + 1))
+            return
+        step = [a[j] for a, _ in planes]
+        res = [r - a * los[j] for r, a in zip(res, step)]
+        for y in range(los[j], his[j] + 1):
+            scan(j + 1, prefix + (y,), res)
+            res = list(map(sub, res, step))
+
+    scan(0, (), [b for _, b in planes])
+    return found
+
+
 @dataclass(frozen=True)
 class Halfspace:
     """The halfspace {y : <normal, y> <= offset}, normal a primitive integer vector."""
@@ -273,13 +301,27 @@ class LatticePolytope:
             raise ValueError("facet enumeration requires a full-dimensional polytope")
         return tuple(Halfspace(normal, offset) for normal, offset in self._planes)
 
-    def _lift(self, y: Sequence, base: Sequence) -> tuple:
-        """The point of base + span(_edges) whose `_cols` coordinates are y."""
-        cols, edges = self._cols, self._edges
-        coeffs = linalg.solve_exact(
-            [[e[c] for e in edges] for c in cols], [yc - base[c] for yc, c in zip(y, cols)]
-        )
-        return tuple(b + sum(t * e[i] for t, e in zip(coeffs, edges)) for i, b in enumerate(base))
+    @cached_property
+    def _lift_rows(self) -> tuple[int, tuple[tuple[int, Point, int], ...]]:
+        """(den, rows), from one rational inverse of the edge matrix: x lies on
+        the affine hull of nP iff den * x_i == <row, x_cols> + n * c for every
+        (i, row, c) in rows, one per coordinate i outside `_cols`."""
+        cols, edges, base = self._cols, self._edges, self.vertices[0]
+        inverse = list(zip(*linalg.inverse_exact([[e[c] for e in edges] for c in cols])))
+        maps = {i: [dot([e[i] for e in edges], u) for u in inverse] for i in range(self.dim) if i not in cols}
+        den = lcm(*(x.denominator for row in maps.values() for x in row))
+        rows = [(i, tuple(int(x * den) for x in row)) for i, row in maps.items()]
+        return den, tuple((i, row, den * base[i] - dot(row, [base[c] for c in cols])) for i, row in rows)
+
+    def _lift(self, y: Sequence[int], n: int) -> Point | None:
+        """The point of the affine hull of nP with `_cols` coordinates y; None if not integral."""
+        x = dict(zip(self._cols, y))
+        den, rows = self._lift_rows
+        for i, row, c in rows:
+            x[i], r = divmod(dot(row, y) + n * c, den)
+            if r:
+                return None
+        return tuple(x[i] for i in range(self.dim))
 
     def contains(self, point: Iterable, strict: bool = False) -> bool:
         """Exact membership of a rational point.
@@ -299,9 +341,9 @@ class LatticePolytope:
         if strict:
             return False  # empty interior
         y = tuple(q[c] for c in self._cols)
-        return self._lift(y, self.vertices[0]) == q and all(
-            dot(a, y) <= b for a, b in self._planes
-        )
+        den, rows = self._lift_rows
+        on_hull = all(den * q[i] == dot(row, y) + c for i, row, c in rows)
+        return on_hull and all(dot(a, y) <= b for a, b in self._planes)
 
     def contains_lp(self, point: Iterable) -> bool:
         """Membership decided by LP feasibility; independent of the facet path."""
@@ -313,12 +355,12 @@ class LatticePolytope:
     def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.
 
-        Scans the integer bounding box of the dilation against the dilated
-        facet inequalities. A lower-dimensional polytope is scanned in its
-        projection, and each point found is lifted back to the affine hull
-        and kept when the lift is integral. n == 0 yields {0} by convention.
-        Boxes of more than cap (DEFAULT_BOX_CAP when None) candidates raise
-        ResourceLimitError.
+        Scans the bounding box of the dilation line by line (`_line_scan`):
+        the dilated facets cut each line to one exact integer interval. A
+        lower-dimensional polytope is scanned in its projection, keeping each
+        point whose `_lift` to the affine hull is integral. n == 0 yields {0}
+        by convention. Boxes of more than cap (DEFAULT_BOX_CAP when None)
+        candidates raise ResourceLimitError before any line is scanned.
         """
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
@@ -326,28 +368,15 @@ class LatticePolytope:
         d = self.dim
         if n == 0:
             return PointSet([(0,) * d], d)
-        cols = self._cols
-        los = [min(n * v[c] for v in self.vertices) for c in cols]
-        his = [max(n * v[c] for v in self.vertices) for c in cols]
-        count = 1
-        for lo, hi in zip(los, his):
-            count *= hi - lo + 1
+        los = [min(n * v[c] for v in self.vertices) for c in self._cols]
+        his = [max(n * v[c] for v in self.vertices) for c in self._cols]
+        count = prod(hi - lo + 1 for lo, hi in zip(los, his))
         if count > cap:
-            raise ResourceLimitError(
-                f"bounding box has {count} candidate points, cap is {cap}"
-            )
-        ranges = [range(lo, hi + 1) for lo, hi in zip(los, his)]
-        dilated = [(a, n * b) for a, b in self._planes]
-        inside = (
-            p for p in itertools.product(*ranges) if all(dot(a, p) <= b for a, b in dilated)
-        )
+            raise ResourceLimitError(f"bounding box has {count} candidate points, cap is {cap}")
+        inside = _line_scan([(a, n * b) for a, b in self._planes], los, his) if los else [()]
         if self.is_full_dimensional:
             return PointSet(inside, d)
-        base = tuple(n * x for x in self.vertices[0])
-        lifts = (self._lift(y, base) for y in inside)
-        return PointSet(
-            (tuple(map(int, x)) for x in lifts if all(c.denominator == 1 for c in x)), d
-        )
+        return PointSet(filter(None, (self._lift(y, n) for y in inside)), d)
 
     def dilate(self, n: int) -> "LatticePolytope":
         """The polytope with every vertex scaled by n (n >= 0)."""

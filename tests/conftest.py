@@ -2,10 +2,11 @@
 
 The oracles here deliberately avoid the code paths they check: vertices and
 membership by LP instead of the hull, facets by trying every vertex subset,
-point counts by exhaustive scan, determinants by permutation expansion, word
-balls by multiplying the whole ball each round, Minkowski powers by folding
-minkowski_sum, triangulations by an exact LP and an intersection-vertex test
-on every pair of simplices.
+integer points by testing every point of the bounding box (by LP, or against
+every facet) instead of one interval per line, determinants by permutation
+expansion, word balls by multiplying the whole ball each round, Minkowski
+powers by folding minkowski_sum, triangulations by an exact LP and an
+intersection-vertex test on every pair of simplices.
 """
 
 import itertools
@@ -90,6 +91,32 @@ def brute_force_integer_points(poly: LatticePolytope, n: int) -> PointSet:
         if lp.point_in_convex_hull(scaled, p)
     ]
     return PointSet(pts, d)
+
+
+def box_scan_points(poly: LatticePolytope, n: int) -> PointSet:
+    """Test every point of the dilation's bounding box against every dilated facet.
+
+    Scans the same projection as `integer_points` (the `_cols` coordinates of
+    a lower-dimensional polytope) and lifts each point found by an exact solve
+    against the edge matrix, keeping integral lifts.
+    """
+    d = poly.dim
+    if n == 0:
+        return PointSet([(0,) * d], d)
+    cols, edges = poly._cols, poly._edges
+    ranges = [range(min(n * v[c] for v in poly.vertices), max(n * v[c] for v in poly.vertices) + 1) for c in cols]
+    dilated = [(a, n * b) for a, b in poly._planes]
+    inside = [p for p in itertools.product(*ranges) if all(dot(a, p) <= b for a, b in dilated)]
+    if poly.is_full_dimensional:
+        return PointSet(inside, d)
+    base = tuple(n * x for x in poly.vertices[0])
+    found = []
+    for y in inside:
+        coeffs = linalg.solve_exact([[e[c] for e in edges] for c in cols], [yc - base[c] for yc, c in zip(y, cols)])
+        x = tuple(b + sum(t * e[i] for t, e in zip(coeffs, edges)) for i, b in enumerate(base))
+        if all(c.denominator == 1 for c in x):
+            found.append(tuple(map(int, x)))
+    return PointSet(found, d)
 
 
 def is_n_fold_sum(omega: PointSet, n: int, target) -> bool:

@@ -288,6 +288,26 @@ class TestGlobalFlags:
         assert "elapsed_ms" not in doc
 
 
+class TestBoxCap:
+    # The box of 3 * sigma(3, 2) has 7^3 = 343 points; 24 of them are inside.
+    def test_cap_at_the_box_size(self, capsys):
+        code, doc, _ = run_json(capsys, "points", "sigma-3-2", "3", "--cap", "343")
+        assert code == 0 and doc["result"]["count"] == 24
+        code, out, err = run(capsys, "points", "sigma-3-2", "3", "--cap", "342")
+        assert (code, out) == (3, "")
+        assert err == "resource cap exceeded: bounding box has 343 candidate points, cap is 342\n"
+
+    def test_cap_acts_before_any_line_is_scanned(self, capsys, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("a line was scanned")
+
+        monkeypatch.setattr(geometry, "_line_scan", no_scan)
+        code, _, err = run(capsys, "points", "sigma-3-2", "3", "--cap", "342")
+        assert code == 3 and "cap is 342" in err
+        with pytest.raises(AssertionError, match="a line was scanned"):
+            main(["points", "sigma-3-2", "3", "--cap", "343"])
+
+
 class TestBallCap:
     # |ball(4)| = 178 for the swap-shear generators of GL(2, Z).
     COMMANDS = [("word-ball", "4"), ("boundary", "4"), ("check-boundary", "1..4")]

@@ -16,6 +16,7 @@ from latmink import (
 from latmink.geometry import affine_dim, as_point
 
 from conftest import (
+    box_scan_points,
     brute_force_facets,
     brute_force_integer_points,
     lp_vertices,
@@ -320,6 +321,68 @@ class TestIntegerPoints:
     def test_dilation_consistency(self, pts, n):
         p = hull(pts)
         assert p.integer_points(n) == p.dilate(n).integer_points(1)
+
+
+def box_size(p: LatticePolytope, n: int) -> int:
+    size = 1
+    for i in range(p.dim):
+        size *= n * (max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices)) + 1
+    return size
+
+
+LOWER_DIMENSIONAL = {
+    "segment in Z^3": [(0, 0, 0), (8, 8, 8)],
+    "skew segment in Z^3": [(1, -1, 0), (5, 1, 6)],
+    "triangle in Z^4": [(0, 0, 0, 0), (2, 0, 1, 1), (0, 2, 1, -1)],
+    "point in Z^2": [(3, -2)],
+}
+# Facets whose normal has last coefficient 0 bound no line: the square's and
+# the cube's sides, and the prism's side x + y <= 2, which empties the lines
+# through the prefixes (1, 2), (2, 1) and (2, 2) of its bounding box.
+ZERO_LAST_COEFFICIENT = {
+    "unit square": [(0, 0), (1, 0), (0, 1), (1, 1)],
+    "triangular prism": [(x, y, z) for x, y in [(0, 0), (2, 0), (0, 2)] for z in (0, 1)],
+    "4-cube": list(cube(4).vertices),
+}
+
+
+class TestLineScan:
+    """integer_points by line intervals against the facet test on every box point."""
+
+    @given(lattice_clouds(), st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_box_scan(self, pts, n):
+        p = hull(pts)
+        assume(box_size(p, n) <= 3000)
+        assert p.integer_points(n) == box_scan_points(p, n)
+
+    @pytest.mark.parametrize(
+        "pts", list({**LOWER_DIMENSIONAL, **ZERO_LAST_COEFFICIENT}.values()),
+        ids=list({**LOWER_DIMENSIONAL, **ZERO_LAST_COEFFICIENT}),
+    )
+    def test_named_polytopes(self, pts):
+        p = LatticePolytope(pts)
+        for n in range(5):
+            assert p.integer_points(n) == box_scan_points(p, n)
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_sigma(self, d):
+        for m in (1, 2, 3):
+            p = LatticePolytope(sigma(d, m).vertices)
+            for n in range(5 if d < 5 else 4):
+                assert p.integer_points(n) == box_scan_points(p, n)
+
+    @pytest.mark.parametrize("pts", list(LOWER_DIMENSIONAL.values()), ids=list(LOWER_DIMENSIONAL))
+    def test_lower_dimensional_contains_matches_lp(self, pts):
+        p = LatticePolytope(pts)
+        first, last = p.vertices[0], p.vertices[-1]
+        probes = [tuple(Fraction(3 * a - b, 2) for a, b in zip(first, last))]  # on the hull, outside P
+        for x in p.integer_points(2):
+            half = tuple(Fraction(c, 2) for c in x)
+            probes.append(half)
+            probes += [half[:j] + (half[j] + Fraction(1, 2),) + half[j + 1 :] for j in range(p.dim)]
+        for q in probes:
+            assert p.contains(q) == p.contains_lp(q), q
 
 
 def boundary_lattice_point_count(poly: LatticePolytope) -> int:

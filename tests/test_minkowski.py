@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latmink import (
@@ -18,8 +18,11 @@ from latmink import (
     hull,
     minkowski_power,
     minkowski_sum,
+    search_primitive_triangulation,
     sigma,
+    validate_triangulation,
 )
+from latmink.triangulation import DEFAULT_POINT_CAP
 from latmink.verify import orthant_fan, symmetric_example_polytope
 
 from conftest import folded_minkowski_power, is_n_fold_sum
@@ -241,6 +244,29 @@ class TestDecompose:
                     assert tuple(map(sum, zip(*dec.summands))) == x
                     # independent check that x really is an n-fold sum
                     assert is_n_fold_sum(omega, n, x)
+
+
+    @given(
+        st.one_of(
+            st.lists(st.tuples(st.integers(-1, 2), st.integers(0, 2)), min_size=3, max_size=6),
+            st.lists(st.tuples(st.integers(-1, 1), st.integers(0, 1), st.integers(0, 1)), min_size=4, max_size=7),
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_searched_triangulations_decompose_every_point(self, pts):
+        poly = hull(pts)
+        assume(poly.is_full_dimensional and len(poly.integer_points(1)) <= DEFAULT_POINT_CAP)
+        tri = search_primitive_triangulation(poly).triangulation
+        assume(tri is not None)
+        report = validate_triangulation(tri)
+        assert report.valid and report.is_primitive
+        omega = poly.integer_points(1)
+        for n in (1, 2, 3):
+            for x in poly.integer_points(n):
+                dec = decompose(poly, tri, n, x)
+                assert len(dec.summands) == n
+                assert all(s in omega for s in dec.summands)
+                assert tuple(map(sum, zip(*dec.summands))) == x
 
 
 class TestGeneratesZd:
