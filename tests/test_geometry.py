@@ -130,6 +130,13 @@ class TestHull:
         assert hull(p.vertices) == p
 
 
+def box_size(p: LatticePolytope, n: int) -> int:
+    size = 1
+    for i in range(p.dim):
+        size *= n * (max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices)) + 1
+    return size
+
+
 class TestHullOracles:
     """The beneath-beyond hull against LP vertex pruning and brute-force facets."""
 
@@ -148,10 +155,7 @@ class TestHullOracles:
     def test_lower_dimensional_integer_points(self, pts, n):
         p = hull(pts)
         assume(not p.is_full_dimensional)
-        box = 1
-        for i in range(p.dim):
-            box *= n * (max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices)) + 1
-        assume(box <= 400)
+        assume(box_size(p, n) <= 400)
         assert p.integer_points(n) == brute_force_integer_points(p, n)
 
     @given(lattice_clouds(), st.data())
@@ -323,13 +327,6 @@ class TestIntegerPoints:
         assert p.integer_points(n) == p.dilate(n).integer_points(1)
 
 
-def box_size(p: LatticePolytope, n: int) -> int:
-    size = 1
-    for i in range(p.dim):
-        size *= n * (max(v[i] for v in p.vertices) - min(v[i] for v in p.vertices)) + 1
-    return size
-
-
 LOWER_DIMENSIONAL = {
     "segment in Z^3": [(0, 0, 0), (8, 8, 8)],
     "skew segment in Z^3": [(1, -1, 0), (5, 1, 6)],
@@ -356,12 +353,9 @@ class TestLineScan:
         assume(box_size(p, n) <= 3000)
         assert p.integer_points(n) == box_scan_points(p, n)
 
-    @pytest.mark.parametrize(
-        "pts", list({**LOWER_DIMENSIONAL, **ZERO_LAST_COEFFICIENT}.values()),
-        ids=list({**LOWER_DIMENSIONAL, **ZERO_LAST_COEFFICIENT}),
-    )
-    def test_named_polytopes(self, pts):
-        p = LatticePolytope(pts)
+    @pytest.mark.parametrize("name", [*LOWER_DIMENSIONAL, *ZERO_LAST_COEFFICIENT])
+    def test_named_polytopes(self, name):
+        p = LatticePolytope({**LOWER_DIMENSIONAL, **ZERO_LAST_COEFFICIENT}[name])
         for n in range(5):
             assert p.integer_points(n) == box_scan_points(p, n)
 
@@ -372,9 +366,9 @@ class TestLineScan:
             for n in range(5 if d < 5 else 4):
                 assert p.integer_points(n) == box_scan_points(p, n)
 
-    @pytest.mark.parametrize("pts", list(LOWER_DIMENSIONAL.values()), ids=list(LOWER_DIMENSIONAL))
-    def test_lower_dimensional_contains_matches_lp(self, pts):
-        p = LatticePolytope(pts)
+    @pytest.mark.parametrize("name", LOWER_DIMENSIONAL)
+    def test_lower_dimensional_contains_matches_lp(self, name):
+        p = LatticePolytope(LOWER_DIMENSIONAL[name])
         first, last = p.vertices[0], p.vertices[-1]
         probes = [tuple(Fraction(3 * a - b, 2) for a, b in zip(first, last))]  # on the hull, outside P
         for x in p.integer_points(2):

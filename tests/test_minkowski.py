@@ -245,7 +245,6 @@ class TestDecompose:
                     # independent check that x really is an n-fold sum
                     assert is_n_fold_sum(omega, n, x)
 
-
     @given(
         st.one_of(
             st.lists(st.tuples(st.integers(-1, 2), st.integers(0, 2)), min_size=3, max_size=6),
