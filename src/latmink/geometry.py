@@ -53,6 +53,23 @@ def dot(a: Sequence, b: Sequence):
     return sum(x * y for x, y in zip(a, b))
 
 
+def edge_rows(points: Sequence[Point]) -> list[list[int]]:
+    """The rows p - points[0] for the points p after the first."""
+    base = points[0]
+    return [[x - b for x, b in zip(p, base)] for p in points[1:]]
+
+
+def plane_through(points: Sequence[Point], inside: Sequence[int], scale: int = 1) -> tuple[Point, int]:
+    """The primitive (normal, offset) of the hyperplane through d affinely
+    independent points of Z^d, oriented so that inside / scale lies beneath
+    it: <normal, inside> <= scale * offset."""
+    normal = linalg.primitive_vector(linalg.cofactor_normal(edge_rows(points), len(points[0])))
+    offset = dot(normal, points[0])
+    if dot(normal, inside) > scale * offset:
+        return tuple(-x for x in normal), -offset
+    return normal, offset
+
+
 def affine_dim(points: Sequence[Point]) -> int:
     """Dimension of the affine hull of the given points."""
     if not points:
@@ -67,12 +84,11 @@ def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
     points[0] is independent of those kept. The echelon of the kept edge
     rows has pivot columns on which the affine hull projects bijectively.
     """
-    base = points[0]
-    dim = len(base)
+    dim = len(points[0])
     chosen = [0]
     echelon = linalg.Echelon()
-    for i in range(1, len(points)):
-        if echelon.add([x - b for x, b in zip(points[i], base)]):
+    for i, row in enumerate(edge_rows(points), 1):
+        if echelon.add(row):
             chosen.append(i)
             if len(chosen) > dim:
                 break
@@ -80,15 +96,20 @@ def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
 
 
 class _Face:
-    """One simplex of the hull boundary, with the points that see it."""
+    """One simplex of the hull boundary, with its plane and the points that see it."""
 
     __slots__ = ("verts", "normal", "offset", "outside")
+
+    def __init__(self, verts: tuple[int, ...], plane: tuple[Point, int]):
+        self.verts, self.outside = verts, []
+        self.normal, self.offset = plane
 
 
 def _beneath_beyond(
     pts: Sequence[Point], simplex: Sequence[int]
-) -> tuple[list[int], list[tuple[Point, int]]]:
-    """Vertex indices and facet planes of conv(pts), pts full-dimensional in Z^k.
+) -> tuple[list[int], list[tuple[Point, int]], list[tuple[int, ...]]]:
+    """Vertex indices, facet planes and boundary simplices of conv(pts), pts
+    full-dimensional in Z^k.
 
     The boundary is kept as simplices, started from the ascending indices
     `simplex` of k+1 affinely independent points and grown one point at a
@@ -97,24 +118,17 @@ def _beneath_beyond(
     that see it, so a point that sees no face is inside the hull for good.
     The returned planes are primitive outward (normal, offset) pairs in
     ascending order; a point is a vertex when the facet normals through it
-    have rank k.
+    have rank k. The returned faces, index tuples of k points each, are the
+    boundary of the placing triangulation of pts in the order the points
+    were added: a triangulation of the hull's boundary whose corners may
+    include boundary points that are not vertices.
     """
     k = len(pts[0])
     # (k+1) times the centroid of the start simplex: strictly inside the hull
     inner = [sum(pts[i][j] for i in simplex) for j in range(k)]
-    scale = k + 1
 
     def make_face(verts: tuple[int, ...]) -> _Face:
-        base = pts[verts[0]]
-        rows = [[x - b for x, b in zip(pts[i], base)] for i in verts[1:]]
-        normal = linalg.primitive_vector(linalg.cofactor_normal(rows, k))
-        offset = dot(normal, base)
-        if dot(normal, inner) > scale * offset:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        face = _Face()
-        face.verts, face.normal, face.offset, face.outside = verts, normal, offset, []
-        return face
+        return _Face(verts, plane_through([pts[i] for i in verts], inner, k + 1))
 
     def assign(indices: Iterable[int], faces: Sequence[_Face]) -> None:
         for i in indices:
@@ -156,7 +170,7 @@ def _beneath_beyond(
     vertices = sorted(
         i for i, normals in normals_at.items() if len(normals) >= k and linalg.rank(normals) == k
     )
-    return vertices, sorted(planes)
+    return vertices, sorted(planes), [face.verts for face in alive]
 
 
 def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Sequence[int]) -> list[Point]:
@@ -262,7 +276,9 @@ class LatticePolytope:
     together. A lower-dimensional polytope is hulled in the coordinates
     `_cols`, onto which its affine hull projects bijectively; `_planes` are
     then the facets of that projection and `_edges` span the affine hull's
-    directions, for lifting points back.
+    directions, for lifting points back. A full-dimensional polytope also
+    keeps the hull's boundary simplices as point tuples (`_faces`), from
+    which `fan_simplices` and `volume` read.
     """
 
     def __init__(self, points: Iterable):
@@ -277,14 +293,15 @@ class LatticePolytope:
         k = len(simplex) - 1
         self.affine_dim = k
         self._cols = cols = tuple(sorted(echelon.pivots))
-        self._edges = tuple(tuple(x - b for x, b in zip(pts[i], pts[0])) for i in simplex[1:])
+        self._edges = edge_rows([pts[i] for i in simplex])
         if k == 0:
-            found, planes = [0], []
+            found, planes, faces = [0], [], []
         else:
             work = pts if k == d else [tuple(p[c] for c in cols) for p in pts]
-            found, planes = _beneath_beyond(work, simplex)
+            found, planes, faces = _beneath_beyond(work, simplex)
         self.vertices: tuple[Point, ...] = tuple(pts[i] for i in found)
         self._planes: tuple[tuple[Point, int], ...] = tuple(planes)
+        self._faces = tuple(tuple(pts[i] for i in face) for face in faces) if k == d else ()
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -385,44 +402,27 @@ class LatticePolytope:
         return LatticePolytope([tuple(n * x for x in v) for v in self.vertices])
 
     def fan_simplices(self) -> tuple[tuple[Point, ...], ...]:
-        """Triangulation by recursive fans from the lex-least vertex.
+        """Triangulation by cones from the lex-least vertex over the hull's boundary.
 
-        Each returned tuple is the vertex list of a full-dimensional simplex;
-        together they cover the polytope with disjoint interiors.
+        The cones run over the boundary simplices `_faces` that the hull pass
+        keeps, skipping those whose plane holds the apex; as the faces
+        triangulate the boundary, the cones triangulate the polytope (De
+        Loera, Rambau and Santos, *Triangulations*, 2010, Sec. 4.3). Each
+        returned tuple is the vertex list of a full-dimensional simplex, apex
+        first; its other corners are input points on the boundary, not
+        always vertices.
         """
         if not self.is_full_dimensional:
             raise ValueError("triangulation requires a full-dimensional polytope")
-        d = self.dim
-        verts = self.vertices
-        if len(verts) == d + 1:
-            return (verts,)
-        if d == 1:
-            return ((verts[0], verts[-1]),)
-        apex = verts[0]
-        simplices = []
-        for h in self.facets:
-            if dot(h.normal, apex) == h.offset:
-                continue  # apex lies on this facet
-            on_facet = [v for v in verts if dot(h.normal, v) == h.offset]
-            drop = next(i for i in range(d) if h.normal[i] != 0)
-            back = {}
-            for v in on_facet:
-                proj = tuple(v[i] for i in range(d) if i != drop)
-                back[proj] = v
-            sub = LatticePolytope(back.keys())
-            for s in sub.fan_simplices():
-                simplices.append((apex,) + tuple(back[p] for p in s))
-        return tuple(simplices)
+        apex = self.vertices[0]
+        cones = ((apex,) + face for face in self._faces)
+        return tuple(cone for cone in cones if linalg.det_int(edge_rows(cone)))
 
     def volume(self) -> Fraction:
-        """Exact Euclidean d-volume (full-dimensional polytopes only)."""
-        d = self.dim
-        total = 0
-        for simplex in self.fan_simplices():
-            base = simplex[0]
-            rows = [[v[i] - base[i] for i in range(d)] for v in simplex[1:]]
-            total += abs(linalg.det_int(rows))
-        return Fraction(total, factorial(d))
+        """Exact Euclidean d-volume (full-dimensional polytopes only): the
+        |det| of the edge rows of each `fan_simplices` cone, summed, over d!."""
+        total = sum(abs(linalg.det_int(edge_rows(cone))) for cone in self.fan_simplices())
+        return Fraction(total, factorial(self.dim))
 
     def __eq__(self, other) -> bool:
         return (
@@ -439,7 +439,7 @@ class LatticePolytope:
 
 
 def hull(points: Iterable) -> LatticePolytope:
-    """Convex hull of integer points as a canonical LatticePolytope."""
+    """Convex hull of integer points as a canonical LatticePolytope (an alias of its constructor)."""
     return LatticePolytope(points)
 
 

@@ -41,12 +41,13 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve a square linear system exactly; None if the matrix is singular."""
+def _gauss_jordan(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]] | None:
+    """The rows of X with matrix X = rhs, by one exact Gauss-Jordan pass over
+    [matrix | rhs] (rhs has one row per matrix row); None if matrix is singular."""
     n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    if any(len(row) != n + 1 for row in a):
+    if len(rhs) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square or rhs length mismatch")
+    a = [[Fraction(x) for x in row] + [Fraction(b) for b in extra] for row, extra in zip(matrix, rhs)]
     for col in range(n):
         pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
         if pivot is None:
@@ -58,7 +59,13 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ..
             if i != col and a[i][col]:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(row[n] for row in a)
+    return [row[n:] for row in a]
+
+
+def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
+    """Solve a square linear system exactly; None if the matrix is singular."""
+    x = _gauss_jordan(matrix, [[b] for b in rhs])
+    return None if x is None else tuple(row[0] for row in x)
 
 
 class Echelon:
@@ -98,9 +105,7 @@ def rank(rows: Sequence[Sequence[int]]) -> int:
 
 def primitive_vector(v: Sequence[int]) -> IntVector:
     """Divide out the gcd of the entries (zero vector stays zero)."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
@@ -174,18 +179,7 @@ def is_identity(matrix: Sequence[Sequence[int]], dim: int) -> bool:
     )
 
 
-def matrix_columns(rows: Sequence[Sequence[int]]) -> list[IntVector]:
-    return [tuple(row[j] for row in rows) for j in range(len(rows[0]))]
-
-
 def inverse_exact(rows: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square integer matrix; None if singular."""
+    """Exact inverse of a square integer matrix, one pass over [A | I]; None if singular."""
     n = len(rows)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        x = solve_exact(rows, e)
-        if x is None:
-            return None
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])

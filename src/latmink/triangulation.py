@@ -27,17 +27,12 @@ from .geometry import (
     ResourceLimitError,
     as_point,
     as_rational_point,
-    dot,
+    edge_rows,
+    plane_through,
 )
 
 DEFAULT_SEARCH_BUDGET = 200_000
 DEFAULT_POINT_CAP = 14
-
-
-def _edge_rows(pts: Sequence[Point]) -> list[list[int]]:
-    """The rows p - pts[0] for the points p after the first."""
-    base = pts[0]
-    return [[x - b for x, b in zip(p, base)] for p in pts[1:]]
 
 
 def _on_boundary(poly_facets: Sequence[Halfspace], points: Sequence[Point]) -> bool:
@@ -51,8 +46,6 @@ class LatticeSimplex:
     Vertices are stored sorted; degenerate input is a construction error.
     """
 
-    __slots__ = ("vertices", "dim", "normalized_volume", "_facets")
-
     def __init__(self, vertices: Iterable):
         pts = sorted({as_point(v) for v in vertices})
         d = len(pts[0])
@@ -60,13 +53,12 @@ class LatticeSimplex:
             raise ValueError("mixed dimensions in simplex")
         if len(pts) != d + 1:
             raise ValueError(f"a simplex in Z^{d} needs {d + 1} distinct vertices, got {len(pts)}")
-        det = linalg.det_int(_edge_rows(pts))
+        det = linalg.det_int(edge_rows(pts))
         if det == 0:
             raise ValueError("degenerate simplex: vertices are affinely dependent")
         self.vertices: tuple[Point, ...] = tuple(pts)
         self.dim = d
         self.normalized_volume = abs(det)
-        self._facets: tuple[Halfspace, ...] | None = None
 
     def volume(self) -> Fraction:
         return Fraction(self.normalized_volume, factorial(self.dim))
@@ -86,19 +78,13 @@ class LatticeSimplex:
     def contains(self, point: Iterable) -> bool:
         return all(c >= 0 for c in self.barycentric(point))
 
-    @property
+    @functools.cached_property
     def facets(self) -> tuple[Halfspace, ...]:
         """The d+1 facet halfspaces, oriented to contain the simplex."""
-        if self._facets is None:
-            out = []
-            for omit, rest in enumerate(self.facet_vertex_sets()):
-                normal = linalg.primitive_vector(linalg.cofactor_normal(_edge_rows(rest), self.dim))
-                offset = dot(normal, rest[0])
-                if dot(normal, self.vertices[omit]) > offset:
-                    normal, offset = tuple(-x for x in normal), -offset
-                out.append(Halfspace(normal, offset))
-            self._facets = tuple(out)
-        return self._facets
+        return tuple(
+            Halfspace(*plane_through(rest, self.vertices[omit]))
+            for omit, rest in enumerate(self.facet_vertex_sets())
+        )
 
     def facet_vertex_sets(self) -> tuple[tuple[Point, ...], ...]:
         """Vertex tuples of the d+1 facets, each sorted."""
@@ -147,8 +133,7 @@ def classify_simplex(simplex: LatticeSimplex) -> SimplexClass:
 
 def is_elementary_polytope(poly: LatticePolytope, cap: int | None = None) -> bool:
     """True when the polytope's only integer points are its vertices."""
-    kwargs = {} if cap is None else {"cap": cap}
-    return poly.integer_points(1, **kwargs) == PointSet(poly.vertices, poly.dim)
+    return poly.integer_points(1, cap) == PointSet(poly.vertices, poly.dim)
 
 
 def is_unimodular(matrix: Sequence[Sequence[int]]) -> bool:
@@ -199,7 +184,7 @@ def unimodular_criteria(matrix: Sequence[Sequence[int]], max_dim: int = 4) -> Un
     if det == 0:
         return UnimodularCriteria(True, False, False, False, False, False, False)
 
-    cols = linalg.matrix_columns(rows)
+    cols = list(zip(*rows))
     lattice_onto = linalg.is_identity(linalg.hermite_normal_form(cols), d)
 
     inverse = linalg.inverse_exact(rows)
@@ -393,7 +378,8 @@ def validate_triangulation(tri: Triangulation) -> TriangulationReport:
 
     Checks: every simplex inside the polytope P; no duplicates; volumes
     summing to vol(P); pairwise disjoint interiors; pairwise face-to-face
-    intersections. All failures are reported, none raise.
+    intersections. All failures are reported, none raise. Only the simplices
+    of normalized volume other than 1 are scanned for the elementary flag.
 
     When the first three checks pass, the facet-adjacency pass of
     `_facets_matched` settles the other two in integer arithmetic, linear
@@ -463,11 +449,12 @@ def validate_triangulation(tri: Triangulation) -> TriangulationReport:
         if clean and not problems:
             raise RuntimeError("internal inconsistency: a facet is unmatched but every pair is valid")
 
-    classes = [classify_simplex(s) for s in simplices]
+    # a unit simplex is primitive, hence elementary: only the others are scanned
+    non_unit = [classify_simplex(s) for s in distinct if s.normalized_volume != 1]
     return TriangulationReport(
         valid=not problems,
-        is_elementary=all(c.is_elementary for c in classes),
-        is_primitive=all(c.is_primitive for c in classes),
+        is_elementary=all(c.is_elementary for c in non_unit),
+        is_primitive=not non_unit,
         covered_volume=covered,
         problems=tuple(problems),
     )
@@ -518,13 +505,11 @@ def search_primitive_triangulation(
         raise RuntimeError("normalized volume must be an integer")
     target = int(target_volume)
 
+    # combinations of the sorted points come in lex order of their vertex tuples
     candidates: list[LatticeSimplex] = []
     for comb in itertools.combinations(points, d + 1):
-        if abs(linalg.det_int(_edge_rows(comb))) == 1:
+        if abs(linalg.det_int(edge_rows(comb))) == 1:
             candidates.append(LatticeSimplex(comb))
-    if not candidates:
-        return SearchResult(None, True, 0)
-    candidates.sort(key=lambda s: s.vertices)
 
     # each candidate's facets, with the side of the apex: +1 when it lies
     # above the facet's plane oriented by a positive first nonzero entry
@@ -540,15 +525,9 @@ def search_primitive_triangulation(
 
     on_boundary = functools.cache(functools.partial(_on_boundary, poly.facets))
 
-    @functools.cache
-    def face_to_face(i: int, j: int) -> bool:
-        return simplices_face_to_face(candidates[i], candidates[j])
-
-    def compatible(i: int, j: int) -> bool:
-        return face_to_face(min(i, j), max(i, j))
+    face_to_face = functools.cache(lambda i, j: simplices_face_to_face(candidates[i], candidates[j]))
 
     nodes = 0
-    budget_hit = False
     chosen: list[int] = []
     chosen_set: set[int] = set()
     facet_load: dict[tuple[Point, ...], list[int]] = {}
@@ -588,7 +567,7 @@ def search_primitive_triangulation(
             nodes += 1
             if nodes > budget:
                 raise _Budget
-            if all(compatible(idx, k) for k in chosen):
+            if all(face_to_face(min(idx, k), max(idx, k)) for k in chosen):
                 place(idx)
                 result = extend()
                 if result is not None:
@@ -612,7 +591,7 @@ def search_primitive_triangulation(
                 return SearchResult(result, False, nodes)
             unplace(seed)
     except _Budget:
-        budget_hit = True
+        return SearchResult(None, False, nodes)
     finally:
         del extend  # it refers to itself: free the search's tables now, not at a later gc pass
-    return SearchResult(None, not budget_hit, nodes)
+    return SearchResult(None, True, nodes)

@@ -3,10 +3,12 @@
 The oracles here deliberately avoid the code paths they check: vertices and
 membership by LP instead of the hull, facets by trying every vertex subset,
 integer points by testing every point of the bounding box (by LP, or against
-every facet) instead of one interval per line, determinants by permutation
-expansion, word balls by multiplying the whole ball each round, Minkowski
-powers by folding minkowski_sum, triangulations by an exact LP and an
-intersection-vertex test on every pair of simplices.
+every facet) instead of one interval per line, volumes by pyramids over
+brute-force facets, fans by recursing into a fresh hull of every facet instead
+of reading the hull's boundary, determinants by permutation expansion, word
+balls by multiplying the whole ball each round, Minkowski powers by folding
+minkowski_sum, triangulations by an exact LP and an intersection-vertex test
+on every pair of simplices.
 """
 
 import itertools
@@ -75,6 +77,31 @@ def oracle_volume(vertices) -> Fraction:
         facet = sorted({v[:j] + v[j + 1 :] for v in vertices if dot(normal, v) == offset})
         total += height * oracle_volume(facet) / (d * abs(normal[j]))
     return total
+
+
+def recursive_fan_simplices(poly: LatticePolytope) -> tuple:
+    """Triangulation by recursive fans from the lex-least vertex.
+
+    Each facet missing the apex is projected (a coordinate with a nonzero
+    normal entry dropped), hulled afresh and fanned the same way; the apex is
+    coned over the lifted simplices. Corners are always vertices of poly.
+    """
+    d = poly.dim
+    verts = poly.vertices
+    if len(verts) == d + 1:
+        return (verts,)
+    if d == 1:
+        return ((verts[0], verts[-1]),)
+    apex = verts[0]
+    simplices = []
+    for h in poly.facets:
+        if h.slack(apex) == 0:
+            continue  # apex lies on this facet
+        drop = next(i for i in range(d) if h.normal[i] != 0)
+        back = {v[:drop] + v[drop + 1 :]: v for v in verts if h.slack(v) == 0}
+        for s in recursive_fan_simplices(LatticePolytope(back)):
+            simplices.append((apex,) + tuple(back[p] for p in s))
+    return tuple(simplices)
 
 
 def brute_force_integer_points(poly: LatticePolytope, n: int) -> PointSet:

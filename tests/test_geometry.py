@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from latmink import (
     LatticePolytope,
+    LatticeSimplex,
     PointSet,
     ResourceLimitError,
+    Triangulation,
     cross_polytope,
     cube,
     hull,
     sigma,
+    validate_triangulation,
 )
 from latmink.geometry import affine_dim, as_point
 
@@ -21,6 +24,8 @@ from conftest import (
     brute_force_integer_points,
     lp_vertices,
     oracle_volume,
+    pairwise_validate_triangulation,
+    recursive_fan_simplices,
 )
 
 points_2d = st.lists(
@@ -52,6 +57,17 @@ def lattice_clouds(draw, max_dim=4):
         tuple(b + sum(c * u[i] for c, u in zip(cs, dirs)) for i, b in enumerate(base))
         for cs in coeffs
     ]
+
+
+@st.composite
+def midpoint_clouds(draw, max_dim=4):
+    """Even grid points plus midpoints of some of their pairs: the midpoints on
+    edges and facets of the hull are boundary points that are not vertices."""
+    d = draw(st.integers(1, max_dim))
+    corners = draw(st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=d + 1, max_size=8))
+    even = [tuple(2 * x for x in p) for p in corners]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(even), st.sampled_from(even)), max_size=6))
+    return even + [tuple((x + y) // 2 for x, y in zip(p, q)) for p, q in pairs]
 
 
 class TestAsPoint:
@@ -405,12 +421,45 @@ class TestVolume:
 
     def test_fan_simplices_partition_volume(self):
         for poly in (cube(3), cross_polytope(3), cube(2, -1, 1)):
-            total = Fraction(0)
-            for simplex_vertices in poly.fan_simplices():
-                from latmink import LatticeSimplex
-
-                total += LatticeSimplex(simplex_vertices).volume()
+            total = sum(LatticeSimplex(s).volume() for s in recursive_fan_simplices(poly))
             assert total == poly.volume()
+
+    @given(st.one_of(lattice_clouds(), midpoint_clouds()))
+    @settings(max_examples=60, deadline=None)
+    def test_fan_simplices_triangulate(self, pts):
+        p = hull(pts)
+        assume(p.is_full_dimensional)
+        fan = p.fan_simplices()
+        assert all(p.vertices[0] in s for s in fan)
+        tri = Triangulation(p, tuple(map(LatticeSimplex, fan)))
+        report = validate_triangulation(tri)
+        assert report.valid and report.covered_volume == p.volume()
+        if len(fan) <= 6:  # the pairwise oracle runs an LP per overlapping pair
+            assert report == pairwise_validate_triangulation(tri)
+
+    def test_fan_corner_off_the_vertices(self):
+        # (1, 1) lies on the edge from (0, 1) to (2, 1) and is a corner of the hull's boundary
+        p = hull([(0, 0), (0, 1), (1, 1), (2, 1)])
+        assert p.vertices == ((0, 0), (0, 1), (2, 1))
+        assert p.fan_simplices() == (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (2, 1)))
+        assert p.volume() == 1
+        assert hull([(0,), (2,), (1,), (5,)]).fan_simplices() == (((0,), (5,)),)
+
+    def test_no_polytope_built(self, monkeypatch):
+        # a return of the recursive fan would build a polytope per facet
+        polys = [cube(4), cross_polytope(4), LatticePolytope(sigma(4, 3).vertices)]
+        built = []
+        init = LatticePolytope.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LatticePolytope, "__init__", counting)
+        for poly in polys:
+            poly.fan_simplices()
+            poly.volume()
+        assert built == []
 
     @given(points_2d)
     @settings(max_examples=80, deadline=None)

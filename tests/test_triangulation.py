@@ -574,6 +574,43 @@ class TestValidationWork:
         assert lp_calls
 
 
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Counts the calls of LatticePolytope.integer_points while the test runs."""
+    calls = []
+    integer_points = LatticePolytope.integer_points
+
+    def counting(self, *args, **kwargs):
+        calls.append(self)
+        return integer_points(self, *args, **kwargs)
+
+    monkeypatch.setattr(LatticePolytope, "integer_points", counting)
+    return calls
+
+
+class TestClassificationWork:
+    """Validation scans the integer points of non-unit simplices only."""
+
+    def test_unit_simplices_not_scanned(self, scan_calls):
+        polys = [cube(3), cross_polytope(3)]
+        polys += [p for p in _bundled_polytopes() if p.is_full_dimensional and len(p.integer_points(1)) <= 14]
+        found = [r.triangulation for r in map(search_primitive_triangulation, polys) if r.triangulation]
+        assert len(found) == 9
+        scan_calls.clear()  # the searches scan their polytopes
+        for tri in found:
+            report = validate_triangulation(tri)
+            assert report.valid and report.is_primitive and report.is_elementary
+        assert scan_calls == []
+
+    def test_non_unit_simplex_scanned(self, scan_calls):
+        fat = LatticeSimplex([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1)])  # holds (1, 0, 0)
+        for s, elementary in ((fat, False), (sigma(3, 2), True)):
+            report = validate_triangulation(Triangulation(LatticePolytope(s.vertices), (s,)))
+            assert report.valid and not report.is_primitive
+            assert report.is_elementary == elementary
+        assert len(scan_calls) >= 2
+
+
 class TestSearch:
     def test_unit_square(self, unit_square):
         result = search_primitive_triangulation(unit_square)
