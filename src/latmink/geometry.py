@@ -19,10 +19,10 @@ from math import factorial, lcm, prod
 from operator import floordiv, sub
 from typing import Iterable, Sequence
 
-from . import linalg, lp
+from . import linalg
 
 Point = tuple[int, ...]
-RationalPoint = tuple[Fraction, ...]
+RationalPoint = tuple[int | Fraction, ...]
 
 DEFAULT_BOX_CAP = 10**8
 
@@ -43,7 +43,7 @@ def as_point(coords: Iterable) -> Point:
 
 
 def as_rational_point(coords: Iterable) -> RationalPoint:
-    pt = tuple(Fraction(c) for c in coords)
+    pt = tuple(c if type(c) is int else Fraction(c) for c in coords)
     if not pt:
         raise ValueError("points must have dimension >= 1")
     return pt
@@ -361,13 +361,6 @@ class LatticePolytope:
         den, rows = self._lift_rows
         on_hull = all(den * q[i] == dot(row, y) + c for i, row, c in rows)
         return on_hull and all(dot(a, y) <= b for a, b in self._planes)
-
-    def contains_lp(self, point: Iterable) -> bool:
-        """Membership decided by LP feasibility; independent of the facet path."""
-        q = as_rational_point(point)
-        if len(q) != self.dim:
-            raise ValueError(f"point has dimension {len(q)}, expected {self.dim}")
-        return lp.point_in_convex_hull(self.vertices, q)
 
     def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.

@@ -6,6 +6,9 @@ rule, so every answer is an exact decision. Problems are in standard form:
     maximize c.x   subject to   A x = b,  x >= 0.
 
 Sizes stay tiny here (tens of variables), so clarity wins over speed.
+
+No library module imports it: it is the test oracle against which the
+integer paths of `geometry` and `triangulation` are checked.
 """
 
 from __future__ import annotations

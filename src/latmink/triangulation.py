@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
 
-from . import linalg, lp
+from . import linalg
 from .geometry import (
     Halfspace,
     LatticePolytope,
@@ -27,6 +27,7 @@ from .geometry import (
     ResourceLimitError,
     as_point,
     as_rational_point,
+    dot,
     edge_rows,
     plane_through,
 )
@@ -64,16 +65,12 @@ class LatticeSimplex:
         return Fraction(self.normalized_volume, factorial(self.dim))
 
     def barycentric(self, point: Iterable) -> tuple[Fraction, ...]:
-        """Unique barycentric coordinates of a rational point."""
+        """Unique barycentric coordinates of a rational point: a vertex's is the
+        point's slack on the opposite facet over the vertex's own slack there."""
         q = as_rational_point(point)
         if len(q) != self.dim:
             raise ValueError("dimension mismatch")
-        matrix = [[v[i] for v in self.vertices] for i in range(self.dim)]
-        matrix.append([1] * (self.dim + 1))
-        rhs = list(q) + [Fraction(1)]
-        coords = linalg.solve_exact(matrix, rhs)
-        assert coords is not None  # nondegenerate by construction
-        return coords
+        return tuple(Fraction(h.slack(q), h.slack(v)) for v, h in zip(self.vertices, self.facets))
 
     def contains(self, point: Iterable) -> bool:
         return all(c >= 0 for c in self.barycentric(point))
@@ -262,43 +259,25 @@ class TriangulationReport:
     problems: tuple[str, ...]
 
 
-def relative_interiors_intersect(a: LatticeSimplex, b: LatticeSimplex) -> bool:
-    """Exact LP test: do the open simplices share a point?
-
-    Maximizes the least barycentric coordinate across both simplices subject
-    to describing a common point; a positive optimum is an interior witness.
-    """
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    d = a.dim
-    k = d + 1
-    # variables: t, s_0..s_d (lambda_i = t + s_i), u_0..u_d (mu_j = t + u_j)
-    a_eq = [
-        [Fraction(k)] + [Fraction(1)] * k + [Fraction(0)] * k,
-        [Fraction(k)] + [Fraction(0)] * k + [Fraction(1)] * k,
-    ]
-    b_eq = [Fraction(1), Fraction(1)]
-    for i in range(d):
-        coeff = [Fraction(sum(v[i] for v in a.vertices) - sum(w[i] for w in b.vertices))]
-        coeff += [Fraction(v[i]) for v in a.vertices]
-        coeff += [Fraction(-w[i]) for w in b.vertices]
-        a_eq.append(coeff)
-        b_eq.append(Fraction(0))
-    objective = [1] + [0] * (2 * k)
-    result = lp.maximize(objective, a_eq, b_eq)
-    if result is None:
-        return False
-    return result[0] > 0
-
-
 def _intersection_vertices(a: LatticeSimplex, b: LatticeSimplex) -> set:
-    """Vertices of the intersection polytope, by exhausting d-subsets of facets."""
+    """Vertices of a ∩ b: each d-subset of facets is solved by Cramer's rule in
+    integers, x = num / den with den > 0, and x is kept when den * offset >=
+    <normal, num> on every facet. Only the kept points become Fractions."""
     halfspaces = list(dict.fromkeys(a.facets + b.facets))
     found = set()
     for subset in itertools.combinations(halfspaces, a.dim):
-        point = linalg.solve_exact([h.normal for h in subset], [h.offset for h in subset])
-        if point is not None and all(h.slack(point) >= 0 for h in halfspaces):
-            found.add(point)
+        normals = [h.normal for h in subset]
+        den = linalg.det_int(normals)
+        if den == 0:
+            continue
+        num = [
+            linalg.det_int([n[:i] + (h.offset,) + n[i + 1 :] for n, h in zip(normals, subset)])
+            for i in range(a.dim)
+        ]
+        if den < 0:
+            den, num = -den, [-x for x in num]
+        if all(den * h.offset >= dot(h.normal, num) for h in halfspaces):
+            found.add(tuple(Fraction(x, den) for x in num))
     return found
 
 
@@ -331,28 +310,43 @@ def _separated(a: LatticeSimplex, b: LatticeSimplex) -> bool:
     return False
 
 
-def simplices_face_to_face(a: LatticeSimplex, b: LatticeSimplex) -> bool:
-    """Is the intersection of the two simplices a common face of both?
+def _pair_problem(a: LatticeSimplex, b: LatticeSimplex) -> str | None:
+    """What keeps a and b from being two simplices of one triangulation, or None.
 
-    That is, the hull of the shared vertices. Disjoint boxes or the
-    certificate of `_separated` mean yes; a shared facet without it has both
-    apexes on one side (no). Otherwise each vertex of the intersection,
-    found by exact solves, must have barycentric support in the shared set.
+    Disjoint boxes or a `_separated` certificate: None. The same simplex, or
+    d shared vertices without a certificate (both apexes on one side of the
+    shared facet): intersecting interiors. Else the vertices X of a ∩ b
+    decide. If each lies on every facet of a opposite an unshared vertex,
+    a ∩ b is the hull of the shared vertices: None. If not, a ∩ b is
+    full-dimensional (the interiors intersect) iff the centroid of X is
+    strictly inside a and b; else it lies in the boundary of one and is not
+    a face of both.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    if a.vertices == b.vertices:
-        return True
     if _boxes_disjoint(a, b) or _separated(a, b):
-        return True
+        return None
     common = set(a.vertices) & set(b.vertices)
-    if len(common) == a.dim:
-        return False
-    for x in _intersection_vertices(a, b):
-        for coeff, vertex in zip(a.barycentric(x), a.vertices):
-            if coeff != 0 and vertex not in common:
-                return False
-    return True
+    if len(common) >= a.dim:
+        return "have intersecting interiors"
+    xs = _intersection_vertices(a, b)
+    off_face = [h for v, h in zip(a.vertices, a.facets) if v not in common]
+    if all(h.slack(x) == 0 for x in xs for h in off_face):
+        return None
+    centroid = tuple(sum(c) / len(xs) for c in zip(*xs))
+    if all(h.slack(centroid) > 0 for h in a.facets + b.facets):
+        return "have intersecting interiors"
+    return "do not meet face-to-face"
+
+
+def relative_interiors_intersect(a: LatticeSimplex, b: LatticeSimplex) -> bool:
+    """Do the open simplices share a point? Read off `_pair_problem`."""
+    return _pair_problem(a, b) == "have intersecting interiors"
+
+
+def simplices_face_to_face(a: LatticeSimplex, b: LatticeSimplex) -> bool:
+    """Is a ∩ b a common face of both, the hull of their shared vertices?"""
+    return a.vertices == b.vertices or _pair_problem(a, b) is None
 
 
 def _facets_matched(simplices: Sequence[LatticeSimplex], poly_facets: Sequence[Halfspace]) -> bool:
@@ -404,9 +398,9 @@ def validate_triangulation(tri: Triangulation) -> TriangulationReport:
       one of them. Any two simplices thus meet in the hull of their shared
       vertices.
 
-    Otherwise (a problem is recorded, or a facet is unmatched) each pair
-    with overlapping boxes and no `_separated` certificate gets the exact
-    LP of `relative_interiors_intersect`, then `simplices_face_to_face`.
+    Otherwise (a problem is recorded, or a facet is unmatched) every pair
+    goes through the integer pair test of `_pair_problem`, which names
+    intersecting interiors or a meeting that is not face-to-face.
     """
     problems: list[str] = []
     poly = tri.polytope
@@ -438,14 +432,9 @@ def validate_triangulation(tri: Triangulation) -> TriangulationReport:
     if problems or not _facets_matched(simplices, poly.facets):
         clean = not problems
         for i, j in itertools.combinations(range(len(simplices)), 2):
-            a, b = simplices[i], simplices[j]
-            if _boxes_disjoint(a, b) or _separated(a, b):
-                continue
-            if a.vertices == b.vertices or relative_interiors_intersect(a, b):
-                problems.append(f"simplices {i} and {j} have intersecting interiors")
-                continue
-            if not simplices_face_to_face(a, b):
-                problems.append(f"simplices {i} and {j} do not meet face-to-face")
+            problem = _pair_problem(simplices[i], simplices[j])
+            if problem:
+                problems.append(f"simplices {i} and {j} {problem}")
         if clean and not problems:
             raise RuntimeError("internal inconsistency: a facet is unmatched but every pair is valid")
 

@@ -8,7 +8,7 @@ brute-force facets, fans by recursing into a fresh hull of every facet instead
 of reading the hull's boundary, determinants by permutation expansion, word
 balls by multiplying the whole ball each round, Minkowski powers by folding
 minkowski_sum, triangulations by an exact LP and an intersection-vertex test
-on every pair of simplices.
+(exact Fraction solves) on every pair of simplices.
 """
 
 import itertools
@@ -17,8 +17,8 @@ from fractions import Fraction
 import pytest
 
 from latmink import ElementSet, LatticePolytope, PointSet, classify_simplex, linalg, lp, minkowski_sum
-from latmink.geometry import as_point, dot
-from latmink.triangulation import TriangulationReport, relative_interiors_intersect
+from latmink.geometry import as_point, as_rational_point, dot
+from latmink.triangulation import TriangulationReport
 
 
 def lp_vertices(points) -> tuple:
@@ -29,6 +29,14 @@ def lp_vertices(points) -> tuple:
     return tuple(
         p for i, p in enumerate(pts) if not lp.point_in_convex_hull(pts[:i] + pts[i + 1 :], p)
     )
+
+
+def lp_contains(poly: LatticePolytope, point) -> bool:
+    """Membership decided by LP feasibility over the vertices, not by the facets."""
+    q = as_rational_point(point)
+    if len(q) != poly.dim:
+        raise ValueError(f"point has dimension {len(q)}, expected {poly.dim}")
+    return lp.point_in_convex_hull(poly.vertices, q)
 
 
 def brute_force_facets(vertices) -> list:
@@ -199,6 +207,35 @@ def spans_face(simplex, subset) -> bool:
     return carried == wanted
 
 
+def lp_interiors_intersect(a, b) -> bool:
+    """Exact LP test: do the open simplices share a point?
+
+    Maximizes the least barycentric coordinate across both simplices subject
+    to describing a common point; a positive optimum is an interior witness.
+    """
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    d = a.dim
+    k = d + 1
+    # variables: t, s_0..s_d (lambda_i = t + s_i), u_0..u_d (mu_j = t + u_j)
+    a_eq = [
+        [Fraction(k)] + [Fraction(1)] * k + [Fraction(0)] * k,
+        [Fraction(k)] + [Fraction(0)] * k + [Fraction(1)] * k,
+    ]
+    b_eq = [Fraction(1), Fraction(1)]
+    for i in range(d):
+        coeff = [Fraction(sum(v[i] for v in a.vertices) - sum(w[i] for w in b.vertices))]
+        coeff += [Fraction(v[i]) for v in a.vertices]
+        coeff += [Fraction(-w[i]) for w in b.vertices]
+        a_eq.append(coeff)
+        b_eq.append(Fraction(0))
+    objective = [1] + [0] * (2 * k)
+    result = lp.maximize(objective, a_eq, b_eq)
+    if result is None:
+        return False
+    return result[0] > 0
+
+
 def _boxes_disjoint(a, b) -> bool:
     return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a.bounding_box(), b.bounding_box()))
 
@@ -269,7 +306,7 @@ def pairwise_validate_triangulation(tri) -> TriangulationReport:
         a, b = simplices[i], simplices[j]
         if _boxes_disjoint(a, b):
             continue
-        if a.vertices == b.vertices or relative_interiors_intersect(a, b):
+        if a.vertices == b.vertices or lp_interiors_intersect(a, b):
             problems.append(f"simplices {i} and {j} have intersecting interiors")
             continue
         if not pairwise_face_to_face(a, b):

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latmink
 from latmink import geometry, groups
 from latmink.cli import build_parser, main
 
@@ -181,6 +186,28 @@ class TestSearchAndValidate:
         assert code == 0
         assert not doc["result"]["valid"]
         assert any("covered volume" in p for p in doc["result"]["problems"])
+
+    def test_library_never_imports_the_lp(self, tmp_path):
+        # a rejected input reaches the pair test; a fresh interpreter shows
+        # which modules the command line loads
+        diamond = {
+            "polytope": {"dim": 2, "vertices": [[0, 0], [2, 0], [1, 1], [1, -1]]},
+            "simplices": [[[0, 0], [2, 0], [1, 1]], [[0, 0], [1, 0], [1, -1]], [[1, 0], [2, 0], [1, -1]]],
+        }
+        path = tmp_path / "diamond.json"
+        path.write_text(json.dumps(diamond))
+        script = (
+            "import sys\n"
+            "from latmink.cli import main\n"
+            "codes = [main(['validate-triangulation', sys.argv[1]]), main(['points', 'unit-square', '2'])]\n"
+            "print(codes, 'latmink.lp' in sys.modules)\n"
+        )
+        src = str(Path(latmink.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert "do not meet face-to-face" in done.stdout
+        assert done.stdout.splitlines()[-1] == "[0, 0] False"
 
 
 class TestGroupCommands:

@@ -22,6 +22,7 @@ from conftest import (
     box_scan_points,
     brute_force_facets,
     brute_force_integer_points,
+    lp_contains,
     lp_vertices,
     oracle_volume,
     pairwise_validate_triangulation,
@@ -187,7 +188,7 @@ class TestHullOracles:
             )
         )
         probe = tuple(Fraction(x, den) for x in probe)
-        assert p.contains(probe) == p.contains_lp(probe)
+        assert p.contains(probe) == lp_contains(p, probe)
 
     def test_edge_midpoints_of_4d_cross_polytope(self):
         # each edge lies on four facets whose normals have rank three, so
@@ -278,7 +279,7 @@ class TestContains:
         p = hull(pts)
         if not p.is_full_dimensional:
             return
-        assert p.contains(probe) == p.contains_lp(probe)
+        assert p.contains(probe) == lp_contains(p, probe)
 
     @given(points_2d, st.data())
     @settings(max_examples=80, deadline=None)
@@ -289,7 +290,22 @@ class TestContains:
         num = data.draw(st.tuples(st.integers(-12, 12), st.integers(-12, 12)))
         den = data.draw(st.integers(1, 4))
         probe = (Fraction(num[0], den), Fraction(num[1], den))
-        assert p.contains(probe) == p.contains_lp(probe)
+        assert p.contains(probe) == lp_contains(p, probe)
+
+    @given(points_3d, st.tuples(*[st.integers(-8, 8)] * 3))
+    @settings(max_examples=60, deadline=None)
+    def test_int_fraction_and_float_inputs_agree(self, pts, num):
+        # int coordinates stay ints and the others become Fractions: the
+        # answers must not depend on which form an equal value comes in
+        p, simplex = hull(pts), sigma(3, 3)
+        for forms in (
+            [num, tuple(map(Fraction, num)), tuple(map(float, num))],
+            [tuple(Fraction(x, 4) for x in num), tuple(x / 4 for x in num)],
+        ):
+            assert len({p.contains(q) for q in forms}) == 1
+            assert len({p.contains(q, strict=True) for q in forms}) == 1
+            assert len({simplex.barycentric(q) for q in forms}) == 1
+            assert len({simplex.contains(q) for q in forms}) == 1
 
 
 class TestIntegerPoints:
@@ -392,7 +408,7 @@ class TestLineScan:
             probes.append(half)
             probes += [half[:j] + (half[j] + Fraction(1, 2),) + half[j + 1 :] for j in range(p.dim)]
         for q in probes:
-            assert p.contains(q) == p.contains_lp(q), q
+            assert p.contains(q) == lp_contains(p, q), q
 
 
 def boundary_lattice_point_count(poly: LatticePolytope) -> int:

@@ -5,10 +5,16 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import pairwise_face_to_face, pairwise_validate_triangulation, spans_face
+import conftest
+from conftest import (
+    lp_interiors_intersect,
+    pairwise_face_to_face,
+    pairwise_validate_triangulation,
+    spans_face,
+)
 from latmink import (
     LatticePolytope,
     LatticeSimplex,
@@ -26,6 +32,7 @@ from latmink import (
     sigma,
     sigma_prime,
     simplices_face_to_face,
+    triangulation,
     unimodular_criteria,
     validate_triangulation,
 )
@@ -293,6 +300,68 @@ class TestFaceToFace:
         assert simplices_face_to_face(a, b) == pairwise_face_to_face(a, b)
 
 
+@st.composite
+def simplex_pairs(draw):
+    """Two simplices with coordinates in [0, 3]^d, d = 1..4; half the pairs
+    share their first 1..d vertices."""
+    d = draw(st.integers(1, 4))
+    points = st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=d + 1, max_size=d + 1, unique=True)
+    p, q = draw(points), draw(points)
+    k = draw(st.integers(1, d)) if draw(st.booleans()) else 0
+    try:
+        return LatticeSimplex(p), LatticeSimplex(p[:k] + q[k:])
+    except ValueError:
+        assume(False)
+
+
+# Pairs that meet in a lower-dimensional set that is not a face of both:
+# one simplex's facet inside the other's, d = 2, 3, 4. Random pairs in
+# [0, 3]^d seldom do this.
+TOUCHING_PAIRS = [
+    (LatticeSimplex(a), LatticeSimplex(b))
+    for a, b in (
+        ([(0, 1), (2, 1), (0, 2)], [(1, 1), (3, 1), (2, 0)]),
+        ([(0, 0, 1), (2, 0, 1), (0, 2, 1), (0, 0, 2)], [(0, 0, 1), (1, 0, 1), (0, 1, 1), (0, 0, 0)]),
+        (
+            [(0, 0, 0, 1), (2, 0, 0, 1), (0, 2, 0, 1), (0, 0, 2, 1), (0, 0, 0, 2)],
+            [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (0, 0, 0, 0)],
+        ),
+    )
+]
+
+
+def _with_touching_pairs(test):
+    for pair in TOUCHING_PAIRS:
+        test = example(pair)(test)
+    return test
+
+
+class TestPairTestAgainstOracles:
+    """The integer pair test against the LP and the Fraction-solve oracles."""
+
+    def test_touching_pairs_do_not_meet_face_to_face(self):
+        for pair in TOUCHING_PAIRS:
+            assert triangulation._pair_problem(*pair) == "do not meet face-to-face"
+
+    @given(simplex_pairs())
+    @_with_touching_pairs
+    @settings(max_examples=100, deadline=None)
+    def test_interiors_match_lp(self, pair):
+        assert relative_interiors_intersect(*pair) == lp_interiors_intersect(*pair)
+
+    @given(simplex_pairs())
+    @_with_touching_pairs
+    @settings(max_examples=100, deadline=None)
+    def test_intersection_vertices_match_fraction_solves(self, pair):
+        assert triangulation._intersection_vertices(*pair) == conftest._intersection_vertices(*pair)
+
+    @given(simplex_pairs())
+    @_with_touching_pairs
+    @settings(max_examples=100, deadline=None)
+    def test_face_to_face_matches_oracle(self, pair):
+        assert simplices_face_to_face(*pair) == pairwise_face_to_face(*pair)
+
+
 class TestValidateTriangulation:
     def test_square_diagonal_valid(self, unit_square):
         tri = Triangulation(
@@ -547,7 +616,7 @@ def lp_calls(monkeypatch):
 
 
 class TestValidationWork:
-    """Valid triangulations are settled by facet adjacency, without any LP."""
+    """Valid triangulations are settled by facet adjacency; no validation runs an LP."""
 
     def test_orthant_fans(self, lp_calls):
         for d in (1, 2, 3, 4):
@@ -569,9 +638,11 @@ class TestValidationWork:
                 assert lp_calls == []
         assert found == 9  # cube(3), cross_polytope(3) and seven bundled polytopes
 
-    def test_rejected_input_falls_back_to_lp(self, lp_calls):
-        assert not validate_triangulation(_diamond_t_junction()).valid
-        assert lp_calls
+    def test_rejected_input_without_lp(self, lp_calls):
+        report = validate_triangulation(_diamond_t_junction())
+        assert not report.valid
+        assert lp_calls == []
+        assert report == pairwise_validate_triangulation(_diamond_t_junction())
 
 
 @pytest.fixture
