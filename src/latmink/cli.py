@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import serialize, verify
-from .geometry import LatticePolytope, ResourceLimitError
+from .geometry import ResourceLimitError
 from .groups import check_boundary_equality_range, omega_boundary, word_ball
 from .minkowski import check_equality_range, decompose, minkowski_power
 from .triangulation import (
@@ -79,30 +79,30 @@ def _parse_point(text: str) -> tuple[int, ...]:
         raise InputError(f"bad point {text!r}") from exc
 
 
-def _load_polytope(name: str) -> LatticePolytope:
+def _load(name: str, parse):
+    """parse(document) for the file or bundled dataset `name`; a ValueError
+    becomes an InputError prefixed with the name."""
     try:
-        return serialize.parse_polytope(_read_document(name))
+        return parse(_read_document(name))
     except ValueError as exc:
         raise InputError(f"{name}: {exc}") from exc
 
 
 def _load_group(name: str):
-    try:
-        group, warnings = serialize.parse_group(_read_document(name))
-    except ValueError as exc:
-        raise InputError(f"{name}: {exc}") from exc
+    group, warnings = _load(name, serialize.parse_group)
     for w in warnings:
         print(f"warning: {name}: {w}", file=sys.stderr)
     return group
 
 
 def _emit(args, inputs: dict, result, pretty_lines) -> int:
-    """Print the report of args.command; pretty_lines is read only under --pretty."""
+    """Print the report of args.command, the JSON form of library objects by
+    serialize.to_json; pretty_lines is read only under --pretty."""
     if args.pretty:
         for line in pretty_lines:
             print(line)
         return EXIT_OK
-    report = {"command": args.command, "inputs": inputs, "result": result}
+    report = serialize.to_json({"command": args.command, "inputs": inputs, "result": result})
     if args.timing:
         report["elapsed_ms"] = int((time.monotonic() - args._start) * 1000)
     print(json.dumps(report, sort_keys=True, indent=2))
@@ -111,40 +111,36 @@ def _emit(args, inputs: dict, result, pretty_lines) -> int:
 
 def _cmd_points(args) -> int:
     """points and minkowski: the integer points of nP, or the n-fold sum of those of P."""
-    poly = _load_polytope(args.polytope)
+    poly = _load(args.polytope, serialize.parse_polytope)
     if args.command == "points":
-        pts = poly.integer_points(args.n, cap=args.cap)
+        points = poly.integer_points(args.n, cap=args.cap)
         what = f"integer points in the {args.n}-fold dilation"
     else:
-        pts = minkowski_power(poly.integer_points(1, cap=args.cap), args.n)
+        points = minkowski_power(poly.integer_points(1, cap=args.cap), args.n)
         what = f"points in the {args.n}-fold Minkowski sum"
-    points = serialize.point_set_to_list(pts)
     return _emit(
         args,
-        {"polytope": serialize.polytope_to_dict(poly), "n": args.n},
+        {"polytope": poly, "n": args.n},
         {"count": len(points), "points": points},
         chain([f"{len(points)} {what}:"], (" ".join(map(str, p)) for p in points)),
     )
 
 
 def _cmd_check_equality(args) -> int:
-    poly = _load_polytope(args.polytope)
+    poly = _load(args.polytope, serialize.parse_polytope)
     reports = check_equality_range(poly, _parse_range(args.range), cap=args.cap)
     return _emit(
         args,
-        {"polytope": serialize.polytope_to_dict(poly), "range": args.range},
-        [serialize.equality_report_to_dict(r) for r in reports],
+        {"polytope": poly, "range": args.range},
+        reports,
         [f"n={r.n}: {'holds' if r.holds else f'FAILS, witness {r.witness}'}" for r in reports],
     )
 
 
 def _cmd_decompose(args) -> int:
-    poly = _load_polytope(args.polytope)
+    poly = _load(args.polytope, serialize.parse_polytope)
     if args.triangulation:
-        try:
-            tri = serialize.parse_triangulation(_read_document(args.triangulation))
-        except ValueError as exc:
-            raise InputError(f"{args.triangulation}: {exc}") from exc
+        tri = _load(args.triangulation, serialize.parse_triangulation)
         if tri.polytope != poly:
             raise InputError("triangulation file describes a different polytope")
     else:
@@ -163,58 +159,48 @@ def _cmd_decompose(args) -> int:
         raise InputError(str(exc)) from exc
     return _emit(
         args,
-        {"polytope": serialize.polytope_to_dict(poly), "n": args.n, "point": list(point)},
-        serialize.decomposition_to_dict(dec),
+        {"polytope": poly, "n": args.n, "point": point},
+        dec,
         [f"{point} = " + " + ".join(str(s) for s in dec.summands)],
     )
 
 
 def _cmd_classify(args) -> int:
-    try:
-        poly = serialize.parse_polytope(_read_document(args.simplex))
-        simplex = LatticeSimplex(poly.vertices)
-    except ValueError as exc:
-        raise InputError(f"{args.simplex}: {exc}") from exc
+    simplex = _load(args.simplex, lambda doc: LatticeSimplex(serialize.parse_polytope(doc).vertices))
     cls = classify_simplex(simplex)
     return _emit(
         args,
-        {"simplex": [list(v) for v in simplex.vertices]},
-        serialize.simplex_class_to_dict(cls),
+        {"simplex": simplex},
+        cls,
         [
             f"normalized volume {cls.normalized_volume}; "
             f"elementary: {cls.is_elementary}; primitive: {cls.is_primitive}; "
-            f"non-vertex points: {serialize.point_set_to_list(cls.non_vertex_points)}"
+            f"non-vertex points: {[list(p) for p in cls.non_vertex_points]}"
         ],
     )
 
 
 def _cmd_lemma1(args) -> int:
-    try:
-        matrix = serialize.parse_matrix(_read_document(args.matrix))
-        criteria = unimodular_criteria(matrix)
-    except ValueError as exc:
-        raise InputError(f"{args.matrix}: {exc}") from exc
-    result = serialize.criteria_to_dict(criteria)
-    return _emit(args, {"matrix": matrix}, result, [f"{key}: {value}" for key, value in result.items()])
+    def parse(doc):
+        matrix = serialize.parse_matrix(doc)
+        return matrix, unimodular_criteria(matrix)
+
+    matrix, criteria = _load(args.matrix, parse)
+    return _emit(args, {"matrix": matrix}, criteria, [f"{key}: {value}" for key, value in vars(criteria).items()])
 
 
 def _cmd_validate_triangulation(args) -> int:
-    try:
-        tri = serialize.parse_triangulation(_read_document(args.triangulation))
-    except ValueError as exc:
-        raise InputError(f"{args.triangulation}: {exc}") from exc
+    tri = _load(args.triangulation, serialize.parse_triangulation)
     report = validate_triangulation(tri)
-    result = serialize.triangulation_report_to_dict(report)
     pretty = [
         f"valid: {report.valid}; elementary: {report.is_elementary}; primitive: {report.is_primitive}"
     ] + [f"problem: {p}" for p in report.problems]
-    return _emit(args, {"simplices": len(tri.simplices)}, result, pretty)
+    return _emit(args, {"simplices": len(tri.simplices)}, report, pretty)
 
 
 def _cmd_search_primitive(args) -> int:
-    poly = _load_polytope(args.polytope)
+    poly = _load(args.polytope, serialize.parse_polytope)
     result = search_primitive_triangulation(poly, budget=args.budget, point_cap=args.point_cap)
-    doc = serialize.search_result_to_dict(result)
     if result.triangulation is not None:
         pretty = [f"found a primitive triangulation with {len(result.triangulation.simplices)} simplices"]
         pretty += [
@@ -225,7 +211,8 @@ def _cmd_search_primitive(args) -> int:
         pretty = ["no primitive triangulation exists (candidate space exhausted)"]
     else:
         pretty = [f"no primitive triangulation found within budget ({result.nodes} nodes)"]
-    return _emit(args, {"polytope": serialize.polytope_to_dict(poly)}, doc, pretty)
+    doc = {"found": result.triangulation is not None, **vars(result)}
+    return _emit(args, {"polytope": poly}, doc, pretty)
 
 
 def _cmd_word_ball(args) -> int:
@@ -234,12 +221,11 @@ def _cmd_word_ball(args) -> int:
     ball, what = word_ball(group, args.n, cap=args.cap), "elements in"
     if args.command == "boundary":
         ball, what = omega_boundary(group, ball), "boundary elements of"
-    elements = serialize.element_set_to_list(ball)
     return _emit(
         args,
-        {"group": serialize.group_to_dict(group), "n": args.n},
-        {"count": len(elements), "elements": elements},
-        chain([f"{len(elements)} {what} the radius-{args.n} ball:"], map(json.dumps, elements)),
+        {"group": group, "n": args.n},
+        {"count": len(ball), "elements": ball},
+        chain([f"{len(ball)} {what} the radius-{args.n} ball:"], map(json.dumps, ball)),
     )
 
 
@@ -248,8 +234,8 @@ def _cmd_check_boundary(args) -> int:
     reports = check_boundary_equality_range(group, _parse_range(args.range), cap=args.cap)
     return _emit(
         args,
-        {"group": serialize.group_to_dict(group), "range": args.range},
-        [serialize.boundary_report_to_dict(r) for r in reports],
+        {"group": group, "range": args.range},
+        reports,
         [
             f"n={r.n}: "
             + ("holds" if r.holds else f"FAILS, fresh layer has {len(r.rhs_minus_lhs)} non-boundary elements")
@@ -261,12 +247,8 @@ def _cmd_check_boundary(args) -> int:
 def _cmd_verify_paper(args) -> int:
     kwargs = {"polygon_samples": 25, "matrix_samples": 60} if args.quick else {}
     results = verify.run_all(seed=args.seed, **kwargs)
-    rows = [
-        {"claim": r.claim, "description": r.description, "ok": r.ok, "detail": r.detail}
-        for r in results
-    ]
     failed = [r for r in results if not r.ok]
-    summary = {"rows": rows, "passed": len(results) - len(failed), "failed": len(failed)}
+    summary = {"rows": results, "passed": len(results) - len(failed), "failed": len(failed)}
     pretty = [
         f"{'PASS' if r.ok else 'FAIL'}  {r.claim}: {r.detail}" for r in results
     ] + [f"{len(results) - len(failed)} passed, {len(failed)} failed"]

@@ -197,6 +197,7 @@ def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Seq
             res = list(map(sub, res, step))
 
     scan(0, (), [b for _, b in planes])
+    del scan  # it refers to itself: free found now, not at a later gc pass
     return found
 
 

@@ -41,33 +41,6 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _gauss_jordan(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]] | None:
-    """The rows of X with matrix X = rhs, by one exact Gauss-Jordan pass over
-    [matrix | rhs] (rhs has one row per matrix row); None if matrix is singular."""
-    n = len(matrix)
-    if len(rhs) != n or any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square or rhs length mismatch")
-    a = [[Fraction(x) for x in row] + [Fraction(b) for b in extra] for row, extra in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
-
-
-def solve_exact(matrix: Sequence[Sequence], rhs: Sequence) -> tuple[Fraction, ...] | None:
-    """Solve a square linear system exactly; None if the matrix is singular."""
-    x = _gauss_jordan(matrix, [[b] for b in rhs])
-    return None if x is None else tuple(row[0] for row in x)
-
-
 class Echelon:
     """Integer row echelon form grown one row at a time, fraction-free.
 
@@ -180,6 +153,20 @@ def is_identity(matrix: Sequence[Sequence[int]], dim: int) -> bool:
 
 
 def inverse_exact(rows: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square integer matrix, one pass over [A | I]; None if singular."""
+    """Exact inverse of a square integer matrix, one Gauss-Jordan pass over [A | I]; None if singular."""
     n = len(rows)
-    return _gauss_jordan(rows, [[int(i == j) for j in range(n)] for i in range(n)])
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]

@@ -1,4 +1,4 @@
-"""JSON file formats and report serialization.
+"""JSON file formats and the one rule for reports.
 
 File schemas (all coordinates must be exact JSON integers; floats are
 rejected outright):
@@ -10,13 +10,23 @@ rejected outright):
 
 Group files missing the identity get it inserted with a warning. Polytope
 files are accepted wherever a zd group is expected, via the presentation
-generated by the polytope's integer points.
+generated by the polytope's integer points. `parse_*` read these forms;
+`polytope_to_dict`, `triangulation_to_dict` and `group_to_dict` write them.
+
+Reports: `to_json` turns a value made of library objects into plain JSON
+data. A dataclass becomes the dict of its fields in field order; a tuple,
+list, `PointSet` or `ElementSet` becomes a list; a `Fraction` becomes "p/q",
+or "p" when integral; a `LatticePolytope`, `LatticeSimplex` (its vertex
+list) or `GroupPresentation` becomes its file form. Any other type raises
+TypeError, so floats and unordered sets never reach a report.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any
 
 from .geometry import LatticePolytope, PointSet
@@ -28,15 +38,10 @@ from .groups import (
     GroupPresentation,
     zd_presentation_from_polytope,
 )
-from .minkowski import Decomposition, EqualityReport
-from .triangulation import (
-    LatticeSimplex,
-    SearchResult,
-    SimplexClass,
-    Triangulation,
-    TriangulationReport,
-    UnimodularCriteria,
-)
+from .triangulation import LatticeSimplex, Triangulation
+
+_SEQUENCES = (tuple, list, ElementSet)
+_SCALARS = {int, str, bool, type(None)}
 
 
 def _reject_float(text: str):
@@ -153,87 +158,45 @@ def group_to_dict(group: GroupPresentation) -> dict:
     return doc
 
 
-def element_to_jsonable(element):
-    if element and isinstance(element[0], tuple):
-        return [list(row) for row in element]
-    return list(element)
+def to_json(value) -> Any:
+    """The JSON data of a report value, by the rule in the module docstring."""
+    # The recursion calls _json, so that a wrapper around this public name
+    # (a tracer, a profiler) sees one call per report.
+    return _json(value)
 
 
-def element_set_to_list(elements: ElementSet) -> list:
-    return [element_to_jsonable(e) for e in elements]
-
-
-def point_set_to_list(points: PointSet) -> list[list[int]]:
-    return [list(p) for p in points]
-
-
-def fraction_to_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-
-
-def equality_report_to_dict(report: EqualityReport) -> dict:
-    return {
-        "n": report.n,
-        "holds": report.holds,
-        "witness": list(report.witness) if report.witness is not None else None,
-    }
-
-
-def boundary_report_to_dict(report) -> dict:
-    return {
-        "n": report.n,
-        "holds": report.holds,
-        "lhs_minus_rhs": element_set_to_list(report.lhs_minus_rhs),
-        "rhs_minus_lhs": element_set_to_list(report.rhs_minus_lhs),
-    }
-
-
-def simplex_class_to_dict(cls: SimplexClass) -> dict:
-    return {
-        "normalized_volume": cls.normalized_volume,
-        "is_elementary": cls.is_elementary,
-        "is_primitive": cls.is_primitive,
-        "non_vertex_points": point_set_to_list(cls.non_vertex_points),
-    }
-
-
-def criteria_to_dict(criteria: UnimodularCriteria) -> dict:
-    return {
-        "singular": criteria.singular,
-        "lattice_onto": criteria.lattice_onto,
-        "inverse_integral": criteria.inverse_integral,
-        "det_unit": criteria.det_unit,
-        "parallelotope_unit_volume": criteria.parallelotope_unit_volume,
-        "parallelotope_elementary": criteria.parallelotope_elementary,
-        "corner_simplex_elementary": criteria.corner_simplex_elementary,
-    }
-
-
-def triangulation_report_to_dict(report: TriangulationReport) -> dict:
-    return {
-        "valid": report.valid,
-        "is_elementary": report.is_elementary,
-        "is_primitive": report.is_primitive,
-        "covered_volume": fraction_to_str(report.covered_volume),
-        "problems": list(report.problems),
-    }
-
-
-def search_result_to_dict(result: SearchResult) -> dict:
-    return {
-        "found": result.triangulation is not None,
-        "exhausted": result.exhausted,
-        "nodes": result.nodes,
-        "triangulation": (
-            triangulation_to_dict(result.triangulation)
-            if result.triangulation is not None
-            else None
-        ),
-    }
-
-
-def decomposition_to_dict(dec: Decomposition) -> dict:
-    return {
-        "target": list(dec.target),
-        "summands": [list(s) for s in dec.summands],
-    }
+def _json(value):
+    # Exact type tests, commonest first: an isinstance test on Fraction is slow.
+    kind = type(value)
+    if kind is int or kind is str or kind is bool or value is None:
+        return value
+    if kind is PointSet:  # int tuples by construction (as_point)
+        return list(map(list, value.points))
+    if kind in _SEQUENCES:
+        # Leaf rules: a sequence of scalars, of int tuples (points, Z^d
+        # elements) or of tuples of int tuples (GL(2, Z) elements) is
+        # type-checked a level at a time at C speed and copied without recursion.
+        kinds = set(map(type, value))
+        if kinds <= _SCALARS:
+            return list(value)
+        if kinds == {tuple}:
+            flat = chain.from_iterable
+            inner = set(map(type, flat(value)))
+            if inner == {int}:
+                return list(map(list, value))
+            if inner == {tuple} and set(map(type, flat(flat(value)))) == {int}:
+                return [list(map(list, m)) for m in value]
+        return [_json(v) for v in value]
+    if kind is dict:
+        return {key: _json(v) for key, v in value.items()}
+    if kind is Fraction:
+        return str(value)
+    if kind is LatticePolytope:
+        return polytope_to_dict(value)
+    if kind is LatticeSimplex:
+        return [list(v) for v in value.vertices]
+    if kind is GroupPresentation:
+        return group_to_dict(value)
+    if is_dataclass(kind):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    raise TypeError(f"no JSON form for {kind.__name__}")

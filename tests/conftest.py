@@ -21,6 +21,25 @@ from latmink.geometry import as_point, as_rational_point, dot
 from latmink.triangulation import TriangulationReport
 
 
+def solve_exact(matrix, rhs) -> tuple | None:
+    """Solve a square linear system by Gauss-Jordan elimination over Fractions;
+    None if the matrix is singular."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return tuple(row[n] for row in a)
+
+
 def lp_vertices(points) -> tuple:
     """Vertices by exact LP: a point is kept when it is outside the hull of the others."""
     pts = sorted(set(map(tuple, points)))
@@ -147,7 +166,7 @@ def box_scan_points(poly: LatticePolytope, n: int) -> PointSet:
     base = tuple(n * x for x in poly.vertices[0])
     found = []
     for y in inside:
-        coeffs = linalg.solve_exact([[e[c] for e in edges] for c in cols], [yc - base[c] for yc, c in zip(y, cols)])
+        coeffs = solve_exact([[e[c] for e in edges] for c in cols], [yc - base[c] for yc, c in zip(y, cols)])
         x = tuple(b + sum(t * e[i] for t, e in zip(coeffs, edges)) for i, b in enumerate(base))
         if all(c.denominator == 1 for c in x):
             found.append(tuple(map(int, x)))
@@ -245,7 +264,7 @@ def _intersection_vertices(a, b) -> set:
     halfspaces = list(dict.fromkeys(a.facets + b.facets))
     found = set()
     for subset in itertools.combinations(halfspaces, a.dim):
-        point = linalg.solve_exact([h.normal for h in subset], [h.offset for h in subset])
+        point = solve_exact([h.normal for h in subset], [h.offset for h in subset])
         if point is not None and all(h.slack(point) >= 0 for h in halfspaces):
             found.add(point)
     return found

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -364,3 +365,63 @@ class TestBallCap:
         monkeypatch.setattr(geometry, "DEFAULT_BOX_CAP", 9)
         code, doc, _ = run_json(capsys, "check-equality", "unit-square", "1..2")
         assert code == 0 and all(r["holds"] for r in doc["result"])
+
+
+class TestReportBytes:
+    """Exact stdout of one command per report type, pinned before the reports
+    were built by serialize.to_json; JSON keys come out sorted."""
+
+    DIGESTS = {
+        ("check-equality", "sigma-3-2", "1..2"): "472b6ace27ecae0850ea58c1494b66722375d8d45287f6e7d1566d6baaf10b60",
+        ("check-boundary", "gl2z-swap-shear", "1"): "9c0a0e64b39b1a9383ad0cedc5842c018b4db1b4260639cfd5dc888c74c90cbc",
+        ("word-ball", "gl2z-swap-shear", "1"): "878c9771e4b8415b6dbcde5935e8c1e2eeb93427d5d11950e038fbcbc35c3822",
+        ("classify", "sigma-3-3"): "2c8a853e5ed8c2e02c26319dab8be0101c0dccfd456b4e6a170845bca6a8d81a",
+        ("lemma1", "sigma-3-2-matrix"): "5bd41a22fcab3604e2698e20c846857de49fcc694579b366008695a6041b2a51",
+        ("search-primitive", "unit-square"): "48286f7f32afbf427eddbec0aaf8692a9d5c1ff80ba383dab33ea8c044c6ba0b",
+        ("search-primitive", "sigma-3-2"): "64e20759a6d397d0a23cac05a5088ac0af82aad274e45fc960b59a5ea415983f",
+        ("decompose", "unit-cube", "2", "1,1,2"): "4e63696a3a9f8a8ae903fc8c885dfa2bcf109085f3d4f269fbb85b8115725cbb",
+    }
+
+    @pytest.mark.parametrize("argv", DIGESTS)
+    def test_json_reports(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[argv]
+
+    def test_pretty_lemma1_keeps_the_field_order(self, capsys):
+        code, out, _ = run(capsys, "--pretty", "lemma1", "sigma-3-2-matrix")
+        assert code == 0
+        assert out == (
+            "singular: False\n"
+            "lattice_onto: False\n"
+            "inverse_integral: False\n"
+            "det_unit: False\n"
+            "parallelotope_unit_volume: False\n"
+            "parallelotope_elementary: False\n"
+            "corner_simplex_elementary: True\n"
+        )
+
+    def test_fractional_covered_volume(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({
+            "polytope": {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+            "simplices": [[[0, 0], [1, 0], [1, 1]]],
+        }))
+        code, out, _ = run(capsys, "validate-triangulation", str(path))
+        assert code == 0
+        assert out == """{
+  "command": "validate-triangulation",
+  "inputs": {
+    "simplices": 1
+  },
+  "result": {
+    "covered_volume": "1/2",
+    "is_elementary": true,
+    "is_primitive": true,
+    "problems": [
+      "covered volume 1/2 != polytope volume 1"
+    ],
+    "valid": false
+  }
+}
+"""

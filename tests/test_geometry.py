@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -397,6 +398,18 @@ class TestLineScan:
             p = LatticePolytope(sigma(d, m).vertices)
             for n in range(5 if d < 5 else 4):
                 assert p.integer_points(n) == box_scan_points(p, n)
+
+    def test_leaves_no_reference_cycles(self):
+        # cycles would hold each scan's point list until the collector runs
+        polytopes = [cube(3), LatticePolytope(LOWER_DIMENSIONAL["triangle in Z^4"])]
+        gc.disable()
+        try:
+            gc.collect()
+            for p in polytopes:
+                p.integer_points(2)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("name", LOWER_DIMENSIONAL)
     def test_lower_dimensional_contains_matches_lp(self, name):

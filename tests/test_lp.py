@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latmink import linalg, lp
+from latmink import lp
+
+from conftest import solve_exact
 
 
 def best_basic_feasible_solution(cost, a_eq, b_eq):
@@ -32,7 +34,7 @@ def best_basic_feasible_solution(cost, a_eq, b_eq):
     best = None
     for cols in itertools.combinations(range(n), m):
         square = [[row[j] for j in cols] for row in reduced]
-        solution = linalg.solve_exact(square, [row[n] for row in reduced])
+        solution = solve_exact(square, [row[n] for row in reduced])
         if solution is None or any(v < 0 for v in solution):
             continue
         x = [Fraction(0)] * n

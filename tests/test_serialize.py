@@ -1,8 +1,25 @@
+from dataclasses import fields
+from fractions import Fraction
+
 import pytest
 
-from latmink import serialize
+from latmink import (
+    GroupPresentation,
+    check_boundary_equality_range,
+    check_equality_range,
+    classify_simplex,
+    cube,
+    decompose,
+    gl2z_swap_shear_generators,
+    search_primitive_triangulation,
+    serialize,
+    sigma,
+    unimodular_criteria,
+    validate_triangulation,
+)
 from latmink.geometry import LatticePolytope
 from latmink.triangulation import LatticeSimplex, Triangulation
+from latmink.verify import ClaimResult
 
 
 class TestStrictJson:
@@ -112,3 +129,34 @@ class TestMatrixFormat:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             serialize.parse_matrix([[1, 0, 0], [0, 1, 0]])
+
+
+class TestReportRule:
+    def test_dataclass_keys_are_its_fields(self):
+        square = cube(2)
+        search = search_primitive_triangulation(square)
+        gl2z = GroupPresentation("gl2z", gl2z_swap_shear_generators())
+        reports = [
+            check_equality_range(LatticePolytope(sigma(3, 2).vertices), range(2, 3))[0],
+            check_boundary_equality_range(gl2z, range(1, 2))[0],
+            decompose(square, search.triangulation, 2, (1, 2)),
+            classify_simplex(sigma(3, 3)),
+            unimodular_criteria([[1, 0], [0, 2]]),
+            validate_triangulation(search.triangulation),
+            search,
+            ClaimResult("claim", "description", True, "detail"),
+        ]
+        for report in reports:
+            assert list(serialize.to_json(report)) == [f.name for f in fields(report)]
+
+    def test_leaves(self):
+        assert serialize.to_json((Fraction(1, 2), Fraction(4, 2), None, True, "x")) == ["1/2", "2", None, True, "x"]
+        assert serialize.to_json(LatticeSimplex([(0, 0), (1, 0), (0, 1)])) == [[0, 0], [0, 1], [1, 0]]
+        matrix = ((1, 0), (0, 1))
+        assert serialize.to_json([matrix]) == [[[1, 0], [0, 1]]]
+        assert serialize.to_json([(1, 2), matrix, (True, None)]) == [[1, 2], [[1, 0], [0, 1]], [True, None]]
+
+    @pytest.mark.parametrize("value", [{1, 2}, frozenset({(0, 1)}), 0.5, [(1, 0.5)], [((1, 0), (0, 0.5))]])
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            serialize.to_json(value)

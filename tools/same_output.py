@@ -1,0 +1,139 @@
+"""Byte-identity check of the `latmink` command line between two checkouts.
+
+    python3 tools/same_output.py PARENT_ROOT CHANGE_ROOT
+
+For each root, one fresh interpreter imports `src/latmink` from that root
+and, in a temporary work directory of its own, runs every command of this list:
+
+- the warm-up and operation lists of the benchmark workloads `hull`, `balls`
+  and `triangulate` for seeds 3, 7 and 11, at the size of one benchmark pass
+  (built by importing this checkout's `perfbench/workloads.py`, which is read,
+  never written: no bytecode is cached);
+- each subcommand on every bundled dataset, as JSON and with `--pretty`;
+- `verify-paper --quick`.
+
+Input paths are relative to the work directory, so both roots see the same
+argv. The exit code and digests of stdout and stderr of every command are
+compared; the first command that differs is printed and the exit code is 1.
+Exit code 0 means every command matched. Given one root, the script prints
+that root's digests as JSON (the fresh interpreter runs this way).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+SEEDS = (3, 7, 11)
+WORKLOADS = ("hull", "balls", "triangulate")
+PASS_SECONDS = 10  # one pass of a benchmark run: run_seconds / 2 passes
+
+
+def _dataset_commands(data: Path):
+    """Every subcommand on every bundled dataset, JSON first, then --pretty."""
+    commands = []
+    for path in sorted(data.glob("*.json")):
+        name = path.stem
+        doc = json.loads(path.read_text())
+        vertices = doc.get("vertices") if isinstance(doc, dict) else None
+        point = [str(a + b) for a, b in zip(vertices[0], vertices[-1])] if vertices else ["0"]
+        commands += [
+            ["points", name, "2"],
+            ["minkowski", name, "2"],
+            ["check-equality", name, "1..2"],
+            ["decompose", name, "2", *point],
+            ["classify", name],
+            ["lemma1", name],
+            ["validate-triangulation", name],
+            ["search-primitive", name],
+            ["word-ball", name, "2"],
+            ["boundary", name, "2"],
+            ["check-boundary", name, "1..2"],
+        ]
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
+def _run_one(cli, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            code = exc.code
+        except Exception:
+            code = "raised"
+            traceback.print_exc(limit=0, file=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digests(root: Path) -> list:
+    """[argv, exit code, stdout digest, stderr digest] of every command, run
+    against root's latmink in a fresh temporary work directory."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(root / "src"), str(HERE / "perfbench")]
+    import workloads
+    from latmink import cli
+
+    rows = []
+
+    def run(argv, after=None):
+        code, out, err = _run_one(cli, argv)
+        rows.append([argv, code, hashlib.sha256(out.encode()).hexdigest(), hashlib.sha256(err.encode()).hexdigest()])
+        if after is not None and code == 0:
+            after(out)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for workload in WORKLOADS:
+            for seed in SEEDS:
+                warmup, ops = workloads.build(workload, seed, PASS_SECONDS, Path(f"{workload}-{seed}"))
+                for op in warmup + ops:
+                    run(op.argv, op.after)
+        for argv in _dataset_commands(root / "src" / "latmink" / "data"):
+            run(argv)
+        run(["verify-paper", "--quick"])
+        os.chdir(HERE)
+    return rows
+
+
+def _child(root: str) -> list:
+    done = subprocess.run(
+        [sys.executable, __file__, root], capture_output=True, text=True, check=False
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"error: the run against {root} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 1:
+        print(json.dumps(digests(Path(argv[0]).resolve())))
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent, change = (_child(root) for root in argv)
+    for a, b in zip(parent, change):
+        if a != b:
+            parts = [what for what, x, y in zip(("exit code", "stdout", "stderr"), a[1:], b[1:]) if x != y]
+            print(f"differs ({', '.join(parts)}): latmink {' '.join(a[0])}")
+            return 1
+    if len(parent) != len(change):
+        print(f"differs: {len(parent)} commands against {len(change)}")
+        return 1
+    print(f"same: {len(parent)} commands, identical exit codes, stdout and stderr")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
