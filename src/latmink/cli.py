@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from importlib import resources
@@ -54,10 +55,7 @@ def _read_document(name: str):
         if not resource.is_file():
             raise InputError(f"no such file or bundled dataset: {name}")
         text = resource.read_text()
-    try:
-        return serialize.loads_strict(text)
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise InputError(f"{name}: {exc}") from exc
+    return serialize.loads_strict(text)
 
 
 def _parse_range(text: str) -> range:
@@ -153,10 +151,7 @@ def _cmd_decompose(args) -> int:
             )
         tri = search.triangulation
     point = _parse_point(" ".join(args.point))
-    try:
-        dec = decompose(poly, tri, args.n, point)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    dec = decompose(poly, tri, args.n, point)
     return _emit(
         args,
         {"polytope": poly, "n": args.n, "point": point},
@@ -315,6 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check_equality)
 
     p = command("decompose", help="write a dilation point as n summands")
+    # a point such as -1,2 is a positional, not an option: widen argparse's
+    # negative-number pattern to comma-separated coordinates
+    p._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
     p.add_argument("polytope")
     p.add_argument("n", type=int)
     p.add_argument(

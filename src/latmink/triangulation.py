@@ -60,6 +60,7 @@ class LatticeSimplex:
         self.vertices: tuple[Point, ...] = tuple(pts)
         self.dim = d
         self.normalized_volume = abs(det)
+        self._hash = hash(self.vertices)
 
     def volume(self) -> Fraction:
         return Fraction(self.normalized_volume, factorial(self.dim))
@@ -84,11 +85,8 @@ class LatticeSimplex:
         )
 
     def facet_vertex_sets(self) -> tuple[tuple[Point, ...], ...]:
-        """Vertex tuples of the d+1 facets, each sorted."""
-        return tuple(
-            tuple(v for i, v in enumerate(self.vertices) if i != omit)
-            for omit in range(self.dim + 1)
-        )
+        """Vertex tuples of the d+1 facets, each sorted; facet i omits vertex i."""
+        return tuple(itertools.combinations(self.vertices, self.dim))[::-1]
 
     def bounding_box(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -100,7 +98,7 @@ class LatticeSimplex:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices
 
     def __hash__(self) -> int:
-        return hash(self.vertices)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"LatticeSimplex({list(self.vertices)})"
@@ -349,21 +347,30 @@ def simplices_face_to_face(a: LatticeSimplex, b: LatticeSimplex) -> bool:
     return a.vertices == b.vertices or _pair_problem(a, b) is None
 
 
-def _facets_matched(simplices: Sequence[LatticeSimplex], poly_facets: Sequence[Halfspace]) -> bool:
-    """True when each facet (a vertex tuple) with one owner lies on a facet
-    plane of the polytope and each other facet has two owners whose apexes
-    lie strictly on opposite sides of it."""
+def _facet_owners(simplices: Iterable[LatticeSimplex]) -> dict[tuple[Point, ...], list[tuple[LatticeSimplex, int]]]:
+    """Each facet (its sorted vertex tuple) mapped to its owners (simplex,
+    omit), the index of the simplex's vertex off that facet, in input order."""
     owners: dict[tuple[Point, ...], list[tuple[LatticeSimplex, int]]] = {}
     for s in simplices:
         for omit, fkey in enumerate(s.facet_vertex_sets()):
             owners.setdefault(fkey, []).append((s, omit))
-    for fkey, owned in owners.items():
+    return owners
+
+
+def _opposite(s: LatticeSimplex, omit: int, t: LatticeSimplex, t_omit: int) -> bool:
+    """Is t's apex, its vertex t_omit, strictly beyond s's facet opposite vertex omit?"""
+    return s.facets[omit].slack(t.vertices[t_omit]) < 0
+
+
+def _facets_matched(simplices: Sequence[LatticeSimplex], poly_facets: Sequence[Halfspace]) -> bool:
+    """True when each facet (a vertex tuple) with one owner lies on a facet
+    plane of the polytope and each other facet has two owners whose apexes
+    lie strictly on opposite sides of it."""
+    for fkey, owned in _facet_owners(simplices).items():
         if len(owned) > 2 or (len(owned) == 1 and not _on_boundary(poly_facets, fkey)):
             return False
-        if len(owned) == 2:
-            (s, omit), (t, t_omit) = owned
-            if s.facets[omit].slack(t.vertices[t_omit]) >= 0:
-                return False
+        if len(owned) == 2 and not _opposite(*owned[0], *owned[1]):
+            return False
     return True
 
 
@@ -475,11 +482,14 @@ def search_primitive_triangulation(
     """Backtracking search for a primitive triangulation on the lattice points.
 
     Candidate simplices are all (d+1)-subsets of the polytope's integer
-    points with determinant +-1. The search seeds on candidates containing
-    the lex-least vertex and grows a face-to-face complex, always branching
-    on the lex-least unmatched interior facet, until the volume is
-    exhausted. Deterministic; exhaustion of the candidate space proves that
-    no primitive triangulation exists.
+    points with determinant +-1, in lex order. The search grows a complex
+    by the facet-owner rule of `validate_triangulation`. At the root it
+    branches on the candidates containing the lex-least vertex; below, on
+    the candidates not chosen whose apex is on the other side (`_opposite`)
+    of the complex's lex-least open facet (one owner, not on P's boundary).
+    A branch is one node of the budget, and is taken when the candidate
+    meets every chosen simplex face-to-face. Deterministic; exhaustion of
+    the candidate space proves that no primitive triangulation exists.
     """
     if not poly.is_full_dimensional:
         raise ValueError("search requires a full-dimensional polytope")
@@ -495,92 +505,50 @@ def search_primitive_triangulation(
     target = int(target_volume)
 
     # combinations of the sorted points come in lex order of their vertex tuples
-    candidates: list[LatticeSimplex] = []
-    for comb in itertools.combinations(points, d + 1):
-        if abs(linalg.det_int(edge_rows(comb))) == 1:
-            candidates.append(LatticeSimplex(comb))
-
-    # each candidate's facets, with the side of the apex: +1 when it lies
-    # above the facet's plane oriented by a positive first nonzero entry
-    cand_facets: list[list[tuple[tuple[Point, ...], int]]] = []
-    by_facet: dict[tuple[Point, ...], list[tuple[int, int]]] = {}
-    for idx, cand in enumerate(candidates):
-        entry = []
-        for fkey, h in zip(cand.facet_vertex_sets(), cand.facets):
-            side = 1 if next(x for x in h.normal if x) < 0 else -1
-            entry.append((fkey, side))
-            by_facet.setdefault(fkey, []).append((idx, side))
-        cand_facets.append(entry)
+    combs = itertools.combinations(points, d + 1)
+    candidates = [LatticeSimplex(c) for c in combs if abs(linalg.det_int(edge_rows(c))) == 1]
+    by_facet = _facet_owners(candidates)
 
     on_boundary = functools.cache(functools.partial(_on_boundary, poly.facets))
-
-    face_to_face = functools.cache(lambda i, j: simplices_face_to_face(candidates[i], candidates[j]))
+    face_to_face = functools.cache(simplices_face_to_face)
 
     nodes = 0
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    facet_load: dict[tuple[Point, ...], list[int]] = {}
 
-    def place(idx: int) -> None:
-        chosen.append(idx)
-        chosen_set.add(idx)
-        for fkey, _ in cand_facets[idx]:
-            facet_load.setdefault(fkey, []).append(idx)
-
-    def unplace(idx: int) -> None:
-        chosen.pop()
-        chosen_set.discard(idx)
-        for fkey, _ in cand_facets[idx]:
-            lst = facet_load[fkey]
-            lst.pop()
-            if not lst:
-                del facet_load[fkey]
-
-    def extend() -> Triangulation | None:
+    def extend(chosen: tuple[LatticeSimplex, ...], owners: dict) -> Triangulation | None:
+        """Complete the complex `chosen`; owners is `_facet_owners(chosen)`."""
         nonlocal nodes
         if len(chosen) == target:
-            return Triangulation(poly, tuple(candidates[i] for i in chosen))
-        open_facets = [
-            fkey
-            for fkey, owners in facet_load.items()
-            if len(owners) == 1 and not on_boundary(fkey)
-        ]
-        if not open_facets:
-            return None  # closed complex below target volume: dead end
-        fkey = min(open_facets)
-        owner = facet_load[fkey][0]
-        owner_side = next(s for fk, s in cand_facets[owner] if fk == fkey)
-        for idx, side in by_facet[fkey]:
-            if side == owner_side or idx in chosen_set:
-                continue
+            return Triangulation(poly, chosen)
+        if chosen:
+            open_facets = [f for f, owned in owners.items() if len(owned) == 1 and not on_boundary(f)]
+            if not open_facets:
+                return None  # closed complex below target volume: dead end
+            fkey = min(open_facets)
+            [(s, omit)] = owners[fkey]
+            # a chosen simplex through the open facet is its owner s, on s's side
+            branches = [t for t, t_omit in by_facet[fkey] if _opposite(s, omit, t, t_omit)]
+        else:
+            branches = [c for c in candidates if poly.vertices[0] in c.vertices]
+        for t in branches:
             nodes += 1
             if nodes > budget:
                 raise _Budget
-            if all(face_to_face(min(idx, k), max(idx, k)) for k in chosen):
-                place(idx)
-                result = extend()
+            if all(face_to_face(u, t) for u in chosen):
+                grown = {f: owners.get(f, []) + owned for f, owned in _facet_owners([t]).items()}
+                result = extend(chosen + (t,), {**owners, **grown})
                 if result is not None:
                     return result
-                unplace(idx)
         return None
 
-    v0 = poly.vertices[0]
-    seeds = [i for i, c in enumerate(candidates) if v0 in c.vertices]
     try:
-        for seed in seeds:
-            nodes += 1
-            if nodes > budget:
-                raise _Budget
-            place(seed)
-            result = extend()
-            if result is not None:
-                report = validate_triangulation(result)
-                if not (report.valid and report.is_primitive):
-                    raise RuntimeError(f"search produced an invalid triangulation: {report.problems}")
-                return SearchResult(result, False, nodes)
-            unplace(seed)
+        result = extend((), {})
     except _Budget:
         return SearchResult(None, False, nodes)
     finally:
         del extend  # it refers to itself: free the search's tables now, not at a later gc pass
-    return SearchResult(None, True, nodes)
+    if result is None:
+        return SearchResult(None, True, nodes)
+    report = validate_triangulation(result)
+    if not (report.valid and report.is_primitive):
+        raise RuntimeError(f"search produced an invalid triangulation: {report.problems}")
+    return SearchResult(result, False, nodes)

@@ -104,6 +104,12 @@ class TestDecompose:
         assert code == 0
         assert doc["result"]["summands"] == [[-1, 0], [0, -1]]
 
+    @pytest.mark.parametrize("comma, spaced", [("-1,-1", ("-1", "-1")), ("-1,0", ("-1", "0"))])
+    def test_comma_separated_point_with_leading_minus(self, capsys, comma, spaced):
+        code, out, _ = run(capsys, "decompose", "cross-2d.json", "2", comma)
+        assert code == 0
+        assert out == run(capsys, "decompose", "cross-2d.json", "2", *spaced)[1]
+
     def test_explicit_triangulation_file(self, capsys, tmp_path):
         code, doc, _ = run_json(capsys, "search-primitive", "cross-2d.json")
         assert code == 0
@@ -268,6 +274,7 @@ class TestInputErrors:
             ("minkowski", "unit-square", "-2"),
             ("check-equality", "unit-square", "0"),
             ("check-boundary", "cross-2d", "0..2"),
+            ("decompose", "cross-2d", "-1", "0,0"),
         ],
     )
     def test_bad_n_exits_2_with_one_line(self, capsys, argv):

@@ -26,6 +26,7 @@ from latmink import (
     cube,
     is_elementary_polytope,
     is_unimodular,
+    linalg,
     lp,
     search_primitive_triangulation,
     serialize,
@@ -37,7 +38,7 @@ from latmink import (
     validate_triangulation,
 )
 from latmink.triangulation import relative_interiors_intersect
-from latmink.verify import orthant_fan
+from latmink.verify import orthant_fan, symmetric_example_polytope
 
 SIGMA_3_2_MATRIX = [[1, 0, -1], [0, 1, -1], [0, 0, 2]]
 
@@ -362,6 +363,37 @@ class TestPairTestAgainstOracles:
         assert simplices_face_to_face(*pair) == pairwise_face_to_face(*pair)
 
 
+@st.composite
+def facet_pairs(draw):
+    """A facet of d sorted points in [0, 3]^d, d = 1..4, and two apexes that
+    each span a simplex with it."""
+    d = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, 3)] * d)
+    facet = sorted(draw(st.lists(point, min_size=d, max_size=d, unique=True)))
+    a, b = draw(point), draw(point)
+    try:
+        return facet, a, b, LatticeSimplex(facet + [a]), LatticeSimplex(facet + [b])
+    except ValueError:
+        assume(False)
+
+
+def _side(facet, apex) -> int:
+    """Sign of det(f1 - f0, ..., f_{d-1} - f0, apex - f0)."""
+    rows = [[x - y for x, y in zip(p, facet[0])] for p in facet[1:] + [apex]]
+    det = linalg.det_int(rows)
+    return (det > 0) - (det < 0)
+
+
+class TestFacetRule:
+    @given(facet_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_opposite_matches_determinant_signs(self, case):
+        facet, a, b, s, t = case
+        expected = _side(facet, a) != _side(facet, b)
+        for (u, x), (v, y) in (((s, a), (t, b)), ((t, b), (s, a))):
+            assert triangulation._opposite(u, u.vertices.index(x), v, v.vertices.index(y)) == expected
+
+
 class TestValidateTriangulation:
     def test_square_diagonal_valid(self, unit_square):
         tri = Triangulation(
@@ -682,6 +714,107 @@ class TestClassificationWork:
         assert len(scan_calls) >= 2
 
 
+# Search results recorded before the search read the validator's facet
+# rule: the polytope, {budget: (nodes, exhausted, found)} with None for the
+# default budget, and the simplices found (the same at every budget that
+# finds one). The polygons are the first three of _seeded_polygons(11, 3).
+SEARCH_PINS = {
+    "cube(3)": (
+        cube(3),
+        {1: (2, False, False), 3: (4, False, False), 10: (6, False, True), 40: (6, False, True), None: (6, False, True)},
+        (
+            ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)),
+            ((0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0)),
+            ((0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1)),
+            ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 0)),
+            ((0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0)),
+            ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1)),
+        ),
+    ),
+    "cross_polytope(3)": (
+        cross_polytope(3),
+        {1: (2, False, False), 3: (4, False, False), 10: (8, False, True), 40: (8, False, True), None: (8, False, True)},
+        (
+            ((-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 0)),
+            ((-1, 0, 0), (0, -1, 0), (0, 0, 0), (0, 0, 1)),
+            ((-1, 0, 0), (0, 0, -1), (0, 0, 0), (0, 1, 0)),
+            ((-1, 0, 0), (0, 0, 0), (0, 0, 1), (0, 1, 0)),
+            ((0, -1, 0), (0, 0, -1), (0, 0, 0), (1, 0, 0)),
+            ((0, -1, 0), (0, 0, 0), (0, 0, 1), (1, 0, 0)),
+            ((0, 0, -1), (0, 0, 0), (0, 1, 0), (1, 0, 0)),
+            ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        ),
+    ),
+    "cross_polytope(4)": (
+        cross_polytope(4),
+        {1: (2, False, False), 3: (4, False, False), 10: (11, False, False), 40: (16, False, True), None: (16, False, True)},
+        (
+            ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 0)),
+            ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 1)),
+            ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 1, 0)),
+            ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)),
+            ((-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, 1, 0, 0)),
+            ((-1, 0, 0, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0)),
+            ((-1, 0, 0, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0)),
+            ((-1, 0, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0)),
+            ((0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 0), (1, 0, 0, 0)),
+            ((0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 0)),
+            ((0, -1, 0, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0)),
+            ((0, -1, 0, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (1, 0, 0, 0)),
+            ((0, 0, -1, 0), (0, 0, 0, -1), (0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+            ((0, 0, -1, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0), (1, 0, 0, 0)),
+            ((0, 0, 0, -1), (0, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+            ((0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)),
+        ),
+    ),
+    "sigma(3, 2)": (
+        LatticePolytope(sigma(3, 2).vertices),
+        {1: (0, True, False), 3: (0, True, False), 10: (0, True, False), 40: (0, True, False), None: (0, True, False)},
+        None,
+    ),
+    "symmetric example": (
+        symmetric_example_polytope(),
+        {1: (2, False, False), 3: (4, False, False), 10: (11, False, False), 40: (26, True, False), None: (26, True, False)},
+        None,
+    ),
+    "polygon 0": (
+        LatticePolytope([(0, 3), (2, 3), (3, 0)]),
+        {1: (2, False, False), 3: (4, False, False), 10: (6, False, True), 40: (6, False, True), None: (6, False, True)},
+        (
+            ((0, 3), (1, 2), (1, 3)),
+            ((1, 2), (1, 3), (2, 1)),
+            ((1, 3), (2, 1), (2, 2)),
+            ((1, 3), (2, 2), (2, 3)),
+            ((2, 1), (2, 2), (3, 0)),
+            ((2, 2), (2, 3), (3, 0)),
+        ),
+    ),
+    "polygon 1": (
+        LatticePolytope([(0, 0), (1, 2), (2, 2)]),
+        {1: (2, False, False), 3: (2, False, True), 10: (2, False, True), 40: (2, False, True), None: (2, False, True)},
+        (
+            ((0, 0), (1, 1), (1, 2)),
+            ((1, 1), (1, 2), (2, 2)),
+        ),
+    ),
+    "polygon 2": (
+        LatticePolytope([(0, 0), (2, 3), (3, 0)]),
+        {1: (2, False, False), 3: (4, False, False), 10: (9, False, True), 40: (9, False, True), None: (9, False, True)},
+        (
+            ((0, 0), (1, 0), (1, 1)),
+            ((0, 0), (1, 1), (2, 3)),
+            ((1, 0), (1, 1), (2, 0)),
+            ((1, 1), (2, 0), (2, 1)),
+            ((1, 1), (2, 1), (2, 2)),
+            ((1, 1), (2, 2), (2, 3)),
+            ((2, 0), (2, 1), (3, 0)),
+            ((2, 1), (2, 2), (3, 0)),
+            ((2, 2), (2, 3), (3, 0)),
+        ),
+    ),
+}
+
+
 class TestSearch:
     def test_unit_square(self, unit_square):
         result = search_primitive_triangulation(unit_square)
@@ -733,8 +866,6 @@ class TestSearch:
     def test_symmetric_counterexample_provably_none(self):
         # equality fails at n=2 for this polytope, so a primitive
         # triangulation cannot exist; the search must prove that
-        from latmink.verify import symmetric_example_polytope
-
         result = search_primitive_triangulation(symmetric_example_polytope())
         assert result.triangulation is None
         assert result.exhausted
@@ -754,6 +885,14 @@ class TestSearch:
         assert [s.vertices for s in first.triangulation.simplices] == [
             s.vertices for s in second.triangulation.simplices
         ]
+
+    @pytest.mark.parametrize("poly, runs, simplices", SEARCH_PINS.values(), ids=SEARCH_PINS)
+    def test_pinned_results(self, poly, runs, simplices):
+        for budget, (nodes, exhausted, found) in runs.items():
+            result = search_primitive_triangulation(poly, **({} if budget is None else {"budget": budget}))
+            assert (result.nodes, result.exhausted) == (nodes, exhausted)
+            got = None if result.triangulation is None else tuple(s.vertices for s in result.triangulation.simplices)
+            assert got == (simplices if found else None)
 
 
 class TestFaceToFaceOneDimensional:

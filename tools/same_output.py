@@ -9,7 +9,8 @@ and, in a temporary work directory of its own, runs every command of this list:
   and `triangulate` for seeds 3, 7 and 11, at the size of one benchmark pass
   (built by importing this checkout's `perfbench/workloads.py`, which is read,
   never written: no bytecode is cached);
-- each subcommand on every bundled dataset, as JSON and with `--pretty`;
+- each subcommand on every bundled dataset, and `search-primitive` on it at
+  budgets 1, 5 and 25, as JSON and with `--pretty`;
 - `verify-paper --quick`.
 
 Input paths are relative to the work directory, so both roots see the same
@@ -35,11 +36,14 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SEEDS = (3, 7, 11)
 WORKLOADS = ("hull", "balls", "triangulate")
+SEARCH_BUDGETS = (1, 5, 25)
 PASS_SECONDS = 10  # one pass of a benchmark run: run_seconds / 2 passes
 
 
 def _dataset_commands(data: Path):
-    """Every subcommand on every bundled dataset, JSON first, then --pretty."""
+    """Every subcommand on every bundled dataset, and search-primitive on it at
+    small budgets (so that a search stopped by its budget is compared too),
+    JSON first, then --pretty."""
     commands = []
     for path in sorted(data.glob("*.json")):
         name = path.stem
@@ -55,6 +59,7 @@ def _dataset_commands(data: Path):
             ["lemma1", name],
             ["validate-triangulation", name],
             ["search-primitive", name],
+            *(["search-primitive", name, "--budget", str(b)] for b in SEARCH_BUDGETS),
             ["word-ball", name, "2"],
             ["boundary", name, "2"],
             ["check-boundary", name, "1..2"],
