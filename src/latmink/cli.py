@@ -310,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check_equality)
 
     p = command("decompose", help="write a dilation point as n summands")
-    # a point such as -1,2 is a positional, not an option: widen argparse's
-    # negative-number pattern to comma-separated coordinates
-    p._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
+    # a point such as -1,2 (or a malformed -1,x) is a positional, not an
+    # option: any token that starts with a minus and a digit is
+    p._negative_number_matcher = re.compile(r"^-\d")
     p.add_argument("polytope")
     p.add_argument("n", type=int)
     p.add_argument(

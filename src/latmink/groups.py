@@ -71,7 +71,10 @@ class ElementSet:
 
 def as_gl2z(matrix) -> Matrix2:
     """Validate a 2x2 integer matrix with determinant +-1."""
-    rows = tuple(tuple(r) for r in matrix)
+    try:
+        rows = tuple(tuple(r) for r in matrix)
+    except TypeError:
+        raise ValueError("expected a 2x2 matrix") from None
     if len(rows) != 2 or any(len(r) != 2 for r in rows):
         raise ValueError("expected a 2x2 matrix")
     for row in rows:
@@ -84,27 +87,31 @@ def as_gl2z(matrix) -> Matrix2:
     return rows
 
 
+def group_elements(kind: str, generators: Iterable, dim: int | None) -> tuple[list, tuple]:
+    """The generators of a zd (integer dim >= 1, as_point of length dim) or
+    gl2z (as_gl2z, dim ignored) group, checked, and the group's identity. The
+    identity is built after the lengths match dim: a huge dim costs nothing."""
+    if kind == KIND_ZD:
+        if type(dim) is not int or dim < 1:
+            raise ValueError("zd groups need an integer dimension >= 1")
+        gens = [as_point(g) for g in generators]
+        if any(len(g) != dim for g in gens):
+            raise ValueError("generator dimension mismatch")
+        return gens, (0,) * dim
+    if kind == KIND_GL2Z:
+        return [as_gl2z(g) for g in generators], GL2Z_IDENTITY
+    raise ValueError(f"unknown group kind {kind!r}")
+
+
 class GroupPresentation:
     """A group given by concrete element arithmetic plus a finite generating set."""
 
     __slots__ = ("kind", "dim", "generators", "identity")
 
     def __init__(self, kind: str, generators: Iterable, dim: int | None = None):
-        if kind == KIND_ZD:
-            if dim is None or dim < 1:
-                raise ValueError("zd presentations need a dimension >= 1")
-            gens = [as_point(g) for g in generators]
-            if any(len(g) != dim for g in gens):
-                raise ValueError("generator dimension mismatch")
-            self.identity = (0,) * dim
-        elif kind == KIND_GL2Z:
-            gens = [as_gl2z(g) for g in generators]
-            dim = None
-            self.identity = GL2Z_IDENTITY
-        else:
-            raise ValueError(f"unknown group kind {kind!r}")
+        gens, self.identity = group_elements(kind, generators, dim)
         self.kind = kind
-        self.dim = dim
+        self.dim = dim if kind == KIND_ZD else None
         self.generators = ElementSet(gens)
         if self.identity not in self.generators:
             raise ValueError("the generating set must contain the identity element")

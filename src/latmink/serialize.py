@@ -12,6 +12,8 @@ Group files missing the identity get it inserted with a warning. Polytope
 files are accepted wherever a zd group is expected, via the presentation
 generated by the polytope's integer points. `parse_*` read these forms;
 `polytope_to_dict`, `triangulation_to_dict` and `group_to_dict` write them.
+The parsers check shapes (keys, lists, "dim", square matrices); each value is
+checked by the constructor it reaches, in the library's own words.
 
 Reports: `to_json` turns a value made of library objects into plain JSON
 data. A dataclass becomes the dict of its fields in field order; a tuple,
@@ -30,14 +32,7 @@ from itertools import chain
 from typing import Any
 
 from .geometry import LatticePolytope, PointSet
-from .groups import (
-    GL2Z_IDENTITY,
-    KIND_GL2Z,
-    KIND_ZD,
-    ElementSet,
-    GroupPresentation,
-    zd_presentation_from_polytope,
-)
+from .groups import ElementSet, GroupPresentation, group_elements, zd_presentation_from_polytope
 from .triangulation import LatticeSimplex, Triangulation
 
 _SEQUENCES = (tuple, list, ElementSet)
@@ -52,13 +47,10 @@ def loads_strict(text: str) -> Any:
     return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
 
 
-def _int_list(values, what: str) -> list[int]:
-    if not isinstance(values, list):
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
         raise ValueError(f"{what} must be a list")
-    for v in values:
-        if type(v) is not int:
-            raise ValueError(f"{what} entries must be plain integers, got {v!r}")
-    return values
+    return value
 
 
 def parse_polytope(doc: Any) -> LatticePolytope:
@@ -68,7 +60,7 @@ def parse_polytope(doc: Any) -> LatticePolytope:
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise ValueError('"vertices" must be a non-empty list')
-    rows = [_int_list(v, "vertex") for v in vertices]
+    rows = [_list(v, "vertex") for v in vertices]
     if dim is not None:
         if type(dim) is not int:
             raise ValueError('"dim" must be an integer')
@@ -85,12 +77,11 @@ def parse_triangulation(doc: Any) -> Triangulation:
     if not isinstance(doc, dict) or "polytope" not in doc or "simplices" not in doc:
         raise ValueError('triangulation document needs "polytope" and "simplices"')
     poly = parse_polytope(doc["polytope"])
-    simplices = []
-    for entry in doc["simplices"]:
-        if not isinstance(entry, list):
-            raise ValueError("each simplex must be a list of vertices")
-        simplices.append(LatticeSimplex([_int_list(v, "simplex vertex") for v in entry]))
-    return Triangulation(poly, tuple(simplices))
+    simplices = tuple(
+        LatticeSimplex([_list(v, "simplex vertex") for v in _list(s, "simplex")])
+        for s in _list(doc["simplices"], '"simplices"')
+    )
+    return Triangulation(poly, simplices)
 
 
 def triangulation_to_dict(tri: Triangulation) -> dict:
@@ -100,13 +91,14 @@ def triangulation_to_dict(tri: Triangulation) -> dict:
     }
 
 
-def parse_matrix(doc: Any) -> list[list[int]]:
-    """A square integer matrix, either bare [[...], ...] or {"matrix": ...}."""
+def parse_matrix(doc: Any) -> list[list]:
+    """A square matrix, either bare [[...], ...] or {"matrix": ...}; its
+    entries are checked by unimodular_criteria."""
     if isinstance(doc, dict):
         doc = doc.get("matrix")
     if not isinstance(doc, list) or not doc:
         raise ValueError("expected a non-empty matrix (list of rows)")
-    rows = [_int_list(r, "matrix row") for r in doc]
+    rows = [_list(r, "matrix row") for r in doc]
     if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
     return rows
@@ -123,39 +115,20 @@ def parse_group(doc: Any) -> tuple[GroupPresentation, list[str]]:
         return zd_presentation_from_polytope(parse_polytope(doc)), warnings
     if not isinstance(doc, dict) or "kind" not in doc or "generators" not in doc:
         raise ValueError('group document needs "kind" and "generators"')
-    kind = doc["kind"]
     gens = doc["generators"]
     if not isinstance(gens, list) or not gens:
         raise ValueError('"generators" must be a non-empty list')
-    dim = doc.get("dim")
-    if kind == KIND_ZD:
-        if type(dim) is not int or dim < 1:
-            raise ValueError('zd group documents need an integer "dim" >= 1')
-        parsed = [tuple(_int_list(g, "generator")) for g in gens]
-        identity = (0,) * dim
-    elif kind == KIND_GL2Z:
-        parsed = []
-        for g in gens:
-            if not isinstance(g, list) or len(g) != 2:
-                raise ValueError("gl2z generators must be 2x2 integer matrices")
-            parsed.append(tuple(tuple(_int_list(row, "matrix row")) for row in g))
-        identity = GL2Z_IDENTITY
-    else:
-        raise ValueError(f"unknown group kind {kind!r}")
-    if identity not in parsed:
-        parsed.append(identity)
+    kind, dim = doc["kind"], doc.get("dim")
+    elements, identity = group_elements(kind, [_list(g, "generator") for g in gens], dim)
+    if identity not in elements:
+        elements.append(identity)
         warnings.append("identity element was missing from the generators; inserted")
-    return GroupPresentation(kind, parsed, dim=dim), warnings
+    return GroupPresentation(kind, elements, dim=dim), warnings
 
 
 def group_to_dict(group: GroupPresentation) -> dict:
-    doc: dict[str, Any] = {"kind": group.kind}
-    if group.kind == KIND_ZD:
-        doc["dim"] = group.dim
-        doc["generators"] = [list(g) for g in group.generators]
-    else:
-        doc["generators"] = [[list(row) for row in g] for g in group.generators]
-    return doc
+    dim = {} if group.dim is None else {"dim": group.dim}
+    return {"kind": group.kind, **dim, "generators": _json(group.generators)}
 
 
 def to_json(value) -> Any:

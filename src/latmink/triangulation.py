@@ -34,6 +34,7 @@ from .geometry import (
 
 DEFAULT_SEARCH_BUDGET = 200_000
 DEFAULT_POINT_CAP = 14
+CRITERIA_MAX_DIM = 4  # the semi-exhaustive checks of unimodular_criteria
 
 
 def _on_boundary(poly_facets: Sequence[Halfspace], points: Sequence[Point]) -> bool:
@@ -49,6 +50,8 @@ class LatticeSimplex:
 
     def __init__(self, vertices: Iterable):
         pts = sorted({as_point(v) for v in vertices})
+        if not pts:
+            raise ValueError("a simplex needs at least one vertex")
         d = len(pts[0])
         if any(len(p) != d for p in pts):
             raise ValueError("mixed dimensions in simplex")
@@ -133,7 +136,7 @@ def is_elementary_polytope(poly: LatticePolytope, cap: int | None = None) -> boo
 
 def is_unimodular(matrix: Sequence[Sequence[int]]) -> bool:
     """True iff the square integer matrix has determinant +-1."""
-    return abs(linalg.det_int(matrix)) == 1
+    return abs(linalg.det_int([as_point(r) for r in matrix])) == 1
 
 
 @dataclass(frozen=True)
@@ -163,18 +166,18 @@ class UnimodularCriteria:
         )
 
 
-def unimodular_criteria(matrix: Sequence[Sequence[int]], max_dim: int = 4) -> UnimodularCriteria:
+def unimodular_criteria(matrix: Sequence[Sequence[int]]) -> UnimodularCriteria:
     """Evaluate each unimodularity condition by its own method.
 
     Semi-exhaustive checks (lattice image, cube enumeration) bound the
-    dimension; raise above max_dim.
+    dimension; raise above CRITERIA_MAX_DIM.
     """
-    d = len(matrix)
-    rows = [list(map(int, r)) for r in matrix]
+    rows = [as_point(r) for r in matrix]
+    d = len(rows)
     if any(len(r) != d for r in rows):
         raise ValueError("matrix is not square")
-    if d > max_dim:
-        raise ValueError(f"dimension {d} exceeds the semi-exhaustive bound {max_dim}")
+    if d > CRITERIA_MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds the semi-exhaustive bound {CRITERIA_MAX_DIM}")
     det = linalg.det_int(rows)
     if det == 0:
         return UnimodularCriteria(True, False, False, False, False, False, False)

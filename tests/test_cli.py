@@ -110,6 +110,11 @@ class TestDecompose:
         assert code == 0
         assert out == run(capsys, "decompose", "cross-2d.json", "2", *spaced)[1]
 
+    @pytest.mark.parametrize("token", ["-1,x", "1,x"])
+    def test_malformed_comma_separated_point(self, capsys, token):
+        code, out, err = run(capsys, "decompose", "cross-2d.json", "2", token)
+        assert (code, out, err) == (2, "", f"error: bad point {token!r}\n")
+
     def test_explicit_triangulation_file(self, capsys, tmp_path):
         code, doc, _ = run_json(capsys, "search-primitive", "cross-2d.json")
         assert code == 0
@@ -282,6 +287,109 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_SQUARE = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+_TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+_ID = [[1, 0], [0, 1]]
+
+# Malformed documents, each with the argv that reads it ({} is the file).
+_MALFORMED = [
+    *(
+        (("points", "{}", "1"), doc)
+        for doc in [
+            5, None, [], "x", {"dim": 2}, {"vertices": 5}, {"vertices": []}, {"vertices": {}},
+            {"vertices": [5]}, {"vertices": [None]}, {"vertices": ["ab"]}, {"vertices": [[True]]},
+            {"vertices": [["a"]]}, {"vertices": [[None]]}, {"vertices": [[[0]]]}, {"vertices": [[]]},
+            {"vertices": [[0], [0, 1]]}, {"dim": "2", "vertices": [[0, 0]]},
+            {"dim": True, "vertices": [[0]]}, {"dim": 3, "vertices": [[0, 0]]},
+        ]
+    ),
+    (("classify", "{}"), {"vertices": [[0, 0], [1, 0]]}),
+    (("classify", "{}"), {"vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}),
+    *(
+        (("validate-triangulation", "{}"), doc)
+        for doc in [
+            5, {"polytope": _SQUARE}, {"simplices": [_TRIANGLE]},
+            {"polytope": 5, "simplices": [_TRIANGLE]},
+            *(
+                {"polytope": _SQUARE, "simplices": simplices}
+                for simplices in [
+                    5, None, True, "abc", {}, [], [5], [None], ["ab"], [[]], [[5]], [[None]],
+                    [[[True, 0], [1, 0], [0, 1]]], [[["a", 0], [1, 0], [0, 1]]],
+                    [[[0, 0], [1, 0]]], [[[0, 0], [1, 0], [0, 1], [1, 1]]], [[[0], [1]]],
+                    [[[0, 0], [1, 1], [2, 2]]], [[[0, 0], [1, 0], [0]]],
+                ]
+            ),
+        ]
+    ),
+    *(
+        (("decompose", "cross-2d", "1", "0,0", "--triangulation", "{}"), {
+            "polytope": {"dim": 2, "vertices": [[1, 0], [-1, 0], [0, 1], [0, -1]]},
+            "simplices": simplices,
+        })
+        for simplices in [5, None, True, [[]]]
+    ),
+    *(
+        (("word-ball", "{}", "1"), doc)
+        for doc in [
+            5, {"kind": "zd"}, {"generators": [[0]]}, {"vertices": [[1], [2]]}, {"vertices": [[True]]},
+            *(
+                {"kind": kind, "generators": [[0]], **dim}
+                for kind, dim in [
+                    ("zd", {}), ("zd", {"dim": 0}), ("zd", {"dim": -1}), ("zd", {"dim": True}),
+                    ("zd", {"dim": "1"}), ("zd", {"dim": None}), ("free", {"dim": 1}),
+                    (None, {"dim": 1}), (5, {"dim": 1}),
+                ]
+            ),
+            *(
+                {"kind": "zd", "dim": 1, "generators": generators}
+                for generators in [
+                    5, [], {}, [5], [None], ["ab"], [{}], [[True]], [["a"]], [[0, 1]], [[]], [[[0]]],
+                ]
+            ),
+            {"kind": "zd", "dim": 5_000_000, "generators": [[0], [1]]},
+            *(
+                {"kind": "gl2z", "generators": [_ID, generator]}
+                for generator in [
+                    5, None, "ab", [1, 0], [[1, 0]], [[1, 0], [0, 1], [0, 0]], [[1, 0], [0]],
+                    [[1, 0], 5], [[1, 0], None], [[1, 0], [0, True]], [[1, 0], [0, "a"]],
+                    [[2, 0], [0, 1]], [[1, 0], "ab"], [[1, 0], {"a": 1, "b": 2}],
+                ]
+            ),
+        ]
+    ),
+    *(
+        (("lemma1", "{}"), doc)
+        for doc in [
+            5, [], {}, {"matrix": 5}, {"matrix": []}, [5], [None], ["ab"], [[1, 0]], [[1, 0], [0]],
+            [[True]], [["a"]], [[None]], [[[1]]], [[]], [[1, 0], 5], [[1] * 5] * 5,
+        ]
+    ),
+]
+# Texts that are not JSON, or hold a float.
+_MALFORMED_TEXT = [
+    (("points", "{}", "1"), '{"vertices": [[0.5]]}'),
+    (("points", "{}", "1"), '{"vertices": [[NaN]]}'),
+    (("points", "{}", "1"), '{"vertices": '),
+    (("word-ball", "{}", "1"), '{"kind": "zd", "dim": 1, "generators": [[1.5]]}'),
+    (("lemma1", "{}"), "[[1.9, 0], [0, 1]]"),
+]
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "argv, text",
+        [(argv, json.dumps(doc)) for argv, doc in _MALFORMED] + _MALFORMED_TEXT,
+        ids=lambda value: value[0] if isinstance(value, tuple) else value,
+    )
+    def test_exit_2_with_one_error_line(self, capsys, tmp_path, argv, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *(str(path) if a == "{}" else a for a in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 class TestGlobalFlags:

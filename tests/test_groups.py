@@ -90,6 +90,16 @@ class TestGroupPresentation:
         with pytest.raises(ValueError, match="determinant"):
             as_gl2z([[1, 0], [0, 2]])
 
+    @pytest.mark.parametrize("matrix", [[[1, 0], 5], 5, [None, [0, 1]]])
+    def test_gl2z_rows_must_be_sequences(self, matrix):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            GroupPresentation.gl2z([GL2Z_IDENTITY, matrix])
+
+    @pytest.mark.parametrize("dim", [None, 0, True, "2"])
+    def test_zd_dimension_must_be_an_int_at_least_one(self, dim):
+        with pytest.raises(ValueError, match="integer dimension >= 1"):
+            GroupPresentation("zd", [(0, 0)], dim=dim)
+
     def test_gl2z_requires_identity(self):
         with pytest.raises(ValueError, match="identity"):
             GroupPresentation.gl2z([((0, 1), (1, 0))])

@@ -1,7 +1,10 @@
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latmink import (
     GroupPresentation,
@@ -17,7 +20,7 @@ from latmink import (
     unimodular_criteria,
     validate_triangulation,
 )
-from latmink.geometry import LatticePolytope
+from latmink.geometry import LatticePolytope, ResourceLimitError
 from latmink.triangulation import LatticeSimplex, Triangulation
 from latmink.verify import ClaimResult
 
@@ -120,6 +123,18 @@ class TestGroupFormat:
         with pytest.raises(ValueError, match="kind"):
             serialize.parse_group({"kind": "free", "generators": [[1]]})
 
+    def test_huge_dimension_rejected_in_bounded_memory(self):
+        # the generators' lengths are checked before the identity is built
+        doc = {"kind": "zd", "dim": 5_000_000, "generators": [[0], [1]]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                serialize.parse_group(doc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestMatrixFormat:
     def test_bare_and_wrapped(self):
@@ -129,6 +144,49 @@ class TestMatrixFormat:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             serialize.parse_matrix([[1, 0, 0], [0, 1, 0]])
+
+
+# JSON-like values for the parsers: scalars, nested lists and dicts over the
+# parsers' keys, plus documents with the required keys whose values are often
+# well-formed points. Coordinates stay small, so a polytope document read as
+# a group has few integer points; "dim" reaches +-1000.
+_KEYS = ("dim", "vertices", "polytope", "simplices", "kind", "generators", "matrix")
+_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(["zd", "gl2z", "x"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=16,
+)
+_points = st.integers(1, 3).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=1, max_size=4)
+)
+_dims = {"dim": st.integers(-1000, 1000) | _values}
+_polytopes = st.fixed_dictionaries({"vertices": _points | _values}, optional=_dims)
+_documents = st.one_of(
+    _values,
+    _polytopes,
+    st.fixed_dictionaries(
+        {"polytope": _polytopes, "simplices": st.lists(_points | _values, max_size=3) | _values}
+    ),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["zd", "gl2z"]) | _values, "generators": _points | _values},
+        optional=_dims,
+    ),
+    st.fixed_dictionaries({"matrix": _points | _values}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_documents)
+def test_parsers_return_or_raise_value_error(doc):
+    for parse in (serialize.parse_polytope, serialize.parse_triangulation, serialize.parse_matrix):
+        try:
+            parse(doc)
+        except ValueError:
+            pass
+    try:
+        serialize.parse_group(doc)
+    except (ValueError, ResourceLimitError):  # the box cap of a polytope read as a group
+        pass
 
 
 class TestReportRule:

@@ -58,6 +58,10 @@ class TestLatticeSimplex:
         with pytest.raises(ValueError):
             LatticeSimplex([(0, 0), (1, 0)])
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            LatticeSimplex([])
+
     def test_barycentric_and_contains(self):
         s = LatticeSimplex([(0, 0), (1, 0), (0, 1)])
         assert s.barycentric((Fraction(1, 3), Fraction(1, 3))) == (
@@ -86,6 +90,13 @@ class TestIsUnimodular:
     def test_shear(self):
         assert is_unimodular([[1, 1], [0, 1]])
 
+    @pytest.mark.parametrize("check", [is_unimodular, unimodular_criteria])
+    @pytest.mark.parametrize("entry", [1.9, True])
+    def test_entries_must_be_plain_ints(self, check, entry):
+        # int() would read 1.9 and True as 1, and [[1, 0], [0, 1]] is unimodular
+        with pytest.raises(ValueError, match="plain ints"):
+            check([[entry, 0], [0, 1]])
+
 
 class TestUnimodularCriteria:
     def test_identity_all_true(self):
@@ -113,7 +124,7 @@ class TestUnimodularCriteria:
         assert not crit.corner_simplex_elementary
 
     def test_dimension_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension 5 exceeds the semi-exhaustive bound 4"):
             unimodular_criteria([[1] * 5 for _ in range(5)])
 
     def test_dimension_four_supported(self):
