@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm, prod
+from math import factorial, isfinite, lcm, prod
 from operator import floordiv, sub
 from typing import Iterable, Sequence
 
@@ -25,28 +25,47 @@ Point = tuple[int, ...]
 RationalPoint = tuple[int | Fraction, ...]
 
 DEFAULT_BOX_CAP = 10**8
+SEQUENCES = (tuple, list)  # the containers a point, a matrix or a matrix row may come in
+_RATIONALS = {int, Fraction, float}
 
 
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed its configured size cap."""
 
 
-def as_point(coords: Iterable) -> Point:
-    """Validate and normalize one integer point (bools are rejected)."""
-    pt = tuple(coords)
-    if not pt:
+def as_point(coords: Sequence) -> Point:
+    """Validate one integer point: a tuple or list of plain ints (bools are rejected)."""
+    if not isinstance(coords, SEQUENCES):
+        raise ValueError(f"a point must be a tuple or list, got {type(coords).__name__}")
+    if not coords:
         raise ValueError("points must have dimension >= 1")
-    for c in pt:
+    for c in coords:
         if type(c) is not int:
             raise ValueError(f"lattice coordinates must be plain ints, got {c!r}")
-    return pt
+    return tuple(coords)
 
 
-def as_rational_point(coords: Iterable) -> RationalPoint:
-    pt = tuple(c if type(c) is int else Fraction(c) for c in coords)
-    if not pt:
-        raise ValueError("points must have dimension >= 1")
-    return pt
+def as_points(points: Iterable, dim: int | None = None) -> list[Point]:
+    """The distinct as_point points in lex order, all of dimension dim (required if empty)."""
+    pts = sorted(set(map(as_point, points)))
+    if not pts:
+        if dim is None:
+            raise ValueError("no points and no dimension given")
+    elif any(len(p) != len(pts[0]) for p in pts):
+        raise ValueError("mixed dimensions in point list")
+    elif dim is not None and dim != len(pts[0]):
+        raise ValueError(f"points have dimension {len(pts[0])}, expected {dim}")
+    return pts
+
+
+def as_rational_point(coords: Sequence) -> RationalPoint:
+    """Validate one rational point: as_point's rule, but Fractions and finite floats are read exactly too."""
+    if not isinstance(coords, SEQUENCES) or not coords:
+        as_point(coords)  # raises as_point's error for the container
+    for c in coords:
+        if type(c) not in _RATIONALS or type(c) is float and not isfinite(c):
+            raise ValueError(f"rational coordinates must be ints, Fractions or finite floats, got {c!r}")
+    return tuple(c if type(c) is int else Fraction(c) for c in coords)
 
 
 def dot(a: Sequence, b: Sequence):
@@ -219,19 +238,9 @@ class PointSet:
     __slots__ = ("dim", "points", "_members")
 
     def __init__(self, points: Iterable, dim: int | None = None):
-        pts = sorted({as_point(p) for p in points})
-        if pts:
-            d = len(pts[0])
-            if any(len(p) != d for p in pts):
-                raise ValueError("mixed dimensions in point set")
-            if dim is not None and dim != d:
-                raise ValueError(f"points have dimension {d}, expected {dim}")
-            dim = d
-        elif dim is None:
-            raise ValueError("empty point set needs an explicit dimension")
-        self.dim = dim
-        self.points = tuple(pts)
-        self._members = frozenset(pts)
+        self.points = tuple(as_points(points, dim))
+        self.dim = len(self.points[0]) if self.points else dim
+        self._members = frozenset(self.points)
 
     def __contains__(self, point) -> bool:
         return tuple(point) in self._members
@@ -283,13 +292,8 @@ class LatticePolytope:
     """
 
     def __init__(self, points: Iterable):
-        pts = sorted({as_point(p) for p in points})
-        if not pts:
-            raise ValueError("a polytope needs at least one point")
-        d = len(pts[0])
-        if any(len(p) != d for p in pts):
-            raise ValueError("mixed dimensions in point list")
-        self.dim = d
+        pts = as_points(points)
+        self.dim = d = len(pts[0])
         simplex, echelon = _affine_frame(pts)
         k = len(simplex) - 1
         self.affine_dim = k

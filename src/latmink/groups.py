@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator
 
-from .geometry import LatticePolytope, ResourceLimitError, as_point
+from .geometry import SEQUENCES, LatticePolytope, ResourceLimitError, as_point
 
 KIND_ZD = "zd"
 KIND_GL2Z = "gl2z"
@@ -70,17 +70,13 @@ class ElementSet:
 
 
 def as_gl2z(matrix) -> Matrix2:
-    """Validate a 2x2 integer matrix with determinant +-1."""
-    try:
-        rows = tuple(tuple(r) for r in matrix)
-    except TypeError:
-        raise ValueError("expected a 2x2 matrix") from None
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
+    """Validate a 2x2 integer matrix with determinant +-1: a tuple or list of two tuple or list rows."""
+    if not isinstance(matrix, SEQUENCES) or [isinstance(r, SEQUENCES) and len(r) for r in matrix] != [2, 2]:
         raise ValueError("expected a 2x2 matrix")
-    for row in rows:
-        for x in row:
-            if type(x) is not int:
-                raise ValueError(f"matrix entries must be plain ints, got {x!r}")
+    rows = tuple(map(tuple, matrix))
+    for x in rows[0] + rows[1]:
+        if type(x) is not int:
+            raise ValueError(f"matrix entries must be plain ints, got {x!r}")
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if det not in (1, -1):
         raise ValueError(f"matrix determinant is {det}, must be +1 or -1")

@@ -12,8 +12,9 @@ Group files missing the identity get it inserted with a warning. Polytope
 files are accepted wherever a zd group is expected, via the presentation
 generated by the polytope's integer points. `parse_*` read these forms;
 `polytope_to_dict`, `triangulation_to_dict` and `group_to_dict` write them.
-The parsers check shapes (keys, lists, "dim", square matrices); each value is
-checked by the constructor it reaches, in the library's own words.
+The parsers check shapes (keys, the lists they read, "dim", square matrices);
+each point and value is checked by the constructor it reaches (as_point,
+as_points, as_gl2z), in the library's own words.
 
 Reports: `to_json` turns a value made of library objects into plain JSON
 data. A dataclass becomes the dict of its fields in field order; a tuple,
@@ -60,13 +61,12 @@ def parse_polytope(doc: Any) -> LatticePolytope:
     vertices = doc["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise ValueError('"vertices" must be a non-empty list')
-    rows = [_list(v, "vertex") for v in vertices]
-    if dim is not None:
-        if type(dim) is not int:
-            raise ValueError('"dim" must be an integer')
-        if any(len(r) != dim for r in rows):
-            raise ValueError('vertex length does not match "dim"')
-    return LatticePolytope(rows)
+    if dim is not None and type(dim) is not int:
+        raise ValueError('"dim" must be an integer')
+    poly = LatticePolytope(vertices)
+    if dim is not None and poly.dim != dim:
+        raise ValueError('vertex length does not match "dim"')
+    return poly
 
 
 def polytope_to_dict(poly: LatticePolytope) -> dict:
@@ -77,10 +77,7 @@ def parse_triangulation(doc: Any) -> Triangulation:
     if not isinstance(doc, dict) or "polytope" not in doc or "simplices" not in doc:
         raise ValueError('triangulation document needs "polytope" and "simplices"')
     poly = parse_polytope(doc["polytope"])
-    simplices = tuple(
-        LatticeSimplex([_list(v, "simplex vertex") for v in _list(s, "simplex")])
-        for s in _list(doc["simplices"], '"simplices"')
-    )
+    simplices = tuple(LatticeSimplex(_list(s, "simplex")) for s in _list(doc["simplices"], '"simplices"'))
     return Triangulation(poly, simplices)
 
 
@@ -119,7 +116,7 @@ def parse_group(doc: Any) -> tuple[GroupPresentation, list[str]]:
     if not isinstance(gens, list) or not gens:
         raise ValueError('"generators" must be a non-empty list')
     kind, dim = doc["kind"], doc.get("dim")
-    elements, identity = group_elements(kind, [_list(g, "generator") for g in gens], dim)
+    elements, identity = group_elements(kind, gens, dim)
     if identity not in elements:
         elements.append(identity)
         warnings.append("identity element was missing from the generators; inserted")

@@ -26,6 +26,7 @@ from .geometry import (
     PointSet,
     ResourceLimitError,
     as_point,
+    as_points,
     as_rational_point,
     dot,
     edge_rows,
@@ -49,12 +50,8 @@ class LatticeSimplex:
     """
 
     def __init__(self, vertices: Iterable):
-        pts = sorted({as_point(v) for v in vertices})
-        if not pts:
-            raise ValueError("a simplex needs at least one vertex")
+        pts = as_points(vertices)
         d = len(pts[0])
-        if any(len(p) != d for p in pts):
-            raise ValueError("mixed dimensions in simplex")
         if len(pts) != d + 1:
             raise ValueError(f"a simplex in Z^{d} needs {d + 1} distinct vertices, got {len(pts)}")
         det = linalg.det_int(edge_rows(pts))
@@ -199,7 +196,7 @@ def unimodular_criteria(matrix: Sequence[Sequence[int]]) -> UnimodularCriteria:
     ]
     parallelotope = LatticePolytope(corners)
     parallelotope_unit_volume = parallelotope.volume() == 1
-    parallelotope_elementary = parallelotope.integer_points(1) == PointSet(corners, d)
+    parallelotope_elementary = is_elementary_polytope(parallelotope)
 
     simplex = LatticeSimplex([(0,) * d] + cols)
     corner_simplex_elementary = classify_simplex(simplex).is_elementary

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latmink import (
+    GroupPresentation,
     LatticePolytope,
     LatticeSimplex,
     PointSet,
@@ -13,11 +14,15 @@ from latmink import (
     Triangulation,
     cross_polytope,
     cube,
+    decompose,
     hull,
+    is_unimodular,
     sigma,
+    unimodular_criteria,
     validate_triangulation,
 )
 from latmink.geometry import affine_dim, as_point
+from latmink.verify import orthant_fan
 
 from conftest import (
     box_scan_points,
@@ -81,6 +86,36 @@ class TestAsPoint:
         with pytest.raises(ValueError):
             as_point(())
 
+    @pytest.mark.parametrize("value", [5, "ab", {1: 2}, {1, 2}, None, range(2), iter([0, 1])])
+    def test_only_tuples_and_lists(self, value):
+        # a str, dict or set would otherwise be read as its characters or keys
+        with pytest.raises(ValueError, match=f"got {type(value).__name__}$"):
+            as_point(value)
+
+    def test_message_names_the_type_not_the_value(self):
+        with pytest.raises(ValueError) as info:
+            as_point("1" * 10**6)
+        assert str(info.value) == "a point must be a tuple or list, got str"
+
+    @pytest.mark.parametrize("point", [5, "ab", {1: 2}, {1, 2}])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda p: PointSet([(0, 0), p]),
+            lambda p: LatticePolytope([(0, 0), (1, 0), p]),
+            lambda p: LatticeSimplex([(0, 0), (1, 0), p]),
+            lambda p: is_unimodular([[1, 0], p]),
+            lambda p: unimodular_criteria([[1, 0], p]),
+            lambda p: GroupPresentation.zd(2, [(0, 0), p]),
+            lambda p: decompose(cross_polytope(2), orthant_fan(2), 1, p),
+        ],
+        ids=["PointSet", "LatticePolytope", "LatticeSimplex", "is_unimodular",
+             "unimodular_criteria", "GroupPresentation.zd", "decompose"],
+    )
+    def test_every_entry_point_rejects_a_non_point(self, entry, point):
+        with pytest.raises(ValueError, match="a point must be a tuple or list"):
+            entry(point)
+
 
 class TestPointSet:
     def test_canonical_order(self):
@@ -89,13 +124,17 @@ class TestPointSet:
         assert (1, 0) in s and (2, 2) not in s
 
     def test_empty_needs_dim(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no points and no dimension given"):
             PointSet([])
         assert len(PointSet([], dim=3)) == 0
 
     def test_mixed_dimensions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mixed dimensions in point list"):
             PointSet([(1,), (1, 2)])
+
+    def test_dimension_must_match(self):
+        with pytest.raises(ValueError, match="points have dimension 2, expected 3"):
+            PointSet([(1, 2)], dim=3)
 
     def test_difference_and_subset(self):
         a = PointSet([(0,), (1,), (2,)])
@@ -128,12 +167,17 @@ class TestHull:
         assert (1, 1) not in p.vertices
 
     def test_empty_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no points and no dimension given"):
             hull([])
 
     def test_mixed_dimensions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mixed dimensions in point list"):
             hull([(0, 0), (1,)])
+
+    def test_dict_vertex_rejected(self):
+        # read as its keys, {1: 0, 2: 0} would be the vertex (1, 2)
+        with pytest.raises(ValueError, match="got dict"):
+            hull([{1: 0, 2: 0}, (0, 1), (1, 0)])
 
     @given(points_2d)
     @settings(max_examples=80, deadline=None)
@@ -269,6 +313,12 @@ class TestContains:
         assert seg.contains((Fraction(1, 2), Fraction(1, 2)))
         assert not seg.contains((1, 0))
         assert not seg.contains((1, 1), strict=True)
+
+    @pytest.mark.parametrize("point", ["11", {1: 0, 1.5: 0}, (True, 0), ("1", 0), (float("inf"), 0), (None, 0)])
+    def test_non_rational_points_rejected(self, unit_square, point):
+        # "11" was read as the point (1, 1), a dict as its keys and True as 1
+        with pytest.raises(ValueError):
+            unit_square.contains(point)
 
     def test_dimension_mismatch(self, unit_square):
         with pytest.raises(ValueError):

@@ -90,7 +90,9 @@ class TestGroupPresentation:
         with pytest.raises(ValueError, match="determinant"):
             as_gl2z([[1, 0], [0, 2]])
 
-    @pytest.mark.parametrize("matrix", [[[1, 0], 5], 5, [None, [0, 1]]])
+    @pytest.mark.parametrize(
+        "matrix", [[[1, 0], 5], 5, [None, [0, 1]], [[1, 0], "ab"], [[1, 0], {0: 1, 1: 0}], "ab", {1: 2, 3: 4}]
+    )
     def test_gl2z_rows_must_be_sequences(self, matrix):
         with pytest.raises(ValueError, match="expected a 2x2 matrix"):
             GroupPresentation.gl2z([GL2Z_IDENTITY, matrix])

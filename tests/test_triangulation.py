@@ -59,8 +59,12 @@ class TestLatticeSimplex:
             LatticeSimplex([(0, 0), (1, 0)])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one vertex"):
+        with pytest.raises(ValueError, match="no points and no dimension given"):
             LatticeSimplex([])
+
+    def test_mixed_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="mixed dimensions in point list"):
+            LatticeSimplex([(0, 0), (1, 0), (0, 1, 0)])
 
     def test_barycentric_and_contains(self):
         s = LatticeSimplex([(0, 0), (1, 0), (0, 1)])
@@ -71,6 +75,11 @@ class TestLatticeSimplex:
         )
         assert s.contains((0, 0))
         assert not s.contains((1, 1))
+
+    @pytest.mark.parametrize("point", [(True, 0, 0), "100", ("1", 0, 0)])
+    def test_barycentric_rejects_non_rational_points(self, point):
+        with pytest.raises(ValueError):
+            sigma(3, 3).barycentric(point)
 
     def test_facets_contain_simplex(self):
         s = LatticeSimplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])

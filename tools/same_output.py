@@ -15,9 +15,9 @@ and, in a temporary work directory of its own, runs every command of this list:
 
 Input paths are relative to the work directory, so both roots see the same
 argv. The exit code and digests of stdout and stderr of every command are
-compared; the first command that differs is printed and the exit code is 1.
-Exit code 0 means every command matched. Given one root, the script prints
-that root's digests as JSON (the fresh interpreter runs this way).
+compared; every command that differs is printed, then their count, and the
+exit code is 1. Exit code 0 means every command matched. Given one root, the
+script prints that root's digests as JSON (the fresh interpreter runs this way).
 """
 
 from __future__ import annotations
@@ -128,13 +128,15 @@ def main(argv=None) -> int:
         print(__doc__, file=sys.stderr)
         return 2
     parent, change = (_child(root) for root in argv)
-    for a, b in zip(parent, change):
-        if a != b:
-            parts = [what for what, x, y in zip(("exit code", "stdout", "stderr"), a[1:], b[1:]) if x != y]
-            print(f"differs ({', '.join(parts)}): latmink {' '.join(a[0])}")
-            return 1
+    differing = [(a, b) for a, b in zip(parent, change) if a != b]
+    for a, b in differing:
+        parts = [what for what, x, y in zip(("exit code", "stdout", "stderr"), a[1:], b[1:]) if x != y]
+        print(f"differs ({', '.join(parts)}): latmink {' '.join(a[0])}")
     if len(parent) != len(change):
         print(f"differs: {len(parent)} commands against {len(change)}")
+        return 1
+    if differing:
+        print(f"{len(differing)} of {len(parent)} commands differ")
         return 1
     print(f"same: {len(parent)} commands, identical exit codes, stdout and stderr")
     return 0
