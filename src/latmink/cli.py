@@ -240,8 +240,7 @@ def _cmd_check_boundary(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    kwargs = {"polygon_samples": 25, "matrix_samples": 60} if args.quick else {}
-    results = verify.run_all(seed=args.seed, **kwargs)
+    results = verify.run_all(seed=args.seed, quick=args.quick)
     failed = [r for r in results if not r.ok]
     summary = {"rows": results, "passed": len(results) - len(failed), "failed": len(failed)}
     pretty = [
@@ -359,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check_boundary)
 
     p = command("verify-paper", help="run the bundled reproduction suite")
-    p.add_argument("--quick", action="store_true", help="smaller randomized samples")
+    p.add_argument("--quick", action="store_true", help="a smaller run: fewer seeded random polygons and matrices")
     p.set_defaults(fn=_cmd_verify_paper)
 
     return parser

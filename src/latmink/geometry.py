@@ -46,8 +46,14 @@ def as_point(coords: Sequence) -> Point:
 
 
 def as_points(points: Iterable, dim: int | None = None) -> list[Point]:
-    """The distinct as_point points in lex order, all of dimension dim (required if empty)."""
-    pts = sorted(set(map(as_point, points)))
+    """The distinct as_point points in lex order, all of dimension dim (a plain int >= 1, required if empty)."""
+    if dim is not None and (type(dim) is not int or dim < 1):
+        raise ValueError(f"dimension must be a plain int >= 1, got {dim!r}")
+    try:
+        checked = map(as_point, points)
+    except TypeError:  # map raises at once when points is not iterable
+        raise ValueError(f"a point list must be iterable, got {type(points).__name__}") from None
+    pts = sorted(set(checked))
     if not pts:
         if dim is None:
             raise ValueError("no points and no dimension given")
@@ -243,7 +249,10 @@ class PointSet:
         self._members = frozenset(self.points)
 
     def __contains__(self, point) -> bool:
-        return tuple(point) in self._members
+        try:
+            return tuple(point) in self._members
+        except TypeError:  # not iterable or not hashable, so not a point of the set
+            return False
 
     def __iter__(self):
         return iter(self.points)

@@ -79,16 +79,19 @@ def check_equality_range(
 ) -> list[EqualityReport]:
     """check_equality for every n in ns, in increasing order, reading n*Omega
     off one ball_layers stream of _translated_group(Omega). The box cap bounds
-    each dilation nP, which holds n*Omega, so the stream needs no cap."""
+    each dilation nP, which holds n*Omega, so the stream needs no cap: nP is
+    taken before the stream is advanced to n, and a box over the cap stops
+    the run before its ball is built."""
     if ns and min(ns) < 1:
         raise ValueError("n must be >= 1")
     omega = poly.integer_points(1, cap=cap)
-    balls = ball_layers(_translated_group(omega), cap=sys.maxsize)
+    layers = enumerate(ball_layers(_translated_group(omega), cap=sys.maxsize))
     reports = []
-    for n, (ball, _) in zip(range(max(ns, default=-1) + 1), balls):
-        if n not in ns:
-            continue
+    for n in sorted(ns):
         full = poly.integer_points(n, cap=cap)
+        for k, (ball, _) in layers:
+            if k == n:
+                break
         shift = tuple(n * c for c in omega.points[0])
         missing = [p for p in full.points if tuple(map(sub, p, shift)) not in ball]
         if len(full) - len(missing) != len(ball):

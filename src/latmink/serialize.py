@@ -11,7 +11,8 @@ rejected outright):
 Group files missing the identity get it inserted with a warning. Polytope
 files are accepted wherever a zd group is expected, via the presentation
 generated by the polytope's integer points. `parse_*` read these forms;
-`polytope_to_dict`, `triangulation_to_dict` and `group_to_dict` write them.
+`polytope_to_dict` and `group_to_dict` write them, and `to_json` writes a
+triangulation (the dataclass of its polytope and simplices) in its form.
 The parsers check shapes (keys, the lists they read, "dim", square matrices);
 each point and value is checked by the constructor it reaches (as_point,
 as_points, as_gl2z), in the library's own words.
@@ -79,13 +80,6 @@ def parse_triangulation(doc: Any) -> Triangulation:
     poly = parse_polytope(doc["polytope"])
     simplices = tuple(LatticeSimplex(_list(s, "simplex")) for s in _list(doc["simplices"], '"simplices"'))
     return Triangulation(poly, simplices)
-
-
-def triangulation_to_dict(tri: Triangulation) -> dict:
-    return {
-        "polytope": polytope_to_dict(tri.polytope),
-        "simplices": [[list(v) for v in s.vertices] for s in tri.simplices],
-    }
 
 
 def parse_matrix(doc: Any) -> list[list]:

@@ -126,9 +126,9 @@ def classify_simplex(simplex: LatticeSimplex) -> SimplexClass:
     return SimplexClass(simplex.normalized_volume, non_vertex, elementary, primitive)
 
 
-def is_elementary_polytope(poly: LatticePolytope, cap: int | None = None) -> bool:
+def is_elementary_polytope(poly: LatticePolytope) -> bool:
     """True when the polytope's only integer points are its vertices."""
-    return poly.integer_points(1, cap) == PointSet(poly.vertices, poly.dim)
+    return poly.integer_points(1) == PointSet(poly.vertices, poly.dim)
 
 
 def is_unimodular(matrix: Sequence[Sequence[int]]) -> bool:

@@ -1,8 +1,9 @@
 """Regression suite reproducing every published example and counterexample.
 
-Each claim is a named, self-contained check; run_all evaluates them and the
-CLI's verify-paper subcommand renders the results. Randomized claims are
-seeded and therefore reproducible.
+Each claim is a self-contained check, declared once by the @claim decorator
+that gives its id and description; run_all evaluates them in declaration
+order and the CLI's verify-paper subcommand renders the results. Randomized
+claims are seeded and therefore reproducible; a quick run draws fewer samples.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ from .triangulation import (
     validate_triangulation,
 )
 
-DEFAULT_POLYGON_SAMPLES = 200
-DEFAULT_MATRIX_SAMPLES = 500
+# Sample counts of the seeded claims, indexed by quick: (full run, quick run).
+POLYGON_SAMPLES = (200, 25)
+MATRIX_SAMPLES = (500, 60)
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,20 @@ class ClaimResult:
     description: str
     ok: bool
     detail: str
+
+
+Check = Callable[..., tuple[bool, str]]  # fn(seed, quick=...) -> (ok, detail)
+CLAIMS: list[tuple[str, str, Check]] = []
+
+
+def claim(claim_id: str, description: str):
+    """Append (claim_id, description, fn) to CLAIMS for the decorated check fn; fn is returned unchanged."""
+
+    def register(fn: Check) -> Check:
+        CLAIMS.append((claim_id, description, fn))
+        return fn
+
+    return register
 
 
 def symmetric_example_polytope() -> LatticePolytope:
@@ -82,6 +98,7 @@ def orthant_fan(dim: int) -> Triangulation:
     return Triangulation(poly, tuple(simplices))
 
 
+@claim("sigma-simplex-interior-points", "non-vertex integer points of sigma(d,m) are e_d..floor(m/d)e_d for d=3..5, m=1..6")
 def _claim_sigma_interior_points(seed: int, **_) -> tuple[bool, str]:
     for d in (3, 4, 5):
         for m in range(1, 7):
@@ -97,6 +114,7 @@ def _claim_sigma_interior_points(seed: int, **_) -> tuple[bool, str]:
     return True, "non-vertex integer points are exactly e_d, 2e_d, ..., floor(m/d) e_d"
 
 
+@claim("reeve-simplex-elementary", "sigma_prime(3,m) is elementary with normalized volume m for m=1..6")
 def _claim_reeve_elementary(seed: int, **_) -> tuple[bool, str]:
     for m in range(1, 7):
         cls = classify_simplex(sigma_prime(3, m))
@@ -107,6 +125,7 @@ def _claim_reeve_elementary(seed: int, **_) -> tuple[bool, str]:
     return True, "sigma_prime(3, m) is elementary with normalized volume m for m=1..6"
 
 
+@claim("sigma-3-2-sum-misses-e3", "the vertex self-sum of sigma(3,2) has 10 points and omits (0,0,1)")
 def _claim_sigma32_sum_misses_e3(seed: int, **_) -> tuple[bool, str]:
     verts = PointSet(sigma(3, 2).vertices, 3)
     total = minkowski_sum(verts, verts)
@@ -117,6 +136,7 @@ def _claim_sigma32_sum_misses_e3(seed: int, **_) -> tuple[bool, str]:
     return True, "vertex self-sum has 10 points and misses (0,0,1)"
 
 
+@claim("sigma-3-2-equality-breaks-at-2", "equality holds at n=1 and fails at n=2 with witness (0,0,1)")
 def _claim_sigma32_equality(seed: int, **_) -> tuple[bool, str]:
     poly = LatticePolytope(sigma(3, 2).vertices)
     r1, r2 = check_equality_range(poly, range(1, 3))
@@ -124,6 +144,7 @@ def _claim_sigma32_equality(seed: int, **_) -> tuple[bool, str]:
     return ok, f"n=1 holds={r1.holds}; n=2 holds={r2.holds} witness={r2.witness}"
 
 
+@claim("sigma-5-2-delayed-failure", "equality holds at n=1,2 and first fails at n=3")
 def _claim_sigma52_delayed(seed: int, **_) -> tuple[bool, str]:
     poly = LatticePolytope(sigma(5, 2).vertices)
     results = [r.holds for r in check_equality_range(poly, range(1, 4))]
@@ -131,6 +152,7 @@ def _claim_sigma52_delayed(seed: int, **_) -> tuple[bool, str]:
     return ok, f"holds at n=1,2,3: {results}"
 
 
+@claim("symmetric-counterexample", "symmetric polytope: 9 generators of Z^3, interior origin, (-1,-1,1) unreachable at n=2")
 def _claim_symmetric_counterexample(seed: int, **_) -> tuple[bool, str]:
     poly = symmetric_example_polytope()
     omega = poly.integer_points(1)
@@ -160,7 +182,9 @@ def _claim_symmetric_counterexample(seed: int, **_) -> tuple[bool, str]:
     return True, "9 generators of Z^3, origin interior, (-1,-1,1) in 2P but not in 2*Omega"
 
 
-def _claim_polygon_equality(seed: int, polygon_samples: int = DEFAULT_POLYGON_SAMPLES, **_) -> tuple[bool, str]:
+@claim("planar-equality", "seeded random lattice polygons satisfy equality for all n <= 5")
+def _claim_polygon_equality(seed: int, quick: bool = False) -> tuple[bool, str]:
+    polygon_samples = POLYGON_SAMPLES[quick]
     rng = random.Random(seed)
     for i in range(polygon_samples):
         poly = random_lattice_polygon(rng)
@@ -170,6 +194,7 @@ def _claim_polygon_equality(seed: int, polygon_samples: int = DEFAULT_POLYGON_SA
     return True, f"{polygon_samples} seeded polygons satisfy equality for n <= 5"
 
 
+@claim("volumes", "exact volumes of the unit cube, unit triangle and sigma(3,2)")
 def _claim_volumes(seed: int, **_) -> tuple[bool, str]:
     checks = [
         (cube(3).volume(), Fraction(1), "unit cube"),
@@ -182,7 +207,9 @@ def _claim_volumes(seed: int, **_) -> tuple[bool, str]:
     return True, "unit cube has volume 1; unit triangle 1/2; sigma(3,2) 1/3"
 
 
-def _claim_unimodular_criteria(seed: int, matrix_samples: int = DEFAULT_MATRIX_SAMPLES, **_) -> tuple[bool, str]:
+@claim("unimodular-criteria", "seeded random matrices: the five unimodularity conditions agree and imply the corner-simplex condition")
+def _claim_unimodular_criteria(seed: int, quick: bool = False) -> tuple[bool, str]:
+    matrix_samples = MATRIX_SAMPLES[quick]
     rng = random.Random(seed)
     for i in range(matrix_samples):
         d = rng.randint(1, 3)
@@ -201,6 +228,7 @@ def _claim_unimodular_criteria(seed: int, matrix_samples: int = DEFAULT_MATRIX_S
     return True, f"{matrix_samples} seeded matrices consistent; sigma(3,2) separates the corner-simplex condition"
 
 
+@claim("primitive-triangulation-pipeline", "search + validate + n-summand decomposition for cube, symmetric square and cross-polytopes")
 def _claim_triangulation_pipeline(seed: int, **_) -> tuple[bool, str]:
     cases = [
         ("unit cube", cube(3)),
@@ -223,6 +251,7 @@ def _claim_triangulation_pipeline(seed: int, **_) -> tuple[bool, str]:
     return True, "search, validation and n-summand decomposition succeed for all four polytopes, n <= 4"
 
 
+@claim("sigma-3-2-no-primitive-triangulation", "exhaustive search proves sigma(3,2) admits no primitive triangulation")
 def _claim_sigma32_no_primitive_triangulation(seed: int, **_) -> tuple[bool, str]:
     poly = LatticePolytope(sigma(3, 2).vertices)
     result = search_primitive_triangulation(poly)
@@ -233,6 +262,7 @@ def _claim_sigma32_no_primitive_triangulation(seed: int, **_) -> tuple[bool, str
     return True, "candidate space exhausted: no primitive triangulation exists"
 
 
+@claim("cross-polytope-orthant-fan", "2^d unit orthant simplices triangulate the cross-polytope (d=2,3)")
 def _claim_orthant_fan(seed: int, **_) -> tuple[bool, str]:
     for d in (2, 3):
         tri = orthant_fan(d)
@@ -244,6 +274,7 @@ def _claim_orthant_fan(seed: int, **_) -> tuple[bool, str]:
     return True, "the 2^d orthant simplices triangulate the cross-polytope, d=2,3"
 
 
+@claim("zd-boundary-equality", "ball boundary equals the fresh layer for polytope-generated Z^d presentations, n <= 5")
 def _claim_zd_boundary_equality(seed: int, **_) -> tuple[bool, str]:
     cases = [
         ("cross 2d", cross_polytope(2)),
@@ -258,6 +289,7 @@ def _claim_zd_boundary_equality(seed: int, **_) -> tuple[bool, str]:
     return True, "boundary of the radius-n ball equals its fresh layer for n <= 5"
 
 
+@claim("gl2z-products", "the six swap products close the generating set under right multiplication")
 def _claim_gl2z_products(seed: int, **_) -> tuple[bool, str]:
     w = gl2z_swap_shear_generators()
     group = GroupPresentation.gl2z(w)
@@ -271,6 +303,7 @@ def _claim_gl2z_products(seed: int, **_) -> tuple[bool, str]:
     return True, "the six stated products hold, so Omega * w1 is contained in Omega"
 
 
+@claim("gl2z-boundary-violation", "boundary equality fails at n=1 for the swap-shear generating set")
 def _claim_gl2z_boundary_violation(seed: int, **_) -> tuple[bool, str]:
     w = gl2z_swap_shear_generators()
     group = GroupPresentation.gl2z(w)
@@ -302,6 +335,7 @@ def _test_groups() -> list[tuple[str, GroupPresentation]]:
     return groups
 
 
+@claim("inclusion-chains", "ball(n-1) inside interior(ball(n)); boundary inside the fresh layer")
 def _claim_inclusion_chains(seed: int, **_) -> tuple[bool, str]:
     for name, group in _test_groups():
         balls = [ElementSet(ball) for ball, _ in itertools.islice(ball_layers(group), 6)]
@@ -317,6 +351,7 @@ def _claim_inclusion_chains(seed: int, **_) -> tuple[bool, str]:
     return True, "both inclusion chains hold for every test group and n <= 5"
 
 
+@claim("word-ball-equals-minkowski", "word balls over polytope presentations equal n-fold Minkowski sums")
 def _claim_word_ball_equals_minkowski(seed: int, **_) -> tuple[bool, str]:
     polytopes = [
         ("z1 segment", LatticePolytope([(-1,), (1,)])),
@@ -336,6 +371,7 @@ def _claim_word_ball_equals_minkowski(seed: int, **_) -> tuple[bool, str]:
     return True, "word balls match n-fold Minkowski sums for n <= 5"
 
 
+@claim("sigma-small-point-sets", "integer points of sigma(3,2) and sigma(3,3)")
 def _claim_sigma_small_points(seed: int, **_) -> tuple[bool, str]:
     p32 = LatticePolytope(sigma(3, 2).vertices).integer_points(1)
     if len(p32) != 4:
@@ -347,6 +383,7 @@ def _claim_sigma_small_points(seed: int, **_) -> tuple[bool, str]:
     return True, "sigma(3,2) has only its vertices; sigma(3,3) adds exactly (0,0,1)"
 
 
+@claim("facet-counts", "facet enumeration on the unit square, unit triangle and sigma(3,2)")
 def _claim_facet_counts(seed: int, **_) -> tuple[bool, str]:
     square = cube(2)
     if len(square.facets) != 4:
@@ -361,112 +398,6 @@ def _claim_facet_counts(seed: int, **_) -> tuple[bool, str]:
     return True, "unit square has 4 facets, unit triangle 3 (with x+y <= 1), sigma(3,2) 4"
 
 
-CLAIMS: list[tuple[str, str, Callable[..., tuple[bool, str]]]] = [
-    (
-        "sigma-simplex-interior-points",
-        "non-vertex integer points of sigma(d,m) are e_d..floor(m/d)e_d for d=3..5, m=1..6",
-        _claim_sigma_interior_points,
-    ),
-    (
-        "reeve-simplex-elementary",
-        "sigma_prime(3,m) is elementary with normalized volume m for m=1..6",
-        _claim_reeve_elementary,
-    ),
-    (
-        "sigma-3-2-sum-misses-e3",
-        "the vertex self-sum of sigma(3,2) has 10 points and omits (0,0,1)",
-        _claim_sigma32_sum_misses_e3,
-    ),
-    (
-        "sigma-3-2-equality-breaks-at-2",
-        "equality holds at n=1 and fails at n=2 with witness (0,0,1)",
-        _claim_sigma32_equality,
-    ),
-    (
-        "sigma-5-2-delayed-failure",
-        "equality holds at n=1,2 and first fails at n=3",
-        _claim_sigma52_delayed,
-    ),
-    (
-        "symmetric-counterexample",
-        "symmetric polytope: 9 generators of Z^3, interior origin, (-1,-1,1) unreachable at n=2",
-        _claim_symmetric_counterexample,
-    ),
-    (
-        "planar-equality",
-        "seeded random lattice polygons satisfy equality for all n <= 5",
-        _claim_polygon_equality,
-    ),
-    (
-        "volumes",
-        "exact volumes of the unit cube, unit triangle and sigma(3,2)",
-        _claim_volumes,
-    ),
-    (
-        "unimodular-criteria",
-        "seeded random matrices: the five unimodularity conditions agree and imply the corner-simplex condition",
-        _claim_unimodular_criteria,
-    ),
-    (
-        "primitive-triangulation-pipeline",
-        "search + validate + n-summand decomposition for cube, symmetric square and cross-polytopes",
-        _claim_triangulation_pipeline,
-    ),
-    (
-        "sigma-3-2-no-primitive-triangulation",
-        "exhaustive search proves sigma(3,2) admits no primitive triangulation",
-        _claim_sigma32_no_primitive_triangulation,
-    ),
-    (
-        "cross-polytope-orthant-fan",
-        "2^d unit orthant simplices triangulate the cross-polytope (d=2,3)",
-        _claim_orthant_fan,
-    ),
-    (
-        "zd-boundary-equality",
-        "ball boundary equals the fresh layer for polytope-generated Z^d presentations, n <= 5",
-        _claim_zd_boundary_equality,
-    ),
-    (
-        "gl2z-products",
-        "the six swap products close the generating set under right multiplication",
-        _claim_gl2z_products,
-    ),
-    (
-        "gl2z-boundary-violation",
-        "boundary equality fails at n=1 for the swap-shear generating set",
-        _claim_gl2z_boundary_violation,
-    ),
-    (
-        "inclusion-chains",
-        "ball(n-1) inside interior(ball(n)); boundary inside the fresh layer",
-        _claim_inclusion_chains,
-    ),
-    (
-        "word-ball-equals-minkowski",
-        "word balls over polytope presentations equal n-fold Minkowski sums",
-        _claim_word_ball_equals_minkowski,
-    ),
-    (
-        "sigma-small-point-sets",
-        "integer points of sigma(3,2) and sigma(3,3)",
-        _claim_sigma_small_points,
-    ),
-    (
-        "facet-counts",
-        "facet enumeration on the unit square, unit triangle and sigma(3,2)",
-        _claim_facet_counts,
-    ),
-]
-
-
-def run_all(
-    seed: int = 0,
-    polygon_samples: int = DEFAULT_POLYGON_SAMPLES,
-    matrix_samples: int = DEFAULT_MATRIX_SAMPLES,
-) -> list[ClaimResult]:
-    results = []
-    for claim_id, description, fn in CLAIMS:
-        ok, detail = fn(seed, polygon_samples=polygon_samples, matrix_samples=matrix_samples)
-        results.append(ClaimResult(claim_id, description, ok, detail))
-    return results
+def run_all(seed: int = 0, quick: bool = False) -> list[ClaimResult]:
+    """Every claim in CLAIMS order; quick takes the smaller sample counts."""
+    return [ClaimResult(claim_id, description, *fn(seed, quick=quick)) for claim_id, description, fn in CLAIMS]

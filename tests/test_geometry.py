@@ -116,6 +116,14 @@ class TestAsPoint:
         with pytest.raises(ValueError, match="a point must be a tuple or list"):
             entry(point)
 
+    @pytest.mark.parametrize(
+        "entry, points, name",
+        [(PointSet, 5, "int"), (LatticePolytope, 5, "int"), (LatticeSimplex, None, "NoneType")],
+    )
+    def test_point_list_must_be_iterable(self, entry, points, name):
+        with pytest.raises(ValueError, match=f"^a point list must be iterable, got {name}$"):
+            entry(points)
+
 
 class TestPointSet:
     def test_canonical_order(self):
@@ -135,6 +143,20 @@ class TestPointSet:
     def test_dimension_must_match(self):
         with pytest.raises(ValueError, match="points have dimension 2, expected 3"):
             PointSet([(1, 2)], dim=3)
+
+    @pytest.mark.parametrize("dim", ["x", 0, -3, True, 2.0])
+    def test_dim_must_be_a_positive_int(self, dim):
+        with pytest.raises(ValueError, match="dimension must be a plain int >= 1"):
+            PointSet([], dim=dim)
+        with pytest.raises(ValueError, match="dimension must be a plain int >= 1"):
+            PointSet([(1, 2)], dim=dim)
+
+    @pytest.mark.parametrize("value", [5, None, [[1], [1]], (1, 1, 0)])
+    def test_contains_a_non_member(self, value):
+        # like a frozenset: a value that is no point of the set is not in it
+        s = PointSet([(1, 1)])
+        assert value not in s
+        assert [1, 1] in s
 
     def test_difference_and_subset(self):
         a = PointSet([(0,), (1,), (2,)])

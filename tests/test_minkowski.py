@@ -8,6 +8,7 @@ from latmink import (
     LatticePolytope,
     LatticeSimplex,
     PointSet,
+    ResourceLimitError,
     Triangulation,
     check_equality,
     check_equality_range,
@@ -183,6 +184,28 @@ class TestCheckEquality:
             assert r.holds == (not missing)
             assert r.witness == (missing[0] if missing else None)
             assert r == check_equality(poly, r.n)
+
+    def test_box_cap_checked_before_the_ball(self, monkeypatch, unit_square):
+        from latmink import minkowski
+
+        layers = []
+        real = minkowski.ball_layers
+
+        def counted(*args, **kwargs):
+            for layer in real(*args, **kwargs):
+                layers.append(len(layer[0]))
+                yield layer
+
+        monkeypatch.setattr(minkowski, "ball_layers", counted)
+        with pytest.raises(ResourceLimitError, match="^bounding box has 90601 candidate points, cap is 100$"):
+            check_equality_range(unit_square, range(300, 301), cap=100)
+        assert len(layers) <= 1
+
+    def test_range_stops_at_the_first_box_over_the_cap(self, unit_square):
+        # boxes grow with n: (n + 1)^2 first exceeds 100 at n = 10
+        with pytest.raises(ResourceLimitError, match="^bounding box has 121 candidate points, cap is 100$"):
+            check_equality_range(unit_square, range(1, 301), cap=100)
+        assert [r.n for r in check_equality_range(unit_square, range(5, 0, -2), cap=100)] == [1, 3, 5]
 
     def test_range_sigma_5_2(self):
         p = LatticePolytope(sigma(5, 2).vertices)

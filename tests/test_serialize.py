@@ -73,7 +73,7 @@ class TestTriangulationFormat:
                 LatticeSimplex([(0, 0), (0, 1), (1, 1)]),
             ),
         )
-        doc = serialize.triangulation_to_dict(tri)
+        doc = serialize.to_json(tri)
         parsed = serialize.parse_triangulation(doc)
         assert parsed.polytope == poly
         assert parsed.simplices == tri.simplices

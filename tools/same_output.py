@@ -11,7 +11,9 @@ and, in a temporary work directory of its own, runs every command of this list:
   never written: no bytecode is cached);
 - each subcommand on every bundled dataset, and `search-primitive` on it at
   budgets 1, 5 and 25, as JSON and with `--pretty`;
-- `verify-paper --quick`.
+- `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
+- commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
+  before or after the work it bounds gives the same message.
 
 Input paths are relative to the work directory, so both roots see the same
 argv. The exit code and digests of stdout and stderr of every command are
@@ -38,6 +40,18 @@ SEEDS = (3, 7, 11)
 WORKLOADS = ("hull", "balls", "triangulate")
 SEARCH_BUDGETS = (1, 5, 25)
 PASS_SECONDS = 10  # one pass of a benchmark run: run_seconds / 2 passes
+VERIFY_COMMANDS = [
+    ["verify-paper", "--quick"],
+    ["verify-paper"],
+    ["--pretty", "verify-paper", "--quick"],
+    ["verify-paper", "--quick", "--seed", "1"],
+]
+CAPPED_COMMANDS = [
+    ["points", "unit-square", "300", "--cap", "100"],
+    ["check-equality", "unit-square", "1..300", "--cap", "100"],
+    ["check-equality", "unit-square", "300..300", "--cap", "100"],
+    ["word-ball", "cross-2d", "300", "--cap", "100"],
+]
 
 
 def _dataset_commands(data: Path):
@@ -105,7 +119,8 @@ def digests(root: Path) -> list:
                     run(op.argv, op.after)
         for argv in _dataset_commands(root / "src" / "latmink" / "data"):
             run(argv)
-        run(["verify-paper", "--quick"])
+        for argv in VERIFY_COMMANDS + CAPPED_COMMANDS:
+            run(argv)
         os.chdir(HERE)
     return rows
 
