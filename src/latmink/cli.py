@@ -3,9 +3,13 @@
 Every subcommand prints a deterministic JSON run report to stdout; --pretty
 switches to a human-readable rendering. The global flags (--pretty, --cap,
 --seed, --timing) go before or after the subcommand; without --cap each
-command keeps its library's default cap. Exit codes: 0 success,
-1 verification failure (verify-paper), 2 input error (including a ValueError
-raised by the library on an out-of-range argument), 3 resource cap exceeded.
+command keeps its library's default cap. The cap bounds the bounding box of
+nP or n*Omega for points, minkowski and check-equality, checked before any
+work, and the ball for word-ball, boundary and check-boundary, checked per
+element; the other six subcommands accept --cap and ignore it. Exit codes:
+0 success, 1 verification failure (verify-paper), 2 input error (including a
+ValueError raised by the library on an out-of-range argument), 3 resource cap
+exceeded.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ def _cmd_points(args) -> int:
         points = poly.integer_points(args.n, cap=args.cap)
         what = f"integer points in the {args.n}-fold dilation"
     else:
-        points = minkowski_power(poly.integer_points(1, cap=args.cap), args.n)
+        points = minkowski_power(poly.integer_points(1, cap=args.cap), args.n, cap=args.cap)
         what = f"points in the {args.n}-fold Minkowski sum"
     return _emit(
         args,
@@ -250,123 +254,90 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, suppress: bool = False) -> None:
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument(
-        "--pretty",
-        action="store_true",
-        default=default(False),
-        help="human-readable output instead of JSON",
-    )
-    parser.add_argument(
-        "--cap",
-        type=int,
-        default=default(None),
-        help="size cap (default: DEFAULT_BOX_CAP, or DEFAULT_BALL_CAP for group commands)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=default(0), help="seed for randomized verification rows"
-    )
-    parser.add_argument(
-        "--timing",
-        action="store_true",
-        default=default(False),
-        help="include elapsed_ms in JSON reports",
-    )
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # One set of global flag actions serves the main parser and every
+    # subparser. They default to SUPPRESS, so a subparser never resets a flag
+    # given before the subcommand; main parses into a namespace that holds
+    # their defaults. set_defaults on any parser would rewrite the shared
+    # defaults, so none is called for these flags.
+    flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    flags.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
+    flags.add_argument(
+        "--cap", type=int, help="size cap (default: DEFAULT_BOX_CAP, or DEFAULT_BALL_CAP for group commands)"
+    )
+    flags.add_argument("--seed", type=int, help="seed for randomized verification rows")
+    flags.add_argument("--timing", action="store_true", help="include elapsed_ms in JSON reports")
     parser = argparse.ArgumentParser(
         prog="latmink",
         description="Exact lattice-polytope dilations, Minkowski powers, primitive triangulations and word-ball boundaries.",
+        parents=[flags],
     )
-    _add_global_flags(parser)
-    # Subcommands take the global flags too, defaulting to SUPPRESS so that a
-    # flag given before the subcommand is not reset by the subparser.
-    flags = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(flags, suppress=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help, parents=[flags])
+    def command(name: str, help: str, fn, *parents) -> argparse.ArgumentParser:
+        """The subcommand name with handler fn: the global flags, then the
+        arguments of parents."""
+        p = sub.add_parser(name, help=help, parents=[flags, *parents])
+        p.set_defaults(fn=fn)
+        return p
 
-    p = command("points", help="integer points of the n-fold dilation")
-    p.add_argument("polytope")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_points)
+    def pair(first: str, second: str, **kwargs) -> argparse.ArgumentParser:
+        """A parent parser holding the positionals first and second."""
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(first)
+        parent.add_argument(second, **kwargs)
+        return parent
 
-    p = command("minkowski", help="n-fold Minkowski sum of the polytope's integer points")
-    p.add_argument("polytope")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_points)
+    def search_options(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
+        p.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
 
-    p = command("check-equality", help="dilation vs Minkowski power over a range of n")
-    p.add_argument("polytope")
-    p.add_argument("range", help="single n or a..b")
-    p.set_defaults(fn=_cmd_check_equality)
-
-    p = command("decompose", help="write a dilation point as n summands")
+    dilation, ball = pair("polytope", "n", type=int), pair("group", "n", type=int)
+    command("points", "integer points of the n-fold dilation", _cmd_points, dilation)
+    command("minkowski", "n-fold Minkowski sum of the polytope's integer points", _cmd_points, dilation)
+    command(
+        "check-equality",
+        "dilation vs Minkowski power over a range of n",
+        _cmd_check_equality,
+        pair("polytope", "range", help="single n or a..b"),
+    )
+    p = command("decompose", "write a dilation point as n summands", _cmd_decompose, dilation)
     # a point such as -1,2 (or a malformed -1,x) is a positional, not an
     # option: any token that starts with a minus and a digit is
     p._negative_number_matcher = re.compile(r"^-\d")
-    p.add_argument("polytope")
-    p.add_argument("n", type=int)
     p.add_argument(
         "point",
         nargs="+",
         help="integer coordinates, space- or comma-separated (e.g. '-1 2' or 1,2)",
     )
     p.add_argument("--triangulation", help="triangulation file (searched for if omitted)")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
-    p.set_defaults(fn=_cmd_decompose)
-
-    p = command("classify", help="elementary/primitive classification of a simplex")
+    search_options(p)
+    p = command("classify", "elementary/primitive classification of a simplex", _cmd_classify)
     p.add_argument("simplex", help="polytope file with d+1 vertices")
-    p.set_defaults(fn=_cmd_classify)
-
-    p = command("lemma1", help="unimodularity criteria of a square integer matrix")
+    p = command("lemma1", "unimodularity criteria of a square integer matrix", _cmd_lemma1)
     p.add_argument("matrix", help="JSON file with a square integer matrix")
-    p.set_defaults(fn=_cmd_lemma1)
-
-    p = command("validate-triangulation", help="exact validation of a triangulation file")
+    p = command("validate-triangulation", "exact validation of a triangulation file", _cmd_validate_triangulation)
     p.add_argument("triangulation")
-    p.set_defaults(fn=_cmd_validate_triangulation)
-
-    p = command("search-primitive", help="search for a primitive triangulation")
+    p = command("search-primitive", "search for a primitive triangulation", _cmd_search_primitive)
     p.add_argument("polytope")
-    p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-    p.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
-    p.set_defaults(fn=_cmd_search_primitive)
-
-    p = command("word-ball", help="radius-n ball of a group presentation")
-    p.add_argument("group")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_word_ball)
-
-    p = command("boundary", help="boundary of the radius-n ball")
-    p.add_argument("group")
-    p.add_argument("n", type=int)
-    p.set_defaults(fn=_cmd_word_ball)
-
-    p = command("check-boundary", help="ball boundary vs fresh layer over a range of n")
-    p.add_argument("group")
-    p.add_argument("range", help="single n or a..b")
-    p.set_defaults(fn=_cmd_check_boundary)
-
-    p = command("verify-paper", help="run the bundled reproduction suite")
+    search_options(p)
+    command("word-ball", "radius-n ball of a group presentation", _cmd_word_ball, ball)
+    command("boundary", "boundary of the radius-n ball", _cmd_word_ball, ball)
+    command(
+        "check-boundary",
+        "ball boundary vs fresh layer over a range of n",
+        _cmd_check_boundary,
+        pair("group", "range", help="single n or a..b"),
+    )
+    p = command("verify-paper", "run the bundled reproduction suite", _cmd_verify_paper)
     p.add_argument("--quick", action="store_true", help="a smaller run: fewer seeded random polygons and matrices")
-    p.set_defaults(fn=_cmd_verify_paper)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    defaults = argparse.Namespace(pretty=False, cap=None, seed=0, timing=False)
+    args = build_parser().parse_args(argv, defaults)
     args._start = time.monotonic()
     try:
         return args.fn(args)

@@ -33,6 +33,15 @@ class ResourceLimitError(RuntimeError):
     """An enumeration would exceed its configured size cap."""
 
 
+def check_box(los: Sequence[int], his: Sequence[int], cap: int | None = None) -> None:
+    """Raise ResourceLimitError if the box [los, his] holds more than cap
+    (DEFAULT_BOX_CAP when None) integer points."""
+    cap = DEFAULT_BOX_CAP if cap is None else cap
+    count = prod(hi - lo + 1 for lo, hi in zip(los, his))
+    if count > cap:
+        raise ResourceLimitError(f"bounding box has {count} candidate points, cap is {cap}")
+
+
 def as_point(coords: Sequence) -> Point:
     """Validate one integer point: a tuple or list of plain ints (bools are rejected)."""
     if not isinstance(coords, SEQUENCES):
@@ -388,15 +397,12 @@ class LatticePolytope:
         """
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
-        cap = DEFAULT_BOX_CAP if cap is None else cap
         d = self.dim
         if n == 0:
             return PointSet([(0,) * d], d)
         los = [min(n * v[c] for v in self.vertices) for c in self._cols]
         his = [max(n * v[c] for v in self.vertices) for c in self._cols]
-        count = prod(hi - lo + 1 for lo, hi in zip(los, his))
-        if count > cap:
-            raise ResourceLimitError(f"bounding box has {count} candidate points, cap is {cap}")
+        check_box(los, his, cap)
         inside = _line_scan([(a, n * b) for a, b in self._planes], los, his) if los else [()]
         if self.is_full_dimensional:
             return PointSet(inside, d)

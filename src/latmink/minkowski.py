@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import add, sub
 
 from . import linalg
-from .geometry import LatticePolytope, Point, PointSet, as_point
+from .geometry import LatticePolytope, Point, PointSet, as_point, check_box
 from .groups import GroupPresentation, ball_layers, word_ball
 from .triangulation import Triangulation
 
@@ -37,16 +37,20 @@ def _translated_group(s: PointSet) -> GroupPresentation:
     return GroupPresentation.zd(s.dim, [tuple(map(sub, p, t)) for p in s.points])
 
 
-def minkowski_power(s: PointSet, n: int) -> PointSet:
+def minkowski_power(s: PointSet, n: int, cap: int | None = None) -> PointSet:
     """The n-fold Minkowski sum of s with itself; n == 0 gives {0}.
 
-    Read off the word-ball engine through _translated_group, with no ball
-    cap: like minkowski_sum, it computes the whole set whatever its size.
+    Read off the word-ball engine through _translated_group. The cap
+    (DEFAULT_BOX_CAP when None) bounds the bounding box of n*s, which holds
+    the sum: a box over the cap raises ResourceLimitError before any product,
+    so the ball itself needs no cap.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if not s.points:
         return PointSet([(0,) * s.dim] if n == 0 else [], s.dim)
+    columns = list(zip(*s.points))
+    check_box([n * min(c) for c in columns], [n * max(c) for c in columns], cap)
     shift = tuple(n * c for c in s.points[0])
     ball = word_ball(_translated_group(s), n, cap=sys.maxsize)
     return PointSet((tuple(map(add, p, shift)) for p in ball), s.dim)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import latmink
-from latmink import geometry, groups
+from latmink import cli, geometry, groups, minkowski
 from latmink.cli import build_parser, main
 
 
@@ -66,6 +67,27 @@ class TestMinkowski:
         code, doc, _ = run_json(capsys, "minkowski", "unit-square.json", "2")
         assert code == 0
         assert doc["result"]["count"] == 9
+
+    # The box of 9 * unit-square has 10^2 = 100 points, all of them sums.
+    def test_cap_at_the_box_size(self, capsys):
+        code, doc, _ = run_json(capsys, "minkowski", "unit-square", "9", "--cap", "100")
+        assert code == 0 and doc["result"]["count"] == 100
+        code, out, err = run(capsys, "minkowski", "unit-square", "9", "--cap", "99")
+        assert (code, out) == (3, "")
+        assert err == "resource cap exceeded: bounding box has 100 candidate points, cap is 99\n"
+
+    def test_cap_acts_before_any_product(self, capsys, monkeypatch):
+        calls = []
+
+        def counted_word_ball(*args, **kwargs):
+            calls.append(args)
+            return groups.word_ball(*args, **kwargs)
+
+        monkeypatch.setattr(minkowski, "word_ball", counted_word_ball)
+        code, out, err = run(capsys, "minkowski", "unit-square", "300", "--cap", "100")
+        assert (code, out, calls) == (3, "", [])
+        assert err == "resource cap exceeded: bounding box has 90601 candidate points, cap is 100\n"
+        assert run(capsys, "points", "unit-square", "300", "--cap", "100") == (3, "", err)
 
 
 class TestCheckEquality:
@@ -429,6 +451,87 @@ class TestGlobalFlags:
         code, doc, _ = run_json(capsys, "points", "unit-square", "1")
         assert code == 0 and doc["result"]["count"] == 4
         assert "elapsed_ms" not in doc
+
+
+def outcome(capsys, *argv):
+    """(exit code, stdout, stderr) of argv, with the value of elapsed_ms blanked."""
+    code, out, err = run(capsys, *argv)
+    return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": _', out), err
+
+
+class TestFlagPlacement:
+    """A global flag reads the same before the subcommand, after it and on
+    both sides, for every subcommand; on both sides the later value wins."""
+
+    COMMANDS = [
+        ("points", "unit-square", "2"),
+        ("minkowski", "unit-square", "2"),
+        ("check-equality", "unit-square", "1..2"),
+        ("decompose", "unit-square", "2", "1,1"),
+        ("classify", "sigma-3-2"),
+        ("lemma1", "sigma-3-2-matrix"),
+        ("validate-triangulation", "TRIANGULATION"),
+        ("search-primitive", "unit-square"),
+        ("word-ball", "cross-2d", "2"),
+        ("boundary", "cross-2d", "2"),
+        ("check-boundary", "cross-2d", "1..2"),
+    ]
+    FLAGS = [("--pretty",), ("--timing",), ("--cap", "5"), ("--cap", "1000")]
+    DEFAULTS = {"pretty": False, "cap": None, "seed": 0, "timing": False}
+
+    @pytest.fixture
+    def command(self, request, tmp_path):
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps({
+            "polytope": {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+            "simplices": [[[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 1], [1, 1]]],
+        }))
+        return [str(path) if a == "TRIANGULATION" else a for a in request.param]
+
+    @pytest.mark.parametrize("command", COMMANDS, indirect=True, ids=lambda c: c[0])
+    @pytest.mark.parametrize("flag", FLAGS, ids=" ".join)
+    def test_before_after_and_both_sides(self, capsys, command, flag):
+        after = outcome(capsys, *command, *flag)
+        assert outcome(capsys, *flag, *command) == after
+        assert outcome(capsys, *flag, *command, *flag) == after
+
+    @pytest.mark.parametrize("command", COMMANDS, indirect=True, ids=lambda c: c[0])
+    def test_the_later_cap_wins(self, capsys, command):
+        for first, last in [("5", "1000"), ("1000", "5")]:
+            assert outcome(capsys, "--cap", first, *command, "--cap", last) == outcome(
+                capsys, *command, "--cap", last
+            )
+
+    @pytest.mark.parametrize("command", COMMANDS, indirect=True, ids=lambda c: c[0])
+    def test_absent_flags_take_their_defaults(self, capsys, monkeypatch, command):
+        seen, emit = [], cli._emit
+
+        def recorded_emit(args, *rest):
+            seen.append({key: getattr(args, key) for key in self.DEFAULTS})
+            return emit(args, *rest)
+
+        monkeypatch.setattr(cli, "_emit", recorded_emit)
+        code, doc, _ = run_json(capsys, *command)
+        assert code == 0 and "elapsed_ms" not in doc
+        assert seen == [self.DEFAULTS]
+
+    def test_seed_before_after_and_both_sides(self, capsys):
+        after = outcome(capsys, "verify-paper", "--quick", "--seed", "1")
+        assert json.loads(after[1])["inputs"] == {"seed": 1}
+        assert outcome(capsys, "--seed", "1", "verify-paper", "--quick") == after
+        assert outcome(capsys, "--seed", "0", "verify-paper", "--quick", "--seed", "1") == after
+
+    def test_both_search_commands_read_the_search_options(self, capsys):
+        code, doc, _ = run_json(capsys, "search-primitive", "unit-square", "--budget", "1")
+        assert code == 0 and doc["result"]["found"] is False
+        code, _, err = run(capsys, "decompose", "unit-square", "2", "1,1", "--budget", "1")
+        assert code == 2 and "no primitive triangulation found within budget" in err
+        for command in [("search-primitive", "unit-square"), ("decompose", "unit-square", "2", "1,1")]:
+            assert run(capsys, *command, "--point-cap", "3") == (
+                3,
+                "",
+                "resource cap exceeded: polytope has 4 lattice points, point cap is 3\n",
+            )
 
 
 class TestBoxCap:

@@ -23,6 +23,7 @@ from latmink import (
     sigma,
     validate_triangulation,
 )
+from latmink import geometry
 from latmink.triangulation import DEFAULT_POINT_CAP
 from latmink.verify import orthant_fan, symmetric_example_polytope
 
@@ -90,6 +91,16 @@ class TestMinkowskiPower:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             minkowski_power(PointSet([(0,)]), -1)
+
+    def test_cap_bounds_the_box_of_the_sum(self, monkeypatch):
+        # 3 * {(0, 0), (2, 1)} spans the box [0, 6] x [0, 3] of 28 points.
+        s = PointSet([(0, 0), (2, 1)])
+        assert len(minkowski_power(s, 3, cap=28)) == 4
+        with pytest.raises(ResourceLimitError, match="bounding box has 28 candidate points, cap is 27"):
+            minkowski_power(s, 3, cap=27)
+        monkeypatch.setattr(geometry, "DEFAULT_BOX_CAP", 27)
+        with pytest.raises(ResourceLimitError, match="cap is 27"):
+            minkowski_power(s, 3)
 
     @given(st.data(), st.integers(1, 3), st.integers(0, 3))
     @settings(max_examples=60, deadline=None)

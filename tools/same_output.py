@@ -13,7 +13,9 @@ and, in a temporary work directory of its own, runs every command of this list:
   budgets 1, 5 and 25, as JSON and with `--pretty`;
 - `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
 - commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
-  before or after the work it bounds gives the same message.
+  before or after the work it bounds gives the same message;
+- the parser itself: `-h` and `<subcommand> -h` for every subcommand,
+  argparse errors, and global flags placed before or after the subcommand.
 
 Input paths are relative to the work directory, so both roots see the same
 argv. The exit code and digests of stdout and stderr of every command are
@@ -48,9 +50,27 @@ VERIFY_COMMANDS = [
 ]
 CAPPED_COMMANDS = [
     ["points", "unit-square", "300", "--cap", "100"],
+    ["minkowski", "unit-square", "300", "--cap", "100"],
     ["check-equality", "unit-square", "1..300", "--cap", "100"],
     ["check-equality", "unit-square", "300..300", "--cap", "100"],
     ["word-ball", "cross-2d", "300", "--cap", "100"],
+]
+
+SUBCOMMANDS = (
+    "points", "minkowski", "check-equality", "decompose", "classify", "lemma1",
+    "validate-triangulation", "search-primitive", "word-ball", "boundary", "check-boundary", "verify-paper",
+)
+PARSER_COMMANDS = [
+    ["-h"],
+    *([name, "-h"] for name in SUBCOMMANDS),
+    ["points"],
+    ["decompose", "cross-2d", "2"],
+    ["nope"],
+    ["points", "unit-square", "x"],
+    ["--cap"],
+    ["--cap", "100", "points", "unit-square", "300"],
+    ["--seed", "1", "verify-paper", "--quick"],
+    ["points", "unit-square", "2", "--pretty"],
 ]
 
 
@@ -86,7 +106,7 @@ def _run_one(cli, argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
-        except SystemExit as exc:  # argparse rejected the argv
+        except SystemExit as exc:  # argparse printed help or rejected the argv
             code = exc.code
         except Exception:
             code = "raised"
@@ -119,7 +139,7 @@ def digests(root: Path) -> list:
                     run(op.argv, op.after)
         for argv in _dataset_commands(root / "src" / "latmink" / "data"):
             run(argv)
-        for argv in VERIFY_COMMANDS + CAPPED_COMMANDS:
+        for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + PARSER_COMMANDS:
             run(argv)
         os.chdir(HERE)
     return rows
