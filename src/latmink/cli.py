@@ -6,7 +6,8 @@ switches to a human-readable rendering. The global flags (--pretty, --cap,
 command keeps its library's default cap. The cap bounds the bounding box of
 nP or n*Omega for points, minkowski and check-equality, checked before any
 work, and the ball for word-ball, boundary and check-boundary, checked per
-element; the other six subcommands accept --cap and ignore it. Exit codes:
+element; the other six subcommands accept --cap and ignore it. The bounds
+--cap, --budget and --point-cap take positive integers only. Exit codes:
 0 success, 1 verification failure (verify-paper), 2 input error (including a
 ValueError raised by the library on an out-of-range argument), 3 resource cap
 exceeded.
@@ -81,6 +82,17 @@ def _parse_point(text: str) -> tuple[int, ...]:
         raise InputError(f"bad point {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of a bound (--cap, --budget, --point-cap)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _load(name: str, parse):
     """parse(document) for the file or bundled dataset `name`; a ValueError
     becomes an InputError prefixed with the name."""
@@ -99,7 +111,8 @@ def _load_group(name: str):
 
 def _emit(args, inputs: dict, result, pretty_lines) -> int:
     """Print the report of args.command, the JSON form of library objects by
-    serialize.to_json; pretty_lines is read only under --pretty."""
+    serialize.to_json written by serialize.dumps; pretty_lines is read only
+    under --pretty."""
     if args.pretty:
         for line in pretty_lines:
             print(line)
@@ -107,7 +120,7 @@ def _emit(args, inputs: dict, result, pretty_lines) -> int:
     report = serialize.to_json({"command": args.command, "inputs": inputs, "result": result})
     if args.timing:
         report["elapsed_ms"] = int((time.monotonic() - args._start) * 1000)
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(serialize.dumps(report))
     return EXIT_OK
 
 
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     flags.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
     flags.add_argument(
-        "--cap", type=int, help="size cap (default: DEFAULT_BOX_CAP, or DEFAULT_BALL_CAP for group commands)"
+        "--cap", type=_positive_int, help="size cap (default: DEFAULT_BOX_CAP, or DEFAULT_BALL_CAP for group commands)"
     )
     flags.add_argument("--seed", type=int, help="seed for randomized verification rows")
     flags.add_argument("--timing", action="store_true", help="include elapsed_ms in JSON reports")
@@ -290,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         return parent
 
     def search_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=DEFAULT_SEARCH_BUDGET)
-        p.add_argument("--point-cap", type=int, default=DEFAULT_POINT_CAP)
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEARCH_BUDGET)
+        p.add_argument("--point-cap", type=_positive_int, default=DEFAULT_POINT_CAP)
 
     dilation, ball = pair("polytope", "n", type=int), pair("group", "n", type=int)
     command("points", "integer points of the n-fold dilation", _cmd_points, dilation)

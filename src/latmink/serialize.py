@@ -23,6 +23,15 @@ list, `PointSet` or `ElementSet` becomes a list; a `Fraction` becomes "p/q",
 or "p" when integral; a `LatticePolytope`, `LatticeSimplex` (its vertex
 list) or `GroupPresentation` becomes its file form. Any other type raises
 TypeError, so floats and unordered sets never reach a report.
+
+Report text: `dumps` writes that data as the text `json.dumps(data,
+sort_keys=True, indent=2)` writes, byte for byte, for dicts with str keys,
+lists, int, str, bool and None; any other type (a float, a tuple, an int
+subclass, a non-str key) raises TypeError. With an indent the standard
+library encodes in pure Python, element by element. `dumps` instead writes
+each rectangular int array (points, Z^d elements, GL(2, Z) matrices) with
+one %-template filled at C speed. The standard-library form is its test
+oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .geometry import LatticePolytope, PointSet
@@ -164,3 +174,64 @@ def _json(value):
     if is_dataclass(kind):
         return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
     raise TypeError(f"no JSON form for {kind.__name__}")
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def dumps(data) -> str:
+    """The report text of JSON data, by the rule in the module docstring."""
+    # The recursion calls _text, so that a wrapper around this public name
+    # sees one call per report.
+    return _text(data, "\n")
+
+
+def _text(value, newline: str) -> str:
+    # newline is a line break and the indent of value's own line.
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        dims, leaves = _int_array(value)
+        if dims:
+            return _template(dims, newline) % tuple(leaves)
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_text(v, inner) for v in value]) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(key) + ": " + _text(v, inner) for key, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is bool or value is None:
+        return _LITERALS[value]
+    raise TypeError(f"no report text for {kind.__name__}")
+
+
+def _int_array(value: list):
+    """The dimensions and the leaves, in order, of a non-empty rectangular
+    array of plain ints nested in lists; (None, None) for anything else. Each
+    level is read with a few passes at C speed."""
+    dims, leaves = [len(value)], value
+    while True:
+        kinds = set(map(type, leaves))
+        if kinds == {int}:
+            return dims, leaves
+        lengths = set(map(len, leaves)) if kinds == {list} else ()
+        if len(lengths) != 1:
+            return None, None
+        dims.append(lengths.pop())
+        leaves = list(chain.from_iterable(leaves))
+
+
+def _template(dims: list, newline: str) -> str:
+    """The text of an int array of these dimensions at this indent, with a
+    %d for each leaf."""
+    inner = newline + "  "
+    item = _template(dims[1:], inner) if len(dims) > 1 else "%d"
+    return "[" + inner + ("," + inner).join([item] * dims[0]) + newline + "]"

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -453,6 +454,48 @@ class TestGlobalFlags:
         assert "elapsed_ms" not in doc
 
 
+class TestBounds:
+    """--cap, --budget and --point-cap take positive integers only: argparse
+    rejects 0 and -1 (exit 2), and 1 reaches the command."""
+
+    COMMANDS = {
+        "--cap": ("points", "unit-square", "1"),
+        "--budget": ("search-primitive", "unit-square"),
+        "--point-cap": ("search-primitive", "unit-square"),
+    }
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("flag", COMMANDS)
+    def test_non_positive_is_a_usage_error(self, capsys, flag, value):
+        command = self.COMMANDS[flag]
+        with pytest.raises(SystemExit) as exc:
+            main([*command, flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"latmink {command[0]}: error: argument {flag}: must be a positive integer, got {value}"
+        )
+
+    def test_non_integer_keeps_the_int_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--cap", "x", "points", "unit-square", "1"])
+        assert capsys.readouterr().err.splitlines()[-1] == "latmink: error: argument --cap: invalid int value: 'x'"
+
+    def test_one_is_accepted(self, capsys):
+        assert run(capsys, "points", "unit-square", "1", "--cap", "1") == (
+            3,
+            "",
+            "resource cap exceeded: bounding box has 4 candidate points, cap is 1\n",
+        )
+        code, doc, _ = run_json(capsys, "search-primitive", "unit-square", "--budget", "1")
+        assert code == 0 and doc["result"]["found"] is doc["result"]["exhausted"] is False
+        assert run(capsys, "search-primitive", "unit-square", "--point-cap", "1") == (
+            3,
+            "",
+            "resource cap exceeded: polytope has 4 lattice points, point cap is 1\n",
+        )
+
+
 def outcome(capsys, *argv):
     """(exit code, stdout, stderr) of argv, with the value of elapsed_ms blanked."""
     code, out, err = run(capsys, *argv)
@@ -643,3 +686,33 @@ class TestReportBytes:
   }
 }
 """
+
+
+class TestNoReferenceCycles:
+    COMMANDS = [
+        ("points", "sigma-3-2", "3"),
+        ("minkowski", "cross-2d", "3"),
+        ("check-equality", "unit-square", "1..2"),
+        ("decompose", "unit-square", "2", "1,1"),
+        ("classify", "sigma-3-3"),
+        ("lemma1", "sigma-3-2-matrix"),
+        ("search-primitive", "unit-square"),
+        ("word-ball", "gl2z-swap-shear", "3"),
+        ("boundary", "cross-2d", "2"),
+        ("check-boundary", "cross-2d", "1..3"),
+    ]
+
+    def test_reports_leave_no_garbage_for_the_collector(self, capsys):
+        """Every object an emitted report makes is freed by reference
+        counting, so a long-running caller does not wait on the collector."""
+        for command in self.COMMANDS:  # warm up: parser, imports, caches
+            assert main(list(command)) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for command in self.COMMANDS:
+                assert main(list(command)) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert capsys.readouterr().err == ""

@@ -1,3 +1,5 @@
+import enum
+import json
 import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
@@ -218,3 +220,90 @@ class TestReportRule:
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError):
             serialize.to_json(value)
+
+
+def oracle_dumps(data) -> str:
+    """The report text by the standard library's pure-Python indent encoder,
+    the form `serialize.dumps` replaces."""
+    return json.dumps(data, sort_keys=True, indent=2)
+
+
+# Report-shaped JSON data: dicts keyed by text with quotes, backslashes,
+# control and non-ASCII characters; rectangular int arrays of depth 1-3 (as
+# points, Z^d elements and GL(2, Z) matrices come out of to_json), some with
+# a bool or None in place of one leaf; ragged and empty lists; ints of many
+# machine words.
+_ints = st.integers() | st.integers(-(2**200), 2**200)
+_text = st.text(st.characters(max_codepoint=0x1F600) | st.sampled_from('"\\\x00\x1f\x7f\n\té☃\U0001f600'), max_size=6)
+_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+
+
+@st.composite
+def _int_arrays(draw, leaves=_ints):
+    def array(dims):
+        if not dims:
+            return draw(leaves)
+        return [array(dims[1:]) for _ in range(dims[0])]
+
+    return array(draw(_shapes))
+
+
+_mixed_leaves = st.one_of(_ints, _ints, _ints, st.booleans(), st.none())
+_report_data = st.recursive(
+    st.one_of(_ints, st.booleans(), st.none(), _text, _int_arrays(), _int_arrays(_mixed_leaves)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestReportText:
+    @settings(max_examples=400, deadline=None)
+    @given(data=_report_data)
+    def test_matches_the_stdlib_oracle(self, data):
+        assert serialize.dumps(data) == oracle_dumps(data)
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [], {}, [[], []], [[1]], [[[1]]], [[[-1, 2], [3, 4]]], [1, True], [[1, 2], [3, True]],
+            [[0, None], [0, 1]], [[1, 2], [3]], [[1, [2]], [3, 4]], {"a": {}, "b": [[]]}, -(2**130),
+            {'"\\\x00é': [False, None, "\n"]},
+        ],
+        ids=repr,
+    )
+    def test_pinned_shapes(self, data):
+        assert serialize.dumps(data) == oracle_dumps(data)
+
+    def test_true_stays_true_in_an_int_array(self):
+        assert serialize.dumps([[1, True]]) == "[\n  [\n    1,\n    true\n  ]\n]"
+
+    def test_library_reports(self):
+        square = cube(2)
+        search = search_primitive_triangulation(square)
+        gl2z = GroupPresentation("gl2z", gl2z_swap_shear_generators())
+        for value in [
+            square.integer_points(3),
+            check_equality_range(LatticePolytope(sigma(3, 2).vertices), range(1, 3)),
+            check_boundary_equality_range(gl2z, range(1, 3)),
+            decompose(square, search.triangulation, 2, (1, 2)),
+            validate_triangulation(search.triangulation),
+            search,
+            gl2z,
+        ]:
+            data = serialize.to_json({"result": value})
+            assert serialize.dumps(data) == oracle_dumps(data)
+
+    class Int(int):
+        pass
+
+    class Flag(enum.IntEnum):
+        ON = 1
+
+    @pytest.mark.parametrize(
+        "data",
+        [0.5, [1, 2.0], {1, 2}, (1, 2), [[1, 2], (3, 4)], Int(3), [Int(3)], [Flag.ON], {1: 2}, {"a": {None: 1}}],
+        ids=repr,
+    )
+    def test_other_types_rejected(self, data):
+        with pytest.raises(TypeError):
+            serialize.dumps(data)

@@ -14,6 +14,11 @@ and, in a temporary work directory of its own, runs every command of this list:
 - `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
 - commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
   before or after the work it bounds gives the same message;
+- large and deeply nested reports (thousands of points, GL(2, Z) matrices),
+  the int arrays that `serialize.dumps` writes from one template each;
+- each bound (`--cap`, `--budget`, `--point-cap`) at -1, 0 and 1; at 0 and
+  -1 the parser exits 2, so these commands differ against a checkout whose
+  parser still takes non-positive bounds;
 - the parser itself: `-h` and `<subcommand> -h` for every subcommand,
   argparse errors, and global flags placed before or after the subcommand.
 
@@ -54,6 +59,20 @@ CAPPED_COMMANDS = [
     ["check-equality", "unit-square", "1..300", "--cap", "100"],
     ["check-equality", "unit-square", "300..300", "--cap", "100"],
     ["word-ball", "cross-2d", "300", "--cap", "100"],
+]
+LARGE_COMMANDS = [
+    ["points", "sigma-3-2", "30"],
+    ["word-ball", "gl2z-swap-shear", "6"],
+    ["minkowski", "cross-2d", "8"],
+]
+BOUND_COMMANDS = [
+    [*command, flag, value]
+    for flag, command in [
+        ("--cap", ["points", "unit-square", "1"]),
+        ("--budget", ["search-primitive", "unit-square"]),
+        ("--point-cap", ["search-primitive", "unit-square"]),
+    ]
+    for value in ("-1", "0", "1")
 ]
 
 SUBCOMMANDS = (
@@ -139,7 +158,7 @@ def digests(root: Path) -> list:
                     run(op.argv, op.after)
         for argv in _dataset_commands(root / "src" / "latmink" / "data"):
             run(argv)
-        for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + PARSER_COMMANDS:
+        for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
         os.chdir(HERE)
     return rows
