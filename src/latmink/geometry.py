@@ -257,6 +257,13 @@ class PointSet:
         self.dim = len(self.points[0]) if self.points else dim
         self._members = frozenset(self.points)
 
+    @classmethod
+    def _canonical(cls, points: tuple, dim: int) -> "PointSet":
+        """The set of points, a tuple that as_points(points, dim) returns unchanged."""
+        self = cls.__new__(cls)
+        self.points, self.dim, self._members = points, dim, frozenset(points)
+        return self
+
     def __contains__(self, point) -> bool:
         try:
             return tuple(point) in self._members
@@ -405,7 +412,7 @@ class LatticePolytope:
         check_box(los, his, cap)
         inside = _line_scan([(a, n * b) for a, b in self._planes], los, his) if los else [()]
         if self.is_full_dimensional:
-            return PointSet(inside, d)
+            return PointSet._canonical(tuple(inside), d)  # the scan's points are distinct and in lex order
         return PointSet(filter(None, (self._lift(y, n) for y in inside)), d)
 
     def dilate(self, n: int) -> "LatticePolytope":

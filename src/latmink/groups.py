@@ -6,9 +6,15 @@ determinant +-1, stored as nested tuples). The generating set must contain
 the identity, so the ball of radius n equals the set of words of length
 exactly n. All interior/boundary notions use left multiplication.
 
-Balls come from one engine, ball_layers, which streams each ball with its
-fresh layer and multiplies only that layer. word_ball, the boundary checks
-and minkowski.minkowski_power (over Z^d, after a translation) all read it.
+Balls come from one engine, BallCodec.layers, which streams each ball with
+its fresh layer and multiplies only that layer, over encoded elements. A Z^d
+point is one int in balanced radix B = 2R + 1, first coordinate most
+significant; R = (radius + 1) * max|g| covers a ball and the interior test
+w*a on it, cap * max|g| a bare stream (a radius-n ball with a nonzero
+generator has n + 1 elements or more), and R >= 1. On the box |x_i| <= R the
+code is an injective homomorphism, ordered as lex order: a product is one int
+addition, and sorted codes decode in canonical order, only where a caller
+returns elements. GL(2, Z) matrices stay tuples, multiplied inline.
 
 Whether a given generating set actually generates the whole group as a
 semigroup is not verified (undecidable at this level of machinery for matrix
@@ -20,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .geometry import SEQUENCES, LatticePolytope, ResourceLimitError, as_point
 
@@ -43,6 +49,13 @@ class ElementSet:
         items = sorted(set(elements))
         self.elements = tuple(items)
         self._members = frozenset(items)
+
+    @classmethod
+    def _canonical(cls, items: tuple) -> "ElementSet":
+        """The set of items, a tuple already distinct and in canonical order."""
+        self = cls.__new__(cls)
+        self.elements, self._members = items, frozenset(items)
+        return self
 
     def __contains__(self, x) -> bool:
         return x in self._members
@@ -122,66 +135,108 @@ class GroupPresentation:
 
     def mul(self, a, b):
         """Group product a * b."""
-        if self.kind == KIND_ZD:
-            return tuple(map(add, a, b))
-        return (
-            (
-                a[0][0] * b[0][0] + a[0][1] * b[1][0],
-                a[0][0] * b[0][1] + a[0][1] * b[1][1],
-            ),
-            (
-                a[1][0] * b[0][0] + a[1][1] * b[1][0],
-                a[1][0] * b[0][1] + a[1][1] * b[1][1],
-            ),
-        )
+        return tuple(map(add, a, b)) if self.kind == KIND_ZD else _gl2z_products((b,), (a,))[0]
 
     def __repr__(self) -> str:
         where = f"Z^{self.dim}" if self.kind == KIND_ZD else "GL(2,Z)"
         return f"GroupPresentation({where}, {len(self.generators)} generators)"
 
 
+def _gl2z_products(elements: Iterable[Matrix2], gens: Sequence[Matrix2]) -> list[Matrix2]:
+    """BallCodec.products for GL(2, Z), each generator's four entries read once."""
+    entries = [(p, q, r, s) for (p, q), (r, s) in gens]
+    return [((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
+            for (a, b), (c, d) in elements for p, q, r, s in entries]
+
+
+class BallCodec:
+    """The ball engine over a group's encoded elements (see the module
+    docstring), with bound = extent + (radius + 1) * max|g|, at least 1, for
+    extent the largest coordinate of members. encode and decode map lists of
+    elements and codes; products(xs, gens) lists g * x for each x of xs and,
+    within it, each g of gens in order."""
+
+    def __init__(self, group: GroupPresentation, radius: int, members: Iterable = ()):
+        gens = group.generators.elements
+        if group.kind == KIND_ZD:
+            extent = max((abs(c) for x in members for c in x), default=0)
+            bound = max(1, extent + (radius + 1) * max(abs(c) for g in gens for c in g))
+            base = 2 * bound + 1
+            weights = [base**i for i in reversed(range(group.dim))]
+            offset = bound * sum(weights)  # code + offset has the digits x_i + bound, all in 0..2 * bound
+
+            def encode(xs: Sequence[tuple[int, ...]]) -> list[int]:
+                codes = [0] * len(xs)
+                for w, column in zip(weights, zip(*xs)):
+                    codes = [c + w * x for c, x in zip(codes, column)]
+                return codes
+
+            self.encode = encode
+            self.decode = lambda codes: zip(*[[(c + offset) // w % base - bound for c in codes] for w in weights])
+            self.products = lambda codes, by: [x + w for x in codes for w in by]
+        else:
+            self.encode, self.decode, self.products = list, iter, _gl2z_products
+        [self.identity] = self.encode([group.identity])
+        self.generators = tuple(self.encode(gens))
+
+    def elements(self, codes: Iterable) -> ElementSet:
+        """The decoded elements of codes: sorted codes decode in canonical order."""
+        return ElementSet._canonical(tuple(self.decode(sorted(codes))))
+
+    def layers(self, cap: int | None = None) -> Iterator[tuple[set, set]]:
+        """Yield (ball(n), layer(n)) as sets of codes for n = 0, 1, 2, ...; ball(n)
+        is the engine's own set: read it before advancing. The identity generator
+        gives ball(n) = ball(n-1) | S*layer(n-1), so each round multiplies only
+        the fresh layer; the cap (DEFAULT_BALL_CAP when None) is checked as each
+        new element arrives."""
+        cap = DEFAULT_BALL_CAP if cap is None else cap
+        ball, layer = {self.identity}, {self.identity}
+        while True:
+            yield ball, layer
+            layer = set(self.products(layer, self.generators)) - ball
+            for x in layer:
+                if len(ball) >= cap:
+                    raise ResourceLimitError(f"word ball exceeded {cap} elements")
+                ball.add(x)
+
+    def interior(self, codes: set) -> set:
+        """The codes a with w*a in codes for every generator w, the one interior
+        rule: products come in runs of one per generator."""
+        items = list(codes)
+        hits = map(codes.__contains__, self.products(items, self.generators))
+        return set(itertools.compress(items, map(all, zip(*[hits] * len(self.generators)))))
+
+
 def ball_layers(group: GroupPresentation, cap: int | None = None) -> Iterator[tuple[frozenset, tuple]]:
     """Yield (ball(n), layer(n)) for n = 0, 1, 2, ...: the radius-n ball as a
-    frozenset and its fresh layer ball(n) minus ball(n-1) as a tuple.
-
-    The identity generator gives ball(n) = ball(n-1) | S*layer(n-1), so each
-    round multiplies only the fresh layer. The cap (DEFAULT_BALL_CAP when
-    None) is checked as each new element arrives.
-    """
+    frozenset and its fresh layer ball(n) minus ball(n-1) as a tuple in
+    canonical order, decoded from BallCodec.layers. The codes take radius
+    cap - 1 (DEFAULT_BALL_CAP when None): the module docstring says why."""
     cap = DEFAULT_BALL_CAP if cap is None else cap
-    ball, layer = {group.identity}, (group.identity,)
-    while True:
+    codec, ball = BallCodec(group, cap - 1), set()
+    for _, codes in codec.layers(cap):
+        layer = codec.elements(codes).elements
+        ball.update(layer)
         yield frozenset(ball), layer
-        fresh = []
-        for a in layer:
-            for w in group.generators.elements:
-                x = group.mul(w, a)
-                if x not in ball:
-                    if len(ball) >= cap:
-                        raise ResourceLimitError(f"word ball exceeded {cap} elements")
-                    ball.add(x)
-                    fresh.append(x)
-        layer = tuple(fresh)
 
 
 def word_ball(group: GroupPresentation, n: int, cap: int | None = None) -> ElementSet:
     """All products of at most n generators (the radius-n word-metric ball).
 
-    The n-th ball of ball_layers; the identity generator makes the balls
+    The n-th ball of BallCodec.layers; the identity generator makes the balls
     increasing, so length "at most n" and "exactly n" coincide.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    ball, _ = next(itertools.islice(ball_layers(group, cap), n, None))
-    return ElementSet(ball)
+    codec = BallCodec(group, n)
+    ball, _ = next(itertools.islice(codec.layers(cap), n, None))
+    return codec.elements(ball)
 
 
 def omega_interior(group: GroupPresentation, subset: ElementSet) -> ElementSet:
     """Elements a of the subset with every left translate w*a in the subset."""
-    gens = group.generators.elements
-    return ElementSet(
-        a for a in subset.elements if all(group.mul(w, a) in subset for w in gens)
-    )
+    codec = BallCodec(group, 0, subset)
+    return codec.elements(codec.interior(set(codec.encode(subset.elements))))
 
 
 def omega_boundary(group: GroupPresentation, subset: ElementSet) -> ElementSet:
@@ -213,19 +268,20 @@ def check_boundary_equality_range(
     group: GroupPresentation, ns: range, cap: int | None = None
 ) -> list[BoundaryReport]:
     """check_boundary_equality for every n in ns, in increasing order, read
-    off one ball_layers stream: rhs is the stream's fresh layer."""
+    off one BallCodec.layers stream: rhs is the stream's fresh layer, and
+    only the two differences are decoded."""
     if ns and min(ns) < 1:
         raise ValueError("n must be >= 1")
-    reports = []
-    for n, (ball, layer) in zip(range(max(ns, default=-1) + 1), ball_layers(group, cap)):
+    top, reports = max(ns, default=-1), []
+    codec = BallCodec(group, top)
+    for n, (ball, layer) in zip(range(top + 1), codec.layers(cap)):
         if n not in ns:
             continue
-        rhs = ElementSet(layer)
-        lhs = omega_boundary(group, ElementSet(ball))
-        lhs_minus_rhs = lhs.difference(rhs)
+        lhs = ball - codec.interior(ball)
+        lhs_minus_rhs = codec.elements(lhs - layer)
         if len(lhs_minus_rhs) != 0:
             raise RuntimeError("internal inconsistency: boundary escaped the fresh layer")
-        rhs_minus_lhs = rhs.difference(lhs)
+        rhs_minus_lhs = codec.elements(layer - lhs)
         reports.append(BoundaryReport(n, len(rhs_minus_lhs) == 0, lhs_minus_rhs, rhs_minus_lhs))
     return reports
 

@@ -6,7 +6,9 @@ module decides whether the two sets coincide, produces the lex-least missing
 point as a witness when they do not, and constructively decomposes integer
 points of nP into n summands from Omega via a primitive triangulation.
 n*Omega comes from the word-ball engine of groups, over Z^d after a
-translation; minkowski_sum is the direct pairwise form.
+translation by t, the lex-least point of Omega: the equality test looks each
+point p of nP up by code(p) - code(n*t) among the int codes of the ball, so
+no sum is decoded; minkowski_sum is the direct pairwise form.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import add, sub
 
 from . import linalg
 from .geometry import LatticePolytope, Point, PointSet, as_point, check_box
-from .groups import GroupPresentation, ball_layers, word_ball
+from .groups import BallCodec, GroupPresentation, word_ball
 from .triangulation import Triangulation
 
 
@@ -82,22 +84,23 @@ def check_equality_range(
     poly: LatticePolytope, ns: range, cap: int | None = None
 ) -> list[EqualityReport]:
     """check_equality for every n in ns, in increasing order, reading n*Omega
-    off one ball_layers stream of _translated_group(Omega). The box cap bounds
+    off one BallCodec stream of _translated_group(Omega). The box cap bounds
     each dilation nP, which holds n*Omega, so the stream needs no cap: nP is
     taken before the stream is advanced to n, and a box over the cap stops
     the run before its ball is built."""
     if ns and min(ns) < 1:
         raise ValueError("n must be >= 1")
     omega = poly.integer_points(1, cap=cap)
-    layers = enumerate(ball_layers(_translated_group(omega), cap=sys.maxsize))
-    reports = []
+    codec = BallCodec(_translated_group(omega), max(ns, default=0))
+    [t_code] = codec.encode(omega.points[:1])
+    layers, reports = enumerate(codec.layers(cap=sys.maxsize)), []
     for n in sorted(ns):
         full = poly.integer_points(n, cap=cap)
         for k, (ball, _) in layers:
             if k == n:
                 break
-        shift = tuple(n * c for c in omega.points[0])
-        missing = [p for p in full.points if tuple(map(sub, p, shift)) not in ball]
+        shift = n * t_code  # the code of n*t: codes are additive
+        missing = [p for p, c in zip(full.points, codec.encode(full.points)) if c - shift not in ball]
         if len(full) - len(missing) != len(ball):
             raise RuntimeError("internal inconsistency: sums escaped the dilation")
         reports.append(EqualityReport(n, not missing, missing[0] if missing else None))

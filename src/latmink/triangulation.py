@@ -488,8 +488,9 @@ def search_primitive_triangulation(
     the candidates not chosen whose apex is on the other side (`_opposite`)
     of the complex's lex-least open facet (one owner, not on P's boundary).
     A branch is one node of the budget, and is taken when the candidate
-    meets every chosen simplex face-to-face. Deterministic; exhaustion of
-    the candidate space proves that no primitive triangulation exists.
+    meets every chosen simplex face-to-face; a search stopped by the budget
+    reports nodes == budget. Deterministic; exhaustion of the candidate
+    space proves that no primitive triangulation exists.
     """
     if not poly.is_full_dimensional:
         raise ValueError("search requires a full-dimensional polytope")
@@ -530,9 +531,9 @@ def search_primitive_triangulation(
         else:
             branches = [c for c in candidates if poly.vertices[0] in c.vertices]
         for t in branches:
-            nodes += 1
-            if nodes > budget:
+            if nodes >= budget:
                 raise _Budget
+            nodes += 1
             if all(face_to_face(u, t) for u in chosen):
                 grown = {f: owners.get(f, []) + owned for f, owned in _facet_owners([t]).items()}
                 result = extend(chosen + (t,), {**owners, **grown})

@@ -200,6 +200,11 @@ def brute_force_word_ball(group, n: int) -> ElementSet:
     return ElementSet(ball)
 
 
+def brute_force_boundary(group, subset: ElementSet) -> ElementSet:
+    """Elements a of subset with some left translate w*a outside it, by tuple products."""
+    return ElementSet(a for a in subset if any(_product(w, a) not in subset for w in group.generators))
+
+
 def folded_minkowski_power(s: PointSet, n: int) -> PointSet:
     """n-fold Minkowski sum as n folds of minkowski_sum, starting from {0}."""
     acc = PointSet([(0,) * s.dim], s.dim)

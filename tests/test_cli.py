@@ -207,6 +207,15 @@ class TestSearchAndValidate:
         assert not doc["result"]["found"]
         assert doc["result"]["exhausted"]
 
+    @pytest.mark.parametrize("name, budget", [("unit-square", 1), ("cross-3d", 5)])
+    def test_budget_stop_reports_the_budget(self, capsys, name, budget):
+        # a search stopped by the budget took exactly budget nodes
+        code, doc, _ = run_json(capsys, "search-primitive", name, "--budget", str(budget))
+        assert code == 0
+        assert doc["result"] == {"exhausted": False, "found": False, "nodes": budget, "triangulation": None}
+        code, out, _ = run(capsys, "--pretty", "search-primitive", name, "--budget", str(budget))
+        assert (code, out) == (0, f"no primitive triangulation found within budget ({budget} nodes)\n")
+
     def test_validate_malformed(self, capsys, tmp_path):
         bad = {
             "polytope": {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]},

@@ -21,7 +21,7 @@ from latmink import (
     unimodular_criteria,
     validate_triangulation,
 )
-from latmink.geometry import affine_dim, as_point
+from latmink.geometry import affine_dim, as_point, as_points
 from latmink.verify import orthant_fan
 
 from conftest import (
@@ -457,6 +457,17 @@ class TestLineScan:
         p = hull(pts)
         assume(box_size(p, n) <= 3000)
         assert p.integer_points(n) == box_scan_points(p, n)
+
+    @given(lattice_clouds(), st.integers(0, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_output_is_already_canonical(self, pts, n):
+        # integer_points skips as_points on the scan's output: it must already
+        # be distinct plain-int tuples of the right length in lex order
+        p = hull(pts)
+        assume(box_size(p, n) <= 3000)
+        got = p.integer_points(n)
+        assert list(got.points) == as_points(got.points, p.dim)
+        assert all(type(x) is tuple and all(type(c) is int for c in x) for x in got.points)
 
     @pytest.mark.parametrize("name", [*LOWER_DIMENSIONAL, *ZERO_LAST_COEFFICIENT])
     def test_named_polytopes(self, name):

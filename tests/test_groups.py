@@ -1,7 +1,8 @@
 import itertools
+from operator import add
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from latmink import (
@@ -22,10 +23,10 @@ from latmink import (
     word_ball,
     zd_presentation_from_polytope,
 )
-from latmink.groups import GL2Z_IDENTITY, as_gl2z
+from latmink.groups import GL2Z_IDENTITY, BallCodec, BoundaryReport, as_gl2z
 from latmink.verify import random_lattice_polygon, symmetric_example_polytope
 
-from conftest import brute_force_word_ball
+from conftest import brute_force_boundary, brute_force_word_ball
 
 import random
 
@@ -181,15 +182,19 @@ class TestBallEngine:
     def test_cap_fires_before_a_full_round(self, gl2z, monkeypatch):
         # Only elements already in the ball get multiplied, so fewer than
         # |S| * cap products are formed before the cap fires. Multiplying the
-        # whole ball each round would form 20,922 here.
+        # whole ball each round would form 20,922 here. The products are
+        # counted at the engine's product step.
+        from latmink import groups
+
         calls = [0]
-        mul = GroupPresentation.mul
+        products = groups._gl2z_products
 
-        def counting_mul(self, a, b):
-            calls[0] += 1
-            return mul(self, a, b)
+        def counting_products(elements, gens):
+            formed = products(elements, gens)
+            calls[0] += len(formed)
+            return formed
 
-        monkeypatch.setattr(GroupPresentation, "mul", counting_mul)
+        monkeypatch.setattr(groups, "_gl2z_products", counting_products)
         with pytest.raises(ResourceLimitError):
             word_ball(gl2z, 40, cap=2000)
         assert 0 < calls[0] < len(gl2z.generators) * 2000
@@ -268,6 +273,126 @@ class TestCheckBoundaryEquality:
 
     def test_empty_range(self, gl2z):
         assert check_boundary_equality_range(gl2z, range(3, 3)) == []
+
+
+@st.composite
+def codec_cases(draw):
+    """A Z^d group (d <= 5, generator coordinates in -3..3, possibly all 0), a
+    radius, and the bound R = (radius + 1) * max|g| (at least 1) of its codes."""
+    d = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=4))
+    group = GroupPresentation.zd(d, [(0,) * d] + gens)
+    radius = draw(st.integers(0, 6))
+    size = max(abs(c) for g in group.generators for c in g)
+    return group, radius, max(1, (radius + 1) * size)
+
+
+def box_points(d, bound):
+    """Points of the box |x_i| <= bound, with coordinates of exactly +-bound often."""
+    coordinate = st.one_of(st.sampled_from([-bound, bound]), st.integers(-bound, bound))
+    return st.tuples(*[coordinate] * d)
+
+
+class TestBallCodec:
+    """Z^d codes: an injective, order-preserving homomorphism on the box |x_i| <= R."""
+
+    @given(codec_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_encode_is_additive(self, case, data):
+        group, radius, bound = case
+        codec = BallCodec(group, radius)
+        x, y = data.draw(box_points(group.dim, bound)), data.draw(box_points(group.dim, bound))
+        assert codec.encode([tuple(map(add, x, y))]) == [sum(codec.encode([x, y]))]
+
+    @given(codec_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_injective_and_lex_ordered_on_the_box(self, case, data):
+        group, radius, bound = case
+        codec = BallCodec(group, radius)
+        x, y = data.draw(box_points(group.dim, bound)), data.draw(box_points(group.dim, bound))
+        cx, cy = codec.encode([x, y])
+        assert (cx == cy) == (x == y)
+        assert (cx < cy) == (x < y)
+
+    @given(codec_cases(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_decode_inverts_encode(self, case, data):
+        group, radius, bound = case
+        codec = BallCodec(group, radius)
+        points = data.draw(st.lists(box_points(group.dim, bound), max_size=8))
+        corners = list(itertools.product((-bound, bound), repeat=group.dim))
+        for pts in (points, corners):
+            decoded = list(codec.decode(codec.encode(pts)))
+            assert decoded == pts
+            assert all(type(x) is tuple and all(type(c) is int for c in x) for x in decoded)
+
+    @given(codec_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_the_box_is_exactly_the_bound(self, case):
+        # one step past the box, a point shares its code with a point inside
+        group, radius, bound = case
+        assume(group.dim >= 2)
+        codec = BallCodec(group, radius)
+        zeros = (0,) * (group.dim - 2)
+        outside, inside = codec.encode([zeros + (0, bound + 1), zeros + (1, -bound)])
+        assert outside == inside
+
+    @pytest.mark.parametrize("d", range(1, 6))
+    def test_all_zero_generators(self, d):
+        group = GroupPresentation.zd(d, [(0,) * d])
+        codec = BallCodec(group, 7)
+        assert codec.generators == (codec.identity,) == (0,)
+        corners = list(itertools.product((-1, 1), repeat=d))  # the bound is 1
+        assert list(codec.decode(sorted(codec.encode(corners)))) == corners
+        assert [len(ball) for ball, _ in itertools.islice(ball_layers(group, cap=1), 5)] == [1] * 5
+
+    @given(codec_cases(), st.integers(1, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_bare_stream_bound(self, case, cap):
+        # a ball of radius n with a nonzero generator has at least n + 1
+        # elements, so the stream stops by radius cap, inside the bound cap * max|g|
+        group, _, _ = case
+        assume(len(group.generators) > 1)
+        size = max(abs(c) for g in group.generators for c in g)
+        corners = list(itertools.product((-cap * size, cap * size), repeat=group.dim))
+        codec = BallCodec(group, cap - 1)
+        assert list(codec.decode(sorted(codec.encode(corners)))) == corners
+        previous = set()
+        with pytest.raises(ResourceLimitError):
+            for n, (ball, layer) in zip(range(cap + 1), ball_layers(group, cap)):
+                expected = brute_force_word_ball(group, n)
+                assert ball == set(expected)
+                assert layer == tuple(x for x in expected if x not in previous)
+                previous = ball
+
+
+class TestCodedAgainstTupleOracles:
+    """Coded boundaries against tuple products over the oracle balls."""
+
+    @given(st.one_of(zd_groups(), gl2z_groups, codec_cases().map(lambda case: case[0])), st.integers(1, 3), st.integers(0, 2))
+    @settings(max_examples=80, deadline=None)
+    def test_boundary_reports(self, group, lo, extra):
+        assume(len(brute_force_word_ball(group, lo + extra)) <= 3000)
+        for r in check_boundary_equality_range(group, range(lo, lo + extra + 1)):
+            ball = brute_force_word_ball(group, r.n)
+            fresh = ball.difference(brute_force_word_ball(group, r.n - 1))
+            boundary = brute_force_boundary(group, ball)
+            rhs_minus_lhs = fresh.difference(boundary)
+            assert r == BoundaryReport(r.n, len(rhs_minus_lhs) == 0, boundary.difference(fresh), rhs_minus_lhs)
+
+    @given(st.one_of(zd_groups(), codec_cases().map(lambda case: case[0])), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_boundary_of_any_subset(self, group, data):
+        # not a ball: the codes must cover the subset's own coordinates
+        subset = ElementSet(data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * group.dim), max_size=30)))
+        boundary = brute_force_boundary(group, subset)
+        assert omega_boundary(group, subset) == boundary
+        assert omega_interior(group, subset) == subset.difference(boundary)
+
+    @given(st.lists(st.sampled_from(_small_gl2z()), max_size=10).map(ElementSet), gl2z_groups)
+    @settings(max_examples=40, deadline=None)
+    def test_gl2z_boundary_of_any_subset(self, subset, group):
+        assert omega_boundary(group, subset) == brute_force_boundary(group, subset)
 
 
 class TestInclusionChains:

@@ -196,18 +196,35 @@ class TestCheckEquality:
             assert r.witness == (missing[0] if missing else None)
             assert r == check_equality(poly, r.n)
 
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=7),
+        st.integers(1, 3),
+        st.integers(0, 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_polygon_reports_match_folded_sums(self, pts, lo, extra):
+        # the coded lookup code(p) - code(n * t) against tuple sums, with
+        # negative coordinates, segments and points among the polygons
+        poly = hull(pts)
+        omega = poly.integer_points(1)
+        for r in check_equality_range(poly, range(lo, lo + extra + 1)):
+            power = folded_minkowski_power(omega, r.n)
+            missing = [p for p in poly.integer_points(r.n) if p not in power]
+            assert r.holds == (not missing)
+            assert r.witness == (missing[0] if missing else None)
+
     def test_box_cap_checked_before_the_ball(self, monkeypatch, unit_square):
         from latmink import minkowski
 
         layers = []
-        real = minkowski.ball_layers
+        real = minkowski.BallCodec.layers
 
         def counted(*args, **kwargs):
             for layer in real(*args, **kwargs):
                 layers.append(len(layer[0]))
                 yield layer
 
-        monkeypatch.setattr(minkowski, "ball_layers", counted)
+        monkeypatch.setattr(minkowski.BallCodec, "layers", counted)
         with pytest.raises(ResourceLimitError, match="^bounding box has 90601 candidate points, cap is 100$"):
             check_equality_range(unit_square, range(300, 301), cap=100)
         assert len(layers) <= 1
