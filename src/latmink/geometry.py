@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, isfinite, lcm, prod
-from operator import floordiv, sub
+from operator import floordiv, mul, sub
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -84,20 +84,19 @@ def as_rational_point(coords: Sequence) -> RationalPoint:
 
 
 def dot(a: Sequence, b: Sequence):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def edge_rows(points: Sequence[Point]) -> list[list[int]]:
     """The rows p - points[0] for the points p after the first."""
-    base = points[0]
-    return [[x - b for x, b in zip(p, base)] for p in points[1:]]
+    return [list(map(sub, p, points[0])) for p in points[1:]]
 
 
 def plane_through(points: Sequence[Point], inside: Sequence[int], scale: int = 1) -> tuple[Point, int]:
     """The primitive (normal, offset) of the hyperplane through d affinely
     independent points of Z^d, oriented so that inside / scale lies beneath
     it: <normal, inside> <= scale * offset."""
-    normal = linalg.primitive_vector(linalg.cofactor_normal(edge_rows(points), len(points[0])))
+    normal = linalg.Echelon(edge_rows(points)).normal(len(points[0]))
     offset = dot(normal, points[0])
     if dot(normal, inside) > scale * offset:
         return tuple(-x for x in normal), -offset
@@ -114,19 +113,13 @@ def affine_dim(points: Sequence[Point]) -> int:
 def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
     """Indices of affinely independent points spanning the affine hull.
 
-    Greedy from the first point: point i joins when its edge row from
-    points[0] is independent of those kept. The echelon of the kept edge
-    rows has pivot columns on which the affine hull projects bijectively.
+    Greedy from the first point: point i joins when its edge row from points[0]
+    is independent of those kept, until they have full rank. The echelon of the
+    kept edge rows has pivot columns on which the affine hull projects bijectively.
     """
-    dim = len(points[0])
-    chosen = [0]
     echelon = linalg.Echelon()
-    for i, row in enumerate(edge_rows(points), 1):
-        if echelon.add(row):
-            chosen.append(i)
-            if len(chosen) > dim:
-                break
-    return chosen, echelon
+    rows = enumerate(edge_rows(points), 1)
+    return [0] + [i for i, row in rows if len(echelon.rows) < len(row) and echelon.add(row)], echelon
 
 
 class _Face:
@@ -401,6 +394,9 @@ class LatticePolytope:
         point whose `_lift` to the affine hull is integral. n == 0 yields {0}
         by convention. Boxes of more than cap (DEFAULT_BOX_CAP when None)
         candidates raise ResourceLimitError before any line is scanned.
+        The lifts keep the scan's points distinct and in lex order: the echelon pivots
+        `_cols` lead as many independent directions of the affine hull as its dimension,
+        so they are all its leading columns: two of its points first differ at one of them.
         """
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
@@ -411,9 +407,9 @@ class LatticePolytope:
         his = [max(n * v[c] for v in self.vertices) for c in self._cols]
         check_box(los, his, cap)
         inside = _line_scan([(a, n * b) for a, b in self._planes], los, his) if los else [()]
-        if self.is_full_dimensional:
-            return PointSet._canonical(tuple(inside), d)  # the scan's points are distinct and in lex order
-        return PointSet(filter(None, (self._lift(y, n) for y in inside)), d)
+        if not self.is_full_dimensional:
+            inside = filter(None, (self._lift(y, n) for y in inside))
+        return PointSet._canonical(tuple(inside), d)
 
     def dilate(self, n: int) -> "LatticePolytope":
         """The polytope with every vertex scaled by n (n >= 0)."""
@@ -434,15 +430,16 @@ class LatticePolytope:
         """
         if not self.is_full_dimensional:
             raise ValueError("triangulation requires a full-dimensional polytope")
-        apex = self.vertices[0]
-        cones = ((apex,) + face for face in self._faces)
+        cones = ((self.vertices[0],) + face for face in self._faces)
         return tuple(cone for cone in cones if linalg.det_int(edge_rows(cone)))
 
     def volume(self) -> Fraction:
-        """Exact Euclidean d-volume (full-dimensional polytopes only): the
-        |det| of the edge rows of each `fan_simplices` cone, summed, over d!."""
-        total = sum(abs(linalg.det_int(edge_rows(cone))) for cone in self.fan_simplices())
-        return Fraction(total, factorial(self.dim))
+        """Exact Euclidean d-volume (full-dimensional polytopes only): the |det| of the edge
+        rows of every cone of `fan_simplices` over `_faces`, flat ones too (they add 0), over d!."""
+        if not self.is_full_dimensional:
+            raise ValueError("volume requires a full-dimensional polytope")
+        cones = ((self.vertices[0],) + face for face in self._faces)
+        return Fraction(sum(abs(linalg.det_int(edge_rows(cone))) for cone in cones), factorial(self.dim))
 
     def __eq__(self, other) -> bool:
         return (

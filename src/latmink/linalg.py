@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 IntVector = tuple[int, ...]
 
@@ -50,9 +51,11 @@ class Echelon:
 
     __slots__ = ("rows", "pivots")
 
-    def __init__(self):
+    def __init__(self, rows: Iterable[Sequence[int]] = ()):
         self.rows: list[IntVector] = []
         self.pivots: list[int] = []
+        for row in rows:
+            self.add(row)
 
     def add(self, row: Sequence[int]) -> bool:
         """Reduce row against the kept rows; keep it and return True if independent."""
@@ -69,11 +72,26 @@ class Echelon:
                 return True
         return False
 
+    def normal(self, dim: int) -> IntVector:
+        """A primitive vector n orthogonal to the kept rows, zero unless dim-1 rows were kept.
+        n starts as the free column's unit vector; each kept row, last first, scales n by a/g and
+        sets n[pivot] = -s/g (a = row[pivot], s = <row, n>, g = gcd(a, s): a/g, s/g are coprime)."""
+        if len(self.rows) != dim - 1:
+            return (0,) * dim
+        n = [int(j not in self.pivots) for j in range(dim)]
+        for col, row in zip(reversed(self.pivots), reversed(self.rows)):
+            a, s = row[col], sum(map(mul, row, n))
+            if s:
+                g = gcd(a, s)
+                n = [x * (a // g) for x in n]
+                n[col] = -s // g
+        return tuple(n)
 
-def rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix."""
+
+def rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix; no row is added once the rank is the column count."""
     echelon = Echelon()
-    return sum(echelon.add(row) for row in rows)
+    return sum(echelon.add(row) for row in rows if len(echelon.rows) < len(row))
 
 
 def primitive_vector(v: Sequence[int]) -> IntVector:
@@ -82,21 +100,6 @@ def primitive_vector(v: Sequence[int]) -> IntVector:
     if g <= 1:
         return tuple(v)
     return tuple(x // g for x in v)
-
-
-def cofactor_normal(rows: Sequence[Sequence[int]], dim: int) -> IntVector:
-    """Integer vector orthogonal to dim-1 given row vectors of length dim.
-
-    Entry j is (-1)^j times the minor obtained by deleting column j; the zero
-    vector signals linear dependence. For dim == 1 (no rows) this is (1,).
-    """
-    if len(rows) != dim - 1:
-        raise ValueError("need exactly dim-1 rows")
-    normal = []
-    for j in range(dim):
-        minor = [[row[i] for i in range(dim) if i != j] for row in rows]
-        normal.append((-1) ** j * det_int(minor))
-    return tuple(normal)
 
 
 def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -5,8 +5,9 @@ membership by LP instead of the hull, facets by trying every vertex subset,
 integer points by testing every point of the bounding box (by LP, or against
 every facet) instead of one interval per line, volumes by pyramids over
 brute-force facets, fans by recursing into a fresh hull of every facet instead
-of reading the hull's boundary, determinants by permutation expansion, word
-balls by multiplying the whole ball each round, Minkowski powers by folding
+of reading the hull's boundary, determinants by permutation expansion,
+hyperplane normals by d cofactor minors instead of one echelon, word balls by
+multiplying the whole ball each round, Minkowski powers by folding
 minkowski_sum, triangulations by an exact LP and an intersection-vertex test
 (exact Fraction solves) on every pair of simplices.
 """
@@ -40,6 +41,21 @@ def solve_exact(matrix, rhs) -> tuple | None:
     return tuple(row[n] for row in a)
 
 
+def cofactor_normal(rows, dim: int) -> tuple:
+    """Integer vector orthogonal to dim-1 given row vectors of length dim.
+
+    Entry j is (-1)^j times the minor obtained by deleting column j; the zero
+    vector signals linear dependence. For dim == 1 (no rows) this is (1,).
+    """
+    if len(rows) != dim - 1:
+        raise ValueError("need exactly dim-1 rows")
+    normal = []
+    for j in range(dim):
+        minor = [[row[i] for i in range(dim) if i != j] for row in rows]
+        normal.append((-1) ** j * linalg.det_int(minor))
+    return tuple(normal)
+
+
 def lp_vertices(points) -> tuple:
     """Vertices by exact LP: a point is kept when it is outside the hull of the others."""
     pts = sorted(set(map(tuple, points)))
@@ -69,7 +85,7 @@ def brute_force_facets(vertices) -> list:
     for subset in itertools.combinations(vertices, d):
         base = subset[0]
         rows = [[q[i] - base[i] for i in range(d)] for q in subset[1:]]
-        normal = linalg.cofactor_normal(rows, d)
+        normal = cofactor_normal(rows, d)
         if not any(normal):
             continue  # affinely dependent subset
         normal = linalg.primitive_vector(normal)
@@ -284,7 +300,7 @@ def pairwise_face_to_face(a, b) -> bool:
         shared = sorted(common)
         base = shared[0]
         rows = [[q[i] - base[i] for i in range(a.dim)] for q in shared[1:]]
-        normal = linalg.cofactor_normal(rows, a.dim)
+        normal = cofactor_normal(rows, a.dim)
         offset = dot(normal, base)
         apex_a = next(v for v in a.vertices if v not in common)
         apex_b = next(v for v in b.vertices if v not in common)

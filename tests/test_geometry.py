@@ -21,13 +21,15 @@ from latmink import (
     unimodular_criteria,
     validate_triangulation,
 )
-from latmink.geometry import affine_dim, as_point, as_points
+from latmink import linalg
+from latmink.geometry import affine_dim, as_point, as_points, dot, edge_rows, plane_through
 from latmink.verify import orthant_fan
 
 from conftest import (
     box_scan_points,
     brute_force_facets,
     brute_force_integer_points,
+    cofactor_normal,
     lp_contains,
     lp_vertices,
     oracle_volume,
@@ -47,15 +49,15 @@ points_3d = st.lists(
 
 
 @st.composite
-def lattice_clouds(draw, max_dim=4):
+def lattice_clouds(draw, max_dim=4, min_dim=1, max_directions=None):
     """Points base + sum c_j * u_j for small integer coefficients c_j.
 
     With fewer directions u_j than coordinates the cloud is lower
     dimensional; coefficient grids put many points on common facets and
     edges, and repeated coefficients give duplicate points.
     """
-    d = draw(st.integers(1, max_dim))
-    k = draw(st.integers(0, d))
+    d = draw(st.integers(min_dim, max_dim))
+    k = draw(st.integers(0, d if max_directions is None else max_directions))
     coord = st.integers(-2, 2)
     base = draw(st.tuples(*[coord] * d))
     dirs = [draw(st.tuples(*[coord] * d)) for _ in range(k)]
@@ -312,6 +314,37 @@ class TestFacets:
             flat.facets
 
 
+@st.composite
+def lattice_simplices(draw):
+    """d+1 affinely independent points of Z^d, d = 1..5."""
+    d = draw(st.integers(1, 5))
+    pts = draw(st.lists(st.tuples(*[st.integers(-6, 6)] * d), min_size=d + 1, max_size=d + 1))
+    assume(linalg.det_int(edge_rows(pts)) != 0)
+    return pts
+
+
+class TestPlaneThrough:
+    """plane_through against the oriented primitive plane of the cofactor oracle."""
+
+    @staticmethod
+    def oracle_plane(points, inside, scale=1):
+        normal = linalg.primitive_vector(cofactor_normal(edge_rows(points), len(points[0])))
+        offset = dot(normal, points[0])
+        if dot(normal, inside) > scale * offset:
+            return tuple(-x for x in normal), -offset
+        return normal, offset
+
+    @given(lattice_simplices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_on_simplex_facets(self, pts, data):
+        omit = data.draw(st.integers(0, len(pts) - 1))
+        rest = pts[:omit] + pts[omit + 1 :]
+        assert plane_through(rest, pts[omit]) == self.oracle_plane(rest, pts[omit])
+        # the beneath-beyond call: (d+1) times the centroid, at scale d+1
+        inner = [sum(col) for col in zip(*pts)]
+        assert plane_through(rest, inner, len(pts)) == self.oracle_plane(rest, inner, len(pts))
+
+
 class TestContains:
     def test_square_half_half(self, unit_square):
         assert unit_square.contains((Fraction(1, 2), Fraction(1, 2)))
@@ -468,6 +501,18 @@ class TestLineScan:
         got = p.integer_points(n)
         assert list(got.points) == as_points(got.points, p.dim)
         assert all(type(x) is tuple and all(type(c) is int for c in x) for x in got.points)
+
+    @given(lattice_clouds(min_dim=3, max_directions=2), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_lifted_output_is_already_canonical(self, pts, n):
+        # segments and polygons in Z^3 and Z^4: the lifts of the scan's points
+        # are canonical as they come, so as_points is skipped there too
+        p = hull(pts)
+        assume(0 < p.affine_dim < p.dim and box_size(p, n) <= 3000)
+        got = p.integer_points(n)
+        assert list(got.points) == as_points(got.points, p.dim)
+        assert all(type(x) is tuple and all(type(c) is int for c in x) for x in got.points)
+        assert got == box_scan_points(p, n)
 
     @pytest.mark.parametrize("name", [*LOWER_DIMENSIONAL, *ZERO_LAST_COEFFICIENT])
     def test_named_polytopes(self, name):

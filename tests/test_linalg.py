@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from latmink import linalg
 
-from conftest import solve_exact
+from conftest import cofactor_normal, solve_exact
 
 
 def det_by_permutation_expansion(rows):
@@ -96,6 +96,20 @@ class TestRank:
         assert linalg.rank([[0, 0]]) == 0
         assert linalg.rank([]) == 0
 
+    def test_stops_at_full_column_rank(self, monkeypatch):
+        added = []
+        add = linalg.Echelon.add
+        monkeypatch.setattr(linalg.Echelon, "add", lambda self, row: added.append(row) or add(self, row))
+        assert linalg.rank([[1, 1], [2, 2], [0, 1], [3, 4], [5, 6]]) == 2
+        assert added == [[1, 1], [2, 2], [0, 1]]
+
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d), max_size=6)
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_hermite_normal_form(self, rows):
+        assert linalg.rank(rows) == len(linalg.hermite_normal_form(rows))
+
 
 class TestPrimitiveVector:
     def test_examples(self):
@@ -105,28 +119,50 @@ class TestPrimitiveVector:
         assert linalg.primitive_vector((5,)) == (1,)
 
 
-class TestCofactorNormal:
+entries = st.one_of(st.integers(-4, 4), st.integers(-(10**6), 10**6))
+
+
+@st.composite
+def normal_rows(draw):
+    """d-1 rows of length d (d = 1..6); some are integer combinations of the
+    rows before them, so the set is dependent and its normal is zero."""
+    d = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(d - 1):
+        if rows and draw(st.integers(0, 4)) == 0:
+            coeffs = [draw(st.integers(-3, 3)) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=d, max_size=d)))
+    return d, rows
+
+
+class TestEchelonNormal:
+    """Echelon.normal against the cofactor minors of the conftest oracle."""
+
     def test_dimension_one(self):
-        assert linalg.cofactor_normal([], 1) == (1,)
+        assert linalg.Echelon().normal(1) == (1,)
+        assert cofactor_normal([], 1) == (1,)
 
     def test_plane_normal(self):
-        assert linalg.cofactor_normal([[1, 0, 0], [0, 1, 0]], 3) == (0, 0, 1)
+        assert linalg.Echelon([[1, 0, 0], [0, 1, 0]]).normal(3) == (0, 0, 1)
+        assert cofactor_normal([[1, 0, 0], [0, 1, 0]], 3) == (0, 0, 1)
 
-    @given(
-        st.integers(2, 4).flatmap(
-            lambda d: st.lists(
-                st.lists(st.integers(-4, 4), min_size=d, max_size=d),
-                min_size=d - 1,
-                max_size=d - 1,
-            )
-        )
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_orthogonal_to_rows(self, rows):
-        d = len(rows) + 1
-        normal = linalg.cofactor_normal(rows, d)
+    def test_dependent_rows_give_zero(self):
+        assert linalg.Echelon([[1, 2, 3], [-2, -4, -6]]).normal(3) == (0, 0, 0)
+        assert linalg.Echelon([[0, 0, 0, 0], [1, 0, 0, 1], [2, 0, 0, 2]]).normal(4) == (0, 0, 0, 0)
+        assert linalg.Echelon([[1, 0], [0, 1]]).normal(2) == (0, 0)
+
+    @given(normal_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cofactor_oracle_up_to_sign(self, case):
+        d, rows = case
+        got = linalg.Echelon(rows).normal(d)
+        expected = linalg.primitive_vector(cofactor_normal(rows, d))
+        assert got in (expected, tuple(-x for x in expected))
+        assert linalg.primitive_vector(got) == got
         for row in rows:
-            assert sum(a * b for a, b in zip(normal, row)) == 0
+            assert sum(a * b for a, b in zip(got, row)) == 0
 
 
 def in_row_lattice(hnf_rows, vector):
