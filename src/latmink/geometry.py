@@ -3,10 +3,12 @@
 A lattice polytope is stored by its irredundant integer vertex list and its
 facet inequalities, both found in one beneath-beyond convex hull pass in
 integer arithmetic (Barber, Dobkin and Huhdanpaa, "The Quickhull algorithm
-for convex hulls", ACM TOMS 1996). A lower-dimensional polytope is hulled
-in coordinates onto which its affine hull projects bijectively. All queries
--- membership, integer point enumeration, volume -- are exact: coordinates
-are Python ints and derived scalars are fractions.Fraction.
+for convex hulls", ACM TOMS 1996) that keeps each ridge's two faces: the
+faces a new point sees are found by a flood from one of them, and a new
+face's plane combines the two planes at its horizon ridge. A lower-dimensional
+polytope is hulled in coordinates onto which its affine hull projects
+bijectively. All queries -- membership, integer point enumeration, volume --
+are exact: coordinates are Python ints and derived scalars are fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, isfinite, lcm, prod
+from math import factorial, gcd, isfinite, lcm, prod
 from operator import floordiv, mul, sub
 from typing import Iterable, Sequence
 
@@ -149,13 +151,20 @@ def _beneath_beyond(
     boundary of the placing triangulation of pts in the order the points
     were added: a triangulation of the hull's boundary whose corners may
     include boundary points that are not vertices.
+
+    Before each flood, `ridges` is brought to map each ridge (a face less one
+    index) to its two faces; a hull that is its start simplex builds none. The
+    faces the eye sees triangulate the hull's shadow from it, so a flood from
+    the eye's face finds them, testing only them and their neighbours. A horizon
+    ridge parts a seen face g, s_g = <n_g, eye> - c_g > 0, from a hidden face h,
+    s_h <= 0: the plane s_g (n_h, c_h) - s_h (n_g, c_g) holds the ridge and the
+    eye and has `inner` beneath it, as g and h do, so over the gcd of its normal
+    it is the plane `plane_through` would give. Seen faces in creation order and
+    horizon ridges by seen face, then in `combinations` order, keep a scan's order.
     """
     k = len(pts[0])
     # (k+1) times the centroid of the start simplex: strictly inside the hull
     inner = [sum(pts[i][j] for i in simplex) for j in range(k)]
-
-    def make_face(verts: tuple[int, ...]) -> _Face:
-        return _Face(verts, plane_through([pts[i] for i in verts], inner, k + 1))
 
     def assign(indices: Iterable[int], faces: Sequence[_Face]) -> None:
         for i in indices:
@@ -165,26 +174,42 @@ def _beneath_beyond(
                     face.outside.append(i)
                     break
 
-    start = [make_face(tuple(i for i in simplex if i != omit)) for omit in simplex]
-    alive = dict.fromkeys(start)  # an insertion-ordered set, so the work done is deterministic
+    start = [_Face(verts, plane_through([pts[i] for i in verts], inner, k + 1))
+             for verts in (tuple(i for i in simplex if i != omit) for omit in simplex)]
+    serials = itertools.count()
+    alive = dict(zip(start, serials))  # face -> creation serial, in creation order
     members = set(simplex)
     assign((i for i in range(len(pts)) if i not in members), start)
     pending = [face for face in start if face.outside]
+    ridges: dict[tuple[int, ...], list[_Face]] = {}
+    new = start  # the faces not yet in `ridges`
     while pending:
         face = pending.pop()
         if face not in alive:
             continue
+        for f in new:
+            for ridge in itertools.combinations(f.verts, k - 1):
+                ridges.setdefault(ridge, []).append(f)
         eye = max(face.outside, key=lambda i: dot(face.normal, pts[i]))
         p = pts[eye]
-        visible = [g for g in alive if dot(g.normal, p) > g.offset]
-        ridges: dict[tuple[int, ...], int] = {}
+        slack, visible, horizon, new = {face: dot(face.normal, p) - face.offset}, [face], [], []
         for g in visible:
-            del alive[g]
             for ridge in itertools.combinations(g.verts, k - 1):
-                ridges[ridge] = ridges.get(ridge, 0) + 1
-        # the horizon: ridges of exactly one visible face
-        new = [make_face(tuple(sorted(r + (eye,)))) for r, seen in ridges.items() if seen == 1]
-        alive.update(dict.fromkeys(new))
+                pair = ridges.pop(ridge, (g, g))  # (g, g): a ridge of two seen faces, met again
+                h = pair[pair[0] is g]
+                if h not in slack and slack.setdefault(h, dot(h.normal, p) - h.offset) > 0:
+                    visible.append(h)
+                if slack[h] <= 0:
+                    horizon.append((alive[g], ridge, g, h, slack[g], slack[h]))
+        visible.sort(key=alive.pop)  # each seen face leaves alive, giving its serial as key
+        for _, ridge, g, h, sg, sh in sorted(horizon):
+            normal = [sg * b - sh * a for a, b in zip(g.normal, h.normal)]
+            offset, div = sg * h.offset - sh * g.offset, gcd(*normal)
+            if not div or dot(normal, inner) >= (k + 1) * offset:
+                raise RuntimeError("internal inconsistency: a horizon plane is not outward")
+            new.append(_Face(tuple(sorted(ridge + (eye,))), (tuple(x // div for x in normal), offset // div)))
+            ridges[ridge] = [h]
+        alive.update(zip(new, serials))
         assign((i for g in visible for i in g.outside if i != eye), new)
         pending.extend(g for g in new if g.outside)
 

@@ -6,7 +6,9 @@ integer points by testing every point of the bounding box (by LP, or against
 every facet) instead of one interval per line, volumes by pyramids over
 brute-force facets, fans by recursing into a fresh hull of every facet instead
 of reading the hull's boundary, determinants by permutation expansion,
-hyperplane normals by d cofactor minors instead of one echelon, word balls by
+hyperplane normals by d cofactor minors instead of one echelon, the
+beneath-beyond hull by testing every face for visibility and building every
+face's plane from its points instead of flooding ridges, word balls by
 multiplying the whole ball each round, Minkowski powers by folding
 minkowski_sum, triangulations by an exact LP and an intersection-vertex test
 (exact Fraction solves) on every pair of simplices.
@@ -18,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from latmink import ElementSet, LatticePolytope, PointSet, classify_simplex, linalg, lp, minkowski_sum
-from latmink.geometry import as_point, as_rational_point, dot
+from latmink.geometry import _Face, as_point, as_rational_point, dot, plane_through
 from latmink.triangulation import TriangulationReport
 
 
@@ -54,6 +56,60 @@ def cofactor_normal(rows, dim: int) -> tuple:
         minor = [[row[i] for i in range(dim) if i != j] for row in rows]
         normal.append((-1) ** j * linalg.det_int(minor))
     return tuple(normal)
+
+
+def scan_beneath_beyond(pts, simplex) -> tuple:
+    """geometry._beneath_beyond with no face adjacency: each added point tests
+    every alive face for visibility, the horizon is the ridges of exactly one
+    visible face, and each new face's plane comes from its points by
+    plane_through. Returns the same (vertices, planes, faces)."""
+    k = len(pts[0])
+    inner = [sum(pts[i][j] for i in simplex) for j in range(k)]
+
+    def make_face(verts):
+        return _Face(verts, plane_through([pts[i] for i in verts], inner, k + 1))
+
+    def assign(indices, faces):
+        for i in indices:
+            p = pts[i]
+            for face in faces:
+                if dot(face.normal, p) > face.offset:
+                    face.outside.append(i)
+                    break
+
+    start = [make_face(tuple(i for i in simplex if i != omit)) for omit in simplex]
+    alive = dict.fromkeys(start)
+    members = set(simplex)
+    assign((i for i in range(len(pts)) if i not in members), start)
+    pending = [face for face in start if face.outside]
+    while pending:
+        face = pending.pop()
+        if face not in alive:
+            continue
+        eye = max(face.outside, key=lambda i: dot(face.normal, pts[i]))
+        p = pts[eye]
+        visible = []
+        for g in alive:  # a loop, not a comprehension: the tests count these dots by their frame
+            if dot(g.normal, p) > g.offset:
+                visible.append(g)
+        ridges = {}
+        for g in visible:
+            del alive[g]
+            for ridge in itertools.combinations(g.verts, k - 1):
+                ridges[ridge] = ridges.get(ridge, 0) + 1
+        new = [make_face(tuple(sorted(r + (eye,)))) for r, seen in ridges.items() if seen == 1]
+        alive.update(dict.fromkeys(new))
+        assign((i for g in visible for i in g.outside if i != eye), new)
+        pending.extend(g for g in new if g.outside)
+
+    planes = set()
+    normals_at = {}
+    for face in alive:
+        planes.add((face.normal, face.offset))
+        for i in face.verts:
+            normals_at.setdefault(i, set()).add(face.normal)
+    vertices = sorted(i for i, normals in normals_at.items() if len(normals) >= k and linalg.rank(normals) == k)
+    return vertices, sorted(planes), [face.verts for face in alive]
 
 
 def lp_vertices(points) -> tuple:

@@ -1,5 +1,10 @@
 import gc
+import itertools
+import random
+import sys
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +17,7 @@ from latmink import (
     PointSet,
     ResourceLimitError,
     Triangulation,
+    classify_simplex,
     cross_polytope,
     cube,
     decompose,
@@ -21,10 +27,20 @@ from latmink import (
     unimodular_criteria,
     validate_triangulation,
 )
-from latmink import linalg
-from latmink.geometry import affine_dim, as_point, as_points, dot, edge_rows, plane_through
+from latmink import geometry, linalg
+from latmink.geometry import (
+    _affine_frame,
+    _beneath_beyond,
+    affine_dim,
+    as_point,
+    as_points,
+    dot,
+    edge_rows,
+    plane_through,
+)
 from latmink.verify import orthant_fan
 
+import conftest
 from conftest import (
     box_scan_points,
     brute_force_facets,
@@ -35,6 +51,7 @@ from conftest import (
     oracle_volume,
     pairwise_validate_triangulation,
     recursive_fan_simplices,
+    scan_beneath_beyond,
 )
 
 points_2d = st.lists(
@@ -279,6 +296,156 @@ class TestHullOracles:
         assert tri.vertices == ((0, 0, 0, 0), (0, 2, 1, -1), (2, 0, 1, 1))
         for n in (1, 2):
             assert tri.integer_points(n) == brute_force_integer_points(tri, n)
+
+
+def hull_pass(points):
+    """The (pts, simplex) that LatticePolytope hands to _beneath_beyond, or None for a point."""
+    pts = as_points(points)
+    simplex, echelon = _affine_frame(pts)
+    if len(simplex) == 1:
+        return None
+    cols = sorted(echelon.pivots)
+    return (pts if len(cols) == len(pts[0]) else [tuple(p[c] for c in cols) for p in pts]), simplex
+
+
+def cross_cloud(seed, d, count):
+    """The recipe of the benchmark's hull clouds: the 2d vertices of a cross-polytope of
+    radius r, random points of l1 norm above r up to 2d + 2 outer points, and interior
+    points of l1 norm below r up to count points, shuffled."""
+    rng, r = random.Random(seed), {2: 5, 3: 3, 4: 3}[d]
+    outer = [tuple(s * r if j == i else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
+    while len(outer) < 2 * d + 2:
+        p = tuple(rng.randint(-r, r) for _ in range(d))
+        if sum(map(abs, p)) > r and p not in outer:
+            outer.append(p)
+    pool = [p for p in itertools.product(range(-r + 1, r), repeat=d) if sum(map(abs, p)) < r]
+    points = outer + rng.sample(pool, count - len(outer))
+    rng.shuffle(points)
+    return points
+
+
+def parallelotope(matrix):
+    """lemma1's parallelotope: the sums of every subset of the matrix's columns."""
+    cols = list(zip(*matrix))
+    subsets = (chosen for n in range(len(cols) + 1) for chosen in itertools.combinations(cols, n))
+    return [tuple(map(sum, zip((0,) * len(cols), *chosen))) for chosen in subsets]
+
+
+TWICE_CROSS_4 = cross_polytope(4).dilate(2).vertices
+HULL_CASES = {
+    "segment": [(0,), (5,), (2,), (-3,), (2,)],
+    "segment in Z^3": [(4, 4, 4), (0, 0, 0), (8, 8, 8), (-4, -4, -4)],
+    "2 cross(4) and its edge midpoints": sorted(
+        {tuple((a + b) // 2 for a, b in zip(u, v)) for u in TWICE_CROSS_4 for v in TWICE_CROSS_4}
+    ),
+    "lemma1 parallelotope 2": parallelotope([[2, -1], [1, 3]]),
+    "lemma1 parallelotope 3": parallelotope([[1, 2, -3], [0, 1, 2], [3, -1, 1]]),
+    "lemma1 parallelotope 4": parallelotope([[1, 0, 2, -1], [0, 1, 1, 1], [-2, 1, 0, 3], [1, 1, -1, 0]]),
+    "4-D cloud": cross_cloud(3, 4, 22),
+    "3-D cloud": cross_cloud(5, 3, 20),
+}
+
+
+class TestBeneathBeyond:
+    """The flooding hull pass against the scan of every face (`scan_beneath_beyond`),
+    and the work it does: plane_through only on the start simplex, every other plane
+    from the pencil of a horizon ridge, and visibility tests near the eye only."""
+
+    @given(st.one_of(lattice_clouds(), midpoint_clouds(), points_2d, points_3d))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scan_oracle(self, pts):
+        run = hull_pass(pts)
+        assume(run is not None)
+        assert _beneath_beyond(*run) == scan_beneath_beyond(*run)
+
+    @pytest.mark.parametrize("name", HULL_CASES)
+    def test_matches_scan_oracle_on_named_clouds(self, name):
+        run = hull_pass(HULL_CASES[name])
+        assert _beneath_beyond(*run) == scan_beneath_beyond(*run)
+
+    @given(st.one_of(lattice_clouds(), midpoint_clouds()))
+    @settings(max_examples=100, deadline=None)
+    def test_planes_from_the_pencil(self, pts):
+        # plane_through makes the k + 1 start faces; every face's stored plane,
+        # the pencil's included, is the plane plane_through gives for its points
+        run = hull_pass(pts)
+        assume(run is not None)
+        work, simplex = run
+        k = len(work[0])
+        inner = [sum(work[i][j] for i in simplex) for j in range(k)]
+        faces, calls = [], []
+
+        class Recorded(geometry._Face):
+            def __init__(self, verts, plane):
+                super().__init__(verts, plane)
+                faces.append(self)
+
+        def counted(*args):
+            calls.append(args)
+            return plane_through(*args)
+
+        with mock.patch.object(geometry, "_Face", Recorded), mock.patch.object(geometry, "plane_through", counted):
+            _beneath_beyond(work, simplex)
+        assert len(calls) == k + 1
+        for face in faces:
+            assert (face.normal, face.offset) == plane_through([work[i] for i in face.verts], inner, k + 1)
+
+    def test_start_simplex_builds_no_ridge_map(self):
+        # the ridge map is built from itertools.combinations of the faces, and only
+        # once some point lies outside the start simplex
+        made = []
+        combinations = itertools.combinations
+
+        def counted(*args):
+            made.append(args)
+            return combinations(*args)
+
+        with mock.patch.object(itertools, "combinations", counted):
+            for d in (2, 3, 4):
+                for m in (1, 3):
+                    classify_simplex(sigma(d, m))
+            LatticePolytope(LOWER_DIMENSIONAL["triangle in Z^4"])
+            assert made == []
+            LatticePolytope(parallelotope([[2, -1], [1, 3]]))
+        assert made
+
+    def test_flood_tests_fewer_faces_than_a_scan(self, monkeypatch):
+        # visibility tests are the dots the hull functions make in their own frame
+        # with a point as second argument (the guard dots against `inner`, a list)
+        tests = Counter()
+
+        def counted(a, b):
+            tests[sys._getframe(1).f_code.co_name] += type(b) is tuple
+            return dot(a, b)
+
+        monkeypatch.setattr(geometry, "dot", counted)
+        monkeypatch.setattr(conftest, "dot", counted)
+        run = hull_pass(HULL_CASES["4-D cloud"])
+        assert _beneath_beyond(*run) == scan_beneath_beyond(*run)
+        assert (tests["_beneath_beyond"], tests["scan_beneath_beyond"]) == (85, 110)
+
+    def test_guard_on_a_bad_horizon_plane(self):
+        # start planes turned inward give a pencil plane with `inner` beyond it; a gcd of 0 stands for a zero normal
+        def flipped(points, inside, scale=1):
+            normal, offset = plane_through(points, inside, scale)
+            return tuple(-x for x in normal), -offset
+
+        pts = [(0, 0), (4, 0), (0, 4), (5, 5), (-1, 2), (2, -3)]
+        for name, fake in (("plane_through", flipped), ("gcd", lambda *normal: 0)):
+            with mock.patch.object(geometry, name, fake):
+                with pytest.raises(RuntimeError, match="internal inconsistency"):
+                    LatticePolytope(pts)
+
+    def test_leaves_no_reference_cycles(self):
+        # faces point at no face, so the ridge map frees with the hull pass
+        gc.disable()
+        try:
+            gc.collect()
+            for points in HULL_CASES.values():
+                LatticePolytope(points)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFacets:
