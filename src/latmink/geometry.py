@@ -309,7 +309,7 @@ class PointSet:
 
     def difference(self, other: "PointSet") -> "PointSet":
         self._check_dim(other)
-        return PointSet((p for p in self.points if p not in other._members), self.dim)
+        return PointSet._canonical(tuple(p for p in self.points if p not in other._members), self.dim)
 
     def issubset(self, other: "PointSet") -> bool:
         self._check_dim(other)

@@ -13,8 +13,9 @@ significant; R = (radius + 1) * max|g| covers a ball and the interior test
 w*a on it, cap * max|g| a bare stream (a radius-n ball with a nonzero
 generator has n + 1 elements or more), and R >= 1. On the box |x_i| <= R the
 code is an injective homomorphism, ordered as lex order: a product is one int
-addition, and sorted codes decode in canonical order, only where a caller
-returns elements. GL(2, Z) matrices stay tuples, multiplied inline.
+addition. A GL(2, Z) matrix is the flat tuple (a, b, c, d), not an int: a
+radix would grow as (max row norm)^(radius + 1). Both codes sort as their
+elements do, so sorted codes decode in canonical order, only where returned.
 
 Whether a given generating set actually generates the whole group as a
 semigroup is not verified (undecidable at this level of machinery for matrix
@@ -76,7 +77,7 @@ class ElementSet:
         return f"ElementSet({len(self.elements)} elements)"
 
     def difference(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet(x for x in self.elements if x not in other._members)
+        return ElementSet._canonical(tuple(x for x in self.elements if x not in other._members))
 
     def issubset(self, other: "ElementSet") -> bool:
         return self._members <= other._members
@@ -135,26 +136,28 @@ class GroupPresentation:
 
     def mul(self, a, b):
         """Group product a * b."""
-        return tuple(map(add, a, b)) if self.kind == KIND_ZD else _gl2z_products((b,), (a,))[0]
+        if self.kind == KIND_ZD:
+            return tuple(map(add, a, b))
+        [(p, q, r, s)] = _gl2z_products([b[0] + b[1]], [a[0] + a[1]])
+        return (p, q), (r, s)
 
     def __repr__(self) -> str:
         where = f"Z^{self.dim}" if self.kind == KIND_ZD else "GL(2,Z)"
         return f"GroupPresentation({where}, {len(self.generators)} generators)"
 
 
-def _gl2z_products(elements: Iterable[Matrix2], gens: Sequence[Matrix2]) -> list[Matrix2]:
-    """BallCodec.products for GL(2, Z), each generator's four entries read once."""
-    entries = [(p, q, r, s) for (p, q), (r, s) in gens]
-    return [((p * a + q * c, p * b + q * d), (r * a + s * c, r * b + s * d))
-            for (a, b), (c, d) in elements for p, q, r, s in entries]
+def _gl2z_products(elements: Iterable[tuple], gens: Sequence[tuple]) -> list[tuple]:
+    """BallCodec.products for GL(2, Z) on flat matrices (a, b, c, d): one tuple per product."""
+    return [(p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
+            for a, b, c, d in elements for p, q, r, s in gens]
 
 
 class BallCodec:
     """The ball engine over a group's encoded elements (see the module
-    docstring), with bound = extent + (radius + 1) * max|g|, at least 1, for
-    extent the largest coordinate of members. encode and decode map lists of
-    elements and codes; products(xs, gens) lists g * x for each x of xs and,
-    within it, each g of gens in order."""
+    docstring); Z^d codes take bound = extent + (radius + 1) * max|g|, at
+    least 1, for extent the largest coordinate of members. encode and decode
+    map lists of elements and codes; products(xs, gens) lists g * x for each
+    x of xs and, within it, each g of gens in order."""
 
     def __init__(self, group: GroupPresentation, radius: int, members: Iterable = ()):
         gens = group.generators.elements
@@ -175,7 +178,9 @@ class BallCodec:
             self.decode = lambda codes: zip(*[[(c + offset) // w % base - bound for c in codes] for w in weights])
             self.products = lambda codes, by: [x + w for x in codes for w in by]
         else:
-            self.encode, self.decode, self.products = list, iter, _gl2z_products
+            self.encode = lambda xs: [r0 + r1 for r0, r1 in xs]
+            self.decode = lambda codes: [((a, b), (c, d)) for a, b, c, d in codes]
+            self.products = _gl2z_products
         [self.identity] = self.encode([group.identity])
         self.generators = tuple(self.encode(gens))
 

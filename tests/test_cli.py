@@ -645,6 +645,9 @@ class TestReportBytes:
         ("check-equality", "sigma-3-2", "1..2"): "472b6ace27ecae0850ea58c1494b66722375d8d45287f6e7d1566d6baaf10b60",
         ("check-boundary", "gl2z-swap-shear", "1"): "9c0a0e64b39b1a9383ad0cedc5842c018b4db1b4260639cfd5dc888c74c90cbc",
         ("word-ball", "gl2z-swap-shear", "1"): "878c9771e4b8415b6dbcde5935e8c1e2eeb93427d5d11950e038fbcbc35c3822",
+        ("word-ball", "gl2z-swap-shear", "5"): "e5d9d84723a8a9df83536f5707641555e223e420caaf0644e0e26e19653512f9",
+        ("boundary", "gl2z-swap-shear", "4"): "2979e319e67164b49c73f0209b8db099f0a22ec092c914c20127ce3bf36e6f8a",
+        ("check-boundary", "gl2z-swap-shear", "1..4"): "b60594a8b6a0179171a5de86e7aed1303c5810cd03d6910a678e70d5276fc3ae",
         ("classify", "sigma-3-3"): "2c8a853e5ed8c2e02c26319dab8be0101c0dccfd456b4e6a170845bca6a8d81a",
         ("lemma1", "sigma-3-2-matrix"): "5bd41a22fcab3604e2698e20c846857de49fcc694579b366008695a6041b2a51",
         ("search-primitive", "unit-square"): "48286f7f32afbf427eddbec0aaf8692a9d5c1ff80ba383dab33ea8c044c6ba0b",

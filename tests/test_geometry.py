@@ -183,6 +183,17 @@ class TestPointSet:
         assert a.difference(b).points == ((0,), (2,))
         assert b.issubset(a) and not a.issubset(b)
 
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.just(d), *[st.lists(st.tuples(*[st.integers(-3, 3)] * d), max_size=12)] * 2)))
+    @settings(max_examples=100, deadline=None)
+    def test_difference_equals_the_sorting_constructor(self, case):
+        # the filtered tuple is already canonical: no second check or sort
+        d, xs, ys = case
+        a, b = PointSet(xs, d), PointSet(ys, d)
+        diff, expected = a.difference(b), PointSet([p for p in xs if p not in set(ys)], d)
+        assert diff == expected
+        assert diff._members == expected._members
+
 
 class TestHull:
     def test_unit_square_from_corners(self, unit_square):

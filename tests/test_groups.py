@@ -26,7 +26,7 @@ from latmink import (
 from latmink.groups import GL2Z_IDENTITY, BallCodec, BoundaryReport, as_gl2z
 from latmink.verify import random_lattice_polygon, symmetric_example_polytope
 
-from conftest import brute_force_boundary, brute_force_word_ball
+from conftest import _product, brute_force_boundary, brute_force_word_ball
 
 import random
 
@@ -80,6 +80,18 @@ class TestElementSet:
     def test_difference(self):
         a = ElementSet([(1,), (2,), (3,)])
         assert a.difference(ElementSet([(2,)])).elements == ((1,), (3,))
+
+    @given(st.one_of(
+        st.tuples(*[st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=12)] * 2),
+        st.tuples(*[st.lists(st.sampled_from(_small_gl2z()), max_size=12)] * 2),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_difference_equals_the_sorting_constructor(self, case):
+        # the filtered tuple is already canonical: no second sort
+        xs, ys = case
+        diff, expected = ElementSet(xs).difference(ElementSet(ys)), ElementSet(x for x in xs if x not in set(ys))
+        assert diff == expected
+        assert diff._members == expected._members
 
 
 class TestGroupPresentation:
@@ -393,6 +405,79 @@ class TestCodedAgainstTupleOracles:
     @settings(max_examples=40, deadline=None)
     def test_gl2z_boundary_of_any_subset(self, subset, group):
         assert omega_boundary(group, subset) == brute_force_boundary(group, subset)
+
+
+HUGE = 10**30
+
+
+@st.composite
+def huge_gl2z_groups(draw):
+    """GL(2, Z) presentations with entries up to 10^30: upper and lower shears
+    by huge k, their inverses, and their products with the swap or -I."""
+    ks = draw(st.lists(st.integers(-HUGE, HUGE), min_size=1, max_size=3))
+    swap, minus = ((0, 1), (1, 0)), ((-1, 0), (0, -1))
+    pool = []
+    for k in ks:
+        upper, lower = ((1, k), (0, 1)), ((1, 0), (k, 1))
+        pool += [upper, ((1, -k), (0, 1)), lower, _product(upper, swap), _product(swap, lower), _product(minus, upper)]
+    gens = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    return GroupPresentation.gl2z([GL2Z_IDENTITY] + gens)
+
+
+class TestFlatGL2ZCodes:
+    """GL(2, Z) codes are flat tuples: no bound, entries of any size, and
+    sorted codes decode in canonical order."""
+
+    @given(huge_gl2z_groups(), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_huge_entries_word_ball_and_layers(self, group, n):
+        assert word_ball(group, n) == brute_force_word_ball(group, n)
+        previous = set()
+        for k, (ball, layer) in zip(range(n + 1), ball_layers(group)):
+            expected = brute_force_word_ball(group, k)
+            assert ball == set(expected)
+            assert layer == tuple(x for x in expected if x not in previous)
+            previous = ball
+
+    @given(huge_gl2z_groups(), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_huge_entries_boundary_reports(self, group, top):
+        for r in check_boundary_equality_range(group, range(1, top + 1)):
+            ball = brute_force_word_ball(group, r.n)
+            fresh = ElementSet(x for x in ball if x not in brute_force_word_ball(group, r.n - 1))
+            boundary = brute_force_boundary(group, ball)
+            lhs_minus_rhs = ElementSet(x for x in boundary if x not in fresh)
+            rhs_minus_lhs = ElementSet(x for x in fresh if x not in boundary)
+            assert r == BoundaryReport(r.n, len(rhs_minus_lhs) == 0, lhs_minus_rhs, rhs_minus_lhs)
+
+    @given(huge_gl2z_groups(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_interior_of_any_subset(self, group, data):
+        # not a ball: elements of a huge ball and of the small matrices, mixed
+        pool = brute_force_word_ball(group, 2).elements + tuple(_small_gl2z())
+        subset = ElementSet(data.draw(st.lists(st.sampled_from(pool), max_size=30)))
+        boundary = brute_force_boundary(group, subset)
+        interior = omega_interior(group, subset)
+        assert interior == ElementSet(a for a in subset if a not in boundary)
+        assert omega_boundary(group, subset) == boundary
+
+    @given(huge_gl2z_groups(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_mul_matches_the_tuple_product(self, group, data):
+        generators = st.sampled_from(group.generators.elements)
+        a, b = data.draw(generators), data.draw(generators)
+        assert group.mul(a, b) == _product(a, b)
+
+    @given(huge_gl2z_groups(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_elements_is_the_sorted_decode(self, group, data):
+        entry = st.one_of(st.integers(-3, 3), st.integers(-HUGE, HUGE))
+        codes = set(data.draw(st.lists(st.tuples(*[entry] * 4), max_size=20)))
+        codec = BallCodec(group, 0)
+        got, expected = codec.elements(codes), ElementSet(codec.decode(codes))
+        assert got.elements == expected.elements
+        assert got._members == expected._members
+        assert codec.encode(got.elements) == sorted(codes)
 
 
 class TestInclusionChains:

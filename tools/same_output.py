@@ -14,8 +14,9 @@ and, in a temporary work directory of its own, runs every command of this list:
 - `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
 - commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
   before or after the work it bounds gives the same message;
-- large and deeply nested reports (thousands of points, GL(2, Z) matrices),
-  the int arrays that `serialize.dumps` writes from one template each;
+- large and deeply nested reports (thousands of points, GL(2, Z) matrices,
+  the boundary of the 916-element radius-6 GL(2, Z) ball), the int arrays
+  that `serialize.dumps` writes from one template each;
 - each bound (`--cap`, `--budget`, `--point-cap`) at -1, 0 and 1; at 0 and
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
@@ -63,6 +64,8 @@ CAPPED_COMMANDS = [
 LARGE_COMMANDS = [
     ["points", "sigma-3-2", "30"],
     ["word-ball", "gl2z-swap-shear", "6"],
+    ["boundary", "gl2z-swap-shear", "6"],
+    ["check-boundary", "gl2z-swap-shear", "1..6"],
     ["minkowski", "cross-2d", "8"],
 ]
 BOUND_COMMANDS = [
