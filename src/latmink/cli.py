@@ -53,7 +53,10 @@ def _read_document(name: str):
     """Load a JSON document from a path, falling back to bundled data files."""
     path = Path(name)
     if path.exists():
-        text = path.read_text()
+        try:
+            text = path.read_text()
+        except OSError as exc:  # a directory, a file without read permission
+            raise InputError(f"{name}: {exc.strerror or exc}") from exc
     else:
         candidate = name if name.endswith(".json") else name + ".json"
         resource = resources.files("latmink.data").joinpath(Path(candidate).name)
@@ -110,14 +113,14 @@ def _load_group(name: str):
 
 
 def _emit(args, inputs: dict, result, pretty_lines) -> int:
-    """Print the report of args.command, the JSON form of library objects by
-    serialize.to_json written by serialize.dumps; pretty_lines is read only
-    under --pretty."""
+    """Print the report of args.command: serialize.dumps writes the inputs and
+    the result, library objects and plain data, in one pass; pretty_lines is
+    read only under --pretty."""
     if args.pretty:
         for line in pretty_lines:
             print(line)
         return EXIT_OK
-    report = serialize.to_json({"command": args.command, "inputs": inputs, "result": result})
+    report = {"command": args.command, "inputs": inputs, "result": result}
     if args.timing:
         report["elapsed_ms"] = int((time.monotonic() - args._start) * 1000)
     print(serialize.dumps(report))

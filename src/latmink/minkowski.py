@@ -55,7 +55,8 @@ def minkowski_power(s: PointSet, n: int, cap: int | None = None) -> PointSet:
     check_box([n * min(c) for c in columns], [n * max(c) for c in columns], cap)
     shift = tuple(n * c for c in s.points[0])
     ball = word_ball(_translated_group(s), n, cap=sys.maxsize)
-    return PointSet((tuple(map(add, p, shift)) for p in ball), s.dim)
+    # a translation keeps the ball's points distinct and in lex order
+    return PointSet._canonical(tuple([tuple(map(add, p, shift)) for p in ball]), s.dim)
 
 
 @dataclass(frozen=True)

@@ -11,27 +11,27 @@ rejected outright):
 Group files missing the identity get it inserted with a warning. Polytope
 files are accepted wherever a zd group is expected, via the presentation
 generated by the polytope's integer points. `parse_*` read these forms;
-`polytope_to_dict` and `group_to_dict` write them, and `to_json` writes a
-triangulation (the dataclass of its polytope and simplices) in its form.
-The parsers check shapes (keys, the lists they read, "dim", square matrices);
-each point and value is checked by the constructor it reaches (as_point,
-as_points, as_gl2z), in the library's own words.
+`polytope_to_dict` and `group_to_dict` write them as plain data, and `dumps`
+writes a triangulation (the dataclass of its polytope and simplices) in its
+form. The parsers check shapes (keys, the lists they read, "dim", square
+matrices); each point and value is checked by the constructor it reaches
+(as_point, as_points, as_gl2z), in the library's own words.
 
-Reports: `to_json` turns a value made of library objects into plain JSON
-data. A dataclass becomes the dict of its fields in field order; a tuple,
-list, `PointSet` or `ElementSet` becomes a list; a `Fraction` becomes "p/q",
-or "p" when integral; a `LatticePolytope`, `LatticeSimplex` (its vertex
-list) or `GroupPresentation` becomes its file form. Any other type raises
-TypeError, so floats and unordered sets never reach a report.
-
-Report text: `dumps` writes that data as the text `json.dumps(data,
-sort_keys=True, indent=2)` writes, byte for byte, for dicts with str keys,
-lists, int, str, bool and None; any other type (a float, a tuple, an int
-subclass, a non-str key) raises TypeError. With an indent the standard
-library encodes in pure Python, element by element. `dumps` instead writes
-each rectangular int array (points, Z^d elements, GL(2, Z) matrices) with
-one %-template filled at C speed. The standard-library form is its test
-oracle.
+Reports: `dumps` writes a value made of library objects and plain data as
+the text `json.dumps(data, sort_keys=True, indent=2)` writes for its JSON
+data, byte for byte, in one recursive pass with no intermediate data. The
+JSON data of a value: dicts with str keys, lists, tuples, int, str, bool and
+None are their own; a dataclass is the dict of its fields; a `PointSet` is
+its points, an `ElementSet` its elements and a `LatticeSimplex` its vertex
+list; a `LatticePolytope` or `GroupPresentation` is its file form; a
+`Fraction` is "p/q", or "p" when integral. Any other type (a float, a set,
+an int subclass, a non-str key) raises TypeError, so floats and unordered
+sets never reach a report. With an indent the standard library encodes in
+pure Python, element by element; `dumps` instead writes each rectangular int
+array (points, Z^d elements, GL(2, Z) matrices, in lists or tuples) with one
+%-template filled at C speed. The two-stage form, the JSON data first
+(`oracle_to_json` in the tests' conftest) and then the standard library's
+text, is its test oracle.
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ from .geometry import LatticePolytope, PointSet
 from .groups import ElementSet, GroupPresentation, group_elements, zd_presentation_from_polytope
 from .triangulation import LatticeSimplex, Triangulation
 
-_SEQUENCES = (tuple, list, ElementSet)
-_SCALARS = {int, str, bool, type(None)}
+_ARRAYS = {list, tuple}
 
 
 def _reject_float(text: str):
@@ -128,72 +127,39 @@ def parse_group(doc: Any) -> tuple[GroupPresentation, list[str]]:
 
 
 def group_to_dict(group: GroupPresentation) -> dict:
-    dim = {} if group.dim is None else {"dim": group.dim}
-    return {"kind": group.kind, **dim, "generators": _json(group.generators)}
+    if group.dim is None:  # GL(2, Z): each generator a pair of rows
+        return {"kind": group.kind, "generators": [list(map(list, g)) for g in group.generators]}
+    return {"kind": group.kind, "dim": group.dim, "generators": [list(g) for g in group.generators]}
 
 
-def to_json(value) -> Any:
-    """The JSON data of a report value, by the rule in the module docstring."""
-    # The recursion calls _json, so that a wrapper around this public name
-    # (a tracer, a profiler) sees one call per report.
-    return _json(value)
-
-
-def _json(value):
-    # Exact type tests, commonest first: an isinstance test on Fraction is slow.
-    kind = type(value)
-    if kind is int or kind is str or kind is bool or value is None:
-        return value
-    if kind is PointSet:  # int tuples by construction (as_point)
-        return list(map(list, value.points))
-    if kind in _SEQUENCES:
-        # Leaf rules: a sequence of scalars, of int tuples (points, Z^d
-        # elements) or of tuples of int tuples (GL(2, Z) elements) is
-        # type-checked a level at a time at C speed and copied without recursion.
-        kinds = set(map(type, value))
-        if kinds <= _SCALARS:
-            return list(value)
-        if kinds == {tuple}:
-            flat = chain.from_iterable
-            inner = set(map(type, flat(value)))
-            if inner == {int}:
-                return list(map(list, value))
-            if inner == {tuple} and set(map(type, flat(flat(value)))) == {int}:
-                return [list(map(list, m)) for m in value]
-        return [_json(v) for v in value]
-    if kind is dict:
-        return {key: _json(v) for key, v in value.items()}
-    if kind is Fraction:
-        return str(value)
-    if kind is LatticePolytope:
-        return polytope_to_dict(value)
-    if kind is LatticeSimplex:
-        return [list(v) for v in value.vertices]
-    if kind is GroupPresentation:
-        return group_to_dict(value)
-    if is_dataclass(kind):
-        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
-    raise TypeError(f"no JSON form for {kind.__name__}")
-
-
+# The value each library type of a report is written as.
+_FORMS = {
+    PointSet: lambda s: s.points,
+    ElementSet: lambda s: s.elements,
+    LatticeSimplex: lambda s: s.vertices,
+    LatticePolytope: polytope_to_dict,
+    GroupPresentation: group_to_dict,
+    Fraction: str,
+}
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
-def dumps(data) -> str:
-    """The report text of JSON data, by the rule in the module docstring."""
+def dumps(value) -> str:
+    """The report text of a value, by the rule in the module docstring."""
     # The recursion calls _text, so that a wrapper around this public name
-    # sees one call per report.
-    return _text(data, "\n")
+    # (a tracer, a profiler) sees one call per report.
+    return _text(value, "\n")
 
 
 def _text(value, newline: str) -> str:
-    # newline is a line break and the indent of value's own line.
+    # newline is a line break and the indent of value's own line. Exact type
+    # tests, commonest first.
     kind = type(value)
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
         return repr(value)
-    if kind is list:
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         dims, leaves = _int_array(value)
@@ -210,19 +176,24 @@ def _text(value, newline: str) -> str:
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is bool or value is None:
         return _LITERALS[value]
+    form = _FORMS.get(kind)
+    if form is not None:
+        return _text(form(value), newline)
+    if is_dataclass(kind):
+        return _text({f.name: getattr(value, f.name) for f in fields(value)}, newline)
     raise TypeError(f"no report text for {kind.__name__}")
 
 
-def _int_array(value: list):
+def _int_array(value):
     """The dimensions and the leaves, in order, of a non-empty rectangular
-    array of plain ints nested in lists; (None, None) for anything else. Each
-    level is read with a few passes at C speed."""
+    array of plain ints nested in lists and tuples; (None, None) for anything
+    else. Each level is read with a few passes at C speed."""
     dims, leaves = [len(value)], value
     while True:
         kinds = set(map(type, leaves))
         if kinds == {int}:
             return dims, leaves
-        lengths = set(map(len, leaves)) if kinds == {list} else ()
+        lengths = set(map(len, leaves)) if kinds <= _ARRAYS else ()
         if len(lengths) != 1:
             return None, None
         dims.append(lengths.pop())

@@ -11,17 +11,29 @@ beneath-beyond hull by testing every face for visibility and building every
 face's plane from its points instead of flooding ridges, word balls by
 multiplying the whole ball each round, Minkowski powers by folding
 minkowski_sum, triangulations by an exact LP and an intersection-vertex test
-(exact Fraction solves) on every pair of simplices.
+(exact Fraction solves) on every pair of simplices, and report text by
+building the report's plain JSON data first for the standard library to write.
 """
 
 import itertools
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
 
-from latmink import ElementSet, LatticePolytope, PointSet, classify_simplex, linalg, lp, minkowski_sum
+from latmink import (
+    ElementSet,
+    GroupPresentation,
+    LatticePolytope,
+    PointSet,
+    classify_simplex,
+    linalg,
+    lp,
+    minkowski_sum,
+    serialize,
+)
 from latmink.geometry import _Face, as_point, as_rational_point, dot, plane_through
-from latmink.triangulation import TriangulationReport
+from latmink.triangulation import LatticeSimplex, TriangulationReport
 
 
 def solve_exact(matrix, rhs) -> tuple | None:
@@ -419,6 +431,32 @@ def pairwise_validate_triangulation(tri) -> TriangulationReport:
         covered_volume=covered,
         problems=tuple(problems),
     )
+
+
+def oracle_to_json(value):
+    """The plain JSON data of a report value, the first stage of the two-stage
+    form that serialize.dumps replaces: a dataclass becomes the dict of its
+    fields, a tuple, list, PointSet or ElementSet a list, a Fraction "p/q" (or
+    "p"), a polytope, simplex or group its file form; any other type raises
+    TypeError."""
+    kind = type(value)
+    if kind in (int, str, bool) or value is None:
+        return value
+    if kind in (tuple, list, PointSet, ElementSet):
+        return [oracle_to_json(v) for v in value]
+    if kind is dict:
+        return {key: oracle_to_json(v) for key, v in value.items()}
+    if kind is Fraction:
+        return str(value)
+    if kind is LatticePolytope:
+        return serialize.polytope_to_dict(value)
+    if kind is LatticeSimplex:
+        return [list(v) for v in value.vertices]
+    if kind is GroupPresentation:
+        return serialize.group_to_dict(value)
+    if is_dataclass(kind):
+        return {f.name: oracle_to_json(getattr(value, f.name)) for f in fields(value)}
+    raise TypeError(f"no JSON form for {kind.__name__}")
 
 
 @pytest.fixture

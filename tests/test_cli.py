@@ -320,6 +320,11 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_unreadable_path_exits_2_with_one_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "points", str(tmp_path), "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+
 
 _SQUARE = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
 _TRIANGLE = [[0, 0], [1, 0], [0, 1]]
@@ -450,9 +455,15 @@ class TestGlobalFlags:
         assert out.startswith("4 integer points")
 
     def test_timing_after_subcommand(self, capsys):
-        code, doc, _ = run_json(capsys, "points", "unit-square", "1", "--timing")
+        # --timing adds one line, in sorted position, to the untimed report
+        _, untimed, _ = run(capsys, "points", "unit-square", "1")
+        code, timed, _ = run(capsys, "points", "unit-square", "1", "--timing")
         assert code == 0
-        assert "elapsed_ms" in doc
+        lines = timed.splitlines(keepends=True)
+        assert lines[1].startswith('  "command": ')
+        assert re.fullmatch(r'  "elapsed_ms": \d+,\n', lines[2])
+        assert lines[3] == '  "inputs": {\n'
+        assert "".join(lines[:2] + lines[3:]) == untimed
 
     def test_parser_is_built_once_and_keeps_no_flag_state(self, capsys):
         assert build_parser() is build_parser()
@@ -638,8 +649,8 @@ class TestBallCap:
 
 
 class TestReportBytes:
-    """Exact stdout of one command per report type, pinned before the reports
-    were built by serialize.to_json; JSON keys come out sorted."""
+    """Exact stdout of one command per report type, pinned before
+    serialize.dumps wrote library objects directly; JSON keys come out sorted."""
 
     DIGESTS = {
         ("check-equality", "sigma-3-2", "1..2"): "472b6ace27ecae0850ea58c1494b66722375d8d45287f6e7d1566d6baaf10b60",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import oracle_to_json
 from latmink import (
     GroupPresentation,
     check_boundary_equality_range,
@@ -25,6 +26,13 @@ from latmink import (
 from latmink.geometry import LatticePolytope, ResourceLimitError
 from latmink.triangulation import LatticeSimplex, Triangulation
 from latmink.verify import ClaimResult
+
+
+def oracle_text(value) -> str:
+    """The report text by the two-stage form `serialize.dumps` replaces: the
+    plain JSON data first, then the standard library's pure-Python indent
+    encoder."""
+    return json.dumps(oracle_to_json(value), sort_keys=True, indent=2)
 
 
 class TestStrictJson:
@@ -75,7 +83,7 @@ class TestTriangulationFormat:
                 LatticeSimplex([(0, 0), (0, 1), (1, 1)]),
             ),
         )
-        doc = serialize.to_json(tri)
+        doc = json.loads(serialize.dumps(tri))
         parsed = serialize.parse_triangulation(doc)
         assert parsed.polytope == poly
         assert parsed.simplices == tri.simplices
@@ -108,6 +116,7 @@ class TestGroupFormat:
         group, warnings = serialize.parse_group(doc)
         assert len(warnings) == 1  # identity inserted
         assert ((0, 1), (1, 0)) in group.generators
+        assert serialize.group_to_dict(group) == {"kind": "gl2z", "generators": [[[0, 1], [1, 0]], [[1, 0], [0, 1]]]}
 
     def test_gl2z_bad_determinant(self):
         doc = {"kind": "gl2z", "generators": [[[2, 0], [0, 1]]]}
@@ -207,32 +216,33 @@ class TestReportRule:
             ClaimResult("claim", "description", True, "detail"),
         ]
         for report in reports:
-            assert list(serialize.to_json(report)) == [f.name for f in fields(report)]
+            text = serialize.dumps(report)
+            assert text == oracle_text(report)
+            assert list(json.loads(text)) == sorted(f.name for f in fields(report))
 
     def test_leaves(self):
-        assert serialize.to_json((Fraction(1, 2), Fraction(4, 2), None, True, "x")) == ["1/2", "2", None, True, "x"]
-        assert serialize.to_json(LatticeSimplex([(0, 0), (1, 0), (0, 1)])) == [[0, 0], [0, 1], [1, 0]]
         matrix = ((1, 0), (0, 1))
-        assert serialize.to_json([matrix]) == [[[1, 0], [0, 1]]]
-        assert serialize.to_json([(1, 2), matrix, (True, None)]) == [[1, 2], [[1, 0], [0, 1]], [True, None]]
+        for value, data in [
+            ((Fraction(1, 2), Fraction(4, 2), None, True, "x"), ["1/2", "2", None, True, "x"]),
+            (LatticeSimplex([(0, 0), (1, 0), (0, 1)]), [[0, 0], [0, 1], [1, 0]]),
+            ([matrix], [[[1, 0], [0, 1]]]),
+            ([(1, 2), matrix, (True, None)], [[1, 2], [[1, 0], [0, 1]], [True, None]]),
+        ]:
+            text = serialize.dumps(value)
+            assert text == oracle_text(value)
+            assert json.loads(text) == data
 
     @pytest.mark.parametrize("value", [{1, 2}, frozenset({(0, 1)}), 0.5, [(1, 0.5)], [((1, 0), (0, 0.5))]])
     def test_other_types_rejected(self, value):
         with pytest.raises(TypeError):
-            serialize.to_json(value)
+            serialize.dumps(value)
 
 
-def oracle_dumps(data) -> str:
-    """The report text by the standard library's pure-Python indent encoder,
-    the form `serialize.dumps` replaces."""
-    return json.dumps(data, sort_keys=True, indent=2)
-
-
-# Report-shaped JSON data: dicts keyed by text with quotes, backslashes,
-# control and non-ASCII characters; rectangular int arrays of depth 1-3 (as
-# points, Z^d elements and GL(2, Z) matrices come out of to_json), some with
-# a bool or None in place of one leaf; ragged and empty lists; ints of many
-# machine words.
+# Report-shaped values: dicts keyed by text with quotes, backslashes, control
+# and non-ASCII characters; rectangular int arrays of depth 1-3 (points, Z^d
+# elements and GL(2, Z) matrices), each level a list or a tuple, some with a
+# bool or None in place of one leaf; ragged and empty lists and tuples; ints
+# of many machine words.
 _ints = st.integers() | st.integers(-(2**200), 2**200)
 _text = st.text(st.characters(max_codepoint=0x1F600) | st.sampled_from('"\\\x00\x1f\x7f\n\té☃\U0001f600'), max_size=6)
 _shapes = st.lists(st.integers(1, 4), min_size=1, max_size=3)
@@ -243,7 +253,8 @@ def _int_arrays(draw, leaves=_ints):
     def array(dims):
         if not dims:
             return draw(leaves)
-        return [array(dims[1:]) for _ in range(dims[0])]
+        items = [array(dims[1:]) for _ in range(dims[0])]
+        return tuple(items) if draw(st.booleans()) else items
 
     return array(draw(_shapes))
 
@@ -251,7 +262,7 @@ def _int_arrays(draw, leaves=_ints):
 _mixed_leaves = st.one_of(_ints, _ints, _ints, st.booleans(), st.none())
 _report_data = st.recursive(
     st.one_of(_ints, st.booleans(), st.none(), _text, _int_arrays(), _int_arrays(_mixed_leaves)),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner) | st.dictionaries(_text, inner, max_size=4),
     max_leaves=12,
 )
 
@@ -260,19 +271,19 @@ class TestReportText:
     @settings(max_examples=400, deadline=None)
     @given(data=_report_data)
     def test_matches_the_stdlib_oracle(self, data):
-        assert serialize.dumps(data) == oracle_dumps(data)
+        assert serialize.dumps(data) == oracle_text(data)
 
     @pytest.mark.parametrize(
         "data",
         [
             [], {}, [[], []], [[1]], [[[1]]], [[[-1, 2], [3, 4]]], [1, True], [[1, 2], [3, True]],
             [[0, None], [0, 1]], [[1, 2], [3]], [[1, [2]], [3, 4]], {"a": {}, "b": [[]]}, -(2**130),
-            {'"\\\x00é': [False, None, "\n"]},
+            {'"\\\x00é': [False, None, "\n"]}, (1, 2), [[1, 2], (3, 4)], ((), ()), ([1], (2,)),
         ],
         ids=repr,
     )
     def test_pinned_shapes(self, data):
-        assert serialize.dumps(data) == oracle_dumps(data)
+        assert serialize.dumps(data) == oracle_text(data)
 
     def test_true_stays_true_in_an_int_array(self):
         assert serialize.dumps([[1, True]]) == "[\n  [\n    1,\n    true\n  ]\n]"
@@ -281,6 +292,7 @@ class TestReportText:
         square = cube(2)
         search = search_primitive_triangulation(square)
         gl2z = GroupPresentation("gl2z", gl2z_swap_shear_generators())
+        matrix = [[1, 1], [0, 2]]
         for value in [
             square.integer_points(3),
             check_equality_range(LatticePolytope(sigma(3, 2).vertices), range(1, 3)),
@@ -288,10 +300,16 @@ class TestReportText:
             decompose(square, search.triangulation, 2, (1, 2)),
             validate_triangulation(search.triangulation),
             search,
+            search.triangulation,
             gl2z,
+            GroupPresentation.zd(2, [(0, 0), (1, 0), (0, -1)]),
+            classify_simplex(sigma(3, 3)),
+            {"matrix": matrix, "criteria": unimodular_criteria(matrix)},
+            [ClaimResult("claim", "description \"quoted\"", False, "detail")],
+            {"volume": LatticePolytope([(0, 0), (1, 0), (0, 1)]).volume()},
         ]:
-            data = serialize.to_json({"result": value})
-            assert serialize.dumps(data) == oracle_dumps(data)
+            report = {"command": "c", "inputs": {}, "result": value}
+            assert serialize.dumps(report) == oracle_text(report)
 
     class Int(int):
         pass
@@ -301,7 +319,7 @@ class TestReportText:
 
     @pytest.mark.parametrize(
         "data",
-        [0.5, [1, 2.0], {1, 2}, (1, 2), [[1, 2], (3, 4)], Int(3), [Int(3)], [Flag.ON], {1: 2}, {"a": {None: 1}}],
+        [0.5, [1, 2.0], {1, 2}, frozenset({1}), Int(3), [Int(3)], [Flag.ON], {1: 2}, {"a": {None: 1}}],
         ids=repr,
     )
     def test_other_types_rejected(self, data):
