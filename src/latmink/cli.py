@@ -10,7 +10,7 @@ element; the other six subcommands accept --cap and ignore it. The bounds
 --cap, --budget and --point-cap take positive integers only. Exit codes:
 0 success, 1 verification failure (verify-paper), 2 input error (including a
 ValueError raised by the library on an out-of-range argument), 3 resource cap
-exceeded.
+exceeded, 141 (128 + SIGPIPE) stdout closed early, as by `| head -c 100`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool ended by a closed pipe
 
 
 class InputError(Exception):
@@ -50,7 +52,7 @@ class InputError(Exception):
 
 
 def _read_document(name: str):
-    """Load a JSON document from a path, falling back to bundled data files."""
+    """Load a JSON document from a path, or from the bundled data file of a bare name that is not a file."""
     path = Path(name)
     if path.exists():
         try:
@@ -58,9 +60,8 @@ def _read_document(name: str):
         except OSError as exc:  # a directory, a file without read permission
             raise InputError(f"{name}: {exc.strerror or exc}") from exc
     else:
-        candidate = name if name.endswith(".json") else name + ".json"
-        resource = resources.files("latmink.data").joinpath(Path(candidate).name)
-        if not resource.is_file():
+        resource = resources.files("latmink.data").joinpath(path.name + ("" if name.endswith(".json") else ".json"))
+        if path.name != name or not resource.is_file():
             raise InputError(f"no such file or bundled dataset: {name}")
         text = resource.read_text()
     return serialize.loads_strict(text)
@@ -356,7 +357,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv, defaults)
     args._start = time.monotonic()
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not in the interpreter's flush at exit
+        return code
+    except BrokenPipeError:  # stdout's reader is gone: devnull takes the rest, so the flush at exit passes
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

@@ -14,12 +14,10 @@ are exact: coordinates are Python ints and derived scalars are fractions.Fractio
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import factorial, gcd, isfinite, lcm, prod
+from math import factorial, gcd, isfinite, prod
 from operator import floordiv, mul, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 
@@ -94,15 +92,27 @@ def edge_rows(points: Sequence[Point]) -> list[list[int]]:
     return [list(map(sub, p, points[0])) for p in points[1:]]
 
 
-def plane_through(points: Sequence[Point], inside: Sequence[int], scale: int = 1) -> tuple[Point, int]:
-    """The primitive (normal, offset) of the hyperplane through d affinely
+class Halfspace(NamedTuple):
+    """The halfspace {y : <normal, y> <= offset}, normal a primitive integer vector;
+    the one plane type, a facet or (at slack 0) an equation of an affine hull."""
+
+    normal: Point
+    offset: int
+
+    def slack(self, point: Sequence):
+        """offset - <normal, point>; nonnegative inside the halfspace."""
+        return self.offset - dot(self.normal, point)
+
+
+def plane_through(points: Sequence[Point], inside: Sequence[int], scale: int = 1) -> Halfspace:
+    """The primitive halfspace bounded by the hyperplane through d affinely
     independent points of Z^d, oriented so that inside / scale lies beneath
     it: <normal, inside> <= scale * offset."""
     normal = linalg.Echelon(edge_rows(points)).normal(len(points[0]))
     offset = dot(normal, points[0])
     if dot(normal, inside) > scale * offset:
-        return tuple(-x for x in normal), -offset
-    return normal, offset
+        return Halfspace(tuple(-x for x in normal), -offset)
+    return Halfspace(normal, offset)
 
 
 def affine_dim(points: Sequence[Point]) -> int:
@@ -124,6 +134,18 @@ def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
     return [0] + [i for i, row in rows if len(echelon.rows) < len(row) and echelon.add(row)], echelon
 
 
+def _hull_equation(edges: Sequence[Sequence[int]], cols: tuple[int, ...], i: int, base: Point) -> Halfspace:
+    """The equation <normal, x> = offset of the affine hull of base + the edges' span
+    with normal zero off cols and i: `Echelon.normal` of the edges on cols + (i,), whose
+    entry at i is nonzero as the edges have full rank on cols, so it solves for x_i."""
+    on = cols + (i,)
+    part = linalg.Echelon([[e[c] for c in on] for e in edges]).normal(len(on))
+    if not part[-1]:
+        raise RuntimeError("internal inconsistency: an affine hull equation is zero at its coordinate")
+    normal = tuple(part[on.index(j)] if j in on else 0 for j in range(len(base)))
+    return Halfspace(normal, dot(normal, base))
+
+
 class _Face:
     """One simplex of the hull boundary, with its plane and the points that see it."""
 
@@ -136,7 +158,7 @@ class _Face:
 
 def _beneath_beyond(
     pts: Sequence[Point], simplex: Sequence[int]
-) -> tuple[list[int], list[tuple[Point, int]], list[tuple[int, ...]]]:
+) -> tuple[list[int], list[Halfspace], list[tuple[int, ...]]]:
     """Vertex indices, facet planes and boundary simplices of conv(pts), pts
     full-dimensional in Z^k.
 
@@ -145,9 +167,9 @@ def _beneath_beyond(
     time. A point sees a face when it lies strictly beyond its hyperplane; a
     point on the hyperplane counts as beneath. Each face keeps the points
     that see it, so a point that sees no face is inside the hull for good.
-    The returned planes are primitive outward (normal, offset) pairs in
-    ascending order; a point is a vertex when the facet normals through it
-    have rank k. The returned faces, index tuples of k points each, are the
+    The returned planes are primitive outward `Halfspace`s in ascending
+    order; a point is a vertex when the facet normals through it have rank
+    k. The returned faces, index tuples of k points each, are the
     boundary of the placing triangulation of pts in the order the points
     were added: a triangulation of the hull's boundary whose corners may
     include boundary points that are not vertices.
@@ -216,7 +238,7 @@ def _beneath_beyond(
     planes = set()
     normals_at: dict[int, set[Point]] = {}
     for face in alive:
-        planes.add((face.normal, face.offset))
+        planes.add(Halfspace(face.normal, face.offset))
         for i in face.verts:
             normals_at.setdefault(i, set()).add(face.normal)
     vertices = sorted(
@@ -251,18 +273,6 @@ def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Seq
     scan(0, (), [b for _, b in planes])
     del scan  # it refers to itself: free found now, not at a later gc pass
     return found
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """The halfspace {y : <normal, y> <= offset}, normal a primitive integer vector."""
-
-    normal: Point
-    offset: int
-
-    def slack(self, point: Sequence):
-        """offset - <normal, point>; nonnegative inside the halfspace."""
-        return self.offset - dot(self.normal, point)
 
 
 class PointSet:
@@ -327,11 +337,12 @@ class LatticePolytope:
     and the surviving vertices are kept in lexicographic order. One exact
     beneath-beyond hull pass finds the vertices and the facet inequalities
     together. A lower-dimensional polytope is hulled in the coordinates
-    `_cols`, onto which its affine hull projects bijectively; `_planes` are
-    then the facets of that projection and `_edges` span the affine hull's
-    directions, for lifting points back. A full-dimensional polytope also
-    keeps the hull's boundary simplices as point tuples (`_faces`), from
-    which `fan_simplices` and `volume` read.
+    `_cols`, onto which its affine hull projects bijectively: `_planes` are
+    the facets of that projection, and `_equations` hold an (i, Halfspace)
+    for each other coordinate i, an equation of the affine hull (slack 0 on
+    it) giving x_i from the `_cols` coordinates. A full-dimensional polytope
+    has none, and keeps the hull's boundary simplices as point tuples
+    (`_faces`), from which `fan_simplices` and `volume` read.
     """
 
     def __init__(self, points: Iterable):
@@ -341,74 +352,57 @@ class LatticePolytope:
         k = len(simplex) - 1
         self.affine_dim = k
         self._cols = cols = tuple(sorted(echelon.pivots))
-        self._edges = edge_rows([pts[i] for i in simplex])
+        edges = edge_rows([pts[i] for i in simplex])
+        self._equations = tuple((i, _hull_equation(edges, cols, i, pts[0])) for i in range(d) if i not in cols)
         if k == 0:
             found, planes, faces = [0], [], []
         else:
             work = pts if k == d else [tuple(p[c] for c in cols) for p in pts]
             found, planes, faces = _beneath_beyond(work, simplex)
         self.vertices: tuple[Point, ...] = tuple(pts[i] for i in found)
-        self._planes: tuple[tuple[Point, int], ...] = tuple(planes)
+        self._planes: tuple[Halfspace, ...] = tuple(planes)
         self._faces = tuple(tuple(pts[i] for i in face) for face in faces) if k == d else ()
 
     @property
     def is_full_dimensional(self) -> bool:
         return self.affine_dim == self.dim
 
-    @cached_property
+    @property
     def facets(self) -> tuple[Halfspace, ...]:
-        """Irredundant facet halfspaces (full-dimensional polytopes only).
-
-        Normals are primitive and point outward; the halfspaces come in
-        ascending (normal, offset) order.
-        """
+        """Irredundant facet halfspaces (full-dimensional polytopes only): the
+        hull's planes as stored, primitive and outward, in ascending order."""
         if not self.is_full_dimensional:
             raise ValueError("facet enumeration requires a full-dimensional polytope")
-        return tuple(Halfspace(normal, offset) for normal, offset in self._planes)
-
-    @cached_property
-    def _lift_rows(self) -> tuple[int, tuple[tuple[int, Point, int], ...]]:
-        """(den, rows), from one rational inverse of the edge matrix: x lies on
-        the affine hull of nP iff den * x_i == <row, x_cols> + n * c for every
-        (i, row, c) in rows, one per coordinate i outside `_cols`."""
-        cols, edges, base = self._cols, self._edges, self.vertices[0]
-        inverse = list(zip(*linalg.inverse_exact([[e[c] for e in edges] for c in cols])))
-        maps = {i: [dot([e[i] for e in edges], u) for u in inverse] for i in range(self.dim) if i not in cols}
-        den = lcm(*(x.denominator for row in maps.values() for x in row))
-        rows = [(i, tuple(int(x * den) for x in row)) for i, row in maps.items()]
-        return den, tuple((i, row, den * base[i] - dot(row, [base[c] for c in cols])) for i, row in rows)
+        return self._planes
 
     def _lift(self, y: Sequence[int], n: int) -> Point | None:
-        """The point of the affine hull of nP with `_cols` coordinates y; None if not integral."""
-        x = dict(zip(self._cols, y))
-        den, rows = self._lift_rows
-        for i, row, c in rows:
-            x[i], r = divmod(dot(row, y) + n * c, den)
+        """The point of the affine hull of nP with `_cols` coordinates y, each other
+        coordinate x_i solved from its equation; None if not integral."""
+        x = [0] * self.dim
+        for c, v in zip(self._cols, y):
+            x[c] = v
+        for i, (normal, offset) in self._equations:  # normal is zero at the x_j still unsolved
+            x[i], r = divmod(n * offset - dot(normal, x), normal[i])
             if r:
                 return None
-        return tuple(x[i] for i in range(self.dim))
+        return tuple(x)
 
     def contains(self, point: Iterable, strict: bool = False) -> bool:
         """Exact membership of a rational point.
 
-        Tests the facet inequalities; a lower-dimensional polytope also
-        requires the point to lie on its affine hull, and tests the point's
-        projection. With strict=True this tests membership in the
-        topological interior.
+        The point must have slack 0 on every equation of the affine hull
+        (a full-dimensional polytope has none) and its `_cols` projection
+        (the point itself when full-dimensional) must satisfy every plane.
+        With strict=True this tests membership in the topological interior,
+        which a lower-dimensional polytope does not have.
         """
         q = as_rational_point(point)
         if len(q) != self.dim:
             raise ValueError(f"point has dimension {len(q)}, expected {self.dim}")
-        if self.is_full_dimensional:
-            if strict:
-                return all(h.slack(q) > 0 for h in self.facets)
-            return all(h.slack(q) >= 0 for h in self.facets)
-        if strict:
-            return False  # empty interior
-        y = tuple(q[c] for c in self._cols)
-        den, rows = self._lift_rows
-        on_hull = all(den * q[i] == dot(row, y) + c for i, row, c in rows)
-        return on_hull and all(dot(a, y) <= b for a, b in self._planes)
+        if any(strict or h.slack(q) for _, h in self._equations):
+            return False  # off the affine hull, or an empty interior
+        y = [q[c] for c in self._cols]
+        return all(h.slack(y) > 0 if strict else h.slack(y) >= 0 for h in self._planes)
 
     def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.

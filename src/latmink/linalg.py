@@ -156,7 +156,8 @@ def is_identity(matrix: Sequence[Sequence[int]], dim: int) -> bool:
 
 
 def inverse_exact(rows: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square integer matrix, one Gauss-Jordan pass over [A | I]; None if singular."""
+    """Exact inverse of a square integer matrix, one Gauss-Jordan pass over [A | I]; None if singular.
+    It serves only the `inverse_integral` criterion of `unimodular_criteria` (lemma1)."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")

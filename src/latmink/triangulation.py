@@ -79,10 +79,7 @@ class LatticeSimplex:
     @functools.cached_property
     def facets(self) -> tuple[Halfspace, ...]:
         """The d+1 facet halfspaces, oriented to contain the simplex."""
-        return tuple(
-            Halfspace(*plane_through(rest, self.vertices[omit]))
-            for omit, rest in enumerate(self.facet_vertex_sets())
-        )
+        return tuple(plane_through(rest, self.vertices[omit]) for omit, rest in enumerate(self.facet_vertex_sets()))
 
     def facet_vertex_sets(self) -> tuple[tuple[Point, ...], ...]:
         """Vertex tuples of the d+1 facets, each sorted; facet i omits vertex i."""

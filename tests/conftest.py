@@ -5,7 +5,8 @@ membership by LP instead of the hull, facets by trying every vertex subset,
 integer points by testing every point of the bounding box (by LP, or against
 every facet) instead of one interval per line, volumes by pyramids over
 brute-force facets, fans by recursing into a fresh hull of every facet instead
-of reading the hull's boundary, determinants by permutation expansion,
+of reading the hull's boundary, lattice point counts by the Ehrhart polynomial
+interpolated from box scans, determinants by permutation expansion,
 hyperplane normals by d cofactor minors instead of one echelon, the
 beneath-beyond hull by testing every face for visibility and building every
 face's plane from its points instead of flooding ridges, word balls by
@@ -32,7 +33,7 @@ from latmink import (
     minkowski_sum,
     serialize,
 )
-from latmink.geometry import _Face, as_point, as_rational_point, dot, plane_through
+from latmink.geometry import _affine_frame, _Face, as_point, as_rational_point, dot, edge_rows, plane_through
 from latmink.triangulation import LatticeSimplex, TriangulationReport
 
 
@@ -236,12 +237,14 @@ def box_scan_points(poly: LatticePolytope, n: int) -> PointSet:
 
     Scans the same projection as `integer_points` (the `_cols` coordinates of
     a lower-dimensional polytope) and lifts each point found by an exact solve
-    against the edge matrix, keeping integral lifts.
+    against an edge matrix of its own, from an affine frame of the vertices
+    (not the polytope's equations), keeping integral lifts.
     """
     d = poly.dim
     if n == 0:
         return PointSet([(0,) * d], d)
-    cols, edges = poly._cols, poly._edges
+    frame, _ = _affine_frame(poly.vertices)
+    cols, edges = poly._cols, edge_rows([poly.vertices[i] for i in frame])
     ranges = [range(min(n * v[c] for v in poly.vertices), max(n * v[c] for v in poly.vertices) + 1) for c in cols]
     dilated = [(a, n * b) for a, b in poly._planes]
     inside = [p for p in itertools.product(*ranges) if all(dot(a, p) <= b for a, b in dilated)]
@@ -255,6 +258,24 @@ def box_scan_points(poly: LatticePolytope, n: int) -> PointSet:
         if all(c.denominator == 1 for c in x):
             found.append(tuple(map(int, x)))
     return PointSet(found, d)
+
+
+def ehrhart_polynomial(poly: LatticePolytope) -> tuple:
+    """Coefficients c_0, ..., c_k (Fractions) of the Ehrhart polynomial L_P(n) = |nP ∩ Z^d|.
+
+    For a lattice polytope of dimension k, L_P is a polynomial of degree k in n
+    (Ehrhart 1962; Beck and Robins, *Computing the Continuous Discretely*,
+    Ch. 3), so its k + 1 values at n = 0..k fix it: they are counted by
+    box_scan_points and interpolated by an exact Vandermonde solve.
+    """
+    k = poly.affine_dim
+    counts = [len(box_scan_points(poly, n)) for n in range(k + 1)]
+    return solve_exact([[n**j for j in range(k + 1)] for n in range(k + 1)], counts)
+
+
+def ehrhart_value(coeffs, n: int):
+    """The polynomial with coefficients coeffs (constant first) at n, negative n too."""
+    return sum(c * n**j for j, c in enumerate(coeffs))
 
 
 def is_n_fold_sum(omega: PointSet, n: int, target) -> bool:

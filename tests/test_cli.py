@@ -52,6 +52,15 @@ class TestPoints:
         assert code == 2
         assert "no such file" in err
 
+    @pytest.mark.parametrize("name", ["no-such-dir/unit-square.json", "./unit-square", "{tmp}/unit-square.json"])
+    def test_missing_path_does_not_fall_back_to_a_bundled_dataset(self, capsys, tmp_path, monkeypatch, name):
+        # only a bare name falls back to the bundled dataset of that name
+        monkeypatch.chdir(tmp_path)
+        name = name.format(tmp=tmp_path)
+        code, out, err = run(capsys, "points", name, "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: no such file or bundled dataset: {name}\n"
+
     def test_cap_exceeded_exit_code(self, capsys):
         code, out, err = run(capsys, "--cap", "3", "points", "unit-square.json", "5")
         assert code == 3
@@ -61,6 +70,22 @@ class TestPoints:
         _, first, _ = run(capsys, "points", "cross-3d.json", "2")
         _, second, _ = run(capsys, "points", "cross-3d.json", "2")
         assert first == second
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # the console script's form: main called directly; the report, far larger
+        # than a pipe buffer, meets the pipe closed after its first bytes
+        src = str(Path(latmink.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = "import sys\nfrom latmink.cli import main\nsys.exit(main())\n"
+        argv = [sys.executable, "-c", script, "points", "sigma-3-2", "30"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(100).startswith(b"{")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err and "Error" not in err
 
 
 class TestMinkowski:

@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import itertools
+import math
 import random
 import sys
 from collections import Counter
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from latmink import (
     GroupPresentation,
+    Halfspace,
     LatticePolytope,
     LatticeSimplex,
     PointSet,
@@ -46,6 +49,8 @@ from conftest import (
     brute_force_facets,
     brute_force_integer_points,
     cofactor_normal,
+    ehrhart_polynomial,
+    ehrhart_value,
     lp_contains,
     lp_vertices,
     oracle_volume,
@@ -491,6 +496,27 @@ class TestFacets:
         with pytest.raises(ValueError):
             flat.facets
 
+    def test_every_plane_is_a_halfspace(self):
+        # one plane type: the plane helper, the hull pass, a polytope's facets
+        # (its stored planes, in ascending order) and a simplex's facets
+        assert type(plane_through([(1, 0), (0, 1)], (0, 0))) is Halfspace
+        pts, simplex = hull_pass(HULL_CASES["3-D cloud"])
+        assert all(type(h) is Halfspace for h in _beneath_beyond(pts, simplex)[1])
+        for p in (cube(3), cross_polytope(4), LatticePolytope(sigma(3, 2).vertices)):
+            assert p.facets is p._planes
+            assert all(type(h) is Halfspace for h in p.facets)
+            assert list(p.facets) == sorted(p.facets)
+        assert all(type(h) is Halfspace for h in sigma(4, 3).facets)
+
+    def test_halfspace_is_a_tuple(self):
+        h = Halfspace((1, -1), 2)
+        assert h == ((1, -1), 2) and hash(h) == hash(((1, -1), 2))
+        normal, offset = h
+        assert (normal, offset) == (h.normal, h.offset) == ((1, -1), 2)
+        assert not dataclasses.is_dataclass(h)
+        assert repr(h) == "Halfspace(normal=(1, -1), offset=2)"
+        assert h.slack((Fraction(1, 2), 0)) == Fraction(3, 2)
+
 
 @st.composite
 def lattice_simplices(draw):
@@ -728,6 +754,87 @@ class TestLineScan:
             probes += [half[:j] + (half[j] + Fraction(1, 2),) + half[j + 1 :] for j in range(p.dim)]
         for q in probes:
             assert p.contains(q) == lp_contains(p, q), q
+
+
+class TestHullEquations:
+    """The affine hull of a lower-dimensional polytope as `_equations` from `Echelon.normal`."""
+
+    @given(lattice_clouds())
+    @settings(max_examples=150, deadline=None)
+    def test_equations_are_primitive_and_hold_every_point(self, pts):
+        p = hull(pts)
+        if p.is_full_dimensional:
+            assert p._equations == ()
+            return
+        assert [i for i, _ in p._equations] == [i for i in range(p.dim) if i not in p._cols]
+        for i, h in p._equations:
+            assert type(h) is Halfspace
+            assert math.gcd(*h.normal) == 1
+            assert h.normal[i] != 0
+            assert all(a == 0 for j, a in enumerate(h.normal) if j != i and j not in p._cols)
+            assert all(h.slack(x) == 0 for x in pts)
+
+    @pytest.mark.parametrize("name", LOWER_DIMENSIONAL)
+    def test_zero_normal_is_an_internal_inconsistency(self, name):
+        with mock.patch.object(linalg.Echelon, "normal", lambda self, dim: (0,) * dim):
+            with pytest.raises(RuntimeError, match="internal inconsistency"):
+                LatticePolytope(LOWER_DIMENSIONAL[name])
+
+
+# Ehrhart cases: "plane in Z^3" lies on x + y = 2z, so half of the points of
+# its projection have no integral lift; "sigma(3,2) in Z^4" is sigma(3, 2) on
+# x4 = x1 + x2 + x3.
+EHRHART_FULL = {
+    "unit triangle": [(0, 0), (1, 0), (0, 1)],
+    "cross-2d": list(cross_polytope(2).vertices),
+    "skew quadrilateral": [(0, 0), (3, 1), (1, 2), (-1, 1)],
+    "sigma(3,2)": list(sigma(3, 2).vertices),
+    "sigma(3,3)": list(sigma(3, 3).vertices),
+    "cross-3d": list(cross_polytope(3).vertices),
+    **ZERO_LAST_COEFFICIENT,
+}
+EHRHART_LOWER = {
+    **LOWER_DIMENSIONAL,
+    "plane in Z^3": [(0, 0, 0), (2, 0, 1), (0, 2, 1), (2, 2, 2)],
+    "square in Z^4": [(0, 0, 0, 0), (1, 1, 0, 0), (0, 0, 1, 1), (1, 1, 1, 1)],
+    "sigma(3,2) in Z^4": [(0, 0, 0, 0), (1, 0, 0, 1), (0, 1, 0, 1), (-1, -1, 2, 0)],
+}
+
+
+class TestEhrhart:
+    """integer_points, volume and strict membership against the Ehrhart polynomial
+    interpolated from box scans at n = 0..dim P (Ehrhart 1962; Macdonald 1971;
+    Beck and Robins, *Computing the Continuous Discretely*, Ch. 3-4)."""
+
+    @pytest.mark.parametrize("name", [*EHRHART_FULL, *EHRHART_LOWER])
+    def test_counts_at_larger_dilations(self, name):
+        p = LatticePolytope({**EHRHART_FULL, **EHRHART_LOWER}[name])
+        coeffs = ehrhart_polynomial(p)
+        for n in (*range(p.affine_dim + 1, p.affine_dim + 4), 12):
+            assert len(p.integer_points(n)) == ehrhart_value(coeffs, n), n
+
+    @given(lattice_clouds(max_dim=3), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_counts_on_clouds(self, pts, extra):
+        p = hull(pts)
+        n = p.affine_dim + extra
+        assume(box_size(p, n) <= 3000)
+        assert len(p.integer_points(n)) == ehrhart_value(ehrhart_polynomial(p), n)
+
+    @pytest.mark.parametrize("name", EHRHART_FULL)
+    def test_leading_coefficient_is_the_volume(self, name):
+        p = LatticePolytope(EHRHART_FULL[name])
+        assert ehrhart_polynomial(p)[-1] == p.volume()
+
+    @pytest.mark.parametrize("name", EHRHART_FULL)
+    def test_reciprocity_counts_interior_points(self, name):
+        # Ehrhart-Macdonald reciprocity: (-1)^d L_P(-n) is the number of
+        # integer points x with x / n in the interior of P
+        p = LatticePolytope(EHRHART_FULL[name])
+        coeffs = ehrhart_polynomial(p)
+        for n in (1, 2):
+            interior = [x for x in p.integer_points(n) if p.contains([Fraction(c, n) for c in x], strict=True)]
+            assert (-1) ** p.dim * ehrhart_value(coeffs, -n) == len(interior), n
 
 
 def boundary_lattice_point_count(poly: LatticePolytope) -> int:

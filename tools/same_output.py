@@ -11,6 +11,11 @@ and, in a temporary work directory of its own, runs every command of this list:
   never written: no bytecode is cached);
 - each subcommand on every bundled dataset, and `search-primitive` on it at
   budgets 1, 5 and 25, as JSON and with `--pretty`;
+- `points` and `minkowski` at 3, `check-equality` over 1..3, `word-ball` and
+  `boundary` at 3, `check-boundary` over 1..3, `classify` and
+  `search-primitive` on five lower-dimensional polytopes written into the work
+  directory (no bundled dataset is one), as JSON and with `--pretty`, so that
+  the affine hull's equations, the lift and membership are compared too;
 - `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
 - commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
   before or after the work it bounds gives the same message;
@@ -78,6 +83,17 @@ BOUND_COMMANDS = [
     for value in ("-1", "0", "1")
 ]
 
+# Lower-dimensional polytopes: "plane-3d" lies on x + y = 2z, so half of its
+# lifts are not integral; "sigma-3-2-4d" is sigma(3, 2) on x4 = x1 + x2 + x3,
+# where check-equality fails at n = 2 with witness (0, 0, 1, 1).
+LOWER_DIMENSIONAL = {
+    "segment-2d": [[-2, -4], [4, 8]],
+    "plane-3d": [[0, 0, 0], [2, 0, 1], [0, 2, 1], [2, 2, 2]],
+    "point-3d": [[3, -1, 2]],
+    "square-4d": [[0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]],
+    "sigma-3-2-4d": [[0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 0, 1], [-1, -1, 2, 0]],
+}
+
 SUBCOMMANDS = (
     "points", "minkowski", "check-equality", "decompose", "classify", "lemma1",
     "validate-triangulation", "search-primitive", "word-ball", "boundary", "check-boundary", "verify-paper",
@@ -123,6 +139,26 @@ def _dataset_commands(data: Path):
     return commands + [["--pretty", *argv] for argv in commands]
 
 
+def _lower_dimensional_commands(work: Path):
+    """Write each LOWER_DIMENSIONAL polytope into work as NAME.json and return
+    the commands run on it, JSON first, then --pretty."""
+    commands = []
+    for name, vertices in LOWER_DIMENSIONAL.items():
+        path = f"{name}.json"
+        (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        commands += [
+            ["points", path, "3"],
+            ["minkowski", path, "3"],
+            ["check-equality", path, "1..3"],
+            ["word-ball", path, "3"],
+            ["boundary", path, "3"],
+            ["check-boundary", path, "1..3"],
+            ["classify", path],
+            ["search-primitive", path],
+        ]
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
 def _run_one(cli, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -160,6 +196,8 @@ def digests(root: Path) -> list:
                 for op in warmup + ops:
                     run(op.argv, op.after)
         for argv in _dataset_commands(root / "src" / "latmink" / "data"):
+            run(argv)
+        for argv in _lower_dimensional_commands(Path(tmp)):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
