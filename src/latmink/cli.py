@@ -5,8 +5,8 @@ switches to a human-readable rendering. The global flags (--pretty, --cap,
 --seed, --timing) go before or after the subcommand; without --cap each
 command keeps its library's default cap. The cap bounds the bounding box of
 nP or n*Omega for points, minkowski and check-equality, checked before any
-work, and the ball for word-ball, boundary and check-boundary, checked per
-element; the other six subcommands accept --cap and ignore it. The bounds
+work, and the ball for word-ball, boundary and check-boundary, checked once
+per layer; the other six subcommands read no cap and reject --cap. The bounds
 --cap, --budget and --point-cap take positive integers only. Exit codes:
 0 success, 1 verification failure (verify-paper), 2 input error (including a
 ValueError raised by the library on an out-of-range argument), 3 resource cap
@@ -45,6 +45,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_RESOURCE = 3
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool ended by a closed pipe
+
+CAP_COMMANDS = ("points", "minkowski", "check-equality", "word-ball", "boundary", "check-boundary")
 
 
 class InputError(Exception):
@@ -281,7 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     flags.add_argument("--pretty", action="store_true", help="human-readable output instead of JSON")
     flags.add_argument(
-        "--cap", type=_positive_int, help="size cap (default: DEFAULT_BOX_CAP, or DEFAULT_BALL_CAP for group commands)"
+        "--cap",
+        type=_positive_int,
+        help=f"size cap, read by {', '.join(CAP_COMMANDS)} only "
+        "(default: DEFAULT_BOX_CAP, or DEFAULT_BALL_CAP for group commands)",
     )
     flags.add_argument("--seed", type=int, help="seed for randomized verification rows")
     flags.add_argument("--timing", action="store_true", help="include elapsed_ms in JSON reports")
@@ -355,6 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     defaults = argparse.Namespace(pretty=False, cap=None, seed=0, timing=False)
     args = build_parser().parse_args(argv, defaults)
+    if args.cap is not None and args.command not in CAP_COMMANDS:
+        build_parser().error(f"--cap does not apply to {args.command}")
     args._start = time.monotonic()
     try:
         code = args.fn(args)

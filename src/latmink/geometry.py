@@ -33,11 +33,16 @@ class ResourceLimitError(RuntimeError):
     """An enumeration would exceed its configured size cap."""
 
 
+def box_count(los: Sequence[int], his: Sequence[int]) -> int:
+    """The number of integer points of the box [los, his]."""
+    return prod(hi - lo + 1 for lo, hi in zip(los, his))
+
+
 def check_box(los: Sequence[int], his: Sequence[int], cap: int | None = None) -> None:
     """Raise ResourceLimitError if the box [los, his] holds more than cap
     (DEFAULT_BOX_CAP when None) integer points."""
     cap = DEFAULT_BOX_CAP if cap is None else cap
-    count = prod(hi - lo + 1 for lo, hi in zip(los, his))
+    count = box_count(los, his)
     if count > cap:
         raise ResourceLimitError(f"bounding box has {count} candidate points, cap is {cap}")
 
@@ -404,6 +409,13 @@ class LatticePolytope:
         y = [q[c] for c in self._cols]
         return all(h.slack(y) > 0 if strict else h.slack(y) >= 0 for h in self._planes)
 
+    def box(self, n: int) -> tuple[list[int], list[int]]:
+        """The corners of the bounding box of nP over `_cols` (n >= 1), the box
+        integer_points scans."""
+        los = [min(n * v[c] for v in self.vertices) for c in self._cols]
+        his = [max(n * v[c] for v in self.vertices) for c in self._cols]
+        return los, his
+
     def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.
 
@@ -422,8 +434,7 @@ class LatticePolytope:
         d = self.dim
         if n == 0:
             return PointSet([(0,) * d], d)
-        los = [min(n * v[c] for v in self.vertices) for c in self._cols]
-        his = [max(n * v[c] for v in self.vertices) for c in self._cols]
+        los, his = self.box(n)
         check_box(los, his, cap)
         inside = _line_scan([(a, n * b) for a, b in self._planes], los, his) if los else [()]
         if not self.is_full_dimensional:

@@ -6,16 +6,16 @@ determinant +-1, stored as nested tuples). The generating set must contain
 the identity, so the ball of radius n equals the set of words of length
 exactly n. All interior/boundary notions use left multiplication.
 
-Balls come from one engine, BallCodec.layers, which streams each ball with
-its fresh layer and multiplies only that layer, over encoded elements. A Z^d
-point is one int in balanced radix B = 2R + 1, first coordinate most
-significant; R = (radius + 1) * max|g| covers a ball and the interior test
-w*a on it, cap * max|g| a bare stream (a radius-n ball with a nonzero
-generator has n + 1 elements or more), and R >= 1. On the box |x_i| <= R the
-code is an injective homomorphism, ordered as lex order: a product is one int
-addition. A GL(2, Z) matrix is the flat tuple (a, b, c, d), not an int: a
-radix would grow as (max row norm)^(radius + 1). Both codes sort as their
-elements do, so sorted codes decode in canonical order, only where returned.
+Balls come from one engine, BallCodec.layers, which streams each ball up to
+its codec's radius (ball_layers and word_ball take it as n) with its fresh
+layer, multiplies only that layer, over encoded elements, and checks the cap
+once per layer. A Z^d point is one int in balanced radix B = 2R + 1, first
+coordinate most significant; R = (radius + 1) * max|g|, at least 1, covers a
+ball and the interior test w*a on it. On the box |x_i| <= R the code is an
+injective homomorphism, ordered as lex order: a product is one int addition.
+A GL(2, Z) matrix is the flat tuple (a, b, c, d), not an int: a radix would
+grow as (max row norm)^(radius + 1). Both codes sort as their elements do,
+so sorted codes decode in canonical order, only where returned.
 
 Whether a given generating set actually generates the whole group as a
 semigroup is not verified (undecidable at this level of machinery for matrix
@@ -154,12 +154,15 @@ def _gl2z_products(elements: Iterable[tuple], gens: Sequence[tuple]) -> list[tup
 
 class BallCodec:
     """The ball engine over a group's encoded elements (see the module
-    docstring); Z^d codes take bound = extent + (radius + 1) * max|g|, at
-    least 1, for extent the largest coordinate of members. encode and decode
-    map lists of elements and codes; products(xs, gens) lists g * x for each
-    x of xs and, within it, each g of gens in order."""
+    docstring); Z^d codes take bound = extent + (radius + 1) * max|g|, at least
+    1, for extent the largest coordinate of members, so layers stops at radius.
+    encode and decode map lists of elements and codes; products(xs, gens)
+    lists g * x for each x of xs and, within it, each g of gens in order."""
 
     def __init__(self, group: GroupPresentation, radius: int, members: Iterable = ()):
+        if radius < 0:
+            raise ValueError("n must be >= 0")
+        self.radius = radius
         gens = group.generators.elements
         if group.kind == KIND_ZD:
             extent = max((abs(c) for x in members for c in x), default=0)
@@ -189,20 +192,20 @@ class BallCodec:
         return ElementSet._canonical(tuple(self.decode(sorted(codes))))
 
     def layers(self, cap: int | None = None) -> Iterator[tuple[set, set]]:
-        """Yield (ball(n), layer(n)) as sets of codes for n = 0, 1, 2, ...; ball(n)
-        is the engine's own set: read it before advancing. The identity generator
-        gives ball(n) = ball(n-1) | S*layer(n-1), so each round multiplies only
-        the fresh layer; the cap (DEFAULT_BALL_CAP when None) is checked as each
-        new element arrives."""
+        """Yield (ball(n), layer(n)) as sets of codes for n = 0..radius, then stop;
+        ball(n) is the engine's own set: read it before advancing. The identity
+        generator gives ball(n) = ball(n-1) | S*layer(n-1), so each round
+        multiplies only the fresh layer; the cap (DEFAULT_BALL_CAP when None) is
+        checked once per layer, before the layer joins the ball."""
         cap = DEFAULT_BALL_CAP if cap is None else cap
         ball, layer = {self.identity}, {self.identity}
-        while True:
-            yield ball, layer
+        yield ball, layer
+        for _ in range(self.radius):
             layer = set(self.products(layer, self.generators)) - ball
-            for x in layer:
-                if len(ball) >= cap:
-                    raise ResourceLimitError(f"word ball exceeded {cap} elements")
-                ball.add(x)
+            if layer and len(ball) + len(layer) > cap:
+                raise ResourceLimitError(f"word ball exceeded {cap} elements")
+            ball |= layer
+            yield ball, layer
 
     def interior(self, codes: set) -> set:
         """The codes a with w*a in codes for every generator w, the one interior
@@ -212,13 +215,11 @@ class BallCodec:
         return set(itertools.compress(items, map(all, zip(*[hits] * len(self.generators)))))
 
 
-def ball_layers(group: GroupPresentation, cap: int | None = None) -> Iterator[tuple[frozenset, tuple]]:
-    """Yield (ball(n), layer(n)) for n = 0, 1, 2, ...: the radius-n ball as a
-    frozenset and its fresh layer ball(n) minus ball(n-1) as a tuple in
-    canonical order, decoded from BallCodec.layers. The codes take radius
-    cap - 1 (DEFAULT_BALL_CAP when None): the module docstring says why."""
-    cap = DEFAULT_BALL_CAP if cap is None else cap
-    codec, ball = BallCodec(group, cap - 1), set()
+def ball_layers(group: GroupPresentation, n: int, cap: int | None = None) -> Iterator[tuple[frozenset, tuple]]:
+    """Yield (ball(k), layer(k)) for k = 0..n: the radius-k ball as a frozenset
+    and its fresh layer ball(k) minus ball(k-1) as a tuple in canonical order,
+    decoded from the BallCodec.layers stream of radius n."""
+    codec, ball = BallCodec(group, n), set()
     for _, codes in codec.layers(cap):
         layer = codec.elements(codes).elements
         ball.update(layer)
@@ -228,13 +229,12 @@ def ball_layers(group: GroupPresentation, cap: int | None = None) -> Iterator[tu
 def word_ball(group: GroupPresentation, n: int, cap: int | None = None) -> ElementSet:
     """All products of at most n generators (the radius-n word-metric ball).
 
-    The n-th ball of BallCodec.layers; the identity generator makes the balls
+    The last ball of BallCodec.layers; the identity generator makes the balls
     increasing, so length "at most n" and "exactly n" coincide.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     codec = BallCodec(group, n)
-    ball, _ = next(itertools.islice(codec.layers(cap), n, None))
+    for ball, _ in codec.layers(cap):
+        pass
     return codec.elements(ball)
 
 
@@ -273,13 +273,13 @@ def check_boundary_equality_range(
     group: GroupPresentation, ns: range, cap: int | None = None
 ) -> list[BoundaryReport]:
     """check_boundary_equality for every n in ns, in increasing order, read
-    off one BallCodec.layers stream: rhs is the stream's fresh layer, and
-    only the two differences are decoded."""
-    if ns and min(ns) < 1:
+    off one BallCodec.layers stream up to the last n, the range's end: rhs is
+    the stream's fresh layer, and only the two differences are decoded."""
+    ns = ns if ns.step > 0 else ns[::-1]
+    if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
-    top, reports = max(ns, default=-1), []
-    codec = BallCodec(group, top)
-    for n, (ball, layer) in zip(range(top + 1), codec.layers(cap)):
+    codec, reports = BallCodec(group, ns[-1] if ns else 0), []
+    for n, (ball, layer) in enumerate(codec.layers(cap)):
         if n not in ns:
             continue
         lhs = ball - codec.interior(ball)

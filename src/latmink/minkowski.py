@@ -14,12 +14,13 @@ no sum is decoded; minkowski_sum is the direct pairwise form.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
 from . import linalg
-from .geometry import LatticePolytope, Point, PointSet, as_point, check_box
+from .geometry import DEFAULT_BOX_CAP, LatticePolytope, Point, PointSet, as_point, box_count, check_box
 from .groups import BallCodec, GroupPresentation, word_ball
 from .triangulation import Triangulation
 
@@ -85,21 +86,27 @@ def check_equality_range(
     poly: LatticePolytope, ns: range, cap: int | None = None
 ) -> list[EqualityReport]:
     """check_equality for every n in ns, in increasing order, reading n*Omega
-    off one BallCodec stream of _translated_group(Omega). The box cap bounds
-    each dilation nP, which holds n*Omega, so the stream needs no cap: nP is
-    taken before the stream is advanced to n, and a box over the cap stops
-    the run before its ball is built."""
-    if ns and min(ns) < 1:
+    off one BallCodec stream of _translated_group(Omega) up to the last n.
+    The box cap (DEFAULT_BOX_CAP when None) bounds each dilation nP, which
+    holds n*Omega, so the stream needs no cap; after the scan of Omega, the
+    first n of ns whose box is over the cap raises before any other scan.
+    Boxes grow with n, and unless P is a point the (cap + 1)-th n of ns has
+    one over the cap, so a bisection of the first cap + 1 finds it."""
+    ns = ns if ns.step > 0 else ns[::-1]
+    if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
     omega = poly.integer_points(1, cap=cap)
-    codec = BallCodec(_translated_group(omega), max(ns, default=0))
+    cap = DEFAULT_BOX_CAP if cap is None else cap
+    head = ns[:cap + 1]
+    over = bisect_left(head, True, key=lambda n: box_count(*poly.box(n)) > cap)
+    if over < len(head):
+        check_box(*poly.box(head[over]), cap)  # raises, as the scan of that box would
+    codec, reports = BallCodec(_translated_group(omega), ns[-1] if ns else 0), []
     [t_code] = codec.encode(omega.points[:1])
-    layers, reports = enumerate(codec.layers(cap=sys.maxsize)), []
-    for n in sorted(ns):
+    for n, (ball, _) in enumerate(codec.layers(cap=sys.maxsize)):
+        if n not in ns:
+            continue
         full = poly.integer_points(n, cap=cap)
-        for k, (ball, _) in layers:
-            if k == n:
-                break
         shift = n * t_code  # the code of n*t: codes are additive
         missing = [p for p, c in zip(full.points, codec.encode(full.points)) if c - shift not in ball]
         if len(full) - len(missing) != len(ball):

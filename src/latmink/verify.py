@@ -338,7 +338,7 @@ def _test_groups() -> list[tuple[str, GroupPresentation]]:
 @claim("inclusion-chains", "ball(n-1) inside interior(ball(n)); boundary inside the fresh layer")
 def _claim_inclusion_chains(seed: int, **_) -> tuple[bool, str]:
     for name, group in _test_groups():
-        balls = [ElementSet(ball) for ball, _ in itertools.islice(ball_layers(group), 6)]
+        balls = [ElementSet(ball) for ball, _ in ball_layers(group, 5)]
         for n in range(1, 6):
             interior = omega_interior(group, balls[n])
             boundary = omega_boundary(group, balls[n])

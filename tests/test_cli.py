@@ -542,14 +542,19 @@ class TestBounds:
 
 
 def outcome(capsys, *argv):
-    """(exit code, stdout, stderr) of argv, with the value of elapsed_ms blanked."""
-    code, out, err = run(capsys, *argv)
+    """(exit code, stdout, stderr) of argv, with the value of elapsed_ms
+    blanked; a usage error gives argparse's exit code and output."""
+    try:
+        code, out, err = run(capsys, *argv)
+    except SystemExit as exc:
+        code, (out, err) = exc.code, capsys.readouterr()
     return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": _', out), err
 
 
 class TestFlagPlacement:
     """A global flag reads the same before the subcommand, after it and on
-    both sides, for every subcommand; on both sides the later value wins."""
+    both sides, for every subcommand; on both sides the later value wins.
+    The same holds for --cap where it is rejected (TestCapIsRejected)."""
 
     COMMANDS = [
         ("points", "unit-square", "2"),
@@ -620,6 +625,63 @@ class TestFlagPlacement:
                 "",
                 "resource cap exceeded: polytope has 4 lattice points, point cap is 3\n",
             )
+
+
+class TestCapIsRejected:
+    """The six subcommands that read no cap reject --cap, before or after the
+    subcommand: argparse's usage and one error line, exit 2."""
+
+    COMMANDS = [
+        ("classify", "sigma-3-2"),
+        ("lemma1", "sigma-3-2-matrix"),
+        ("validate-triangulation", "TRIANGULATION"),
+        ("search-primitive", "unit-cube"),
+        ("decompose", "unit-square", "2", "1,1"),
+        ("verify-paper", "--quick"),
+    ]
+    command = TestFlagPlacement.command  # the fixture that writes TRIANGULATION
+
+    @pytest.mark.parametrize("command", COMMANDS, indirect=True, ids=lambda c: c[0])
+    def test_exit_2_before_and_after(self, capsys, command):
+        assert outcome(capsys, *command)[0] == 0
+        for argv in [("--cap", "1", *command), (*command, "--cap", "1")]:
+            code, out, err = outcome(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: latmink ") and "Traceback" not in err
+            assert err.splitlines()[-1] == f"latmink: error: --cap does not apply to {command[0]}"
+
+    def test_help_names_the_commands_that_read_the_cap(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "read by points, minkowski, check-equality, word-ball, boundary, check-boundary only" in help_text
+
+
+class TestLongRanges:
+    """A range command reads its range by its ends, so a range up to 10^23
+    meets its cap at once; each runs in a fresh interpreter with a timeout."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (
+                ("check-equality", "unit-square", f"1..{10**23}"),
+                "resource cap exceeded: bounding box has 100020001 candidate points, cap is 100000000\n",
+            ),
+            (
+                ("check-boundary", "gl2z-swap-shear", f"1..{10**23}", "--cap", "1000"),
+                "resource cap exceeded: word ball exceeded 1000 elements\n",
+            ),
+        ],
+        ids=["check-equality", "check-boundary"],
+    )
+    def test_exit_3_without_traceback(self, argv, err):
+        src = str(Path(latmink.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "latmink", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", err)
 
 
 class TestBoxCap:

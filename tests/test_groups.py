@@ -161,6 +161,8 @@ class TestWordBall:
     def test_negative_rejected(self, z2_cross):
         with pytest.raises(ValueError):
             word_ball(z2_cross, -1)
+        with pytest.raises(ValueError):
+            next(ball_layers(z2_cross, -1))
 
 
 class TestBallEngine:
@@ -180,16 +182,27 @@ class TestBallEngine:
     @settings(max_examples=40, deadline=None)
     def test_layers_are_the_fresh_elements(self, group):
         previous = set()
-        for n, (ball, layer) in zip(range(5), ball_layers(group)):
+        for n, (ball, layer) in enumerate(ball_layers(group, 4)):
             expected = brute_force_word_ball(group, n)
             assert ball == set(expected)
             assert sorted(layer) == [x for x in expected if x not in previous]
             previous = ball
 
-    def test_cap_is_exact_at_the_ball_size(self, gl2z):
+    def test_cap_is_exact_at_the_ball_size(self, gl2z, z2_cross):
         assert len(word_ball(gl2z, 4, cap=178)) == 178
         with pytest.raises(ResourceLimitError, match="exceeded 177 elements"):
             word_ball(gl2z, 4, cap=177)
+        assert len(word_ball(z2_cross, 5, cap=61)) == 61
+        with pytest.raises(ResourceLimitError, match="^word ball exceeded 60 elements$"):
+            word_ball(z2_cross, 5, cap=60)
+
+    @given(st.one_of(zd_groups(), gl2z_groups), st.integers(0, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_the_stream_stops_at_its_radius(self, group, r):
+        # past radius + 1 the Z^d codes wrap: the stream must end first
+        codec = BallCodec(group, r)
+        balls = [codec.elements(ball) for ball, _ in itertools.islice(codec.layers(), r + 3)]
+        assert balls == [brute_force_word_ball(group, k) for k in range(r + 1)]
 
     def test_cap_fires_before_a_full_round(self, gl2z, monkeypatch):
         # Only elements already in the ball get multiplied, so fewer than
@@ -356,22 +369,19 @@ class TestBallCodec:
         assert codec.generators == (codec.identity,) == (0,)
         corners = list(itertools.product((-1, 1), repeat=d))  # the bound is 1
         assert list(codec.decode(sorted(codec.encode(corners)))) == corners
-        assert [len(ball) for ball, _ in itertools.islice(ball_layers(group, cap=1), 5)] == [1] * 5
+        assert [len(ball) for ball, _ in ball_layers(group, 4, cap=1)] == [1] * 5
+        assert word_ball(group, 3, cap=0).elements == ((0,) * d,)
 
     @given(codec_cases(), st.integers(1, 40))
     @settings(max_examples=60, deadline=None)
     def test_bare_stream_bound(self, case, cap):
         # a ball of radius n with a nonzero generator has at least n + 1
-        # elements, so the stream stops by radius cap, inside the bound cap * max|g|
+        # elements, so a stream of radius cap stops at the cap
         group, _, _ = case
         assume(len(group.generators) > 1)
-        size = max(abs(c) for g in group.generators for c in g)
-        corners = list(itertools.product((-cap * size, cap * size), repeat=group.dim))
-        codec = BallCodec(group, cap - 1)
-        assert list(codec.decode(sorted(codec.encode(corners)))) == corners
         previous = set()
         with pytest.raises(ResourceLimitError):
-            for n, (ball, layer) in zip(range(cap + 1), ball_layers(group, cap)):
+            for n, (ball, layer) in enumerate(ball_layers(group, cap, cap)):
                 expected = brute_force_word_ball(group, n)
                 assert ball == set(expected)
                 assert layer == tuple(x for x in expected if x not in previous)
@@ -433,7 +443,7 @@ class TestFlatGL2ZCodes:
     def test_huge_entries_word_ball_and_layers(self, group, n):
         assert word_ball(group, n) == brute_force_word_ball(group, n)
         previous = set()
-        for k, (ball, layer) in zip(range(n + 1), ball_layers(group)):
+        for k, (ball, layer) in enumerate(ball_layers(group, n)):
             expected = brute_force_word_ball(group, k)
             assert ball == set(expected)
             assert layer == tuple(x for x in expected if x not in previous)

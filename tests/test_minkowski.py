@@ -235,6 +235,22 @@ class TestCheckEquality:
             check_equality_range(unit_square, range(1, 301), cap=100)
         assert [r.n for r in check_equality_range(unit_square, range(5, 0, -2), cap=100)] == [1, 3, 5]
 
+    def test_only_omega_is_scanned_before_the_box_over_the_cap(self, monkeypatch, unit_square):
+        scans, real = [], LatticePolytope.integer_points
+
+        def counted(self, n, cap=None):
+            scans.append(n)
+            return real(self, n, cap)
+
+        monkeypatch.setattr(LatticePolytope, "integer_points", counted)
+        with pytest.raises(ResourceLimitError, match="^bounding box has 121 candidate points, cap is 100$"):
+            check_equality_range(unit_square, range(1, 301), cap=100)
+        assert scans == [1]
+
+    def test_a_point_never_meets_the_box_cap(self):
+        point = LatticePolytope([(2, -1)])
+        assert [r.holds for r in check_equality_range(point, range(1, 10**4, 10**3), cap=1)] == [True] * 10
+
     def test_range_sigma_5_2(self):
         p = LatticePolytope(sigma(5, 2).vertices)
         reports = check_equality_range(p, range(1, 4))

@@ -1,5 +1,7 @@
 """The verify-paper claim registry and the size of a run."""
 
+from pathlib import Path
+
 from latmink import cli, verify
 
 CLAIM_IDS = [
@@ -27,6 +29,12 @@ CLAIM_IDS = [
 
 def test_claim_ids_in_order():
     assert [claim_id for claim_id, _, _ in verify.CLAIMS] == CLAIM_IDS
+
+
+def test_readme_names_every_claim():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Reproduction suite\n", 1)[1].split("\n## ", 1)[0]
+    assert [claim_id for claim_id, _, _ in verify.CLAIMS if f"`{claim_id}`" not in section] == []
 
 
 def test_claim_registers_and_returns_the_function(monkeypatch):

@@ -18,7 +18,11 @@ and, in a temporary work directory of its own, runs every command of this list:
   the affine hull's equations, the lift and membership are compared too;
 - `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
 - commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
-  before or after the work it bounds gives the same message;
+  before or after the work it bounds gives the same message; ball commands
+  at their ball's exact size as cap (exit 0) and one under it (exit 3), so
+  that a cap checked per element or per layer fires at the same size; and
+  ranges up to 20,000 that meet their cap (exit 3), so that a range read
+  whole or by its ends stops at the same n;
 - large and deeply nested reports (thousands of points, GL(2, Z) matrices,
   the boundary of the 916-element radius-6 GL(2, Z) ball), the int arrays
   that `serialize.dumps` writes from one template each;
@@ -26,7 +30,9 @@ and, in a temporary work directory of its own, runs every command of this list:
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
 - the parser itself: `-h` and `<subcommand> -h` for every subcommand,
-  argparse errors, and global flags placed before or after the subcommand.
+  argparse errors, global flags placed before or after the subcommand, and
+  `--cap` given to each of the six subcommands that read no cap (these
+  differ against a checkout that accepts and ignores it there).
 
 Input paths are relative to the work directory, so both roots see the same
 argv. The exit code and digests of stdout and stderr of every command are
@@ -65,6 +71,16 @@ CAPPED_COMMANDS = [
     ["check-equality", "unit-square", "1..300", "--cap", "100"],
     ["check-equality", "unit-square", "300..300", "--cap", "100"],
     ["word-ball", "cross-2d", "300", "--cap", "100"],
+    # |ball(4)| = 178 for gl2z-swap-shear, |ball(5)| = 61 for cross-2d
+    ["word-ball", "gl2z-swap-shear", "4", "--cap", "178"],
+    ["word-ball", "gl2z-swap-shear", "4", "--cap", "177"],
+    ["boundary", "gl2z-swap-shear", "4", "--cap", "177"],
+    ["check-boundary", "gl2z-swap-shear", "1..4", "--cap", "177"],
+    ["word-ball", "cross-2d", "5", "--cap", "61"],
+    ["word-ball", "cross-2d", "5", "--cap", "60"],
+    ["check-boundary", "cross-2d", "1..5", "--cap", "60"],
+    ["check-equality", "unit-square", "1..20000", "--cap", "1000"],
+    ["check-boundary", "gl2z-swap-shear", "1..20000", "--cap", "1000"],
 ]
 LARGE_COMMANDS = [
     ["points", "sigma-3-2", "30"],
@@ -109,6 +125,12 @@ PARSER_COMMANDS = [
     ["--cap", "100", "points", "unit-square", "300"],
     ["--seed", "1", "verify-paper", "--quick"],
     ["points", "unit-square", "2", "--pretty"],
+    ["classify", "sigma-3-2", "--cap", "1"],
+    ["--cap", "1", "lemma1", "sigma-3-2-matrix"],
+    ["validate-triangulation", "unit-square", "--cap", "1"],
+    ["search-primitive", "unit-cube", "--cap", "1"],
+    ["--cap", "1", "decompose", "unit-square", "2", "1,1"],
+    ["verify-paper", "--quick", "--cap", "1"],
 ]
 
 
