@@ -410,7 +410,7 @@ class LatticePolytope:
         return all(h.slack(y) > 0 if strict else h.slack(y) >= 0 for h in self._planes)
 
     def box(self, n: int) -> tuple[list[int], list[int]]:
-        """The corners of the bounding box of nP over `_cols` (n >= 1), the box
+        """The corners of the bounding box of nP over `_cols` (n >= 0), the box
         integer_points scans."""
         los = [min(n * v[c] for v in self.vertices) for c in self._cols]
         his = [max(n * v[c] for v in self.vertices) for c in self._cols]
@@ -422,8 +422,8 @@ class LatticePolytope:
         Scans the bounding box of the dilation line by line (`_line_scan`):
         the dilated facets cut each line to one exact integer interval. A
         lower-dimensional polytope is scanned in its projection, keeping each
-        point whose `_lift` to the affine hull is integral. n == 0 yields {0}
-        by convention. Boxes of more than cap (DEFAULT_BOX_CAP when None)
+        point whose `_lift` to the affine hull is integral; at n == 0 the box is
+        the one point 0. Boxes of more than cap (DEFAULT_BOX_CAP when None)
         candidates raise ResourceLimitError before any line is scanned.
         The lifts keep the scan's points distinct and in lex order: the echelon pivots
         `_cols` lead as many independent directions of the affine hull as its dimension,
@@ -431,15 +431,12 @@ class LatticePolytope:
         """
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
-        d = self.dim
-        if n == 0:
-            return PointSet([(0,) * d], d)
         los, his = self.box(n)
         check_box(los, his, cap)
         inside = _line_scan([(a, n * b) for a, b in self._planes], los, his) if los else [()]
         if not self.is_full_dimensional:
             inside = filter(None, (self._lift(y, n) for y in inside))
-        return PointSet._canonical(tuple(inside), d)
+        return PointSet._canonical(tuple(inside), self.dim)
 
     def dilate(self, n: int) -> "LatticePolytope":
         """The polytope with every vertex scaled by n (n >= 0)."""

@@ -6,13 +6,15 @@ determinant +-1, stored as nested tuples). The generating set must contain
 the identity, so the ball of radius n equals the set of words of length
 exactly n. All interior/boundary notions use left multiplication.
 
-Balls come from one engine, BallCodec.layers, which streams each ball up to
-its codec's radius (ball_layers and word_ball take it as n) with its fresh
-layer, multiplies only that layer, over encoded elements, and checks the cap
-once per layer. A Z^d point is one int in balanced radix B = 2R + 1, first
-coordinate most significant; R = (radius + 1) * max|g|, at least 1, covers a
-ball and the interior test w*a on it. On the box |x_i| <= R the code is an
-injective homomorphism, ordered as lex order: a product is one int addition.
+Balls come from one engine, BallCodec.layers, which yields the ball and the
+fresh layer of each radius its caller asks for, within its codec's radius
+(ball_layers and word_ball take it as n). It multiplies only the fresh layer,
+over encoded elements, checks the cap once per layer, and stops multiplying
+at the first empty layer, past which every ball is the same. A Z^d point is
+one int in balanced radix B = 2R + 1, first coordinate most significant;
+R = (radius + 1) * max|g|, at least 1, covers a ball and the interior test
+w*a on it. On the box |x_i| <= R the code is an injective homomorphism,
+ordered as lex order: a product is one int addition.
 A GL(2, Z) matrix is the flat tuple (a, b, c, d), not an int: a radix would
 grow as (max row norm)^(radius + 1). Both codes sort as their elements do,
 so sorted codes decode in canonical order, only where returned.
@@ -155,7 +157,8 @@ def _gl2z_products(elements: Iterable[tuple], gens: Sequence[tuple]) -> list[tup
 class BallCodec:
     """The ball engine over a group's encoded elements (see the module
     docstring); Z^d codes take bound = extent + (radius + 1) * max|g|, at least
-    1, for extent the largest coordinate of members, so layers stops at radius.
+    1, for extent the largest coordinate of members, so layers takes no radius
+    past it.
     encode and decode map lists of elements and codes; products(xs, gens)
     lists g * x for each x of xs and, within it, each g of gens in order."""
 
@@ -191,21 +194,31 @@ class BallCodec:
         """The decoded elements of codes: sorted codes decode in canonical order."""
         return ElementSet._canonical(tuple(self.decode(sorted(codes))))
 
-    def layers(self, cap: int | None = None) -> Iterator[tuple[set, set]]:
-        """Yield (ball(n), layer(n)) as sets of codes for n = 0..radius, then stop;
-        ball(n) is the engine's own set: read it before advancing. The identity
-        generator gives ball(n) = ball(n-1) | S*layer(n-1), so each round
-        multiplies only the fresh layer; the cap (DEFAULT_BALL_CAP when None) is
-        checked once per layer, before the layer joins the ball."""
+    def layers(self, ns: range, cap: int | None = None) -> Iterator[tuple[int, set, set]]:
+        """Yield (n, ball(n), layer(n)), the last two as sets of codes, for each n
+        of ns, an increasing range within 0..radius; ball(n) is the engine's own
+        set: read it before advancing. The identity generator gives ball(m) =
+        ball(m-1) | S*layer(m-1), so each round multiplies only the fresh layer;
+        the cap (DEFAULT_BALL_CAP when None) is checked once per layer, before
+        the layer joins the ball. At the first empty layer(m) the walk stops:
+        S*{} is empty, so every later layer is empty and every later ball is
+        ball(m), and each n left in ns is yielded off that final ball."""
+        if ns and not 0 <= ns[0] <= ns[-1] <= self.radius:
+            raise ValueError(f"radii must be an increasing range within 0..{self.radius}")
         cap = DEFAULT_BALL_CAP if cap is None else cap
-        ball, layer = {self.identity}, {self.identity}
-        yield ball, layer
-        for _ in range(self.radius):
-            layer = set(self.products(layer, self.generators)) - ball
-            if layer and len(ball) + len(layer) > cap:
-                raise ResourceLimitError(f"word ball exceeded {cap} elements")
-            ball |= layer
-            yield ball, layer
+        ball, layer, m = {self.identity}, {self.identity}, 0
+        while ns and layer:
+            if ns[0] == m:
+                yield m, ball, layer
+                ns = ns[1:]
+            else:
+                layer = set(self.products(layer, self.generators)) - ball
+                if layer and len(ball) + len(layer) > cap:
+                    raise ResourceLimitError(f"word ball exceeded {cap} elements")
+                ball |= layer
+                m += 1
+        for n in ns:
+            yield n, ball, layer
 
     def interior(self, codes: set) -> set:
         """The codes a with w*a in codes for every generator w, the one interior
@@ -220,7 +233,7 @@ def ball_layers(group: GroupPresentation, n: int, cap: int | None = None) -> Ite
     and its fresh layer ball(k) minus ball(k-1) as a tuple in canonical order,
     decoded from the BallCodec.layers stream of radius n."""
     codec, ball = BallCodec(group, n), set()
-    for _, codes in codec.layers(cap):
+    for _, _, codes in codec.layers(range(n + 1), cap):
         layer = codec.elements(codes).elements
         ball.update(layer)
         yield frozenset(ball), layer
@@ -229,12 +242,12 @@ def ball_layers(group: GroupPresentation, n: int, cap: int | None = None) -> Ite
 def word_ball(group: GroupPresentation, n: int, cap: int | None = None) -> ElementSet:
     """All products of at most n generators (the radius-n word-metric ball).
 
-    The last ball of BallCodec.layers; the identity generator makes the balls
-    increasing, so length "at most n" and "exactly n" coincide.
+    The one ball that BallCodec.layers yields for range(n, n + 1); the
+    identity generator makes the balls increasing, so length "at most n" and
+    "exactly n" coincide.
     """
     codec = BallCodec(group, n)
-    for ball, _ in codec.layers(cap):
-        pass
+    [(_, ball, _)] = codec.layers(range(n, n + 1), cap)
     return codec.elements(ball)
 
 
@@ -273,15 +286,13 @@ def check_boundary_equality_range(
     group: GroupPresentation, ns: range, cap: int | None = None
 ) -> list[BoundaryReport]:
     """check_boundary_equality for every n in ns, in increasing order, read
-    off one BallCodec.layers stream up to the last n, the range's end: rhs is
-    the stream's fresh layer, and only the two differences are decoded."""
+    off one BallCodec.layers stream of the radii of ns: rhs is the stream's
+    fresh layer, and only the two differences are decoded."""
     ns = ns if ns.step > 0 else ns[::-1]
     if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
     codec, reports = BallCodec(group, ns[-1] if ns else 0), []
-    for n, (ball, layer) in enumerate(codec.layers(cap)):
-        if n not in ns:
-            continue
+    for n, ball, layer in codec.layers(ns, cap):
         lhs = ball - codec.interior(ball)
         lhs_minus_rhs = codec.elements(lhs - layer)
         if len(lhs_minus_rhs) != 0:

@@ -13,7 +13,6 @@ no sum is decoded; minkowski_sum is the direct pairwise form.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,9 +52,10 @@ def minkowski_power(s: PointSet, n: int, cap: int | None = None) -> PointSet:
     if not s.points:
         return PointSet([(0,) * s.dim] if n == 0 else [], s.dim)
     columns = list(zip(*s.points))
-    check_box([n * min(c) for c in columns], [n * max(c) for c in columns], cap)
+    box = [n * min(c) for c in columns], [n * max(c) for c in columns]
+    check_box(*box, cap)
     shift = tuple(n * c for c in s.points[0])
-    ball = word_ball(_translated_group(s), n, cap=sys.maxsize)
+    ball = word_ball(_translated_group(s), n, cap=box_count(*box))
     # a translation keeps the ball's points distinct and in lex order
     return PointSet._canonical(tuple([tuple(map(add, p, shift)) for p in ball]), s.dim)
 
@@ -86,10 +86,11 @@ def check_equality_range(
     poly: LatticePolytope, ns: range, cap: int | None = None
 ) -> list[EqualityReport]:
     """check_equality for every n in ns, in increasing order, reading n*Omega
-    off one BallCodec stream of _translated_group(Omega) up to the last n.
-    The box cap (DEFAULT_BOX_CAP when None) bounds each dilation nP, which
-    holds n*Omega, so the stream needs no cap; after the scan of Omega, the
-    first n of ns whose box is over the cap raises before any other scan.
+    off one BallCodec.layers stream of _translated_group(Omega) over ns. The
+    box cap (DEFAULT_BOX_CAP when None) bounds each dilation nP; after the
+    scan of Omega, the first n of ns whose box is over the cap raises before
+    any other scan, so every ball of the stream, at most the box of the last
+    n, is within the cap too: |m*Omega| <= |mP & Z^d| <= box(m) for m <= n.
     Boxes grow with n, and unless P is a point the (cap + 1)-th n of ns has
     one over the cap, so a bisection of the first cap + 1 finds it."""
     ns = ns if ns.step > 0 else ns[::-1]
@@ -103,9 +104,7 @@ def check_equality_range(
         check_box(*poly.box(head[over]), cap)  # raises, as the scan of that box would
     codec, reports = BallCodec(_translated_group(omega), ns[-1] if ns else 0), []
     [t_code] = codec.encode(omega.points[:1])
-    for n, (ball, _) in enumerate(codec.layers(cap=sys.maxsize)):
-        if n not in ns:
-            continue
+    for n, ball, _ in codec.layers(ns, cap):
         full = poly.integer_points(n, cap=cap)
         shift = n * t_code  # the code of n*t: codes are additive
         missing = [p for p, c in zip(full.points, codec.encode(full.points)) if c - shift not in ball]

@@ -85,12 +85,6 @@ class LatticeSimplex:
         """Vertex tuples of the d+1 facets, each sorted; facet i omits vertex i."""
         return tuple(itertools.combinations(self.vertices, self.dim))[::-1]
 
-    def bounding_box(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (min(v[i] for v in self.vertices), max(v[i] for v in self.vertices))
-            for i in range(self.dim)
-        )
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LatticeSimplex) and self.vertices == other.vertices
 
@@ -276,12 +270,9 @@ def _intersection_vertices(a: LatticeSimplex, b: LatticeSimplex) -> set:
     return found
 
 
-def _boxes_disjoint(a: LatticeSimplex, b: LatticeSimplex) -> bool:
-    return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a.bounding_box(), b.bounding_box()))
-
-
-def _separated(a: LatticeSimplex, b: LatticeSimplex) -> bool:
-    """Integer certificate that a and b have disjoint interiors and meet face-to-face.
+def _separated(a: LatticeSimplex, b: LatticeSimplex, common: set) -> bool:
+    """Integer certificate that a and b, with shared vertices common, have
+    disjoint interiors and meet face-to-face.
 
     It holds when a halfspace containing one simplex s has the other, t, on
     its closed far side, and s or t meets its plane H in exactly the shared
@@ -290,7 +281,6 @@ def _separated(a: LatticeSimplex, b: LatticeSimplex) -> bool:
     the shared vertices) and the sum of those through the shared vertices,
     whose plane meets s in exactly them.
     """
-    common = set(a.vertices) & set(b.vertices)
     if len(common) > a.dim:
         return False  # the same simplex twice
     for s, t in ((a, b), (b, a)):
@@ -308,20 +298,19 @@ def _separated(a: LatticeSimplex, b: LatticeSimplex) -> bool:
 def _pair_problem(a: LatticeSimplex, b: LatticeSimplex) -> str | None:
     """What keeps a and b from being two simplices of one triangulation, or None.
 
-    Disjoint boxes or a `_separated` certificate: None. The same simplex, or
-    d shared vertices without a certificate (both apexes on one side of the
-    shared facet): intersecting interiors. Else the vertices X of a ∩ b
-    decide. If each lies on every facet of a opposite an unshared vertex,
-    a ∩ b is the hull of the shared vertices: None. If not, a ∩ b is
-    full-dimensional (the interiors intersect) iff the centroid of X is
-    strictly inside a and b; else it lies in the boundary of one and is not
-    a face of both.
+    A `_separated` certificate: None. The same simplex, or d shared vertices
+    without a certificate (both apexes on one side of the shared facet):
+    intersecting interiors. Else the vertices X of a ∩ b decide. If each lies
+    on every facet of a opposite an unshared vertex, a ∩ b is the hull of the
+    shared vertices: None. If not, a ∩ b is full-dimensional (the interiors
+    intersect) iff the centroid of X is strictly inside a and b; else it lies
+    in the boundary of one and is not a face of both.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    if _boxes_disjoint(a, b) or _separated(a, b):
-        return None
     common = set(a.vertices) & set(b.vertices)
+    if _separated(a, b, common):
+        return None
     if len(common) >= a.dim:
         return "have intersecting interiors"
     xs = _intersection_vertices(a, b)

@@ -366,7 +366,8 @@ def lp_interiors_intersect(a, b) -> bool:
 
 
 def _boxes_disjoint(a, b) -> bool:
-    return any(ahi < blo or bhi < alo for (alo, ahi), (blo, bhi) in zip(a.bounding_box(), b.bounding_box()))
+    """Do the bounding boxes of the vertices of a and b miss each other on some axis?"""
+    return any(max(x) < min(y) or max(y) < min(x) for x, y in zip(zip(*a.vertices), zip(*b.vertices)))
 
 
 def _intersection_vertices(a, b) -> set:

@@ -684,6 +684,59 @@ class TestLongRanges:
         assert (done.returncode, done.stdout, done.stderr) == (3, "", err)
 
 
+HUGE_N = 10**23
+FINITE_INPUTS = {
+    "swap.json": {"kind": "gl2z", "generators": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
+    "zero.json": {"kind": "zd", "dim": 2, "generators": [[0, 0]]},
+    "origin.json": {"dim": 2, "vertices": [[0, 0]]},
+}
+
+
+class TestFiniteStreams:
+    """A ball stream stops growing at its first empty layer: at n = 10^23, a
+    command on a finite group or a one-point polytope reports what it reports
+    at a small n past that layer, but for n. The huge runs each take a fresh
+    interpreter with a timeout."""
+
+    @pytest.mark.parametrize(
+        "command, name, small, huge",
+        [
+            ("word-ball", "swap.json", "3", str(HUGE_N)),
+            ("boundary", "swap.json", "3", str(HUGE_N)),
+            ("check-boundary", "swap.json", "3", str(HUGE_N)),
+            ("check-boundary", "swap.json", "3..6", f"{HUGE_N}..{HUGE_N + 3}"),
+            ("word-ball", "zero.json", "3", str(HUGE_N)),
+            ("minkowski", "origin.json", "3", str(HUGE_N)),
+            ("check-equality", "origin.json", "3", str(HUGE_N)),
+            ("check-equality", "origin.json", "3..6", f"{HUGE_N}..{HUGE_N + 3}"),
+        ],
+    )
+    def test_report_at_a_huge_n(self, capsys, tmp_path, command, name, small, huge):
+        path = tmp_path / name
+        path.write_text(json.dumps(FINITE_INPUTS[name]))
+        code, expected, _ = run_json(capsys, command, str(path), small)
+        assert code == 0
+        src = str(Path(latmink.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "latmink", command, str(path), huge],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        doc = json.loads(done.stdout)
+        if isinstance(doc["result"], list):  # one report per n of the range
+            lo, _, hi = huge.partition("..")
+            assert [r.pop("n") for r in doc["result"]] == list(range(int(lo), int(hi or lo) + 1))
+            assert doc["inputs"].pop("range") == huge
+            for r in expected["result"]:
+                del r["n"]
+            del expected["inputs"]["range"]
+        else:
+            assert doc["inputs"].pop("n") == HUGE_N
+            del expected["inputs"]["n"]
+        assert doc == expected
+
+
 class TestBoxCap:
     # The box of 3 * sigma(3, 2) has 7^3 = 343 points; 24 of them are inside.
     def test_cap_at_the_box_size(self, capsys):

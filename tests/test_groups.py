@@ -53,6 +53,14 @@ gl2z_groups = st.lists(st.sampled_from(_small_gl2z()), max_size=4).map(
 )
 
 
+# Finite groups: Z^2 generated by {0}, and the GL(2, Z) pairs {I, swap} and {I, -I}.
+FINITE_GROUPS = [
+    GroupPresentation.zd(2, [(0, 0)]),
+    GroupPresentation.gl2z([GL2Z_IDENTITY, ((0, 1), (1, 0))]),
+    GroupPresentation.gl2z([GL2Z_IDENTITY, ((-1, 0), (0, -1))]),
+]
+
+
 def l1_ball(radius):
     return {
         (x, y)
@@ -199,10 +207,54 @@ class TestBallEngine:
     @given(st.one_of(zd_groups(), gl2z_groups), st.integers(0, 4))
     @settings(max_examples=60, deadline=None)
     def test_the_stream_stops_at_its_radius(self, group, r):
-        # past radius + 1 the Z^d codes wrap: the stream must end first
+        # past radius + 1 the Z^d codes wrap: the stream takes no radius past
+        # its codec's, and ends at the last radius asked for
         codec = BallCodec(group, r)
-        balls = [codec.elements(ball) for ball, _ in itertools.islice(codec.layers(), r + 3)]
-        assert balls == [brute_force_word_ball(group, k) for k in range(r + 1)]
+        balls = [(n, codec.elements(ball)) for n, ball, _ in codec.layers(range(r + 1))]
+        assert balls == [(k, brute_force_word_ball(group, k)) for k in range(r + 1)]
+        for ns in (range(r + 2), range(r + 1, r + 3), range(-1, r + 1), range(r, -2, -1)):
+            with pytest.raises(ValueError, match="increasing range within"):
+                next(codec.layers(ns))
+
+    @given(
+        st.one_of(
+            st.tuples(st.one_of(zd_groups(), gl2z_groups), st.just(4)),
+            st.tuples(st.sampled_from(FINITE_GROUPS), st.just(12)),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_layers_yield_the_radii_asked_for(self, case, data):
+        # ranges of any step, past the first empty layer where the group is
+        # finite, in a codec whose radius top may pass the range's last n
+        group, top = case
+        start = data.draw(st.integers(0, top))
+        ns = range(start, data.draw(st.integers(start + 1, top + 1)), data.draw(st.integers(1, 3)))
+        codec = BallCodec(group, top)
+        streamed = [(n, codec.elements(ball), codec.elements(layer)) for n, ball, layer in codec.layers(ns)]
+        expected = []
+        for n in ns:
+            ball = brute_force_word_ball(group, n)
+            before = brute_force_word_ball(group, n - 1) if n else ElementSet(())
+            expected.append((n, ball, ball.difference(before)))
+        assert streamed == expected
+
+    @pytest.mark.parametrize("group, sizes", zip(FINITE_GROUPS, ([1], [1, 1], [1, 1])))
+    def test_no_product_after_the_first_empty_layer(self, group, sizes, monkeypatch):
+        # {0} has layer(1) empty, the two-element groups layer(2): every
+        # later ball is the same, so the stream to radius 50 multiplies only
+        # the layers before that one
+        codec, multiplied = BallCodec(group, 50), []
+        products = codec.products
+
+        def counting_products(elements, gens):
+            multiplied.append(len(elements))
+            return products(elements, gens)
+
+        monkeypatch.setattr(codec, "products", counting_products)
+        [(n, ball, layer)] = codec.layers(range(50, 51))
+        assert (n, codec.elements(ball), layer) == (50, brute_force_word_ball(group, len(sizes)), set())
+        assert multiplied == sizes
 
     def test_cap_fires_before_a_full_round(self, gl2z, monkeypatch):
         # Only elements already in the ball get multiplied, so fewer than

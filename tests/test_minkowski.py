@@ -220,9 +220,9 @@ class TestCheckEquality:
         real = minkowski.BallCodec.layers
 
         def counted(*args, **kwargs):
-            for layer in real(*args, **kwargs):
-                layers.append(len(layer[0]))
-                yield layer
+            for n, ball, layer in real(*args, **kwargs):
+                layers.append(n)
+                yield n, ball, layer
 
         monkeypatch.setattr(minkowski.BallCodec, "layers", counted)
         with pytest.raises(ResourceLimitError, match="^bounding box has 90601 candidate points, cap is 100$"):

@@ -906,6 +906,20 @@ class TestSearch:
             s.vertices for s in second.triangulation.simplices
         ]
 
+    def test_pinned_intersection_vertex_solves(self, monkeypatch):
+        # the integer certificate of _separated settles all but 32 of this
+        # search's 1,128 pair tests; a certificate change that sends more
+        # pairs to the Cramer solves of _intersection_vertices shows here
+        counts = {"_pair_problem": 0, "_intersection_vertices": 0}
+        for name in counts:
+            def counted(a, b, real=getattr(triangulation, name), name=name):
+                counts[name] += 1
+                return real(a, b)
+
+            monkeypatch.setattr(triangulation, name, counted)
+        result = search_primitive_triangulation(cube(3, 0, 2), point_cap=40)
+        assert (result.nodes, counts) == (48, {"_pair_problem": 1128, "_intersection_vertices": 32})
+
     @pytest.mark.parametrize("poly, runs, simplices", SEARCH_PINS.values(), ids=SEARCH_PINS)
     def test_pinned_results(self, poly, runs, simplices):
         for budget, (nodes, exhausted, found) in runs.items():

@@ -16,6 +16,13 @@ and, in a temporary work directory of its own, runs every command of this list:
   `search-primitive` on five lower-dimensional polytopes written into the work
   directory (no bundled dataset is one), as JSON and with `--pretty`, so that
   the affine hull's equations, the lift and membership are compared too;
+- `word-ball` and `boundary` at 4 and `check-boundary` over 1..4 and 3..6 on
+  inputs whose balls stop growing, written into the work directory (the
+  GL(2, Z) groups {I, swap} and {I, -I}, the Z^2 group of the identity alone
+  and the one-point polytope at the origin), and `minkowski` at 4 and
+  `check-equality` over 1..4 and 3..6 on that polytope, as JSON and with
+  `--pretty`, so that radii past a stream's first empty layer are compared;
+- `points NAME 0` on every bundled dataset;
 - `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
 - commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
   before or after the work it bounds gives the same message; ball commands
@@ -110,6 +117,14 @@ LOWER_DIMENSIONAL = {
     "sigma-3-2-4d": [[0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 0, 1], [-1, -1, 2, 0]],
 }
 
+# Inputs whose word balls stop growing: each ball stream has an empty layer.
+FINITE_STREAMS = {
+    "gl2z-swap": {"kind": "gl2z", "generators": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
+    "gl2z-minus": {"kind": "gl2z", "generators": [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]},
+    "z2-identity": {"kind": "zd", "dim": 2, "generators": [[0, 0]]},
+    "origin-2d": {"dim": 2, "vertices": [[0, 0]]},
+}
+
 SUBCOMMANDS = (
     "points", "minkowski", "check-equality", "decompose", "classify", "lemma1",
     "validate-triangulation", "search-primitive", "word-ball", "boundary", "check-boundary", "verify-paper",
@@ -145,6 +160,7 @@ def _dataset_commands(data: Path):
         vertices = doc.get("vertices") if isinstance(doc, dict) else None
         point = [str(a + b) for a, b in zip(vertices[0], vertices[-1])] if vertices else ["0"]
         commands += [
+            ["points", name, "0"],
             ["points", name, "2"],
             ["minkowski", name, "2"],
             ["check-equality", name, "1..2"],
@@ -178,6 +194,29 @@ def _lower_dimensional_commands(work: Path):
             ["classify", path],
             ["search-primitive", path],
         ]
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
+def _finite_stream_commands(work: Path):
+    """Write each FINITE_STREAMS input into work as NAME.json and return the
+    commands run on it, JSON first, then --pretty: the ball commands on each,
+    the polytope commands on the polytope."""
+    commands = []
+    for name, doc in FINITE_STREAMS.items():
+        path = f"{name}.json"
+        (work / path).write_text(json.dumps(doc))
+        commands += [
+            ["word-ball", path, "4"],
+            ["boundary", path, "4"],
+            ["check-boundary", path, "1..4"],
+            ["check-boundary", path, "3..6"],
+        ]
+        if "vertices" in doc:
+            commands += [
+                ["minkowski", path, "4"],
+                ["check-equality", path, "1..4"],
+                ["check-equality", path, "3..6"],
+            ]
     return commands + [["--pretty", *argv] for argv in commands]
 
 
@@ -219,7 +258,7 @@ def digests(root: Path) -> list:
                     run(op.argv, op.after)
         for argv in _dataset_commands(root / "src" / "latmink" / "data"):
             run(argv)
-        for argv in _lower_dimensional_commands(Path(tmp)):
+        for argv in _lower_dimensional_commands(Path(tmp)) + _finite_stream_commands(Path(tmp)):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
