@@ -6,7 +6,10 @@ switches to a human-readable rendering. The global flags (--pretty, --cap,
 command keeps its library's default cap. The cap bounds the bounding box of
 nP or n*Omega for points, minkowski and check-equality, checked before any
 work, and the ball for word-ball, boundary and check-boundary, checked once
-per layer; the other six subcommands read no cap and reject --cap. The bounds
+per layer. The other six subcommands reject --cap, yet classify, lemma1,
+validate-triangulation, search-primitive and decompose still stop at
+DEFAULT_BOX_CAP (exit 3): it bounds their box scans, and decompose's n too;
+only verify-paper reads no cap. The bounds
 --cap, --budget and --point-cap take positive integers only. Exit codes:
 0 success, 1 verification failure (verify-paper), 2 input error (including a
 ValueError raised by the library on an out-of-range argument), 3 resource cap

@@ -1,12 +1,10 @@
-"""Exact integer and rational linear algebra.
-
-Integer work (determinants, Hermite normal form) stays in plain Python ints;
-rational work uses fractions.Fraction. Nothing here ever touches a float.
+"""Exact integer linear algebra: Bareiss determinants, a fraction-free row
+echelon form with its normal vector, and the Hermite normal form. Everything
+stays in plain Python ints; nothing here builds a Fraction or touches a float.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -154,23 +152,3 @@ def is_identity(matrix: Sequence[Sequence[int]], dim: int) -> bool:
         for i, row in enumerate(matrix)
     )
 
-
-def inverse_exact(rows: Sequence[Sequence[int]]) -> list[list[Fraction]] | None:
-    """Exact inverse of a square integer matrix, one Gauss-Jordan pass over [A | I]; None if singular.
-    It serves only the `inverse_integral` criterion of `unimodular_criteria` (lemma1)."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]

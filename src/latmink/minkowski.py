@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
-from . import linalg
-from .geometry import DEFAULT_BOX_CAP, LatticePolytope, Point, PointSet, as_point, box_count, check_box
+from . import geometry, linalg
+from .geometry import LatticePolytope, Point, PointSet, ResourceLimitError, as_point, box_count, check_box, dot
 from .groups import BallCodec, GroupPresentation, word_ball
 from .triangulation import Triangulation
 
@@ -97,7 +97,7 @@ def check_equality_range(
     if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
     omega = poly.integer_points(1, cap=cap)
-    cap = DEFAULT_BOX_CAP if cap is None else cap
+    cap = geometry.DEFAULT_BOX_CAP if cap is None else cap
     head = ns[:cap + 1]
     over = bisect_left(head, True, key=lambda n: box_count(*poly.box(n)) > cap)
     if over < len(head):
@@ -132,35 +132,39 @@ def decompose(
 ) -> Decomposition:
     """Write x, an integer point of the n-fold dilation, as n summands.
 
-    Requires tri to be a primitive triangulation of poly. The simplex of the
-    triangulation containing x/n (lowest index on ties) yields exact
-    barycentric coordinates whose n-multiples are the summand multiplicities;
-    unimodularity forces them to be integers.
+    Requires tri to be a primitive triangulation of poly. Each simplex is
+    tested on the integers n * offset - <normal, x> over its facets, n times
+    the slacks of x/n; the first one with all of them >= 0 holds x/n. The
+    multiplicity of a vertex is that integer over the vertex's own slack on
+    its opposite facet (its lattice height, 1 on a unit simplex), n times its
+    barycentric coordinate. The n summands are n points of the report, so n
+    over DEFAULT_BOX_CAP raises ResourceLimitError before any work.
     """
     x = as_point(x)
     if n < 1:
         raise ValueError("n must be >= 1")
+    cap = geometry.DEFAULT_BOX_CAP
+    if n > cap:
+        raise ResourceLimitError(f"a decomposition has {n} summands, cap is {cap}")
     if tri.polytope != poly:
         raise ValueError("triangulation belongs to a different polytope")
     if len(x) != poly.dim:
         raise ValueError("dimension mismatch")
-    p = tuple(Fraction(c, n) for c in x)
-    if not poly.contains(p):
+    if not poly.contains(tuple(Fraction(c, n) for c in x)):
         raise ValueError(f"{x} is not in the {n}-fold dilation")
     for simplex in tri.simplices:
-        coords = simplex.barycentric(p)
-        if all(c >= 0 for c in coords):
+        slacks = [n * h.offset - dot(h.normal, x) for h in simplex.facets]
+        if min(slacks) >= 0:
             break
     else:
         raise ValueError("no simplex of the triangulation contains the point; invalid triangulation")
     if simplex.normalized_volume != 1:
         raise ValueError("triangulation is not primitive")
     summands: list[Point] = []
-    for coeff, vertex in zip(coords, simplex.vertices):
-        beta = n * coeff
-        if beta.denominator != 1:
+    for slack, vertex, h in zip(slacks, simplex.vertices, simplex.facets):
+        beta, rest = divmod(slack, h.slack(vertex))
+        if rest:
             raise RuntimeError("internal inconsistency: non-integer multiplicity on a unit simplex")
-        beta = int(beta)
         if not 0 <= beta <= n:
             raise RuntimeError("internal inconsistency: multiplicity out of range")
         summands.extend([vertex] * beta)

@@ -138,7 +138,7 @@ class UnimodularCriteria:
 
     singular: bool
     lattice_onto: bool  # columns generate all of Z^d
-    inverse_integral: bool  # exact inverse has integer entries
+    inverse_integral: bool  # inverse has integer entries: det divides every cofactor
     det_unit: bool  # determinant is +1 or -1
     parallelotope_unit_volume: bool  # image of the unit cube has volume 1
     parallelotope_elementary: bool  # cube image has no integer points beyond corners
@@ -157,8 +157,10 @@ class UnimodularCriteria:
 def unimodular_criteria(matrix: Sequence[Sequence[int]]) -> UnimodularCriteria:
     """Evaluate each unimodularity condition by its own method.
 
-    Semi-exhaustive checks (lattice image, cube enumeration) bound the
-    dimension; raise above CRITERIA_MAX_DIM.
+    The inverse is integral iff det divides every cofactor (A^-1 = adj(A) /
+    det), each the det_int of a (d-1)-minor; no inverse is built. Semi-exhaustive
+    checks (lattice image, cube enumeration) bound the dimension; raise above
+    CRITERIA_MAX_DIM.
     """
     rows = [as_point(r) for r in matrix]
     d = len(rows)
@@ -173,10 +175,8 @@ def unimodular_criteria(matrix: Sequence[Sequence[int]]) -> UnimodularCriteria:
     cols = list(zip(*rows))
     lattice_onto = linalg.is_identity(linalg.hermite_normal_form(cols), d)
 
-    inverse = linalg.inverse_exact(rows)
-    inverse_integral = inverse is not None and all(
-        x.denominator == 1 for row in inverse for x in row
-    )
+    minors = ([r[:j] + r[j + 1 :] for r in rows[:i] + rows[i + 1 :]] for i in range(d) for j in range(d))
+    inverse_integral = all(linalg.det_int(m) % det == 0 for m in minors)
 
     det_unit = abs(det) == 1
 

@@ -12,7 +12,8 @@ beneath-beyond hull by testing every face for visibility and building every
 face's plane from its points instead of flooding ridges, word balls by
 multiplying the whole ball each round, Minkowski powers by folding
 minkowski_sum, triangulations by an exact LP and an intersection-vertex test
-(exact Fraction solves) on every pair of simplices, and report text by
+(exact Fraction solves) on every pair of simplices, inverses by Gauss-Jordan
+over Fractions instead of cofactors, and report text by
 building the report's plain JSON data first for the standard library to write.
 """
 
@@ -54,6 +55,28 @@ def solve_exact(matrix, rhs) -> tuple | None:
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return tuple(row[n] for row in a)
+
+
+def inverse_exact(rows) -> list | None:
+    """Exact inverse of a square integer matrix, one Gauss-Jordan pass over
+    [A | I] in Fractions; None if singular. The oracle of the cofactor rule
+    that unimodular_criteria decides inverse_integral by."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
 
 
 def cofactor_normal(rows, dim: int) -> tuple:

@@ -189,6 +189,25 @@ class TestDecompose:
         assert code == 2
         assert "no primitive triangulation" in err
 
+    def test_n_is_bounded_by_the_box_cap(self, capsys, monkeypatch):
+        # the box of unit-square has 4 points, so the search still runs at cap 9
+        monkeypatch.setattr(geometry, "DEFAULT_BOX_CAP", 9)
+        code, doc, _ = run_json(capsys, "decompose", "unit-square", "9", "9,0")
+        assert code == 0 and doc["result"]["summands"] == [[1, 0]] * 9
+        code, out, err = run(capsys, "decompose", "unit-square", "10", "10,0")
+        assert (code, out, err) == (3, "", "resource cap exceeded: a decomposition has 10 summands, cap is 9\n")
+
+    def test_huge_n_exits_3_at_once(self):
+        src = str(Path(latmink.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        n = str(10**20)
+        done = subprocess.run(
+            [sys.executable, "-m", "latmink", "decompose", "unit-square", n, f"{n},0"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == f"resource cap exceeded: a decomposition has {n} summands, cap is 100000000\n"
+
 
 class TestClassify:
     def test_sigma_3_2(self, capsys):
@@ -649,6 +668,17 @@ class TestCapIsRejected:
             assert (code, out) == (2, "")
             assert err.startswith("usage: latmink ") and "Traceback" not in err
             assert err.splitlines()[-1] == f"latmink: error: --cap does not apply to {command[0]}"
+
+    def test_commands_that_reject_the_flag_still_stop_at_the_default_cap(self, capsys, tmp_path):
+        # the box of conv{(0, 0), (20000, 0), (0, 20000)} has 20001^2 > 10^8 points
+        path = tmp_path / "big-triangle.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [20000, 0], [0, 20000]]}))
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (3, "")
+        assert err == "resource cap exceeded: bounding box has 400040001 candidate points, cap is 100000000\n"
+        code, out, err = outcome(capsys, "classify", str(path), "--cap", "1000000000")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == "latmink: error: --cap does not apply to classify"
 
     def test_help_names_the_commands_that_read_the_cap(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 from fractions import Fraction
 
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from latmink import linalg
 
-from conftest import cofactor_normal, solve_exact
+from conftest import cofactor_normal, inverse_exact, solve_exact
 
 
 def det_by_permutation_expansion(rows):
@@ -226,20 +228,31 @@ class TestHermiteNormalForm:
         assert linalg.hermite_normal_form([[-x for x in r] for r in rows]) == h
 
 
+class TestIntegerOnly:
+    def test_no_fractions_import(self):
+        tree = ast.parse(inspect.getsource(linalg))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "fractions" not in imported
+        assert not hasattr(linalg, "inverse_exact")
+
+
 class TestInverse:
+    """The Fraction inverse is a test oracle (of unimodular_criteria's cofactor rule)."""
+
     def test_round_trip(self):
         a = [[1, 1], [0, 1]]
-        inv = linalg.inverse_exact(a)
+        inv = inverse_exact(a)
         assert inv == [[1, -1], [0, 1]]
 
     def test_singular(self):
-        assert linalg.inverse_exact([[1, 2], [2, 4]]) is None
+        assert inverse_exact([[1, 2], [2, 4]]) is None
 
     @given(square_matrices)
     @settings(max_examples=80, deadline=None)
     def test_product_is_identity(self, rows):
         n = len(rows)
-        inv = linalg.inverse_exact(rows)
+        inv = inverse_exact(rows)
         if linalg.det_int(rows) == 0:
             assert inv is None
             return

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -318,8 +319,11 @@ class TestDecompose:
             st.lists(st.tuples(st.integers(-1, 1), st.integers(0, 1), st.integers(0, 1)), min_size=4, max_size=7),
         )
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_searched_triangulations_decompose_every_point(self, pts):
+        # the summands against the Fraction form of the slack rule: in the first
+        # simplex whose barycentric coordinates of x/n are all >= 0, each vertex
+        # taken n times its coordinate
         poly = hull(pts)
         assume(poly.is_full_dimensional and len(poly.integer_points(1)) <= DEFAULT_POINT_CAP)
         tri = search_primitive_triangulation(poly).triangulation
@@ -333,6 +337,12 @@ class TestDecompose:
                 assert len(dec.summands) == n
                 assert all(s in omega for s in dec.summands)
                 assert tuple(map(sum, zip(*dec.summands))) == x
+                p = [Fraction(c, n) for c in x]
+                first = next(s for s in tri.simplices if min(s.barycentric(p)) >= 0)
+                multiplicities = [n * c for c in first.barycentric(p)]
+                assert all(m.denominator == 1 for m in multiplicities)
+                expected = [v for v, m in zip(first.vertices, multiplicities) for _ in range(int(m))]
+                assert dec.summands == tuple(sorted(expected))
 
 
 class TestGeneratesZd:

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -159,6 +160,35 @@ class TestUnimodularCriteria:
                 assert crit.corner_simplex_elementary
             if d <= 2 and crit.corner_simplex_elementary and not crit.singular:
                 assert flags == {True}
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda d: st.lists(st.lists(st.integers(-2, 2), min_size=d, max_size=d), min_size=d, max_size=d)
+)
+
+
+def inverse_is_integral(matrix) -> bool:
+    """The oracle of inverse_integral: a Fraction inverse with every denominator 1."""
+    inverse = conftest.inverse_exact(matrix)
+    return inverse is not None and all(x.denominator == 1 for row in inverse for x in row)
+
+
+class TestInverseIntegralByCofactors:
+    """inverse_integral is decided as "det divides every cofactor"; the
+    Gauss-Jordan inverse over Fractions is its oracle."""
+
+    def test_every_small_2x2(self):
+        for entries in itertools.product(range(-2, 3), repeat=4):
+            matrix = [list(entries[:2]), list(entries[2:])]
+            assert unimodular_criteria(matrix).inverse_integral == inverse_is_integral(matrix), matrix
+
+    @given(square_matrices)
+    @example([[2]])
+    @example([[1, 0, 0], [0, 1, 0], [1, 0, 0]])  # singular
+    @example([[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])  # inverse mixes integral and half entries
+    @settings(max_examples=150, deadline=None)
+    def test_square_matrices_up_to_dimension_four(self, matrix):
+        assert unimodular_criteria(matrix).inverse_integral == inverse_is_integral(matrix)
 
 
 class TestClassifySimplex:

@@ -23,6 +23,14 @@ and, in a temporary work directory of its own, runs every command of this list:
   `check-equality` over 1..4 and 3..6 on that polytope, as JSON and with
   `--pretty`, so that radii past a stream's first empty layer are compared;
 - `points NAME 0` on every bundled dataset;
+- `lemma1` on seeded matrices written into the work directory, two of each
+  kind for d = 1..4: det +-1 (products of row shears and a sign), |det| > 1
+  (one row of such a matrix times 2 or 3, so for d >= 2 the inverse mixes
+  integral and fractional entries) and singular; and `decompose` at n = 3
+  and 50 on `unit-square`, `cross-2d`, `unit-cube` and `cross-3d`, at n
+  times each vertex and at the floor of n times the vertex centroid (a point
+  of nP's interior), as JSON and with `--pretty`, so that the integrality
+  tests of both are compared;
 - `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
 - commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
   before or after the work it bounds gives the same message; ball commands
@@ -38,7 +46,7 @@ and, in a temporary work directory of its own, runs every command of this list:
   parser still takes non-positive bounds;
 - the parser itself: `-h` and `<subcommand> -h` for every subcommand,
   argparse errors, global flags placed before or after the subcommand, and
-  `--cap` given to each of the six subcommands that read no cap (these
+  `--cap` given to each of the six subcommands that reject it (these
   differ against a checkout that accepts and ignores it there).
 
 Input paths are relative to the work directory, so both roots see the same
@@ -55,6 +63,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -220,6 +229,41 @@ def _finite_stream_commands(work: Path):
     return commands + [["--pretty", *argv] for argv in commands]
 
 
+def _lemma1_commands(work: Path):
+    """Write the seeded lemma1 matrices into work as lemma1-D-I.json and
+    return the lemma1 command on each, JSON first, then --pretty."""
+    rng, commands = random.Random(24), []
+    for d in range(1, 5):
+        for i in range(2):
+            unit = [[int(r == c) for c in range(d)] for r in range(d)]
+            for _ in range(3 * (d - 1)):
+                (r, c), k = rng.sample(range(d), 2), rng.choice((-2, -1, 1, 2))
+                unit[r] = [a + k * b for a, b in zip(unit[r], unit[c])]
+            sign, r, k = rng.choice((-1, 1)), rng.randrange(d), rng.choice((2, 3))
+            unit[0] = [sign * a for a in unit[0]]
+            scaled = unit[:r] + [[k * a for a in unit[r]]] + unit[r + 1 :]
+            singular = unit[:-1] + [list(map(sum, zip([0] * d, *unit[:-1])))]  # last row: the sum of the others
+            for kind, matrix in [("unit", unit), ("scaled", scaled), ("singular", singular)]:
+                path = f"lemma1-{d}-{kind}-{i}.json"
+                (work / path).write_text(json.dumps({"matrix": matrix}))
+                commands.append(["lemma1", path])
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
+def _decompose_commands(data: Path):
+    """decompose at n = 3 and 50 on four bundled polytopes, at n times each
+    vertex and at the floor of n times the vertex centroid, JSON first, then
+    --pretty."""
+    commands = []
+    for name in ("unit-square", "cross-2d", "unit-cube", "cross-3d"):
+        vertices = json.loads((data / f"{name}.json").read_text())["vertices"]
+        for n in (3, 50):
+            centroid = [n * sum(c) // len(vertices) for c in zip(*vertices)]
+            for point in [[n * c for c in v] for v in vertices] + [centroid]:
+                commands.append(["decompose", name, str(n), ",".join(map(str, point))])
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
 def _run_one(cli, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -259,6 +303,8 @@ def digests(root: Path) -> list:
         for argv in _dataset_commands(root / "src" / "latmink" / "data"):
             run(argv)
         for argv in _lower_dimensional_commands(Path(tmp)) + _finite_stream_commands(Path(tmp)):
+            run(argv)
+        for argv in _lemma1_commands(Path(tmp)) + _decompose_commands(root / "src" / "latmink" / "data"):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
