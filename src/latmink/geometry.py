@@ -252,22 +252,25 @@ def _beneath_beyond(
     return vertices, sorted(planes), [face.verts for face in alive]
 
 
-def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Sequence[int]) -> list[Point]:
+def _line_scan(
+    planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Sequence[int]
+) -> list[tuple[Point, int, int]]:
     """The integer points y of the box [los, his] (k >= 1 coordinates) with <a, y> <= b
-    for all (a, b) in planes, which bound a polytope, in lex order. Loops over prefixes
-    carrying each residual r = b - <a, prefix>, one subtraction a step; with c = a_k, a
-    line keeps y_k <= floor(r/c) if c > 0, y_k >= ceil(r/c) if c < 0, r >= 0 if c == 0."""
+    for all (a, b) in planes, which bound a polytope, as runs (prefix, lo, hi): the
+    points prefix + (t,) for lo <= t <= hi, in lex order. Loops over prefixes carrying
+    each residual r = b - <a, prefix>, one subtraction a step; with c = a_k, a line
+    keeps y_k <= floor(r/c) if c > 0, y_k >= ceil(r/c) if c < 0, r >= 0 if c == 0."""
     planes = sorted(planes, key=lambda p: (p[0][-1] <= 0, p[0][-1] == 0))  # c > 0, c < 0, c == 0
     ups, downs = [a[-1] for a, _ in planes if a[-1] > 0], [-a[-1] for a, _ in planes if a[-1] < 0]
     p, q, last = len(ups), len(ups) + len(downs), len(los) - 1
-    found: list[Point] = []
+    found: list[tuple[Point, int, int]] = []
 
     def scan(j: int, prefix: Point, res: list[int]) -> None:
         if j == last:
             hi = min(map(floordiv, res[:p], ups), default=his[j])
             lo = -min(map(floordiv, res[p:q], downs), default=-los[j])
             if lo <= hi and min(res[q:], default=0) >= 0:
-                found.extend(prefix + (y,) for y in range(lo, hi + 1))
+                found.append((prefix, lo, hi))
             return
         step = [a[j] for a, _ in planes]
         res = [r - a * los[j] for r, a in zip(res, step)]
@@ -278,6 +281,11 @@ def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Seq
     scan(0, (), [b for _, b in planes])
     del scan  # it refers to itself: free found now, not at a later gc pass
     return found
+
+
+def run_points(runs: Iterable[tuple[Point, int, int]]) -> list[Point]:
+    """The points of the runs (prefix, lo, hi), prefix + (t,) for lo <= t <= hi, in order."""
+    return [prefix + (t,) for prefix, lo, hi in runs for t in range(lo, hi + 1)]
 
 
 class PointSet:
@@ -416,24 +424,31 @@ class LatticePolytope:
         his = [max(n * v[c] for v in self.vertices) for c in self._cols]
         return los, his
 
-    def integer_points(self, n: int, cap: int | None = None) -> PointSet:
-        """All integer points of the n-fold dilation, canonically ordered.
-
-        Scans the bounding box of the dilation line by line (`_line_scan`):
-        the dilated facets cut each line to one exact integer interval. A
-        lower-dimensional polytope is scanned in its projection, keeping each
-        point whose `_lift` to the affine hull is integral; at n == 0 the box is
-        the one point 0. Boxes of more than cap (DEFAULT_BOX_CAP when None)
-        candidates raise ResourceLimitError before any line is scanned.
-        The lifts keep the scan's points distinct and in lex order: the echelon pivots
-        `_cols` lead as many independent directions of the affine hull as its dimension,
-        so they are all its leading columns: two of its points first differ at one of them.
-        """
+    def line_runs(self, n: int, cap: int | None = None) -> list[tuple[Point, int, int]]:
+        """The integer points of nP's `_cols` projection (nP's own when full-dimensional;
+        a point has no runs) as `_line_scan`'s runs, which count them before any is
+        built. Raises as integer_points does."""
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
         los, his = self.box(n)
         check_box(los, his, cap)
-        inside = _line_scan([(a, n * b) for a, b in self._planes], los, his) if los else [()]
+        return _line_scan([(a, n * b) for a, b in self._planes], los, his) if los else []
+
+    def integer_points(self, n: int, cap: int | None = None) -> PointSet:
+        """All integer points of the n-fold dilation, canonically ordered.
+
+        Scans the bounding box of the dilation line by line (`line_runs`):
+        the dilated facets cut each line to one exact integer interval. A
+        lower-dimensional polytope is scanned in its projection, keeping each
+        point whose `_lift` to the affine hull is integral; at n == 0 the box is
+        the one point 0, and a point's projection is (). Boxes of more than cap
+        (DEFAULT_BOX_CAP when None) candidates raise ResourceLimitError before
+        any line is scanned.
+        The lifts keep the scan's points distinct and in lex order: the echelon pivots
+        `_cols` lead as many independent directions of the affine hull as its dimension,
+        so they are all its leading columns: two of its points first differ at one of them.
+        """
+        inside = run_points(self.line_runs(n, cap)) if self._cols else [()]
         if not self.is_full_dimensional:
             inside = filter(None, (self._lift(y, n) for y in inside))
         return PointSet._canonical(tuple(inside), self.dim)

@@ -55,7 +55,12 @@ def _reject_float(text: str):
 
 
 def loads_strict(text: str) -> Any:
-    return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    """The JSON document of text, with floats rejected; a document nested too
+    deep for the decoder's recursion is a ValueError, like any bad document."""
+    try:
+        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
 
 
 def _list(value, what: str) -> list:

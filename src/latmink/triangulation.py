@@ -31,6 +31,7 @@ from .geometry import (
     dot,
     edge_rows,
     plane_through,
+    run_points,
 )
 
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -456,10 +457,6 @@ class SearchResult:
     nodes: int
 
 
-class _Budget(Exception):
-    pass
-
-
 def search_primitive_triangulation(
     poly: LatticePolytope,
     budget: int = DEFAULT_SEARCH_BUDGET,
@@ -468,23 +465,28 @@ def search_primitive_triangulation(
     """Backtracking search for a primitive triangulation on the lattice points.
 
     Candidate simplices are all (d+1)-subsets of the polytope's integer
-    points with determinant +-1, in lex order. The search grows a complex
-    by the facet-owner rule of `validate_triangulation`. At the root it
-    branches on the candidates containing the lex-least vertex; below, on
-    the candidates not chosen whose apex is on the other side (`_opposite`)
-    of the complex's lex-least open facet (one owner, not on P's boundary).
-    A branch is one node of the budget, and is taken when the candidate
-    meets every chosen simplex face-to-face; a search stopped by the budget
-    reports nodes == budget. Deterministic; exhaustion of the candidate
-    space proves that no primitive triangulation exists.
+    points (counted against point_cap from `line_runs` before any is built)
+    with determinant +-1, in lex order. The search grows a complex by the
+    facet-owner rule of `validate_triangulation`, depth first in one loop
+    over a stack. An entry holds the branches left at a node, the complex
+    there and its open facets: each facet (sorted vertex tuple) with one
+    owner (simplex, omit), not on P's boundary. The root branches on the
+    candidates containing the lex-least vertex; a node, on those whose apex
+    is on the other side (`_opposite`) of its lex-least open facet. A branch
+    is one node of the budget, and is taken when the candidate t meets every
+    chosen simplex face-to-face; a facet of t that is open then closes, and
+    any other not on P's boundary opens. That is exact as t meets the
+    complex face-to-face: no facet gets two owners on one side, nor a
+    boundary facet a second. A search stopped by the budget reports nodes ==
+    budget. Deterministic; exhaustion of the candidate space proves that no
+    primitive triangulation exists.
     """
     if not poly.is_full_dimensional:
         raise ValueError("search requires a full-dimensional polytope")
-    points = poly.integer_points(1).points
-    if len(points) > point_cap:
-        raise ResourceLimitError(
-            f"polytope has {len(points)} lattice points, point cap is {point_cap}"
-        )
+    runs = poly.line_runs(1)
+    count = sum(hi - lo + 1 for _, lo, hi in runs)
+    if count > point_cap:
+        raise ResourceLimitError(f"polytope has {count} lattice points, point cap is {point_cap}")
     d = poly.dim
     target_volume = poly.volume() * factorial(d)
     if target_volume.denominator != 1:
@@ -492,49 +494,43 @@ def search_primitive_triangulation(
     target = int(target_volume)
 
     # combinations of the sorted points come in lex order of their vertex tuples
-    combs = itertools.combinations(points, d + 1)
+    combs = itertools.combinations(run_points(runs), d + 1)
     candidates = [LatticeSimplex(c) for c in combs if abs(linalg.det_int(edge_rows(c))) == 1]
     by_facet = _facet_owners(candidates)
 
     on_boundary = functools.cache(functools.partial(_on_boundary, poly.facets))
     face_to_face = functools.cache(simplices_face_to_face)
 
+    root = [c for c in candidates if poly.vertices[0] in c.vertices]
+    stack = [(iter(root), (), {})]  # (branches left, complex, its open facets) per node
     nodes = 0
-
-    def extend(chosen: tuple[LatticeSimplex, ...], owners: dict) -> Triangulation | None:
-        """Complete the complex `chosen`; owners is `_facet_owners(chosen)`."""
-        nonlocal nodes
+    while stack:
+        branches, chosen, open_facets = stack[-1]
+        t = next(branches, None)
+        if t is None:
+            stack.pop()
+            continue
+        if nodes >= budget:
+            return SearchResult(None, False, nodes)
+        nodes += 1
+        if not all(face_to_face(u, t) for u in chosen):
+            continue
+        chosen += (t,)
         if len(chosen) == target:
-            return Triangulation(poly, chosen)
-        if chosen:
-            open_facets = [f for f, owned in owners.items() if len(owned) == 1 and not on_boundary(f)]
-            if not open_facets:
-                return None  # closed complex below target volume: dead end
-            fkey = min(open_facets)
-            [(s, omit)] = owners[fkey]
+            break
+        grown = dict(open_facets)
+        for omit, fkey in enumerate(t.facet_vertex_sets()):
+            if grown.pop(fkey, None) is None and not on_boundary(fkey):
+                grown[fkey] = (t, omit)
+        if grown:  # else a closed complex below target volume: a dead end
+            fkey = min(grown)
+            s, omit = grown[fkey]
             # a chosen simplex through the open facet is its owner s, on s's side
-            branches = [t for t, t_omit in by_facet[fkey] if _opposite(s, omit, t, t_omit)]
-        else:
-            branches = [c for c in candidates if poly.vertices[0] in c.vertices]
-        for t in branches:
-            if nodes >= budget:
-                raise _Budget
-            nodes += 1
-            if all(face_to_face(u, t) for u in chosen):
-                grown = {f: owners.get(f, []) + owned for f, owned in _facet_owners([t]).items()}
-                result = extend(chosen + (t,), {**owners, **grown})
-                if result is not None:
-                    return result
-        return None
-
-    try:
-        result = extend((), {})
-    except _Budget:
-        return SearchResult(None, False, nodes)
-    finally:
-        del extend  # it refers to itself: free the search's tables now, not at a later gc pass
-    if result is None:
+            opposite = [u for u, u_omit in by_facet[fkey] if _opposite(s, omit, u, u_omit)]
+            stack.append((iter(opposite), chosen, grown))
+    else:
         return SearchResult(None, True, nodes)
+    result = Triangulation(poly, chosen)
     report = validate_triangulation(result)
     if not (report.valid and report.is_primitive):
         raise RuntimeError(f"search produced an invalid triangulation: {report.problems}")

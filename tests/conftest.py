@@ -13,29 +13,44 @@ face's plane from its points instead of flooding ridges, word balls by
 multiplying the whole ball each round, Minkowski powers by folding
 minkowski_sum, triangulations by an exact LP and an intersection-vertex test
 (exact Fraction solves) on every pair of simplices, inverses by Gauss-Jordan
-over Fractions instead of cofactors, and report text by
-building the report's plain JSON data first for the standard library to write.
+over Fractions instead of cofactors, report text by
+building the report's plain JSON data first for the standard library to write,
+and the primitive-triangulation search by recursion over the complex's facet
+owner lists instead of one loop over a stack of open facets.
 """
 
+import functools
 import itertools
+import os
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+import latmink
 from latmink import (
     ElementSet,
     GroupPresentation,
     LatticePolytope,
     PointSet,
+    ResourceLimitError,
     classify_simplex,
     linalg,
     lp,
     minkowski_sum,
     serialize,
+    triangulation,
 )
 from latmink.geometry import _affine_frame, _Face, as_point, as_rational_point, dot, edge_rows, plane_through
-from latmink.triangulation import LatticeSimplex, TriangulationReport
+from latmink.triangulation import LatticeSimplex, SearchResult, Triangulation, TriangulationReport
+
+
+def fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this latmink."""
+    src = str(Path(latmink.__file__).parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def solve_exact(matrix, rhs) -> tuple | None:
@@ -476,6 +491,59 @@ def pairwise_validate_triangulation(tri) -> TriangulationReport:
         covered_volume=covered,
         problems=tuple(problems),
     )
+
+
+class _Budget(Exception):
+    pass
+
+
+def recursive_search(poly: LatticePolytope, budget: int, point_cap: int) -> SearchResult:
+    """search_primitive_triangulation as a recursion: each call completes a
+    complex from the owner lists of all its facets, rescanned for the open ones
+    (one owner, not on P's boundary) and copied with the new simplex's facets at
+    every step; a budget stop unwinds by an exception. Same candidates, branch
+    order, node count and pair tests; the found triangulation is not validated."""
+    points = poly.integer_points(1).points
+    if len(points) > point_cap:
+        raise ResourceLimitError(f"polytope has {len(points)} lattice points, point cap is {point_cap}")
+    d = poly.dim
+    target = poly.volume() * factorial(d)
+    combs = itertools.combinations(points, d + 1)
+    candidates = [LatticeSimplex(c) for c in combs if abs(linalg.det_int(edge_rows(c))) == 1]
+    by_facet = triangulation._facet_owners(candidates)
+    on_boundary = functools.cache(functools.partial(triangulation._on_boundary, poly.facets))
+    face_to_face = functools.cache(triangulation.simplices_face_to_face)
+    nodes = 0
+
+    def extend(chosen, owners):
+        nonlocal nodes
+        if len(chosen) == target:
+            return Triangulation(poly, chosen)
+        if chosen:
+            open_facets = [f for f, owned in owners.items() if len(owned) == 1 and not on_boundary(f)]
+            if not open_facets:
+                return None
+            fkey = min(open_facets)
+            [(s, omit)] = owners[fkey]
+            branches = [t for t, t_omit in by_facet[fkey] if triangulation._opposite(s, omit, t, t_omit)]
+        else:
+            branches = [c for c in candidates if poly.vertices[0] in c.vertices]
+        for t in branches:
+            if nodes >= budget:
+                raise _Budget
+            nodes += 1
+            if all(face_to_face(u, t) for u in chosen):
+                grown = {f: owners.get(f, []) + owned for f, owned in triangulation._facet_owners([t]).items()}
+                result = extend(chosen + (t,), {**owners, **grown})
+                if result is not None:
+                    return result
+        return None
+
+    try:
+        result = extend((), {})
+    except _Budget:
+        return SearchResult(None, False, nodes)
+    return SearchResult(result, result is None, nodes)
 
 
 def oracle_to_json(value):

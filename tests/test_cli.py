@@ -1,17 +1,16 @@
 import gc
 import hashlib
 import json
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import latmink
 from latmink import cli, geometry, groups, minkowski
 from latmink.cli import build_parser, main
+
+from conftest import fresh_env
 
 
 def run(capsys, *argv):
@@ -23,6 +22,13 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out) if out.strip() else None, err
+
+
+def run_fresh(*argv, timeout=60) -> subprocess.CompletedProcess:
+    """`python -m latmink *argv` in a fresh interpreter, stopped after timeout seconds."""
+    return subprocess.run(
+        [sys.executable, "-m", "latmink", *argv], capture_output=True, text=True, env=fresh_env(), timeout=timeout
+    )
 
 
 class TestPoints:
@@ -76,8 +82,7 @@ class TestClosedStdout:
     def test_closed_pipe_exits_141_without_traceback(self):
         # the console script's form: main called directly; the report, far larger
         # than a pipe buffer, meets the pipe closed after its first bytes
-        src = str(Path(latmink.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = fresh_env()
         script = "import sys\nfrom latmink.cli import main\nsys.exit(main())\n"
         argv = [sys.executable, "-c", script, "points", "sigma-3-2", "30"]
         with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
@@ -198,13 +203,8 @@ class TestDecompose:
         assert (code, out, err) == (3, "", "resource cap exceeded: a decomposition has 10 summands, cap is 9\n")
 
     def test_huge_n_exits_3_at_once(self):
-        src = str(Path(latmink.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         n = str(10**20)
-        done = subprocess.run(
-            [sys.executable, "-m", "latmink", "decompose", "unit-square", n, f"{n},0"],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
+        done = run_fresh("decompose", "unit-square", n, f"{n},0", timeout=30)
         assert (done.returncode, done.stdout) == (3, "")
         assert done.stderr == f"resource cap exceeded: a decomposition has {n} summands, cap is 100000000\n"
 
@@ -290,8 +290,7 @@ class TestSearchAndValidate:
             "codes = [main(['validate-triangulation', sys.argv[1]]), main(['points', 'unit-square', '2'])]\n"
             "print(codes, 'latmink.lp' in sys.modules)\n"
         )
-        src = str(Path(latmink.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = fresh_env()
         done = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, text=True, env=env)
         assert done.returncode == 0, done.stderr
         assert "do not meet face-to-face" in done.stdout
@@ -471,6 +470,32 @@ class TestMalformedDocuments:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+class TestDeepDocuments:
+    """A document nested 5,000 deep is too deep for the JSON decoder's
+    recursion: one error line and exit 2, in a fresh interpreter so that the
+    depth the decoder reaches is a command's, not the test runner's."""
+
+    DEEP = "[" * 5000 + "]" * 5000
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (("points", "{}", "1"), DEEP),
+            (("points", "{}", "1"), '{"dim": 2, "vertices": ' + DEEP + "}"),
+            (("lemma1", "{}"), DEEP),
+            (("word-ball", "{}", "1"), '{"dim": 2, "vertices": ' + DEEP + "}"),
+            (("validate-triangulation", "{}"), '{"polytope": {"dim": 1, "vertices": [[0], [1]]}, "simplices": ' + DEEP + "}"),
+        ],
+        ids=["points-array", "points-vertices", "lemma1", "word-ball", "validate-triangulation"],
+    )
+    def test_exit_2_with_one_error_line(self, tmp_path, argv, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        done = run_fresh(*(str(path) if a == "{}" else a for a in argv))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {path}: JSON document is nested too deeply\n"
 
 
 class TestGlobalFlags:
@@ -706,11 +731,7 @@ class TestLongRanges:
         ids=["check-equality", "check-boundary"],
     )
     def test_exit_3_without_traceback(self, argv, err):
-        src = str(Path(latmink.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "latmink", *argv], capture_output=True, text=True, env=env, timeout=60
-        )
+        done = run_fresh(*argv)
         assert (done.returncode, done.stdout, done.stderr) == (3, "", err)
 
 
@@ -746,12 +767,7 @@ class TestFiniteStreams:
         path.write_text(json.dumps(FINITE_INPUTS[name]))
         code, expected, _ = run_json(capsys, command, str(path), small)
         assert code == 0
-        src = str(Path(latmink.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "latmink", command, str(path), huge],
-            capture_output=True, text=True, env=env, timeout=30,
-        )
+        done = run_fresh(command, str(path), huge, timeout=30)
         assert (done.returncode, done.stderr) == (0, "")
         doc = json.loads(done.stdout)
         if isinstance(doc["result"], list):  # one report per n of the range
@@ -785,6 +801,20 @@ class TestBoxCap:
         assert code == 3 and "cap is 342" in err
         with pytest.raises(AssertionError, match="a line was scanned"):
             main(["points", "sigma-3-2", "3", "--cap", "343"])
+
+
+class TestPointCap:
+    """The search counts Omega against its point cap before it builds any
+    point: [0, 9999]^2, whose box is exactly DEFAULT_BOX_CAP, stops at once.
+    Each runs in a fresh interpreter with a timeout."""
+
+    @pytest.mark.parametrize("command, rest", [("search-primitive", []), ("decompose", ["1", "0,0"])])
+    def test_big_square_exits_3_at_once(self, tmp_path, command, rest):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [9999, 0], [0, 9999], [9999, 9999]]}))
+        done = run_fresh(command, str(path), *rest, timeout=30)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == "resource cap exceeded: polytope has 100000000 lattice points, point cap is 14\n"
 
 
 class TestBallCap:

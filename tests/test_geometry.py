@@ -718,6 +718,20 @@ class TestLineScan:
         assert all(type(x) is tuple and all(type(c) is int for c in x) for x in got.points)
         assert got == box_scan_points(p, n)
 
+    @given(
+        st.integers(1, 4).flatmap(lambda d: st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=d + 1, max_size=d + 5)),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_run_lengths_count_the_points(self, pts, n):
+        # the search counts a full-dimensional polytope's points from its
+        # runs, before it builds any
+        p = hull(pts)
+        assume(p.is_full_dimensional)
+        runs = p.line_runs(n)
+        assert sum(hi - lo + 1 for _, lo, hi in runs) == len(p.integer_points(n))
+        assert geometry.run_points(runs) == list(p.integer_points(n).points)
+
     @pytest.mark.parametrize("name", [*LOWER_DIMENSIONAL, *ZERO_LAST_COEFFICIENT])
     def test_named_polytopes(self, name):
         p = LatticePolytope({**LOWER_DIMENSIONAL, **ZERO_LAST_COEFFICIENT}[name])

@@ -2,6 +2,8 @@ import functools
 import itertools
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import conftest
 from conftest import (
+    fresh_env,
     lp_interiors_intersect,
     pairwise_face_to_face,
     pairwise_validate_triangulation,
@@ -957,6 +960,74 @@ class TestSearch:
             assert (result.nodes, result.exhausted) == (nodes, exhausted)
             got = None if result.triangulation is None else tuple(s.vertices for s in result.triangulation.simplices)
             assert got == (simplices if found else None)
+
+
+# ROADMAP item 4's test polytope: 27 lattice points, a search too long to run
+# to its end in a test
+Q27 = LatticePolytope([(0, 0, 1), (2, 2, 4), (2, 3, 2), (3, 3, 0), (4, 0, 1), (4, 2, 2), (4, 3, 4)])
+
+
+def _outcome(result):
+    found = None if result.triangulation is None else tuple(s.vertices for s in result.triangulation.simplices)
+    return result.nodes, result.exhausted, found
+
+
+class TestSearchAgainstRecursiveOracle:
+    """The loop over a stack of open facets against conftest.recursive_search:
+    the same nodes, exhausted flag and simplices."""
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=7)
+        ),
+        st.integers(1, 300),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_random_polytopes(self, pts, budget):
+        poly = LatticePolytope(pts)
+        assume(poly.is_full_dimensional and len(poly.integer_points(1)) <= 14)
+        got = search_primitive_triangulation(poly, budget=budget)
+        assert _outcome(got) == _outcome(conftest.recursive_search(poly, budget, 14))
+
+    @pytest.mark.parametrize(
+        "poly, budget, nodes", [(Q27, 2000, 2000), (cube(3, 0, 2), 200_000, 48)], ids=["Q27", "cube(3, 0, 2)"]
+    )
+    def test_deeper_searches(self, poly, budget, nodes):
+        got = search_primitive_triangulation(poly, budget=budget, point_cap=40)
+        assert got.nodes == nodes
+        assert _outcome(got) == _outcome(conftest.recursive_search(poly, budget, 40))
+
+    @pytest.mark.parametrize("name", ["cube(3)", "polygon 1", "polygon 2"])
+    def test_budget_of_exactly_the_nodes_taken_finds(self, name):
+        # the budget is tested before a node is counted, so the last node a
+        # search takes to find its triangulation fits a budget of that many
+        poly, runs, simplices = SEARCH_PINS[name]
+        nodes = runs[None][0]
+        assert _outcome(search_primitive_triangulation(poly, budget=nodes)) == (nodes, False, simplices)
+        assert _outcome(search_primitive_triangulation(poly, budget=nodes - 1)) == (nodes - 1, False, None)
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # one accepted simplex per stack entry: conv{0, 150} needs 150 entries,
+        # more than a recursion limit of 120 allows frames
+        script = (
+            "import sys\n"
+            "from latmink import LatticePolytope, search_primitive_triangulation\n"
+            "segment = LatticePolytope([(0,), (150,)])\n"
+            "sys.setrecursionlimit(120)\n"
+            "result = search_primitive_triangulation(segment, point_cap=200)\n"
+            "print(len(result.triangulation.simplices), result.nodes)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=fresh_env(), timeout=120)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.split()[0] == "150"
+
+    def test_point_cap_counts_before_building_points(self, monkeypatch):
+        def no_points(runs):
+            raise AssertionError("points were built")
+
+        monkeypatch.setattr(triangulation, "run_points", no_points)
+        with pytest.raises(ResourceLimitError, match="^polytope has 25 lattice points, point cap is 14$"):
+            search_primitive_triangulation(cube(2, 0, 4))
 
 
 class TestFaceToFaceOneDimensional:

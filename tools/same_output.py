@@ -31,6 +31,11 @@ and, in a temporary work directory of its own, runs every command of this list:
   times each vertex and at the floor of n times the vertex centroid (a point
   of nP's interior), as JSON and with `--pretty`, so that the integrality
   tests of both are compared;
+- deeper searches, written into the work directory: `search-primitive` on
+  Q27 (ROADMAP item 4's 27-point polytope) stopped mid-depth by budgets 200
+  and 2,000, on `cube(3, 0, 2)` (found in 48 nodes) and on the segment
+  conv{0, 300} (300 simplices deep), and `decompose` on that cube through its
+  own search, as JSON and with `--pretty`;
 - `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
 - commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
   before or after the work it bounds gives the same message; ball commands
@@ -125,6 +130,22 @@ LOWER_DIMENSIONAL = {
     "square-4d": [[0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 1, 1, 1]],
     "sigma-3-2-4d": [[0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 0, 1], [-1, -1, 2, 0]],
 }
+
+# Searches deeper than the bundled datasets' (a point cap of 40 or 400 lets
+# them run): "q27" stops on its budget mid-depth, "cube-3-0-2" finds a
+# triangulation in 48 nodes and "segment-300" one 300 simplices deep.
+DEEP_SEARCHES = {
+    "q27": [[0, 0, 1], [2, 2, 4], [2, 3, 2], [3, 3, 0], [4, 0, 1], [4, 2, 2], [4, 3, 4]],
+    "cube-3-0-2": [[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)],
+    "segment-300": [[0], [300]],
+}
+DEEP_SEARCH_ARGS = [
+    ["search-primitive", "q27.json", "--point-cap", "40", "--budget", "200"],
+    ["search-primitive", "q27.json", "--point-cap", "40", "--budget", "2000"],
+    ["search-primitive", "cube-3-0-2.json", "--point-cap", "40"],
+    ["search-primitive", "segment-300.json", "--point-cap", "400"],
+    ["decompose", "cube-3-0-2.json", "2", "3,1,4", "--point-cap", "40"],
+]
 
 # Inputs whose word balls stop growing: each ball stream has an empty layer.
 FINITE_STREAMS = {
@@ -264,6 +285,14 @@ def _decompose_commands(data: Path):
     return commands + [["--pretty", *argv] for argv in commands]
 
 
+def _deep_search_commands(work: Path):
+    """Write each DEEP_SEARCHES polytope into work as NAME.json and return
+    DEEP_SEARCH_ARGS, JSON first, then --pretty."""
+    for name, vertices in DEEP_SEARCHES.items():
+        (work / f"{name}.json").write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+    return DEEP_SEARCH_ARGS + [["--pretty", *argv] for argv in DEEP_SEARCH_ARGS]
+
+
 def _run_one(cli, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -305,6 +334,8 @@ def digests(root: Path) -> list:
         for argv in _lower_dimensional_commands(Path(tmp)) + _finite_stream_commands(Path(tmp)):
             run(argv)
         for argv in _lemma1_commands(Path(tmp)) + _decompose_commands(root / "src" / "latmink" / "data"):
+            run(argv)
+        for argv in _deep_search_commands(Path(tmp)):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
