@@ -32,7 +32,7 @@ from pathlib import Path
 from . import serialize, verify
 from .geometry import ResourceLimitError
 from .groups import check_boundary_equality_range, omega_boundary, word_ball
-from .minkowski import check_equality_range, decompose, minkowski_power
+from .minkowski import check_equality_range, decompose, decomposition_target, minkowski_power
 from .triangulation import (
     DEFAULT_POINT_CAP,
     DEFAULT_SEARCH_BUDGET,
@@ -140,6 +140,8 @@ def _cmd_points(args) -> int:
         points = poly.integer_points(args.n, cap=args.cap)
         what = f"integer points in the {args.n}-fold dilation"
     else:
+        if args.n < 0:  # before the scan of Omega, which minkowski_power gets already built
+            raise InputError("n must be >= 0")
         points = minkowski_power(poly.integer_points(1, cap=args.cap), args.n, cap=args.cap)
         what = f"points in the {args.n}-fold Minkowski sum"
     return _emit(
@@ -167,7 +169,9 @@ def _cmd_decompose(args) -> int:
         tri = _load(args.triangulation, serialize.parse_triangulation)
         if tri.polytope != poly:
             raise InputError("triangulation file describes a different polytope")
-    else:
+    point = _parse_point(" ".join(args.point))
+    if not args.triangulation:
+        decomposition_target(poly, args.n, point)  # n and the point first: the search may run long
         search = search_primitive_triangulation(poly, budget=args.budget, point_cap=args.point_cap)
         if search.triangulation is None:
             raise InputError(
@@ -176,7 +180,6 @@ def _cmd_decompose(args) -> int:
                 + "; provide one with --triangulation"
             )
         tri = search.triangulation
-    point = _parse_point(" ".join(args.point))
     dec = decompose(poly, tri, args.n, point)
     return _emit(
         args,

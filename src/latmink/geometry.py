@@ -9,10 +9,19 @@ face's plane combines the two planes at its horizon ridge. A lower-dimensional
 polytope is hulled in coordinates onto which its affine hull projects
 bijectively. All queries -- membership, integer point enumeration, volume --
 are exact: coordinates are Python ints and derived scalars are fractions.Fraction.
+
+Integer points are listed line by line along the last scanned coordinate. With
+three or more coordinates, only the lines through the polytope's shadow, its
+projection along that coordinate, are examined. A facet of the shadow is the
+image of a vertical facet of the polytope, or of a ridge whose two facets have
+last coefficients of opposite sign; the shadow's planes are those facets and
+the combinations of those two facets that eliminate the last coordinate, each
+a valid inequality for the shadow, read off the hull's boundary simplices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial, gcd, isfinite, prod
@@ -55,7 +64,7 @@ def as_point(coords: Sequence) -> Point:
         raise ValueError("points must have dimension >= 1")
     for c in coords:
         if type(c) is not int:
-            raise ValueError(f"lattice coordinates must be plain ints, got {c!r}")
+            raise ValueError(f"lattice coordinates must be plain ints, got {type(c).__name__}")
     return tuple(coords)
 
 
@@ -84,7 +93,8 @@ def as_rational_point(coords: Sequence) -> RationalPoint:
         as_point(coords)  # raises as_point's error for the container
     for c in coords:
         if type(c) not in _RATIONALS or type(c) is float and not isfinite(c):
-            raise ValueError(f"rational coordinates must be ints, Fractions or finite floats, got {c!r}")
+            what = repr(c) if type(c) is float else type(c).__name__  # inf or nan: a short repr
+            raise ValueError(f"rational coordinates must be ints, Fractions or finite floats, got {what}")
     return tuple(c if type(c) is int else Fraction(c) for c in coords)
 
 
@@ -163,9 +173,9 @@ class _Face:
 
 def _beneath_beyond(
     pts: Sequence[Point], simplex: Sequence[int]
-) -> tuple[list[int], list[Halfspace], list[tuple[int, ...]]]:
-    """Vertex indices, facet planes and boundary simplices of conv(pts), pts
-    full-dimensional in Z^k.
+) -> tuple[list[int], list[Halfspace], list[tuple[tuple[int, ...], Halfspace]]]:
+    """Vertex indices, facet planes and boundary simplices, each with its
+    plane, of conv(pts), pts full-dimensional in Z^k.
 
     The boundary is kept as simplices, started from the ascending indices
     `simplex` of k+1 affinely independent points and grown one point at a
@@ -174,8 +184,8 @@ def _beneath_beyond(
     that see it, so a point that sees no face is inside the hull for good.
     The returned planes are primitive outward `Halfspace`s in ascending
     order; a point is a vertex when the facet normals through it have rank
-    k. The returned faces, index tuples of k points each, are the
-    boundary of the placing triangulation of pts in the order the points
+    k. The returned faces, (index tuple of k points, its plane) pairs, are
+    the boundary of the placing triangulation of pts in the order the points
     were added: a triangulation of the hull's boundary whose corners may
     include boundary points that are not vertices.
 
@@ -240,29 +250,47 @@ def _beneath_beyond(
         assign((i for g in visible for i in g.outside if i != eye), new)
         pending.extend(g for g in new if g.outside)
 
-    planes = set()
+    faces = [(face.verts, Halfspace(face.normal, face.offset)) for face in alive]
     normals_at: dict[int, set[Point]] = {}
-    for face in alive:
-        planes.add(Halfspace(face.normal, face.offset))
-        for i in face.verts:
-            normals_at.setdefault(i, set()).add(face.normal)
+    for verts, (normal, _) in faces:
+        for i in verts:
+            normals_at.setdefault(i, set()).add(normal)
     vertices = sorted(
         i for i, normals in normals_at.items() if len(normals) >= k and linalg.rank(normals) == k
     )
-    return vertices, sorted(planes), [face.verts for face in alive]
+    return vertices, sorted({plane for _, plane in faces}), faces
+
+
+def _by_last_sign(planes: Sequence[tuple[Point, int]]) -> tuple[list, list[int], list[int]]:
+    """The planes ordered c > 0, c < 0, c == 0 by their last coefficient c, the
+    c of the first group and the -c of the second."""
+    planes = sorted(planes, key=lambda p: (p[0][-1] <= 0, p[0][-1] == 0))
+    return planes, [a[-1] for a, _ in planes if a[-1] > 0], [-a[-1] for a, _ in planes if a[-1] < 0]
 
 
 def _line_scan(
-    planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Sequence[int]
+    planes: Sequence[tuple[Point, int]],
+    los: Sequence[int],
+    his: Sequence[int],
+    shadow: Sequence[tuple[Point, int]] = (),
 ) -> list[tuple[Point, int, int]]:
     """The integer points y of the box [los, his] (k >= 1 coordinates) with <a, y> <= b
     for all (a, b) in planes, which bound a polytope, as runs (prefix, lo, hi): the
     points prefix + (t,) for lo <= t <= hi, in lex order. Loops over prefixes carrying
     each residual r = b - <a, prefix>, one subtraction a step; with c = a_k, a line
-    keeps y_k <= floor(r/c) if c > 0, y_k >= ceil(r/c) if c < 0, r >= 0 if c == 0."""
-    planes = sorted(planes, key=lambda p: (p[0][-1] <= 0, p[0][-1] == 0))  # c > 0, c < 0, c == 0
-    ups, downs = [a[-1] for a, _ in planes if a[-1] > 0], [-a[-1] for a, _ in planes if a[-1] < 0]
-    p, q, last = len(ups), len(ups) + len(downs), len(los) - 1
+    keeps y_k <= floor(r/c) if c > 0, y_k >= ceil(r/c) if c < 0, r >= 0 if c == 0.
+
+    shadow, for k >= 3, holds planes (a', b') on the first k - 1 coordinates whose
+    intersection is the polytope's projection along y_k (`LatticePolytope._shadow`).
+    Their residuals are carried too, and cut y_{k-1} by the same rule, so the loop
+    over y_{k-1} visits only the prefixes in the projection: a line through any
+    other prefix misses the polytope, so skipping it is exact."""
+    planes, ups, downs = _by_last_sign(planes)
+    m, p, q, last = len(planes), len(ups), len(ups) + len(downs), len(los) - 1
+    cut = last - 1 if shadow else -1
+    shadow, cut_ups, cut_downs = _by_last_sign(shadow)
+    sp, sq = m + len(cut_ups), m + len(cut_ups) + len(cut_downs)
+    steps = [[a[j] for a, _ in planes] + [a[j] for a, _ in shadow if j < cut] for j in range(last)]
     found: list[tuple[Point, int, int]] = []
 
     def scan(j: int, prefix: Point, res: list[int]) -> None:
@@ -272,13 +300,19 @@ def _line_scan(
             if lo <= hi and min(res[q:], default=0) >= 0:
                 found.append((prefix, lo, hi))
             return
-        step = [a[j] for a, _ in planes]
-        res = [r - a * los[j] for r, a in zip(res, step)]
-        for y in range(los[j], his[j] + 1):
+        lo, hi, step = los[j], his[j], steps[j]
+        if j == cut:  # y_j within the shadow's slice: after it, the shadow's residuals are done with
+            if min(res[sq:], default=0) < 0:
+                return
+            hi = min(map(floordiv, res[m:sp], cut_ups), default=hi)
+            lo = -min(map(floordiv, res[sp:sq], cut_downs), default=-lo)
+            res = res[:m]
+        res = [r - a * lo for r, a in zip(res, step)]
+        for y in range(lo, hi + 1):
             scan(j + 1, prefix + (y,), res)
             res = list(map(sub, res, step))
 
-    scan(0, (), [b for _, b in planes])
+    scan(0, (), [b for _, b in planes] + [b for _, b in shadow])
     del scan  # it refers to itself: free found now, not at a later gc pass
     return found
 
@@ -353,9 +387,10 @@ class LatticePolytope:
     `_cols`, onto which its affine hull projects bijectively: `_planes` are
     the facets of that projection, and `_equations` hold an (i, Halfspace)
     for each other coordinate i, an equation of the affine hull (slack 0 on
-    it) giving x_i from the `_cols` coordinates. A full-dimensional polytope
-    has none, and keeps the hull's boundary simplices as point tuples
-    (`_faces`), from which `fan_simplices` and `volume` read.
+    it) giving x_i from the `_cols` coordinates; a full-dimensional polytope
+    has none. The hull's boundary simplices are kept as (point tuple, plane)
+    pairs in the `_cols` coordinates (`_faces`): `fan_simplices` and `volume`
+    read them, and a scan of k >= 3 coordinates reads its `_shadow` off them.
     """
 
     def __init__(self, points: Iterable):
@@ -367,14 +402,11 @@ class LatticePolytope:
         self._cols = cols = tuple(sorted(echelon.pivots))
         edges = edge_rows([pts[i] for i in simplex])
         self._equations = tuple((i, _hull_equation(edges, cols, i, pts[0])) for i in range(d) if i not in cols)
-        if k == 0:
-            found, planes, faces = [0], [], []
-        else:
-            work = pts if k == d else [tuple(p[c] for c in cols) for p in pts]
-            found, planes, faces = _beneath_beyond(work, simplex)
+        work = pts if k == d else [tuple(p[c] for c in cols) for p in pts]
+        found, planes, faces = _beneath_beyond(work, simplex) if k else ([0], [], [])
         self.vertices: tuple[Point, ...] = tuple(pts[i] for i in found)
         self._planes: tuple[Halfspace, ...] = tuple(planes)
-        self._faces = tuple(tuple(pts[i] for i in face) for face in faces) if k == d else ()
+        self._faces = tuple((tuple(work[i] for i in verts), plane) for verts, plane in faces)
 
     @property
     def is_full_dimensional(self) -> bool:
@@ -424,15 +456,60 @@ class LatticePolytope:
         his = [max(n * v[c] for v in self.vertices) for c in self._cols]
         return los, his
 
+    @functools.cached_property
+    def _shadow(self) -> tuple[tuple[Point, int], ...]:
+        """Planes (a', b') over the first k - 1 `_cols` coordinates (k >= 2) whose
+        intersection is the shadow: the projection of the hulled polytope Q along its
+        last coordinate, by Fourier-Motzkin elimination over adjacent faces only
+        (Ziegler, *Lectures on Polytopes*, GTM 152, Sec. 1.2-1.3). With c_g the last
+        coefficient of face g's normal n_g, they are each plane with c_g == 0, less
+        its last coefficient, and for each two faces g, h sharing a ridge with
+        c_g * c_h < 0, |c_h| (n_g, b_g) + |c_g| (n_h, b_h) over the gcd of its
+        entries, whose last coefficient is 0. Each is a nonnegative combination of
+        valid inequalities free of the last coordinate, so it holds on the shadow.
+        They cut out no more than the shadow: the points of Q a supporting vertical
+        plane (u, 0) of a shadow facet meets form a face F of Q with (u, 0) in the
+        relative interior of F's normal cone. If F is a facet, it is vertical; else
+        F is a ridge, (u, 0) = s n_g + t n_h with s, t > 0 for its two facets, so
+        s c_g + t c_h = 0: both are vertical, or they have opposite signs and (u, 0)
+        is the combination up to scale. A ridge of Q is a union of ridges of the
+        boundary simplices, each between a simplex in g and one in h. Built at the
+        first scan that needs it. The ridge map holds the ridges of the faces with
+        c > 0: a ridge lies in two faces, so one of a face with c < 0 found there
+        joins the two. A hull that is its start simplex has every two faces
+        adjacent, so it builds no ridge map."""
+        k = self.affine_dim
+        shadow = {(a[:-1], b) for a, b in self._planes if not a[-1]}
+        ups = [face for face in self._faces if face[1].normal[-1] > 0]
+        downs = [face for face in self._faces if face[1].normal[-1] < 0]
+        if len(self._faces) == k + 1:
+            pairs = [(g, h) for _, g in ups for _, h in downs]
+        else:
+            up_at = {ridge: g for verts, g in ups for ridge in itertools.combinations(verts, k - 1)}
+            pairs = [
+                (up_at[ridge], h) for verts, h in downs for ridge in itertools.combinations(verts, k - 1) if ridge in up_at
+            ]
+        for (a, b), (e, f) in set(pairs):
+            s, t = -e[-1], a[-1]
+            normal, offset = [s * x + t * y for x, y in zip(a[:-1], e[:-1])], s * b + t * f
+            div = gcd(offset, *normal)
+            shadow.add((tuple(x // div for x in normal), offset // div))
+        return tuple(shadow)
+
     def line_runs(self, n: int, cap: int | None = None) -> list[tuple[Point, int, int]]:
         """The integer points of nP's `_cols` projection (nP's own when full-dimensional;
         a point has no runs) as `_line_scan`'s runs, which count them before any is
-        built. Raises as integer_points does."""
+        built. A scan of k >= 3 coordinates is handed the dilated `_shadow`, so it
+        examines only the lines that meet nP; one of fewer examines every line of
+        the box. Raises as integer_points does."""
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
         los, his = self.box(n)
         check_box(los, his, cap)
-        return _line_scan([(a, n * b) for a, b in self._planes], los, his) if los else []
+        if not los:
+            return []
+        shadow = [(a, n * b) for a, b in self._shadow] if len(los) >= 3 else ()
+        return _line_scan([(a, n * b) for a, b in self._planes], los, his, shadow)
 
     def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.
@@ -472,7 +549,7 @@ class LatticePolytope:
         """
         if not self.is_full_dimensional:
             raise ValueError("triangulation requires a full-dimensional polytope")
-        cones = ((self.vertices[0],) + face for face in self._faces)
+        cones = ((self.vertices[0],) + face for face, _ in self._faces)
         return tuple(cone for cone in cones if linalg.det_int(edge_rows(cone)))
 
     def volume(self) -> Fraction:
@@ -480,7 +557,7 @@ class LatticePolytope:
         rows of every cone of `fan_simplices` over `_faces`, flat ones too (they add 0), over d!."""
         if not self.is_full_dimensional:
             raise ValueError("volume requires a full-dimensional polytope")
-        cones = ((self.vertices[0],) + face for face in self._faces)
+        cones = ((self.vertices[0],) + face for face, _ in self._faces)
         return Fraction(sum(abs(linalg.det_int(edge_rows(cone))) for cone in cones), factorial(self.dim))
 
     def __eq__(self, other) -> bool:

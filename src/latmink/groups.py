@@ -92,7 +92,7 @@ def as_gl2z(matrix) -> Matrix2:
     rows = tuple(map(tuple, matrix))
     for x in rows[0] + rows[1]:
         if type(x) is not int:
-            raise ValueError(f"matrix entries must be plain ints, got {x!r}")
+            raise ValueError(f"matrix entries must be plain ints, got {type(x).__name__}")
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     if det not in (1, -1):
         raise ValueError(f"matrix determinant is {det}, must be +1 or -1")
@@ -112,6 +112,8 @@ def group_elements(kind: str, generators: Iterable, dim: int | None) -> tuple[li
         return gens, (0,) * dim
     if kind == KIND_GL2Z:
         return [as_gl2z(g) for g in generators], GL2Z_IDENTITY
+    if type(kind) is not str:  # a repr of any JSON value could run to thousands of characters
+        raise ValueError(f"a group kind must be a string, got {type(kind).__name__}")
     raise ValueError(f"unknown group kind {kind!r}")
 
 

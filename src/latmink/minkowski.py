@@ -127,6 +127,23 @@ class Decomposition:
             raise ValueError("summands do not add up to the target")
 
 
+def decomposition_target(poly: LatticePolytope, n: int, x) -> Point:
+    """x as a point of the n-fold dilation for decompose, checked without a
+    triangulation, so before any search for one: ValueError unless n >= 1 and
+    x is an integer point of nP, ResourceLimitError if n is over DEFAULT_BOX_CAP."""
+    x = as_point(x)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cap = geometry.DEFAULT_BOX_CAP
+    if n > cap:
+        raise ResourceLimitError(f"a decomposition has {n} summands, cap is {cap}")
+    if len(x) != poly.dim:
+        raise ValueError("dimension mismatch")
+    if not poly.contains(tuple(Fraction(c, n) for c in x)):
+        raise ValueError(f"{x} is not in the {n}-fold dilation")
+    return x
+
+
 def decompose(
     poly: LatticePolytope, tri: Triangulation, n: int, x
 ) -> Decomposition:
@@ -140,18 +157,9 @@ def decompose(
     barycentric coordinate. The n summands are n points of the report, so n
     over DEFAULT_BOX_CAP raises ResourceLimitError before any work.
     """
-    x = as_point(x)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cap = geometry.DEFAULT_BOX_CAP
-    if n > cap:
-        raise ResourceLimitError(f"a decomposition has {n} summands, cap is {cap}")
+    x = decomposition_target(poly, n, x)
     if tri.polytope != poly:
         raise ValueError("triangulation belongs to a different polytope")
-    if len(x) != poly.dim:
-        raise ValueError("dimension mismatch")
-    if not poly.contains(tuple(Fraction(c, n) for c in x)):
-        raise ValueError(f"{x} is not in the {n}-fold dilation")
     for simplex in tri.simplices:
         slacks = [n * h.offset - dot(h.normal, x) for h in simplex.facets]
         if min(slacks) >= 0:

@@ -113,7 +113,8 @@ def scan_beneath_beyond(pts, simplex) -> tuple:
     """geometry._beneath_beyond with no face adjacency: each added point tests
     every alive face for visibility, the horizon is the ridges of exactly one
     visible face, and each new face's plane comes from its points by
-    plane_through. Returns the same (vertices, planes, faces)."""
+    plane_through. Returns the same (vertices, planes, faces), each face an
+    (index tuple, plane) pair."""
     k = len(pts[0])
     inner = [sum(pts[i][j] for i in simplex) for j in range(k)]
 
@@ -160,7 +161,7 @@ def scan_beneath_beyond(pts, simplex) -> tuple:
         for i in face.verts:
             normals_at.setdefault(i, set()).add(face.normal)
     vertices = sorted(i for i, normals in normals_at.items() if len(normals) >= k and linalg.rank(normals) == k)
-    return vertices, sorted(planes), [face.verts for face in alive]
+    return vertices, sorted(planes), [(face.verts, (face.normal, face.offset)) for face in alive]
 
 
 def lp_vertices(points) -> tuple:

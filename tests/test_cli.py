@@ -202,6 +202,26 @@ class TestDecompose:
         code, out, err = run(capsys, "decompose", "unit-square", "10", "10,0")
         assert (code, out, err) == (3, "", "resource cap exceeded: a decomposition has 10 summands, cap is 9\n")
 
+    @pytest.mark.parametrize(
+        "n, point, err",
+        [
+            ("0", "0,0,0", "error: n must be >= 1\n"),
+            ("-1", "0,0,0", "error: n must be >= 1\n"),
+            ("2", "0,0", "error: dimension mismatch\n"),
+            ("2", "5,0,0", "error: (5, 0, 0) is not in the 2-fold dilation\n"),
+            ("2", "1,x", "error: bad point '1,x'\n"),
+        ],
+    )
+    def test_inputs_are_checked_before_the_search(self, capsys, monkeypatch, n, point, err):
+        # a search that could run long (or fail on its budget) starts only for a decomposable target
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "search_primitive_triangulation", no_search)
+        assert run(capsys, "decompose", "unit-cube", n, point) == (2, "", err)
+        with pytest.raises(AssertionError, match="the search ran"):
+            main(["decompose", "unit-cube", "2", "1,1,2"])
+
     def test_huge_n_exits_3_at_once(self):
         n = str(10**20)
         done = run_fresh("decompose", "unit-square", n, f"{n},0", timeout=30)
@@ -498,6 +518,41 @@ class TestDeepDocuments:
         assert done.stderr == f"error: {path}: JSON document is nested too deeply\n"
 
 
+class TestShortErrorLines:
+    """A bad value nested just under the decoder's limit (958 deep) is named by
+    its type, not its repr: one short error line and exit 2, in a fresh
+    interpreter so that the depth the decoder reaches is a command's."""
+
+    DEEP = "[" * 958 + "]" * 958
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (("points", "{}", "1"), '{"vertices": ' + DEEP + "}", "lattice coordinates must be plain ints, got list"),
+            (("lemma1", "{}"), '{"matrix": [[' + DEEP + "]]}", "lattice coordinates must be plain ints, got list"),
+            (
+                ("word-ball", "{}", "1"),
+                '{"kind": "zd", "dim": 1, "generators": [[' + DEEP + "]]}",
+                "lattice coordinates must be plain ints, got list",
+            ),
+            (
+                ("word-ball", "{}", "1"),
+                '{"kind": "gl2z", "generators": [[[' + DEEP + ", 0], [0, 1]]]}",
+                "matrix entries must be plain ints, got list",
+            ),
+            (("word-ball", "{}", "1"), '{"kind": ' + DEEP + ', "generators": [[0]]}', "a group kind must be a string, got list"),
+        ],
+        ids=["points", "lemma1", "zd", "gl2z", "kind"],
+    )
+    def test_exit_2_with_one_short_line(self, tmp_path, argv, text, message):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        done = run_fresh(*(str(path) if a == "{}" else a for a in argv))
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == f"error: {path}: {message}\n"
+        assert len(done.stderr) <= 200
+
+
 class TestGlobalFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -791,6 +846,16 @@ class TestBoxCap:
         code, out, err = run(capsys, "points", "sigma-3-2", "3", "--cap", "342")
         assert (code, out) == (3, "")
         assert err == "resource cap exceeded: bounding box has 343 candidate points, cap is 342\n"
+
+    def test_minkowski_checks_n_before_any_line_is_scanned(self, capsys, monkeypatch):
+        # minkowski_power checks n too, but Omega is scanned before it is called
+        def no_scan(*args):
+            raise AssertionError("a line was scanned")
+
+        monkeypatch.setattr(geometry, "_line_scan", no_scan)
+        assert run(capsys, "minkowski", "sigma-3-2", "-1") == (2, "", "error: n must be >= 0\n")
+        with pytest.raises(AssertionError, match="a line was scanned"):
+            main(["minkowski", "sigma-3-2", "0"])
 
     def test_cap_acts_before_any_line_is_scanned(self, capsys, monkeypatch):
         def no_scan(*args):

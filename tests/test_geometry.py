@@ -91,6 +91,23 @@ def lattice_clouds(draw, max_dim=4, min_dim=1, max_directions=None):
 
 
 @st.composite
+def solid_clouds(draw, min_dim=3, max_dim=5, k=None):
+    """Points base + sum c_j * u_j of affine dimension k >= 3 (any of 3..d when None),
+    unless the k directions u_j are dependent: base and each base + u_j are among
+    them, with random points of coefficients -1..1."""
+    d = draw(st.integers(min_dim, max_dim))
+    k = draw(st.integers(3, d)) if k is None else k
+    base = draw(st.tuples(*[st.integers(-2, 2)] * d))
+    dirs = [draw(st.tuples(*[st.integers(-1, 1)] * d)) for _ in range(k)]
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    coeffs = units + draw(st.lists(st.tuples(*[st.integers(-1, 1)] * k), min_size=1, max_size=8))
+    return [
+        tuple(b + sum(c * u[i] for c, u in zip(cs, dirs)) for i, b in enumerate(base))
+        for cs in coeffs
+    ]
+
+
+@st.composite
 def midpoint_clouds(draw, max_dim=4):
     """Even grid points plus midpoints of some of their pairs: the midpoints on
     edges and facets of the hull are boundary points that are not vertices."""
@@ -677,11 +694,14 @@ LOWER_DIMENSIONAL = {
 }
 # Facets whose normal has last coefficient 0 bound no line: the square's and
 # the cube's sides, and the prism's side x + y <= 2, which empties the lines
-# through the prefixes (1, 2), (2, 1) and (2, 2) of its bounding box.
+# through the prefixes (1, 2), (2, 1) and (2, 2) of its bounding box. The
+# shadow of the triangle times a square is the prism: its side x + y <= 2,
+# free of z too, skips those prefixes of (x, y, z) before any z is looped over.
 ZERO_LAST_COEFFICIENT = {
     "unit square": [(0, 0), (1, 0), (0, 1), (1, 1)],
     "triangular prism": [(x, y, z) for x, y in [(0, 0), (2, 0), (0, 2)] for z in (0, 1)],
     "4-cube": list(cube(4).vertices),
+    "triangle times square": [(x, y, z, w) for x, y in [(0, 0), (2, 0), (0, 2)] for z in (0, 1) for w in (0, 1)],
 }
 
 
@@ -768,6 +788,85 @@ class TestLineScan:
             probes += [half[:j] + (half[j] + Fraction(1, 2),) + half[j + 1 :] for j in range(p.dim)]
         for q in probes:
             assert p.contains(q) == lp_contains(p, q), q
+
+
+def lines_examined(p: LatticePolytope, n: int) -> int:
+    """The lines `_line_scan` examines for nP: the calls of its inner `scan` at the
+    last coordinate, counted by a profile hook."""
+    last, count = len(p._cols) - 1, 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code.co_name == "scan" and frame.f_locals["j"] == last
+
+    sys.setprofile(profile)
+    try:
+        p.line_runs(n)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestShadow:
+    """`LatticePolytope._shadow`, the projection of the scanned polytope along its
+    last coordinate, against the facets of the hull of the projected vertices,
+    and the lines the scan then examines."""
+
+    @staticmethod
+    def check(p: LatticePolytope) -> None:
+        projected = [tuple(v[c] for c in p._cols[:-1]) for v in p.vertices]
+        shadow = set(p._shadow)
+        assert set(LatticePolytope(projected).facets) <= shadow
+        assert all(dot(a, y) <= b for a, b in shadow for y in projected)
+
+    @given(st.one_of(solid_clouds(), lattice_clouds(max_dim=5, min_dim=3)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_projected_hull(self, pts):
+        p = hull(pts)
+        assume(p.affine_dim >= 3)
+        self.check(p)
+
+    @given(solid_clouds(min_dim=4, k=3))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_the_projected_hull_in_cols(self, pts):
+        # 3-dimensional polytopes in Z^4 and Z^5: the shadow is in `_cols` coordinates
+        p = hull(pts)
+        assume(p.affine_dim == 3)
+        self.check(p)
+
+    @pytest.mark.parametrize("name", [name for name, pts in ZERO_LAST_COEFFICIENT.items() if len(pts[0]) >= 3])
+    def test_vertical_facets(self, name):
+        p = LatticePolytope(ZERO_LAST_COEFFICIENT[name])
+        self.check(p)
+        vertical = {(a[:-1], b) for a, b in p.facets if not a[-1]}
+        assert vertical and vertical <= set(p._shadow)
+
+    @given(solid_clouds(), st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_runs_match_a_scan_of_every_line(self, pts, n):
+        # a line through a prefix outside the shadow holds no point, so no run is lost
+        p = hull(pts)
+        assume(p.affine_dim >= 3 and box_size(p, n) <= 20000)
+        los, his = p.box(n)
+        assert p.line_runs(n) == geometry._line_scan([(a, n * b) for a, b in p._planes], los, his)
+
+    def test_lines_examined(self):
+        # the box of 3 * sigma(5, 2) has 7^4 = 2,401 lines; 56 prefixes are in its shadow
+        p = LatticePolytope(sigma(5, 2).vertices)
+        assert lines_examined(p, 3) == 56
+        assert len(LatticePolytope([tuple(3 * x for x in v[:-1]) for v in p.vertices]).integer_points(1)) == 56
+        cloud = hull(HULL_CASES["4-D cloud"])
+        los, his = cloud.box(1)
+        assert (lines_examined(cloud, 1), math.prod(h - l + 1 for l, h in zip(los[:-1], his[:-1]))) == (64, 343)
+        # 6 (x, y) in the triangle, times 2 z, of the box's 18 prefixes
+        assert lines_examined(LatticePolytope(ZERO_LAST_COEFFICIENT["triangle times square"]), 1) == 12
+
+    def test_two_coordinates_examine_every_line(self):
+        # a scan of k <= 2 coordinates has no shadow: it examines each line of the box
+        for p in (LatticePolytope([(0, 0), (6, 0), (0, 6)]), LatticePolytope(LOWER_DIMENSIONAL["triangle in Z^4"])):
+            los, his = p.box(2)
+            assert lines_examined(p, 2) == his[0] - los[0] + 1
+            assert "_shadow" not in vars(p)
 
 
 class TestHullEquations:

@@ -22,6 +22,12 @@ and, in a temporary work directory of its own, runs every command of this list:
   and the one-point polytope at the origin), and `minkowski` at 4 and
   `check-equality` over 1..4 and 3..6 on that polytope, as JSON and with
   `--pretty`, so that radii past a stream's first empty layer are compared;
+- `points` at n = 1..4 and `check-equality` over 1..3 on polytopes whose
+  scans have three or more coordinates, written into the work directory:
+  sigma(d, m) for d = 4..6 and m = 2, 3, a 4-D prism with vertical facets and
+  a sheared top, and a 3-dimensional polytope in Z^5 (its scan runs in the
+  `_cols` coordinates), as JSON and with `--pretty`, so that scans that skip
+  the lines outside the polytope's shadow are compared too;
 - `points NAME 0` on every bundled dataset;
 - `lemma1` on seeded matrices written into the work directory, two of each
   kind for d = 1..4: det +-1 (products of row shears and a sign), |det| > 1
@@ -131,6 +137,20 @@ LOWER_DIMENSIONAL = {
     "sigma-3-2-4d": [[0, 0, 0, 0], [1, 0, 0, 1], [0, 1, 0, 1], [-1, -1, 2, 0]],
 }
 
+# Polytopes scanned in three or more coordinates: sigma(d, m) as the library
+# builds it, a prism over 2 * sigma(3, 1) whose top x4 = 1 + x1 is sheared
+# (its sides are vertical), and sigma(3, 2) plus (1, 1, 1) on x4 = x1 + x2,
+# x5 = x2 - x3 in Z^5.
+SHADOW_POLYTOPES = {
+    **{
+        f"sigma-{d}-{m}": [[0] * d] + [[int(i == j) for j in range(d)] for i in range(d - 1)] + [[-1] * (d - 1) + [m]]
+        for d in (4, 5, 6)
+        for m in (2, 3)
+    },
+    "prism-4d": [[x, y, z, w] for x, y, z in [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)] for w in (0, 1 + x)],
+    "solid-3d-in-5d": [[x, y, z, x + y, y - z] for x, y, z in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 2), (1, 1, 1)]],
+}
+
 # Searches deeper than the bundled datasets' (a point cap of 40 or 400 lets
 # them run): "q27" stops on its budget mid-depth, "cube-3-0-2" finds a
 # triangulation in 48 nodes and "segment-300" one 300 simplices deep.
@@ -224,6 +244,18 @@ def _lower_dimensional_commands(work: Path):
             ["classify", path],
             ["search-primitive", path],
         ]
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
+def _shadow_commands(work: Path):
+    """Write each SHADOW_POLYTOPES polytope into work as NAME.json and return
+    points at n = 1..4 and check-equality over 1..3 on it, JSON first, then
+    --pretty."""
+    commands = []
+    for name, vertices in SHADOW_POLYTOPES.items():
+        path = f"{name}.json"
+        (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        commands += [["points", path, str(n)] for n in range(1, 5)] + [["check-equality", path, "1..3"]]
     return commands + [["--pretty", *argv] for argv in commands]
 
 
@@ -331,7 +363,7 @@ def digests(root: Path) -> list:
                     run(op.argv, op.after)
         for argv in _dataset_commands(root / "src" / "latmink" / "data"):
             run(argv)
-        for argv in _lower_dimensional_commands(Path(tmp)) + _finite_stream_commands(Path(tmp)):
+        for argv in _lower_dimensional_commands(Path(tmp)) + _shadow_commands(Path(tmp)) + _finite_stream_commands(Path(tmp)):
             run(argv)
         for argv in _lemma1_commands(Path(tmp)) + _decompose_commands(root / "src" / "latmink" / "data"):
             run(argv)
