@@ -22,6 +22,7 @@ from .groups import (
     BoundaryReport,
     ElementSet,
     GroupPresentation,
+    ball_boundary,
     ball_layers,
     check_boundary_equality,
     check_boundary_equality_range,
@@ -78,6 +79,7 @@ __all__ = [
     "Triangulation",
     "TriangulationReport",
     "UnimodularCriteria",
+    "ball_boundary",
     "ball_layers",
     "check_boundary_equality",
     "check_boundary_equality_range",

@@ -31,7 +31,7 @@ from pathlib import Path
 
 from . import serialize, verify
 from .geometry import ResourceLimitError
-from .groups import check_boundary_equality_range, omega_boundary, word_ball
+from .groups import ball_boundary, check_boundary_equality_range, word_ball
 from .minkowski import check_equality_range, decompose, decomposition_target, minkowski_power
 from .triangulation import (
     DEFAULT_POINT_CAP,
@@ -242,9 +242,10 @@ def _cmd_search_primitive(args) -> int:
 def _cmd_word_ball(args) -> int:
     """word-ball and boundary: the radius-n ball, or its boundary."""
     group = _load_group(args.group)
-    ball, what = word_ball(group, args.n, cap=args.cap), "elements in"
     if args.command == "boundary":
-        ball, what = omega_boundary(group, ball), "boundary elements of"
+        ball, what = ball_boundary(group, args.n, cap=args.cap), "boundary elements of"
+    else:
+        ball, what = word_ball(group, args.n, cap=args.cap), "elements in"
     return _emit(
         args,
         {"group": group, "n": args.n},

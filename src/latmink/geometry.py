@@ -56,6 +56,12 @@ def check_box(los: Sequence[int], his: Sequence[int], cap: int | None = None) ->
         raise ResourceLimitError(f"bounding box has {count} candidate points, cap is {cap}")
 
 
+def quoted_prefix(text: str) -> str:
+    """repr of text's first 20 characters, then ... if text is longer: an error
+    message quotes a document's literal of any length in one short line."""
+    return repr(text[:20]) + ("..." if len(text) > 20 else "")
+
+
 def as_point(coords: Sequence) -> Point:
     """Validate one integer point: a tuple or list of plain ints (bools are rejected)."""
     if not isinstance(coords, SEQUENCES):

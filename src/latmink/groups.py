@@ -10,11 +10,18 @@ Balls come from one engine, BallCodec.layers, which yields the ball and the
 fresh layer of each radius its caller asks for, within its codec's radius
 (ball_layers and word_ball take it as n). It multiplies only the fresh layer,
 over encoded elements, checks the cap once per layer, and stops multiplying
-at the first empty layer, past which every ball is the same. A Z^d point is
-one int in balanced radix B = 2R + 1, first coordinate most significant;
-R = (radius + 1) * max|g|, at least 1, covers a ball and the interior test
-w*a on it. On the box |x_i| <= R the code is an injective homomorphism,
-ordered as lex order: a product is one int addition.
+at the first empty layer, past which every ball is the same.
+
+S*ball(n-1) lies in ball(n), so ball(n-1) is interior to ball(n): the
+boundary of ball(n) is its fresh layer less the layer's interior within
+ball(n), and ball_boundary and check_boundary_equality_range test only that
+layer (BallCodec.interior, the one interior rule, tests a set of codes
+within another).
+
+A Z^d point is one int in balanced radix B = 2R + 1, first coordinate most
+significant; R = (radius + 1) * max|g|, at least 1, covers a ball and the
+interior test w*a on it. On the box |x_i| <= R the code is an injective
+homomorphism, ordered as lex order: a product is one int addition.
 A GL(2, Z) matrix is the flat tuple (a, b, c, d), not an int: a radix would
 grow as (max row norm)^(radius + 1). Both codes sort as their elements do,
 so sorted codes decode in canonical order, only where returned.
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .geometry import SEQUENCES, LatticePolytope, ResourceLimitError, as_point
+from .geometry import SEQUENCES, LatticePolytope, ResourceLimitError, as_point, quoted_prefix
 
 KIND_ZD = "zd"
 KIND_GL2Z = "gl2z"
@@ -114,7 +121,7 @@ def group_elements(kind: str, generators: Iterable, dim: int | None) -> tuple[li
         return [as_gl2z(g) for g in generators], GL2Z_IDENTITY
     if type(kind) is not str:  # a repr of any JSON value could run to thousands of characters
         raise ValueError(f"a group kind must be a string, got {type(kind).__name__}")
-    raise ValueError(f"unknown group kind {kind!r}")
+    raise ValueError(f"unknown group kind {quoted_prefix(kind)}")
 
 
 class GroupPresentation:
@@ -222,11 +229,14 @@ class BallCodec:
         for n in ns:
             yield n, ball, layer
 
-    def interior(self, codes: set) -> set:
-        """The codes a with w*a in codes for every generator w, the one interior
-        rule: products come in runs of one per generator."""
+    def interior(self, codes: Iterable, within: set) -> set:
+        """The codes a of codes with w*a in within for every generator w, the
+        one interior rule: products come in runs of one per generator. The
+        interior of a set is interior(codes, codes); a layer of a ball is
+        tested within the ball, whose codes and their products the codec's
+        bound covers."""
         items = list(codes)
-        hits = map(codes.__contains__, self.products(items, self.generators))
+        hits = map(within.__contains__, self.products(items, self.generators))
         return set(itertools.compress(items, map(all, zip(*[hits] * len(self.generators)))))
 
 
@@ -253,10 +263,21 @@ def word_ball(group: GroupPresentation, n: int, cap: int | None = None) -> Eleme
     return codec.elements(ball)
 
 
+def ball_boundary(group: GroupPresentation, n: int, cap: int | None = None) -> ElementSet:
+    """The boundary of the radius-n ball, omega_boundary(group, word_ball(group,
+    n, cap)), read off one BallCodec.layers stream: ball(n-1) is interior to
+    ball(n) (see BoundaryReport), so the boundary is layer(n) less the
+    layer's interior within ball(n)."""
+    codec = BallCodec(group, n)
+    [(_, ball, layer)] = codec.layers(range(n, n + 1), cap)
+    return codec.elements(layer - codec.interior(layer, ball))
+
+
 def omega_interior(group: GroupPresentation, subset: ElementSet) -> ElementSet:
     """Elements a of the subset with every left translate w*a in the subset."""
     codec = BallCodec(group, 0, subset)
-    return codec.elements(codec.interior(set(codec.encode(subset.elements))))
+    codes = set(codec.encode(subset.elements))
+    return codec.elements(codec.interior(codes, codes))
 
 
 def omega_boundary(group: GroupPresentation, subset: ElementSet) -> ElementSet:
@@ -269,8 +290,11 @@ class BoundaryReport:
     """Comparison of the boundary layer of a ball with the fresh layer.
 
     lhs is the boundary of the radius-n ball, rhs is ball(n) minus
-    ball(n-1). lhs_minus_rhs is empty whenever the implementation is sound;
-    rhs_minus_lhs carries the interesting counterexamples.
+    ball(n-1). lhs_minus_rhs is always empty: for a in ball(n-1) and a
+    generator w, w*a is a product of at most n generators, so it lies in
+    ball(n); every element of ball(n-1) is interior to ball(n), and the
+    boundary lies in the fresh layer. rhs_minus_lhs, the fresh elements that
+    are interior, carries the interesting counterexamples.
     """
 
     n: int
@@ -289,18 +313,16 @@ def check_boundary_equality_range(
 ) -> list[BoundaryReport]:
     """check_boundary_equality for every n in ns, in increasing order, read
     off one BallCodec.layers stream of the radii of ns: rhs is the stream's
-    fresh layer, and only the two differences are decoded."""
+    fresh layer. ball(n-1) is interior to ball(n) (see BoundaryReport), so
+    only the fresh layer is tested, within ball(n): rhs_minus_lhs is the
+    layer's interior, the only set decoded, and lhs_minus_rhs is empty."""
     ns = ns if ns.step > 0 else ns[::-1]
     if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
     codec, reports = BallCodec(group, ns[-1] if ns else 0), []
     for n, ball, layer in codec.layers(ns, cap):
-        lhs = ball - codec.interior(ball)
-        lhs_minus_rhs = codec.elements(lhs - layer)
-        if len(lhs_minus_rhs) != 0:
-            raise RuntimeError("internal inconsistency: boundary escaped the fresh layer")
-        rhs_minus_lhs = codec.elements(layer - lhs)
-        reports.append(BoundaryReport(n, len(rhs_minus_lhs) == 0, lhs_minus_rhs, rhs_minus_lhs))
+        rhs_minus_lhs = codec.elements(codec.interior(layer, ball))
+        reports.append(BoundaryReport(n, len(rhs_minus_lhs) == 0, ElementSet(()), rhs_minus_lhs))
     return reports
 
 

@@ -43,7 +43,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .geometry import LatticePolytope, PointSet
+from .geometry import LatticePolytope, PointSet, quoted_prefix
 from .groups import ElementSet, GroupPresentation, group_elements, zd_presentation_from_polytope
 from .triangulation import LatticeSimplex, Triangulation
 
@@ -51,7 +51,7 @@ _ARRAYS = {list, tuple}
 
 
 def _reject_float(text: str):
-    raise ValueError(f"floating point literal {text!r}: coordinates must be exact integers")
+    raise ValueError(f"floating point literal {quoted_prefix(text)}: coordinates must be exact integers")
 
 
 def loads_strict(text: str) -> Any:

@@ -10,8 +10,9 @@ interpolated from box scans, determinants by permutation expansion,
 hyperplane normals by d cofactor minors instead of one echelon, the
 beneath-beyond hull by testing every face for visibility and building every
 face's plane from its points instead of flooding ridges, word balls by
-multiplying the whole ball each round, Minkowski powers by folding
-minkowski_sum, triangulations by an exact LP and an intersection-vertex test
+multiplying the whole ball each round, ball boundaries by testing every
+element of the ball instead of its fresh layer alone, Minkowski powers by
+folding minkowski_sum, triangulations by an exact LP and an intersection-vertex test
 (exact Fraction solves) on every pair of simplices, inverses by Gauss-Jordan
 over Fractions instead of cofactors, report text by
 building the report's plain JSON data first for the standard library to write,
@@ -44,6 +45,7 @@ from latmink import (
     triangulation,
 )
 from latmink.geometry import _affine_frame, _Face, as_point, as_rational_point, dot, edge_rows, plane_through
+from latmink.groups import BallCodec, BoundaryReport
 from latmink.triangulation import LatticeSimplex, SearchResult, Triangulation, TriangulationReport
 
 
@@ -347,6 +349,22 @@ def brute_force_word_ball(group, n: int) -> ElementSet:
 def brute_force_boundary(group, subset: ElementSet) -> ElementSet:
     """Elements a of subset with some left translate w*a outside it, by tuple products."""
     return ElementSet(a for a in subset if any(_product(w, a) not in subset for w in group.generators))
+
+
+def full_ball_boundary_reports(group, ns: range, cap=None) -> list:
+    """check_boundary_equality_range by the full-ball form: at each n of ns,
+    the boundary of ball(n) is ball(n) less its interior within itself, every
+    element of the ball tested, and the guard raises if that boundary leaves
+    the fresh layer."""
+    codec, reports = BallCodec(group, ns[-1] if ns else 0), []
+    for n, ball, layer in codec.layers(ns, cap):
+        lhs = ball - codec.interior(ball, ball)
+        lhs_minus_rhs = codec.elements(lhs - layer)
+        if len(lhs_minus_rhs) != 0:
+            raise RuntimeError("internal inconsistency: boundary escaped the fresh layer")
+        rhs_minus_lhs = codec.elements(layer - lhs)
+        reports.append(BoundaryReport(n, len(rhs_minus_lhs) == 0, lhs_minus_rhs, rhs_minus_lhs))
+    return reports
 
 
 def folded_minkowski_power(s: PointSet, n: int) -> PointSet:

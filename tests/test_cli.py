@@ -520,10 +520,13 @@ class TestDeepDocuments:
 
 class TestShortErrorLines:
     """A bad value nested just under the decoder's limit (958 deep) is named by
-    its type, not its repr: one short error line and exit 2, in a fresh
+    its type, not its repr, and a 3,000-character float literal or group kind
+    by its first 20 characters: one short error line and exit 2, in a fresh
     interpreter so that the depth the decoder reaches is a command's."""
 
     DEEP = "[" * 958 + "]" * 958
+    LONG_FLOAT = "1." + "0" * 3000
+    LONG_KIND = "x" * 3000
 
     @pytest.mark.parametrize(
         "argv, text, message",
@@ -541,8 +544,18 @@ class TestShortErrorLines:
                 "matrix entries must be plain ints, got list",
             ),
             (("word-ball", "{}", "1"), '{"kind": ' + DEEP + ', "generators": [[0]]}', "a group kind must be a string, got list"),
+            (
+                ("points", "{}", "1"),
+                '{"vertices": [[' + LONG_FLOAT + "]]}",
+                "floating point literal '1.000000000000000000'...: coordinates must be exact integers",
+            ),
+            (
+                ("word-ball", "{}", "1"),
+                '{"kind": "' + LONG_KIND + '", "generators": [[0]]}',
+                "unknown group kind 'xxxxxxxxxxxxxxxxxxxx'...",
+            ),
         ],
-        ids=["points", "lemma1", "zd", "gl2z", "kind"],
+        ids=["points", "lemma1", "zd", "gl2z", "kind", "float", "long-kind"],
     )
     def test_exit_2_with_one_short_line(self, tmp_path, argv, text, message):
         path = tmp_path / "deep.json"

@@ -10,6 +10,7 @@ from latmink import (
     GroupPresentation,
     LatticePolytope,
     ResourceLimitError,
+    ball_boundary,
     ball_layers,
     check_boundary_equality,
     check_boundary_equality_range,
@@ -26,7 +27,7 @@ from latmink import (
 from latmink.groups import GL2Z_IDENTITY, BallCodec, BoundaryReport, as_gl2z
 from latmink.verify import random_lattice_polygon, symmetric_example_polytope
 
-from conftest import _product, brute_force_boundary, brute_force_word_ball
+from conftest import _product, brute_force_boundary, brute_force_word_ball, full_ball_boundary_reports
 
 import random
 
@@ -540,6 +541,87 @@ class TestFlatGL2ZCodes:
         assert got.elements == expected.elements
         assert got._members == expected._members
         assert codec.encode(got.elements) == sorted(codes)
+
+
+# The benchmark's Z^d polytope groups, (polytope, largest n of its boundary range).
+ZD_CASES = [
+    (cross_polytope(2), 6),
+    (cube(2, -1, 1), 5),
+    (cross_polytope(3), 5),
+    (cube(3, -1, 1), 3),
+]
+
+
+class TestFreshLayerBoundary:
+    """check_boundary_equality_range and ball_boundary test the fresh layer
+    alone; the full-ball form, every element of ball(n) tested, is the oracle."""
+
+    def test_gl2z_fails_at_every_n(self, gl2z):
+        reports = check_boundary_equality_range(gl2z, range(1, 8))
+        assert reports == full_ball_boundary_reports(gl2z, range(1, 8))
+        assert [len(r.rhs_minus_lhs) for r in reports] == [1, 4, 12, 24, 52, 118, 196]
+        assert not any(r.holds or r.lhs_minus_rhs for r in reports)
+
+    @pytest.mark.parametrize("poly, hi", ZD_CASES)
+    def test_polytope_groups(self, poly, hi):
+        group = zd_presentation_from_polytope(poly)
+        reports = check_boundary_equality_range(group, range(1, hi + 1))
+        assert reports == full_ball_boundary_reports(group, range(1, hi + 1))
+        assert all(r.holds for r in reports)
+
+    @pytest.mark.parametrize("group", FINITE_GROUPS)
+    def test_past_the_first_empty_layer(self, group):
+        reports = check_boundary_equality_range(group, range(3, 7))
+        assert reports == full_ball_boundary_reports(group, range(3, 7))
+        assert all(r.holds for r in reports)
+
+    @given(
+        st.one_of(zd_groups(), gl2z_groups, huge_gl2z_groups(), codec_cases().map(lambda case: case[0])),
+        st.integers(1, 3),
+        st.integers(0, 2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reports_match_the_full_ball_form(self, group, lo, extra):
+        ns = range(lo, lo + extra + 1)
+        assert check_boundary_equality_range(group, ns) == full_ball_boundary_reports(group, ns)
+
+    def test_products_of_the_fresh_layers_only(self, gl2z, monkeypatch):
+        # the stream multiplies layers 0..4 (1,068 products) and the interior
+        # test layers 1..5 (2,502); testing every element of balls 1..5, as
+        # the full-ball form does, takes 4,164 for the interior test (5,232
+        # in all)
+        from latmink import groups
+
+        calls = [0]
+        products = groups._gl2z_products
+
+        def counting_products(elements, gens):
+            formed = products(elements, gens)
+            calls[0] += len(formed)
+            return formed
+
+        monkeypatch.setattr(groups, "_gl2z_products", counting_products)
+        check_boundary_equality_range(gl2z, range(1, 6))
+        assert calls[0] == 3570
+
+    @given(
+        st.one_of(
+            st.tuples(st.one_of(zd_groups(), gl2z_groups, huge_gl2z_groups()), st.integers(0, 4)),
+            st.tuples(st.sampled_from(FINITE_GROUPS), st.integers(0, 6)),
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_ball_boundary_is_the_boundary_of_the_ball(self, case):
+        group, n = case
+        assert ball_boundary(group, n) == omega_boundary(group, word_ball(group, n))
+
+    def test_ball_boundary_cap_and_radius(self, gl2z, z2_cross):
+        assert ball_boundary(z2_cross, 3).elements == tuple(sorted(p for p in l1_ball(3) if sum(map(abs, p)) == 3))
+        assert len(ball_boundary(gl2z, 4, cap=178)) == len(omega_boundary(gl2z, word_ball(gl2z, 4)))
+        with pytest.raises(ResourceLimitError, match="^word ball exceeded 177 elements$"):
+            ball_boundary(gl2z, 4, cap=177)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            ball_boundary(gl2z, -1)
 
 
 class TestInclusionChains:

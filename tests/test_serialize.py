@@ -40,6 +40,15 @@ class TestStrictJson:
         with pytest.raises(ValueError, match="exact integers"):
             serialize.loads_strict('{"dim": 2, "vertices": [[0.5, 1]]}')
 
+    @pytest.mark.parametrize(
+        "literal, quoted",
+        [("0.5", "'0.5'"), ("1." + "0" * 18, "'1." + "0" * 18 + "'"), ("1." + "0" * 19, "'1." + "0" * 18 + "'...")],
+    )
+    def test_float_literal_quoted_by_its_first_20_characters(self, literal, quoted):
+        with pytest.raises(ValueError) as raised:
+            serialize.loads_strict(f"[{literal}]")
+        assert str(raised.value) == f"floating point literal {quoted}: coordinates must be exact integers"
+
     def test_special_constants_rejected(self):
         with pytest.raises(ValueError):
             serialize.loads_strict('{"x": NaN}')

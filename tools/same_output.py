@@ -52,6 +52,11 @@ and, in a temporary work directory of its own, runs every command of this list:
 - large and deeply nested reports (thousands of points, GL(2, Z) matrices,
   the boundary of the 916-element radius-6 GL(2, Z) ball), the int arrays
   that `serialize.dumps` writes from one template each;
+- boundaries read off the fresh layer at the largest balls the `balls`
+  workload builds: `check-boundary` over 1..7 and `boundary` at 7 on
+  `gl2z-swap-shear` (a ball of 1,876 elements), and `check-boundary` over
+  1..4 on the group of cube(3, -1, 1), written into the work directory, as
+  JSON and with `--pretty`;
 - each bound (`--cap`, `--budget`, `--point-cap`) at -1, 0 and 1; at 0 and
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
@@ -72,6 +77,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -325,6 +331,20 @@ def _deep_search_commands(work: Path):
     return DEEP_SEARCH_ARGS + [["--pretty", *argv] for argv in DEEP_SEARCH_ARGS]
 
 
+def _boundary_commands(work: Path):
+    """Write cube(3, -1, 1) into work as cube-3.json and return the boundary
+    commands at the largest balls of the balls workload, JSON first, then
+    --pretty."""
+    vertices = [list(v) for v in itertools.product((-1, 1), repeat=3)]
+    (work / "cube-3.json").write_text(json.dumps({"dim": 3, "vertices": vertices}))
+    commands = [
+        ["check-boundary", "gl2z-swap-shear", "1..7"],
+        ["boundary", "gl2z-swap-shear", "7"],
+        ["check-boundary", "cube-3.json", "1..4"],
+    ]
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
 def _run_one(cli, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -367,7 +387,7 @@ def digests(root: Path) -> list:
             run(argv)
         for argv in _lemma1_commands(Path(tmp)) + _decompose_commands(root / "src" / "latmink" / "data"):
             run(argv)
-        for argv in _deep_search_commands(Path(tmp)):
+        for argv in _deep_search_commands(Path(tmp)) + _boundary_commands(Path(tmp)):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
