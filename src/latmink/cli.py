@@ -30,7 +30,7 @@ from itertools import chain
 from pathlib import Path
 
 from . import serialize, verify
-from .geometry import ResourceLimitError
+from .geometry import ResourceLimitError, quoted_prefix
 from .groups import ball_boundary, check_boundary_equality_range, word_ball
 from .minkowski import check_equality_range, decompose, decomposition_target, minkowski_power
 from .triangulation import (
@@ -59,7 +59,11 @@ class InputError(Exception):
 def _read_document(name: str):
     """Load a JSON document from a path, or from the bundled data file of a bare name that is not a file."""
     path = Path(name)
-    if path.exists():
+    try:
+        exists = path.exists()
+    except OSError as exc:  # a name too long for the file system
+        raise InputError(f"{quoted_prefix(name)}: {exc.strerror or exc}") from exc
+    if exists:
         try:
             text = path.read_text()
         except OSError as exc:  # a directory, a file without read permission
@@ -78,9 +82,9 @@ def _parse_range(text: str) -> range:
     try:
         lo, hi = int(lo_text), int(hi_text if dots else lo_text)
     except ValueError as exc:
-        raise InputError(f"bad range {text!r}") from exc
+        raise InputError(f"bad range {quoted_prefix(text)}") from exc
     if lo > hi:
-        raise InputError(f"empty range {text!r}")
+        raise InputError(f"empty range {quoted_prefix(text)}")
     return range(lo, hi + 1)
 
 
@@ -88,15 +92,20 @@ def _parse_point(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.replace(",", " ").split())
     except ValueError as exc:
-        raise InputError(f"bad point {text!r}") from exc
+        raise InputError(f"bad point {quoted_prefix(text)}") from exc
+
+
+def _int(text: str) -> int:
+    """The argparse type of an integer argument: argparse's message, the literal cut by quoted_prefix."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quoted_prefix(text)}") from None
 
 
 def _positive_int(text: str) -> int:
     """The argparse type of a bound (--cap, --budget, --point-cap)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
@@ -295,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"size cap, read by {', '.join(CAP_COMMANDS)} only "
         "(default: DEFAULT_BOX_CAP, or DEFAULT_BALL_CAP for group commands)",
     )
-    flags.add_argument("--seed", type=int, help="seed for randomized verification rows")
+    flags.add_argument("--seed", type=_int, help="seed for randomized verification rows")
     flags.add_argument("--timing", action="store_true", help="include elapsed_ms in JSON reports")
     parser = argparse.ArgumentParser(
         prog="latmink",
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEARCH_BUDGET)
         p.add_argument("--point-cap", type=_positive_int, default=DEFAULT_POINT_CAP)
 
-    dilation, ball = pair("polytope", "n", type=int), pair("group", "n", type=int)
+    dilation, ball = pair("polytope", "n", type=_int), pair("group", "n", type=_int)
     command("points", "integer points of the n-fold dilation", _cmd_points, dilation)
     command("minkowski", "n-fold Minkowski sum of the polytope's integer points", _cmd_points, dilation)
     command(

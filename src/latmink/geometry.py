@@ -25,7 +25,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import factorial, gcd, isfinite, prod
-from operator import floordiv, mul, sub
+from operator import floordiv, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -125,22 +125,20 @@ class Halfspace(NamedTuple):
         return self.offset - dot(self.normal, point)
 
 
-def plane_through(points: Sequence[Point], inside: Sequence[int], scale: int = 1) -> Halfspace:
-    """The primitive halfspace bounded by the hyperplane through d affinely
-    independent points of Z^d, oriented so that inside / scale lies beneath
-    it: <normal, inside> <= scale * offset."""
-    normal = linalg.Echelon(edge_rows(points)).normal(len(points[0]))
-    offset = dot(normal, points[0])
-    if dot(normal, inside) > scale * offset:
-        return Halfspace(tuple(-x for x in normal), -offset)
-    return Halfspace(normal, offset)
+def barycentric_forms(points: Sequence[Point]) -> tuple[int, list[Point]]:
+    """|det M| and the barycentric forms f_j of k+1 points p_j of Z^k, M the matrix of rows (p_j, 1): f_j is
+    column j of adj M times sign(det M), so <f_j, (x, 1)> = |det M| lambda_j(x), and the facet opposite p_j
+    is lambda_j >= 0 (`form_plane`). (0, []) if the points are affinely dependent."""
+    det, adj = linalg.adjugate([(*p, 1) for p in points])
+    columns = zip(*adj) if det else ()
+    return abs(det), [col if det > 0 else tuple(map(neg, col)) for col in columns]
 
 
-def affine_dim(points: Sequence[Point]) -> int:
-    """Dimension of the affine hull of the given points."""
-    if not points:
-        raise ValueError("no points")
-    return len(_affine_frame(points)[0]) - 1
+def form_plane(form: Sequence[int]) -> Halfspace:
+    """The facet <form, (x, 1)> >= 0 of a barycentric form as a primitive outward halfspace."""
+    *normal, offset = form
+    div = gcd(*normal)
+    return Halfspace(tuple(map(floordiv, normal, itertools.repeat(-div))), offset // div)
 
 
 def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
@@ -155,18 +153,6 @@ def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
     return [0] + [i for i, row in rows if len(echelon.rows) < len(row) and echelon.add(row)], echelon
 
 
-def _hull_equation(edges: Sequence[Sequence[int]], cols: tuple[int, ...], i: int, base: Point) -> Halfspace:
-    """The equation <normal, x> = offset of the affine hull of base + the edges' span
-    with normal zero off cols and i: `Echelon.normal` of the edges on cols + (i,), whose
-    entry at i is nonzero as the edges have full rank on cols, so it solves for x_i."""
-    on = cols + (i,)
-    part = linalg.Echelon([[e[c] for c in on] for e in edges]).normal(len(on))
-    if not part[-1]:
-        raise RuntimeError("internal inconsistency: an affine hull equation is zero at its coordinate")
-    normal = tuple(part[on.index(j)] if j in on else 0 for j in range(len(base)))
-    return Halfspace(normal, dot(normal, base))
-
-
 class _Face:
     """One simplex of the hull boundary, with its plane and the points that see it."""
 
@@ -178,16 +164,17 @@ class _Face:
 
 
 def _beneath_beyond(
-    pts: Sequence[Point], simplex: Sequence[int]
+    pts: Sequence[Point], simplex: Sequence[int], start_planes: Sequence[Halfspace]
 ) -> tuple[list[int], list[Halfspace], list[tuple[tuple[int, ...], Halfspace]]]:
     """Vertex indices, facet planes and boundary simplices, each with its
     plane, of conv(pts), pts full-dimensional in Z^k.
 
     The boundary is kept as simplices, started from the ascending indices
-    `simplex` of k+1 affinely independent points and grown one point at a
-    time. A point sees a face when it lies strictly beyond its hyperplane; a
-    point on the hyperplane counts as beneath. Each face keeps the points
-    that see it, so a point that sees no face is inside the hull for good.
+    `simplex` of k+1 affinely independent points, the facet opposite
+    simplex[j] on start_planes[j], and grown one point at a time. A point
+    sees a face when it lies strictly beyond its hyperplane; a point on the
+    hyperplane counts as beneath. Each face keeps the points that see it,
+    so a point that sees no face is inside the hull for good.
     The returned planes are primitive outward `Halfspace`s in ascending
     order; a point is a vertex when the facet normals through it have rank
     k. The returned faces, (index tuple of k points, its plane) pairs, are
@@ -202,7 +189,7 @@ def _beneath_beyond(
     ridge parts a seen face g, s_g = <n_g, eye> - c_g > 0, from a hidden face h,
     s_h <= 0: the plane s_g (n_h, c_h) - s_h (n_g, c_g) holds the ridge and the
     eye and has `inner` beneath it, as g and h do, so over the gcd of its normal
-    it is the plane `plane_through` would give. Seen faces in creation order and
+    it is the face's primitive outward plane. Seen faces in creation order and
     horizon ridges by seen face, then in `combinations` order, keep a scan's order.
     """
     k = len(pts[0])
@@ -217,8 +204,7 @@ def _beneath_beyond(
                     face.outside.append(i)
                     break
 
-    start = [_Face(verts, plane_through([pts[i] for i in verts], inner, k + 1))
-             for verts in (tuple(i for i in simplex if i != omit) for omit in simplex)]
+    start = [_Face(tuple(i for i in simplex if i != omit), plane) for omit, plane in zip(simplex, start_planes)]
     serials = itertools.count()
     alive = dict(zip(start, serials))  # face -> creation serial, in creation order
     members = set(simplex)
@@ -406,10 +392,17 @@ class LatticePolytope:
         k = len(simplex) - 1
         self.affine_dim = k
         self._cols = cols = tuple(sorted(echelon.pivots))
-        edges = edge_rows([pts[i] for i in simplex])
-        self._equations = tuple((i, _hull_equation(edges, cols, i, pts[0])) for i in range(d) if i not in cols)
         work = pts if k == d else [tuple(p[c] for c in cols) for p in pts]
-        found, planes, faces = _beneath_beyond(work, simplex) if k else ([0], [], [])
+        vol, forms = barycentric_forms([work[i] for i in simplex])
+        if not vol:
+            raise RuntimeError("internal inconsistency: the affine frame's determinant is zero")
+        equations = []
+        for i in (i for i in range(d) if i not in cols):  # vol x_i = sum_j <f_j, (x on cols, 1)> p_j[i]
+            coeffs = dict(zip(cols, (sum(pts[j][i] * f[c] for j, f in zip(simplex, forms)) for c in range(k))))
+            normal = linalg.primitive_vector([vol if j == i else -coeffs.get(j, 0) for j in range(d)])
+            equations.append((i, Halfspace(normal, dot(normal, pts[0]))))
+        self._equations = tuple(equations)
+        found, planes, faces = _beneath_beyond(work, simplex, list(map(form_plane, forms))) if k else ([0], [], [])
         self.vertices: tuple[Point, ...] = tuple(pts[i] for i in found)
         self._planes: tuple[Halfspace, ...] = tuple(planes)
         self._faces = tuple((tuple(work[i] for i in verts), plane) for verts, plane in faces)

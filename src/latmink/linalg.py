@@ -1,12 +1,11 @@
-"""Exact integer linear algebra: Bareiss determinants, a fraction-free row
-echelon form with its normal vector, and the Hermite normal form. Everything
-stays in plain Python ints; nothing here builds a Fraction or touches a float.
+"""Exact integer linear algebra: Bareiss determinants, the adjugate, a fraction-free
+row echelon form and the Hermite normal form. Everything stays in plain Python
+ints; nothing here builds a Fraction or touches a float.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from operator import mul
 from typing import Iterable, Sequence
 
 IntVector = tuple[int, ...]
@@ -18,26 +17,51 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     a = [list(map(int, r)) for r in rows]
     if any(len(r) != n for r in a):
         raise ValueError("matrix is not square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
+    sign = prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
                 return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 # Bareiss update: exact division by previous pivot
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return sign * prev
+
+
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """(det A, adj A) of a square integer matrix A, or (0, None) if A is singular. One fraction-free
+    Gauss-Jordan pass over [A | I] (Bareiss, Math. Comp. 22, 1968) in place: step k clears column k
+    in every other row, dividing exactly by the previous pivot, and keeps column k of the right block
+    there, so the rows end as D (PA)^-1, D = det PA, P the row swaps, undone on the columns."""
+    n = len(rows)
+    a = [list(map(int, r)) for r in rows]
+    if any(len(r) != n for r in a):
+        raise ValueError("matrix is not square")
+    prev, swaps = 1, []
+    for k in range(n):
+        if not a[k][k]:
+            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if pivot is None:
+                return 0, None
+            a[k], a[pivot] = a[pivot], a[k]
+            swaps.append((k, pivot))
+        top, p = a[k], a[k][k]
+        for i, row in enumerate(a):
+            if i != k:  # the right block's column k is prev e_k before this step
+                x = row[k]
+                a[i] = [(p * y - x * t) // prev for y, t in zip(row, top)]
+                a[i][k] = -x
+        top[k], prev = prev, p
+    for k, i in reversed(swaps):
+        for row in a:
+            row[k], row[i] = row[i], row[k]
+    sign = -1 if len(swaps) % 2 else 1
+    return sign * prev, a if sign > 0 else [[-x for x in row] for row in a]
 
 
 class Echelon:
@@ -49,11 +73,9 @@ class Echelon:
 
     __slots__ = ("rows", "pivots")
 
-    def __init__(self, rows: Iterable[Sequence[int]] = ()):
+    def __init__(self):
         self.rows: list[IntVector] = []
         self.pivots: list[int] = []
-        for row in rows:
-            self.add(row)
 
     def add(self, row: Sequence[int]) -> bool:
         """Reduce row against the kept rows; keep it and return True if independent."""
@@ -69,21 +91,6 @@ class Echelon:
                 self.pivots.append(col)
                 return True
         return False
-
-    def normal(self, dim: int) -> IntVector:
-        """A primitive vector n orthogonal to the kept rows, zero unless dim-1 rows were kept.
-        n starts as the free column's unit vector; each kept row, last first, scales n by a/g and
-        sets n[pivot] = -s/g (a = row[pivot], s = <row, n>, g = gcd(a, s): a/g, s/g are coprime)."""
-        if len(self.rows) != dim - 1:
-            return (0,) * dim
-        n = [int(j not in self.pivots) for j in range(dim)]
-        for col, row in zip(reversed(self.pivots), reversed(self.rows)):
-            a, s = row[col], sum(map(mul, row, n))
-            if s:
-                g = gcd(a, s)
-                n = [x * (a // g) for x in n]
-                n[col] = -s // g
-        return tuple(n)
 
 
 def rank(rows: Iterable[Sequence[int]]) -> int:
@@ -145,10 +152,5 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def is_identity(matrix: Sequence[Sequence[int]], dim: int) -> bool:
-    if len(matrix) != dim:
-        return False
-    return all(
-        len(row) == dim and all(row[j] == (1 if i == j else 0) for j in range(dim))
-        for i, row in enumerate(matrix)
-    )
+    return [list(row) for row in matrix] == [[int(i == j) for j in range(dim)] for i in range(dim)]
 

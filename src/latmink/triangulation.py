@@ -28,9 +28,10 @@ from .geometry import (
     as_point,
     as_points,
     as_rational_point,
+    barycentric_forms,
     dot,
     edge_rows,
-    plane_through,
+    form_plane,
     run_points,
 )
 
@@ -79,8 +80,8 @@ class LatticeSimplex:
 
     @functools.cached_property
     def facets(self) -> tuple[Halfspace, ...]:
-        """The d+1 facet halfspaces, oriented to contain the simplex."""
-        return tuple(plane_through(rest, self.vertices[omit]) for omit, rest in enumerate(self.facet_vertex_sets()))
+        """The d+1 facet halfspaces, oriented to contain the simplex; facet i, of barycentric form i, omits vertex i."""
+        return tuple(map(form_plane, barycentric_forms(self.vertices)[1]))
 
     def facet_vertex_sets(self) -> tuple[tuple[Point, ...], ...]:
         """Vertex tuples of the d+1 facets, each sorted; facet i omits vertex i."""
@@ -158,8 +159,8 @@ class UnimodularCriteria:
 def unimodular_criteria(matrix: Sequence[Sequence[int]]) -> UnimodularCriteria:
     """Evaluate each unimodularity condition by its own method.
 
-    The inverse is integral iff det divides every cofactor (A^-1 = adj(A) /
-    det), each the det_int of a (d-1)-minor; no inverse is built. Semi-exhaustive
+    The inverse is integral iff det divides every cofactor, every entry of
+    `linalg.adjugate` (A^-1 = adj(A) / det); no Fraction is built. Semi-exhaustive
     checks (lattice image, cube enumeration) bound the dimension; raise above
     CRITERIA_MAX_DIM.
     """
@@ -169,15 +170,14 @@ def unimodular_criteria(matrix: Sequence[Sequence[int]]) -> UnimodularCriteria:
         raise ValueError("matrix is not square")
     if d > CRITERIA_MAX_DIM:
         raise ValueError(f"dimension {d} exceeds the semi-exhaustive bound {CRITERIA_MAX_DIM}")
-    det = linalg.det_int(rows)
+    det, adj = linalg.adjugate(rows)
     if det == 0:
         return UnimodularCriteria(True, False, False, False, False, False, False)
 
     cols = list(zip(*rows))
     lattice_onto = linalg.is_identity(linalg.hermite_normal_form(cols), d)
 
-    minors = ([r[:j] + r[j + 1 :] for r in rows[:i] + rows[i + 1 :]] for i in range(d) for j in range(d))
-    inverse_integral = all(linalg.det_int(m) % det == 0 for m in minors)
+    inverse_integral = all(x % det == 0 for row in adj for x in row)
 
     det_unit = abs(det) == 1
 
@@ -250,20 +250,16 @@ class TriangulationReport:
 
 
 def _intersection_vertices(a: LatticeSimplex, b: LatticeSimplex) -> set:
-    """Vertices of a ∩ b: each d-subset of facets is solved by Cramer's rule in
-    integers, x = num / den with den > 0, and x is kept when den * offset >=
-    <normal, num> on every facet. Only the kept points become Fractions."""
+    """Vertices of a ∩ b: each d-subset of facets, normals N and offsets c, is solved by Cramer's
+    rule in integers, x = num / den with num = ±adj(N) c and den = |det N|, and x is kept when
+    den * offset >= <normal, num> on every facet. Only the kept points become Fractions."""
     halfspaces = list(dict.fromkeys(a.facets + b.facets))
     found = set()
     for subset in itertools.combinations(halfspaces, a.dim):
-        normals = [h.normal for h in subset]
-        den = linalg.det_int(normals)
+        den, adj = linalg.adjugate([h.normal for h in subset])
         if den == 0:
             continue
-        num = [
-            linalg.det_int([n[:i] + (h.offset,) + n[i + 1 :] for n, h in zip(normals, subset)])
-            for i in range(a.dim)
-        ]
+        num = [dot(row, [h.offset for h in subset]) for row in adj]
         if den < 0:
             den, num = -den, [-x for x in num]
         if all(den * h.offset >= dot(h.normal, num) for h in halfspaces):

@@ -7,14 +7,15 @@ every facet) instead of one interval per line, volumes by pyramids over
 brute-force facets, fans by recursing into a fresh hull of every facet instead
 of reading the hull's boundary, lattice point counts by the Ehrhart polynomial
 interpolated from box scans, determinants by permutation expansion,
-hyperplane normals by d cofactor minors instead of one echelon, the
+hyperplane normals by d cofactor minors instead of one adjugate, affine
+dimensions by the rank of a Fraction elimination instead of an integer echelon, the
 beneath-beyond hull by testing every face for visibility and building every
 face's plane from its points instead of flooding ridges, word balls by
 multiplying the whole ball each round, ball boundaries by testing every
 element of the ball instead of its fresh layer alone, Minkowski powers by
 folding minkowski_sum, triangulations by an exact LP and an intersection-vertex test
 (exact Fraction solves) on every pair of simplices, inverses by Gauss-Jordan
-over Fractions instead of cofactors, report text by
+over Fractions instead of the integer adjugate, report text by
 building the report's plain JSON data first for the standard library to write,
 and the primitive-triangulation search by recursion over the complex's facet
 owner lists instead of one loop over a stack of open facets.
@@ -44,7 +45,7 @@ from latmink import (
     serialize,
     triangulation,
 )
-from latmink.geometry import _affine_frame, _Face, as_point, as_rational_point, dot, edge_rows, plane_through
+from latmink.geometry import _affine_frame, _Face, Halfspace, as_point, as_rational_point, dot, edge_rows
 from latmink.groups import BallCodec, BoundaryReport
 from latmink.triangulation import LatticeSimplex, SearchResult, Triangulation, TriangulationReport
 
@@ -76,8 +77,8 @@ def solve_exact(matrix, rhs) -> tuple | None:
 
 def inverse_exact(rows) -> list | None:
     """Exact inverse of a square integer matrix, one Gauss-Jordan pass over
-    [A | I] in Fractions; None if singular. The oracle of the cofactor rule
-    that unimodular_criteria decides inverse_integral by."""
+    [A | I] in Fractions; None if singular. The oracle of `linalg.adjugate`
+    and of the cofactor rule that unimodular_criteria decides inverse_integral by."""
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("matrix is not square")
@@ -96,6 +97,23 @@ def inverse_exact(rows) -> list | None:
     return [row[n:] for row in a]
 
 
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of points: the rank of their edge rows from
+    the first point, by Gaussian elimination over Fractions."""
+    rows = [[Fraction(x - y) for x, y in zip(p, points[0])] for p in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def cofactor_normal(rows, dim: int) -> tuple:
     """Integer vector orthogonal to dim-1 given row vectors of length dim.
 
@@ -109,6 +127,17 @@ def cofactor_normal(rows, dim: int) -> tuple:
         minor = [[row[i] for i in range(dim) if i != j] for row in rows]
         normal.append((-1) ** j * linalg.det_int(minor))
     return tuple(normal)
+
+
+def plane_through(points, inside, scale: int = 1) -> Halfspace:
+    """The primitive halfspace bounded by the hyperplane through d affinely
+    independent points of Z^d, its normal from the cofactor minors, oriented so
+    that inside / scale lies beneath it: <normal, inside> <= scale * offset."""
+    normal = linalg.primitive_vector(cofactor_normal(edge_rows(points), len(points[0])))
+    offset = dot(normal, points[0])
+    if dot(normal, inside) > scale * offset:
+        return Halfspace(tuple(-x for x in normal), -offset)
+    return Halfspace(normal, offset)
 
 
 def scan_beneath_beyond(pts, simplex) -> tuple:

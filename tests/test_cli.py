@@ -1,6 +1,8 @@
+import errno
 import gc
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -564,6 +566,58 @@ class TestShortErrorLines:
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr == f"error: {path}: {message}\n"
         assert len(done.stderr) <= 200
+
+
+class TestLongArguments:
+    """A 3,000-character path, range, point or integer is quoted by its first
+    20 characters: exit 2 and every stderr line under 200 characters. A
+    literal of 20 characters or fewer keeps its whole repr."""
+
+    NOT_AN_INT = "1" * 2999 + "x"
+    QUOTED = "'11111111111111111111'..."
+
+    def test_path_name_too_long_for_the_file_system(self, capsys):
+        code, out, err = run(capsys, "points", "a" * 3000, "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: 'aaaaaaaaaaaaaaaaaaaa'...: {os.strerror(errno.ENAMETOOLONG)}\n"
+
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (("check-equality", "unit-square", NOT_AN_INT), f"error: bad range {QUOTED}"),
+            (("check-boundary", "cross-2d", NOT_AN_INT), f"error: bad range {QUOTED}"),
+            (("check-equality", "unit-square", "1" * 3000 + "..1"), f"error: empty range {QUOTED}"),
+            (("decompose", "unit-square", "2", NOT_AN_INT), f"error: bad point {QUOTED}"),
+            (("points", "unit-square", NOT_AN_INT), f"latmink points: error: argument n: invalid int value: {QUOTED}"),
+            (("word-ball", "cross-2d", NOT_AN_INT), f"latmink word-ball: error: argument n: invalid int value: {QUOTED}"),
+            (("--cap", NOT_AN_INT, "points", "unit-square", "1"), f"latmink: error: argument --cap: invalid int value: {QUOTED}"),
+            (
+                ("search-primitive", "unit-square", "--budget", NOT_AN_INT),
+                f"latmink search-primitive: error: argument --budget: invalid int value: {QUOTED}",
+            ),
+            (("--seed", NOT_AN_INT, "verify-paper"), f"latmink: error: argument --seed: invalid int value: {QUOTED}"),
+        ],
+        ids=["range", "group-range", "empty-range", "point", "n", "group-n", "cap", "budget", "seed"],
+    )
+    def test_exit_2_with_short_lines(self, capsys, argv, last_line):
+        code, out, err = outcome(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == last_line
+        assert all(len(line) < 200 for line in err.splitlines())
+
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (("check-equality", "unit-square", "1..x"), "error: bad range '1..x'"),
+            (("decompose", "unit-square", "2", "1,x"), "error: bad point '1,x'"),
+            (("points", "unit-square", "x" * 20), f"latmink points: error: argument n: invalid int value: {'x' * 20!r}"),
+            (("word-ball", "cross-2d", "2.5"), "latmink word-ball: error: argument n: invalid int value: '2.5'"),
+        ],
+        ids=["range", "point", "n-at-20", "group-n"],
+    )
+    def test_short_literals_keep_their_repr(self, capsys, argv, last_line):
+        code, out, err = outcome(capsys, *argv)
+        assert (code, out, err.splitlines()[-1]) == (2, "", last_line)
 
 
 class TestGlobalFlags:

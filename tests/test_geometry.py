@@ -34,17 +34,18 @@ from latmink import geometry, linalg
 from latmink.geometry import (
     _affine_frame,
     _beneath_beyond,
-    affine_dim,
     as_point,
     as_points,
+    barycentric_forms,
     dot,
     edge_rows,
-    plane_through,
+    form_plane,
 )
 from latmink.verify import orthant_fan
 
 import conftest
 from conftest import (
+    affine_rank,
     box_scan_points,
     brute_force_facets,
     brute_force_integer_points,
@@ -55,6 +56,7 @@ from conftest import (
     lp_vertices,
     oracle_volume,
     pairwise_validate_triangulation,
+    plane_through,
     recursive_fan_simplices,
     scan_beneath_beyond,
 )
@@ -281,7 +283,7 @@ class TestHullOracles:
     def test_matches_lp_and_brute_force(self, pts):
         p = hull(pts)
         assert p.vertices == lp_vertices(pts)
-        assert p.affine_dim == affine_dim(pts)
+        assert p.affine_dim == affine_rank(pts)
         if p.is_full_dimensional:
             assert [(h.normal, h.offset) for h in p.facets] == brute_force_facets(p.vertices)
             assert p.volume() == oracle_volume(p.vertices)
@@ -332,13 +334,15 @@ class TestHullOracles:
 
 
 def hull_pass(points):
-    """The (pts, simplex) that LatticePolytope hands to _beneath_beyond, or None for a point."""
+    """The (pts, simplex, start_planes) that LatticePolytope hands to _beneath_beyond,
+    or None for a point; scan_beneath_beyond takes the first two."""
     pts = as_points(points)
     simplex, echelon = _affine_frame(pts)
     if len(simplex) == 1:
         return None
     cols = sorted(echelon.pivots)
-    return (pts if len(cols) == len(pts[0]) else [tuple(p[c] for c in cols) for p in pts]), simplex
+    work = pts if len(cols) == len(pts[0]) else [tuple(p[c] for c in cols) for p in pts]
+    return work, simplex, [form_plane(f) for f in barycentric_forms([work[i] for i in simplex])[1]]
 
 
 def cross_cloud(seed, d, count):
@@ -381,47 +385,56 @@ HULL_CASES = {
 
 class TestBeneathBeyond:
     """The flooding hull pass against the scan of every face (`scan_beneath_beyond`),
-    and the work it does: plane_through only on the start simplex, every other plane
-    from the pencil of a horizon ridge, and visibility tests near the eye only."""
+    and the work it does: one adjugate for the start simplex's planes, every other
+    plane from the pencil of a horizon ridge, and visibility tests near the eye only."""
 
     @given(st.one_of(lattice_clouds(), midpoint_clouds(), points_2d, points_3d))
     @settings(max_examples=200, deadline=None)
     def test_matches_scan_oracle(self, pts):
         run = hull_pass(pts)
         assume(run is not None)
-        assert _beneath_beyond(*run) == scan_beneath_beyond(*run)
+        assert _beneath_beyond(*run) == scan_beneath_beyond(*run[:2])
 
     @pytest.mark.parametrize("name", HULL_CASES)
     def test_matches_scan_oracle_on_named_clouds(self, name):
         run = hull_pass(HULL_CASES[name])
-        assert _beneath_beyond(*run) == scan_beneath_beyond(*run)
+        assert _beneath_beyond(*run) == scan_beneath_beyond(*run[:2])
 
     @given(st.one_of(lattice_clouds(), midpoint_clouds()))
     @settings(max_examples=100, deadline=None)
     def test_planes_from_the_pencil(self, pts):
-        # plane_through makes the k + 1 start faces; every face's stored plane,
-        # the pencil's included, is the plane plane_through gives for its points
+        # every face's stored plane, the start faces' from the forms and the
+        # pencil's, is the cofactor oracle's plane through its points
         run = hull_pass(pts)
         assume(run is not None)
-        work, simplex = run
+        work, simplex, start_planes = run
         k = len(work[0])
         inner = [sum(work[i][j] for i in simplex) for j in range(k)]
-        faces, calls = [], []
+        faces = []
 
         class Recorded(geometry._Face):
             def __init__(self, verts, plane):
                 super().__init__(verts, plane)
                 faces.append(self)
 
-        def counted(*args):
-            calls.append(args)
-            return plane_through(*args)
-
-        with mock.patch.object(geometry, "_Face", Recorded), mock.patch.object(geometry, "plane_through", counted):
-            _beneath_beyond(work, simplex)
-        assert len(calls) == k + 1
+        with mock.patch.object(geometry, "_Face", Recorded):
+            _beneath_beyond(work, simplex, start_planes)
         for face in faces:
             assert (face.normal, face.offset) == plane_through([work[i] for i in face.verts], inner, k + 1)
+
+    @pytest.mark.parametrize("name", [*HULL_CASES, "point"])
+    def test_one_adjugate_per_polytope(self, name):
+        # the frame's one adjugate gives the start planes and the affine hull's equations
+        calls = []
+        adjugate = linalg.adjugate
+
+        def counted(rows):
+            calls.append(rows)
+            return adjugate(rows)
+
+        with mock.patch.object(linalg, "adjugate", counted):
+            LatticePolytope(HULL_CASES.get(name, [(3, -1, 2)]))
+        assert len(calls) == 1
 
     def test_start_simplex_builds_no_ridge_map(self):
         # the ridge map is built from itertools.combinations of the faces, and only
@@ -454,17 +467,21 @@ class TestBeneathBeyond:
         monkeypatch.setattr(geometry, "dot", counted)
         monkeypatch.setattr(conftest, "dot", counted)
         run = hull_pass(HULL_CASES["4-D cloud"])
-        assert _beneath_beyond(*run) == scan_beneath_beyond(*run)
+        assert _beneath_beyond(*run) == scan_beneath_beyond(*run[:2])
         assert (tests["_beneath_beyond"], tests["scan_beneath_beyond"]) == (85, 110)
 
     def test_guard_on_a_bad_horizon_plane(self):
-        # start planes turned inward give a pencil plane with `inner` beyond it; a gcd of 0 stands for a zero normal
-        def flipped(points, inside, scale=1):
-            normal, offset = plane_through(points, inside, scale)
+        # start planes turned inward give a pencil plane with `inner` beyond it; a gcd
+        # of 0 in the hull pass (not in the start planes) stands for a zero normal
+        def flipped(form):
+            normal, offset = form_plane(form)
             return tuple(-x for x in normal), -offset
 
+        def zero_in_the_pencil(*normal):
+            return 0 if sys._getframe(1).f_code.co_name == "_beneath_beyond" else math.gcd(*normal)
+
         pts = [(0, 0), (4, 0), (0, 4), (5, 5), (-1, 2), (2, -3)]
-        for name, fake in (("plane_through", flipped), ("gcd", lambda *normal: 0)):
+        for name, fake in (("form_plane", flipped), ("gcd", zero_in_the_pencil)):
             with mock.patch.object(geometry, name, fake):
                 with pytest.raises(RuntimeError, match="internal inconsistency"):
                     LatticePolytope(pts)
@@ -514,11 +531,10 @@ class TestFacets:
             flat.facets
 
     def test_every_plane_is_a_halfspace(self):
-        # one plane type: the plane helper, the hull pass, a polytope's facets
+        # one plane type: a form's plane, the hull pass, a polytope's facets
         # (its stored planes, in ascending order) and a simplex's facets
-        assert type(plane_through([(1, 0), (0, 1)], (0, 0))) is Halfspace
-        pts, simplex = hull_pass(HULL_CASES["3-D cloud"])
-        assert all(type(h) is Halfspace for h in _beneath_beyond(pts, simplex)[1])
+        assert type(form_plane((1, 1, -1))) is Halfspace
+        assert all(type(h) is Halfspace for h in _beneath_beyond(*hull_pass(HULL_CASES["3-D cloud"]))[1])
         for p in (cube(3), cross_polytope(4), LatticePolytope(sigma(3, 2).vertices)):
             assert p.facets is p._planes
             assert all(type(h) is Halfspace for h in p.facets)
@@ -544,26 +560,72 @@ def lattice_simplices(draw):
     return pts
 
 
-class TestPlaneThrough:
-    """plane_through against the oriented primitive plane of the cofactor oracle."""
+big_entries = st.one_of(st.integers(-4, 4), st.integers(-(10**6), 10**6))
 
-    @staticmethod
-    def oracle_plane(points, inside, scale=1):
-        normal = linalg.primitive_vector(cofactor_normal(edge_rows(points), len(points[0])))
-        offset = dot(normal, points[0])
-        if dot(normal, inside) > scale * offset:
-            return tuple(-x for x in normal), -offset
-        return normal, offset
+
+@st.composite
+def normal_rows(draw):
+    """d-1 rows of length d (d = 1..6); some are integer combinations of the
+    rows before them, so the set is dependent and its normal is zero."""
+    d = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(d - 1):
+        if rows and draw(st.integers(0, 4)) == 0:
+            coeffs = [draw(st.integers(-3, 3)) for _ in rows]
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)])
+        else:
+            rows.append(draw(st.lists(big_entries, min_size=d, max_size=d)))
+    return d, rows
+
+
+def form_planes(pts):
+    """The facet planes read from the barycentric forms of a simplex, facet j opposite pts[j]."""
+    return [form_plane(f) for f in barycentric_forms(pts)[1]]
+
+
+class TestPlaneThrough:
+    """The planes read from a simplex's barycentric forms against the oriented
+    primitive plane of the cofactor oracle (`conftest.plane_through`)."""
 
     @given(lattice_simplices(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_oracle_on_simplex_facets(self, pts, data):
         omit = data.draw(st.integers(0, len(pts) - 1))
         rest = pts[:omit] + pts[omit + 1 :]
-        assert plane_through(rest, pts[omit]) == self.oracle_plane(rest, pts[omit])
-        # the beneath-beyond call: (d+1) times the centroid, at scale d+1
+        plane = form_planes(pts)[omit]
+        assert plane == plane_through(rest, pts[omit])
+        # the beneath-beyond orientation: (d+1) times the centroid, at scale d+1
         inner = [sum(col) for col in zip(*pts)]
-        assert plane_through(rest, inner, len(pts)) == self.oracle_plane(rest, inner, len(pts))
+        assert plane == plane_through(rest, inner, len(pts))
+        assert plane in LatticeSimplex(pts).facets
+
+    @given(normal_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_oracle_on_large_entries(self, case):
+        # the simplex of 0, the rows and their cofactor normal n: |det| = <n, n>,
+        # and the facet opposite n is the plane through 0 and the rows
+        d, rows = case
+        normal = cofactor_normal(rows, d)
+        pts = [(0,) * d] + [tuple(r) for r in rows] + [normal]
+        vol, forms = barycentric_forms(pts)
+        if not any(normal):
+            assert (vol, forms) == (0, [])
+            return
+        assert vol == dot(normal, normal)
+        assert form_plane(forms[-1]) == plane_through(pts[:-1], normal)
+        assert all(dot(f, p + (1,)) == vol * (i == j) for i, f in enumerate(forms) for j, p in enumerate(pts))
+
+    def test_dimension_one(self):
+        assert form_planes([(0,), (3,)]) == [((1,), 3), ((-1,), 0)]
+        assert plane_through([(3,)], (0,)) == ((1,), 3)
+
+    def test_plane_normal(self):
+        assert form_planes([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 2)])[3] == ((0, 0, -1), 0)
+        assert cofactor_normal([[1, 0, 0], [0, 1, 0]], 3) == (0, 0, 1)
+
+    def test_dependent_points_have_no_forms(self):
+        assert barycentric_forms([(0, 0, 0), (1, 2, 3), (-2, -4, -6), (0, 0, 1)]) == (0, [])
+        assert barycentric_forms([(0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 1), (2, 0, 0, 2), (0, 1, 0, 0)]) == (0, [])
 
 
 class TestContains:
@@ -870,7 +932,7 @@ class TestShadow:
 
 
 class TestHullEquations:
-    """The affine hull of a lower-dimensional polytope as `_equations` from `Echelon.normal`."""
+    """The affine hull of a lower-dimensional polytope as `_equations` from the frame's barycentric forms."""
 
     @given(lattice_clouds())
     @settings(max_examples=150, deadline=None)
@@ -883,13 +945,13 @@ class TestHullEquations:
         for i, h in p._equations:
             assert type(h) is Halfspace
             assert math.gcd(*h.normal) == 1
-            assert h.normal[i] != 0
+            assert h.normal[i] > 0  # the frame volume over the gcd
             assert all(a == 0 for j, a in enumerate(h.normal) if j != i and j not in p._cols)
             assert all(h.slack(x) == 0 for x in pts)
 
     @pytest.mark.parametrize("name", LOWER_DIMENSIONAL)
-    def test_zero_normal_is_an_internal_inconsistency(self, name):
-        with mock.patch.object(linalg.Echelon, "normal", lambda self, dim: (0,) * dim):
+    def test_zero_frame_determinant_is_an_internal_inconsistency(self, name):
+        with mock.patch.object(linalg, "adjugate", lambda rows: (0, None)):
             with pytest.raises(RuntimeError, match="internal inconsistency"):
                 LatticePolytope(LOWER_DIMENSIONAL[name])
 
@@ -1056,6 +1118,6 @@ class TestConstructors:
         assert len(cross_polytope(3).vertices) == 6
 
     def test_affine_dim(self):
-        assert affine_dim([(0, 0), (1, 0), (0, 1)]) == 2
-        assert affine_dim([(0, 0), (2, 2)]) == 1
-        assert affine_dim([(5, 5)]) == 0
+        assert LatticePolytope([(0, 0), (1, 0), (0, 1)]).affine_dim == 2
+        assert LatticePolytope([(0, 0), (2, 2)]).affine_dim == 1
+        assert LatticePolytope([(5, 5)]).affine_dim == 0

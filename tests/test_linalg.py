@@ -4,12 +4,12 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latmink import linalg
 
-from conftest import cofactor_normal, inverse_exact, solve_exact
+from conftest import inverse_exact, solve_exact
 
 
 def det_by_permutation_expansion(rows):
@@ -125,46 +125,58 @@ entries = st.one_of(st.integers(-4, 4), st.integers(-(10**6), 10**6))
 
 
 @st.composite
-def normal_rows(draw):
-    """d-1 rows of length d (d = 1..6); some are integer combinations of the
-    rows before them, so the set is dependent and its normal is zero."""
-    d = draw(st.integers(1, 6))
+def adjugate_cases(draw):
+    """Square matrices of size 0..5; some rows are integer combinations of the
+    rows before them, so the matrix is singular."""
+    n = draw(st.integers(0, 5))
     rows = []
-    for _ in range(d - 1):
+    for _ in range(n):
         if rows and draw(st.integers(0, 4)) == 0:
             coeffs = [draw(st.integers(-3, 3)) for _ in rows]
-            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)])
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(n)])
         else:
-            rows.append(draw(st.lists(entries, min_size=d, max_size=d)))
-    return d, rows
+            rows.append(draw(st.lists(entries, min_size=n, max_size=n)))
+    return rows
 
 
-class TestEchelonNormal:
-    """Echelon.normal against the cofactor minors of the conftest oracle."""
+class TestAdjugate:
+    """linalg.adjugate against det_int and the Fraction inverse of the conftest
+    oracle: adj A = det A * A^-1 when A is nonsingular."""
 
-    def test_dimension_one(self):
-        assert linalg.Echelon().normal(1) == (1,)
-        assert cofactor_normal([], 1) == (1,)
-
-    def test_plane_normal(self):
-        assert linalg.Echelon([[1, 0, 0], [0, 1, 0]]).normal(3) == (0, 0, 1)
-        assert cofactor_normal([[1, 0, 0], [0, 1, 0]], 3) == (0, 0, 1)
-
-    def test_dependent_rows_give_zero(self):
-        assert linalg.Echelon([[1, 2, 3], [-2, -4, -6]]).normal(3) == (0, 0, 0)
-        assert linalg.Echelon([[0, 0, 0, 0], [1, 0, 0, 1], [2, 0, 0, 2]]).normal(4) == (0, 0, 0, 0)
-        assert linalg.Echelon([[1, 0], [0, 1]]).normal(2) == (0, 0)
-
-    @given(normal_rows())
+    @given(adjugate_cases())
+    @example([[0, 1], [1, 0]])  # a row swap at the first pivot
+    @example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])  # anti-diagonal: a swap, then none
+    @example([[1, 2, 3], [2, 4, 5], [1, 1, 1]])  # leading 2x2 minor zero: a swap at the second pivot
+    @example([[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]])  # two swaps sharing a row: undone last first
+    @example([[1, 2], [2, 4]])
+    @example([])
     @settings(max_examples=300, deadline=None)
-    def test_matches_cofactor_oracle_up_to_sign(self, case):
-        d, rows = case
-        got = linalg.Echelon(rows).normal(d)
-        expected = linalg.primitive_vector(cofactor_normal(rows, d))
-        assert got in (expected, tuple(-x for x in expected))
-        assert linalg.primitive_vector(got) == got
-        for row in rows:
-            assert sum(a * b for a, b in zip(got, row)) == 0
+    def test_matches_inverse_and_det(self, rows):
+        det, adj = linalg.adjugate(rows)
+        assert det == linalg.det_int(rows)
+        inverse = inverse_exact(rows)
+        if inverse is None:
+            assert (det, adj) == (0, None)
+        else:
+            assert adj == [[det * x for x in row] for row in inverse]
+
+    def test_pinned_pivots(self):
+        assert linalg.adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+        assert linalg.adjugate([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == (-1, [[0, 0, -1], [0, -1, 0], [-1, 0, 0]])
+        assert linalg.adjugate([[1, 2, 3], [2, 4, 5], [1, 1, 1]]) == (-1, [[-1, 1, -2], [3, -2, 1], [-2, 1, 0]])
+        cycle = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]]
+        assert linalg.adjugate(cycle) == (1, [list(col) for col in zip(*cycle)])
+        assert linalg.adjugate([]) == (1, [])
+        assert linalg.adjugate([[7]]) == (7, [[1]])
+
+    def test_singular(self):
+        assert linalg.adjugate([[1, 2], [2, 4]]) == (0, None)
+        assert linalg.adjugate([[0, 0], [0, 0]]) == (0, None)
+        assert linalg.adjugate([[1, 0, 0], [0, 0, 0], [0, 0, 1]]) == (0, None)
+
+    def test_not_square(self):
+        with pytest.raises(ValueError):
+            linalg.adjugate([[1, 2, 3], [4, 5, 6]])
 
 
 def in_row_lattice(hnf_rows, vector):
@@ -238,7 +250,7 @@ class TestIntegerOnly:
 
 
 class TestInverse:
-    """The Fraction inverse is a test oracle (of unimodular_criteria's cofactor rule)."""
+    """The Fraction inverse is a test oracle (of linalg.adjugate and unimodular_criteria's cofactor rule)."""
 
     def test_round_trip(self):
         a = [[1, 1], [0, 1]]

@@ -2,6 +2,7 @@
 
 from pathlib import Path
 
+import latmink
 from latmink import cli, verify
 
 CLAIM_IDS = [
@@ -35,6 +36,16 @@ def test_readme_names_every_claim():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Reproduction suite\n", 1)[1].split("\n## ", 1)[0]
     assert [claim_id for claim_id, _, _ in verify.CLAIMS if f"`{claim_id}`" not in section] == []
+
+
+def test_readme_overview_names_every_public_name():
+    # each row of the "Library overview" table is a module's public names and
+    # a one-line purpose: every latmink.__all__ name appears, and no row grows long
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library overview\n", 1)[1].split("\n## ", 1)[0]
+    assert [name for name in latmink.__all__ if f"`{name}`" not in section] == []
+    rows = [line for line in section.splitlines() if line.startswith("| `latmink.")]
+    assert len(rows) == 7 and max(map(len, rows)) < 500
 
 
 def test_claim_registers_and_returns_the_function(monkeypatch):

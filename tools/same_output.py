@@ -29,6 +29,14 @@ and, in a temporary work directory of its own, runs every command of this list:
   `_cols` coordinates), as JSON and with `--pretty`, so that scans that skip
   the lines outside the polytope's shadow are compared too;
 - `points NAME 0` on every bundled dataset;
+- the integer inverse at d >= 4, on inputs written into the work directory,
+  as JSON and with `--pretty`: `classify` on sigma(d, m) and sigma_prime(d, m)
+  for d = 4..6 and m = 2, 3 (simplex facets from the barycentric forms);
+  `validate-triangulation` on the orthant fan of the 4-D cross-polytope and
+  on that fan with its first simplex replaced by one of normalized volume 2,
+  whose pair tests solve for intersection vertices at d = 4; and `points` at
+  n = 1..3 and `check-equality` over 1..2 on a segment and a triangle in Z^6,
+  with five and four affine-hull equations;
 - `lemma1` on seeded matrices written into the work directory, two of each
   kind for d = 1..4: det +-1 (products of row shears and a sign), |det| > 1
   (one row of such a matrix times 2 or 3, so for d >= 2 the inverse mixes
@@ -155,6 +163,20 @@ SHADOW_POLYTOPES = {
     },
     "prism-4d": [[x, y, z, w] for x, y, z in [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)] for w in (0, 1 + x)],
     "solid-3d-in-5d": [[x, y, z, x + y, y - z] for x, y, z in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 2), (1, 1, 1)]],
+}
+
+# Simplices and polytopes that exercise the integer inverse at d >= 4: sigma(d, m)
+# and sigma_prime(d, m) as the library builds them, and a segment and a
+# triangle in Z^6 (five and four affine-hull equations).
+INVERSE_SIMPLICES = {
+    f"{name}-{d}-{m}": [[0] * d] + [[int(i == j) for j in range(d)] for i in range(d - 1)] + [[sign] * (d - 1) + [m]]
+    for name, sign in (("sigma", -1), ("sigma-prime", 1))
+    for d in (4, 5, 6)
+    for m in (2, 3)
+}
+INVERSE_LOWER_DIMENSIONAL = {
+    "segment-6d": [[1, -1, 2, 0, 3, -2], [3, 3, 0, 4, 5, 0]],
+    "triangle-6d": [[0, 0, 0, 0, 0, 0], [2, 0, 1, 1, 3, -1], [0, 2, 1, -1, 1, 3]],
 }
 
 # Searches deeper than the bundled datasets' (a point cap of 40 or 400 lets
@@ -323,6 +345,38 @@ def _decompose_commands(data: Path):
     return commands + [["--pretty", *argv] for argv in commands]
 
 
+def _orthant_fan_4d():
+    """The orthant fan of the 4-D cross-polytope as `verify.orthant_fan(4)` builds it,
+    as a triangulation document."""
+    units = [[[s * int(i == j) for j in range(4)] for s in (1, -1)] for i in range(4)]
+    vertices = [v for pair in units for v in pair]
+    simplices = [
+        [[0] * 4] + [[s * int(i == j) for j in range(4)] for i, s in enumerate(signs)]
+        for signs in itertools.product((-1, 1), repeat=4)
+    ]
+    return {"polytope": {"dim": 4, "vertices": vertices}, "simplices": simplices}
+
+
+def _inverse_commands(work: Path):
+    """Write INVERSE_SIMPLICES, INVERSE_LOWER_DIMENSIONAL and the 4-D orthant fan,
+    whole and with its first simplex replaced by conv{-e1, -e2, -e3, -e4, e1}, into
+    work and return the commands run on them, JSON first, then --pretty."""
+    commands = []
+    for name, vertices in {**INVERSE_SIMPLICES, **INVERSE_LOWER_DIMENSIONAL}.items():
+        path = f"{name}.json"
+        (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        if name in INVERSE_SIMPLICES:
+            commands.append(["classify", path])
+        else:
+            commands += [["points", path, str(n)] for n in range(1, 4)] + [["check-equality", path, "1..2"]]
+    fan = _orthant_fan_4d()
+    replaced = dict(fan, simplices=[[[-int(i == j) for j in range(4)] for i in range(4)] + [[1, 0, 0, 0]]] + fan["simplices"][1:])
+    for name, doc in (("orthant-fan-4d", fan), ("orthant-fan-4d-replaced", replaced)):
+        (work / f"{name}.json").write_text(json.dumps(doc))
+        commands.append(["validate-triangulation", f"{name}.json"])
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
 def _deep_search_commands(work: Path):
     """Write each DEEP_SEARCHES polytope into work as NAME.json and return
     DEEP_SEARCH_ARGS, JSON first, then --pretty."""
@@ -386,6 +440,8 @@ def digests(root: Path) -> list:
         for argv in _lower_dimensional_commands(Path(tmp)) + _shadow_commands(Path(tmp)) + _finite_stream_commands(Path(tmp)):
             run(argv)
         for argv in _lemma1_commands(Path(tmp)) + _decompose_commands(root / "src" / "latmink" / "data"):
+            run(argv)
+        for argv in _inverse_commands(Path(tmp)):
             run(argv)
         for argv in _deep_search_commands(Path(tmp)) + _boundary_commands(Path(tmp)):
             run(argv)
