@@ -71,7 +71,7 @@ def _read_document(name: str):
     else:
         resource = resources.files("latmink.data").joinpath(path.name + ("" if name.endswith(".json") else ".json"))
         if path.name != name or not resource.is_file():
-            raise InputError(f"no such file or bundled dataset: {name}")
+            raise InputError(f"no such file or bundled dataset: {quoted_prefix(name)}")
         text = resource.read_text()
     return serialize.loads_strict(text)
 
@@ -289,6 +289,14 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    def _check_value(self, action, value):
+        """argparse's choices check (only the subcommand has choices), the value cut by quoted_prefix."""
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {quoted_prefix(value)} (choose from {choices})")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # One set of global flag actions serves the main parser and every
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     flags.add_argument("--seed", type=_int, help="seed for randomized verification rows")
     flags.add_argument("--timing", action="store_true", help="include elapsed_ms in JSON reports")
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latmink",
         description="Exact lattice-polytope dilations, Minkowski powers, primitive triangulations and word-ball boundaries.",
         parents=[flags],

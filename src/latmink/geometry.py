@@ -552,8 +552,12 @@ class LatticePolytope:
         return tuple(cone for cone in cones if linalg.det_int(edge_rows(cone)))
 
     def volume(self) -> Fraction:
-        """Exact Euclidean d-volume (full-dimensional polytopes only): the |det| of the edge
-        rows of every cone of `fan_simplices` over `_faces`, flat ones too (they add 0), over d!."""
+        """Exact Euclidean d-volume (full-dimensional polytopes only), computed once: the |det| of
+        the edge rows of every cone of `fan_simplices` over `_faces`, flat ones too (they add 0), over d!."""
+        return self._volume
+
+    @functools.cached_property
+    def _volume(self) -> Fraction:
         if not self.is_full_dimensional:
             raise ValueError("volume requires a full-dimensional polytope")
         cones = ((self.vertices[0],) + face for face, _ in self._faces)

@@ -64,6 +64,14 @@ class LatticeSimplex:
         self.normalized_volume = abs(det)
         self._hash = hash(self.vertices)
 
+    @classmethod
+    def _canonical(cls, vertices: tuple, normalized_volume: int) -> "LatticeSimplex":
+        """The simplex of vertices, a tuple that as_points returns unchanged, of known normalized volume."""
+        self = cls.__new__(cls)
+        self.vertices, self.dim, self.normalized_volume = vertices, len(vertices) - 1, normalized_volume
+        self._hash = hash(vertices)
+        return self
+
     def volume(self) -> Fraction:
         return Fraction(self.normalized_volume, factorial(self.dim))
 
@@ -460,22 +468,30 @@ def search_primitive_triangulation(
 ) -> SearchResult:
     """Backtracking search for a primitive triangulation on the lattice points.
 
-    Candidate simplices are all (d+1)-subsets of the polytope's integer
-    points (counted against point_cap from `line_runs` before any is built)
-    with determinant +-1, in lex order. The search grows a complex by the
-    facet-owner rule of `validate_triangulation`, depth first in one loop
-    over a stack. An entry holds the branches left at a node, the complex
-    there and its open facets: each facet (sorted vertex tuple) with one
-    owner (simplex, omit), not on P's boundary. The root branches on the
-    candidates containing the lex-least vertex; a node, on those whose apex
-    is on the other side (`_opposite`) of its lex-least open facet. A branch
-    is one node of the budget, and is taken when the candidate t meets every
-    chosen simplex face-to-face; a facet of t that is open then closes, and
-    any other not on P's boundary opens. That is exact as t meets the
-    complex face-to-face: no facet gets two owners on one side, nor a
-    boundary facet a second. A search stopped by the budget reports nodes ==
-    budget. Deterministic; exhaustion of the candidate space proves that no
-    primitive triangulation exists.
+    The candidates are the (d+1)-subsets of the integer points Omega
+    (counted against point_cap from `line_runs` before any is built) with
+    determinant +-1. The search grows a complex by the facet-owner rule of
+    `validate_triangulation`, depth first in one loop over a stack. An entry
+    holds the branches left at a node, the complex there and its open
+    facets: each facet (sorted vertex tuple) with one owner (simplex, omit),
+    not on P's boundary. A branch is one node of the budget, and is taken
+    when the candidate t meets every chosen simplex face-to-face; a facet of
+    t that is open then closes, and any other not on P's boundary opens.
+    That is exact as t meets the complex face-to-face: no facet gets two
+    owners on one side, nor a boundary facet a second.
+
+    The root branches on the candidates through the lex-least point, each
+    determinant taken when the search reaches its subset. A node branches on
+    those beyond its lex-least open facet F, owned by s: F + (q,) for the
+    points q with h.slack(q) == -1, h being s's plane on F, in lex order of
+    q and so of the vertex tuples. By the pyramid rule, normalized volume is
+    the base's relative volume times the apex's lattice distance from its
+    plane (De Loera, Rambau and Santos, *Triangulations*, 2010, Ch. 2 and 4;
+    Beck and Robins, *Computing the Continuous Discretely*, Ch. 3). As s is
+    unimodular, F has relative volume 1, so |det(F + (q,))| is |h.slack(q)|,
+    negative beyond F. A search stopped by the budget reports nodes ==
+    budget. Deterministic; exhaustion proves that no primitive triangulation
+    exists.
     """
     if not poly.is_full_dimensional:
         raise ValueError("search requires a full-dimensional polytope")
@@ -489,16 +505,20 @@ def search_primitive_triangulation(
         raise RuntimeError("normalized volume must be an integer")
     target = int(target_volume)
 
-    # combinations of the sorted points come in lex order of their vertex tuples
-    combs = itertools.combinations(run_points(runs), d + 1)
-    candidates = [LatticeSimplex(c) for c in combs if abs(linalg.det_int(edge_rows(c))) == 1]
-    by_facet = _facet_owners(candidates)
+    points = run_points(runs)  # in lex order, so points[0] is the lex-least vertex
+    unit = functools.cache(lambda vertices: LatticeSimplex._canonical(vertices, 1))
+
+    @functools.cache
+    def beyond(fkey: tuple[Point, ...], plane: Halfspace) -> list[LatticeSimplex]:
+        return [unit(tuple(sorted(fkey + (q,)))) for q in points if plane.slack(q) == -1]
 
     on_boundary = functools.cache(functools.partial(_on_boundary, poly.facets))
     face_to_face = functools.cache(simplices_face_to_face)
 
-    root = [c for c in candidates if poly.vertices[0] in c.vertices]
-    stack = [(iter(root), (), {})]  # (branches left, complex, its open facets) per node
+    # combinations of the sorted points come in lex order of their vertex tuples
+    through_v0 = ((points[0], *c) for c in itertools.combinations(points[1:], d))
+    root = (unit(c) for c in through_v0 if abs(linalg.det_int(edge_rows(c))) == 1)
+    stack = [(root, (), {})]  # (branches left, complex, its open facets) per node
     nodes = 0
     while stack:
         branches, chosen, open_facets = stack[-1]
@@ -521,9 +541,7 @@ def search_primitive_triangulation(
         if grown:  # else a closed complex below target volume: a dead end
             fkey = min(grown)
             s, omit = grown[fkey]
-            # a chosen simplex through the open facet is its owner s, on s's side
-            opposite = [u for u, u_omit in by_facet[fkey] if _opposite(s, omit, u, u_omit)]
-            stack.append((iter(opposite), chosen, grown))
+            stack.append((iter(beyond(fkey, s.facets[omit])), chosen, grown))
     else:
         return SearchResult(None, True, nodes)
     result = Triangulation(poly, chosen)

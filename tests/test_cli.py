@@ -67,7 +67,7 @@ class TestPoints:
         name = name.format(tmp=tmp_path)
         code, out, err = run(capsys, "points", name, "1")
         assert (code, out) == (2, "")
-        assert err == f"error: no such file or bundled dataset: {name}\n"
+        assert err == f"error: no such file or bundled dataset: {geometry.quoted_prefix(name)}\n"
 
     def test_cap_exceeded_exit_code(self, capsys):
         code, out, err = run(capsys, "--cap", "3", "points", "unit-square.json", "5")
@@ -569,9 +569,10 @@ class TestShortErrorLines:
 
 
 class TestLongArguments:
-    """A 3,000-character path, range, point or integer is quoted by its first
-    20 characters: exit 2 and every stderr line under 200 characters. A
-    literal of 20 characters or fewer keeps its whole repr."""
+    """A 3,000-character path, range, point, integer or subcommand is quoted by
+    its first 20 characters: exit 2 and every stderr line under 200 characters,
+    but for the list of choices after an unknown subcommand. A literal of 20
+    characters or fewer keeps its whole repr."""
 
     NOT_AN_INT = "1" * 2999 + "x"
     QUOTED = "'11111111111111111111'..."
@@ -618,6 +619,21 @@ class TestLongArguments:
     def test_short_literals_keep_their_repr(self, capsys, argv, last_line):
         code, out, err = outcome(capsys, *argv)
         assert (code, out, err.splitlines()[-1]) == (2, "", last_line)
+
+    def test_missing_path(self, capsys, tmp_path, monkeypatch):
+        # fifteen 200-character components: no name is too long, so exists() answers False
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "points", "/".join(["a" * 200] * 15), "1")
+        assert (code, out) == (2, "")
+        assert err == "error: no such file or bundled dataset: 'aaaaaaaaaaaaaaaaaaaa'...\n"
+
+    def test_unknown_subcommand(self, capsys):
+        # the choices list is as long as for a short name; only the name is cut
+        _, _, short = outcome(capsys, "x" * 20)
+        code, out, err = outcome(capsys, "x" * 3000)
+        assert (code, out) == (2, "")
+        assert short.splitlines()[-1].startswith(f"latmink: error: argument command: invalid choice: {'x' * 20!r} (choose from 'points', ")
+        assert err == short.replace(repr("x" * 20), repr("x" * 20) + "...")
 
 
 class TestGlobalFlags:

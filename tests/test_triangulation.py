@@ -41,6 +41,7 @@ from latmink import (
     unimodular_criteria,
     validate_triangulation,
 )
+from latmink.geometry import edge_rows
 from latmink.triangulation import relative_interiors_intersect
 from latmink.verify import orthant_fan, symmetric_example_polytope
 
@@ -437,6 +438,21 @@ def _side(facet, apex) -> int:
     return (det > 0) - (det < 0)
 
 
+@st.composite
+def unimodular_simplices(draw):
+    """A unimodular simplex in Z^d, d = 1..4: a base point in [-3, 3]^d plus the
+    rows of a product of row shears (multipliers -2..2) with one row negated."""
+    d = draw(st.integers(1, 4))
+    rows = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 3 * (d - 1)))):
+        r, c = draw(st.lists(st.integers(0, d - 1), min_size=2, max_size=2, unique=True))
+        k = draw(st.integers(-2, 2))
+        rows[r] = [a + k * b for a, b in zip(rows[r], rows[c])]
+    rows[0] = [-a for a in rows[0]] if draw(st.booleans()) else rows[0]
+    base = draw(st.tuples(*[st.integers(-3, 3)] * d))
+    return LatticeSimplex([base] + [tuple(map(sum, zip(base, row))) for row in rows])
+
+
 class TestFacetRule:
     @given(facet_pairs())
     @settings(max_examples=200, deadline=None)
@@ -445,6 +461,20 @@ class TestFacetRule:
         expected = _side(facet, a) != _side(facet, b)
         for (u, x), (v, y) in (((s, a), (t, b)), ((t, b), (s, a))):
             assert triangulation._opposite(u, u.vertices.index(x), v, v.vertices.index(y)) == expected
+
+    @given(unimodular_simplices(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_branch_rule(self, s, data):
+        # the search's node branches: on a unimodular simplex's facet F, opposite
+        # vertex i, the slack of a lattice point q is +-det(F + (q,)), and the
+        # apex's slack is 1, so F + (q,) is unimodular and beyond F iff it is -1
+        assert s.normalized_volume == 1
+        i = data.draw(st.integers(0, s.dim), label="omit")
+        q = data.draw(st.tuples(*[st.integers(-6, 6)] * s.dim), label="q")
+        facet = s.facet_vertex_sets()[i]
+        assert facet == s.vertices[:i] + s.vertices[i + 1 :]
+        assert abs(linalg.det_int(edge_rows(facet + (q,)))) == abs(s.facets[i].slack(q))
+        assert s.facets[i].slack(s.vertices[i]) == 1
 
 
 class TestValidateTriangulation:
@@ -953,6 +983,33 @@ class TestSearch:
         result = search_primitive_triangulation(cube(3, 0, 2), point_cap=40)
         assert (result.nodes, counts) == (48, {"_pair_problem": 1128, "_intersection_vertices": 32})
 
+    def test_pinned_determinants(self, monkeypatch):
+        # 12 for the volume's cones, read once by the search and its validation,
+        # and 2 for the root subsets through (0, 0, 0) that the search reaches;
+        # a node reads its branches off a facet plane, with no determinant
+        calls = []
+
+        def counted(rows, real=linalg.det_int):
+            calls.append(rows)
+            return real(rows)
+
+        monkeypatch.setattr(linalg, "det_int", counted)
+        result = search_primitive_triangulation(cube(3))
+        assert (result.nodes, len(calls)) == (6, 14)
+
+    def test_facets_are_computed_once_per_simplex(self, monkeypatch):
+        # each candidate is one object, whichever facet of the search reaches it
+        seen = []
+
+        def counted(points, real=triangulation.barycentric_forms):
+            seen.append(tuple(points))
+            return real(points)
+
+        monkeypatch.setattr(triangulation, "barycentric_forms", counted)
+        result = search_primitive_triangulation(cube(3, 0, 2), point_cap=40)
+        assert result.nodes == 48
+        assert (len(seen), len(set(seen))) == (47, 47)
+
     @pytest.mark.parametrize("poly, runs, simplices", SEARCH_PINS.values(), ids=SEARCH_PINS)
     def test_pinned_results(self, poly, runs, simplices):
         for budget, (nodes, exhausted, found) in runs.items():
@@ -988,6 +1045,25 @@ class TestSearchAgainstRecursiveOracle:
         assume(poly.is_full_dimensional and len(poly.integer_points(1)) <= 14)
         got = search_primitive_triangulation(poly, budget=budget)
         assert _outcome(got) == _outcome(conftest.recursive_search(poly, budget, 14))
+
+    def test_seeded_polytopes(self):
+        # seeded 2-D and 3-D polytopes of at most 14 points, each searched to its
+        # end and again at half its nodes: found, exhausted and budget-stopped
+        rng = random.Random(29)
+        kinds = set()
+        tried = 0
+        while tried < 60:
+            d = rng.choice((2, 3))
+            poly = LatticePolytope([tuple(rng.randint(0, 3) for _ in range(d)) for _ in range(rng.randint(d + 1, 7))])
+            if not poly.is_full_dimensional or len(poly.integer_points(1)) > 14:
+                continue
+            tried += 1
+            full = search_primitive_triangulation(poly, budget=20_000)
+            for budget in (20_000, max(1, full.nodes // 2)):
+                got = search_primitive_triangulation(poly, budget=budget)
+                assert _outcome(got) == _outcome(conftest.recursive_search(poly, budget, 14)), (poly, budget)
+                kinds.add((d, "found" if got.triangulation else "exhausted" if got.exhausted else "budget"))
+        assert kinds == {(d, kind) for d in (2, 3) for kind in ("found", "budget")} | {(3, "exhausted")}
 
     @pytest.mark.parametrize(
         "poly, budget, nodes", [(Q27, 2000, 2000), (cube(3, 0, 2), 200_000, 48)], ids=["Q27", "cube(3, 0, 2)"]

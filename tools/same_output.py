@@ -50,6 +50,11 @@ and, in a temporary work directory of its own, runs every command of this list:
   and 2,000, on `cube(3, 0, 2)` (found in 48 nodes) and on the segment
   conv{0, 300} (300 simplices deep), and `decompose` on that cube through its
   own search, as JSON and with `--pretty`;
+- `search-primitive` at `--point-cap 30` and `--budget 50` on the 40 seeded
+  3-D polytopes of ROADMAP item 1 (`random.Random(11)`, 5-8 vertices in
+  0..4), written into the work directory, as JSON and with `--pretty`:
+  searches that find, exhaust and stop on the budget with up to 30 points,
+  and one over the cap (exit 3);
 - `verify-paper` in full, quick, quick with `--pretty` and quick at seed 1;
 - commands stopped by a `--cap` of 100 (exit 3), so that a cap checked
   before or after the work it bounds gives the same message; ball commands
@@ -69,13 +74,16 @@ and, in a temporary work directory of its own, runs every command of this list:
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
 - the parser itself: `-h` and `<subcommand> -h` for every subcommand,
-  argparse errors, global flags placed before or after the subcommand, and
+  argparse errors (an unknown subcommand of 4 and of 3,000 characters
+  among them), missing paths (a bare name, and 3,000 characters in
+  200-character components), global flags placed before or after the subcommand, and
   `--cap` given to each of the six subcommands that reject it (these
   differ against a checkout that accepts and ignores it there).
 
 Input paths are relative to the work directory, so both roots see the same
 argv. The exit code and digests of stdout and stderr of every command are
-compared; every command that differs is printed, then their count, and the
+compared; every command that differs is printed (an argument over 60
+characters by its first 40 and its length), then their count, and the
 exit code is 1. Exit code 0 means every command matched. Given one root, the
 script prints that root's digests as JSON (the fresh interpreter runs this way).
 """
@@ -213,6 +221,9 @@ PARSER_COMMANDS = [
     ["points"],
     ["decompose", "cross-2d", "2"],
     ["nope"],
+    ["x" * 3000],
+    ["points", "no-such-polytope", "1"],
+    ["points", "/".join(["a" * 200] * 15), "1"],
     ["points", "unit-square", "x"],
     ["--cap"],
     ["--cap", "100", "points", "unit-square", "300"],
@@ -385,6 +396,17 @@ def _deep_search_commands(work: Path):
     return DEEP_SEARCH_ARGS + [["--pretty", *argv] for argv in DEEP_SEARCH_ARGS]
 
 
+def _seeded_search_commands(work: Path):
+    """Write ROADMAP item 1's seeded 3-D polytopes into work as seeded-I.json and
+    return search-primitive on each, JSON first, then --pretty."""
+    rng, commands = random.Random(11), []
+    for i in range(40):
+        vertices = [[rng.randint(0, 4) for _ in range(3)] for _ in range(rng.randint(5, 8))]
+        (work / f"seeded-{i}.json").write_text(json.dumps({"dim": 3, "vertices": vertices}))
+        commands.append(["search-primitive", f"seeded-{i}.json", "--point-cap", "30", "--budget", "50"])
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
 def _boundary_commands(work: Path):
     """Write cube(3, -1, 1) into work as cube-3.json and return the boundary
     commands at the largest balls of the balls workload, JSON first, then
@@ -443,7 +465,7 @@ def digests(root: Path) -> list:
             run(argv)
         for argv in _inverse_commands(Path(tmp)):
             run(argv)
-        for argv in _deep_search_commands(Path(tmp)) + _boundary_commands(Path(tmp)):
+        for argv in _deep_search_commands(Path(tmp)) + _seeded_search_commands(Path(tmp)) + _boundary_commands(Path(tmp)):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
@@ -472,7 +494,8 @@ def main(argv=None) -> int:
     differing = [(a, b) for a, b in zip(parent, change) if a != b]
     for a, b in differing:
         parts = [what for what, x, y in zip(("exit code", "stdout", "stderr"), a[1:], b[1:]) if x != y]
-        print(f"differs ({', '.join(parts)}): latmink {' '.join(a[0])}")
+        shown = (arg if len(arg) <= 60 else f"{arg[:40]}... ({len(arg)} characters)" for arg in a[0])
+        print(f"differs ({', '.join(parts)}): latmink {' '.join(shown)}")
     if len(parent) != len(change):
         print(f"differs: {len(parent)} commands against {len(change)}")
         return 1
