@@ -25,11 +25,10 @@ import os
 import re
 import sys
 import time
-from importlib import resources
 from itertools import chain
 from pathlib import Path
 
-from . import serialize, verify
+from . import serialize
 from .geometry import ResourceLimitError, quoted_prefix
 from .groups import ball_boundary, check_boundary_equality_range, word_ball
 from .minkowski import check_equality_range, decompose, decomposition_target, minkowski_power
@@ -69,6 +68,7 @@ def _read_document(name: str):
         except OSError as exc:  # a directory, a file without read permission
             raise InputError(f"{name}: {exc.strerror or exc}") from exc
     else:
+        from importlib import resources  # here, not at the top: only a bundled name reads it
         resource = resources.files("latmink.data").joinpath(path.name + ("" if name.endswith(".json") else ".json"))
         if path.name != name or not resource.is_file():
             raise InputError(f"no such file or bundled dataset: {quoted_prefix(name)}")
@@ -279,6 +279,7 @@ def _cmd_check_boundary(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
+    from . import verify  # here, not at the top: no other command reads the claims
     results = verify.run_all(seed=args.seed, quick=args.quick)
     failed = [r for r in results if not r.ok]
     summary = {"rows": results, "passed": len(results) - len(failed), "failed": len(failed)}

@@ -34,11 +34,11 @@ groups); callers are trusted on that point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import SEQUENCES, LatticePolytope, ResourceLimitError, as_point, quoted_prefix
+from .records import Record
 
 KIND_ZD = "zd"
 KIND_GL2Z = "gl2z"
@@ -285,8 +285,7 @@ def omega_boundary(group: GroupPresentation, subset: ElementSet) -> ElementSet:
     return subset.difference(omega_interior(group, subset))
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
+class BoundaryReport(Record):
     """Comparison of the boundary layer of a ball with the fresh layer.
 
     lhs is the boundary of the radius-n ball, rhs is ball(n) minus

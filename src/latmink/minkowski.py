@@ -14,13 +14,13 @@ no sum is decoded; minkowski_sum is the direct pairwise form.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 
 from . import geometry, linalg
 from .geometry import LatticePolytope, Point, PointSet, ResourceLimitError, as_point, box_count, check_box, dot
 from .groups import BallCodec, GroupPresentation, word_ball
+from .records import Record
 from .triangulation import Triangulation
 
 
@@ -60,8 +60,7 @@ def minkowski_power(s: PointSet, n: int, cap: int | None = None) -> PointSet:
     return PointSet._canonical(tuple([tuple(map(add, p, shift)) for p in ball]), s.dim)
 
 
-@dataclass(frozen=True)
-class EqualityReport:
+class EqualityReport(Record):
     """Outcome of check_equality at one dilation factor.
 
     When holds is False, witness is the lexicographically smallest integer
@@ -105,7 +104,7 @@ def check_equality_range(
     codec, reports = BallCodec(_translated_group(omega), ns[-1] if ns else 0), []
     [t_code] = codec.encode(omega.points[:1])
     for n, ball, _ in codec.layers(ns, cap):
-        full = poly.integer_points(n, cap=cap)
+        full = omega if n == 1 else poly.integer_points(n, cap=cap)  # P was scanned for Omega
         shift = n * t_code  # the code of n*t: codes are additive
         missing = [p for p, c in zip(full.points, codec.encode(full.points)) if c - shift not in ball]
         if len(full) - len(missing) != len(ball):
@@ -114,8 +113,7 @@ def check_equality_range(
     return reports
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """target written as the sum of exactly n points, multiset-sorted."""
 
     target: Point

@@ -12,7 +12,7 @@ Group files missing the identity get it inserted with a warning. Polytope
 files are accepted wherever a zd group is expected, via the presentation
 generated by the polytope's integer points. `parse_*` read these forms;
 `polytope_to_dict` and `group_to_dict` write them as plain data, and `dumps`
-writes a triangulation (the dataclass of its polytope and simplices) in its
+writes a triangulation (the record of its polytope and simplices) in its
 form. The parsers check shapes (keys, the lists they read, "dim", square
 matrices); each point and value is checked by the constructor it reaches
 (as_point, as_points, as_gl2z), in the library's own words.
@@ -21,7 +21,7 @@ Reports: `dumps` writes a value made of library objects and plain data as
 the text `json.dumps(data, sort_keys=True, indent=2)` writes for its JSON
 data, byte for byte, in one recursive pass with no intermediate data. The
 JSON data of a value: dicts with str keys, lists, tuples, int, str, bool and
-None are their own; a dataclass is the dict of its fields; a `PointSet` is
+None are their own; a `Record` is the dict of its fields; a `PointSet` is
 its points, an `ElementSet` its elements and a `LatticeSimplex` its vertex
 list; a `LatticePolytope` or `GroupPresentation` is its file form; a
 `Fraction` is "p/q", or "p" when integral. Any other type (a float, a set,
@@ -37,7 +37,6 @@ text, is its test oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -45,6 +44,7 @@ from typing import Any
 
 from .geometry import LatticePolytope, PointSet, quoted_prefix
 from .groups import ElementSet, GroupPresentation, group_elements, zd_presentation_from_polytope
+from .records import Record
 from .triangulation import LatticeSimplex, Triangulation
 
 _ARRAYS = {list, tuple}
@@ -184,8 +184,8 @@ def _text(value, newline: str) -> str:
     form = _FORMS.get(kind)
     if form is not None:
         return _text(form(value), newline)
-    if is_dataclass(kind):
-        return _text({f.name: getattr(value, f.name) for f in fields(value)}, newline)
+    if issubclass(kind, Record):
+        return _text(vars(value), newline)
     raise TypeError(f"no report text for {kind.__name__}")
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
@@ -34,6 +33,7 @@ from .geometry import (
     form_plane,
     run_points,
 )
+from .records import Record
 
 DEFAULT_SEARCH_BUDGET = 200_000
 DEFAULT_POINT_CAP = 14
@@ -105,8 +105,7 @@ class LatticeSimplex:
         return f"LatticeSimplex({list(self.vertices)})"
 
 
-@dataclass(frozen=True)
-class SimplexClass:
+class SimplexClass(Record):
     """Classification record for one lattice simplex."""
 
     normalized_volume: int
@@ -137,8 +136,7 @@ def is_unimodular(matrix: Sequence[Sequence[int]]) -> bool:
     return abs(linalg.det_int([as_point(r) for r in matrix])) == 1
 
 
-@dataclass(frozen=True)
-class UnimodularCriteria:
+class UnimodularCriteria(Record):
     """Independent evaluations of the standard unimodularity conditions.
 
     For a nonsingular integer matrix the first five flags agree; the corner
@@ -232,8 +230,7 @@ def _corner_simplex(d: int, m: int, sign: int) -> LatticeSimplex:
     return LatticeSimplex(pts)
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(Record):
     """An ordered list of simplices intended to triangulate a polytope."""
 
     polytope: LatticePolytope
@@ -246,8 +243,7 @@ class Triangulation:
             raise ValueError("simplex dimension does not match the polytope")
 
 
-@dataclass(frozen=True)
-class TriangulationReport:
+class TriangulationReport(Record):
     """Outcome of validate_triangulation; problems lists every failed check."""
 
     valid: bool
@@ -447,8 +443,7 @@ def validate_triangulation(tri: Triangulation) -> TriangulationReport:
     )
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     """Result of a primitive-triangulation search.
 
     triangulation is None when none was found; exhausted distinguishes a

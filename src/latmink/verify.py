@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -28,6 +27,7 @@ from .groups import (
     zd_presentation_from_polytope,
 )
 from .minkowski import check_equality_range, decompose, minkowski_power, minkowski_sum, generates_zd
+from .records import Record
 from .triangulation import (
     LatticeSimplex,
     Triangulation,
@@ -44,8 +44,7 @@ POLYGON_SAMPLES = (200, 25)
 MATRIX_SAMPLES = (500, 60)
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(Record):
     claim: str
     description: str
     ok: bool

@@ -17,14 +17,15 @@ folding minkowski_sum, triangulations by an exact LP and an intersection-vertex 
 (exact Fraction solves) on every pair of simplices, inverses by Gauss-Jordan
 over Fractions instead of the integer adjugate, report text by
 building the report's plain JSON data first for the standard library to write,
-and the primitive-triangulation search by recursion over the complex's facet
-owner lists instead of one loop over a stack of open facets.
+the primitive-triangulation search by recursion over the complex's facet
+owner lists instead of one loop over a stack of open facets, and report
+records by the frozen dataclass of their fields.
 """
 
 import functools
 import itertools
 import os
-from dataclasses import fields, is_dataclass
+import dataclasses
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -47,6 +48,7 @@ from latmink import (
 )
 from latmink.geometry import _affine_frame, _Face, Halfspace, as_point, as_rational_point, dot, edge_rows
 from latmink.groups import BallCodec, BoundaryReport
+from latmink.records import Record
 from latmink.triangulation import LatticeSimplex, SearchResult, Triangulation, TriangulationReport
 
 
@@ -594,9 +596,17 @@ def recursive_search(poly: LatticePolytope, budget: int, point_cap: int) -> Sear
     return SearchResult(result, result is None, nodes)
 
 
+@functools.cache
+def frozen_dataclass(record: type) -> type:
+    """The frozen dataclass of a record class's fields, the form `Record`
+    replaces: the oracle of its construction, repr, equality, hash and
+    immutability."""
+    return dataclasses.make_dataclass(record.__name__, record._fields, frozen=True)
+
+
 def oracle_to_json(value):
     """The plain JSON data of a report value, the first stage of the two-stage
-    form that serialize.dumps replaces: a dataclass becomes the dict of its
+    form that serialize.dumps replaces: a record becomes the dict of its
     fields, a tuple, list, PointSet or ElementSet a list, a Fraction "p/q" (or
     "p"), a polytope, simplex or group its file form; any other type raises
     TypeError."""
@@ -615,8 +625,8 @@ def oracle_to_json(value):
         return [list(v) for v in value.vertices]
     if kind is GroupPresentation:
         return serialize.group_to_dict(value)
-    if is_dataclass(kind):
-        return {f.name: oracle_to_json(getattr(value, f.name)) for f in fields(value)}
+    if issubclass(kind, Record):
+        return {name: oracle_to_json(getattr(value, name)) for name in kind._fields}
     raise TypeError(f"no JSON form for {kind.__name__}")
 
 

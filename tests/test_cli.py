@@ -319,6 +319,40 @@ class TestSearchAndValidate:
         assert done.stdout.splitlines()[-1] == "[0, 0] False"
 
 
+class TestImportGraph:
+    """What a fresh interpreter loads for a command. It starts with -S: a site
+    .pth file may import importlib.resources before latmink does."""
+
+    COLD = ["dataclasses", "inspect", "importlib.resources", "latmink.verify"]
+
+    def loaded(self, *commands) -> list[list[str]]:
+        """The COLD modules loaded after `import latmink.cli`, then after each command in turn."""
+        script = (
+            "import contextlib, io, json, sys\n"
+            "def cold(): return [m for m in json.loads(sys.argv[1]) if m in sys.modules]\n"
+            "from latmink import cli\n"
+            "seen = [cold()]\n"
+            "for argv in json.loads(sys.argv[2]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "    seen.append(cold())\n"
+            "print(json.dumps(seen))\n"
+        )
+        argv = [sys.executable, "-S", "-c", script, json.dumps(self.COLD), json.dumps(commands)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=fresh_env(), timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_a_command_on_a_file(self, tmp_path):
+        path = tmp_path / "square.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}))
+        assert self.loaded(["points", str(path), "1"]) == [[], []]
+
+    def test_commands_that_read_them(self):
+        seen = self.loaded(["points", "unit-square", "1"], ["verify-paper", "--quick"])
+        assert seen == [[], ["importlib.resources"], ["importlib.resources", "latmink.verify"]]
+
+
 class TestGroupCommands:
     def test_word_ball_gl2z(self, capsys):
         code, doc, _ = run_json(capsys, "word-ball", "gl2z-swap-shear.json", "1")

@@ -258,6 +258,25 @@ class TestCheckEquality:
         assert [r.holds for r in reports] == [True, True, False]
         assert check_equality_range(p, range(2, 2)) == []
 
+    def test_omega_is_the_scan_at_n_1(self, monkeypatch):
+        # P is scanned once, for Omega, and read again at n = 1: one line scan per n
+        p = LatticePolytope(sigma(5, 2).vertices)
+        omega = p.integer_points(1)
+        scans, real = [], LatticePolytope.line_runs
+
+        def counted(self, n, cap=None):
+            scans.append(n)
+            return real(self, n, cap)
+
+        monkeypatch.setattr(LatticePolytope, "line_runs", counted)
+        reports = check_equality_range(p, range(1, 4))
+        assert scans == [1, 2, 3]
+        for r in reports:
+            power = folded_minkowski_power(omega, r.n)
+            missing = [x for x in p.integer_points(r.n) if x not in power]
+            assert (r.holds, r.witness) == (not missing, missing[0] if missing else None)
+        assert [r.holds for r in reports] == [True, True, False]
+
 
 class TestDecompose:
     def test_square_diagonal_example(self, unit_square):

@@ -1,7 +1,6 @@
 import enum
 import json
 import tracemalloc
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -210,7 +209,7 @@ def test_parsers_return_or_raise_value_error(doc):
 
 
 class TestReportRule:
-    def test_dataclass_keys_are_its_fields(self):
+    def test_record_keys_are_its_fields(self):
         square = cube(2)
         search = search_primitive_triangulation(square)
         gl2z = GroupPresentation("gl2z", gl2z_swap_shear_generators())
@@ -227,7 +226,7 @@ class TestReportRule:
         for report in reports:
             text = serialize.dumps(report)
             assert text == oracle_text(report)
-            assert list(json.loads(text)) == sorted(f.name for f in fields(report))
+            assert list(json.loads(text)) == sorted(type(report)._fields)
 
     def test_leaves(self):
         matrix = ((1, 0), (0, 1))
