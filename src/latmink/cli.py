@@ -59,15 +59,10 @@ def _read_document(name: str):
     """Load a JSON document from a path, or from the bundled data file of a bare name that is not a file."""
     path = Path(name)
     try:
-        exists = path.exists()
-    except OSError as exc:  # a name too long for the file system
+        text = path.read_text() if path.exists() else None
+    except OSError as exc:  # a name too long for the file system, a directory, a file without read permission
         raise InputError(f"{quoted_prefix(name)}: {exc.strerror or exc}") from exc
-    if exists:
-        try:
-            text = path.read_text()
-        except OSError as exc:  # a directory, a file without read permission
-            raise InputError(f"{name}: {exc.strerror or exc}") from exc
-    else:
+    if text is None:
         from importlib import resources  # here, not at the top: only a bundled name reads it
         resource = resources.files("latmink.data").joinpath(path.name + ("" if name.endswith(".json") else ".json"))
         if path.name != name or not resource.is_file():
@@ -113,17 +108,17 @@ def _positive_int(text: str) -> int:
 
 def _load(name: str, parse):
     """parse(document) for the file or bundled dataset `name`; a ValueError
-    becomes an InputError prefixed with the name."""
+    becomes an InputError prefixed with the name cut by quoted_prefix."""
     try:
         return parse(_read_document(name))
     except ValueError as exc:
-        raise InputError(f"{name}: {exc}") from exc
+        raise InputError(f"{quoted_prefix(name)}: {exc}") from exc
 
 
 def _load_group(name: str):
     group, warnings = _load(name, serialize.parse_group)
     for w in warnings:
-        print(f"warning: {name}: {w}", file=sys.stderr)
+        print(f"warning: {quoted_prefix(name)}: {w}", file=sys.stderr)
     return group
 
 

@@ -5,10 +5,15 @@ facet inequalities, both found in one beneath-beyond convex hull pass in
 integer arithmetic (Barber, Dobkin and Huhdanpaa, "The Quickhull algorithm
 for convex hulls", ACM TOMS 1996) that keeps each ridge's two faces: the
 faces a new point sees are found by a flood from one of them, and a new
-face's plane combines the two planes at its horizon ridge. A lower-dimensional
-polytope is hulled in coordinates onto which its affine hull projects
-bijectively. All queries -- membership, integer point enumeration, volume --
-are exact: coordinates are Python ints and derived scalars are fractions.Fraction.
+face's plane combines the two planes at its horizon ridge. As in Quickhull,
+the pass starts from a simplex of extreme points (the lex-max point, then
+the lex-first points of least and greatest value in each coordinate), which
+spans much of the cloud, so few faces are made only to be discarded. A
+point is a vertex when it is the only corner of the boundary on all of its
+facets. A lower-dimensional polytope is hulled in coordinates onto which its
+affine hull projects bijectively. All queries -- membership, integer point
+enumeration, volume -- are exact: coordinates are Python ints and derived
+scalars are fractions.Fraction.
 
 Integer points are listed line by line along the last scanned coordinate. With
 three or more coordinates, only the lines through the polytope's shadow, its
@@ -142,24 +147,37 @@ def form_plane(form: Sequence[int]) -> Halfspace:
 
 
 def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
-    """Indices of affinely independent points spanning the affine hull.
+    """Ascending indices of affinely independent points of the lex-sorted
+    `points` spanning their affine hull, and the echelon of their edge rows.
 
-    Greedy from the first point: point i joins when its edge row from points[0]
-    is independent of those kept, until they have full rank. The echelon of the
-    kept edge rows has pivot columns on which the affine hull projects bijectively.
+    Greedy from extreme points: the lex-max point is the base, and a candidate
+    joins when its edge row from the base is independent of those kept, until
+    they have full rank. The candidates come in this order: for each coordinate
+    the lex-first point of least and the lex-first point of greatest value (each
+    the lex-least point of a face, so a vertex), then every other point in lex
+    order. The pivot columns of the echelon, on which the affine hull projects
+    bijectively, do not depend on the points chosen: they are the leading
+    columns of the hull's direction space, a set fixed by that space alone.
     """
-    echelon = linalg.Echelon()
-    rows = enumerate(edge_rows(points), 1)
-    return [0] + [i for i, row in rows if len(echelon.rows) < len(row) and echelon.add(row)], echelon
+    last, base = len(points) - 1, points[-1]
+    columns = list(zip(*points))
+    extremes = [col.index(pick(col)) for col in columns for pick in (min, max)]
+    frame, echelon = [last], linalg.Echelon()
+    for i in dict.fromkeys([*extremes, *range(last)]):
+        if len(echelon.rows) == len(columns):
+            break
+        if echelon.add(list(map(sub, points[i], base))):
+            frame.append(i)
+    return sorted(frame), echelon
 
 
 class _Face:
-    """One simplex of the hull boundary, with its plane and the points that see it."""
+    """One simplex of the hull boundary, with its plane (also kept unpacked) and the points that see it."""
 
-    __slots__ = ("verts", "normal", "offset", "outside")
+    __slots__ = ("verts", "plane", "normal", "offset", "outside")
 
-    def __init__(self, verts: tuple[int, ...], plane: tuple[Point, int]):
-        self.verts, self.outside = verts, []
+    def __init__(self, verts: tuple[int, ...], plane: Halfspace):
+        self.verts, self.plane, self.outside = verts, plane, []
         self.normal, self.offset = plane
 
 
@@ -176,11 +194,18 @@ def _beneath_beyond(
     hyperplane counts as beneath. Each face keeps the points that see it,
     so a point that sees no face is inside the hull for good.
     The returned planes are primitive outward `Halfspace`s in ascending
-    order; a point is a vertex when the facet normals through it have rank
-    k. The returned faces, (index tuple of k points, its plane) pairs, are
+    order. The returned faces, (index tuple of k points, its plane) pairs, are
     the boundary of the placing triangulation of pts in the order the points
     were added: a triangulation of the hull's boundary whose corners may
     include boundary points that are not vertices.
+
+    A corner is a vertex when it is the only corner on all of its planes,
+    read off one bitmask per plane with a bit for each corner on it. The faces
+    on a facet triangulate it, so each vertex of the facet is a corner on its
+    plane; the facets through a vertex meet in the vertex alone, so it passes.
+    A corner that is no vertex lies in the relative interior of a face G of
+    dimension >= 1, and every facet through it contains G, so G's vertices
+    (two or more) are corners on all of its planes: it fails.
 
     Before each flood, `ridges` is brought to map each ridge (a face less one
     index) to its two faces; a hull that is its start simplex builds none. The
@@ -200,7 +225,7 @@ def _beneath_beyond(
         for i in indices:
             p = pts[i]
             for face in faces:
-                if dot(face.normal, p) > face.offset:
+                if sum(map(mul, face.normal, p)) > face.offset:
                     face.outside.append(i)
                     break
 
@@ -219,7 +244,7 @@ def _beneath_beyond(
         for f in new:
             for ridge in itertools.combinations(f.verts, k - 1):
                 ridges.setdefault(ridge, []).append(f)
-        eye = max(face.outside, key=lambda i: dot(face.normal, pts[i]))
+        eye = max(face.outside, key=lambda i: sum(map(mul, face.normal, pts[i])))
         p = pts[eye]
         slack, visible, horizon, new = {face: dot(face.normal, p) - face.offset}, [face], [], []
         for g in visible:
@@ -236,21 +261,23 @@ def _beneath_beyond(
             offset, div = sg * h.offset - sh * g.offset, gcd(*normal)
             if not div or dot(normal, inner) >= (k + 1) * offset:
                 raise RuntimeError("internal inconsistency: a horizon plane is not outward")
-            new.append(_Face(tuple(sorted(ridge + (eye,))), (tuple(x // div for x in normal), offset // div)))
+            plane = Halfspace(tuple(x // div for x in normal), offset // div)
+            new.append(_Face(tuple(sorted(ridge + (eye,))), plane))
             ridges[ridge] = [h]
         alive.update(zip(new, serials))
         assign((i for g in visible for i in g.outside if i != eye), new)
         pending.extend(g for g in new if g.outside)
 
-    faces = [(face.verts, Halfspace(face.normal, face.offset)) for face in alive]
-    normals_at: dict[int, set[Point]] = {}
-    for verts, (normal, _) in faces:
-        for i in verts:
-            normals_at.setdefault(i, set()).add(normal)
-    vertices = sorted(
-        i for i, normals in normals_at.items() if len(normals) >= k and linalg.rank(normals) == k
-    )
-    return vertices, sorted({plane for _, plane in faces}), faces
+    on: dict[Halfspace, int] = {}  # plane -> bitmask of the corners on it
+    for face in alive:
+        on[face.plane] = on.get(face.plane, 0) | sum(1 << i for i in face.verts)
+    common: dict[int, int] = {}  # corner -> the corners on all of its planes
+    for face in alive:
+        bits = on[face.plane]
+        for i in face.verts:
+            common[i] = common.get(i, bits) & bits
+    vertices = sorted(i for i, bits in common.items() if bits == 1 << i)
+    return vertices, sorted(on), [(face.verts, face.plane) for face in alive]
 
 
 def _by_last_sign(planes: Sequence[tuple[Point, int]]) -> tuple[list, list[int], list[int]]:
@@ -543,8 +570,12 @@ class LatticePolytope:
         triangulate the boundary, the cones triangulate the polytope (De
         Loera, Rambau and Santos, *Triangulations*, 2010, Sec. 4.3). Each
         returned tuple is the vertex list of a full-dimensional simplex, apex
-        first; its other corners are input points on the boundary, not
-        always vertices.
+        first; its other corners are input points on the boundary, usually
+        vertices but not always: a boundary point becomes a corner when the
+        pass adds it before the vertices that make it redundant. Which faces
+        the pass keeps follows its start simplex and the order it adds
+        points in, so the fan is one triangulation of the polytope, not a
+        canonical one.
         """
         if not self.is_full_dimensional:
             raise ValueError("triangulation requires a full-dimensional polytope")

@@ -6,7 +6,7 @@ ints; nothing here builds a Fraction or touches a float.
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 IntVector = tuple[int, ...]
 
@@ -91,12 +91,6 @@ class Echelon:
                 self.pivots.append(col)
                 return True
         return False
-
-
-def rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix; no row is added once the rank is the column count."""
-    echelon = Echelon()
-    return sum(echelon.add(row) for row in rows if len(echelon.rows) < len(row))
 
 
 def primitive_vector(v: Sequence[int]) -> IntVector:

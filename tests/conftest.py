@@ -9,8 +9,11 @@ of reading the hull's boundary, lattice point counts by the Ehrhart polynomial
 interpolated from box scans, determinants by permutation expansion,
 hyperplane normals by d cofactor minors instead of one adjugate, affine
 dimensions by the rank of a Fraction elimination instead of an integer echelon, the
-beneath-beyond hull by testing every face for visibility and building every
-face's plane from its points instead of flooding ridges, word balls by
+beneath-beyond hull by testing every face for visibility, building every
+face's plane from its points instead of flooding ridges and telling a vertex by
+the rank of the facet normals at it instead of facet incidence, the hull's
+start simplex by the lex-first affinely independent points instead of extreme
+points, word balls by
 multiplying the whole ball each round, ball boundaries by testing every
 element of the ball instead of its fresh layer alone, Minkowski powers by
 folding minkowski_sum, triangulations by an exact LP and an intersection-vertex test
@@ -99,6 +102,21 @@ def inverse_exact(rows) -> list | None:
     return [row[n:] for row in a]
 
 
+def rank(rows) -> int:
+    """Rank of an integer matrix by a fraction-free echelon; no row is added once
+    the rank is the column count."""
+    echelon = linalg.Echelon()
+    return sum(echelon.add(row) for row in rows if len(echelon.rows) < len(row))
+
+
+def lex_first_frame(points) -> tuple:
+    """geometry._affine_frame with the lex-first start: greedy from points[0], point i
+    joins when its edge row from points[0] is independent of those kept."""
+    echelon = linalg.Echelon()
+    rows = enumerate(edge_rows(points), 1)
+    return [0] + [i for i, row in rows if len(echelon.rows) < len(row) and echelon.add(row)], echelon
+
+
 def affine_rank(points) -> int:
     """Dimension of the affine hull of points: the rank of their edge rows from
     the first point, by Gaussian elimination over Fractions."""
@@ -146,8 +164,9 @@ def scan_beneath_beyond(pts, simplex) -> tuple:
     """geometry._beneath_beyond with no face adjacency: each added point tests
     every alive face for visibility, the horizon is the ridges of exactly one
     visible face, and each new face's plane comes from its points by
-    plane_through. Returns the same (vertices, planes, faces), each face an
-    (index tuple, plane) pair."""
+    plane_through, and a corner is a vertex when the facet normals at it have
+    rank k. Returns the same (vertices, planes, faces), each face an (index
+    tuple, plane) pair."""
     k = len(pts[0])
     inner = [sum(pts[i][j] for i in simplex) for j in range(k)]
 
@@ -193,7 +212,7 @@ def scan_beneath_beyond(pts, simplex) -> tuple:
         planes.add((face.normal, face.offset))
         for i in face.verts:
             normals_at.setdefault(i, set()).add(face.normal)
-    vertices = sorted(i for i, normals in normals_at.items() if len(normals) >= k and linalg.rank(normals) == k)
+    vertices = sorted(i for i, normals in normals_at.items() if len(normals) >= k and rank(normals) == k)
     return vertices, sorted(planes), [(face.verts, (face.normal, face.offset)) for face in alive]
 
 

@@ -422,7 +422,7 @@ class TestInputErrors:
     def test_unreadable_path_exits_2_with_one_line(self, capsys, tmp_path):
         code, out, err = run(capsys, "points", str(tmp_path), "1")
         assert (code, out) == (2, "")
-        assert err.startswith(f"error: {tmp_path}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {geometry.quoted_prefix(str(tmp_path))}: ") and err.count("\n") == 1
 
 
 _SQUARE = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
@@ -525,7 +525,7 @@ class TestMalformedDocuments:
         code, out, err = run(capsys, *(str(path) if a == "{}" else a for a in argv))
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {geometry.quoted_prefix(str(path))}: ") and err.count("\n") == 1
 
 
 class TestDeepDocuments:
@@ -551,7 +551,7 @@ class TestDeepDocuments:
         path.write_text(text)
         done = run_fresh(*(str(path) if a == "{}" else a for a in argv))
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == f"error: {path}: JSON document is nested too deeply\n"
+        assert done.stderr == f"error: {geometry.quoted_prefix(str(path))}: JSON document is nested too deeply\n"
 
 
 class TestShortErrorLines:
@@ -598,7 +598,7 @@ class TestShortErrorLines:
         path.write_text(text)
         done = run_fresh(*(str(path) if a == "{}" else a for a in argv))
         assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == f"error: {path}: {message}\n"
+        assert done.stderr == f"error: {geometry.quoted_prefix(str(path))}: {message}\n"
         assert len(done.stderr) <= 200
 
 
@@ -660,6 +660,39 @@ class TestLongArguments:
         code, out, err = run(capsys, "points", "/".join(["a" * 200] * 15), "1")
         assert (code, out) == (2, "")
         assert err == "error: no such file or bundled dataset: 'aaaaaaaaaaaaaaaaaaaa'...\n"
+
+    def test_directory_path(self, capsys, tmp_path, monkeypatch):
+        # a directory of 3,000 characters in 200-character components: reading it fails
+        monkeypatch.chdir(tmp_path)
+        path = "/".join(["a" * 200] * 15)
+        os.makedirs(path)
+        code, out, err = run(capsys, "points", path, "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: 'aaaaaaaaaaaaaaaaaaaa'...: {os.strerror(errno.EISDIR)}\n"
+
+    @staticmethod
+    def write_at_long_path(text: str) -> str:
+        """Write text to a relative path of 3,000 characters in 200-character components."""
+        path = "/".join(["a" * 200] * 14 + ["b" * 200])
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as f:
+            f.write(text)
+        return path
+
+    def test_document_error_at_a_long_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = self.write_at_long_path('{"dim": 1, "vertices": [[0], [1.5]]}')
+        code, out, err = run(capsys, "points", path, "1")
+        assert (code, out) == (2, "")
+        assert err == "error: 'aaaaaaaaaaaaaaaaaaaa'...: floating point literal '1.5': coordinates must be exact integers\n"
+
+    def test_warning_at_a_long_path(self, capsys, tmp_path, monkeypatch):
+        # a group without its identity is read with a warning that names the file
+        monkeypatch.chdir(tmp_path)
+        path = self.write_at_long_path('{"kind": "zd", "dim": 1, "generators": [[1], [-1]]}')
+        code, out, err = run(capsys, "word-ball", path, "1")
+        assert code == 0 and json.loads(out)
+        assert err == "warning: 'aaaaaaaaaaaaaaaaaaaa'...: identity element was missing from the generators; inserted\n"
 
     def test_unknown_subcommand(self, capsys):
         # the choices list is as long as for a short name; only the name is cut

@@ -312,13 +312,41 @@ class TestHullOracles:
         assert p.contains(probe) == lp_contains(p, probe)
 
     def test_edge_midpoints_of_4d_cross_polytope(self):
-        # each edge lies on four facets whose normals have rank three, so
-        # only the rank test tells its midpoint from a vertex
+        # each edge lies on four facets whose normals have rank three, so a count
+        # of facets cannot tell its midpoint from a vertex; a vertex is the only
+        # corner on all of its facets, and a midpoint shares them with the edge's ends
         corners = cross_polytope(4).dilate(2).vertices
         mids = {tuple((a + b) // 2 for a, b in zip(u, v)) for u in corners for v in corners}
         p = hull(list(corners) + sorted(mids))
         assert p.vertices == corners
         assert [(h.normal, h.offset) for h in p.facets] == brute_force_facets(corners)
+
+    def test_edge_midpoints_on_eight_facets_in_5d(self):
+        # a unimodular image of 2 cross(5): each edge lies on eight facets, and the hull
+        # pass makes some of the edge midpoints corners of the boundary
+        shear = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, -1, 1, 0, 0], [2, -1, 0, 1, 0], [0, 0, 0, 0, 1]]
+        corners = sorted(tuple(dot(row, v) for row in shear) for v in cross_polytope(5).dilate(2).vertices)
+        mids = {tuple((a + b) // 2 for a, b in zip(u, v)) for u in corners for v in corners if u != v}
+        p = hull(corners + sorted(mids))
+        assert p.vertices == tuple(corners)
+        assert [(h.normal, h.offset) for h in p.facets] == brute_force_facets(corners)
+        on_corners = [m for face, _ in p._faces for m in face if m in mids]
+        assert on_corners and all(sum(h.slack(m) == 0 for h in p.facets) == 8 for m in on_corners)
+        run = hull_pass(corners + sorted(mids))
+        assert _beneath_beyond(*run) == scan_beneath_beyond(*run[:2])
+
+    @given(st.one_of(lattice_clouds(max_dim=5), midpoint_clouds(max_dim=5)))
+    @settings(max_examples=80, deadline=None)
+    def test_vertices_by_incidence(self, pts):
+        # the incidence rule against the rank of the normals at each corner (the scan
+        # oracle's rule) and against LP, in d <= 5 and lower-dimensional clouds too
+        p = hull(pts)
+        assert p.vertices == lp_vertices(pts)
+        run = hull_pass(pts)
+        if run is not None:
+            found = _beneath_beyond(*run)[0]
+            assert found == scan_beneath_beyond(*run[:2])[0]
+            assert [run[0][i] for i in found] == [tuple(v[c] for c in p._cols) for v in p.vertices]
 
     def test_segment_in_z3(self):
         seg = LatticePolytope([(0, 0, 0), (8, 8, 8), (4, 4, 4)])
@@ -468,7 +496,36 @@ class TestBeneathBeyond:
         monkeypatch.setattr(conftest, "dot", counted)
         run = hull_pass(HULL_CASES["4-D cloud"])
         assert _beneath_beyond(*run) == scan_beneath_beyond(*run[:2])
-        assert (tests["_beneath_beyond"], tests["scan_beneath_beyond"]) == (85, 110)
+        assert (tests["_beneath_beyond"], tests["scan_beneath_beyond"]) == (43, 61)
+
+    @given(st.one_of(lattice_clouds(max_dim=5), midpoint_clouds(max_dim=5), solid_clouds()))
+    @settings(max_examples=80, deadline=None)
+    def test_start_simplex_changes_no_answer(self, pts):
+        # the extreme-point frame and the lex-first one give the same polytope; only
+        # the boundary triangulation `_faces` may differ
+        def answers(p):
+            points = []
+            for n in (1, 2):
+                try:
+                    points.append(p.integer_points(n, cap=10**5))
+                except ResourceLimitError:
+                    points.append(None)
+            full = p.is_full_dimensional
+            return p.vertices, p._planes, p._cols, p._equations, full and p.volume(), points
+
+        extreme = hull(pts)
+        with mock.patch.object(geometry, "_affine_frame", conftest.lex_first_frame):
+            lex_first = hull(pts)
+        assert answers(extreme) == answers(lex_first)
+
+    def test_start_simplex_from_extreme_points(self):
+        # the lex-max point, then the lex-first points of least and greatest x and y
+        pts = as_points([(0, 3), (1, 3), (2, 3), (3, 2), (4, 0)])
+        frame, echelon = _affine_frame(pts)
+        assert frame == [0, 1, 4] and sorted(echelon.pivots) == [0, 1]
+        assert conftest.lex_first_frame(pts)[0] == [0, 1, 3]
+        assert _affine_frame([(5, 5, 5)])[0] == [0]
+        assert _affine_frame(as_points([(0, 0, 0), (2, 2, 2), (1, 1, 1)]))[0] == [0, 2]
 
     def test_guard_on_a_bad_horizon_plane(self):
         # start planes turned inward give a pencil plane with `inner` beyond it; a gcd
@@ -1055,11 +1112,21 @@ class TestVolume:
             assert report == pairwise_validate_triangulation(tri)
 
     def test_fan_corner_off_the_vertices(self):
-        # (1, 1) lies on the edge from (0, 1) to (2, 1) and is a corner of the hull's boundary
-        p = hull([(0, 0), (0, 1), (1, 1), (2, 1)])
-        assert p.vertices == ((0, 0), (0, 1), (2, 1))
-        assert p.fan_simplices() == (((0, 0), (0, 1), (1, 1)), ((0, 0), (1, 1), (2, 1)))
-        assert p.volume() == 1
+        # (1, 3) lies on the edge from (0, 3) to (2, 3), a start-simplex corner of the
+        # hull's boundary; the cones skip the faces on that edge, which holds the apex
+        p = hull([(0, 3), (1, 3), (2, 3), (3, 2), (4, 0)])
+        assert p.vertices == ((0, 3), (2, 3), (3, 2), (4, 0))
+        assert {c for face, _ in p._faces for c in face} - set(p.vertices) == {(1, 3)}
+        assert p.fan_simplices() == (((0, 3), (2, 3), (3, 2)), ((0, 3), (3, 2), (4, 0)))
+        assert p.volume() == Fraction(7, 2)
+        # (2, 1, 1), the midpoint of the edge from (2, 0, 0) to (2, 2, 2), is a corner of both cones
+        p = hull([(0, 2, 2), (2, 0, 0), (2, 1, 1), (2, 2, 2), (3, 1, 2)])
+        assert p.vertices == ((0, 2, 2), (2, 0, 0), (2, 2, 2), (3, 1, 2))
+        assert p.fan_simplices() == (
+            ((0, 2, 2), (2, 0, 0), (2, 1, 1), (3, 1, 2)),
+            ((0, 2, 2), (2, 1, 1), (2, 2, 2), (3, 1, 2)),
+        )
+        assert p.volume() == Fraction(2, 3)
         assert hull([(0,), (2,), (1,), (5,)]).fan_simplices() == (((0,), (5,)),)
 
     def test_no_polytope_built(self, monkeypatch):

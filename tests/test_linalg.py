@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from latmink import linalg
 
-from conftest import inverse_exact, solve_exact
+from conftest import inverse_exact, rank, solve_exact
 
 
 def det_by_permutation_expansion(rows):
@@ -92,17 +92,19 @@ class TestSolve:
 
 
 class TestRank:
+    """The tests' rank oracle (scan_beneath_beyond's vertex rule), a fraction-free echelon."""
+
     def test_examples(self):
-        assert linalg.rank([[1, 0], [0, 1]]) == 2
-        assert linalg.rank([[1, 2], [2, 4]]) == 1
-        assert linalg.rank([[0, 0]]) == 0
-        assert linalg.rank([]) == 0
+        assert rank([[1, 0], [0, 1]]) == 2
+        assert rank([[1, 2], [2, 4]]) == 1
+        assert rank([[0, 0]]) == 0
+        assert rank([]) == 0
 
     def test_stops_at_full_column_rank(self, monkeypatch):
         added = []
         add = linalg.Echelon.add
         monkeypatch.setattr(linalg.Echelon, "add", lambda self, row: added.append(row) or add(self, row))
-        assert linalg.rank([[1, 1], [2, 2], [0, 1], [3, 4], [5, 6]]) == 2
+        assert rank([[1, 1], [2, 2], [0, 1], [3, 4], [5, 6]]) == 2
         assert added == [[1, 1], [2, 2], [0, 1]]
 
     @given(st.integers(1, 3).flatmap(
@@ -110,7 +112,7 @@ class TestRank:
     ))
     @settings(max_examples=150, deadline=None)
     def test_matches_hermite_normal_form(self, rows):
-        assert linalg.rank(rows) == len(linalg.hermite_normal_form(rows))
+        assert rank(rows) == len(linalg.hermite_normal_form(rows))
 
 
 class TestPrimitiveVector:

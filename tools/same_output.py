@@ -28,6 +28,12 @@ and, in a temporary work directory of its own, runs every command of this list:
   a sheared top, and a 3-dimensional polytope in Z^5 (its scan runs in the
   `_cols` coordinates), as JSON and with `--pretty`, so that scans that skip
   the lines outside the polytope's shadow are compared too;
+- `points` at n = 1..2 and `check-equality` over 1..2 on clouds with
+  boundary points that are not vertices, written into the work directory:
+  2 cross(d) and 2 cube(d) with the midpoints of every two of their vertices
+  for d = 2..5, and 2 cross(3) with those midpoints on x4 = x1 + x2,
+  x5 = x2 - x3 in Z^5, as JSON and with `--pretty`, so that the vertex rule
+  and the hull's start simplex are compared too;
 - `points NAME 0` on every bundled dataset;
 - the integer inverse at d >= 4, on inputs written into the work directory,
   as JSON and with `--pretty`: `classify` on sigma(d, m) and sigma_prime(d, m)
@@ -173,6 +179,21 @@ SHADOW_POLYTOPES = {
     "solid-3d-in-5d": [[x, y, z, x + y, y - z] for x, y, z in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 2), (1, 1, 1)]],
 }
 
+
+def _with_midpoints(vertices):
+    """The vertices and the midpoints of every two of them, for vertices of even coordinates."""
+    return sorted({tuple((a + b) // 2 for a, b in zip(u, v)) for u in vertices for v in vertices})
+
+
+# Clouds whose boundary holds points that are not vertices: 2 cross(d) and
+# 2 cube(d) with their midpoints, and 2 cross(3) with its midpoints in Z^5.
+_TWICE_CROSS = {d: [tuple(2 * s * int(i == j) for j in range(d)) for i in range(d) for s in (1, -1)] for d in range(2, 6)}
+MIDPOINT_CLOUDS = {
+    **{f"cross-{d}-midpoints": _with_midpoints(_TWICE_CROSS[d]) for d in range(2, 6)},
+    **{f"cube-{d}-midpoints": _with_midpoints(list(itertools.product((0, 2), repeat=d))) for d in range(2, 6)},
+    "cross-3-midpoints-5d": [(x, y, z, x + y, y - z) for x, y, z in _with_midpoints(_TWICE_CROSS[3])],
+}
+
 # Simplices and polytopes that exercise the integer inverse at d >= 4: sigma(d, m)
 # and sigma_prime(d, m) as the library builds them, and a segment and a
 # triangle in Z^6 (five and four affine-hull equations).
@@ -295,6 +316,17 @@ def _shadow_commands(work: Path):
         path = f"{name}.json"
         (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
         commands += [["points", path, str(n)] for n in range(1, 5)] + [["check-equality", path, "1..3"]]
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
+def _midpoint_commands(work: Path):
+    """Write each MIDPOINT_CLOUDS cloud into work as NAME.json and return points at
+    n = 1..2 and check-equality over 1..2 on it, JSON first, then --pretty."""
+    commands = []
+    for name, points in MIDPOINT_CLOUDS.items():
+        path = f"{name}.json"
+        (work / path).write_text(json.dumps({"dim": len(points[0]), "vertices": points}))
+        commands += [["points", path, "1"], ["points", path, "2"], ["check-equality", path, "1..2"]]
     return commands + [["--pretty", *argv] for argv in commands]
 
 
@@ -460,6 +492,8 @@ def digests(root: Path) -> list:
         for argv in _dataset_commands(root / "src" / "latmink" / "data"):
             run(argv)
         for argv in _lower_dimensional_commands(Path(tmp)) + _shadow_commands(Path(tmp)) + _finite_stream_commands(Path(tmp)):
+            run(argv)
+        for argv in _midpoint_commands(Path(tmp)):
             run(argv)
         for argv in _lemma1_commands(Path(tmp)) + _decompose_commands(root / "src" / "latmink" / "data"):
             run(argv)
