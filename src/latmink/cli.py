@@ -169,8 +169,8 @@ def _cmd_check_equality(args) -> int:
 
 def _cmd_decompose(args) -> int:
     poly = _load(args.polytope, serialize.parse_polytope)
-    if args.triangulation:
-        tri = _load(args.triangulation, serialize.parse_triangulation)
+    if args.triangulation:  # a document listing poly's own vertices reuses poly, not a second hull
+        tri = _load(args.triangulation, lambda doc: serialize.parse_triangulation(doc, poly))
         if tri.polytope != poly:
             raise InputError("triangulation file describes a different polytope")
     point = _parse_point(" ".join(args.point))

@@ -154,11 +154,15 @@ def decompose(
     its opposite facet (its lattice height, 1 on a unit simplex), n times its
     barycentric coordinate. The n summands are n points of the report, so n
     over DEFAULT_BOX_CAP raises ResourceLimitError before any work.
+
+    The triangulation is not validated, but the d+1 vertices of the simplex
+    picked are checked against poly: a summand outside P would be a false
+    witness, so the first vertex outside raises ValueError.
     """
     x = decomposition_target(poly, n, x)
     if tri.polytope != poly:
         raise ValueError("triangulation belongs to a different polytope")
-    for simplex in tri.simplices:
+    for index, simplex in enumerate(tri.simplices):
         slacks = [n * h.offset - dot(h.normal, x) for h in simplex.facets]
         if min(slacks) >= 0:
             break
@@ -166,6 +170,9 @@ def decompose(
         raise ValueError("no simplex of the triangulation contains the point; invalid triangulation")
     if simplex.normalized_volume != 1:
         raise ValueError("triangulation is not primitive")
+    outside = next((v for v in simplex.vertices if not poly.contains(v)), None)
+    if outside is not None:
+        raise ValueError(f"simplex {index} has vertex {outside} outside the polytope; invalid triangulation")
     summands: list[Point] = []
     for slack, vertex, h in zip(slacks, simplex.vertices, simplex.facets):
         beta, rest = divmod(slack, h.slack(vertex))

@@ -88,10 +88,21 @@ def polytope_to_dict(poly: LatticePolytope) -> dict:
     return {"dim": poly.dim, "vertices": [list(v) for v in poly.vertices]}
 
 
-def parse_triangulation(doc: Any) -> Triangulation:
+def _lists_vertices_of(doc: Any, poly: LatticePolytope) -> bool:
+    """Does the polytope document list exactly poly's canonical vertices, in order and as
+    plain ints, with "dim" absent or poly's? Then parse_polytope would return poly again."""
+    dim = doc.get("dim", poly.dim) if isinstance(doc, dict) else None
+    vertices = doc.get("vertices") if type(dim) is int and dim == poly.dim else None
+    return vertices == [list(v) for v in poly.vertices] and all(type(c) is int for v in vertices for c in v)
+
+
+def parse_triangulation(doc: Any, polytope: LatticePolytope | None = None) -> Triangulation:
+    """A triangulation document. Its "polytope" is read by parse_polytope, unless it
+    lists exactly the canonical vertices of polytope (when given), which is then reused."""
     if not isinstance(doc, dict) or "polytope" not in doc or "simplices" not in doc:
         raise ValueError('triangulation document needs "polytope" and "simplices"')
-    poly = parse_polytope(doc["polytope"])
+    reuse = polytope is not None and _lists_vertices_of(doc["polytope"], polytope)
+    poly = polytope if reuse else parse_polytope(doc["polytope"])
     simplices = tuple(LatticeSimplex(_list(s, "simplex")) for s in _list(doc["simplices"], '"simplices"'))
     return Triangulation(poly, simplices)
 

@@ -15,6 +15,7 @@ import functools
 import itertools
 from fractions import Fraction
 from math import factorial
+from operator import and_
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -40,15 +41,31 @@ DEFAULT_POINT_CAP = 14
 CRITERIA_MAX_DIM = 4  # the semi-exhaustive checks of unimodular_criteria
 
 
-def _on_boundary(poly_facets: Sequence[Halfspace], points: Sequence[Point]) -> bool:
-    """True when all the points lie on one facet plane of the polytope."""
-    return any(all(h.slack(p) == 0 for p in points) for h in poly_facets)
+def _incidence(poly_facets: Sequence[Halfspace], point: Point) -> int | None:
+    """The facets of the polytope through the point as a bitmask, bit i for
+    poly_facets[i], from one slack pass; None when the point is outside."""
+    mask = 0
+    for i, h in enumerate(poly_facets):
+        slack = h.slack(point)
+        if slack < 0:
+            return None
+        if not slack:
+            mask |= 1 << i
+    return mask
+
+
+def _on_facet(incidence: dict[Point, int], points: Sequence[Point]) -> bool:
+    """Do the points, each with its `_incidence` mask, lie on one facet plane of the polytope?"""
+    return bool(functools.reduce(and_, map(incidence.__getitem__, points)))
 
 
 class LatticeSimplex:
     """Full-dimensional lattice simplex: d+1 affinely independent points of Z^d.
 
     Vertices are stored sorted; degenerate input is a construction error.
+    One `barycentric_forms` adjugate gives the normalized volume and the
+    forms, which are kept: `facets` is built from them on first read, with
+    no second elimination.
     """
 
     def __init__(self, vertices: Iterable):
@@ -56,19 +73,22 @@ class LatticeSimplex:
         d = len(pts[0])
         if len(pts) != d + 1:
             raise ValueError(f"a simplex in Z^{d} needs {d + 1} distinct vertices, got {len(pts)}")
-        det = linalg.det_int(edge_rows(pts))
-        if det == 0:
+        volume, forms = barycentric_forms(pts)
+        if not volume:
             raise ValueError("degenerate simplex: vertices are affinely dependent")
         self.vertices: tuple[Point, ...] = tuple(pts)
         self.dim = d
-        self.normalized_volume = abs(det)
+        self.normalized_volume = volume
+        self._forms = forms
         self._hash = hash(self.vertices)
 
     @classmethod
     def _canonical(cls, vertices: tuple, normalized_volume: int) -> "LatticeSimplex":
-        """The simplex of vertices, a tuple that as_points returns unchanged, of known normalized volume."""
+        """The simplex of vertices, a tuple that as_points returns unchanged, of known normalized
+        volume; its forms are computed by the first read of `facets`."""
         self = cls.__new__(cls)
         self.vertices, self.dim, self.normalized_volume = vertices, len(vertices) - 1, normalized_volume
+        self._forms = None
         self._hash = hash(vertices)
         return self
 
@@ -89,7 +109,7 @@ class LatticeSimplex:
     @functools.cached_property
     def facets(self) -> tuple[Halfspace, ...]:
         """The d+1 facet halfspaces, oriented to contain the simplex; facet i, of barycentric form i, omits vertex i."""
-        return tuple(map(form_plane, barycentric_forms(self.vertices)[1]))
+        return tuple(map(form_plane, self._forms or barycentric_forms(self.vertices)[1]))
 
     def facet_vertex_sets(self) -> tuple[tuple[Point, ...], ...]:
         """Vertex tuples of the d+1 facets, each sorted; facet i omits vertex i."""
@@ -349,12 +369,13 @@ def _opposite(s: LatticeSimplex, omit: int, t: LatticeSimplex, t_omit: int) -> b
     return s.facets[omit].slack(t.vertices[t_omit]) < 0
 
 
-def _facets_matched(simplices: Sequence[LatticeSimplex], poly_facets: Sequence[Halfspace]) -> bool:
+def _facets_matched(simplices: Sequence[LatticeSimplex], incidence: dict[Point, int]) -> bool:
     """True when each facet (a vertex tuple) with one owner lies on a facet
-    plane of the polytope and each other facet has two owners whose apexes
-    lie strictly on opposite sides of it."""
+    plane of the polytope (its vertices' `_incidence` masks share a bit) and
+    each other facet has two owners whose apexes lie strictly on opposite
+    sides of it."""
     for fkey, owned in _facet_owners(simplices).items():
-        if len(owned) > 2 or (len(owned) == 1 and not _on_boundary(poly_facets, fkey)):
+        if len(owned) > 2 or (len(owned) == 1 and not _on_facet(incidence, fkey)):
             return False
         if len(owned) == 2 and not _opposite(*owned[0], *owned[1]):
             return False
@@ -368,6 +389,12 @@ def validate_triangulation(tri: Triangulation) -> TriangulationReport:
     summing to vol(P); pairwise disjoint interiors; pairwise face-to-face
     intersections. All failures are reported, none raise. Only the simplices
     of normalized volume other than 1 are scanned for the elementary flag.
+
+    Each distinct vertex gets one slack pass against P's facets, its
+    `_incidence`: it is inside P when no slack is negative, and the facets
+    at slack 0 form its bitmask, so a facet of the simplices lies on P's
+    boundary when the masks of its vertices share a bit. The covered volume
+    is one Fraction, the summed normalized volumes over d!.
 
     When the first three checks pass, the facet-adjacency pass of
     `_facets_matched` settles the other two in integer arithmetic, linear
@@ -403,9 +430,10 @@ def validate_triangulation(tri: Triangulation) -> TriangulationReport:
     if not poly.is_full_dimensional:
         return TriangulationReport(False, False, False, Fraction(0), ("polytope is not full-dimensional",))
 
-    inside = {v: poly.contains(v) for v in {v for s in simplices for v in s.vertices}}
+    facets = poly.facets
+    incidence = {v: _incidence(facets, v) for v in {v for s in simplices for v in s.vertices}}
     for idx, s in enumerate(simplices):
-        outside = next((v for v in s.vertices if not inside[v]), None)
+        outside = next((v for v in s.vertices if incidence[v] is None), None)
         if outside is not None:
             problems.append(f"simplex {idx} has vertex {outside} outside the polytope")
 
@@ -418,12 +446,12 @@ def validate_triangulation(tri: Triangulation) -> TriangulationReport:
             seen[s.vertices] = idx
             distinct.append(s)
 
-    covered = sum((s.volume() for s in distinct), Fraction(0))
+    covered = Fraction(sum(s.normalized_volume for s in distinct), factorial(poly.dim))
     target = poly.volume()
     if covered != target:
         problems.append(f"covered volume {covered} != polytope volume {target}")
 
-    if problems or not _facets_matched(simplices, poly.facets):
+    if problems or not _facets_matched(simplices, incidence):
         clean = not problems
         for i, j in itertools.combinations(range(len(simplices)), 2):
             problem = _pair_problem(simplices[i], simplices[j])
@@ -487,6 +515,15 @@ def search_primitive_triangulation(
     negative beyond F. A search stopped by the budget reports nodes ==
     budget. Deterministic; exhaustion proves that no primitive triangulation
     exists.
+
+    A branch is not pair-tested against s, the owner of the facet it is
+    built across, which the stack entry keeps: t = F + (q,) meets s in
+    exactly F. s lies in h's halfspace, where its apex has slack 1 and F
+    slack 0, and t on the far side, where q has slack -1; so s ∩ t lies in
+    h's plane, which meets s and t each in F alone. The pair test would
+    always pass, and since it passes, skipping it changes neither which
+    branch is taken nor where `all` stops. A facet is on P's boundary when
+    the `_incidence` masks of its points share a bit.
     """
     if not poly.is_full_dimensional:
         raise ValueError("search requires a full-dimensional polytope")
@@ -507,16 +544,17 @@ def search_primitive_triangulation(
     def beyond(fkey: tuple[Point, ...], plane: Halfspace) -> list[LatticeSimplex]:
         return [unit(tuple(sorted(fkey + (q,)))) for q in points if plane.slack(q) == -1]
 
-    on_boundary = functools.cache(functools.partial(_on_boundary, poly.facets))
+    facets = poly.facets
+    incidence = {p: _incidence(facets, p) for p in points}
     face_to_face = functools.cache(simplices_face_to_face)
 
     # combinations of the sorted points come in lex order of their vertex tuples
     through_v0 = ((points[0], *c) for c in itertools.combinations(points[1:], d))
     root = (unit(c) for c in through_v0 if abs(linalg.det_int(edge_rows(c))) == 1)
-    stack = [(root, (), {})]  # (branches left, complex, its open facets) per node
+    stack = [(root, (), {}, None)]  # (branches left, complex, its open facets, their facet's owner) per node
     nodes = 0
     while stack:
-        branches, chosen, open_facets = stack[-1]
+        branches, chosen, open_facets, owner = stack[-1]
         t = next(branches, None)
         if t is None:
             stack.pop()
@@ -524,19 +562,19 @@ def search_primitive_triangulation(
         if nodes >= budget:
             return SearchResult(None, False, nodes)
         nodes += 1
-        if not all(face_to_face(u, t) for u in chosen):
+        if not all(face_to_face(u, t) for u in chosen if u is not owner):
             continue
         chosen += (t,)
         if len(chosen) == target:
             break
         grown = dict(open_facets)
         for omit, fkey in enumerate(t.facet_vertex_sets()):
-            if grown.pop(fkey, None) is None and not on_boundary(fkey):
+            if grown.pop(fkey, None) is None and not _on_facet(incidence, fkey):
                 grown[fkey] = (t, omit)
         if grown:  # else a closed complex below target volume: a dead end
             fkey = min(grown)
             s, omit = grown[fkey]
-            stack.append((iter(beyond(fkey, s.facets[omit])), chosen, grown))
+            stack.append((iter(beyond(fkey, s.facets[omit])), chosen, grown, s))
     else:
         return SearchResult(None, True, nodes)
     result = Triangulation(poly, chosen)

@@ -21,8 +21,10 @@ folding minkowski_sum, triangulations by an exact LP and an intersection-vertex 
 over Fractions instead of the integer adjugate, report text by
 building the report's plain JSON data first for the standard library to write,
 the primitive-triangulation search by recursion over the complex's facet
-owner lists instead of one loop over a stack of open facets, and report
-records by the frozen dataclass of their fields.
+owner lists instead of one loop over a stack of open facets, with every pair
+tested, a branch against its facet's owner too, a facet on the polytope's
+boundary by its slacks on every facet instead of facet incidence bitmasks, and
+report records by the frozen dataclass of their fields.
 """
 
 import functools
@@ -566,12 +568,21 @@ class _Budget(Exception):
     pass
 
 
-def recursive_search(poly: LatticePolytope, budget: int, point_cap: int) -> SearchResult:
+def on_boundary(poly_facets, points) -> bool:
+    """True when all the points lie on one facet plane of the polytope, by their
+    slacks on every facet instead of facet incidence masks."""
+    return any(all(h.slack(p) == 0 for p in points) for h in poly_facets)
+
+
+def recursive_search(poly: LatticePolytope, budget: int, point_cap: int, owner_pairs=None) -> SearchResult:
     """search_primitive_triangulation as a recursion: each call completes a
     complex from the owner lists of all its facets, rescanned for the open ones
-    (one owner, not on P's boundary) and copied with the new simplex's facets at
-    every step; a budget stop unwinds by an exception. Same candidates, branch
-    order, node count and pair tests; the found triangulation is not validated."""
+    (one owner, not on P's boundary by `on_boundary`) and copied with the new
+    simplex's facets at every step; a budget stop unwinds by an exception. Same
+    candidates, branch order and node count. Each branch is pair-tested against
+    every chosen simplex, its facet's owner too, which the library skips; when
+    owner_pairs is a set, (owner, branch) is added to it for every branch taken
+    across an owner's facet. The found triangulation is not validated."""
     points = poly.integer_points(1).points
     if len(points) > point_cap:
         raise ResourceLimitError(f"polytope has {len(points)} lattice points, point cap is {point_cap}")
@@ -580,7 +591,7 @@ def recursive_search(poly: LatticePolytope, budget: int, point_cap: int) -> Sear
     combs = itertools.combinations(points, d + 1)
     candidates = [LatticeSimplex(c) for c in combs if abs(linalg.det_int(edge_rows(c))) == 1]
     by_facet = triangulation._facet_owners(candidates)
-    on_boundary = functools.cache(functools.partial(triangulation._on_boundary, poly.facets))
+    boundary = functools.cache(functools.partial(on_boundary, poly.facets))
     face_to_face = functools.cache(triangulation.simplices_face_to_face)
     nodes = 0
 
@@ -589,7 +600,7 @@ def recursive_search(poly: LatticePolytope, budget: int, point_cap: int) -> Sear
         if len(chosen) == target:
             return Triangulation(poly, chosen)
         if chosen:
-            open_facets = [f for f, owned in owners.items() if len(owned) == 1 and not on_boundary(f)]
+            open_facets = [f for f, owned in owners.items() if len(owned) == 1 and not boundary(f)]
             if not open_facets:
                 return None
             fkey = min(open_facets)
@@ -601,6 +612,8 @@ def recursive_search(poly: LatticePolytope, budget: int, point_cap: int) -> Sear
             if nodes >= budget:
                 raise _Budget
             nodes += 1
+            if chosen and owner_pairs is not None:
+                owner_pairs.add((s, t))
             if all(face_to_face(u, t) for u in chosen):
                 grown = {f: owners.get(f, []) + owned for f, owned in triangulation._facet_owners([t]).items()}
                 result = extend(chosen + (t,), {**owners, **grown})

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from latmink import cli, geometry, groups, minkowski
+from latmink import cli, geometry, groups, minkowski, serialize
 from latmink.cli import build_parser, main
 
 from conftest import fresh_env
@@ -146,6 +146,9 @@ class TestCheckEquality:
         assert code == 2
 
 
+CROSS_3D = [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [0, 0, 1], [0, 1, 0], [1, 0, 0]]  # canonical order
+
+
 class TestDecompose:
     def test_cube_with_searched_triangulation(self, capsys):
         code, doc, _ = run_json(capsys, "decompose", "unit-cube.json", "2", "1,1,2")
@@ -190,6 +193,66 @@ class TestDecompose:
     def test_point_outside(self, capsys):
         code, _, err = run(capsys, "decompose", "unit-cube.json", "2", "5,0,0")
         assert code == 2
+
+    def test_simplex_vertex_outside_the_polytope(self, capsys, tmp_path):
+        # simplex 0 is unimodular and holds (3, 2)/4, but its vertex (2, 1) is not in
+        # the square: no summands are printed, and the vertex is named
+        square = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]}
+        (tmp_path / "sq.json").write_text(json.dumps(square))
+        simplices = [[[0, 0], [1, 1], [2, 1]], [[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 1], [1, 1]]]
+        (tmp_path / "tri.json").write_text(json.dumps({"polytope": square, "simplices": simplices}))
+        argv = ["decompose", str(tmp_path / "sq.json"), "4", "3,2", "--triangulation", str(tmp_path / "tri.json")]
+        err = "error: simplex 0 has vertex (2, 1) outside the polytope; invalid triangulation\n"
+        assert run(capsys, *argv) == (2, "", err)
+        code, doc, _ = run_json(capsys, "validate-triangulation", str(tmp_path / "tri.json"))
+        assert code == 0 and "simplex 0 has vertex (2, 1) outside the polytope" in doc["result"]["problems"]
+
+    @pytest.mark.parametrize(
+        "polytope, hulls",
+        [
+            ({"dim": 3, "vertices": CROSS_3D}, 1),
+            ({"vertices": CROSS_3D}, 1),
+            ({"dim": 3, "vertices": CROSS_3D[::-1]}, 2),
+            ({"dim": 3, "vertices": CROSS_3D + [CROSS_3D[0]]}, 2),
+            ({"dim": 3, "vertices": CROSS_3D + [[0, 0, 0]]}, 2),
+            ({"dim": None, "vertices": CROSS_3D}, 2),
+        ],
+    )
+    def test_triangulation_document_of_the_same_polytope(self, capsys, tmp_path, monkeypatch, polytope, hulls):
+        # a document listing cross-3d's canonical vertices reuses the loaded polytope;
+        # any other listing is hulled again, and the report is the same
+        code, doc, _ = run_json(capsys, "search-primitive", "cross-3d")
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps(dict(doc["result"]["triangulation"], polytope=polytope)))
+        expected = run(capsys, "decompose", "cross-3d", "2", "1,-1,0")
+        count = []
+        real = geometry.LatticePolytope.__init__
+        monkeypatch.setattr(geometry.LatticePolytope, "__init__", lambda self, pts: count.append(1) or real(self, pts))
+        assert run(capsys, "decompose", "cross-3d", "2", "1,-1,0", "--triangulation", str(path)) == expected
+        assert len(count) == hulls
+
+    @pytest.mark.parametrize(
+        "polytope",
+        [
+            {"dim": 2, "vertices": CROSS_3D},
+            {"dim": "3", "vertices": CROSS_3D},
+            {"dim": True, "vertices": CROSS_3D},
+            {"dim": 3, "vertices": [[-1, 0, False]] + CROSS_3D[1:]},
+            {"dim": 3, "vertices": CROSS_3D[:-1]},
+        ],
+    )
+    def test_triangulation_document_rejected_as_before(self, capsys, tmp_path, polytope):
+        # a listing that parse_polytope rejects (its message, under the file's name), or
+        # one of another polytope, is not reused: [-1, 0, False] == [-1, 0, 0] in Python
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps({"polytope": polytope, "simplices": [[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]]}))
+        try:
+            serialize.parse_polytope(polytope)
+            expected = "triangulation file describes a different polytope"
+        except ValueError as exc:
+            expected = f"{geometry.quoted_prefix(str(path))}: {exc}"
+        code, out, err = run(capsys, "decompose", "cross-3d", "2", "1,-1,0", "--triangulation", str(path))
+        assert (code, out, err) == (2, "", f"error: {expected}\n")
 
     def test_no_primitive_triangulation(self, capsys):
         code, _, err = run(capsys, "decompose", "sigma-3-2.json", "1", "0,0,0")

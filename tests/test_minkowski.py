@@ -311,6 +311,23 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(unit_square, tri, 2, (3, 0))
 
+    def test_simplex_vertex_outside_the_polytope_rejected(self, unit_square):
+        # the first simplex is unimodular and holds (3, 2)/4, but its vertex (2, 1) is
+        # not in P: a decomposition through it would print a false witness
+        tri = Triangulation(
+            unit_square,
+            (
+                LatticeSimplex([(0, 0), (1, 1), (2, 1)]),
+                LatticeSimplex([(0, 0), (1, 0), (1, 1)]),
+                LatticeSimplex([(0, 0), (0, 1), (1, 1)]),
+            ),
+        )
+        message = "simplex 0 has vertex (2, 1) outside the polytope; invalid triangulation"
+        with pytest.raises(ValueError) as info:
+            decompose(unit_square, tri, 4, (3, 2))
+        assert str(info.value) == message
+        assert decompose(unit_square, tri, 4, (3, 1)).summands == ((0, 0), (1, 0), (1, 0), (1, 1))
+
     def test_non_primitive_triangulation_rejected(self):
         p = LatticePolytope(sigma(3, 2).vertices)
         tri = Triangulation(p, (LatticeSimplex(p.vertices),))

@@ -104,6 +104,47 @@ class TestTriangulationFormat:
         with pytest.raises(ValueError):
             serialize.parse_triangulation(doc)
 
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=d + 1, max_size=d + 4)
+        ),
+        st.sampled_from(
+            ["same", "no dim", "null dim", "reversed", "duplicate", "non-vertex", "wrong dim", "str dim",
+             "bool dim", "bool coordinate", "other"]
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_polytope_reuse_matches_a_fresh_parse(self, pts, variant):
+        # the loaded polytope stands in for parse_polytope only where that would rebuild
+        # it: the outcome is the same polytope, or the same ValueError, as a fresh parse,
+        # and it is reused exactly when the document's text lists its canonical vertices
+        poly = LatticePolytope(pts)
+        vertices = [list(v) for v in poly.vertices]
+        extra = [list(p) for p in poly.integer_points(1) if p not in poly.vertices]
+        listed = {
+            "reversed": vertices[::-1],
+            "duplicate": vertices + [vertices[-1]],
+            "non-vertex": vertices + extra[:1],
+            "bool coordinate": [[c or False for c in v] for v in vertices],
+            "other": vertices[:-1],
+        }.get(variant, vertices)
+        dim = {"wrong dim": poly.dim + 1, "str dim": str(poly.dim), "bool dim": True, "null dim": None}.get(variant, poly.dim)
+        polytope = {"vertices": listed} if variant == "no dim" else {"dim": dim, "vertices": listed}
+        unit = [[0] * poly.dim] + [[int(i == j) for j in range(poly.dim)] for i in range(poly.dim)]
+        doc = {"polytope": polytope, "simplices": [unit]}
+
+        def outcome(*args):
+            try:
+                tri = serialize.parse_triangulation(doc, *args)
+            except ValueError as exc:
+                return str(exc), False
+            return (tri.polytope, tri.simplices), tri.polytope is poly
+
+        (fresh, _), (reused, same_object) = outcome(), outcome(poly)
+        assert reused == fresh
+        canonical = json.dumps({"dim": poly.dim, "vertices": vertices})
+        assert same_object == (json.dumps({"dim": poly.dim, **polytope}) == canonical)
+
 
 class TestGroupFormat:
     def test_zd_round_trip(self):

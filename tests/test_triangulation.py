@@ -41,7 +41,7 @@ from latmink import (
     unimodular_criteria,
     validate_triangulation,
 )
-from latmink.geometry import edge_rows
+from latmink.geometry import barycentric_forms, edge_rows, form_plane
 from latmink.triangulation import relative_interiors_intersect
 from latmink.verify import orthant_fan, symmetric_example_polytope
 
@@ -92,6 +92,49 @@ class TestLatticeSimplex:
         for h in s.facets:
             assert all(h.slack(v) >= 0 for v in s.vertices)
             assert sum(1 for v in s.vertices if h.slack(v) == 0) == 3
+
+
+class TestOneAdjugatePerSimplex:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=d + 1, max_size=d + 1, unique=True)
+        )
+    )
+    @example([(0, 0), (1, 1), (2, 2)])
+    @example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    @settings(max_examples=200, deadline=None)
+    def test_volume_and_facets_match_det_and_fresh_forms(self, pts):
+        det = linalg.det_int(edge_rows(pts))
+        if det == 0:
+            with pytest.raises(ValueError, match="degenerate simplex"):
+                LatticeSimplex(pts)
+            return
+        s = LatticeSimplex(pts)
+        expected = tuple(map(form_plane, barycentric_forms(s.vertices)[1]))
+        assert (s.normalized_volume, s.facets) == (abs(det), expected)
+        assert LatticeSimplex._canonical(s.vertices, s.normalized_volume).facets == expected
+
+
+class TestFacetIncidence:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=d + 1, max_size=d + 4)
+        ),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_masks_match_slacks_on_every_facet(self, pts, data):
+        poly = LatticePolytope(pts)
+        assume(poly.is_full_dimensional)
+        d = poly.dim
+        for p in itertools.product(range(-1, 4), repeat=d):
+            assert (triangulation._incidence(poly.facets, p) is not None) == poly.contains(p)
+        omega = poly.integer_points(1).points
+        incidence = {p: triangulation._incidence(poly.facets, p) for p in omega}
+        for _ in range(12):
+            k = data.draw(st.integers(1, d + 1))
+            points = data.draw(st.lists(st.sampled_from(omega), min_size=k, max_size=k))
+            assert triangulation._on_facet(incidence, points) == conftest.on_boundary(poly.facets, points)
 
 
 class TestIsUnimodular:
@@ -971,7 +1014,8 @@ class TestSearch:
 
     def test_pinned_intersection_vertex_solves(self, monkeypatch):
         # the integer certificate of _separated settles all but 32 of this
-        # search's 1,128 pair tests; a certificate change that sends more
+        # search's 1,081 pair tests (none of a branch against its facet's
+        # owner); a certificate change that sends more
         # pairs to the Cramer solves of _intersection_vertices shows here
         counts = {"_pair_problem": 0, "_intersection_vertices": 0}
         for name in counts:
@@ -981,7 +1025,24 @@ class TestSearch:
 
             monkeypatch.setattr(triangulation, name, counted)
         result = search_primitive_triangulation(cube(3, 0, 2), point_cap=40)
-        assert (result.nodes, counts) == (48, {"_pair_problem": 1128, "_intersection_vertices": 32})
+        assert (result.nodes, counts) == (48, {"_pair_problem": 1081, "_intersection_vertices": 32})
+
+    @pytest.mark.parametrize("poly, dropped", [(cube(3), 5), (cross_polytope(3), 7), (cube(3, 0, 2), 47)])
+    def test_no_branch_is_pair_tested_against_its_owner(self, monkeypatch, poly, dropped):
+        # the recursive oracle tests each branch against every chosen simplex; the
+        # search makes the same tests less those of a branch against the owner of
+        # the facet it is built across, which a pair reached only that way never gets
+        tested = []
+        real = triangulation.simplices_face_to_face
+        monkeypatch.setattr(triangulation, "simplices_face_to_face", lambda a, b: tested.append((a, b)) or real(a, b))
+        found = search_primitive_triangulation(poly, point_cap=40)
+        library, owner_pairs = set(tested), set()
+        tested.clear()
+        oracle = conftest.recursive_search(poly, found.nodes, 40, owner_pairs)
+        assert oracle.nodes == found.nodes
+        assert library <= set(tested)
+        assert set(tested) - library <= owner_pairs
+        assert len(set(tested) - library) == dropped
 
     def test_pinned_determinants(self, monkeypatch):
         # 12 for the volume's cones, read once by the search and its validation,

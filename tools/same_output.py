@@ -51,6 +51,15 @@ and, in a temporary work directory of its own, runs every command of this list:
   times each vertex and at the floor of n times the vertex centroid (a point
   of nP's interior), as JSON and with `--pretty`, so that the integrality
   tests of both are compared;
+- `decompose` at n = 2 on `cube(3, 0, 2)` and `cross-3d`, written into the
+  work directory, through their searched triangulation under polytope
+  documents that list the canonical vertices, permuted, with a duplicate,
+  with a lattice point that is not a vertex, without `"dim"`, with a wrong,
+  a string and a boolean `"dim"`, and as another polytope, so that a loaded
+  polytope reused for the document is compared against a fresh parse;
+  `validate-triangulation` on the drop, duplicate and outside mutations of
+  those triangulations; and `decompose` through a triangulation of the unit
+  square with a unimodular simplex outside it, as JSON and with `--pretty`;
 - deeper searches, written into the work directory: `search-primitive` on
   Q27 (ROADMAP item 4's 27-point polytope) stopped mid-depth by budgets 200
   and 2,000, on `cube(3, 0, 2)` (found in 48 nodes) and on the segment
@@ -388,6 +397,69 @@ def _decompose_commands(data: Path):
     return commands + [["--pretty", *argv] for argv in commands]
 
 
+# Polytopes whose searched triangulation decompose reads back from documents that
+# list the polytope in other ways: (canonical vertices, a lattice point that is not
+# a vertex, targets in the 2-fold dilation).
+REUSE_POLYTOPES = {
+    "cube-3-0-2": ([list(v) for v in itertools.product((0, 2), repeat=3)], [1, 1, 1], ["4,4,4", "1,2,3"]),
+    "cross-3d": (sorted([s * int(i == j) for j in range(3)] for i in range(3) for s in (1, -1)), [0, 0, 0], ["2,0,0", "1,-1,0"]),
+}
+# The triangulation of the unit square that put (2, 1) in a decomposition, a false witness.
+FALSE_WITNESS = {
+    "polytope": {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1], [1, 1]]},
+    "simplices": [[[0, 0], [1, 1], [2, 1]], [[0, 0], [1, 0], [1, 1]], [[0, 0], [0, 1], [1, 1]]],
+}
+
+
+def _listings(vertices, inner):
+    """Polytope documents of the canonical vertices: the same listing, and others that a
+    reused polytope must not stand in for (only "same" and "no-dim" list them exactly)."""
+    d = len(vertices[0])
+    return {
+        "same": {"dim": d, "vertices": vertices},
+        "permuted": {"dim": d, "vertices": vertices[::-1]},
+        "duplicate": {"dim": d, "vertices": vertices + vertices[:1]},
+        "non-vertex": {"dim": d, "vertices": vertices + [inner]},
+        "no-dim": {"vertices": vertices},
+        "wrong-dim": {"dim": d + 1, "vertices": vertices},
+        "str-dim": {"dim": str(d), "vertices": vertices},
+        "bool-dim": {"dim": True, "vertices": vertices},
+        "other": {"dim": d, "vertices": vertices[:-1]},
+    }
+
+
+def _triangulation_document_commands(work: Path, mutate):
+    """Write each REUSE_POLYTOPES polytope and FALSE_WITNESS into work and return
+    (argv, after) pairs: search-primitive on the polytope, whose after writes its
+    triangulation under every `_listings` polytope document and its drop, duplicate
+    and outside mutations (by `mutate`, the benchmark's own); then decompose at
+    n = 2 through each document, validate-triangulation on each mutation and
+    decompose through FALSE_WITNESS, JSON first, then --pretty."""
+    searches, commands = [], []
+    for name, (vertices, inner, points) in REUSE_POLYTOPES.items():
+        path = f"reuse-{name}.json"
+        (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+
+        def write(text, name=name, vertices=vertices, inner=inner):
+            simplices = json.loads(text)["result"]["triangulation"]["simplices"]
+            for variant, polytope in _listings(vertices, inner).items():
+                doc = {"polytope": polytope, "simplices": simplices}
+                (work / f"reuse-{name}-{variant}.json").write_text(json.dumps(doc))
+            for kind in ("drop", "duplicate", "outside"):
+                doc = {"polytope": _listings(vertices, inner)["same"], "simplices": mutate(simplices, kind, 0)}
+                (work / f"reuse-{name}-{kind}-mutation.json").write_text(json.dumps(doc))
+
+        searches.append((["search-primitive", path, "--point-cap", "40"], write))
+        for variant in _listings(vertices, inner):
+            for point in points:
+                commands.append(["decompose", path, "2", point, "--triangulation", f"reuse-{name}-{variant}.json"])
+        commands += [["validate-triangulation", f"reuse-{name}-{kind}-mutation.json"] for kind in ("drop", "duplicate", "outside")]
+    (work / "false-witness-square.json").write_text(json.dumps(FALSE_WITNESS["polytope"]))
+    (work / "false-witness.json").write_text(json.dumps(FALSE_WITNESS))
+    commands.append(["decompose", "false-witness-square.json", "4", "3,2", "--triangulation", "false-witness.json"])
+    return searches + [(argv, None) for argv in commands + [["--pretty", *argv] for argv in commands]]
+
+
 def _orthant_fan_4d():
     """The orthant fan of the 4-D cross-polytope as `verify.orthant_fan(4)` builds it,
     as a triangulation document."""
@@ -499,6 +571,8 @@ def digests(root: Path) -> list:
             run(argv)
         for argv in _inverse_commands(Path(tmp)):
             run(argv)
+        for argv, after in _triangulation_document_commands(Path(tmp), workloads._mutate):
+            run(argv, after)
         for argv in _deep_search_commands(Path(tmp)) + _seeded_search_commands(Path(tmp)) + _boundary_commands(Path(tmp)):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
