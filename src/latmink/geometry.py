@@ -10,10 +10,10 @@ the pass starts from a simplex of extreme points (the lex-max point, then
 the lex-first points of least and greatest value in each coordinate), which
 spans much of the cloud, so few faces are made only to be discarded. A
 point is a vertex when it is the only corner of the boundary on all of its
-facets. A lower-dimensional polytope is hulled in coordinates onto which its
-affine hull projects bijectively. All queries -- membership, integer point
-enumeration, volume -- are exact: coordinates are Python ints and derived
-scalars are fractions.Fraction.
+facets. A lower-dimensional polytope P is hulled and scanned in its own
+lattice (aff P - v0) & Z^d, where all its lattice points lie. All queries --
+membership, integer point enumeration, volume -- are exact: coordinates are
+Python ints and derived scalars are fractions.Fraction.
 
 Integer points are listed line by line along the last scanned coordinate. With
 three or more coordinates, only the lines through the polytope's shadow, its
@@ -120,7 +120,7 @@ def edge_rows(points: Sequence[Point]) -> list[list[int]]:
 
 class Halfspace(NamedTuple):
     """The halfspace {y : <normal, y> <= offset}, normal a primitive integer vector;
-    the one plane type, a facet or (at slack 0) an equation of an affine hull."""
+    the one plane type, a facet."""
 
     normal: Point
     offset: int
@@ -155,9 +155,7 @@ def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
     they have full rank. The candidates come in this order: for each coordinate
     the lex-first point of least and the lex-first point of greatest value (each
     the lex-least point of a face, so a vertex), then every other point in lex
-    order. The pivot columns of the echelon, on which the affine hull projects
-    bijectively, do not depend on the points chosen: they are the leading
-    columns of the hull's direction space, a set fixed by that space alone.
+    order. The echelon's rows span the hull's direction space.
     """
     last, base = len(points) - 1, points[-1]
     columns = list(zip(*points))
@@ -169,6 +167,17 @@ def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
         if echelon.add(list(map(sub, points[i], base))):
             frame.append(i)
     return sorted(frame), echelon
+
+
+def _in_frame(x: Iterable, origin: Point, basis: Sequence[Sequence[int]], div=floordiv) -> list | None:
+    """The y with x = origin + yB, B the echelon rows of basis, read off B's pivot columns row by row,
+    div dividing by each pivot (floordiv on the lattice, else Fraction); None if there is none."""
+    r, y = list(map(sub, x, origin)), []
+    for row in basis:
+        pivot = next(j for j, a in enumerate(row) if a)
+        y.append(div(r[pivot], row[pivot]))
+        r = [a - y[-1] * b for a, b in zip(r, row)]
+    return None if any(r) else y
 
 
 class _Face:
@@ -402,35 +411,30 @@ class LatticePolytope:
     Construction canonicalizes: duplicates and non-vertex points are dropped
     and the surviving vertices are kept in lexicographic order. One exact
     beneath-beyond hull pass finds the vertices and the facet inequalities
-    together. A lower-dimensional polytope is hulled in the coordinates
-    `_cols`, onto which its affine hull projects bijectively: `_planes` are
-    the facets of that projection, and `_equations` hold an (i, Halfspace)
-    for each other coordinate i, an equation of the affine hull (slack 0 on
-    it) giving x_i from the `_cols` coordinates; a full-dimensional polytope
-    has none. The hull's boundary simplices are kept as (point tuple, plane)
-    pairs in the `_cols` coordinates (`_faces`): `fan_simplices` and `volume`
-    read them, and a scan of k >= 3 coordinates reads its `_shadow` off them.
+    together. A P of affine dimension k < d is hulled and scanned as Q =
+    (P - v0) B^-1 in Z^k, v0 its lex-least vertex `_origin` and B (`_basis`)
+    the HNF basis of (aff P - v0) & Z^d, k rows in echelon form with positive
+    pivots: the integer kernel of the integer kernel of the frame's edge rows.
+    A full-dimensional P has B = None and Q = P. `_planes` are Q's facets,
+    `_corners` its vertices and `_faces` its boundary simplices as (point
+    tuple, plane) pairs: `fan_simplices` and `volume` read them, and a scan
+    of k >= 3 coordinates reads its `_shadow` off them.
     """
 
     def __init__(self, points: Iterable):
         pts = as_points(points)
         self.dim = d = len(pts[0])
         simplex, echelon = _affine_frame(pts)
-        k = len(simplex) - 1
-        self.affine_dim = k
-        self._cols = cols = tuple(sorted(echelon.pivots))
-        work = pts if k == d else [tuple(p[c] for c in cols) for p in pts]
+        self.affine_dim = k = len(simplex) - 1
+        self._origin = pts[0]
+        self._basis = None if k == d else linalg.integer_kernel(linalg.integer_kernel(echelon.rows, d), d)
+        work = pts if k == d else [tuple(_in_frame(p, pts[0], self._basis)) for p in pts]
         vol, forms = barycentric_forms([work[i] for i in simplex])
         if not vol:
             raise RuntimeError("internal inconsistency: the affine frame's determinant is zero")
-        equations = []
-        for i in (i for i in range(d) if i not in cols):  # vol x_i = sum_j <f_j, (x on cols, 1)> p_j[i]
-            coeffs = dict(zip(cols, (sum(pts[j][i] * f[c] for j, f in zip(simplex, forms)) for c in range(k))))
-            normal = linalg.primitive_vector([vol if j == i else -coeffs.get(j, 0) for j in range(d)])
-            equations.append((i, Halfspace(normal, dot(normal, pts[0]))))
-        self._equations = tuple(equations)
         found, planes, faces = _beneath_beyond(work, simplex, list(map(form_plane, forms))) if k else ([0], [], [])
         self.vertices: tuple[Point, ...] = tuple(pts[i] for i in found)
+        self._corners = tuple(work[i] for i in found)
         self._planes: tuple[Halfspace, ...] = tuple(planes)
         self._faces = tuple((tuple(work[i] for i in verts), plane) for verts, plane in faces)
 
@@ -446,45 +450,31 @@ class LatticePolytope:
             raise ValueError("facet enumeration requires a full-dimensional polytope")
         return self._planes
 
-    def _lift(self, y: Sequence[int], n: int) -> Point | None:
-        """The point of the affine hull of nP with `_cols` coordinates y, each other
-        coordinate x_i solved from its equation; None if not integral."""
-        x = [0] * self.dim
-        for c, v in zip(self._cols, y):
-            x[c] = v
-        for i, (normal, offset) in self._equations:  # normal is zero at the x_j still unsolved
-            x[i], r = divmod(n * offset - dot(normal, x), normal[i])
-            if r:
-                return None
-        return tuple(x)
-
     def contains(self, point: Iterable, strict: bool = False) -> bool:
         """Exact membership of a rational point.
 
-        The point must have slack 0 on every equation of the affine hull
-        (a full-dimensional polytope has none) and its `_cols` projection
-        (the point itself when full-dimensional) must satisfy every plane.
-        With strict=True this tests membership in the topological interior,
-        which a lower-dimensional polytope does not have.
+        A lower-dimensional polytope first solves the point's coordinates y in
+        its frame (False off the affine hull) and tests y on Q's planes; a
+        full-dimensional one tests the point itself on its facets. With
+        strict=True this tests membership in the topological interior, which
+        a lower-dimensional polytope does not have.
         """
         q = as_rational_point(point)
         if len(q) != self.dim:
             raise ValueError(f"point has dimension {len(q)}, expected {self.dim}")
-        if any(strict or h.slack(q) for _, h in self._equations):
-            return False  # off the affine hull, or an empty interior
-        y = [q[c] for c in self._cols]
-        return all(h.slack(y) > 0 if strict else h.slack(y) >= 0 for h in self._planes)
+        if self._basis is not None and (strict or (q := _in_frame(q, self._origin, self._basis, Fraction)) is None):
+            return False  # an empty interior, or off the affine hull
+        return all(h.slack(q) > 0 if strict else h.slack(q) >= 0 for h in self._planes)
 
     def box(self, n: int) -> tuple[list[int], list[int]]:
-        """The corners of the bounding box of nP over `_cols` (n >= 0), the box
-        integer_points scans."""
-        los = [min(n * v[c] for v in self.vertices) for c in self._cols]
-        his = [max(n * v[c] for v in self.vertices) for c in self._cols]
-        return los, his
+        """The corners of the bounding box of nQ (n >= 0), the box integer_points
+        scans: in the frame's k coordinates, P's own when full-dimensional."""
+        columns = [[n * x for x in column] for column in zip(*self._corners)]
+        return [min(c) for c in columns], [max(c) for c in columns]
 
     @functools.cached_property
     def _shadow(self) -> tuple[tuple[Point, int], ...]:
-        """Planes (a', b') over the first k - 1 `_cols` coordinates (k >= 2) whose
+        """Planes (a', b') over the first k - 1 coordinates of Q (k >= 2) whose
         intersection is the shadow: the projection of the hulled polytope Q along its
         last coordinate, by Fourier-Motzkin elimination over adjacent faces only
         (Ziegler, *Lectures on Polytopes*, GTM 152, Sec. 1.2-1.3). With c_g the last
@@ -523,11 +513,11 @@ class LatticePolytope:
         return tuple(shadow)
 
     def line_runs(self, n: int, cap: int | None = None) -> list[tuple[Point, int, int]]:
-        """The integer points of nP's `_cols` projection (nP's own when full-dimensional;
-        a point has no runs) as `_line_scan`'s runs, which count them before any is
-        built. A scan of k >= 3 coordinates is handed the dilated `_shadow`, so it
-        examines only the lines that meet nP; one of fewer examines every line of
-        the box. Raises as integer_points does."""
+        """The integer points of nQ (nP when full-dimensional; a point has no runs)
+        as `_line_scan`'s runs, which count them before any is built. A scan of
+        k >= 3 coordinates is handed the dilated `_shadow`, so it examines only
+        the lines that meet nQ; one of fewer examines every line of the box.
+        Raises as integer_points does."""
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
         los, his = self.box(n)
@@ -540,20 +530,21 @@ class LatticePolytope:
     def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.
 
-        Scans the bounding box of the dilation line by line (`line_runs`):
-        the dilated facets cut each line to one exact integer interval. A
-        lower-dimensional polytope is scanned in its projection, keeping each
-        point whose `_lift` to the affine hull is integral; at n == 0 the box is
-        the one point 0, and a point's projection is (). Boxes of more than cap
+        Scans the bounding box of nQ line by line (`line_runs`): the dilated
+        facets cut each line to one exact integer interval. A lower-dimensional
+        polytope maps each scanned y to n v0 + yB; at n == 0 the box is the one
+        point 0, and a point's frame is Z^0. Boxes of more than cap
         (DEFAULT_BOX_CAP when None) candidates raise ResourceLimitError before
         any line is scanned.
-        The lifts keep the scan's points distinct and in lex order: the echelon pivots
-        `_cols` lead as many independent directions of the affine hull as its dimension,
-        so they are all its leading columns: two of its points first differ at one of them.
+        The map keeps the scan's lex order: if y and y' first differ at i, the rows
+        of B from the i-th on are zero before B's i-th pivot column and only the i-th
+        is nonzero there, so their images agree before that column and differ there
+        with the sign of y_i - y'_i, the pivot being positive.
         """
-        inside = run_points(self.line_runs(n, cap)) if self._cols else [()]
-        if not self.is_full_dimensional:
-            inside = filter(None, (self._lift(y, n) for y in inside))
+        inside = run_points(self.line_runs(n, cap)) if self.affine_dim else [()]
+        if self._basis is not None:
+            origin, columns = [n * c for c in self._origin], [[row[j] for row in self._basis] for j in range(self.dim)]
+            inside = [tuple(o + dot(y, col) for o, col in zip(origin, columns)) for y in inside]
         return PointSet._canonical(tuple(inside), self.dim)
 
     def dilate(self, n: int) -> "LatticePolytope":

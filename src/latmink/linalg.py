@@ -145,6 +145,15 @@ def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return work[:r]
 
 
+def integer_kernel(rows: Sequence[Sequence[int]], dim: int) -> list[list[int]]:
+    """The HNF basis of {z in Z^dim : <row, z> = 0 for each row} (Cohen, GTM 138, Sec. 2.4.3): the HNF
+    of the rows (column i of rows, e_i) is U [rows^T | I], U unimodular, and its rows with a zero first
+    block have the kernel's HNF basis as second block."""
+    m = len(rows)
+    hnf = hermite_normal_form([[r[i] for r in rows] + [int(i == j) for j in range(dim)] for i in range(dim)])
+    return [row[m:] for row in hnf if not any(row[:m])]
+
+
 def is_identity(matrix: Sequence[Sequence[int]], dim: int) -> bool:
     return [list(row) for row in matrix] == [[int(i == j) for j in range(dim)] for i in range(dim)]
 

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the code paths they check: vertices and
 membership by LP instead of the hull, facets by trying every vertex subset,
 integer points by testing every point of the bounding box (by LP, or against
-every facet) instead of one interval per line, volumes by pyramids over
-brute-force facets, fans by recursing into a fresh hull of every facet instead
+every facet) instead of one interval per line, a lower-dimensional polytope's
+integer points by scanning its projection on echelon pivot columns and lifting
+through its affine hull's equations instead of scanning its own lattice,
+volumes by pyramids over brute-force facets, fans by recursing into a fresh hull of every facet instead
 of reading the hull's boundary, lattice point counts by the Ehrhart polynomial
 interpolated from box scans, determinants by permutation expansion,
 hyperplane normals by d cofactor minors instead of one adjugate, affine
@@ -51,7 +53,8 @@ from latmink import (
     serialize,
     triangulation,
 )
-from latmink.geometry import _affine_frame, _Face, Halfspace, as_point, as_rational_point, dot, edge_rows
+from latmink import geometry
+from latmink.geometry import _affine_frame, _Face, Halfspace, as_point, as_rational_point, barycentric_forms, dot, edge_rows
 from latmink.groups import BallCodec, BoundaryReport
 from latmink.records import Record
 from latmink.triangulation import LatticeSimplex, SearchResult, Triangulation, TriangulationReport
@@ -328,18 +331,23 @@ def brute_force_integer_points(poly: LatticePolytope, n: int) -> PointSet:
 def box_scan_points(poly: LatticePolytope, n: int) -> PointSet:
     """Test every point of the dilation's bounding box against every dilated facet.
 
-    Scans the same projection as `integer_points` (the `_cols` coordinates of
-    a lower-dimensional polytope) and lifts each point found by an exact solve
-    against an edge matrix of its own, from an affine frame of the vertices
-    (not the polytope's equations), keeping integral lifts.
+    A lower-dimensional polytope is scanned in its projection on the pivot
+    columns of an echelon of its edge rows (`lex_first_frame`'s, not the
+    library's frame), against the facets of the hull of its projected
+    vertices, and each point found is lifted by an exact solve against an edge
+    matrix of its own, keeping integral lifts.
     """
     d = poly.dim
-    if n == 0:
-        return PointSet([(0,) * d], d)
-    frame, _ = _affine_frame(poly.vertices)
-    cols, edges = poly._cols, edge_rows([poly.vertices[i] for i in frame])
+    if n == 0 or poly.affine_dim == 0:
+        return PointSet([tuple(n * x for x in poly.vertices[0])], d)
+    frame, echelon = lex_first_frame(poly.vertices)
+    cols, edges = sorted(echelon.pivots), edge_rows([poly.vertices[i] for i in frame])
     ranges = [range(min(n * v[c] for v in poly.vertices), max(n * v[c] for v in poly.vertices) + 1) for c in cols]
-    dilated = [(a, n * b) for a, b in poly._planes]
+    if poly.is_full_dimensional:
+        facets = poly.facets
+    else:
+        facets = LatticePolytope([tuple(v[c] for c in cols) for v in poly.vertices]).facets
+    dilated = [(a, n * b) for a, b in facets]
     inside = [p for p in itertools.product(*ranges) if all(dot(a, p) <= b for a, b in dilated)]
     if poly.is_full_dimensional:
         return PointSet(inside, d)
@@ -351,6 +359,41 @@ def box_scan_points(poly: LatticePolytope, n: int) -> PointSet:
         if all(c.denominator == 1 for c in x):
             found.append(tuple(map(int, x)))
     return PointSet(found, d)
+
+
+def projection_lift_points(poly: LatticePolytope, n: int) -> tuple:
+    """The points of nP in the order the library listed them before its lattice
+    frame: the projection of nP on the pivot columns `cols` of `_affine_frame`'s
+    echelon, onto which its affine hull projects bijectively, is scanned line by
+    line, and each scanned y is lifted by the affine hull's equations, one per
+    other coordinate i, kept when the lift is integral. With f_j the barycentric
+    forms of the frame simplex p_j projected (`barycentric_forms`, of volume
+    vol), vol x_i = sum_j <f_j, (y, 1)> p_j[i]: over its gcd, an equation with a
+    positive x_i term and zeros at the other coordinates off `cols`, so the
+    equations solve the x_i one at a time, each by one exact division."""
+    d, verts = poly.dim, poly.vertices
+    simplex, echelon = _affine_frame(verts)
+    cols = sorted(echelon.pivots)
+    projected = [tuple(v[c] for c in cols) for v in verts]
+    scanned = geometry.run_points(LatticePolytope(projected).line_runs(n)) if cols else [()]
+    vol, forms = barycentric_forms([projected[j] for j in simplex])
+    equations = []
+    for i in (i for i in range(d) if i not in cols):
+        coeffs = dict(zip(cols, (sum(verts[j][i] * f[c] for j, f in zip(simplex, forms)) for c in range(len(cols)))))
+        normal = linalg.primitive_vector([vol if j == i else -coeffs.get(j, 0) for j in range(d)])
+        equations.append((i, normal, dot(normal, verts[0])))
+    found = []
+    for y in scanned:
+        x = [0] * d
+        for c, v in zip(cols, y):
+            x[c] = v
+        for i, normal, offset in equations:  # normal is zero at the x_j still unsolved
+            x[i], r = divmod(n * offset - dot(normal, x), normal[i])
+            if r:
+                break
+        else:
+            found.append(tuple(x))
+    return tuple(found)
 
 
 def ehrhart_polynomial(poly: LatticePolytope) -> tuple:

@@ -346,7 +346,8 @@ class TestHullOracles:
         if run is not None:
             found = _beneath_beyond(*run)[0]
             assert found == scan_beneath_beyond(*run[:2])[0]
-            assert [run[0][i] for i in found] == [tuple(v[c] for c in p._cols) for v in p.vertices]
+            assert [as_points(pts)[i] for i in found] == list(p.vertices)
+            assert [run[0][i] for i in found] == list(p._corners)
 
     def test_segment_in_z3(self):
         seg = LatticePolytope([(0, 0, 0), (8, 8, 8), (4, 4, 4)])
@@ -363,14 +364,17 @@ class TestHullOracles:
 
 def hull_pass(points):
     """The (pts, simplex, start_planes) that LatticePolytope hands to _beneath_beyond,
-    or None for a point; scan_beneath_beyond takes the first two."""
+    the points in its lattice frame, or None for a point; scan_beneath_beyond takes
+    the first two."""
     pts = as_points(points)
     simplex, echelon = _affine_frame(pts)
-    if len(simplex) == 1:
+    k, d = len(simplex) - 1, len(pts[0])
+    if not k:
         return None
-    cols = sorted(echelon.pivots)
-    work = pts if len(cols) == len(pts[0]) else [tuple(p[c] for c in cols) for p in pts]
-    return work, simplex, [form_plane(f) for f in barycentric_forms([work[i] for i in simplex])[1]]
+    if k < d:
+        basis = linalg.integer_kernel(linalg.integer_kernel(echelon.rows, d), d)
+        pts = [tuple(geometry._in_frame(p, pts[0], basis)) for p in pts]
+    return pts, simplex, [form_plane(f) for f in barycentric_forms([pts[i] for i in simplex])[1]]
 
 
 def cross_cloud(seed, d, count):
@@ -452,7 +456,7 @@ class TestBeneathBeyond:
 
     @pytest.mark.parametrize("name", [*HULL_CASES, "point"])
     def test_one_adjugate_per_polytope(self, name):
-        # the frame's one adjugate gives the start planes and the affine hull's equations
+        # the frame's one adjugate gives the start planes
         calls = []
         adjugate = linalg.adjugate
 
@@ -511,7 +515,7 @@ class TestBeneathBeyond:
                 except ResourceLimitError:
                     points.append(None)
             full = p.is_full_dimensional
-            return p.vertices, p._planes, p._cols, p._equations, full and p.volume(), points
+            return p.vertices, p._origin, p._basis, p._corners, p._planes, full and p.volume(), points
 
         extreme = hull(pts)
         with mock.patch.object(geometry, "_affine_frame", conftest.lex_first_frame):
@@ -811,6 +815,7 @@ LOWER_DIMENSIONAL = {
     "triangle in Z^4": [(0, 0, 0, 0), (2, 0, 1, 1), (0, 2, 1, -1)],
     "point in Z^2": [(3, -2)],
 }
+SKEW_TRIANGLE = [(0, 0, 0), (1000, 0, -1), (0, 1000, -1)]  # on x + y + 1000 z = 0
 # Facets whose normal has last coefficient 0 bound no line: the square's and
 # the cube's sides, and the prism's side x + y <= 2, which empties the lines
 # through the prefixes (1, 2), (2, 1) and (2, 2) of its bounding box. The
@@ -848,7 +853,7 @@ class TestLineScan:
     @given(lattice_clouds(min_dim=3, max_directions=2), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
     def test_lifted_output_is_already_canonical(self, pts, n):
-        # segments and polygons in Z^3 and Z^4: the lifts of the scan's points
+        # segments and polygons in Z^3 and Z^4: the images of the frame's points
         # are canonical as they come, so as_points is skipped there too
         p = hull(pts)
         assume(0 < p.affine_dim < p.dim and box_size(p, n) <= 3000)
@@ -858,18 +863,29 @@ class TestLineScan:
         assert got == box_scan_points(p, n)
 
     @given(
-        st.integers(1, 4).flatmap(lambda d: st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=d + 1, max_size=d + 5)),
-        st.integers(0, 2),
+        st.one_of(
+            st.integers(1, 4).flatmap(lambda d: st.lists(st.tuples(*[st.integers(0, 2)] * d), min_size=d + 1, max_size=d + 5)),
+            lattice_clouds(max_dim=5),
+        ),
+        st.integers(0, 3),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_run_lengths_count_the_points(self, pts, n):
-        # the search counts a full-dimensional polytope's points from its
-        # runs, before it builds any
+        # the search counts a full-dimensional polytope's points from its runs,
+        # before it builds any; a lower-dimensional one is scanned in its own
+        # lattice, so none of its runs' points is dropped either
         p = hull(pts)
-        assume(p.is_full_dimensional)
+        assume(p.affine_dim >= 1 and box_size(p, n) <= 3000)
         runs = p.line_runs(n)
         assert sum(hi - lo + 1 for _, lo, hi in runs) == len(p.integer_points(n))
-        assert geometry.run_points(runs) == list(p.integer_points(n).points)
+        if p.is_full_dimensional:
+            assert geometry.run_points(runs) == list(p.integer_points(n).points)
+
+    def test_skew_triangle_scans_its_lattice_only(self):
+        # 501,501 points of the triangle's projection on (x, y), but 1,002 lattice points
+        p = LatticePolytope(SKEW_TRIANGLE)
+        assert sum(hi - lo + 1 for _, lo, hi in p.line_runs(1)) == 1002 == len(p.integer_points(1))
+        assert len(p.integer_points(3)) == 6004
 
     @pytest.mark.parametrize("name", [*LOWER_DIMENSIONAL, *ZERO_LAST_COEFFICIENT])
     def test_named_polytopes(self, name):
@@ -912,7 +928,7 @@ class TestLineScan:
 def lines_examined(p: LatticePolytope, n: int) -> int:
     """The lines `_line_scan` examines for nP: the calls of its inner `scan` at the
     last coordinate, counted by a profile hook."""
-    last, count = len(p._cols) - 1, 0
+    last, count = p.affine_dim - 1, 0
 
     def profile(frame, event, arg):
         nonlocal count
@@ -927,13 +943,13 @@ def lines_examined(p: LatticePolytope, n: int) -> int:
 
 
 class TestShadow:
-    """`LatticePolytope._shadow`, the projection of the scanned polytope along its
-    last coordinate, against the facets of the hull of the projected vertices,
+    """`LatticePolytope._shadow`, the projection of the scanned polytope Q along its
+    last coordinate, against the facets of the hull of Q's projected vertices,
     and the lines the scan then examines."""
 
     @staticmethod
     def check(p: LatticePolytope) -> None:
-        projected = [tuple(v[c] for c in p._cols[:-1]) for v in p.vertices]
+        projected = [v[:-1] for v in p._corners]
         shadow = set(p._shadow)
         assert set(LatticePolytope(projected).facets) <= shadow
         assert all(dot(a, y) <= b for a, b in shadow for y in projected)
@@ -947,8 +963,8 @@ class TestShadow:
 
     @given(solid_clouds(min_dim=4, k=3))
     @settings(max_examples=50, deadline=None)
-    def test_matches_the_projected_hull_in_cols(self, pts):
-        # 3-dimensional polytopes in Z^4 and Z^5: the shadow is in `_cols` coordinates
+    def test_matches_the_projected_hull_in_the_frame(self, pts):
+        # 3-dimensional polytopes in Z^4 and Z^5: the shadow is in the lattice frame's coordinates
         p = hull(pts)
         assume(p.affine_dim == 3)
         self.check(p)
@@ -988,23 +1004,53 @@ class TestShadow:
             assert "_shadow" not in vars(p)
 
 
-class TestHullEquations:
-    """The affine hull of a lower-dimensional polytope as `_equations` from the frame's barycentric forms."""
+class TestLatticeFrame:
+    """A lower-dimensional polytope in its own lattice: the basis B of (aff P - v0) & Z^d,
+    and the points it lists against the projection and lift it replaced."""
 
-    @given(lattice_clouds())
+    @given(lattice_clouds(max_dim=5))
     @settings(max_examples=150, deadline=None)
-    def test_equations_are_primitive_and_hold_every_point(self, pts):
+    def test_basis_is_the_hnf_basis_of_the_lattice(self, pts):
+        # echelon with positive pivots and reduced entries above them (so the HNF of
+        # its lattice, which is unique), of the hull's direction space, and saturated:
+        # its k x k minors have gcd 1
         p = hull(pts)
+        assert p._origin == p.vertices[0]
         if p.is_full_dimensional:
-            assert p._equations == ()
+            assert p._basis is None and p._corners == p.vertices
             return
-        assert [i for i, _ in p._equations] == [i for i in range(p.dim) if i not in p._cols]
-        for i, h in p._equations:
-            assert type(h) is Halfspace
-            assert math.gcd(*h.normal) == 1
-            assert h.normal[i] > 0  # the frame volume over the gcd
-            assert all(a == 0 for j, a in enumerate(h.normal) if j != i and j not in p._cols)
-            assert all(h.slack(x) == 0 for x in pts)
+        basis, k = p._basis, p.affine_dim
+        pivots = [next(j for j, a in enumerate(row) if a) for row in basis]
+        assert len(basis) == k and pivots == sorted(set(pivots))
+        for i, (row, c) in enumerate(zip(basis, pivots)):
+            assert row[c] > 0 and all(0 <= other[c] < row[c] for other in basis[:i])
+        assert conftest.rank(list(basis) + edge_rows(p.vertices)) == k == affine_rank(pts)
+        minors = [linalg.det_int([[row[c] for c in cs] for row in basis]) for cs in itertools.combinations(range(p.dim), k)]
+        assert math.gcd(*minors) == 1
+        for v, y in zip(p.vertices, p._corners):
+            assert tuple(a + sum(t * row[j] for t, row in zip(y, basis)) for j, a in enumerate(p._origin)) == v
+
+    @given(lattice_clouds(max_dim=5, max_directions=4), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_projection_and_lift(self, pts, n):
+        # the same points in the same order: the frame's map keeps the scan's lex order
+        p = hull(pts)
+        assume(not p.is_full_dimensional and box_size(p, n) <= 3000)
+        assert p.integer_points(n).points == conftest.projection_lift_points(p, n)
+
+    @pytest.mark.parametrize("name", [*LOWER_DIMENSIONAL, "skew triangle"])
+    def test_named_polytopes_match_the_projection_and_lift(self, name):
+        p = LatticePolytope({**LOWER_DIMENSIONAL, "skew triangle": [(0, 0, 0), (40, 0, -1), (0, 40, -1)]}[name])
+        for n in range(4):
+            assert p.integer_points(n).points == conftest.projection_lift_points(p, n)
+
+    def test_the_skew_triangle(self):
+        p = LatticePolytope(SKEW_TRIANGLE)
+        assert p._basis == [[1, 999, -1], [0, 1000, -1]]
+        assert p._corners == ((0, 0), (0, 1), (1000, -999))
+        assert p.contains((500, 500, -1)) and not p.contains((500, 501, -1))
+        assert p.contains((Fraction(1, 2), Fraction(1, 2), Fraction(-1, 1000)))
+        assert not p.contains((Fraction(1, 2), Fraction(1, 2), Fraction(-1, 999)))
 
     @pytest.mark.parametrize("name", LOWER_DIMENSIONAL)
     def test_zero_frame_determinant_is_an_internal_inconsistency(self, name):
@@ -1013,8 +1059,74 @@ class TestHullEquations:
                 LatticePolytope(LOWER_DIMENSIONAL[name])
 
 
+def unimodular(rng: random.Random, d: int) -> list[list[int]]:
+    """A seeded U in GL(d, Z): the identity under 2d row operations, each a shear by
+    +-1, a swap of two rows or a sign flip of one."""
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        op = rng.choice(("shear", "swap", "flip")) if d > 1 else "flip"
+        if op == "shear":
+            c = rng.choice((-1, 1))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        elif op == "swap":
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+def invariance_case(seed: int):
+    """A seeded cloud in Z^k (1 <= k <= 4; 2-6 points in [-2, 2]^k, so some are
+    lower-dimensional) and an affine map y -> U[:, :k] y + t into Z^d, k <= d <= 4,
+    U in GL(d, Z): the first k columns of U span a saturated sublattice, so the map
+    is a unimodular map of Z^k onto the lattice points of its image."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 4)
+    d = rng.randint(k, 4)
+    cloud = [tuple(rng.randint(-2, 2) for _ in range(k)) for _ in range(rng.randint(2, 6))]
+    u, t = unimodular(rng, d), tuple(rng.randint(-3, 3) for _ in range(d))
+    assert abs(linalg.det_int(u)) == 1
+    return cloud, [row[:k] for row in u], t, [row[k] for row in u] if k < d else None
+
+
+class TestUnimodularInvariance:
+    """Every answer is invariant under a unimodular affine map: P and its image under
+    y -> U[:, :k] y + t agree on the affine dimension, the vertices, nP's lattice
+    points for n = 0..3 (each the image of one of P's), membership of the images of
+    rational points in and out of P, and for a full-dimensional image of a
+    full-dimensional P, the facet count and the volume. No oracle: P is scanned in
+    its own coordinates and the image, a skewed or lower-dimensional one, in its own
+    lattice frame."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_image_agrees(self, seed):
+        cloud, columns, t, off = invariance_case(seed)
+        p = hull(cloud)
+
+        def image(y, n=1):
+            return tuple(n * c + dot(row, y) for row, c in zip(columns, t))
+
+        q = hull(map(image, cloud))
+        assert (q.dim, q.affine_dim) == (len(t), p.affine_dim)
+        assert q.vertices == tuple(sorted(map(image, p.vertices)))
+        for n in range(4):
+            assert set(q.integer_points(n)) == {image(y, n) for y in p.integer_points(n)}
+        centroid = [Fraction(sum(c), len(p.vertices)) for c in zip(*p.vertices)]
+        probes = [centroid] + [[(a + b) / 2 for a, b in zip(v, centroid)] for v in p.vertices]
+        probes += [[2 * a - b for a, b in zip(v, centroid)] for v in p.vertices]  # outside unless P is a point
+        rng = random.Random(seed)
+        probes += [[Fraction(rng.randint(-9, 9), 4) for _ in centroid] for _ in range(4)]
+        for y in probes:
+            assert q.contains(image(y)) == p.contains(y)
+            if off is not None:  # off the image's affine hull
+                assert not q.contains(tuple(a + Fraction(b, 2) for a, b in zip(image(y), off)))
+        if q.is_full_dimensional and p.is_full_dimensional:
+            assert (len(q.facets), q.volume()) == (len(p.facets), p.volume())
+
+
 # Ehrhart cases: "plane in Z^3" lies on x + y = 2z, so half of the points of
-# its projection have no integral lift; "sigma(3,2) in Z^4" is sigma(3, 2) on
+# its projection on (x, y) are off its lattice; "sigma(3,2) in Z^4" is sigma(3, 2) on
 # x4 = x1 + x2 + x3.
 EHRHART_FULL = {
     "unit triangle": [(0, 0), (1, 0), (0, 1)],

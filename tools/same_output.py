@@ -26,8 +26,17 @@ and, in a temporary work directory of its own, runs every command of this list:
   scans have three or more coordinates, written into the work directory:
   sigma(d, m) for d = 4..6 and m = 2, 3, a 4-D prism with vertical facets and
   a sheared top, and a 3-dimensional polytope in Z^5 (its scan runs in the
-  `_cols` coordinates), as JSON and with `--pretty`, so that scans that skip
-  the lines outside the polytope's shadow are compared too;
+  coordinates of its own lattice), as JSON and with `--pretty`, so that scans
+  that skip the lines outside the polytope's shadow are compared too;
+- `points` at n = 0..3, `minkowski` at 2, `check-equality` over 1..3, and
+  `points` at 3 with `--cap` at the size of the box scanned at n = 3 and at
+  one less, on lower-dimensional polytopes whose projection on leading
+  coordinates is not onto their lattice, written into the work directory:
+  conv{0, (40, 0, -1), (0, 40, -1)}, the segment conv{0, (6, 10, 15)}, a
+  triangle in Z^4 on two skew equations and a pentagon in Z^5, as JSON and
+  with `--pretty`, so that the scan in the polytope's own lattice is compared
+  too (the box is counted in that lattice: its size differs from the box of
+  a projection);
 - `points` at n = 1..2 and `check-equality` over 1..2 on clouds with
   boundary points that are not vertices, written into the work directory:
   2 cross(d) and 2 cube(d) with the midpoints of every two of their vertices
@@ -163,8 +172,8 @@ BOUND_COMMANDS = [
     for value in ("-1", "0", "1")
 ]
 
-# Lower-dimensional polytopes: "plane-3d" lies on x + y = 2z, so half of its
-# lifts are not integral; "sigma-3-2-4d" is sigma(3, 2) on x4 = x1 + x2 + x3,
+# Lower-dimensional polytopes: "plane-3d" lies on x + y = 2z, so half of the
+# points of its projection on (x, y) are off its lattice; "sigma-3-2-4d" is sigma(3, 2) on x4 = x1 + x2 + x3,
 # where check-equality fails at n = 2 with witness (0, 0, 1, 1).
 LOWER_DIMENSIONAL = {
     "segment-2d": [[-2, -4], [4, 8]],
@@ -186,6 +195,16 @@ SHADOW_POLYTOPES = {
     },
     "prism-4d": [[x, y, z, w] for x, y, z in [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)] for w in (0, 1 + x)],
     "solid-3d-in-5d": [[x, y, z, x + y, y - z] for x, y, z in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 2), (1, 1, 1)]],
+}
+
+# Lower-dimensional polytopes whose projection on the leading coordinates of
+# their affine hull is not onto their lattice, with the size of the box their
+# scan at n = 3 runs through: that of nQ, Q the polytope in its lattice frame.
+SKEW_LOWER_DIMENSIONAL = {
+    "skew-triangle-3d": ([[0, 0, 0], [40, 0, -1], [0, 40, -1]], 14641),
+    "segment-3d": ([[0, 0, 0], [6, 10, 15]], 4),
+    "triangle-4d": ([[0, 0, 0, 0], [4, 2, 3, 5], [2, 6, 5, 1]], 130),
+    "pentagon-5d": ([[0, 0, 0, 0, 0], [3, 1, 2, 0, 5], [7, 6, 4, 3, 12], [5, 9, 2, 6, 9], [1, 4, 0, 3, 2]], 154),
 }
 
 
@@ -325,6 +344,19 @@ def _shadow_commands(work: Path):
         path = f"{name}.json"
         (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
         commands += [["points", path, str(n)] for n in range(1, 5)] + [["check-equality", path, "1..3"]]
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
+def _frame_commands(work: Path):
+    """Write each SKEW_LOWER_DIMENSIONAL polytope into work as NAME.json and return
+    the commands run on it, JSON first, then --pretty."""
+    commands = []
+    for name, (vertices, box) in SKEW_LOWER_DIMENSIONAL.items():
+        path = f"{name}.json"
+        (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        commands += [["points", path, str(n)] for n in range(4)]
+        commands += [["minkowski", path, "2"], ["check-equality", path, "1..3"]]
+        commands += [["points", path, "3", "--cap", str(cap)] for cap in (box, box - 1)]
     return commands + [["--pretty", *argv] for argv in commands]
 
 
@@ -565,7 +597,7 @@ def digests(root: Path) -> list:
             run(argv)
         for argv in _lower_dimensional_commands(Path(tmp)) + _shadow_commands(Path(tmp)) + _finite_stream_commands(Path(tmp)):
             run(argv)
-        for argv in _midpoint_commands(Path(tmp)):
+        for argv in _midpoint_commands(Path(tmp)) + _frame_commands(Path(tmp)):
             run(argv)
         for argv in _lemma1_commands(Path(tmp)) + _decompose_commands(root / "src" / "latmink" / "data"):
             run(argv)
