@@ -52,11 +52,9 @@ def box_count(los: Sequence[int], his: Sequence[int]) -> int:
     return prod(hi - lo + 1 for lo, hi in zip(los, his))
 
 
-def check_box(los: Sequence[int], his: Sequence[int], cap: int | None = None) -> None:
-    """Raise ResourceLimitError if the box [los, his] holds more than cap
-    (DEFAULT_BOX_CAP when None) integer points."""
+def check_box(count: int, cap: int | None = None) -> None:
+    """Raise ResourceLimitError if a box of count integer points is over cap (DEFAULT_BOX_CAP when None)."""
     cap = DEFAULT_BOX_CAP if cap is None else cap
-    count = box_count(los, his)
     if count > cap:
         raise ResourceLimitError(f"bounding box has {count} candidate points, cap is {cap}")
 
@@ -412,7 +410,7 @@ class LatticePolytope:
     and the surviving vertices are kept in lexicographic order. One exact
     beneath-beyond hull pass finds the vertices and the facet inequalities
     together. A P of affine dimension k < d is hulled and scanned as Q =
-    (P - v0) B^-1 in Z^k, v0 its lex-least vertex `_origin` and B (`_basis`)
+    (P - v0) B^-1 in Z^k, v0 its lex-least vertex and B (`_basis`)
     the HNF basis of (aff P - v0) & Z^d, k rows in echelon form with positive
     pivots: the integer kernel of the integer kernel of the frame's edge rows.
     A full-dimensional P has B = None and Q = P. `_planes` are Q's facets,
@@ -426,7 +424,6 @@ class LatticePolytope:
         self.dim = d = len(pts[0])
         simplex, echelon = _affine_frame(pts)
         self.affine_dim = k = len(simplex) - 1
-        self._origin = pts[0]
         self._basis = None if k == d else linalg.integer_kernel(linalg.integer_kernel(echelon.rows, d), d)
         work = pts if k == d else [tuple(_in_frame(p, pts[0], self._basis)) for p in pts]
         vol, forms = barycentric_forms([work[i] for i in simplex])
@@ -451,18 +448,14 @@ class LatticePolytope:
         return self._planes
 
     def contains(self, point: Iterable, strict: bool = False) -> bool:
-        """Exact membership of a rational point.
-
-        A lower-dimensional polytope first solves the point's coordinates y in
-        its frame (False off the affine hull) and tests y on Q's planes; a
-        full-dimensional one tests the point itself on its facets. With
-        strict=True this tests membership in the topological interior, which
-        a lower-dimensional polytope does not have.
-        """
+        """Exact membership of a rational point: a lower-dimensional polytope solves its y in
+        the frame (False off the affine hull) and tests y on Q's planes, a full-dimensional one
+        the point on its facets. With strict=True this tests membership in the topological
+        interior, which a lower-dimensional polytope does not have."""
         q = as_rational_point(point)
         if len(q) != self.dim:
             raise ValueError(f"point has dimension {len(q)}, expected {self.dim}")
-        if self._basis is not None and (strict or (q := _in_frame(q, self._origin, self._basis, Fraction)) is None):
+        if self._basis is not None and (strict or (q := _in_frame(q, self.vertices[0], self._basis, Fraction)) is None):
             return False  # an empty interior, or off the affine hull
         return all(h.slack(q) > 0 if strict else h.slack(q) >= 0 for h in self._planes)
 
@@ -471,6 +464,16 @@ class LatticePolytope:
         scans: in the frame's k coordinates, P's own when full-dimensional."""
         columns = [[n * x for x in column] for column in zip(*self._corners)]
         return [min(c) for c in columns], [max(c) for c in columns]
+
+    def box_size(self, n: int) -> int:
+        """The candidates a cap bounds at n >= 0: box(n)'s, or if fewer those of nP's box on B's
+        pivot columns. aff P projects injectively there and y_1..y_i are read off its first i, so
+        either count bounds the points and the lines a scan examines; either can be far the larger."""
+        size = box_count(*self.box(n))
+        if self._basis is not None:
+            columns = [[v[row.index(next(filter(None, row)))] for v in self.vertices] for row in self._basis]
+            size = min(size, prod(n * (max(c) - min(c)) + 1 for c in columns))
+        return size
 
     @functools.cached_property
     def _shadow(self) -> tuple[tuple[Point, int], ...]:
@@ -513,15 +516,14 @@ class LatticePolytope:
         return tuple(shadow)
 
     def line_runs(self, n: int, cap: int | None = None) -> list[tuple[Point, int, int]]:
-        """The integer points of nQ (nP when full-dimensional; a point has no runs)
-        as `_line_scan`'s runs, which count them before any is built. A scan of
-        k >= 3 coordinates is handed the dilated `_shadow`, so it examines only
-        the lines that meet nQ; one of fewer examines every line of the box.
-        Raises as integer_points does."""
+        """The integer points of nQ (nP when full-dimensional; a point has no runs) as
+        `_line_scan`'s runs, which count them before any is built. A scan of k >= 3
+        coordinates is handed the dilated `_shadow`, so it examines only the lines that
+        meet nQ; one of fewer examines every line of the box. Raises as integer_points does."""
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
         los, his = self.box(n)
-        check_box(los, his, cap)
+        check_box(box_count(los, his) if self._basis is None else self.box_size(n), cap)
         if not los:
             return []
         shadow = [(a, n * b) for a, b in self._shadow] if len(los) >= 3 else ()
@@ -530,20 +532,18 @@ class LatticePolytope:
     def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.
 
-        Scans the bounding box of nQ line by line (`line_runs`): the dilated
-        facets cut each line to one exact integer interval. A lower-dimensional
-        polytope maps each scanned y to n v0 + yB; at n == 0 the box is the one
-        point 0, and a point's frame is Z^0. Boxes of more than cap
-        (DEFAULT_BOX_CAP when None) candidates raise ResourceLimitError before
-        any line is scanned.
-        The map keeps the scan's lex order: if y and y' first differ at i, the rows
-        of B from the i-th on are zero before B's i-th pivot column and only the i-th
-        is nonzero there, so their images agree before that column and differ there
-        with the sign of y_i - y'_i, the pivot being positive.
+        Scans the bounding box of nQ line by line (`line_runs`): the dilated facets cut
+        each line to one exact integer interval. A lower-dimensional polytope maps each
+        scanned y to n v0 + yB; at n == 0 the box is the one point 0, and a point's frame
+        is Z^0. A box_size over cap (DEFAULT_BOX_CAP when None) raises ResourceLimitError
+        before any line is scanned. The map keeps the scan's lex order: if y and y' first
+        differ at i, the rows of B from the i-th on are zero before B's i-th pivot column
+        and only the i-th is nonzero there, so their images agree before that column and
+        differ there with the sign of y_i - y'_i, the pivot being positive.
         """
         inside = run_points(self.line_runs(n, cap)) if self.affine_dim else [()]
         if self._basis is not None:
-            origin, columns = [n * c for c in self._origin], [[row[j] for row in self._basis] for j in range(self.dim)]
+            origin, columns = [n * c for c in self.vertices[0]], [[row[j] for row in self._basis] for j in range(self.dim)]
             inside = [tuple(o + dot(y, col) for o, col in zip(origin, columns)) for y in inside]
         return PointSet._canonical(tuple(inside), self.dim)
 

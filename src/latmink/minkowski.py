@@ -52,10 +52,10 @@ def minkowski_power(s: PointSet, n: int, cap: int | None = None) -> PointSet:
     if not s.points:
         return PointSet([(0,) * s.dim] if n == 0 else [], s.dim)
     columns = list(zip(*s.points))
-    box = [n * min(c) for c in columns], [n * max(c) for c in columns]
-    check_box(*box, cap)
+    size = box_count([n * min(c) for c in columns], [n * max(c) for c in columns])
+    check_box(size, cap)
     shift = tuple(n * c for c in s.points[0])
-    ball = word_ball(_translated_group(s), n, cap=box_count(*box))
+    ball = word_ball(_translated_group(s), n, cap=size)
     # a translation keeps the ball's points distinct and in lex order
     return PointSet._canonical(tuple([tuple(map(add, p, shift)) for p in ball]), s.dim)
 
@@ -87,20 +87,20 @@ def check_equality_range(
     """check_equality for every n in ns, in increasing order, reading n*Omega
     off one BallCodec.layers stream of _translated_group(Omega) over ns. The
     box cap (DEFAULT_BOX_CAP when None) bounds each dilation nP; after the
-    scan of Omega, the first n of ns whose box is over the cap raises before
-    any other scan, so every ball of the stream, at most the box of the last
-    n, is within the cap too: |m*Omega| <= |mP & Z^d| <= box(m) for m <= n.
-    Boxes grow with n, and unless P is a point the (cap + 1)-th n of ns has
-    one over the cap, so a bisection of the first cap + 1 finds it."""
+    scan of Omega, the first n of ns whose box_size is over the cap raises
+    before any other scan, so every ball of the stream is within the cap too:
+    |m*Omega| <= |mP & Z^d| <= box_size(m) for m <= n. The sizes grow with
+    n, and unless P is a point the (cap + 1)-th n of ns has one over the cap,
+    so a bisection of the first cap + 1 finds it."""
     ns = ns if ns.step > 0 else ns[::-1]
     if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
     omega = poly.integer_points(1, cap=cap)
     cap = geometry.DEFAULT_BOX_CAP if cap is None else cap
     head = ns[:cap + 1]
-    over = bisect_left(head, True, key=lambda n: box_count(*poly.box(n)) > cap)
+    over = bisect_left(head, True, key=lambda n: poly.box_size(n) > cap)
     if over < len(head):
-        check_box(*poly.box(head[over]), cap)  # raises, as the scan of that box would
+        check_box(poly.box_size(head[over]), cap)  # raises, as the scan of that box would
     codec, reports = BallCodec(_translated_group(omega), ns[-1] if ns else 0), []
     [t_code] = codec.encode(omega.points[:1])
     for n, ball, _ in codec.layers(ns, cap):

@@ -5,7 +5,9 @@ membership by LP instead of the hull, facets by trying every vertex subset,
 integer points by testing every point of the bounding box (by LP, or against
 every facet) instead of one interval per line, a lower-dimensional polytope's
 integer points by scanning its projection on echelon pivot columns and lifting
-through its affine hull's equations instead of scanning its own lattice,
+through its affine hull's equations instead of scanning its own lattice, the
+box a cap bounds by that projection's box alone instead of the smaller of it and
+the lattice frame's box,
 volumes by pyramids over brute-force facets, fans by recursing into a fresh hull of every facet instead
 of reading the hull's boundary, lattice point counts by the Ehrhart polynomial
 interpolated from box scans, determinants by permutation expansion,
@@ -31,6 +33,7 @@ report records by the frozen dataclass of their fields.
 
 import functools
 import itertools
+import math
 import os
 import dataclasses
 from fractions import Fraction
@@ -394,6 +397,15 @@ def projection_lift_points(poly: LatticePolytope, n: int) -> tuple:
         else:
             found.append(tuple(x))
     return tuple(found)
+
+
+def projection_box_count(poly: LatticePolytope, n: int) -> int:
+    """The size of the box that bounded nP before the lattice frame: nP's projection
+    on the pivot columns of `_affine_frame`'s echelon, every column when P is
+    full-dimensional."""
+    cols = sorted(_affine_frame(poly.vertices)[1].pivots)
+    columns = [[v[c] for v in poly.vertices] for c in cols]
+    return math.prod(n * (max(c) - min(c)) + 1 for c in columns)
 
 
 def ehrhart_polynomial(poly: LatticePolytope) -> tuple:

@@ -1060,6 +1060,17 @@ class TestBoxCap:
         assert (code, out) == (3, "")
         assert err == "resource cap exceeded: bounding box has 343 candidate points, cap is 342\n"
 
+    def test_thin_triangle_within_the_default_cap(self, capsys, tmp_path):
+        # the box of 11 Q in the lattice frame (11,001 x 10,990 points) is over
+        # DEFAULT_BOX_CAP, but the cap bounds the smaller box of nP on (x, y)
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({"dim": 3, "vertices": [[0, 0, 0], [1000, 0, -1], [999, 1, -1]]}))
+        code, doc, _ = run_json(capsys, "points", str(path), "11")
+        assert code == 0 and doc["result"]["count"] == 78
+        code, out, err = run(capsys, "points", str(path), "11", "--cap", "132011")
+        assert (code, out) == (3, "")
+        assert err == "resource cap exceeded: bounding box has 132012 candidate points, cap is 132011\n"
+
     def test_minkowski_checks_n_before_any_line_is_scanned(self, capsys, monkeypatch):
         # minkowski_power checks n too, but Omega is scanned before it is called
         def no_scan(*args):

@@ -515,7 +515,7 @@ class TestBeneathBeyond:
                 except ResourceLimitError:
                     points.append(None)
             full = p.is_full_dimensional
-            return p.vertices, p._origin, p._basis, p._corners, p._planes, full and p.volume(), points
+            return p.vertices, p._basis, p._corners, p._planes, full and p.volume(), points
 
         extreme = hull(pts)
         with mock.patch.object(geometry, "_affine_frame", conftest.lex_first_frame):
@@ -816,6 +816,7 @@ LOWER_DIMENSIONAL = {
     "point in Z^2": [(3, -2)],
 }
 SKEW_TRIANGLE = [(0, 0, 0), (1000, 0, -1), (0, 1000, -1)]  # on x + y + 1000 z = 0
+THIN_TRIANGLE = [(0, 0, 0), (1000, 0, -1), (999, 1, -1)]  # in the same plane, unimodular there
 # Facets whose normal has last coefficient 0 bound no line: the square's and
 # the cube's sides, and the prism's side x + y <= 2, which empties the lines
 # through the prefixes (1, 2), (2, 1) and (2, 2) of its bounding box. The
@@ -1015,7 +1016,6 @@ class TestLatticeFrame:
         # its lattice, which is unique), of the hull's direction space, and saturated:
         # its k x k minors have gcd 1
         p = hull(pts)
-        assert p._origin == p.vertices[0]
         if p.is_full_dimensional:
             assert p._basis is None and p._corners == p.vertices
             return
@@ -1028,7 +1028,7 @@ class TestLatticeFrame:
         minors = [linalg.det_int([[row[c] for c in cs] for row in basis]) for cs in itertools.combinations(range(p.dim), k)]
         assert math.gcd(*minors) == 1
         for v, y in zip(p.vertices, p._corners):
-            assert tuple(a + sum(t * row[j] for t, row in zip(y, basis)) for j, a in enumerate(p._origin)) == v
+            assert tuple(a + sum(t * row[j] for t, row in zip(y, basis)) for j, a in enumerate(p.vertices[0])) == v
 
     @given(lattice_clouds(max_dim=5, max_directions=4), st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
@@ -1051,6 +1051,31 @@ class TestLatticeFrame:
         assert p.contains((500, 500, -1)) and not p.contains((500, 501, -1))
         assert p.contains((Fraction(1, 2), Fraction(1, 2), Fraction(-1, 1000)))
         assert not p.contains((Fraction(1, 2), Fraction(1, 2), Fraction(-1, 999)))
+
+    @given(lattice_clouds(max_dim=5), st.integers(0, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_box_size_is_the_smaller_box(self, pts, n):
+        # the frame's box, or the projection's box the cap bounded before it if that
+        # is smaller: a cap never fires where it did not, and both bound the points
+        p = hull(pts)
+        frame = math.prod(h - l + 1 for l, h in zip(*p.box(n)))
+        size = p.box_size(n)
+        assert size == min(frame, conftest.projection_box_count(p, n))
+        assume(size <= 3000)
+        assert len(p.integer_points(n)) <= size
+
+    def test_the_thin_triangle(self):
+        # Q = conv{(0, 0), (999, -998), (1000, -999)} is unimodular, but its box at
+        # n = 11 has 11,001 x 10,990 points, over DEFAULT_BOX_CAP; nP's box on (x, y)
+        # has 11,001 x 12
+        p = LatticePolytope(THIN_TRIANGLE)
+        assert p._basis == [[1, 999, -1], [0, 1000, -1]]
+        assert p._corners == ((0, 0), (999, -998), (1000, -999))
+        assert math.prod(h - l + 1 for l, h in zip(*p.box(11))) == 11001 * 10990 > geometry.DEFAULT_BOX_CAP
+        assert p.box_size(11) == 11001 * 12
+        assert len(p.integer_points(11)) == 78 == 12 * 13 // 2
+        with pytest.raises(ResourceLimitError, match="bounding box has 132012 candidate points, cap is 132011"):
+            p.integer_points(11, cap=11001 * 12 - 1)
 
     @pytest.mark.parametrize("name", LOWER_DIMENSIONAL)
     def test_zero_frame_determinant_is_an_internal_inconsistency(self, name):

@@ -144,6 +144,13 @@ class TestMinkowskiPower:
 
 
 class TestCheckEquality:
+    def test_thin_triangle_within_the_default_cap(self):
+        # the box of 11 Q in the lattice frame has 11,001 x 10,990 points, over
+        # DEFAULT_BOX_CAP; the cap bounds nP's box on (x, y), 11,001 x 12 points
+        p = LatticePolytope([(0, 0, 0), (1000, 0, -1), (999, 1, -1)])
+        reports = check_equality_range(p, range(1, 12))
+        assert [r.n for r in reports] == list(range(1, 12)) and all(r.holds for r in reports)
+
     def test_sigma_3_2(self):
         p = LatticePolytope(sigma(3, 2).vertices)
         assert check_equality(p, 1).holds

@@ -29,14 +29,16 @@ and, in a temporary work directory of its own, runs every command of this list:
   coordinates of its own lattice), as JSON and with `--pretty`, so that scans
   that skip the lines outside the polytope's shadow are compared too;
 - `points` at n = 0..3, `minkowski` at 2, `check-equality` over 1..3, and
-  `points` at 3 with `--cap` at the size of the box scanned at n = 3 and at
-  one less, on lower-dimensional polytopes whose projection on leading
-  coordinates is not onto their lattice, written into the work directory:
-  conv{0, (40, 0, -1), (0, 40, -1)}, the segment conv{0, (6, 10, 15)}, a
-  triangle in Z^4 on two skew equations and a pentagon in Z^5, as JSON and
-  with `--pretty`, so that the scan in the polytope's own lattice is compared
-  too (the box is counted in that lattice: its size differs from the box of
-  a projection);
+  `points` at 3 with `--cap` at the number of candidates the cap bounds at
+  n = 3 and at one less, on lower-dimensional polytopes whose projection on
+  leading coordinates is not onto their lattice, written into the work
+  directory: conv{0, (40, 0, -1), (0, 40, -1)}, the segment
+  conv{0, (6, 10, 15)}, a triangle in Z^4 on two skew equations, a pentagon
+  in Z^5 and the thin triangle conv{0, (1000, 0, -1), (999, 1, -1)}, whose
+  box in its own lattice is far larger than its box on (x, y), with `points`
+  at 11 on it too, as JSON and with `--pretty`, so that the scan in the
+  polytope's own lattice is compared too (the cap counts the smaller of the
+  box in that lattice and the box of a projection);
 - `points` at n = 1..2 and `check-equality` over 1..2 on clouds with
   boundary points that are not vertices, written into the work directory:
   2 cross(d) and 2 cube(d) with the midpoints of every two of their vertices
@@ -198,13 +200,15 @@ SHADOW_POLYTOPES = {
 }
 
 # Lower-dimensional polytopes whose projection on the leading coordinates of
-# their affine hull is not onto their lattice, with the size of the box their
-# scan at n = 3 runs through: that of nQ, Q the polytope in its lattice frame.
+# their affine hull is not onto their lattice, with the number of candidates a
+# cap bounds at n = 3 (`LatticePolytope.box_size`): the smaller of nQ's box, Q
+# the polytope in its lattice frame, and the box of nP's projection.
 SKEW_LOWER_DIMENSIONAL = {
     "skew-triangle-3d": ([[0, 0, 0], [40, 0, -1], [0, 40, -1]], 14641),
     "segment-3d": ([[0, 0, 0], [6, 10, 15]], 4),
     "triangle-4d": ([[0, 0, 0, 0], [4, 2, 3, 5], [2, 6, 5, 1]], 130),
     "pentagon-5d": ([[0, 0, 0, 0, 0], [3, 1, 2, 0, 5], [7, 6, 4, 3, 12], [5, 9, 2, 6, 9], [1, 4, 0, 3, 2]], 154),
+    "thin-triangle-3d": ([[0, 0, 0], [1000, 0, -1], [999, 1, -1]], 12004),
 }
 
 
@@ -357,6 +361,7 @@ def _frame_commands(work: Path):
         commands += [["points", path, str(n)] for n in range(4)]
         commands += [["minkowski", path, "2"], ["check-equality", path, "1..3"]]
         commands += [["points", path, "3", "--cap", str(cap)] for cap in (box, box - 1)]
+    commands.append(["points", "thin-triangle-3d.json", "11"])  # its box in the frame is over DEFAULT_BOX_CAP
     return commands + [["--pretty", *argv] for argv in commands]
 
 
