@@ -349,21 +349,27 @@ def run_points(runs: Iterable[tuple[Point, int, int]]) -> list[Point]:
 
 
 class PointSet:
-    """Deduplicated finite subset of Z^d in canonical lexicographic order."""
+    """Deduplicated finite subset of Z^d in canonical lexicographic order. Its
+    member set is built at the first in, difference or issubset, then kept."""
 
-    __slots__ = ("dim", "points", "_members")
+    __slots__ = ("dim", "points", "_set")
 
     def __init__(self, points: Iterable, dim: int | None = None):
-        self.points = tuple(as_points(points, dim))
+        self.points, self._set = tuple(as_points(points, dim)), None
         self.dim = len(self.points[0]) if self.points else dim
-        self._members = frozenset(self.points)
 
     @classmethod
     def _canonical(cls, points: tuple, dim: int) -> "PointSet":
         """The set of points, a tuple that as_points(points, dim) returns unchanged."""
         self = cls.__new__(cls)
-        self.points, self.dim, self._members = points, dim, frozenset(points)
+        self.points, self.dim, self._set = points, dim, None
         return self
+
+    @property
+    def _members(self) -> frozenset:
+        if self._set is None:
+            self._set = frozenset(self.points)
+        return self._set
 
     def __contains__(self, point) -> bool:
         try:
@@ -392,7 +398,7 @@ class PointSet:
 
     def difference(self, other: "PointSet") -> "PointSet":
         self._check_dim(other)
-        return PointSet._canonical(tuple(p for p in self.points if p not in other._members), self.dim)
+        return PointSet._canonical(tuple(itertools.filterfalse(other._members.__contains__, self.points)), self.dim)
 
     def issubset(self, other: "PointSet") -> bool:
         self._check_dim(other)
@@ -541,7 +547,8 @@ class LatticePolytope:
         and only the i-th is nonzero there, so their images agree before that column and
         differ there with the sign of y_i - y'_i, the pivot being positive.
         """
-        inside = run_points(self.line_runs(n, cap)) if self.affine_dim else [()]
+        runs = self.line_runs(n, cap)  # checks n and the cap first, also for a point, which has no runs
+        inside = run_points(runs) if self.affine_dim else [()]
         if self._basis is not None:
             origin, columns = [n * c for c in self.vertices[0]], [[row[j] for row in self._basis] for j in range(self.dim)]
             inside = [tuple(o + dot(y, col) for o, col in zip(origin, columns)) for y in inside]

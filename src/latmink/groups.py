@@ -9,26 +9,26 @@ exactly n. All interior/boundary notions use left multiplication.
 Balls come from one engine, BallCodec.layers, which yields the ball and the
 fresh layer of each radius its caller asks for, within its codec's radius
 (ball_layers and word_ball take it as n). It multiplies only the fresh layer,
-over encoded elements, checks the cap once per layer, and stops multiplying
-at the first empty layer, past which every ball is the same.
+over codes and by every generator but the identity, checks the cap once per
+layer, and stops at the first empty layer, past which all balls are the same.
 
 S*ball(n-1) lies in ball(n), so ball(n-1) is interior to ball(n): the
 boundary of ball(n) is its fresh layer less the layer's interior within
 ball(n), and ball_boundary and check_boundary_equality_range test only that
-layer (BallCodec.interior, the one interior rule, tests a set of codes
-within another).
+layer. BallCodec.interior, the one interior rule, tests a set of codes within
+another by elimination: a code leaves at the first generator whose product
+leaves the set, and is interior iff no generator makes it leave.
 
 A Z^d point is one int in balanced radix B = 2R + 1, first coordinate most
 significant; R = (radius + 1) * max|g|, at least 1, covers a ball and the
 interior test w*a on it. On the box |x_i| <= R the code is an injective
-homomorphism, ordered as lex order: a product is one int addition.
-A GL(2, Z) matrix is the flat tuple (a, b, c, d), not an int: a radix would
-grow as (max row norm)^(radius + 1). Both codes sort as their elements do,
-so sorted codes decode in canonical order, only where returned.
+homomorphism, ordered as lex order: a product is one int addition. A GL(2, Z)
+matrix is the flat tuple (a, b, c, d), not an int: a radix would grow as
+(max row norm)^(radius + 1). Both codes sort as their elements do, so sorted
+codes decode in canonical order, only where returned.
 
-Whether a given generating set actually generates the whole group as a
-semigroup is not verified (undecidable at this level of machinery for matrix
-groups); callers are trusted on that point.
+Whether a given generating set generates the whole group as a semigroup is
+not verified (undecidable here for matrix groups); callers are trusted on it.
 """
 
 from __future__ import annotations
@@ -51,21 +51,26 @@ GL2Z_IDENTITY: Matrix2 = ((1, 0), (0, 1))
 
 
 class ElementSet:
-    """Deduplicated finite set of group elements in canonical sorted order."""
+    """Deduplicated finite set of group elements in canonical sorted order. Its
+    member set is built at the first in, difference or issubset, then kept."""
 
-    __slots__ = ("elements", "_members")
+    __slots__ = ("elements", "_set")
 
     def __init__(self, elements: Iterable):
-        items = sorted(set(elements))
-        self.elements = tuple(items)
-        self._members = frozenset(items)
+        self.elements, self._set = tuple(sorted(set(elements))), None
 
     @classmethod
     def _canonical(cls, items: tuple) -> "ElementSet":
         """The set of items, a tuple already distinct and in canonical order."""
         self = cls.__new__(cls)
-        self.elements, self._members = items, frozenset(items)
+        self.elements, self._set = items, None
         return self
+
+    @property
+    def _members(self) -> frozenset:
+        if self._set is None:
+            self._set = frozenset(self.elements)
+        return self._set
 
     def __contains__(self, x) -> bool:
         return x in self._members
@@ -86,7 +91,7 @@ class ElementSet:
         return f"ElementSet({len(self.elements)} elements)"
 
     def difference(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet._canonical(tuple(x for x in self.elements if x not in other._members))
+        return ElementSet._canonical(tuple(itertools.filterfalse(other._members.__contains__, self.elements)))
 
     def issubset(self, other: "ElementSet") -> bool:
         return self._members <= other._members
@@ -207,21 +212,23 @@ class BallCodec:
         """Yield (n, ball(n), layer(n)), the last two as sets of codes, for each n
         of ns, an increasing range within 0..radius; ball(n) is the engine's own
         set: read it before advancing. The identity generator gives ball(m) =
-        ball(m-1) | S*layer(m-1), so each round multiplies only the fresh layer;
-        the cap (DEFAULT_BALL_CAP when None) is checked once per layer, before
-        the layer joins the ball. At the first empty layer(m) the walk stops:
+        ball(m-1) | S*layer(m-1), so each round multiplies only the fresh layer,
+        by S less the identity: I*layer(m-1) lies in ball(m-1) already. The cap
+        (DEFAULT_BALL_CAP when None) is checked once per layer, before the
+        layer joins the ball. At the first empty layer(m) the walk stops:
         S*{} is empty, so every later layer is empty and every later ball is
         ball(m), and each n left in ns is yielded off that final ball."""
         if ns and not 0 <= ns[0] <= ns[-1] <= self.radius:
             raise ValueError(f"radii must be an increasing range within 0..{self.radius}")
         cap = DEFAULT_BALL_CAP if cap is None else cap
+        movers = [w for w in self.generators if w != self.identity]
         ball, layer, m = {self.identity}, {self.identity}, 0
         while ns and layer:
             if ns[0] == m:
                 yield m, ball, layer
                 ns = ns[1:]
             else:
-                layer = set(self.products(layer, self.generators)) - ball
+                layer = set(self.products(layer, movers)) - ball
                 if layer and len(ball) + len(layer) > cap:
                     raise ResourceLimitError(f"word ball exceeded {cap} elements")
                 ball |= layer
@@ -231,13 +238,19 @@ class BallCodec:
 
     def interior(self, codes: Iterable, within: set) -> set:
         """The codes a of codes with w*a in within for every generator w, the
-        one interior rule: products come in runs of one per generator. The
-        interior of a set is interior(codes, codes); a layer of a ball is
-        tested within the ball, whose codes and their products the codec's
-        bound covers."""
+        one interior rule, by elimination: each generator in turn multiplies the
+        codes left and drops those whose product is outside within, until none
+        is left; "for every w" is the conjunction of these passes. The identity's
+        pass tests a in within, with no product. The interior of a set is
+        interior(codes, codes); a layer of a ball is tested within the ball,
+        whose codes and their products the codec's bound covers."""
         items = list(codes)
-        hits = map(within.__contains__, self.products(items, self.generators))
-        return set(itertools.compress(items, map(all, zip(*[hits] * len(self.generators)))))
+        for w in self.generators:
+            if not items:
+                break
+            hits = map(within.__contains__, items if w == self.identity else self.products(items, (w,)))
+            items = list(itertools.compress(items, hits))
+        return set(items)
 
 
 def ball_layers(group: GroupPresentation, n: int, cap: int | None = None) -> Iterator[tuple[frozenset, tuple]]:

@@ -458,14 +458,23 @@ def brute_force_boundary(group, subset: ElementSet) -> ElementSet:
     return ElementSet(a for a in subset if any(_product(w, a) not in subset for w in group.generators))
 
 
+def table_interior(codec: BallCodec, codes, within: set) -> set:
+    """BallCodec.interior by the full product table: w*a for every code a and
+    every generator w, identity included, then all() over each code's run."""
+    items = list(codes)
+    gens = codec.generators
+    hits = map(within.__contains__, codec.products(items, gens))
+    return set(itertools.compress(items, map(all, zip(*[hits] * len(gens)))))
+
+
 def full_ball_boundary_reports(group, ns: range, cap=None) -> list:
     """check_boundary_equality_range by the full-ball form: at each n of ns,
     the boundary of ball(n) is ball(n) less its interior within itself, every
-    element of the ball tested, and the guard raises if that boundary leaves
-    the fresh layer."""
+    element of the ball tested by table_interior, and the guard raises if that
+    boundary leaves the fresh layer."""
     codec, reports = BallCodec(group, ns[-1] if ns else 0), []
     for n, ball, layer in codec.layers(ns, cap):
-        lhs = ball - codec.interior(ball, ball)
+        lhs = ball - table_interior(codec, ball, ball)
         lhs_minus_rhs = codec.elements(lhs - layer)
         if len(lhs_minus_rhs) != 0:
             raise RuntimeError("internal inconsistency: boundary escaped the fresh layer")

@@ -482,6 +482,11 @@ class TestInputErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_n_on_a_point_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "point.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [[3, -2]]}))
+        assert run(capsys, "points", str(path), "-1") == (2, "", "error: dilation factor must be >= 0\n")
+
     def test_unreadable_path_exits_2_with_one_line(self, capsys, tmp_path):
         code, out, err = run(capsys, "points", str(tmp_path), "1")
         assert (code, out) == (2, "")

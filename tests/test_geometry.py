@@ -777,8 +777,10 @@ class TestIntegerPoints:
         assert shifted.integer_points(0).points == ((0, 0),)
 
     def test_negative_rejected(self, unit_square):
-        with pytest.raises(ValueError):
-            unit_square.integer_points(-1)
+        # a point has no line runs, and its n is checked all the same
+        for poly in (unit_square, LatticePolytope([(3, -2)])):
+            with pytest.raises(ValueError, match="^dilation factor must be >= 0$"):
+                poly.integer_points(-1)
 
     def test_cap(self, unit_square):
         with pytest.raises(ResourceLimitError):

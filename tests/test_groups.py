@@ -27,7 +27,7 @@ from latmink import (
 from latmink.groups import GL2Z_IDENTITY, BallCodec, BoundaryReport, as_gl2z
 from latmink.verify import random_lattice_polygon, symmetric_example_polytope
 
-from conftest import _product, brute_force_boundary, brute_force_word_ball, full_ball_boundary_reports
+from conftest import _product, brute_force_boundary, brute_force_word_ball, full_ball_boundary_reports, table_interior
 
 import random
 
@@ -585,24 +585,55 @@ class TestFreshLayerBoundary:
         ns = range(lo, lo + extra + 1)
         assert check_boundary_equality_range(group, ns) == full_ball_boundary_reports(group, ns)
 
+    @given(st.one_of(zd_groups(), gl2z_groups, huge_gl2z_groups()), st.integers(0, 2), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_interior_matches_the_product_table(self, group, radius, data):
+        # codes and within are any subsets of ball(radius + 1), whose codes
+        # and products the codec's bound covers; codes need not lie in within
+        codec = BallCodec(group, radius + 1)
+        [(_, ball, _)] = codec.layers(range(radius + 1, radius + 2))
+        pool = sorted(ball)
+        codes = data.draw(st.sets(st.sampled_from(pool)))
+        within = data.draw(st.sets(st.sampled_from(pool)))
+        if data.draw(st.booleans()):
+            within |= codes
+        assert codec.interior(codes, within) == table_interior(codec, codes, within)
+        assert codec.interior(codes, ball) == table_interior(codec, codes, ball)
+
+    @staticmethod
+    def products_formed(monkeypatch, group, ns) -> int:
+        """The items BallCodec.products returns in check_boundary_equality_range(group, ns)."""
+        counted, init = [0], BallCodec.__init__
+
+        def counting_init(codec, *args):
+            init(codec, *args)
+            products = codec.products
+
+            def counting_products(codes, by):
+                out = products(codes, by)
+                counted[0] += len(out)
+                return out
+
+            codec.products = counting_products
+
+        monkeypatch.setattr(BallCodec, "__init__", counting_init)
+        check_boundary_equality_range(group, ns)
+        return counted[0]
+
     def test_products_of_the_fresh_layers_only(self, gl2z, monkeypatch):
-        # the stream multiplies layers 0..4 (1,068 products) and the interior
-        # test layers 1..5 (2,502); testing every element of balls 1..5, as
-        # the full-ball form does, takes 4,164 for the interior test (5,232
-        # in all)
-        from latmink import groups
+        # the stream multiplies layers 0..4 by the five generators other than
+        # the identity (890 products) and the interior test forms 961 for
+        # layers 1..5; by all six generators and a full product table they took
+        # 1,068 and 2,502 (3,570 in all), and testing every element of balls
+        # 1..5, as the full-ball form does, takes 4,164 for the interior test
+        assert self.products_formed(monkeypatch, gl2z, range(1, 6)) == 1851
 
-        calls = [0]
-        products = groups._gl2z_products
-
-        def counting_products(elements, gens):
-            formed = products(elements, gens)
-            calls[0] += len(formed)
-            return formed
-
-        monkeypatch.setattr(groups, "_gl2z_products", counting_products)
-        check_boundary_equality_range(gl2z, range(1, 6))
-        assert calls[0] == 3570
+    def test_products_of_the_fresh_layers_only_on_a_cube(self, monkeypatch):
+        # the Z^3 group of cube(3, -1, 1): layers 0..2 by 26 generators (3,250)
+        # and 1,313 for the interior test; by all 27 generators and a full
+        # product table they took 3,375 and 9,234 (12,609 in all)
+        group = zd_presentation_from_polytope(cube(3, -1, 1))
+        assert self.products_formed(monkeypatch, group, range(1, 4)) == 4563
 
     @given(
         st.one_of(

@@ -11,11 +11,12 @@ and, in a temporary work directory of its own, runs every command of this list:
   never written: no bytecode is cached);
 - each subcommand on every bundled dataset, and `search-primitive` on it at
   budgets 1, 5 and 25, as JSON and with `--pretty`;
-- `points` and `minkowski` at 3, `check-equality` over 1..3, `word-ball` and
-  `boundary` at 3, `check-boundary` over 1..3, `classify` and
+- `points` at -1 and 3, `minkowski` at 3, `check-equality` over 1..3,
+  `word-ball` and `boundary` at 3, `check-boundary` over 1..3, `classify` and
   `search-primitive` on five lower-dimensional polytopes written into the work
-  directory (no bundled dataset is one), as JSON and with `--pretty`, so that
-  the affine hull's equations, the lift and membership are compared too;
+  directory (no bundled dataset is one), one of them a point, as JSON and with
+  `--pretty`, so that the scan in each polytope's own lattice, membership and
+  the check of n on a point, which has no line runs, are compared too;
 - `word-ball` and `boundary` at 4 and `check-boundary` over 1..4 and 3..6 on
   inputs whose balls stop growing, written into the work directory (the
   GL(2, Z) groups {I, swap} and {I, -I}, the Z^2 group of the identity alone
@@ -327,6 +328,7 @@ def _lower_dimensional_commands(work: Path):
         path = f"{name}.json"
         (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
         commands += [
+            ["points", path, "-1"],
             ["points", path, "3"],
             ["minkowski", path, "3"],
             ["check-equality", path, "1..3"],
