@@ -15,13 +15,15 @@ lattice (aff P - v0) & Z^d, where all its lattice points lie. All queries --
 membership, integer point enumeration, volume -- are exact: coordinates are
 Python ints and derived scalars are fractions.Fraction.
 
-Integer points are listed line by line along the last scanned coordinate. With
-three or more coordinates, only the lines through the polytope's shadow, its
-projection along that coordinate, are examined. A facet of the shadow is the
-image of a vertical facet of the polytope, or of a ridge whose two facets have
-last coefficients of opposite sign; the shadow's planes are those facets and
-the combinations of those two facets that eliminate the last coordinate, each
-a valid inequality for the shadow, read off the hull's boundary simplices.
+Integer points are listed line by line along the last scanned coordinate, by one
+rule: each plane cuts the coordinate of its last nonzero coefficient, given the
+coordinates before it. The facets cut the lines, and vertical facets, free of
+the last coordinate, cut earlier ones. With three or more coordinates the
+scan is also handed planes of the polytope's shadow, its projection along the
+last coordinate: combinations of two facets that meet at a ridge, with last
+coefficients of opposite sign, that eliminate the last coordinate, read off the
+hull's boundary simplices. With the vertical facets they cut out the shadow, so
+only the lines through it are examined.
 """
 
 from __future__ import annotations
@@ -287,58 +289,47 @@ def _beneath_beyond(
     return vertices, sorted(on), [(face.verts, face.plane) for face in alive]
 
 
-def _by_last_sign(planes: Sequence[tuple[Point, int]]) -> tuple[list, list[int], list[int]]:
-    """The planes ordered c > 0, c < 0, c == 0 by their last coefficient c, the
-    c of the first group and the -c of the second."""
-    planes = sorted(planes, key=lambda p: (p[0][-1] <= 0, p[0][-1] == 0))
-    return planes, [a[-1] for a, _ in planes if a[-1] > 0], [-a[-1] for a, _ in planes if a[-1] < 0]
-
-
-def _line_scan(
-    planes: Sequence[tuple[Point, int]],
-    los: Sequence[int],
-    his: Sequence[int],
-    shadow: Sequence[tuple[Point, int]] = (),
-) -> list[tuple[Point, int, int]]:
+def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Sequence[int]) -> list[tuple[Point, int, int]]:
     """The integer points y of the box [los, his] (k >= 1 coordinates) with <a, y> <= b
-    for all (a, b) in planes, which bound a polytope, as runs (prefix, lo, hi): the
-    points prefix + (t,) for lo <= t <= hi, in lex order. Loops over prefixes carrying
-    each residual r = b - <a, prefix>, one subtraction a step; with c = a_k, a line
-    keeps y_k <= floor(r/c) if c > 0, y_k >= ceil(r/c) if c < 0, r >= 0 if c == 0.
+    for all (a, b) in planes, nonzero normals a that bound a polytope, as runs (prefix,
+    lo, hi): the points prefix + (t,) for lo <= t <= hi, in lex order.
 
-    shadow, for k >= 3, holds planes (a', b') on the first k - 1 coordinates whose
-    intersection is the polytope's projection along y_k (`LatticePolytope._shadow`).
-    Their residuals are carried too, and cut y_{k-1} by the same rule, so the loop
-    over y_{k-1} visits only the prefixes in the projection: a line through any
-    other prefix misses the polytope, so skipping it is exact."""
-    planes, ups, downs = _by_last_sign(planes)
-    m, p, q, last = len(planes), len(ups), len(ups) + len(downs), len(los) - 1
-    cut = last - 1 if shadow else -1
-    shadow, cut_ups, cut_downs = _by_last_sign(shadow)
-    sp, sq = m + len(cut_ups), m + len(cut_ups) + len(cut_downs)
-    steps = [[a[j] for a, _ in planes] + [a[j] for a, _ in shadow if j < cut] for j in range(last)]
+    One rule: a plane cuts y_j, j the index of its last nonzero coefficient c. With
+    r = b - <a, (y_0..y_{j-1})>, it keeps y_j <= floor(r/c) if c > 0 and y_j >=
+    ceil(r/c) if c < 0, within the box's range of y_j, which a coordinate no plane cuts
+    keeps. A prefix a cut leaves out has no point of the polytope above it, so the runs
+    are exact. The loops over prefixes carry each plane's residual r, one subtraction a
+    step, up to its own coordinate: the planes are ordered by it, latest first, so each
+    level reads its cuts off the tail of the residuals and passes the rest on."""
+    last = len(los) - 1
+
+    def cut(plane: tuple[Point, int]) -> tuple[int, bool]:
+        j = max(i for i, c in enumerate(plane[0]) if c)
+        return j, plane[0][j] > 0
+
+    planes = sorted(planes, key=cut, reverse=True)  # by coordinate, latest first; c > 0 before c < 0
+    cuts = [cut(plane)[0] for plane in planes]
+    levels = []  # per coordinate j: res[:m] the residuals carried past j, res[m:p] those of c > 0, res[p:] of c < 0
+    for j in range(last + 1):
+        m = sum(i > j for i in cuts)
+        ups = [a[j] for a, _ in planes[m:] if a[j] > 0]  # a plane that cuts an earlier coordinate has a_j == 0
+        levels.append((m, m + len(ups), ups, [-a[j] for a, _ in planes[m:] if a[j] < 0], [a[j] for a, _ in planes[:m]]))
     found: list[tuple[Point, int, int]] = []
 
     def scan(j: int, prefix: Point, res: list[int]) -> None:
+        m, p, ups, downs, step = levels[j]
+        hi = min((his[j], *map(floordiv, res[m:p], ups)))
+        lo = -min((-los[j], *map(floordiv, res[p:], downs)))
         if j == last:
-            hi = min(map(floordiv, res[:p], ups), default=his[j])
-            lo = -min(map(floordiv, res[p:q], downs), default=-los[j])
-            if lo <= hi and min(res[q:], default=0) >= 0:
+            if lo <= hi:
                 found.append((prefix, lo, hi))
             return
-        lo, hi, step = los[j], his[j], steps[j]
-        if j == cut:  # y_j within the shadow's slice: after it, the shadow's residuals are done with
-            if min(res[sq:], default=0) < 0:
-                return
-            hi = min(map(floordiv, res[m:sp], cut_ups), default=hi)
-            lo = -min(map(floordiv, res[sp:sq], cut_downs), default=-lo)
-            res = res[:m]
-        res = [r - a * lo for r, a in zip(res, step)]
+        res = [r - a * lo for r, a in zip(res, step)]  # the first m: the residuals of the later coordinates' planes
         for y in range(lo, hi + 1):
             scan(j + 1, prefix + (y,), res)
             res = list(map(sub, res, step))
 
-    scan(0, (), [b for _, b in planes] + [b for _, b in shadow])
+    scan(0, (), [b for _, b in planes])
     del scan  # it refers to itself: free found now, not at a later gc pass
     return found
 
@@ -421,8 +412,8 @@ class LatticePolytope:
     pivots: the integer kernel of the integer kernel of the frame's edge rows.
     A full-dimensional P has B = None and Q = P. `_planes` are Q's facets,
     `_corners` its vertices and `_faces` its boundary simplices as (point
-    tuple, plane) pairs: `fan_simplices` and `volume` read them, and a scan
-    of k >= 3 coordinates reads its `_shadow` off them.
+    tuple, plane) pairs: `_fan` reads them for `fan_simplices` and `volume`,
+    and a scan of k >= 3 coordinates its `_shadow`.
     """
 
     def __init__(self, points: Iterable):
@@ -483,28 +474,26 @@ class LatticePolytope:
 
     @functools.cached_property
     def _shadow(self) -> tuple[tuple[Point, int], ...]:
-        """Planes (a', b') over the first k - 1 coordinates of Q (k >= 2) whose
-        intersection is the shadow: the projection of the hulled polytope Q along its
-        last coordinate, by Fourier-Motzkin elimination over adjacent faces only
-        (Ziegler, *Lectures on Polytopes*, GTM 152, Sec. 1.2-1.3). With c_g the last
-        coefficient of face g's normal n_g, they are each plane with c_g == 0, less
-        its last coefficient, and for each two faces g, h sharing a ridge with
-        c_g * c_h < 0, |c_h| (n_g, b_g) + |c_g| (n_h, b_h) over the gcd of its
-        entries, whose last coefficient is 0. Each is a nonnegative combination of
-        valid inequalities free of the last coordinate, so it holds on the shadow.
-        They cut out no more than the shadow: the points of Q a supporting vertical
-        plane (u, 0) of a shadow facet meets form a face F of Q with (u, 0) in the
-        relative interior of F's normal cone. If F is a facet, it is vertical; else
-        F is a ridge, (u, 0) = s n_g + t n_h with s, t > 0 for its two facets, so
-        s c_g + t c_h = 0: both are vertical, or they have opposite signs and (u, 0)
-        is the combination up to scale. A ridge of Q is a union of ridges of the
-        boundary simplices, each between a simplex in g and one in h. Built at the
-        first scan that needs it. The ridge map holds the ridges of the faces with
-        c > 0: a ridge lies in two faces, so one of a face with c < 0 found there
-        joins the two. A hull that is its start simplex has every two faces
-        adjacent, so it builds no ridge map."""
+        """Fourier-Motzkin planes (a, b) of Q (k >= 2) whose last coefficient is 0: with Q's
+        vertical facets, those of last coefficient 0, they cut out the shadow, the projection
+        of the hulled polytope Q along its last coordinate, by elimination over adjacent faces
+        only (Ziegler, *Lectures on Polytopes*, GTM 152, Sec. 1.2-1.3). With c_g the last
+        coefficient of face g's normal n_g, they are for each two faces g, h sharing a ridge
+        with c_g * c_h < 0, |c_h| (n_g, b_g) + |c_g| (n_h, b_h) over the gcd of its entries.
+        Each is a nonnegative combination of valid inequalities, so it holds on Q, and its
+        normal is not 0, as the scan's rule needs: g's and h's planes both hold their common
+        ridge, so antiparallel normals would put the full-dimensional Q in one hyperplane.
+        With the vertical facets they cut out no more than the shadow: the points of Q a
+        supporting vertical plane (u, 0) of a shadow facet meets form a face F of Q with
+        (u, 0) in the relative interior of F's normal cone. If F is a facet, it is vertical;
+        else F is a ridge, (u, 0) = s n_g + t n_h with s, t > 0 for its two facets, so
+        s c_g + t c_h = 0: both are vertical, or they have opposite signs and (u, 0) is the
+        combination up to scale. A ridge of Q is a union of ridges of the boundary
+        simplices, each between a simplex in g and one in h. Built at the first scan that
+        needs it. The ridge map holds the ridges of the faces with c > 0: a ridge lies in
+        two faces, so one of a face with c < 0 found there joins the two. A hull that is
+        its start simplex has every two faces adjacent, so it builds no ridge map."""
         k = self.affine_dim
-        shadow = {(a[:-1], b) for a, b in self._planes if not a[-1]}
         ups = [face for face in self._faces if face[1].normal[-1] > 0]
         downs = [face for face in self._faces if face[1].normal[-1] < 0]
         if len(self._faces) == k + 1:
@@ -514,9 +503,10 @@ class LatticePolytope:
             pairs = [
                 (up_at[ridge], h) for verts, h in downs for ridge in itertools.combinations(verts, k - 1) if ridge in up_at
             ]
+        shadow = set()
         for (a, b), (e, f) in set(pairs):
             s, t = -e[-1], a[-1]
-            normal, offset = [s * x + t * y for x, y in zip(a[:-1], e[:-1])], s * b + t * f
+            normal, offset = [s * x + t * y for x, y in zip(a, e)], s * b + t * f
             div = gcd(offset, *normal)
             shadow.add((tuple(x // div for x in normal), offset // div))
         return tuple(shadow)
@@ -524,16 +514,18 @@ class LatticePolytope:
     def line_runs(self, n: int, cap: int | None = None) -> list[tuple[Point, int, int]]:
         """The integer points of nQ (nP when full-dimensional; a point has no runs) as
         `_line_scan`'s runs, which count them before any is built. A scan of k >= 3
-        coordinates is handed the dilated `_shadow`, so it examines only the lines that
-        meet nQ; one of fewer examines every line of the box. Raises as integer_points does."""
+        coordinates is handed the dilated `_shadow` with Q's planes: each plane cuts the
+        coordinate of its last nonzero coefficient, so the shadow's planes cut the prefixes
+        and the scan examines only the lines that meet nQ; one of fewer coordinates
+        examines every line of the box. Raises as integer_points does."""
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
+        check_box(self.box_size(n), cap)
         los, his = self.box(n)
-        check_box(box_count(los, his) if self._basis is None else self.box_size(n), cap)
         if not los:
             return []
-        shadow = [(a, n * b) for a, b in self._shadow] if len(los) >= 3 else ()
-        return _line_scan([(a, n * b) for a, b in self._planes], los, his, shadow)
+        planes = self._planes + self._shadow if len(los) >= 3 else self._planes
+        return _line_scan([(a, n * b) for a, b in planes], los, his)
 
     def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.
@@ -577,20 +569,21 @@ class LatticePolytope:
         """
         if not self.is_full_dimensional:
             raise ValueError("triangulation requires a full-dimensional polytope")
-        cones = ((self.vertices[0],) + face for face, _ in self._faces)
-        return tuple(cone for cone in cones if linalg.det_int(edge_rows(cone)))
+        return tuple(cone for cone, _ in self._fan)
 
     def volume(self) -> Fraction:
-        """Exact Euclidean d-volume (full-dimensional polytopes only), computed once: the |det| of
-        the edge rows of every cone of `fan_simplices` over `_faces`, flat ones too (they add 0), over d!."""
-        return self._volume
-
-    @functools.cached_property
-    def _volume(self) -> Fraction:
+        """Exact Euclidean d-volume (full-dimensional polytopes only): the |det| of the edge
+        rows of every cone of `fan_simplices`, over d!."""
         if not self.is_full_dimensional:
             raise ValueError("volume requires a full-dimensional polytope")
+        return Fraction(sum(det for _, det in self._fan), factorial(self.dim))
+
+    @functools.cached_property
+    def _fan(self) -> tuple[tuple[tuple[Point, ...], int], ...]:
+        """The cones from the lex-least vertex over `_faces` whose edge rows have a nonzero
+        determinant, each with its |det|, in `_faces` order: one determinant a cone."""
         cones = ((self.vertices[0],) + face for face, _ in self._faces)
-        return Fraction(sum(abs(linalg.det_int(edge_rows(cone))) for cone in cones), factorial(self.dim))
+        return tuple((cone, abs(det)) for cone in cones if (det := linalg.det_int(edge_rows(cone))))
 
     def __eq__(self, other) -> bool:
         return (

@@ -928,14 +928,15 @@ class TestLineScan:
             assert p.contains(q) == lp_contains(p, q), q
 
 
-def lines_examined(p: LatticePolytope, n: int) -> int:
-    """The lines `_line_scan` examines for nP: the calls of its inner `scan` at the
-    last coordinate, counted by a profile hook."""
-    last, count = p.affine_dim - 1, 0
+def lines_examined(p: LatticePolytope, n: int, j: int | None = None) -> int:
+    """The prefixes `_line_scan` examines at coordinate j for nP (the lines at the
+    last coordinate, the default): the calls of its inner `scan` at j, counted by a
+    profile hook."""
+    j, count = p.affine_dim - 1 if j is None else j, 0
 
     def profile(frame, event, arg):
         nonlocal count
-        count += event == "call" and frame.f_code.co_name == "scan" and frame.f_locals["j"] == last
+        count += event == "call" and frame.f_code.co_name == "scan" and frame.f_locals["j"] == j
 
     sys.setprofile(profile)
     try:
@@ -946,16 +947,19 @@ def lines_examined(p: LatticePolytope, n: int) -> int:
 
 
 class TestShadow:
-    """`LatticePolytope._shadow`, the projection of the scanned polytope Q along its
-    last coordinate, against the facets of the hull of Q's projected vertices,
-    and the lines the scan then examines."""
+    """`LatticePolytope._shadow`, planes of last coefficient 0 that with the vertical
+    facets cut out the projection of the scanned polytope Q along its last coordinate,
+    against the facets of the hull of Q's projected vertices, and the lines and
+    prefixes the scan then examines."""
 
     @staticmethod
     def check(p: LatticePolytope) -> None:
         projected = [v[:-1] for v in p._corners]
-        shadow = set(p._shadow)
-        assert set(LatticePolytope(projected).facets) <= shadow
-        assert all(dot(a, y) <= b for a, b in shadow for y in projected)
+        assert all(len(a) == p.affine_dim and not a[-1] for a, _ in p._shadow)
+        vertical = [(a, b) for a, b in p._planes if not a[-1]]
+        planes = {(tuple(a[:-1]), b) for a, b in [*p._shadow, *vertical]}
+        assert set(LatticePolytope(projected).facets) <= planes
+        assert all(dot(a, y) <= b for a, b in planes for y in projected)
 
     @given(st.one_of(solid_clouds(), lattice_clouds(max_dim=5, min_dim=3)))
     @settings(max_examples=150, deadline=None)
@@ -974,10 +978,11 @@ class TestShadow:
 
     @pytest.mark.parametrize("name", [name for name, pts in ZERO_LAST_COEFFICIENT.items() if len(pts[0]) >= 3])
     def test_vertical_facets(self, name):
+        # a vertical facet cuts its own coordinate as a facet: the shadow holds no copy of it
         p = LatticePolytope(ZERO_LAST_COEFFICIENT[name])
         self.check(p)
-        vertical = {(a[:-1], b) for a, b in p.facets if not a[-1]}
-        assert vertical and vertical <= set(p._shadow)
+        vertical = {(a, b) for a, b in p.facets if not a[-1]}
+        assert vertical and not vertical & set(p._shadow)
 
     @given(solid_clouds(), st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
@@ -998,6 +1003,17 @@ class TestShadow:
         assert (lines_examined(cloud, 1), math.prod(h - l + 1 for l, h in zip(los[:-1], his[:-1]))) == (64, 343)
         # 6 (x, y) in the triangle, times 2 z, of the box's 18 prefixes
         assert lines_examined(LatticePolytope(ZERO_LAST_COEFFICIENT["triangle times square"]), 1) == 12
+
+    def test_vertical_facets_cut_their_own_coordinate(self):
+        # the side x + y <= 2n cuts y: at n = 3 the (x, y) of the triangle, 28 of the
+        # box's 49, are examined at coordinate 2; the lines, the 28 (x, y) times 4 z, stay 112
+        p = LatticePolytope(ZERO_LAST_COEFFICIENT["triangle times square"])
+        assert (lines_examined(p, 3, 2), lines_examined(p, 3)) == (28, 112)
+        # conv{(0, 0), (3, 1), (1, 3)} x {0, 1}^3 in Z^5 at n = 2: the triangle's three
+        # sides cut y, before coordinate k - 2 = 3; 21 of the box's 49 (x, y) times 3 z
+        # are examined at coordinate 3, and 189 lines
+        p = LatticePolytope([(x, y, *t) for x, y in [(0, 0), (3, 1), (1, 3)] for t in itertools.product((0, 1), repeat=3)])
+        assert (lines_examined(p, 2, 3), lines_examined(p, 2)) == (63, 189)
 
     def test_two_coordinates_examine_every_line(self):
         # a scan of k <= 2 coordinates has no shadow: it examines each line of the box

@@ -26,9 +26,11 @@ and, in a temporary work directory of its own, runs every command of this list:
 - `points` at n = 1..4 and `check-equality` over 1..3 on polytopes whose
   scans have three or more coordinates, written into the work directory:
   sigma(d, m) for d = 4..6 and m = 2, 3, a 4-D prism with vertical facets and
-  a sheared top, and a 3-dimensional polytope in Z^5 (its scan runs in the
-  coordinates of its own lattice), as JSON and with `--pretty`, so that scans
-  that skip the lines outside the polytope's shadow are compared too;
+  a sheared top, a 3-dimensional polytope in Z^5 (its scan runs in the
+  coordinates of its own lattice), and a triangle times a square in Z^4 and
+  times a cube in Z^5 (vertical facets that cut a coordinate before the last
+  two), as JSON and with `--pretty`, so that scans that skip the lines outside
+  the polytope's shadow, and prefixes cut before it, are compared too;
 - `points` at n = 0..3, `minkowski` at 2, `check-equality` over 1..3, and
   `points` at 3 with `--cap` at the number of candidates the cap bounds at
   n = 3 and at one less, on lower-dimensional polytopes whose projection on
@@ -188,8 +190,9 @@ LOWER_DIMENSIONAL = {
 
 # Polytopes scanned in three or more coordinates: sigma(d, m) as the library
 # builds it, a prism over 2 * sigma(3, 1) whose top x4 = 1 + x1 is sheared
-# (its sides are vertical), and sigma(3, 2) plus (1, 1, 1) on x4 = x1 + x2,
-# x5 = x2 - x3 in Z^5.
+# (its sides are vertical), sigma(3, 2) plus (1, 1, 1) on x4 = x1 + x2,
+# x5 = x2 - x3 in Z^5, and two products of a triangle with a square or a cube,
+# whose triangle's sides are vertical facets that cut y, before coordinate k - 2.
 SHADOW_POLYTOPES = {
     **{
         f"sigma-{d}-{m}": [[0] * d] + [[int(i == j) for j in range(d)] for i in range(d - 1)] + [[-1] * (d - 1) + [m]]
@@ -198,6 +201,8 @@ SHADOW_POLYTOPES = {
     },
     "prism-4d": [[x, y, z, w] for x, y, z in [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)] for w in (0, 1 + x)],
     "solid-3d-in-5d": [[x, y, z, x + y, y - z] for x, y, z in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 2), (1, 1, 1)]],
+    "triangle-times-square-4d": [[x, y, z, w] for x, y in [(0, 0), (2, 0), (0, 2)] for z in (0, 1) for w in (0, 1)],
+    "triangle-times-cube-5d": [[x, y, *t] for x, y in [(0, 0), (3, 1), (1, 3)] for t in itertools.product((0, 1), repeat=3)],
 }
 
 # Lower-dimensional polytopes whose projection on the leading coordinates of
