@@ -23,7 +23,9 @@ scan is also handed planes of the polytope's shadow, its projection along the
 last coordinate: combinations of two facets that meet at a ridge, with last
 coefficients of opposite sign, that eliminate the last coordinate, read off the
 hull's boundary simplices. With the vertical facets they cut out the shadow, so
-only the lines through it are examined.
+only the lines through it are examined. Each level bounds the next coordinate
+before it enters a prefix, so an empty prefix costs no call, and cuts each line
+inline.
 """
 
 from __future__ import annotations
@@ -296,40 +298,53 @@ def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Seq
 
     One rule: a plane cuts y_j, j the index of its last nonzero coefficient c. With
     r = b - <a, (y_0..y_{j-1})>, it keeps y_j <= floor(r/c) if c > 0 and y_j >=
-    ceil(r/c) if c < 0, within the box's range of y_j, which a coordinate no plane cuts
-    keeps. A prefix a cut leaves out has no point of the polytope above it, so the runs
-    are exact. The loops over prefixes carry each plane's residual r, one subtraction a
-    step, up to its own coordinate: the planes are ordered by it, latest first, so each
-    level reads its cuts off the tail of the residuals and passes the rest on."""
-    last = len(los) - 1
-
-    def cut(plane: tuple[Point, int]) -> tuple[int, bool]:
-        j = max(i for i, c in enumerate(plane[0]) if c)
-        return j, plane[0][j] > 0
-
-    planes = sorted(planes, key=cut, reverse=True)  # by coordinate, latest first; c > 0 before c < 0
-    cuts = [cut(plane)[0] for plane in planes]
+    ceil(r/c) if c < 0, within the box's range of y_j; a side of y_j that no plane cuts
+    is cut by the box's own plane. A prefix a cut leaves out has no point of the polytope
+    above it, so the runs are exact. The loops over prefixes carry each plane's residual
+    r, one subtraction a step, up to its own coordinate: the planes are ordered by it,
+    latest first, so each level reads its cuts off the tail of the residuals and passes
+    the rest on. The loop over y_j computes y_{j+1}'s interval before it enters a prefix
+    and enters only those where it is nonempty; at j = k - 2 the interval is a line's run,
+    appended with no call. An empty interval holds no run and the values come in the same
+    order, so the runs and their order are those of a call for every prefix."""
+    last, keyed = len(los) - 1, []
+    for a, b in planes:
+        j = last
+        while not a[j]:
+            j -= 1
+        keyed.append(((j, a[j] > 0), a, b))
+    sides = {key for key, _, _ in keyed}
+    keyed += [((j, c > 0), (0,) * j + (c,) + (0,) * (last - j), his[j] if c > 0 else -los[j])
+              for j in range(last + 1) for c in (1, -1) if (j, c > 0) not in sides]
+    keyed.sort(key=lambda t: t[0], reverse=True)  # by coordinate, latest first; c > 0 before c < 0
     levels = []  # per coordinate j: res[:m] the residuals carried past j, res[m:p] those of c > 0, res[p:] of c < 0
     for j in range(last + 1):
-        m = sum(i > j for i in cuts)
-        ups = [a[j] for a, _ in planes[m:] if a[j] > 0]  # a plane that cuts an earlier coordinate has a_j == 0
-        levels.append((m, m + len(ups), ups, [-a[j] for a, _ in planes[m:] if a[j] < 0], [a[j] for a, _ in planes[:m]]))
-    found: list[tuple[Point, int, int]] = []
+        m = sum(i > j for (i, _), _, _ in keyed)
+        ups = [a[j] for _, a, _ in keyed[m:] if a[j] > 0]  # a plane that cuts an earlier coordinate has a_j == 0
+        step = [a[j - 1] for (i, _), a, _ in keyed if i >= j > 0]  # y_{j-1}'s coefficients on the planes carried to j
+        levels.append((m, m + len(ups), ups, [-a[j] for _, a, _ in keyed[m:] if a[j] < 0], his[j], -los[j], step))
+    m, p, ups, downs, top, bottom, _ = levels[0]
+    res = [b for _, _, b in keyed]
+    lo, hi = -min(bottom, *map(floordiv, res[p:], downs)), min(top, *map(floordiv, res[m:p], ups))
+    found: list[tuple[Point, int, int]] = [((), lo, hi)] if lo <= hi and not last else []
 
-    def scan(j: int, prefix: Point, res: list[int]) -> None:
-        m, p, ups, downs, step = levels[j]
-        hi = min((his[j], *map(floordiv, res[m:p], ups)))
-        lo = -min((-los[j], *map(floordiv, res[p:], downs)))
-        if j == last:
-            if lo <= hi:
-                found.append((prefix, lo, hi))
-            return
-        res = [r - a * lo for r, a in zip(res, step)]  # the first m: the residuals of the later coordinates' planes
+    def scan(j: int, prefix: Point, res: list[int], lo: int, hi: int) -> None:
+        m, p, ups, downs, top, bottom, step = levels[j + 1]
+        res = [r - a * lo for r, a in zip(res, step)]
         for y in range(lo, hi + 1):
-            scan(j + 1, prefix + (y,), res)
+            h = min(map(floordiv, res[m:p], ups))
+            g = min(map(floordiv, res[p:], downs))  # -g is y_{j+1}'s least value
+            h = top if h > top else h
+            g = bottom if g > bottom else g
+            if h + g >= 0:
+                if j + 1 < last:
+                    scan(j + 1, prefix + (y,), res, -g, h)
+                else:
+                    found.append((prefix + (y,), -g, h))
             res = list(map(sub, res, step))
 
-    scan(0, (), [b for _, b in planes])
+    if lo <= hi and last:
+        scan(0, (), res, lo, hi)
     del scan  # it refers to itself: free found now, not at a later gc pass
     return found
 

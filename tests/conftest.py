@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths they check: vertices and
 membership by LP instead of the hull, facets by trying every vertex subset,
 integer points by testing every point of the bounding box (by LP, or against
-every facet) instead of one interval per line, a lower-dimensional polytope's
+every facet) instead of one interval per line, a scan's runs by grouping those
+points by prefix instead of cutting each line, a lower-dimensional polytope's
 integer points by scanning its projection on echelon pivot columns and lifting
 through its affine hull's equations instead of scanning its own lattice, the
 box a cap bounds by that projection's box alone instead of the smaller of it and
@@ -35,6 +36,7 @@ import functools
 import itertools
 import math
 import os
+import random
 import dataclasses
 from fractions import Fraction
 from math import factorial
@@ -362,6 +364,40 @@ def box_scan_points(poly: LatticePolytope, n: int) -> PointSet:
         if all(c.denominator == 1 for c in x):
             found.append(tuple(map(int, x)))
     return PointSet(found, d)
+
+
+def box_scan_runs(poly: LatticePolytope, n: int) -> list:
+    """`box_scan_points` grouped into maximal runs (prefix, lo, hi) of consecutive last
+    coordinates, in lex order: what `LatticePolytope.line_runs(n)` returns, with no call
+    into `_line_scan` or `line_runs`. A lower-dimensional polytope's runs are in its
+    lattice frame's coordinates, so the full-dimensional Q of its `_corners` is scanned;
+    a point has no runs."""
+    if not poly.affine_dim:
+        return []
+    runs: list = []
+    for x in box_scan_points(poly if poly.is_full_dimensional else LatticePolytope(poly._corners), n).points:
+        if runs and runs[-1][0] == x[:-1] and runs[-1][2] == x[-1] - 1:
+            runs[-1][2] = x[-1]
+        else:
+            runs.append([x[:-1], x[-1], x[-1]])
+    return [tuple(run) for run in runs]
+
+
+def unimodular(rng: random.Random, d: int) -> list[list[int]]:
+    """A seeded U in GL(d, Z): the identity under 2d row operations, each a shear by
+    +-1, a swap of two rows or a sign flip of one."""
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(2 * d):
+        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
+        op = rng.choice(("shear", "swap", "flip")) if d > 1 else "flip"
+        if op == "shear":
+            c = rng.choice((-1, 1))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        elif op == "swap":
+            u[i], u[j] = u[j], u[i]
+        else:
+            u[i] = [-a for a in u[i]]
+    return u
 
 
 def projection_lift_points(poly: LatticePolytope, n: int) -> tuple:

@@ -47,6 +47,7 @@ import conftest
 from conftest import (
     affine_rank,
     box_scan_points,
+    box_scan_runs,
     brute_force_facets,
     brute_force_integer_points,
     cofactor_normal,
@@ -59,6 +60,7 @@ from conftest import (
     plane_through,
     recursive_fan_simplices,
     scan_beneath_beyond,
+    unimodular,
 )
 
 points_2d = st.lists(
@@ -902,6 +904,22 @@ class TestLineScan:
             p = LatticePolytope(sigma(d, m).vertices)
             for n in range(5 if d < 5 else 4):
                 assert p.integer_points(n) == box_scan_points(p, n)
+                assert p.line_runs(n) == box_scan_runs(p, n)
+
+    @given(st.one_of(solid_clouds(), lattice_clouds(max_dim=5)), st.integers(0, 3), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_extra_valid_planes_keep_the_runs(self, pts, n, data):
+        # a plane (u, n max <u, v>) over Q's corners v holds on nQ; one for each coordinate
+        # j, u's last nonzero coefficient at j, cuts prefixes at every level, before k - 2
+        # too, and no point of nQ is lost
+        p = hull(pts)
+        assume(p.affine_dim >= 1 and geometry.box_count(*p.box(n)) <= 3000)
+        k, planes = p.affine_dim, [(a, n * b) for a, b in p._planes]
+        for j in range(k):
+            head = data.draw(st.lists(st.integers(-3, 3), min_size=j, max_size=j))
+            u = (*head, data.draw(st.integers(-3, 3).filter(bool)), *[0] * (k - 1 - j))
+            planes.append((u, n * max(dot(u, v) for v in p._corners)))
+        assert geometry._line_scan(planes, *p.box(n)) == box_scan_runs(p, n)
 
     def test_leaves_no_reference_cycles(self):
         # cycles would hold each scan's point list until the collector runs
@@ -928,22 +946,29 @@ class TestLineScan:
             assert p.contains(q) == lp_contains(p, q), q
 
 
-def lines_examined(p: LatticePolytope, n: int, j: int | None = None) -> int:
-    """The prefixes `_line_scan` examines at coordinate j for nP (the lines at the
-    last coordinate, the default): the calls of its inner `scan` at j, counted by a
-    profile hook."""
-    j, count = p.affine_dim - 1 if j is None else j, 0
+def scan_calls(p: LatticePolytope, n: int) -> list[tuple[int, int, int]]:
+    """(j, lo, hi) of each call of `_line_scan`'s inner `scan` for nP, read by a profile
+    hook: the scan entered the prefix y_0..y_{j-1}, and lo..hi is y_j's interval there."""
+    calls = []
 
     def profile(frame, event, arg):
-        nonlocal count
-        count += event == "call" and frame.f_code.co_name == "scan" and frame.f_locals["j"] == j
+        if event == "call" and frame.f_code.co_name == "scan":
+            calls.append((frame.f_locals["j"], frame.f_locals["lo"], frame.f_locals["hi"]))
 
     sys.setprofile(profile)
     try:
         p.line_runs(n)
     finally:
         sys.setprofile(None)
-    return count
+    return calls
+
+
+def lines_examined(p: LatticePolytope, n: int, j: int | None = None) -> int:
+    """The prefixes y_0..y_{j-1} (j >= 1) whose interval at coordinate j `_line_scan`
+    computes for nP (the lines at the last coordinate, the default): one for each value
+    y_{j-1} takes in a prefix entered at j - 1."""
+    j = p.affine_dim - 1 if j is None else j
+    return sum(hi - lo + 1 for i, lo, hi in scan_calls(p, n) if i == j - 1)
 
 
 class TestShadow:
@@ -990,8 +1015,7 @@ class TestShadow:
         # a line through a prefix outside the shadow holds no point, so no run is lost
         p = hull(pts)
         assume(p.affine_dim >= 3 and box_size(p, n) <= 20000)
-        los, his = p.box(n)
-        assert p.line_runs(n) == geometry._line_scan([(a, n * b) for a, b in p._planes], los, his)
+        assert p.line_runs(n) == box_scan_runs(p, n)
 
     def test_lines_examined(self):
         # the box of 3 * sigma(5, 2) has 7^4 = 2,401 lines; 56 prefixes are in its shadow
@@ -1003,6 +1027,15 @@ class TestShadow:
         assert (lines_examined(cloud, 1), math.prod(h - l + 1 for l, h in zip(los[:-1], his[:-1]))) == (64, 343)
         # 6 (x, y) in the triangle, times 2 z, of the box's 18 prefixes
         assert lines_examined(LatticePolytope(ZERO_LAST_COEFFICIENT["triangle times square"]), 1) == 12
+
+    def test_only_nonempty_prefixes_are_entered(self):
+        # the 4-D cloud at n = 1: of the box's 7 x 7 (y_0, y_1), the interval at coordinate
+        # 2 is computed for 43 and nonempty for 25, and only those 25 are entered (a call
+        # per prefix entered all 43); their 64 lines are cut with no call each
+        cloud = hull(HULL_CASES["4-D cloud"])
+        calls = scan_calls(cloud, 1)
+        assert (lines_examined(cloud, 1, 2), sum(j == 2 for j, _, _ in calls), lines_examined(cloud, 1)) == (43, 25, 64)
+        assert all(lo <= hi for _, lo, hi in calls) and max(j for j, _, _ in calls) == 2
 
     def test_vertical_facets_cut_their_own_coordinate(self):
         # the side x + y <= 2n cuts y: at n = 3 the (x, y) of the triangle, 28 of the
@@ -1100,23 +1133,6 @@ class TestLatticeFrame:
         with mock.patch.object(linalg, "adjugate", lambda rows: (0, None)):
             with pytest.raises(RuntimeError, match="internal inconsistency"):
                 LatticePolytope(LOWER_DIMENSIONAL[name])
-
-
-def unimodular(rng: random.Random, d: int) -> list[list[int]]:
-    """A seeded U in GL(d, Z): the identity under 2d row operations, each a shear by
-    +-1, a swap of two rows or a sign flip of one."""
-    u = [[int(i == j) for j in range(d)] for i in range(d)]
-    for _ in range(2 * d):
-        i, j = rng.sample(range(d), 2) if d > 1 else (0, 0)
-        op = rng.choice(("shear", "swap", "flip")) if d > 1 else "flip"
-        if op == "shear":
-            c = rng.choice((-1, 1))
-            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
-        elif op == "swap":
-            u[i], u[j] = u[j], u[i]
-        else:
-            u[i] = [-a for a in u[i]]
-    return u
 
 
 def invariance_case(seed: int):

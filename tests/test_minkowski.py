@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,10 +26,11 @@ from latmink import (
     validate_triangulation,
 )
 from latmink import geometry
+from latmink.geometry import dot
 from latmink.triangulation import DEFAULT_POINT_CAP
 from latmink.verify import orthant_fan, symmetric_example_polytope
 
-from conftest import folded_minkowski_power, is_n_fold_sum
+from conftest import folded_minkowski_power, is_n_fold_sum, unimodular
 
 small_sets_1d = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(
     lambda xs: PointSet([(x,) for x in xs])
@@ -283,6 +285,38 @@ class TestCheckEquality:
             missing = [x for x in p.integer_points(r.n) if x not in power]
             assert (r.holds, r.witness) == (not missing, missing[0] if missing else None)
         assert [r.holds for r in reports] == [True, True, False]
+
+
+def equality_case(seed: int):
+    """A seeded cloud in Z^2 or Z^3 (4-7 points in [-2, 2]^d) and an affine map
+    x -> Ux + t, U in GL(d, Z) a product of +-1 shears, swaps and sign flips."""
+    rng = random.Random(seed)
+    d = 2 + seed % 2
+    cloud = [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(rng.randint(4, 7))]
+    return cloud, unimodular(rng, d), tuple(rng.randint(-3, 3) for _ in range(d))
+
+
+class TestUnimodularEquality:
+    """check_equality_range over 1..3 on P and on its image UP + t: the same verdicts,
+    and each witness w of P maps to Uw + nt, a point of n(UP + t) that the n-fold sum of
+    the image's lattice points misses."""
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_image_agrees(self, seed):
+        cloud, u, t = equality_case(seed)
+        p, q = hull(cloud), hull(tuple(c + dot(row, x) for row, c in zip(u, t)) for x in cloud)
+        reports = check_equality_range(p, range(1, 4))
+        assert [r.holds for r in check_equality_range(q, range(1, 4))] == [r.holds for r in reports]
+        omega = q.integer_points(1)
+        for r in reports:
+            if not r.holds:
+                w = tuple(r.n * c + dot(row, r.witness) for row, c in zip(u, t))
+                assert w in q.integer_points(r.n) and w not in minkowski_power(omega, r.n)
+
+    def test_cases_fail_somewhere(self):
+        # the seeded clouds in Z^3 are not all normal: 62 verdicts fail, so witnesses are mapped
+        verdicts = [r.holds for seed in range(120) for r in check_equality_range(hull(equality_case(seed)[0]), range(1, 4))]
+        assert verdicts.count(False) == 62
 
 
 class TestDecompose:
