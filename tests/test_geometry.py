@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import itertools
 import math
 import random
@@ -559,6 +560,50 @@ class TestBeneathBeyond:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def elimination_steps(build) -> int:
+    """The line events on the `for k in range(n):` pivot loop of det_int and of adjugate while
+    build() runs, counted by a trace hook: 0 if and only if no elimination step ran."""
+    headers = {}
+    for fn in (linalg.det_int, linalg.adjugate):
+        source, first = inspect.getsourcelines(fn)
+        headers[fn.__code__] = first + next(i for i, line in enumerate(source) if line.strip() == "for k in range(n):")
+    steps = 0
+
+    def in_kernel(frame, event, arg):
+        nonlocal steps
+        steps += event == "line" and frame.f_lineno == headers[frame.f_code]
+        return in_kernel
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_kernel if frame.f_code in headers else None)
+    try:
+        build()
+    finally:
+        sys.settrace(previous)
+    return steps
+
+
+class TestClosedFormKernel:
+    """Simplices and polytopes in Z^3 need determinants and adjugates of at most 4 x 4,
+    which linalg takes from cofactor formulas: no elimination step runs. A simplex in Z^4
+    needs a 5 x 5 adjugate, which the elimination serves."""
+
+    def test_no_elimination_in_z3(self):
+        def build_simplex():
+            s = LatticeSimplex([(0, 0, 0), (1, 0, 0), (0, 1, 0), (-1, -1, 2)])
+            return s.normalized_volume, s.facets
+
+        def build_polytope():
+            p = LatticePolytope(HULL_CASES["3-D cloud"])
+            return p.volume(), p.facets
+
+        assert elimination_steps(build_simplex) == 0
+        assert elimination_steps(build_polytope) == 0
+
+    def test_elimination_in_z4(self):
+        assert elimination_steps(lambda: LatticeSimplex([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (-1, -1, -1, 2)]))
 
 
 class TestFacets:

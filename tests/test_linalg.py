@@ -26,7 +26,7 @@ def det_by_permutation_expansion(rows):
     return total
 
 
-square_matrices = st.integers(1, 4).flatmap(
+square_matrices = st.integers(1, 6).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n
     )
@@ -128,9 +128,9 @@ entries = st.one_of(st.integers(-4, 4), st.integers(-(10**6), 10**6))
 
 @st.composite
 def adjugate_cases(draw):
-    """Square matrices of size 0..5; some rows are integer combinations of the
+    """Square matrices of size 0..7; some rows are integer combinations of the
     rows before them, so the matrix is singular."""
-    n = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 7))
     rows = []
     for _ in range(n):
         if rows and draw(st.integers(0, 4)) == 0:
@@ -171,14 +171,64 @@ class TestAdjugate:
         assert linalg.adjugate([]) == (1, [])
         assert linalg.adjugate([[7]]) == (7, [[1]])
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_pinned_pivots_by_elimination(self, n):
+        # the row-swap cases above at sizes the cofactor formulas do not take
+        def permutation(rows):
+            return [[int(j == i) for j in range(n)] for i in rows]
+
+        anti = permutation(reversed(range(n)))  # a swap at each of the first n // 2 pivots
+        sign = (-1) ** (n * (n - 1) // 2)
+        assert linalg.adjugate(anti) == (sign, [[sign * x for x in row] for row in anti])
+        # two swaps sharing a row, undone last first: (2, 4) then (3, 4), or (1, 3) then (2, 3)
+        cycle = permutation([0, 1, 3, 4, 2] if n == 5 else [0, 2, 3, 1, 4, 5])
+        assert linalg.adjugate(cycle) == (1, [list(col) for col in zip(*cycle)])
+        # leading 2x2 minor zero: a swap at the second pivot
+        minor = [[1, 2, 3, -1, 2, 1][:n], [2, 4, 5, 1, -3, 2][:n]] + [
+            [int(i == j) + (i + 2 * j) % 3 for j in range(n)] for i in range(2, n)
+        ]
+        det = det_by_permutation_expansion(minor)
+        assert det and linalg.adjugate(minor) == (det, [[det * x for x in row] for row in inverse_exact(minor)])
+
     def test_singular(self):
         assert linalg.adjugate([[1, 2], [2, 4]]) == (0, None)
         assert linalg.adjugate([[0, 0], [0, 0]]) == (0, None)
         assert linalg.adjugate([[1, 0, 0], [0, 0, 0], [0, 0, 1]]) == (0, None)
+        assert linalg.adjugate([[0]]) == (0, None) and linalg.det_int([[0]]) == 0
 
     def test_not_square(self):
         with pytest.raises(ValueError):
             linalg.adjugate([[1, 2, 3], [4, 5, 6]])
+
+
+@st.composite
+def closed_form_cases(draw, n):
+    """n x n matrices with entries up to 5, 10^6 or 10^30 in size; in some, one row
+    (at any index) is an integer combination of the others, so the matrix is singular."""
+    bound = draw(st.sampled_from((5, 10**6, 10**30)))
+    rows = [draw(st.lists(st.integers(-bound, bound), min_size=n, max_size=n)) for _ in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        i, coeffs = draw(st.integers(0, n - 1)), draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rows[i] = [sum(c * r[j] for k, (c, r) in enumerate(zip(coeffs, rows)) if k != i) for j in range(n)]
+    return rows
+
+
+class TestClosedForms:
+    """det_int and adjugate at n = 1..4, the sizes the cofactor formulas take, against
+    the permutation expansion and the Fraction inverse of the conftest oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracles(self, n, data):
+        rows = data.draw(closed_form_cases(n))
+        det = det_by_permutation_expansion(rows)
+        assert linalg.det_int(rows) == det
+        inverse = inverse_exact(rows)
+        if inverse is None:
+            assert det == 0 and linalg.adjugate(rows) == (0, None)
+        else:
+            assert linalg.adjugate(rows) == (det, [[det * x for x in row] for row in inverse])
 
 
 def in_row_lattice(hnf_rows, vector):

@@ -65,6 +65,15 @@ and, in a temporary work directory of its own, runs every command of this list:
   times each vertex and at the floor of n times the vertex centroid (a point
   of nP's interior), as JSON and with `--pretty`, so that the integrality
   tests of both are compared;
+- `lemma1` on the matrices whose elimination took its row-swap path (a swap
+  at the first pivot, the 3 x 3 anti-diagonal, a zero leading 2 x 2 minor and
+  a 4 x 4 cycle of two swaps that share a row) and on matrices with entries
+  near 10^12 for d = 2..4 (det 1, det 3 and singular; the nonsingular ones
+  stop at the box cap, exit 3, after their adjugate), and `classify` on a
+  Z^3 simplex whose (v, 1) matrix has a zero leading pivot, written into the
+  work directory, as JSON and with `--pretty`, so that determinants and
+  adjugates up to 4 x 4 from the cofactor formulas are compared with the
+  elimination's;
 - `decompose` at n = 2 on `cube(3, 0, 2)` and `cross-3d`, written into the
   work directory, through their searched triangulation under polytope
   documents that list the canonical vertices, permuted, with a duplicate,
@@ -427,6 +436,37 @@ def _lemma1_commands(work: Path):
     return commands + [["--pretty", *argv] for argv in commands]
 
 
+# The row-swap cases that test_pinned_pivots (tests/test_linalg.py) pins, for lemma1.
+SWAP_MATRICES = {
+    "swap-2": [[0, 1], [1, 0]],
+    "anti-diagonal-3": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+    "zero-minor-3": [[1, 2, 3], [2, 4, 5], [1, 1, 1]],
+    "cycle-4": [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]],
+}
+# Sorted, its first vertex is (0, 0, 1), so its (v, 1) matrix has a zero first pivot.
+ZERO_PIVOT_SIMPLEX = [[0, 1, 0], [0, 0, 1], [1, 0, 0], [2, 3, 5]]
+
+
+def _swap_path_commands(work: Path):
+    """Write SWAP_MATRICES, matrices with entries near 10^12 and ZERO_PIVOT_SIMPLEX into
+    work and return lemma1 on each matrix and classify on the simplex, JSON first, then
+    --pretty. The unit matrix of size d has rows 1...1 and 10^12 + [j >= i], i = 1..d-1
+    (det 1); the scaled one has its last row times 3, the singular one the sum of the others there."""
+    matrices, big = dict(SWAP_MATRICES), 10**12
+    for d in range(2, 5):
+        unit = [[1] * d] + [[big + (j >= i) for j in range(d)] for i in range(1, d)]
+        matrices[f"big-{d}-unit"] = unit
+        matrices[f"big-{d}-scaled"] = unit[:-1] + [[3 * x for x in unit[-1]]]
+        matrices[f"big-{d}-singular"] = unit[:-1] + [list(map(sum, zip(*unit[:-1])))]
+    commands = []
+    for name, matrix in matrices.items():
+        (work / f"lemma1-{name}.json").write_text(json.dumps({"matrix": matrix}))
+        commands.append(["lemma1", f"lemma1-{name}.json"])
+    (work / "zero-pivot-simplex-3d.json").write_text(json.dumps({"dim": 3, "vertices": ZERO_PIVOT_SIMPLEX}))
+    commands.append(["classify", "zero-pivot-simplex-3d.json"])
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
 def _decompose_commands(data: Path):
     """decompose at n = 3 and 50 on four bundled polytopes, at n times each
     vertex and at the floor of n times the vertex centroid, JSON first, then
@@ -613,7 +653,7 @@ def digests(root: Path) -> list:
             run(argv)
         for argv in _lemma1_commands(Path(tmp)) + _decompose_commands(root / "src" / "latmink" / "data"):
             run(argv)
-        for argv in _inverse_commands(Path(tmp)):
+        for argv in _inverse_commands(Path(tmp)) + _swap_path_commands(Path(tmp)):
             run(argv)
         for argv, after in _triangulation_document_commands(Path(tmp), workloads._mutate):
             run(argv, after)
