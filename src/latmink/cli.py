@@ -19,6 +19,7 @@ exceeded, 141 (128 + SIGPIPE) stdout closed early, as by `| head -c 100`.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -51,6 +52,10 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool ended b
 CAP_COMMANDS = ("points", "minkowski", "check-equality", "word-ball", "boundary", "check-boundary")
 
 
+# the errors of an open that Path.exists reads as "no such file": then a bare name may be a bundled dataset
+_NO_FILE = {errno.ENOENT, errno.ENOTDIR, errno.ELOOP}
+
+
 class InputError(Exception):
     pass
 
@@ -59,9 +64,15 @@ def _read_document(name: str):
     """Load a JSON document from a path, or from the bundled data file of a bare name that is not a file."""
     path = Path(name)
     try:
-        text = path.read_text() if path.exists() else None
-    except OSError as exc:  # a name too long for the file system, a directory, a file without read permission
-        raise InputError(f"{quoted_prefix(name)}: {exc.strerror or exc}") from exc
+        text = path.read_text()  # no stat first: the bundled datasets are read only when the open fails
+    except OSError as exc:
+        if exc.errno not in _NO_FILE:  # a name too long for the file system, a directory, a file without read permission
+            raise InputError(f"{quoted_prefix(name)}: {exc.strerror or exc}") from exc
+        text = None
+    except UnicodeDecodeError:  # a file that is not text: the document's error
+        raise
+    except ValueError:  # a NUL byte in the name, which no file has
+        text = None
     if text is None:
         from importlib import resources  # here, not at the top: only a bundled name reads it
         resource = resources.files("latmink.data").joinpath(path.name + ("" if name.endswith(".json") else ".json"))

@@ -556,10 +556,27 @@ class LatticePolytope:
         """
         runs = self.line_runs(n, cap)  # checks n and the cap first, also for a point, which has no runs
         inside = run_points(runs) if self.affine_dim else [()]
-        if self._basis is not None:
-            origin, columns = [n * c for c in self.vertices[0]], [[row[j] for row in self._basis] for j in range(self.dim)]
-            inside = [tuple(o + dot(y, col) for o, col in zip(origin, columns)) for y in inside]
-        return PointSet._canonical(tuple(inside), self.dim)
+        return PointSet._canonical(tuple(self._lift(inside, n)), self.dim)
+
+    def lines(self, n: int, cap: int | None = None) -> tuple[list[Point], list[int], Point]:
+        """The integer points of nP as lines, without building them: the first point of each
+        line in Z^d, in lex order, the number of points on it, and the step from one point of a
+        line to the next, the same for every line: e_d when P is full-dimensional, B's last row
+        otherwise (a point has one line of one point, and step 0). The points of the lines, in
+        order, are those of integer_points(n, cap); raises as it does."""
+        runs = self.line_runs(n, cap)
+        if not self.affine_dim:
+            return self._lift([()], n), [1], (0,) * self.dim
+        firsts = self._lift([prefix + (lo,) for prefix, lo, _ in runs], n)
+        step = (0,) * (self.dim - 1) + (1,) if self._basis is None else tuple(self._basis[-1])
+        return firsts, [hi - lo + 1 for _, lo, hi in runs], step
+
+    def _lift(self, ys: list[Point], n: int) -> list[Point]:
+        """The points n v0 + yB of nP for the points y of nQ; ys itself when P is full-dimensional."""
+        if self._basis is None:
+            return ys
+        origin, columns = [n * c for c in self.vertices[0]], [[row[j] for row in self._basis] for j in range(self.dim)]
+        return [tuple(o + dot(y, col) for o, col in zip(origin, columns)) for y in ys]
 
     def dilate(self, n: int) -> "LatticePolytope":
         """The polytope with every vertex scaled by n (n >= 0)."""

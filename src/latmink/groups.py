@@ -52,18 +52,25 @@ GL2Z_IDENTITY: Matrix2 = ((1, 0), (0, 1))
 
 class ElementSet:
     """Deduplicated finite set of group elements in canonical sorted order. Its
-    member set is built at the first in, difference or issubset, then kept."""
+    member set is built at the first in, difference or issubset, then kept.
 
-    __slots__ = ("elements", "_set")
+    shape is the dimensions every element has as an int array, when the set's
+    builder knows them: (d,) for Z^d and (2, 2) for GL(2, Z) in the sets
+    BallCodec.elements builds, and in their differences; None in a set built
+    from a caller's elements. serialize writes a set with a shape by one
+    template, and every other set element by element."""
+
+    __slots__ = ("elements", "shape", "_set")
 
     def __init__(self, elements: Iterable):
-        self.elements, self._set = tuple(sorted(set(elements))), None
+        self.elements, self.shape, self._set = tuple(sorted(set(elements))), None, None
 
     @classmethod
-    def _canonical(cls, items: tuple) -> "ElementSet":
-        """The set of items, a tuple already distinct and in canonical order."""
+    def _canonical(cls, items: tuple, shape: tuple[int, ...] | None = None) -> "ElementSet":
+        """The set of items, a tuple already distinct and in canonical order,
+        each an int array of this shape when it is given."""
         self = cls.__new__(cls)
-        self.elements, self._set = items, None
+        self.elements, self.shape, self._set = items, shape, None
         return self
 
     @property
@@ -91,7 +98,7 @@ class ElementSet:
         return f"ElementSet({len(self.elements)} elements)"
 
     def difference(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet._canonical(tuple(itertools.filterfalse(other._members.__contains__, self.elements)))
+        return ElementSet._canonical(tuple(itertools.filterfalse(other._members.__contains__, self.elements)), self.shape)
 
     def issubset(self, other: "ElementSet") -> bool:
         return self._members <= other._members
@@ -197,16 +204,19 @@ class BallCodec:
             self.encode = encode
             self.decode = lambda codes: zip(*[[(c + offset) // w % base - bound for c in codes] for w in weights])
             self.products = lambda codes, by: [x + w for x in codes for w in by]
+            self.shape = (group.dim,)
         else:
             self.encode = lambda xs: [r0 + r1 for r0, r1 in xs]
             self.decode = lambda codes: [((a, b), (c, d)) for a, b, c, d in codes]
             self.products = _gl2z_products
+            self.shape = (2, 2)
         [self.identity] = self.encode([group.identity])
         self.generators = tuple(self.encode(gens))
 
     def elements(self, codes: Iterable) -> ElementSet:
-        """The decoded elements of codes: sorted codes decode in canonical order."""
-        return ElementSet._canonical(tuple(self.decode(sorted(codes))))
+        """The decoded elements of codes, with the codec's element shape: sorted
+        codes decode in canonical order."""
+        return ElementSet._canonical(tuple(self.decode(sorted(codes))), self.shape)
 
     def layers(self, ns: range, cap: int | None = None) -> Iterator[tuple[int, set, set]]:
         """Yield (n, ball(n), layer(n)), the last two as sets of codes, for each n

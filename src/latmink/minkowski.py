@@ -6,15 +6,21 @@ module decides whether the two sets coincide, produces the lex-least missing
 point as a witness when they do not, and constructively decomposes integer
 points of nP into n summands from Omega via a primitive triangulation.
 n*Omega comes from the word-ball engine of groups, over Z^d after a
-translation by t, the lex-least point of Omega: the equality test looks each
-point p of nP up by code(p) - code(n*t) among the int codes of the ball, so
-no sum is decoded; minkowski_sum is the direct pairwise form.
+translation by t, the lex-least point of Omega. The equality test reads nP
+line by line (LatticePolytope.lines) and never builds its points: the codes
+code(p) - code(n*t) of a line's points form one range of ints, consecutive
+when P is full-dimensional (the last coordinate has weight 1) and stepping by
+the code of the lattice basis's last row when it is not, and each range is
+looked up among the int codes of the ball at once. No sum is decoded, and of
+the points of nP only the first missing code is, as the witness;
+minkowski_sum is the direct pairwise form.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import chain, filterfalse
 from operator import add, sub
 
 from . import geometry, linalg
@@ -85,7 +91,16 @@ def check_equality_range(
     poly: LatticePolytope, ns: range, cap: int | None = None
 ) -> list[EqualityReport]:
     """check_equality for every n in ns, in increasing order, reading n*Omega
-    off one BallCodec.layers stream of _translated_group(Omega) over ns. The
+    off one BallCodec.layers stream of _translated_group(Omega) over ns.
+
+    At each n, nP comes as lines (LatticePolytope.lines: one line scan per n,
+    and at n = 1 the scan of Omega, each point a line of its own), and each
+    line as one range of codes tested with ball.issuperset. When every line is
+    in the ball, equality holds; else the hits are counted code by code and
+    the first missing code of the first line not in the ball, decoded, is the
+    lex-least witness: the lines come in lex order, and so do the points of a
+    line, the step having a positive first nonzero coordinate. Either way the
+    hits must number |ball|, or a sum escaped the dilation. The
     box cap (DEFAULT_BOX_CAP when None) bounds each dilation nP; after the
     scan of Omega, the first n of ns whose box_size is over the cap raises
     before any other scan, so every ball of the stream is within the cap too:
@@ -102,14 +117,26 @@ def check_equality_range(
     if over < len(head):
         check_box(poly.box_size(head[over]), cap)  # raises, as the scan of that box would
     codec, reports = BallCodec(_translated_group(omega), ns[-1] if ns else 0), []
-    [t_code] = codec.encode(omega.points[:1])
+    t = omega.points[0]
+    [t_code] = codec.encode([t])
     for n, ball, _ in codec.layers(ns, cap):
-        full = omega if n == 1 else poly.integer_points(n, cap=cap)  # P was scanned for Omega
-        shift = n * t_code  # the code of n*t: codes are additive
-        missing = [p for p, c in zip(full.points, codec.encode(full.points)) if c - shift not in ball]
-        if len(full) - len(missing) != len(ball):
+        # P was scanned for Omega: at n = 1 each point of Omega is a line of its own
+        firsts, counts, step = (omega.points, [1] * len(omega), (0,) * poly.dim) if n == 1 else poly.lines(n, cap)
+        # codes are additive, so a line's codes step by code(step), and n*t's is n * t_code;
+        # code(step) is 0 only if no line has two points, as codes are injective on nP - n*t
+        [s, *codes] = codec.encode([step, *firsts])
+        s, shift = s or 1, n * t_code
+        lines = [range(c - shift, c - shift + k * s, s) for c, k in zip(codes, counts)]
+        if all(map(ball.issuperset, lines)):
+            hits, witness = sum(counts), None
+        else:
+            hits = sum(map(ball.__contains__, chain.from_iterable(lines)))
+            line = next(filterfalse(ball.issuperset, lines))
+            [witness] = codec.decode([next(filterfalse(ball.__contains__, line))])
+            witness = tuple(map(add, witness, [n * c for c in t]))
+        if hits != len(ball):
             raise RuntimeError("internal inconsistency: sums escaped the dilation")
-        reports.append(EqualityReport(n, not missing, missing[0] if missing else None))
+        reports.append(EqualityReport(n, witness is None, witness))
     return reports
 
 

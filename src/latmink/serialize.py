@@ -29,9 +29,14 @@ an int subclass, a non-str key) raises TypeError, so floats and unordered
 sets never reach a report. With an indent the standard library encodes in
 pure Python, element by element; `dumps` instead writes each rectangular int
 array (points, Z^d elements, GL(2, Z) matrices, in lists or tuples) with one
-%-template filled at C speed. The two-stage form, the JSON data first
-(`oracle_to_json` in the tests' conftest) and then the standard library's
-text, is its test oracle.
+%-template filled at C speed. A set whose builder fixed the shape of its
+elements, every PointSet ((dim,)) and the ElementSets of BallCodec.elements
+(ElementSet.shape: (d,) or (2, 2)), is flattened at C speed and written by the
+template of that shape, with no walk of the levels to find it; one check that
+every leaf is an int stays, and a set that fails it, like every other value,
+takes the generic walk, which raises TypeError on a leaf that is not an int
+or a bool. The two-stage form, the JSON data first (`oracle_to_json` in the
+tests' conftest) and then the standard library's text, is its test oracle.
 """
 
 from __future__ import annotations
@@ -54,11 +59,18 @@ def _reject_float(text: str):
     raise ValueError(f"floating point literal {quoted_prefix(text)}: coordinates must be exact integers")
 
 
+_DECODER = json.JSONDecoder(parse_float=_reject_float, parse_constant=_reject_float)
+
+
 def loads_strict(text: str) -> Any:
     """The JSON document of text, with floats rejected; a document nested too
-    deep for the decoder's recursion is a ValueError, like any bad document."""
+    deep for the decoder's recursion is a ValueError, like any bad document.
+    One decoder serves every call, with json.loads's check for a leading
+    byte order mark, so the messages are json.loads's."""
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     try:
-        return json.loads(text, parse_float=_reject_float, parse_constant=_reject_float)
+        return _DECODER.decode(text)
     except RecursionError:
         raise ValueError("JSON document is nested too deeply") from None
 
@@ -157,6 +169,9 @@ _FORMS = {
     GroupPresentation: group_to_dict,
     Fraction: str,
 }
+# The shape of the elements of a library set, as ElementSet.shape: a PointSet's
+# points have dim coordinates by construction.
+_SHAPES = {PointSet: lambda s: (s.dim,), ElementSet: lambda s: s.shape}
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
@@ -194,7 +209,16 @@ def _text(value, newline: str) -> str:
         return _LITERALS[value]
     form = _FORMS.get(kind)
     if form is not None:
-        return _text(form(value), newline)
+        items = form(value)
+        shape = _SHAPES[kind](value) if kind in _SHAPES and items else None
+        if shape is not None:
+            leaves = items
+            for _ in shape:
+                leaves = chain.from_iterable(leaves)
+            leaves = tuple(leaves)
+            if set(map(type, leaves)) == {int}:  # the one leaf check: else the generic walk raises or writes a bool
+                return _template([len(items), *shape], newline) % leaves
+        return _text(items, newline)
     if issubclass(kind, Record):
         return _text(vars(value), newline)
     raise TypeError(f"no report text for {kind.__name__}")

@@ -21,7 +21,8 @@ start simplex by the lex-first affinely independent points instead of extreme
 points, word balls by
 multiplying the whole ball each round, ball boundaries by testing every
 element of the ball instead of its fresh layer alone, Minkowski powers by
-folding minkowski_sum, triangulations by an exact LP and an intersection-vertex test
+folding minkowski_sum, the equality test by building, encoding and looking up
+every integer point of nP instead of one range of codes per line, triangulations by an exact LP and an intersection-vertex test
 (exact Fraction solves) on every pair of simplices, inverses by Gauss-Jordan
 over Fractions instead of the integer adjugate, report text by
 building the report's plain JSON data first for the standard library to write,
@@ -61,6 +62,7 @@ from latmink import (
 from latmink import geometry
 from latmink.geometry import _affine_frame, _Face, Halfspace, as_point, as_rational_point, barycentric_forms, dot, edge_rows
 from latmink.groups import BallCodec, BoundaryReport
+from latmink.minkowski import EqualityReport, _translated_group
 from latmink.records import Record
 from latmink.triangulation import LatticeSimplex, SearchResult, Triangulation, TriangulationReport
 
@@ -516,6 +518,23 @@ def full_ball_boundary_reports(group, ns: range, cap=None) -> list:
             raise RuntimeError("internal inconsistency: boundary escaped the fresh layer")
         rhs_minus_lhs = codec.elements(layer - lhs)
         reports.append(BoundaryReport(n, len(rhs_minus_lhs) == 0, lhs_minus_rhs, rhs_minus_lhs))
+    return reports
+
+
+def per_point_equality_reports(poly: LatticePolytope, ns: range) -> list:
+    """check_equality_range by its per-point form: at each n of ns, every
+    integer point p of nP is built by integer_points, encoded, and looked up as
+    code(p) - code(n*t) among the ball's codes; the lex-least point not found is
+    the witness, and the guard raises if a sum of the ball is not found."""
+    omega = poly.integer_points(1)
+    codec, reports = BallCodec(_translated_group(omega), ns[-1] if ns else 0), []
+    [t_code] = codec.encode(omega.points[:1])
+    for n, ball, _ in codec.layers(ns):
+        full = poly.integer_points(n)
+        missing = [p for p, c in zip(full.points, codec.encode(full.points)) if c - n * t_code not in ball]
+        if len(full) - len(missing) != len(ball):
+            raise RuntimeError("internal inconsistency: sums escaped the dilation")
+        reports.append(EqualityReport(n, not missing, missing[0] if missing else None))
     return reports
 
 

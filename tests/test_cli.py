@@ -1233,3 +1233,56 @@ class TestNoReferenceCycles:
         finally:
             gc.enable()
         assert capsys.readouterr().err == ""
+
+
+class TestReadDocument:
+    """A path is opened at once, with no stat before it: the bundled datasets
+    are read only when the open finds no such file, and every message stays."""
+
+    def test_no_stat_before_the_open(self, capsys, tmp_path, monkeypatch):
+        names, asked, real = ("segment.json", "unit-square", "unit-square.json"), [], cli.Path.exists
+
+        def exists(self, *args, **kwargs):
+            if str(self) in names:
+                asked.append(str(self))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "segment.json").write_text('{"dim": 1, "vertices": [[0], [2]]}')
+        monkeypatch.setattr(cli.Path, "exists", exists)
+        counts = [run_json(capsys, "points", name, "1")[1]["result"]["count"] for name in names]
+        monkeypatch.undo()
+        assert (counts, asked) == ([3, 4, 4], [])
+
+    @pytest.mark.parametrize("make", ["loop", "file-as-directory"])
+    def test_no_such_file(self, capsys, tmp_path, monkeypatch, make):
+        # a symlink loop and a path through a file are no file, as Path.exists read them
+        monkeypatch.chdir(tmp_path)
+        if make == "loop":
+            os.symlink("loop.json", "loop.json")
+            name = "loop.json"
+        else:
+            (tmp_path / "plain").write_text("{}")
+            name = "plain/unit-square.json"
+        code, out, err = run(capsys, "points", name, "1")
+        assert (code, out, err) == (2, "", f"error: no such file or bundled dataset: {geometry.quoted_prefix(name)}\n")
+
+    def test_nul_byte_in_the_name(self, capsys):
+        code, out, err = run(capsys, "points", "unit\0square", "1")
+        assert (code, out, err) == (2, "", "error: no such file or bundled dataset: 'unit\\x00square'\n")
+
+    def test_a_file_that_is_not_text(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "points", "binary.json", "1")
+        with pytest.raises(UnicodeDecodeError) as raised:
+            (tmp_path / "binary.json").read_text()
+        assert (code, out, err) == (2, "", f"error: 'binary.json': {raised.value}\n")
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file without read permission")
+    def test_permission_denied(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "locked.json").write_text('{"dim": 1, "vertices": [[0], [2]]}')
+        os.chmod("locked.json", 0)
+        code, out, err = run(capsys, "points", "locked.json", "1")
+        assert (code, out, err) == (2, "", f"error: 'locked.json': {os.strerror(errno.EACCES)}\n")

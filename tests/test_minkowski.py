@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from latmink.geometry import dot
 from latmink.triangulation import DEFAULT_POINT_CAP
 from latmink.verify import orthant_fan, symmetric_example_polytope
 
-from conftest import folded_minkowski_power, is_n_fold_sum, unimodular
+from conftest import folded_minkowski_power, is_n_fold_sum, per_point_equality_reports, rank, unimodular
 
 small_sets_1d = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(
     lambda xs: PointSet([(x,) for x in xs])
@@ -285,6 +286,77 @@ class TestCheckEquality:
             missing = [x for x in p.integer_points(r.n) if x not in power]
             assert (r.holds, r.witness) == (not missing, missing[0] if missing else None)
         assert [r.holds for r in reports] == [True, True, False]
+
+
+def seeded_polytope(seed: int) -> LatticePolytope:
+    """A seeded polytope of one of three kinds, by seed % 3: a point in Z^1..Z^3;
+    a full-dimensional cloud (3-7 points in [0, 2]^d) in Z^2 or Z^3; or such a
+    cloud in Z^1..Z^3 mapped into Z^d, d one to two more, by v + yM for an
+    integer M of full row rank (entries in [-2, 2]), so lower-dimensional."""
+    rng = random.Random(seed)
+    kind, k = seed % 3, rng.randint(1, 3)
+    if kind == 0:
+        return LatticePolytope([tuple(rng.randint(-3, 3) for _ in range(k))])
+    if kind == 1:
+        k = max(k, 2)  # full-dimensional in Z^2 or Z^3
+    cloud = [tuple(rng.randint(0, 2) for _ in range(k)) for _ in range(rng.randint(3, 7))]
+    if kind == 1:
+        return hull(cloud)
+    d = k + rng.randint(1, 2)
+    matrix = [[0] * d]
+    while rank(matrix) < k:
+        matrix = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(k)]
+    v = tuple(rng.randint(-3, 3) for _ in range(d))
+    return hull(tuple(c + dot(y, col) for c, col in zip(v, zip(*matrix))) for y in cloud)
+
+
+class TestEqualityByLines:
+    """check_equality_range tests each line of nP as one range of codes; the per-point
+    form it replaced builds, encodes and looks up every point."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(0, 5))
+    @settings(max_examples=90, deadline=None)
+    def test_matches_the_per_point_form(self, seed, lo, extra):
+        poly = seeded_polytope(seed)
+        ns = range(lo, min(lo + extra, 6) + 1)
+        assert check_equality_range(poly, ns) == per_point_equality_reports(poly, ns)
+
+    def test_first_seeds(self):
+        # seeds 0..299: each kind, and full- and lower-dimensional polytopes that fail
+        kinds = Counter()
+        for seed in range(300):
+            poly = seeded_polytope(seed)
+            reports = check_equality_range(poly, range(1, 5))
+            assert reports == per_point_equality_reports(poly, range(1, 5))
+            kinds[poly.affine_dim == 0, poly.is_full_dimensional, all(r.holds for r in reports)] += 1
+        assert kinds == {(True, False, True): 103, (False, True, True): 81, (False, True, False): 5,
+                         (False, False, True): 106, (False, False, False): 5}
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [sigma(5, 2).vertices, [(0, 0, 0), (40, 0, -1), (0, 40, -1)], [(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2)]],
+        ids=["sigma-5-2", "skew-triangle", "hexagon"],
+    )
+    def test_no_point_of_a_dilation_is_built_past_n_1(self, monkeypatch, vertices):
+        # the scan of Omega lists its points; at n >= 2 only the lines' first points are
+        # lifted, and a failing n decodes its witness alone
+        p = LatticePolytope(vertices)
+        expected, omega = per_point_equality_reports(p, range(1, 5)), p.integer_points(1)
+        built, real = [], geometry.run_points
+
+        def counted(runs):
+            points = real(runs)
+            built.append(len(points))
+            return points
+
+        monkeypatch.setattr(geometry, "run_points", counted)
+        assert check_equality_range(p, range(1, 5)) == expected
+        assert built == [len(omega)]
+
+    def test_one_point_stays_one_point(self):
+        point = LatticePolytope([(2, -1, 5)])
+        assert point.lines(4) == ([(8, -4, 20)], [1], (0, 0, 0))
+        assert check_equality_range(point, range(1, 7)) == per_point_equality_reports(point, range(1, 7))
 
 
 def equality_case(seed: int):

@@ -22,7 +22,8 @@ from latmink import (
     unimodular_criteria,
     validate_triangulation,
 )
-from latmink.geometry import LatticePolytope, ResourceLimitError
+from latmink.geometry import LatticePolytope, PointSet, ResourceLimitError
+from latmink.groups import ElementSet, ball_boundary, word_ball
 from latmink.triangulation import LatticeSimplex, Triangulation
 from latmink.verify import ClaimResult
 
@@ -55,6 +56,24 @@ class TestStrictJson:
     def test_plain_integers_pass(self):
         doc = serialize.loads_strict('{"dim": 1, "vertices": [[-3], [4]]}')
         assert doc["vertices"] == [[-3], [4]]
+
+    @pytest.mark.parametrize("text", ["\ufeff{}", "", "{", '{"a": 1} x', "[1, 2", '"\\x"', "01"])
+    def test_errors_are_those_of_json_loads(self, text):
+        # one decoder serves every call; a leading byte order mark and every
+        # malformed document keep json.loads's message
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(text)
+        with pytest.raises(json.JSONDecodeError) as raised:
+            serialize.loads_strict(text)
+        assert str(raised.value) == str(expected.value)
+
+    def test_no_decoder_is_built_per_call(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(json.JSONDecoder, "__init__", lambda self, *a, **k: built.append(k))
+        assert serialize.loads_strict('{"dim": 1, "vertices": [[0], [2]]}') == {"dim": 1, "vertices": [[0], [2]]}
+        with pytest.raises(ValueError, match="exact integers"):
+            serialize.loads_strict("[1.5]")
+        assert built == []
 
 
 class TestPolytopeFormat:
@@ -374,3 +393,90 @@ class TestReportText:
     def test_other_types_rejected(self, data):
         with pytest.raises(TypeError):
             serialize.dumps(data)
+
+
+class TestShapedSets:
+    """Sets whose builder knows the shape of every element (PointSets, and the
+    ElementSets BallCodec.elements builds) are written by one template after a
+    flatten, with one check that every leaf is an int; any other set, and a set
+    with a non-int leaf, takes the generic walk."""
+
+    GL2Z_IDENTITY_ONLY = GroupPresentation.gl2z([((1, 0), (0, 1))])
+
+    @staticmethod
+    def walks(monkeypatch) -> list:
+        """The lengths of the tuples _int_array walks from now on: a set's items
+        are a tuple, a list of reports is a list."""
+        calls, real = [], serialize._int_array
+
+        def counted(value):
+            if type(value) is tuple:
+                calls.append(len(value))
+            return real(value)
+
+        monkeypatch.setattr(serialize, "_int_array", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: word_ball(GroupPresentation.zd(1, [(0,), (1,), (-2,)]), 5),
+            lambda: word_ball(GroupPresentation.zd(5, [(0,) * 5, (1, 0, 0, 0, 0), (0, 0, 0, -1, 2)]), 3),
+            lambda: word_ball(GroupPresentation.gl2z(gl2z_swap_shear_generators()), 4),
+            lambda: ball_boundary(GroupPresentation.gl2z(gl2z_swap_shear_generators()), 3),
+            lambda: ball_boundary(TestShapedSets.GL2Z_IDENTITY_ONLY, 3),
+            lambda: check_boundary_equality_range(TestShapedSets.GL2Z_IDENTITY_ONLY, range(1, 3)),
+            lambda: check_boundary_equality_range(GroupPresentation.gl2z(gl2z_swap_shear_generators()), range(1, 4)),
+        ],
+        ids=["z1-ball", "z5-ball", "gl2z-ball", "gl2z-boundary", "identity-boundary", "identity-reports", "gl2z-reports"],
+    )
+    def test_codec_sets_match_the_oracle_without_the_walk(self, monkeypatch, build):
+        value = build()
+        calls = self.walks(monkeypatch)
+        report = {"command": "c", "inputs": {}, "result": value}
+        assert serialize.dumps(report) == oracle_text(report)
+        assert calls == []
+
+    def test_codec_shapes(self):
+        assert word_ball(GroupPresentation.zd(5, [(0,) * 5, (1, 0, 0, 0, 0)]), 2).shape == (5,)
+        assert word_ball(GroupPresentation.gl2z(gl2z_swap_shear_generators()), 2).shape == (2, 2)
+        assert ball_boundary(self.GL2Z_IDENTITY_ONLY, 2).elements == ()
+
+    @pytest.mark.parametrize("dim", range(1, 6))
+    def test_point_sets_match_the_oracle_without_the_walk(self, monkeypatch, dim):
+        calls = self.walks(monkeypatch)
+        for value in (cube(dim, -1, 1).integer_points(2), PointSet([], dim), PointSet([(7,) * dim], dim)):
+            report = {"result": {"points": value, "count": len(value)}}
+            assert serialize.dumps(report) == oracle_text(report)
+        assert calls == []
+
+    def test_caller_built_element_sets_take_the_generic_walk(self, monkeypatch):
+        calls = self.walks(monkeypatch)
+        for value in (ElementSet([(1, 2), (0, 5)]), ElementSet([((1, 0), (0, 1))]), ElementSet([])):
+            assert value.shape is None
+            assert serialize.dumps(value) == oracle_text(value)
+        assert calls == [2, 1]  # an empty set is "[]" before any walk
+
+    def test_a_difference_keeps_the_shape(self):
+        group = GroupPresentation.gl2z(gl2z_swap_shear_generators())
+        ball = word_ball(group, 3)
+        assert ball.difference(word_ball(group, 1)).shape == (2, 2)
+        assert ElementSet(ball.elements).difference(ball).shape is None
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            PointSet._canonical(((1, 2), (3, 0.5)), 2),
+            ElementSet._canonical(((1, 2), (3, 0.5)), (2,)),
+            ElementSet._canonical((((1, 0), (0, 1)), ((1, 0.5), (0, 1))), (2, 2)),
+            ElementSet([(1, 2), (3, 0.5)]),
+        ],
+        ids=["point-set", "shaped-zd", "shaped-gl2z", "caller-built"],
+    )
+    def test_a_non_int_leaf_raises(self, value):
+        with pytest.raises(TypeError):
+            serialize.dumps({"result": value})
+
+    def test_a_bool_leaf_is_written_as_the_generic_walk_writes_it(self):
+        value = PointSet._canonical(((0, 1), (1, True)), 2)
+        assert serialize.dumps(value) == oracle_text(value) == "[\n  [\n    0,\n    1\n  ],\n  [\n    1,\n    true\n  ]\n]"

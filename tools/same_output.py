@@ -108,6 +108,17 @@ and, in a temporary work directory of its own, runs every command of this list:
   `gl2z-swap-shear` (a ball of 1,876 elements), and `check-boundary` over
   1..4 on the group of cube(3, -1, 1), written into the work directory, as
   JSON and with `--pretty`;
+- the paths that keep n-fold sums and word balls in codes until they are
+  printed, on inputs written into the work directory, as JSON and with
+  `--pretty`: `check-equality` over 1..25 on the hexagon
+  conv{(0,0), (2,0), (3,1), (3,3), (1,3), (0,2)}, over 1..6 on
+  `cube(3, 0, 2)`, over 1..3 on the skew triangle conv{0, (40, 0, -1),
+  (0, 40, -1)} and the segment conv{0, (6, 10, 15, -3)} that CI writes, and
+  over 1..6 on a one-point polytope in Z^5 (each line of nP tested as a range
+  of codes, consecutive or stepping by a row of the lattice basis); and
+  `word-ball` and `boundary` at 5 and `check-boundary` over 1..5 on the
+  GL(2, Z) group {I} (empty boundaries) and on `z1-segment` (sets written by
+  their element shape);
 - each bound (`--cap`, `--budget`, `--point-cap`) at -1, 0 and 1; at 0 and
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
@@ -271,6 +282,24 @@ DEEP_SEARCH_ARGS = [
     ["decompose", "cube-3-0-2.json", "2", "3,1,4", "--point-cap", "40"],
 ]
 
+# Inputs of the paths that keep n-fold sums and word balls in codes until they
+# are printed: lines of nP tested as ranges of codes (long ranges on a hexagon
+# and on cube(3, 0, 2), the skew triangle and the 4-D segment that CI writes,
+# whose lines step by a row of their lattice basis, and a one-point polytope),
+# and sets written by their element shape (the GL(2, Z) group {I}, whose
+# boundaries are empty, and the bundled Z^1 group of `z1-segment`).
+CODE_PATH_POLYTOPES = {
+    "hexagon": ([[0, 0], [2, 0], [3, 1], [3, 3], [1, 3], [0, 2]], "1..25"),
+    "cube-3-0-2-lines": ([[x, y, z] for x in (0, 2) for y in (0, 2) for z in (0, 2)], "1..6"),
+    "ci-skew-triangle": ([[0, 0, 0], [40, 0, -1], [0, 40, -1]], "1..3"),
+    "ci-segment-4d": ([[0, 0, 0, 0], [6, 10, 15, -3]], "1..3"),
+    "point-5d": ([[4, -2, 7, 0, -1]], "1..6"),
+}
+CODE_PATH_GROUPS = {
+    "gl2z-identity.json": {"kind": "gl2z", "generators": [[[1, 0], [0, 1]]]},
+    "z1-segment": None,  # bundled
+}
+
 # Inputs whose word balls stop growing: each ball stream has an empty layer.
 FINITE_STREAMS = {
     "gl2z-swap": {"kind": "gl2z", "generators": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
@@ -412,6 +441,23 @@ def _finite_stream_commands(work: Path):
                 ["check-equality", path, "1..4"],
                 ["check-equality", path, "3..6"],
             ]
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
+def _code_path_commands(work: Path):
+    """Write the CODE_PATH_POLYTOPES and the written CODE_PATH_GROUPS into work
+    and return check-equality on each polytope over its range, and word-ball and
+    boundary at 5 and check-boundary over 1..5 on each group, JSON first, then
+    --pretty."""
+    commands = []
+    for name, (vertices, ns) in CODE_PATH_POLYTOPES.items():
+        path = f"{name}.json"
+        (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        commands.append(["check-equality", path, ns])
+    for path, doc in CODE_PATH_GROUPS.items():
+        if doc is not None:
+            (work / path).write_text(json.dumps(doc))
+        commands += [["word-ball", path, "5"], ["boundary", path, "5"], ["check-boundary", path, "1..5"]]
     return commands + [["--pretty", *argv] for argv in commands]
 
 
@@ -658,6 +704,8 @@ def digests(root: Path) -> list:
         for argv, after in _triangulation_document_commands(Path(tmp), workloads._mutate):
             run(argv, after)
         for argv in _deep_search_commands(Path(tmp)) + _seeded_search_commands(Path(tmp)) + _boundary_commands(Path(tmp)):
+            run(argv)
+        for argv in _code_path_commands(Path(tmp)):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
