@@ -13,7 +13,10 @@ when P is full-dimensional (the last coordinate has weight 1) and stepping by
 the code of the lattice basis's last row when it is not, and each range is
 looked up among the int codes of the ball at once. No sum is decoded, and of
 the points of nP only the first missing code is, as the witness;
-minkowski_sum is the direct pairwise form.
+minkowski_sum is the direct pairwise form. A range of n stops at its first
+holding n >= max(k - 1, 1), k the dimension of P: equality there holds at
+every later n (Bruns, Gubeladze and Trung), so the later reports are filled in
+with no ball layer or scan.
 """
 
 from __future__ import annotations
@@ -106,7 +109,28 @@ def check_equality_range(
     before any other scan, so every ball of the stream is within the cap too:
     |m*Omega| <= |mP & Z^d| <= box_size(m) for m <= n. The sizes grow with
     n, and unless P is a point the (cap + 1)-th n of ns has one over the cap,
-    so a bisection of the first cap + 1 finds it."""
+    so a bisection of the first cap + 1 finds it.
+
+    The work stops at the theorem of Bruns, Gubeladze and Trung (J. reine
+    angew. Math. 485, 1997; Bruns and Gubeladze, Polytopes, Rings, and
+    K-Theory, 2009, Ch. 2): for a lattice polytope P of dimension k,
+    (cP & Z^d) + Omega = (c+1)P & Z^d for every integer c >= k - 1. Proof:
+    triangulate P with vertex set Omega, so no simplex holds a lattice point
+    but its vertices, and write x of (c+1)P & Z^d as sum(l_i v_i) over one
+    simplex, l_i >= 0, sum(l_i) = c + 1 >= k. Were every l_i < 1, the sum
+    would be k and sum((1 - l_i) v_i) = sum(v_i) - x a lattice point of the
+    simplex that is no vertex; so some l_i >= 1, and x - v_i is in cP & Z^d.
+    A lower-dimensional P is full-dimensional in its own lattice. Hence if
+    c*Omega = cP & Z^d at some c >= k - 1, then (c+1)P & Z^d = c*Omega + Omega
+    = (c+1)*Omega, and by induction equality holds at every n >= c. A report
+    is only (n, holds, witness), so the first holding n >= h = max(k - 1, 1)
+    ends the stream, and each later n of ns gets (n, True, None), the report
+    its computation would give. When ns starts past h, the stream is asked
+    for h too, at the cost of one scan of hP, smaller than any nP of ns (none
+    when h = 1, read off the scan of Omega): if h holds, no n of ns is
+    computed; else ns goes on as before. The cap check above covers the
+    whole range and precedes all of this, and every n computed, h included,
+    passes the guard."""
     ns = ns if ns.step > 0 else ns[::-1]
     if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
@@ -119,7 +143,12 @@ def check_equality_range(
     codec, reports = BallCodec(_translated_group(omega), ns[-1] if ns else 0), []
     t = omega.points[0]
     [t_code] = codec.encode([t])
-    for n, ball, _ in codec.layers(ns, cap):
+    # holding at an n >= h holds at every later n; a range past h is answered by h first
+    h = max(poly.affine_dim - 1, 1)
+    probe = bool(ns) and ns[0] > h
+    for n, ball, _ in codec.layers(range(h, ns[-1] + 1) if probe else ns, cap):
+        if n != h and n not in ns:
+            continue
         # P was scanned for Omega: at n = 1 each point of Omega is a line of its own
         firsts, counts, step = (omega.points, [1] * len(omega), (0,) * poly.dim) if n == 1 else poly.lines(n, cap)
         # codes are additive, so a line's codes step by code(step), and n*t's is n * t_code;
@@ -136,7 +165,11 @@ def check_equality_range(
             witness = tuple(map(add, witness, [n * c for c in t]))
         if hits != len(ball):
             raise RuntimeError("internal inconsistency: sums escaped the dilation")
-        reports.append(EqualityReport(n, witness is None, witness))
+        if n in ns:
+            reports.append(EqualityReport(n, witness is None, witness))
+        if witness is None and n >= h:
+            reports += [EqualityReport(m, True, None) for m in ns[len(reports):]]
+            break
     return reports
 
 

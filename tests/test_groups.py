@@ -18,6 +18,7 @@ from latmink import (
     cross_polytope,
     cube,
     gl2z_swap_shear_generators,
+    hull,
     minkowski_power,
     omega_boundary,
     omega_interior,
@@ -27,7 +28,14 @@ from latmink import (
 from latmink.groups import GL2Z_IDENTITY, BallCodec, BoundaryReport, as_gl2z
 from latmink.verify import random_lattice_polygon, symmetric_example_polytope
 
-from conftest import _product, brute_force_boundary, brute_force_word_ball, full_ball_boundary_reports, table_interior
+from conftest import (
+    _product,
+    brute_force_boundary,
+    brute_force_word_ball,
+    full_ball_boundary_reports,
+    per_point_equality_reports,
+    table_interior,
+)
 
 import random
 
@@ -733,3 +741,36 @@ class TestWordBallOracle:
             for n in range(1, 6):
                 assert check_boundary_equality(group, n).holds
             checked += 1
+
+
+class TestBoundaryFromDilation:
+    """The link between the two questions. For S containing 0 and P = conv S,
+    an interior element a of ball(n) has a + v in ball(n), within nP, for each
+    vertex v of P (all in S), so a lies in the Minkowski difference of nP and P,
+    which is (n-1)P. For S = P & Z^d, dilation equality at n - 1 then leaves the
+    fresh layer no interior element: boundary equality at n."""
+
+    @given(zd_groups(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_interior_of_the_ball_lies_in_the_smaller_dilation(self, group, n):
+        s = group.generators.elements
+        smaller = set(LatticePolytope(s).integer_points(n - 1).points)
+        assert set(omega_interior(group, word_ball(group, n))) <= smaller
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=150, deadline=None)
+    def test_dilation_equality_at_n_minus_1_gives_boundary_equality_at_n(self, seed):
+        # seeded clouds with 0 in [-1, 2]^d, d = 2, 3 (the dilation fails for some
+        # 3-D ones), or a polygon in the plane z = x + y of Z^3; at n = 1 the
+        # dilation at 0 holds, 0P = {0} = 0 * Omega
+        rng = random.Random(seed)
+        d = rng.randint(2, 3)
+        cloud = [(0,) * d] + [tuple(rng.randint(-1, 2) for _ in range(d)) for _ in range(rng.randint(2, 6))]
+        if seed % 4 == 0:
+            cloud = [(x, y, x + y) for x, y, *_ in cloud]
+        poly = hull(cloud)
+        dilation = per_point_equality_reports(poly, range(1, 4))
+        boundary = full_ball_boundary_reports(zd_presentation_from_polytope(poly), range(1, 5))
+        for n, report in enumerate(boundary, 1):
+            if n == 1 or dilation[n - 2].holds:
+                assert report.holds

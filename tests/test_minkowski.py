@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -357,6 +358,129 @@ class TestEqualityByLines:
         point = LatticePolytope([(2, -1, 5)])
         assert point.lines(4) == ([(8, -4, 20)], [1], (0, 0, 0))
         assert check_equality_range(point, range(1, 7)) == per_point_equality_reports(point, range(1, 7))
+
+
+HEXAGON = [(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2)]
+
+
+def differential_polytope(seed: int) -> LatticePolytope:
+    """seeded_polytope(seed) when seed % 5 < 3; else a seeded 4-D cloud (5-8
+    points in [0, 1]^4, full- or lower-dimensional), or a segment conv{v, v + w}
+    in Z^1..Z^4 with v in [-3, 3]^d and w != 0 in [-3, 3]^d."""
+    if seed % 5 < 3:
+        return seeded_polytope(seed)
+    rng = random.Random(seed)
+    if seed % 5 == 3:
+        return hull([tuple(rng.randint(0, 1) for _ in range(4)) for _ in range(rng.randint(5, 8))])
+    d = rng.randint(1, 4)
+    v, w = tuple(rng.randint(-3, 3) for _ in range(d)), (0,) * d
+    while not any(w):
+        w = tuple(rng.randint(-3, 3) for _ in range(d))
+    return hull([v, tuple(map(operator.add, v, w))])
+
+
+def top_n(poly: LatticePolytope) -> int:
+    """The largest n the differential tests compute: 8, or 5 for a 4-D polytope."""
+    return 5 if poly.affine_dim == 4 else 8
+
+
+class TestStopAtTheTheorem:
+    """check_equality_range stops at the first holding n >= max(k - 1, 1) and
+    fills in the later reports; per_point_equality_reports, the oracle,
+    computes every n of a range."""
+
+    @given(st.integers(0, 10**6), st.integers(1, 8), st.integers(0, 4), st.integers(1, 3))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_every_n_computed(self, seed, lo, count, step):
+        # single n up to 8 (count 1), steps 1..3, and empty ranges (count 0)
+        poly = differential_polytope(seed)
+        ns = range(min(lo, top_n(poly)), top_n(poly) + 1, step)[:count]
+        assert check_equality_range(poly, ns) == per_point_equality_reports(poly, ns)
+
+    def test_first_seeds_past_k_minus_1(self):
+        # seeds 0..99, each at a single n and over a range with step 2 or 3, both
+        # starting past max(k - 1, 1), where the probe answers or falls through
+        kinds = Counter()
+        for seed in range(100):
+            poly = differential_polytope(seed)
+            h, top = max(poly.affine_dim - 1, 1), top_n(poly)
+            for ns in (range(top, top + 1), range(h + 1, top + 1, 2 + seed % 2)):
+                reports = check_equality_range(poly, ns)
+                assert reports == per_point_equality_reports(poly, ns)
+                kinds[poly.affine_dim, all(r.holds for r in reports)] += 1
+        assert kinds == {(0, True): 40, (1, True): 60, (2, True): 48, (3, True): 22, (3, False): 4,
+                         (4, True): 24, (4, False): 2}
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_holding_past_k_minus_1_keeps_holding(self, seed):
+        # the theorem itself, on the oracle: holding at c >= k - 1 holds at c + 1 and c + 2
+        poly = differential_polytope(seed)
+        h = max(poly.affine_dim - 1, 1)
+        holds = [r.holds for r in per_point_equality_reports(poly, range(1, h + 4))]
+        for c in (h, h + 1):
+            if holds[c - 1]:
+                assert holds[c] and holds[c + 1]
+
+    @pytest.mark.parametrize(
+        "vertices, ns, scans, radii",
+        [
+            (HEXAGON, range(1, 26), [1], [1]),
+            (HEXAGON, range(25, 26), [1], [1]),
+            (cube(3, 0, 2).vertices, range(1, 11), [1, 2], [1, 2]),
+            (sigma(5, 2).vertices, range(1, 6), [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+            (sigma(4, 2).vertices, range(1, 7), [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6]),
+            # the probe at 2 fails: one scan more than n = 4 alone
+            (sigma(3, 2).vertices, range(4, 5), [1, 2, 4], [2, 3, 4]),
+        ],
+        ids=["hexagon-1-25", "hexagon-25", "cube-3-0-2-1-10", "sigma-5-2-1-5", "sigma-4-2-1-6", "sigma-3-2-4"],
+    )
+    def test_work_pins(self, monkeypatch, vertices, ns, scans, radii):
+        # line scans (the scan of Omega at 1) and the radii the one ball stream yields,
+        # the ball growing no further than the last of them
+        from latmink import minkowski
+
+        p = LatticePolytope(vertices)
+        expected = per_point_equality_reports(p, ns)
+        scanned, yielded = [], []
+        real_runs, real_layers = LatticePolytope.line_runs, minkowski.BallCodec.layers
+
+        def counted_runs(self, n, cap=None):
+            scanned.append(n)
+            return real_runs(self, n, cap)
+
+        def counted_layers(*args, **kwargs):
+            for n, ball, layer in real_layers(*args, **kwargs):
+                yielded.append(n)
+                yield n, ball, layer
+
+        monkeypatch.setattr(LatticePolytope, "line_runs", counted_runs)
+        monkeypatch.setattr(minkowski.BallCodec, "layers", counted_layers)
+        assert check_equality_range(p, ns) == expected
+        assert (scanned, yielded) == (scans, radii)
+
+    @pytest.mark.parametrize(
+        "vertices, ns, computed",
+        [(cube(3, 0, 2).vertices, range(1, 11), {2}), (sigma(3, 2).vertices, range(4, 5), {2, 4})],
+        ids=["cube-3-0-2-1-10", "sigma-3-2-4"],
+    )
+    def test_guard_runs_on_every_n_computed(self, monkeypatch, vertices, ns, computed):
+        # the last line of nP holds n times the lex-max vertex, a sum: dropping it at
+        # one n leaves a sum outside the lines read, which the guard reports if n is
+        # computed (n = 1 reads Omega, not lines)
+        p, real = LatticePolytope(vertices), LatticePolytope.lines
+        for bad in range(2, ns[-1] + 1):
+
+            def dropped(self, n, cap=None, bad=bad):
+                firsts, counts, step = real(self, n, cap)
+                return (firsts[:-1], counts[:-1], step) if n == bad else (firsts, counts, step)
+
+            monkeypatch.setattr(LatticePolytope, "lines", dropped)
+            if bad in computed:
+                with pytest.raises(RuntimeError, match="sums escaped the dilation"):
+                    check_equality_range(p, ns)
+            else:
+                assert check_equality_range(p, ns) == per_point_equality_reports(p, ns)
 
 
 def equality_case(seed: int):

@@ -74,3 +74,32 @@ def test_cli_passes_seed_and_quick(monkeypatch, capsys):
     assert cli.main(["verify-paper", "--quick", "--seed", "5"]) == 0
     assert cli.main(["verify-paper"]) == 0
     assert calls == [{"seed": 5, "quick": True}, {"seed": 0, "quick": False}]
+
+
+def test_planar_equality_computes_every_n(monkeypatch):
+    # check_equality_range would answer n = 2..5 of a polygon from n = 1 by the
+    # theorem; the claim compares minkowski_power with integer_points at each n
+    def stopped(*args, **kwargs):
+        raise AssertionError("the planar claim must not read check_equality_range")
+
+    powers = []
+    real = verify.minkowski_power
+    monkeypatch.setattr(verify, "check_equality_range", stopped)
+    monkeypatch.setattr(verify, "minkowski_power", lambda s, n: powers.append(n) or real(s, n))
+    ok, detail = verify._claim_polygon_equality(0, quick=True)
+    assert ok and detail == "25 seeded polygons satisfy equality for n <= 5"
+    assert powers == [1, 2, 3, 4, 5] * 25
+
+
+def test_planar_equality_reports_the_lex_least_missing_point(monkeypatch):
+    real = verify.minkowski_power
+
+    def short(s, n):
+        power = real(s, n)
+        return power if n < 2 else power.difference(latmink.PointSet(power.points[:1]))
+
+    monkeypatch.setattr(verify, "minkowski_power", short)
+    ok, detail = verify._claim_polygon_equality(0, quick=True)
+    poly = verify.random_lattice_polygon(verify.random.Random(0))
+    assert not ok
+    assert detail == f"polygon #0 {list(poly.vertices)} fails at n=2, witness {poly.integer_points(2).points[0]}"

@@ -119,6 +119,12 @@ and, in a temporary work directory of its own, runs every command of this list:
   `word-ball` and `boundary` at 5 and `check-boundary` over 1..5 on the
   GL(2, Z) group {I} (empty boundaries) and on `z1-segment` (sets written by
   their element shape);
+- `check-equality` where it stops at the theorem (equality at an n >= k - 1
+  holds at every later n), on the files above and bundled datasets, as JSON
+  and with `--pretty`: over 1..50 on the hexagon and `cube(3, 0, 2)`; at one
+  n past k - 1, whose probe at max(k - 1, 1) holds (the hexagon at 25,
+  `cube(3, 0, 2)` at 10) or fails (`sigma-3-2` at 4, `sigma-5-2` at 5); and
+  over 3..9 on the skew triangle and the 4-D segment;
 - each bound (`--cap`, `--budget`, `--point-cap`) at -1, 0 and 1; at 0 and
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
@@ -295,6 +301,22 @@ CODE_PATH_POLYTOPES = {
     "ci-segment-4d": ([[0, 0, 0, 0], [6, 10, 15, -3]], "1..3"),
     "point-5d": ([[4, -2, 7, 0, -1]], "1..6"),
 }
+# check-equality's stop at the theorem (equality at an n >= k - 1 holds at
+# every later n) on the CODE_PATH_POLYTOPES files and bundled sigma(d, m):
+# ranges over 1..50 answered at n = 1 (the hexagon) and n = 2 (cube(3, 0, 2)),
+# one n past k - 1 whose probe at max(k - 1, 1) holds (the hexagon at 25,
+# cube(3, 0, 2) at 10) or fails (sigma(3, 2) at 4, sigma(5, 2) at 5), and
+# ranges past k - 1 on the skew triangle and the 4-D segment.
+THEOREM_STOP_COMMANDS = [
+    ["check-equality", "hexagon.json", "1..50"],
+    ["check-equality", "cube-3-0-2-lines.json", "1..50"],
+    ["check-equality", "hexagon.json", "25"],
+    ["check-equality", "cube-3-0-2-lines.json", "10"],
+    ["check-equality", "sigma-3-2", "4"],
+    ["check-equality", "sigma-5-2", "5"],
+    ["check-equality", "ci-skew-triangle.json", "3..9"],
+    ["check-equality", "ci-segment-4d.json", "3..9"],
+]
 CODE_PATH_GROUPS = {
     "gl2z-identity.json": {"kind": "gl2z", "generators": [[[1, 0], [0, 1]]]},
     "z1-segment": None,  # bundled
@@ -446,9 +468,9 @@ def _finite_stream_commands(work: Path):
 
 def _code_path_commands(work: Path):
     """Write the CODE_PATH_POLYTOPES and the written CODE_PATH_GROUPS into work
-    and return check-equality on each polytope over its range, and word-ball and
-    boundary at 5 and check-boundary over 1..5 on each group, JSON first, then
-    --pretty."""
+    and return check-equality on each polytope over its range, word-ball and
+    boundary at 5 and check-boundary over 1..5 on each group, and the
+    THEOREM_STOP_COMMANDS, JSON first, then --pretty."""
     commands = []
     for name, (vertices, ns) in CODE_PATH_POLYTOPES.items():
         path = f"{name}.json"
@@ -458,6 +480,7 @@ def _code_path_commands(work: Path):
         if doc is not None:
             (work / path).write_text(json.dumps(doc))
         commands += [["word-ball", path, "5"], ["boundary", path, "5"], ["check-boundary", path, "1..5"]]
+    commands += THEOREM_STOP_COMMANDS
     return commands + [["--pretty", *argv] for argv in commands]
 
 
