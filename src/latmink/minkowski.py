@@ -25,6 +25,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, filterfalse
 from operator import add, sub
+from typing import Iterator
 
 from . import geometry, linalg
 from .geometry import LatticePolytope, Point, PointSet, ResourceLimitError, as_point, box_count, check_box, dot
@@ -90,11 +91,11 @@ def check_equality(poly: LatticePolytope, n: int, cap: int | None = None) -> Equ
     return check_equality_range(poly, range(n, n + 1), cap)[0]
 
 
-def check_equality_range(
-    poly: LatticePolytope, ns: range, cap: int | None = None
-) -> list[EqualityReport]:
-    """check_equality for every n in ns, in increasing order, reading n*Omega
-    off one BallCodec.layers stream of _translated_group(Omega) over ns.
+def _equality_reports(poly: LatticePolytope, ns: range, cap: int | None = None) -> Iterator[EqualityReport]:
+    """The report of check_equality at every n of ns, an increasing range, each
+    computed: n*Omega is read off one BallCodec.layers stream of
+    _translated_group(Omega) over ns, and no n is answered by the theorem of
+    check_equality_range.
 
     At each n, nP comes as lines (LatticePolytope.lines: one line scan per n,
     and at n = 1 the scan of Omega, each point a line of its own), and each
@@ -109,29 +110,7 @@ def check_equality_range(
     before any other scan, so every ball of the stream is within the cap too:
     |m*Omega| <= |mP & Z^d| <= box_size(m) for m <= n. The sizes grow with
     n, and unless P is a point the (cap + 1)-th n of ns has one over the cap,
-    so a bisection of the first cap + 1 finds it.
-
-    The work stops at the theorem of Bruns, Gubeladze and Trung (J. reine
-    angew. Math. 485, 1997; Bruns and Gubeladze, Polytopes, Rings, and
-    K-Theory, 2009, Ch. 2): for a lattice polytope P of dimension k,
-    (cP & Z^d) + Omega = (c+1)P & Z^d for every integer c >= k - 1. Proof:
-    triangulate P with vertex set Omega, so no simplex holds a lattice point
-    but its vertices, and write x of (c+1)P & Z^d as sum(l_i v_i) over one
-    simplex, l_i >= 0, sum(l_i) = c + 1 >= k. Were every l_i < 1, the sum
-    would be k and sum((1 - l_i) v_i) = sum(v_i) - x a lattice point of the
-    simplex that is no vertex; so some l_i >= 1, and x - v_i is in cP & Z^d.
-    A lower-dimensional P is full-dimensional in its own lattice. Hence if
-    c*Omega = cP & Z^d at some c >= k - 1, then (c+1)P & Z^d = c*Omega + Omega
-    = (c+1)*Omega, and by induction equality holds at every n >= c. A report
-    is only (n, holds, witness), so the first holding n >= h = max(k - 1, 1)
-    ends the stream, and each later n of ns gets (n, True, None), the report
-    its computation would give. When ns starts past h, the stream is asked
-    for h too, at the cost of one scan of hP, smaller than any nP of ns (none
-    when h = 1, read off the scan of Omega): if h holds, no n of ns is
-    computed; else ns goes on as before. The cap check above covers the
-    whole range and precedes all of this, and every n computed, h included,
-    passes the guard."""
-    ns = ns if ns.step > 0 else ns[::-1]
+    so a bisection of the first cap + 1 finds it."""
     if ns and ns[0] < 1:
         raise ValueError("n must be >= 1")
     omega = poly.integer_points(1, cap=cap)
@@ -140,15 +119,10 @@ def check_equality_range(
     over = bisect_left(head, True, key=lambda n: poly.box_size(n) > cap)
     if over < len(head):
         check_box(poly.box_size(head[over]), cap)  # raises, as the scan of that box would
-    codec, reports = BallCodec(_translated_group(omega), ns[-1] if ns else 0), []
+    codec = BallCodec(_translated_group(omega), ns[-1] if ns else 0)
     t = omega.points[0]
     [t_code] = codec.encode([t])
-    # holding at an n >= h holds at every later n; a range past h is answered by h first
-    h = max(poly.affine_dim - 1, 1)
-    probe = bool(ns) and ns[0] > h
-    for n, ball, _ in codec.layers(range(h, ns[-1] + 1) if probe else ns, cap):
-        if n != h and n not in ns:
-            continue
+    for n, ball, _ in codec.layers(ns, cap):
         # P was scanned for Omega: at n = 1 each point of Omega is a line of its own
         firsts, counts, step = (omega.points, [1] * len(omega), (0,) * poly.dim) if n == 1 else poly.lines(n, cap)
         # codes are additive, so a line's codes step by code(step), and n*t's is n * t_code;
@@ -165,11 +139,40 @@ def check_equality_range(
             witness = tuple(map(add, witness, [n * c for c in t]))
         if hits != len(ball):
             raise RuntimeError("internal inconsistency: sums escaped the dilation")
-        if n in ns:
-            reports.append(EqualityReport(n, witness is None, witness))
-        if witness is None and n >= h:
-            reports += [EqualityReport(m, True, None) for m in ns[len(reports):]]
-            break
+        yield EqualityReport(n, witness is None, witness)
+
+
+def check_equality_range(
+    poly: LatticePolytope, ns: range, cap: int | None = None
+) -> list[EqualityReport]:
+    """check_equality for every n in ns, in increasing order: the reports of
+    _equality_reports up to the first holding n >= max(k - 1, 1), k the
+    dimension of P, and (m, True, None) for each later m of ns.
+
+    The stop is the theorem of Bruns, Gubeladze and Trung (J. reine angew.
+    Math. 485, 1997; Bruns and Gubeladze, Polytopes, Rings, and K-Theory,
+    2009, Ch. 2): for a lattice polytope P of dimension k,
+    (cP & Z^d) + Omega = (c+1)P & Z^d for every integer c >= k - 1. Proof:
+    triangulate P with vertex set Omega, so no simplex holds a lattice point
+    but its vertices, and write x of (c+1)P & Z^d as sum(l_i v_i) over one
+    simplex, l_i >= 0, sum(l_i) = c + 1 >= k. Were every l_i < 1, the sum
+    would be k and sum((1 - l_i) v_i) = sum(v_i) - x a lattice point of the
+    simplex that is no vertex; so some l_i >= 1, and x - v_i is in cP & Z^d.
+    A lower-dimensional P is full-dimensional in its own lattice. Hence if
+    c*Omega = cP & Z^d at some c >= k - 1, then (c+1)P & Z^d = c*Omega + Omega
+    = (c+1)*Omega, and by induction equality holds at every n >= c. A report
+    is only (n, holds, witness), so (m, True, None) is the report the
+    computation of m would give, and the stream is left with no further ball
+    layer or scan. A range that starts past max(k - 1, 1) is computed at its
+    first n, as before, and stops there if it holds. The cap check of
+    _equality_reports covers the whole range and precedes all of this, and
+    every n computed passes the guard."""
+    ns, reports = ns if ns.step > 0 else ns[::-1], []
+    for report in _equality_reports(poly, ns, cap):
+        reports.append(report)
+        if report.holds and report.n >= max(poly.affine_dim - 1, 1):
+            # equality holds at every later n by the theorem above
+            return reports + [EqualityReport(m, True, None) for m in ns[len(reports):]]
     return reports
 
 

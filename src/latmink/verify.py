@@ -26,7 +26,7 @@ from .groups import (
     word_ball,
     zd_presentation_from_polytope,
 )
-from .minkowski import check_equality_range, decompose, minkowski_power, minkowski_sum, generates_zd
+from .minkowski import _equality_reports, check_equality_range, decompose, minkowski_power, minkowski_sum, generates_zd
 from .records import Record
 from .triangulation import (
     LatticeSimplex,
@@ -188,11 +188,9 @@ def _claim_polygon_equality(seed: int, quick: bool = False) -> tuple[bool, str]:
     # every n is computed: check_equality_range would answer n = 2..5 from n = 1 by the theorem
     for i in range(polygon_samples):
         poly = random_lattice_polygon(rng)
-        omega = poly.integer_points(1)
-        for n in range(1, 6):
-            missing = poly.integer_points(n).difference(minkowski_power(omega, n))
-            if missing:
-                return False, f"polygon #{i} {list(poly.vertices)} fails at n={n}, witness {missing.points[0]}"
+        for report in _equality_reports(poly, range(1, 6)):
+            if not report.holds:
+                return False, f"polygon #{i} {list(poly.vertices)} fails at n={report.n}, witness {report.witness}"
     return True, f"{polygon_samples} seeded polygons satisfy equality for n <= 5"
 
 

@@ -399,7 +399,7 @@ class TestStopAtTheTheorem:
 
     def test_first_seeds_past_k_minus_1(self):
         # seeds 0..99, each at a single n and over a range with step 2 or 3, both
-        # starting past max(k - 1, 1), where the probe answers or falls through
+        # starting past max(k - 1, 1), where the first n answers the range or fails
         kinds = Counter()
         for seed in range(100):
             poly = differential_polytope(seed)
@@ -426,14 +426,15 @@ class TestStopAtTheTheorem:
         "vertices, ns, scans, radii",
         [
             (HEXAGON, range(1, 26), [1], [1]),
-            (HEXAGON, range(25, 26), [1], [1]),
+            (HEXAGON, range(25, 26), [1, 25], [25]),
+            (HEXAGON, range(25, 31), [1, 25], [25]),
             (cube(3, 0, 2).vertices, range(1, 11), [1, 2], [1, 2]),
             (sigma(5, 2).vertices, range(1, 6), [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
             (sigma(4, 2).vertices, range(1, 7), [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6]),
-            # the probe at 2 fails: one scan more than n = 4 alone
-            (sigma(3, 2).vertices, range(4, 5), [1, 2, 4], [2, 3, 4]),
+            # a range past max(k - 1, 1) computes its first n: the scan of Omega, then nP
+            (sigma(3, 2).vertices, range(4, 5), [1, 4], [4]),
         ],
-        ids=["hexagon-1-25", "hexagon-25", "cube-3-0-2-1-10", "sigma-5-2-1-5", "sigma-4-2-1-6", "sigma-3-2-4"],
+        ids=["hexagon-1-25", "hexagon-25", "hexagon-25-30", "cube-3-0-2-1-10", "sigma-5-2-1-5", "sigma-4-2-1-6", "sigma-3-2-4"],
     )
     def test_work_pins(self, monkeypatch, vertices, ns, scans, radii):
         # line scans (the scan of Omega at 1) and the radii the one ball stream yields,
@@ -461,8 +462,8 @@ class TestStopAtTheTheorem:
 
     @pytest.mark.parametrize(
         "vertices, ns, computed",
-        [(cube(3, 0, 2).vertices, range(1, 11), {2}), (sigma(3, 2).vertices, range(4, 5), {2, 4})],
-        ids=["cube-3-0-2-1-10", "sigma-3-2-4"],
+        [(cube(3, 0, 2).vertices, range(1, 11), {2}), (sigma(3, 2).vertices, range(2, 6), {2, 3, 4, 5})],
+        ids=["cube-3-0-2-1-10", "sigma-3-2-2-5"],
     )
     def test_guard_runs_on_every_n_computed(self, monkeypatch, vertices, ns, computed):
         # the last line of nP holds n times the lex-max vertex, a sum: dropping it at

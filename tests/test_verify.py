@@ -2,8 +2,12 @@
 
 from pathlib import Path
 
+import pytest
+from conftest import per_point_equality_reports
+
 import latmink
-from latmink import cli, verify
+from latmink import LatticePolytope, cli, verify
+from latmink.triangulation import sigma
 
 CLAIM_IDS = [
     "sigma-simplex-interior-points",
@@ -78,28 +82,45 @@ def test_cli_passes_seed_and_quick(monkeypatch, capsys):
 
 def test_planar_equality_computes_every_n(monkeypatch):
     # check_equality_range would answer n = 2..5 of a polygon from n = 1 by the
-    # theorem; the claim compares minkowski_power with integer_points at each n
+    # theorem; the claim reads the reports of every n off _equality_reports,
+    # and they match the per-point oracle
     def stopped(*args, **kwargs):
         raise AssertionError("the planar claim must not read check_equality_range")
 
-    powers = []
-    real = verify.minkowski_power
+    read = []
+    real = verify._equality_reports
+
+    def recorded(poly, ns):
+        reports = list(real(poly, ns))
+        assert reports == per_point_equality_reports(poly, ns)
+        read.extend(r.n for r in reports)
+        return reports
+
     monkeypatch.setattr(verify, "check_equality_range", stopped)
-    monkeypatch.setattr(verify, "minkowski_power", lambda s, n: powers.append(n) or real(s, n))
+    monkeypatch.setattr(verify, "_equality_reports", recorded)
     ok, detail = verify._claim_polygon_equality(0, quick=True)
     assert ok and detail == "25 seeded polygons satisfy equality for n <= 5"
-    assert powers == [1, 2, 3, 4, 5] * 25
+    assert read == [1, 2, 3, 4, 5] * 25
 
 
-def test_planar_equality_reports_the_lex_least_missing_point(monkeypatch):
-    real = verify.minkowski_power
-
-    def short(s, n):
-        power = real(s, n)
-        return power if n < 2 else power.difference(latmink.PointSet(power.points[:1]))
-
-    monkeypatch.setattr(verify, "minkowski_power", short)
+def test_planar_equality_reports_a_failing_n_with_its_witness(monkeypatch):
+    # sigma(3, 2) in place of the first polygon: it holds at n = 1 and fails at 2
+    poly = LatticePolytope(sigma(3, 2).vertices)
+    monkeypatch.setattr(verify, "random_lattice_polygon", lambda rng: poly)
     ok, detail = verify._claim_polygon_equality(0, quick=True)
-    poly = verify.random_lattice_polygon(verify.random.Random(0))
     assert not ok
-    assert detail == f"polygon #0 {list(poly.vertices)} fails at n=2, witness {poly.integer_points(2).points[0]}"
+    assert detail == f"polygon #0 {list(poly.vertices)} fails at n=2, witness (0, 0, 1)"
+
+
+def test_planar_equality_raises_on_a_sum_outside_the_dilation(monkeypatch):
+    # nP less its last line (n times the lex-max vertex, a sum) at n = 3: the
+    # guard of every computed n reports the escaped sum
+    real = LatticePolytope.lines
+
+    def dropped(self, n, cap=None):
+        firsts, counts, step = real(self, n, cap)
+        return (firsts[:-1], counts[:-1], step) if n == 3 else (firsts, counts, step)
+
+    monkeypatch.setattr(LatticePolytope, "lines", dropped)
+    with pytest.raises(RuntimeError, match="sums escaped the dilation"):
+        verify._claim_polygon_equality(0, quick=True)

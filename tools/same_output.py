@@ -122,9 +122,9 @@ and, in a temporary work directory of its own, runs every command of this list:
 - `check-equality` where it stops at the theorem (equality at an n >= k - 1
   holds at every later n), on the files above and bundled datasets, as JSON
   and with `--pretty`: over 1..50 on the hexagon and `cube(3, 0, 2)`; at one
-  n past k - 1, whose probe at max(k - 1, 1) holds (the hexagon at 25,
-  `cube(3, 0, 2)` at 10) or fails (`sigma-3-2` at 4, `sigma-5-2` at 5); and
-  over 3..9 on the skew triangle and the 4-D segment;
+  n past k - 1, where equality holds (the hexagon at 25, `cube(3, 0, 2)` at
+  10) or fails (`sigma-3-2` at 4, `sigma-5-2` at 5); and over 3..9 on the
+  skew triangle and the 4-D segment;
 - each bound (`--cap`, `--budget`, `--point-cap`) at -1, 0 and 1; at 0 and
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
@@ -304,9 +304,9 @@ CODE_PATH_POLYTOPES = {
 # check-equality's stop at the theorem (equality at an n >= k - 1 holds at
 # every later n) on the CODE_PATH_POLYTOPES files and bundled sigma(d, m):
 # ranges over 1..50 answered at n = 1 (the hexagon) and n = 2 (cube(3, 0, 2)),
-# one n past k - 1 whose probe at max(k - 1, 1) holds (the hexagon at 25,
-# cube(3, 0, 2) at 10) or fails (sigma(3, 2) at 4, sigma(5, 2) at 5), and
-# ranges past k - 1 on the skew triangle and the 4-D segment.
+# one n past k - 1 where equality holds (the hexagon at 25, cube(3, 0, 2) at
+# 10) or fails (sigma(3, 2) at 4, sigma(5, 2) at 5), and ranges past k - 1 on
+# the skew triangle and the 4-D segment.
 THEOREM_STOP_COMMANDS = [
     ["check-equality", "hexagon.json", "1..50"],
     ["check-equality", "cube-3-0-2-lines.json", "1..50"],
