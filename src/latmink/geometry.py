@@ -25,7 +25,10 @@ coefficients of opposite sign, that eliminate the last coordinate, read off the
 hull's boundary simplices. With the vertical facets they cut out the shadow, so
 only the lines through it are examined. Each level bounds the next coordinate
 before it enters a prefix, so an empty prefix costs no call, and cuts each line
-inline.
+inline. None of the scan's plan -- each plane's cut coordinate, the order of the
+planes, the box's planes and each level's coefficient tables -- depends on n: a
+polytope builds its plan once, at its first scan, and walks it at every n with the
+offsets and the box scaled by n.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import itertools
 from fractions import Fraction
 from math import factorial, gcd, isfinite, prod
 from operator import floordiv, mul, neg, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import linalg
 
@@ -291,22 +294,26 @@ def _beneath_beyond(
     return vertices, sorted(on), [(face.verts, face.plane) for face in alive]
 
 
-def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Sequence[int]) -> list[tuple[Point, int, int]]:
-    """The integer points y of the box [los, his] (k >= 1 coordinates) with <a, y> <= b
-    for all (a, b) in planes, nonzero normals a that bound a polytope, as runs (prefix,
-    lo, hi): the points prefix + (t,) for lo <= t <= hi, in lex order.
+def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Sequence[int]) -> Callable[[int], list]:
+    """The walk of a scan plan: for n >= 0, the integer points y of the box [n los, n his]
+    (k >= 1 coordinates) with <a, y> <= n b for all (a, b) in planes, nonzero normals a that
+    bound a polytope, as runs (prefix, lo, hi): the points prefix + (t,) for lo <= t <= hi,
+    in lex order.
 
     One rule: a plane cuts y_j, j the index of its last nonzero coefficient c. With
-    r = b - <a, (y_0..y_{j-1})>, it keeps y_j <= floor(r/c) if c > 0 and y_j >=
+    r = n b - <a, (y_0..y_{j-1})>, it keeps y_j <= floor(r/c) if c > 0 and y_j >=
     ceil(r/c) if c < 0, within the box's range of y_j; a side of y_j that no plane cuts
     is cut by the box's own plane. A prefix a cut leaves out has no point of the polytope
-    above it, so the runs are exact. The loops over prefixes carry each plane's residual
-    r, one subtraction a step, up to its own coordinate: the planes are ordered by it,
-    latest first, so each level reads its cuts off the tail of the residuals and passes
-    the rest on. The loop over y_j computes y_{j+1}'s interval before it enters a prefix
-    and enters only those where it is nonempty; at j = k - 2 the interval is a line's run,
-    appended with no call. An empty interval holds no run and the values come in the same
-    order, so the runs and their order are those of a call for every prefix."""
+    above it, so the runs are exact. None of this depends on n, so the plan -- each plane's
+    cut coordinate, the order, the box planes and each level's coefficient tables -- is
+    built here once, at scale 1, and the walk scales the offsets and the box by n. The loops
+    over prefixes carry each plane's residual r, one subtraction a step, up to its own
+    coordinate: the planes are ordered by it, latest first, so each level reads its cuts off
+    the tail of the residuals and passes the rest on. The loop over y_j computes y_{j+1}'s
+    interval before it enters a prefix and enters only those where it is nonempty; at
+    j = k - 2 the interval is a line's run, appended with no call. An empty interval holds
+    no run and the values come in the same order, so the runs and their order are those of
+    a call for every prefix."""
     last, keyed = len(los) - 1, []
     for a, b in planes:
         j = last
@@ -323,30 +330,36 @@ def _line_scan(planes: Sequence[tuple[Point, int]], los: Sequence[int], his: Seq
         ups = [a[j] for _, a, _ in keyed[m:] if a[j] > 0]  # a plane that cuts an earlier coordinate has a_j == 0
         step = [a[j - 1] for (i, _), a, _ in keyed if i >= j > 0]  # y_{j-1}'s coefficients on the planes carried to j
         levels.append((m, m + len(ups), ups, [-a[j] for _, a, _ in keyed[m:] if a[j] < 0], his[j], -los[j], step))
-    m, p, ups, downs, top, bottom, _ = levels[0]
-    res = [b for _, _, b in keyed]
-    lo, hi = -min(bottom, *map(floordiv, res[p:], downs)), min(top, *map(floordiv, res[m:p], ups))
-    found: list[tuple[Point, int, int]] = [((), lo, hi)] if lo <= hi and not last else []
+    offsets = [b for _, _, b in keyed]
 
-    def scan(j: int, prefix: Point, res: list[int], lo: int, hi: int) -> None:
-        m, p, ups, downs, top, bottom, step = levels[j + 1]
-        res = [r - a * lo for r, a in zip(res, step)]
-        for y in range(lo, hi + 1):
-            h = min(map(floordiv, res[m:p], ups))
-            g = min(map(floordiv, res[p:], downs))  # -g is y_{j+1}'s least value
-            h = top if h > top else h
-            g = bottom if g > bottom else g
-            if h + g >= 0:
-                if j + 1 < last:
-                    scan(j + 1, prefix + (y,), res, -g, h)
-                else:
-                    found.append((prefix + (y,), -g, h))
-            res = list(map(sub, res, step))
+    def walk(n: int) -> list[tuple[Point, int, int]]:
+        scaled = [(m, p, ups, downs, n * top, n * bottom, step) for m, p, ups, downs, top, bottom, step in levels]
+        m, p, ups, downs, top, bottom, _ = scaled[0]
+        res = [n * b for b in offsets]
+        lo, hi = -min(bottom, *map(floordiv, res[p:], downs)), min(top, *map(floordiv, res[m:p], ups))
+        found: list[tuple[Point, int, int]] = [((), lo, hi)] if lo <= hi and not last else []
 
-    if lo <= hi and last:
-        scan(0, (), res, lo, hi)
-    del scan  # it refers to itself: free found now, not at a later gc pass
-    return found
+        def scan(j: int, prefix: Point, res: list[int], lo: int, hi: int) -> None:
+            m, p, ups, downs, top, bottom, step = scaled[j + 1]
+            res = [r - a * lo for r, a in zip(res, step)]
+            for y in range(lo, hi + 1):
+                h = min(map(floordiv, res[m:p], ups))
+                g = min(map(floordiv, res[p:], downs))  # -g is y_{j+1}'s least value
+                h = top if h > top else h
+                g = bottom if g > bottom else g
+                if h + g >= 0:
+                    if j + 1 < last:
+                        scan(j + 1, prefix + (y,), res, -g, h)
+                    else:
+                        found.append((prefix + (y,), -g, h))
+                res = list(map(sub, res, step))
+
+        if lo <= hi and last:
+            scan(0, (), res, lo, hi)
+        del scan  # it refers to itself: free found now, not at a later gc pass
+        return found
+
+    return walk
 
 
 def run_points(runs: Iterable[tuple[Point, int, int]]) -> list[Point]:
@@ -428,7 +441,8 @@ class LatticePolytope:
     A full-dimensional P has B = None and Q = P. `_planes` are Q's facets,
     `_corners` its vertices and `_faces` its boundary simplices as (point
     tuple, plane) pairs: `_fan` reads them for `fan_simplices` and `volume`,
-    and a scan of k >= 3 coordinates its `_shadow`.
+    and a scan of k >= 3 coordinates its `_shadow`. `_walk`, the one scan plan
+    of Q, is built at the first scan and walked at every n.
     """
 
     def __init__(self, points: Iterable):
@@ -526,21 +540,25 @@ class LatticePolytope:
             shadow.add((tuple(x // div for x in normal), offset // div))
         return tuple(shadow)
 
+    @functools.cached_property
+    def _walk(self) -> Callable[[int], list[tuple[Point, int, int]]]:
+        """The walk of Q's scan plan (k >= 1): `_line_scan` of Q's planes, with `_shadow`'s
+        when k >= 3, and box(1), built at the first scan, after its cap check, and walked
+        at every n."""
+        return _line_scan(self._planes + self._shadow if self.affine_dim >= 3 else self._planes, *self.box(1))
+
     def line_runs(self, n: int, cap: int | None = None) -> list[tuple[Point, int, int]]:
         """The integer points of nQ (nP when full-dimensional; a point has no runs) as
-        `_line_scan`'s runs, which count them before any is built. A scan of k >= 3
-        coordinates is handed the dilated `_shadow` with Q's planes: each plane cuts the
-        coordinate of its last nonzero coefficient, so the shadow's planes cut the prefixes
-        and the scan examines only the lines that meet nQ; one of fewer coordinates
-        examines every line of the box. Raises as integer_points does."""
+        `_line_scan`'s runs, which count them before any is built: the polytope's one scan
+        plan, `_walk`, walked at n. A scan of k >= 3 coordinates is handed the `_shadow`
+        with Q's planes: each plane cuts the coordinate of its last nonzero coefficient, so
+        the shadow's planes cut the prefixes and the scan examines only the lines that meet
+        nQ; one of fewer coordinates examines every line of the box. Raises as
+        integer_points does, before the plan is built or walked."""
         if n < 0:
             raise ValueError("dilation factor must be >= 0")
         check_box(self.box_size(n), cap)
-        los, his = self.box(n)
-        if not los:
-            return []
-        planes = self._planes + self._shadow if len(los) >= 3 else self._planes
-        return _line_scan([(a, n * b) for a, b in planes], los, his)
+        return self._walk(n) if self.affine_dim else []
 
     def integer_points(self, n: int, cap: int | None = None) -> PointSet:
         """All integer points of the n-fold dilation, canonically ordered.

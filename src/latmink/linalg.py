@@ -2,10 +2,12 @@
 row echelon form and the Hermite normal form. Everything stays in plain Python
 ints; nothing here builds a Fraction or touches a float.
 
-`det_int` and `adjugate` of n x n matrices, 1 <= n <= 4 (about 99% of the calls), use closed
-cofactor formulas: integer identities with no division, equal to the elimination bit for bit. A
-cofactor expansion grows factorially, so n = 0 and n >= 5 (4-D start simplices, sigma(d >= 4),
-any user matrix) keep the fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+There is one elimination kernel, `adjugate`, and `det_int` is its determinant. For
+n x n matrices with 1 <= n <= 4 (about 99% of the calls) it uses closed cofactor
+formulas: integer identities with no division, equal to the elimination bit for bit. A
+cofactor expansion grows factorially, so n = 0 and n >= 5 (4-D start simplices,
+sigma(d >= 4), any user matrix) take one fraction-free Gauss-Jordan pass (Bareiss,
+Math. Comp. 22, 1968), whose last pivot, signed by its row swaps, is the determinant.
 """
 
 from __future__ import annotations
@@ -17,27 +19,8 @@ IntVector = tuple[int, ...]
 
 
 def det_int(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix: cofactors for 1 <= n <= 4, else Bareiss elimination."""
-    n = len(rows)
-    a = [list(map(int, r)) for r in rows]
-    if any(len(r) != n for r in a):
-        raise ValueError("matrix is not square")
-    if 0 < n < 5:
-        return _cofactors(a)[0]
-    sign = prev = 1
-    for k in range(n):
-        if not a[k][k]:
-            pivot = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: exact division by previous pivot
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * prev
+    """Determinant of a square integer matrix: the one `adjugate` finds with the inverse."""
+    return adjugate(rows)[0]
 
 
 def adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:

@@ -21,6 +21,7 @@ from latmink import (
     PointSet,
     ResourceLimitError,
     Triangulation,
+    check_equality_range,
     classify_simplex,
     cross_polytope,
     cube,
@@ -32,6 +33,7 @@ from latmink import (
     validate_triangulation,
 )
 from latmink import geometry, linalg
+from latmink.cli import main
 from latmink.geometry import (
     _affine_frame,
     _beneath_beyond,
@@ -563,21 +565,20 @@ class TestBeneathBeyond:
 
 
 def elimination_steps(build) -> int:
-    """The line events on the `for k in range(n):` pivot loop of det_int and of adjugate while
-    build() runs, counted by a trace hook: 0 if and only if no elimination step ran."""
-    headers = {}
-    for fn in (linalg.det_int, linalg.adjugate):
-        source, first = inspect.getsourcelines(fn)
-        headers[fn.__code__] = first + next(i for i, line in enumerate(source) if line.strip() == "for k in range(n):")
-    steps = 0
+    """The line events on the `for k in range(n):` pivot loop of adjugate, the one elimination
+    (det_int is adjugate's determinant), while build() runs, counted by a trace hook: 0 if and
+    only if no elimination step ran."""
+    source, first = inspect.getsourcelines(linalg.adjugate)
+    header = first + next(i for i, line in enumerate(source) if line.strip() == "for k in range(n):")
+    kernel, steps = linalg.adjugate.__code__, 0
 
     def in_kernel(frame, event, arg):
         nonlocal steps
-        steps += event == "line" and frame.f_lineno == headers[frame.f_code]
+        steps += event == "line" and frame.f_lineno == header
         return in_kernel
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: in_kernel if frame.f_code in headers else None)
+    sys.settrace(lambda frame, event, arg: in_kernel if frame.f_code is kernel else None)
     try:
         build()
     finally:
@@ -982,7 +983,7 @@ class TestLineScan:
             head = data.draw(st.lists(st.integers(-3, 3), min_size=j, max_size=j))
             u = (*head, data.draw(st.integers(-3, 3).filter(bool)), *[0] * (k - 1 - j))
             planes.append((u, n * max(dot(u, v) for v in p._corners)))
-        assert geometry._line_scan(planes, *p.box(n)) == box_scan_runs(p, n)
+        assert geometry._line_scan(planes, *p.box(n))(1) == box_scan_runs(p, n)  # the plan of nQ, walked at 1
 
     def test_leaves_no_reference_cycles(self):
         # cycles would hold each scan's point list until the collector runs
@@ -1007,6 +1008,61 @@ class TestLineScan:
             probes += [half[:j] + (half[j] + Fraction(1, 2),) + half[j + 1 :] for j in range(p.dim)]
         for q in probes:
             assert p.contains(q) == lp_contains(p, q), q
+
+
+def counted_plans(monkeypatch) -> list[list[int]]:
+    """Wrap `geometry._line_scan` for the rest of a test: one list for each plan built
+    from then on, of the n it is walked at, in order."""
+    plans, build = [], geometry._line_scan
+
+    def line_scan(*args):
+        walk, ns = build(*args), []
+        plans.append(ns)
+
+        def counted(n):
+            ns.append(n)
+            return walk(n)
+
+        return counted
+
+    monkeypatch.setattr(geometry, "_line_scan", line_scan)
+    return plans
+
+
+class TestScanPlan:
+    """A polytope builds its scan plan once, at scale 1 and after the cap check of its
+    first scan, and walks it at every n."""
+
+    @given(st.one_of(lattice_clouds(max_dim=6), solid_clouds(max_dim=6)), st.permutations([0, 1, 1, 2, 3, 2, 0]))
+    @settings(max_examples=100, deadline=None)
+    def test_walks_match_fresh_scans(self, pts, ns):
+        # a point, lower-dimensional and full-dimensional polytopes in d <= 6, walked
+        # at shuffled n with 0 and repeats: each walk is a fresh polytope's first scan
+        p = hull(pts)
+        for n in [n for n in ns if geometry.box_count(*p.box(n)) <= 4000]:
+            assert p.line_runs(n) == box_scan_runs(p, n) == hull(pts).line_runs(n)
+
+    def test_one_plan_per_polytope(self, monkeypatch, capsys):
+        plans = counted_plans(monkeypatch)
+        reports = check_equality_range(LatticePolytope(sigma(5, 2).vertices), range(1, 6))
+        assert [r.holds for r in reports] == [True, True, False, False, False]  # no stop: every n is scanned
+        assert plans == [[1, 2, 3, 4, 5]]
+        plans.clear()
+        assert main(["points", "sigma-5-2", "1"]) == 0
+        assert plans == [[1]]
+
+    def test_cap_acts_before_the_plan(self, monkeypatch):
+        # sigma(4, 2) is scanned in four coordinates, with its shadow
+        plans, walked = counted_plans(monkeypatch), LatticePolytope(sigma(4, 2).vertices)
+        cap = walked.box_size(3) - 1
+        walked.line_runs(1)
+        with pytest.raises(ResourceLimitError):
+            walked.line_runs(3, cap)
+        assert plans == [[1]]
+        fresh = LatticePolytope(sigma(4, 2).vertices)
+        with pytest.raises(ResourceLimitError):
+            fresh.line_runs(3, cap)
+        assert plans == [[1]] and "_walk" not in vars(fresh) and "_shadow" not in vars(fresh)
 
 
 def scan_calls(p: LatticePolytope, n: int) -> list[tuple[int, int, int]]:

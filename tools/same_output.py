@@ -29,8 +29,11 @@ and, in a temporary work directory of its own, runs every command of this list:
   a sheared top, a 3-dimensional polytope in Z^5 (its scan runs in the
   coordinates of its own lattice), and a triangle times a square in Z^4 and
   times a cube in Z^5 (vertical facets that cut a coordinate before the last
-  two), as JSON and with `--pretty`, so that scans that skip the lines outside
-  the polytope's shadow, and prefixes cut before it, are compared too;
+  two), and on sigma(d, 2) for d = 4..6 `points` at n = 0 and
+  `check-equality` over 1..5 (a range that fails, so each n is scanned), as
+  JSON and with `--pretty`, so that scans that skip the lines outside the
+  polytope's shadow, prefixes cut before it, and one scan plan, built at
+  scale 1, walked at n = 0 and at each n of a range, are compared too;
 - `points` at n = 0..3, `minkowski` at 2, `check-equality` over 1..3, and
   `points` at 3 with `--cap` at the number of candidates the cap bounds at
   n = 3 and at one less, on lower-dimensional polytopes whose projection on
@@ -408,13 +411,16 @@ def _lower_dimensional_commands(work: Path):
 
 def _shadow_commands(work: Path):
     """Write each SHADOW_POLYTOPES polytope into work as NAME.json and return
-    points at n = 1..4 and check-equality over 1..3 on it, JSON first, then
+    points at n = 1..4 and check-equality over 1..3 on it, and on sigma(d, 2)
+    points at n = 0 and check-equality over 1..5 too, JSON first, then
     --pretty."""
     commands = []
     for name, vertices in SHADOW_POLYTOPES.items():
         path = f"{name}.json"
         (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
         commands += [["points", path, str(n)] for n in range(1, 5)] + [["check-equality", path, "1..3"]]
+        if name in {f"sigma-{d}-2" for d in (4, 5, 6)}:
+            commands += [["points", path, "0"], ["check-equality", path, "1..5"]]
     return commands + [["--pretty", *argv] for argv in commands]
 
 
