@@ -11,7 +11,10 @@ the lex-first points of least and greatest value in each coordinate), which
 spans much of the cloud, so few faces are made only to be discarded. A
 point is a vertex when it is the only corner of the boundary on all of its
 facets. A lower-dimensional polytope P is hulled and scanned in its own
-lattice (aff P - v0) & Z^d, where all its lattice points lie. All queries --
+lattice (aff P - v0) & Z^d, where all its lattice points lie; the readers of
+the scan's runs (`line_runs`) work there too, and a point leaves the frame only
+when it is handed out (`_lift`), as integer_points' points or the equality
+test's witness are. All queries --
 membership, integer point enumeration, volume -- are exact: coordinates are
 Python ints and derived scalars are fractions.Fraction.
 
@@ -575,19 +578,6 @@ class LatticePolytope:
         runs = self.line_runs(n, cap)  # checks n and the cap first, also for a point, which has no runs
         inside = run_points(runs) if self.affine_dim else [()]
         return PointSet._canonical(tuple(self._lift(inside, n)), self.dim)
-
-    def lines(self, n: int, cap: int | None = None) -> tuple[list[Point], list[int], Point]:
-        """The integer points of nP as lines, without building them: the first point of each
-        line in Z^d, in lex order, the number of points on it, and the step from one point of a
-        line to the next, the same for every line: e_d when P is full-dimensional, B's last row
-        otherwise (a point has one line of one point, and step 0). The points of the lines, in
-        order, are those of integer_points(n, cap); raises as it does."""
-        runs = self.line_runs(n, cap)
-        if not self.affine_dim:
-            return self._lift([()], n), [1], (0,) * self.dim
-        firsts = self._lift([prefix + (lo,) for prefix, lo, _ in runs], n)
-        step = (0,) * (self.dim - 1) + (1,) if self._basis is None else tuple(self._basis[-1])
-        return firsts, [hi - lo + 1 for _, lo, hi in runs], step
 
     def _lift(self, ys: list[Point], n: int) -> list[Point]:
         """The points n v0 + yB of nP for the points y of nQ; ys itself when P is full-dimensional."""

@@ -5,17 +5,17 @@ n*Omega is always contained in the integer points of the dilation nP; this
 module decides whether the two sets coincide, produces the lex-least missing
 point as a witness when they do not, and constructively decomposes integer
 points of nP into n summands from Omega via a primitive triangulation.
-n*Omega comes from the word-ball engine of groups, over Z^d after a
-translation by t, the lex-least point of Omega. The equality test reads nP
-line by line (LatticePolytope.lines) and never builds its points: the codes
-code(p) - code(n*t) of a line's points form one range of ints, consecutive
-when P is full-dimensional (the last coordinate has weight 1) and stepping by
-the code of the lattice basis's last row when it is not, and each range is
-looked up among the int codes of the ball at once. No sum is decoded, and of
-the points of nP only the first missing code is, as the witness;
-minkowski_sum is the direct pairwise form. A range of n stops at its first
-holding n >= max(k - 1, 1), k the dimension of P: equality there holds at
-every later n (Bruns, Gubeladze and Trung), so the later reports are filled in
+n*Omega comes from the word-ball engine of groups, after a translation by t,
+the lex-least point of Omega; minkowski_sum is the direct pairwise form. The
+equality test works in P's own lattice, where P is full-dimensional: it reads
+nP as the line runs of its scan (LatticePolytope.line_runs) and never builds
+its points. The codes code(y) - code(n*t) of a run's points form one range of
+consecutive ints (the last coordinate has weight 1), looked up among the int
+codes of the ball at once. No sum is decoded, and of the points of nP only the
+first missing code is, lifted to Z^d as the witness. Equality holds at every n
+for a point, a segment or a polygon, and a range of n on a polytope of
+dimension k >= 3 stops at its first holding n >= k - 1: equality there holds
+at every later n (Bruns, Gubeladze and Trung), so these reports are filled in
 with no ball layer or scan.
 """
 
@@ -92,51 +92,41 @@ def check_equality(poly: LatticePolytope, n: int, cap: int | None = None) -> Equ
 
 
 def _equality_reports(poly: LatticePolytope, ns: range, cap: int | None = None) -> Iterator[EqualityReport]:
-    """The report of check_equality at every n of ns, an increasing range, each
-    computed: n*Omega is read off one BallCodec.layers stream of
-    _translated_group(Omega) over ns, and no n is answered by the theorem of
-    check_equality_range.
+    """The report of check_equality at every n of ns, an increasing range of n >= 1,
+    each computed in Q's frame, for P of dimension k >= 1 (Q is P in its own lattice,
+    P itself when full-dimensional; see LatticePolytope): n*Omega is read off one
+    BallCodec.layers stream of _translated_group of Omega's points in Z^k over ns, and
+    no n is answered by the theorem of check_equality_range.
 
-    At each n, nP comes as lines (LatticePolytope.lines: one line scan per n,
-    and at n = 1 the scan of Omega, each point a line of its own), and each
-    line as one range of codes tested with ball.issuperset. When every line is
-    in the ball, equality holds; else the hits are counted code by code and
-    the first missing code of the first line not in the ball, decoded, is the
-    lex-least witness: the lines come in lex order, and so do the points of a
-    line, the step having a positive first nonzero coordinate. Either way the
-    hits must number |ball|, or a sum escaped the dilation. The
-    box cap (DEFAULT_BOX_CAP when None) bounds each dilation nP; after the
-    scan of Omega, the first n of ns whose box_size is over the cap raises
-    before any other scan, so every ball of the stream is within the cap too:
-    |m*Omega| <= |mP & Z^d| <= box_size(m) for m <= n. The sizes grow with
-    n, and unless P is a point the (cap + 1)-th n of ns has one over the cap,
-    so a bisection of the first cap + 1 finds it."""
-    if ns and ns[0] < 1:
-        raise ValueError("n must be >= 1")
-    omega = poly.integer_points(1, cap=cap)
-    cap = geometry.DEFAULT_BOX_CAP if cap is None else cap
-    head = ns[:cap + 1]
-    over = bisect_left(head, True, key=lambda n: poly.box_size(n) > cap)
-    if over < len(head):
-        check_box(poly.box_size(head[over]), cap)  # raises, as the scan of that box would
+    At each n, nQ comes as LatticePolytope.line_runs (at n = 1 the scan of Omega, read
+    again), and each run as one range of consecutive codes, code(y) - code(n*t) for
+    the points y of the run and t the lex-least point of Omega, the last coordinate
+    having weight 1 (the codec's bound covers the coordinates of nQ - n*t, at most n
+    times a generator's, Q's vertices being points of Omega, so codes are injective
+    there); each range is tested with ball.issuperset. When every run is in
+    the ball, equality holds; else the hits are counted code by code and the first
+    missing code of the first run not in the ball, decoded and lifted to n v0 + yB by
+    `_lift`, is the lex-least witness: the runs and their points come in lex order, and
+    the lift keeps it (see integer_points) and maps nQ & Z^k onto nP & Z^d one to one.
+    Either way the hits must number |ball|, or a sum escaped the dilation. The cap
+    bounds each scan (DEFAULT_BOX_CAP when None) and each layer of the ball
+    (DEFAULT_BALL_CAP when None); check_equality_range checks the boxes of its whole
+    range before it calls this."""
+    runs = poly.line_runs(1, cap)
+    omega = PointSet._canonical(tuple(geometry.run_points(runs)), poly.affine_dim)
     codec = BallCodec(_translated_group(omega), ns[-1] if ns else 0)
-    t = omega.points[0]
-    [t_code] = codec.encode([t])
+    [t_code] = codec.encode(omega.points[:1])
     for n, ball, _ in codec.layers(ns, cap):
-        # P was scanned for Omega: at n = 1 each point of Omega is a line of its own
-        firsts, counts, step = (omega.points, [1] * len(omega), (0,) * poly.dim) if n == 1 else poly.lines(n, cap)
-        # codes are additive, so a line's codes step by code(step), and n*t's is n * t_code;
-        # code(step) is 0 only if no line has two points, as codes are injective on nP - n*t
-        [s, *codes] = codec.encode([step, *firsts])
-        s, shift = s or 1, n * t_code
-        lines = [range(c - shift, c - shift + k * s, s) for c, k in zip(codes, counts)]
+        runs = runs if n == 1 else poly.line_runs(n, cap)
+        codes, shift = codec.encode([prefix + (lo,) for prefix, lo, _ in runs]), n * t_code
+        lines = [range(c - shift, c - shift + hi - lo + 1) for c, (_, lo, hi) in zip(codes, runs)]
         if all(map(ball.issuperset, lines)):
-            hits, witness = sum(counts), None
+            hits, witness = sum(map(len, lines)), None
         else:
             hits = sum(map(ball.__contains__, chain.from_iterable(lines)))
             line = next(filterfalse(ball.issuperset, lines))
-            [witness] = codec.decode([next(filterfalse(ball.__contains__, line))])
-            witness = tuple(map(add, witness, [n * c for c in t]))
+            [y] = codec.decode([next(filterfalse(ball.__contains__, line))])
+            [witness] = poly._lift([tuple(map(add, y, [n * c for c in omega.points[0]]))], n)
         if hits != len(ball):
             raise RuntimeError("internal inconsistency: sums escaped the dilation")
         yield EqualityReport(n, witness is None, witness)
@@ -145,32 +135,50 @@ def _equality_reports(poly: LatticePolytope, ns: range, cap: int | None = None) 
 def check_equality_range(
     poly: LatticePolytope, ns: range, cap: int | None = None
 ) -> list[EqualityReport]:
-    """check_equality for every n in ns, in increasing order: the reports of
-    _equality_reports up to the first holding n >= max(k - 1, 1), k the
-    dimension of P, and (m, True, None) for each later m of ns.
+    """check_equality for every n in ns, in increasing order: (n, True, None) for
+    every n when P has dimension k <= 2, and else the reports of _equality_reports
+    up to the first holding n >= k - 1 and (m, True, None) for each later m of ns.
 
-    The stop is the theorem of Bruns, Gubeladze and Trung (J. reine angew.
+    Both are the theorem of Bruns, Gubeladze and Trung (J. reine angew.
     Math. 485, 1997; Bruns and Gubeladze, Polytopes, Rings, and K-Theory,
-    2009, Ch. 2): for a lattice polytope P of dimension k,
-    (cP & Z^d) + Omega = (c+1)P & Z^d for every integer c >= k - 1. Proof:
+    2009, Ch. 2): for a lattice polytope P of dimension k >= 1,
+    (cP & Z^d) + Omega = (c+1)P & Z^d for every integer c >= max(k - 1, 1). Proof:
     triangulate P with vertex set Omega, so no simplex holds a lattice point
     but its vertices, and write x of (c+1)P & Z^d as sum(l_i v_i) over one
     simplex, l_i >= 0, sum(l_i) = c + 1 >= k. Were every l_i < 1, the sum
     would be k and sum((1 - l_i) v_i) = sum(v_i) - x a lattice point of the
     simplex that is no vertex; so some l_i >= 1, and x - v_i is in cP & Z^d.
     A lower-dimensional P is full-dimensional in its own lattice. Hence if
-    c*Omega = cP & Z^d at some c >= k - 1, then (c+1)P & Z^d = c*Omega + Omega
-    = (c+1)*Omega, and by induction equality holds at every n >= c. A report
-    is only (n, holds, witness), so (m, True, None) is the report the
-    computation of m would give, and the stream is left with no further ball
-    layer or scan. A range that starts past max(k - 1, 1) is computed at its
-    first n, as before, and stops there if it holds. The cap check of
-    _equality_reports covers the whole range and precedes all of this, and
-    every n computed passes the guard."""
+    c*Omega = cP & Z^d at some c >= max(k - 1, 1), then (c+1)P & Z^d =
+    c*Omega + Omega = (c+1)*Omega, and by induction equality holds at every
+    n >= c. At c = 1 it holds by definition, 1*Omega = Omega = P & Z^d, so for
+    k <= 2, where max(k - 1, 1) = 1, it holds at every n >= 1 (and for a point,
+    k = 0, n*Omega is the one point of nP); no n is computed. A report is only
+    (n, holds, witness), so (m, True, None) is the report the computation of m
+    would give, with no ball layer or scan. For k >= 3 a range that starts past
+    k - 1 is computed at its first n and stops there if it holds; every n
+    computed passes the guard of _equality_reports.
+
+    The box cap (DEFAULT_BOX_CAP when None) bounds each dilation nP and is checked
+    before all of this: box_size(1) first, as the scan of Omega would, then the
+    first n of ns whose box_size is over the cap raises, so every ball of the
+    stream is within the cap too: |m*Omega| <= |mP & Z^d| <= box_size(m) for
+    m <= n. The sizes grow with n, and unless P is a point the (cap + 1)-th n of
+    ns has one over the cap, so a bisection of the first cap + 1 finds it."""
     ns, reports = ns if ns.step > 0 else ns[::-1], []
+    if ns and ns[0] < 1:
+        raise ValueError("n must be >= 1")
+    cap = geometry.DEFAULT_BOX_CAP if cap is None else cap
+    check_box(poly.box_size(1), cap)
+    head = ns[:cap + 1]
+    over = bisect_left(head, True, key=lambda n: poly.box_size(n) > cap)
+    if over < len(head):
+        check_box(poly.box_size(head[over]), cap)  # raises, as the scan of that box would
+    if poly.affine_dim <= 2:
+        return [EqualityReport(n, True, None) for n in ns]
     for report in _equality_reports(poly, ns, cap):
         reports.append(report)
-        if report.holds and report.n >= max(poly.affine_dim - 1, 1):
+        if report.holds and report.n >= poly.affine_dim - 1:
             # equality holds at every later n by the theorem above
             return reports + [EqualityReport(m, True, None) for m in ns[len(reports):]]
     return reports

@@ -824,24 +824,6 @@ class TestIntegerPoints:
         shifted = LatticePolytope([(5, 5), (6, 5), (5, 6)])
         assert shifted.integer_points(0).points == ((0, 0),)
 
-    @given(st.one_of(lattice_clouds(max_dim=5, max_directions=2), points_3d), st.integers(0, 3))
-    @settings(max_examples=150, deadline=None)
-    def test_lines_walk_the_integer_points(self, pts, n):
-        # first points, counts and one step: lifted to Z^d in a lower-dimensional P
-        p = hull(pts)
-        firsts, counts, step = p.lines(n)
-        walked = [tuple(a + i * b for a, b in zip(first, step)) for first, k in zip(firsts, counts) for i in range(k)]
-        assert tuple(walked) == p.integer_points(n).points
-        assert all(k >= 1 for k in counts) and len(firsts) == len(counts)
-        assert step == ((0,) * (p.dim - 1) + (1,) if p.is_full_dimensional else tuple(p._basis[-1]) if p.affine_dim else (0,) * p.dim)
-
-    def test_lines_raise_as_integer_points_does(self, unit_square):
-        for poly in (unit_square, LatticePolytope([(3, -2)])):
-            with pytest.raises(ValueError, match="^dilation factor must be >= 0$"):
-                poly.lines(-1)
-        with pytest.raises(ResourceLimitError, match="^bounding box has 16 candidate points, cap is 15$"):
-            unit_square.lines(3, cap=15)
-
     def test_negative_rejected(self, unit_square):
         # a point has no line runs, and its n is checked all the same
         for poly in (unit_square, LatticePolytope([(3, -2)])):

@@ -29,10 +29,18 @@ from latmink import (
 )
 from latmink import geometry
 from latmink.geometry import dot
+from latmink.minkowski import _equality_reports
 from latmink.triangulation import DEFAULT_POINT_CAP
 from latmink.verify import orthant_fan, symmetric_example_polytope
 
-from conftest import folded_minkowski_power, is_n_fold_sum, per_point_equality_reports, rank, unimodular
+from conftest import (
+    brute_force_integer_points,
+    folded_minkowski_power,
+    is_n_fold_sum,
+    per_point_equality_reports,
+    rank,
+    unimodular,
+)
 
 small_sets_1d = st.lists(st.integers(-4, 4), min_size=1, max_size=5).map(
     lambda xs: PointSet([(x,) for x in xs])
@@ -247,17 +255,18 @@ class TestCheckEquality:
             check_equality_range(unit_square, range(1, 301), cap=100)
         assert [r.n for r in check_equality_range(unit_square, range(5, 0, -2), cap=100)] == [1, 3, 5]
 
-    def test_only_omega_is_scanned_before_the_box_over_the_cap(self, monkeypatch, unit_square):
-        scans, real = [], LatticePolytope.integer_points
+    def test_nothing_is_scanned_before_the_box_over_the_cap(self, monkeypatch, unit_square):
+        # check_equality_range checks box_size(1) and bisects the range before any scan
+        scans, real = [], LatticePolytope.line_runs
 
         def counted(self, n, cap=None):
             scans.append(n)
             return real(self, n, cap)
 
-        monkeypatch.setattr(LatticePolytope, "integer_points", counted)
+        monkeypatch.setattr(LatticePolytope, "line_runs", counted)
         with pytest.raises(ResourceLimitError, match="^bounding box has 121 candidate points, cap is 100$"):
             check_equality_range(unit_square, range(1, 301), cap=100)
-        assert scans == [1]
+        assert scans == []
 
     def test_a_point_never_meets_the_box_cap(self):
         point = LatticePolytope([(2, -1)])
@@ -311,9 +320,47 @@ def seeded_polytope(seed: int) -> LatticePolytope:
     return hull(tuple(c + dot(y, col) for c, col in zip(v, zip(*matrix))) for y in cloud)
 
 
+# 3-D polytopes P' in Z^3 and their verdicts over n = 1..3: the unit simplex with
+# (1, 1, 1), the unit cube, and the Reeve tetrahedron of height 2, which has no
+# lattice point but its vertices and fails at n = 2.
+FRAME_SOLIDS = {
+    "simplex-and-111": ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], [True, True, True]),
+    "unit-cube": (list(itertools.product((0, 1), repeat=3)), [True, True, True]),
+    "reeve-2": ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)], [True, False, False]),
+}
+
+
+def frame_image(d: int):
+    """The map (n, ys) -> the sorted points nv + yM, M the first three rows of a seeded U
+    in GL(d, Z) and v in [-3, 3]^d. M's rows extend to a basis of Z^d, so for P' in Z^3
+    and P = v + P'M, nP & Z^d is the image of nP' & Z^3."""
+    rng = random.Random(d)
+    matrix, v = unimodular(rng, d)[:3], tuple(rng.randint(-3, 3) for _ in range(d))
+    return lambda n, ys: sorted(tuple(n * c + dot(y, col) for c, col in zip(v, zip(*matrix))) for y in ys)
+
+
 class TestEqualityByLines:
-    """check_equality_range tests each line of nP as one range of codes; the per-point
-    form it replaced builds, encodes and looks up every point."""
+    """check_equality_range tests each run of nQ, Q the polytope in its own lattice, as
+    one range of codes; the per-point form it replaced builds, encodes and looks up
+    every point of nP."""
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    @pytest.mark.parametrize("name", FRAME_SOLIDS)
+    def test_frame_matches_an_oracle_with_no_codec(self, name, d):
+        # _equality_reports over 1..3 on P in Z^3 (full-dimensional), Z^4 and Z^5 against
+        # LP membership on the box of nP' and tuple sums, mapped into Z^d: no codec, no
+        # line scan and no lattice frame of the library's
+        cloud, holds = FRAME_SOLIDS[name]
+        image, solid = frame_image(d), hull(cloud)
+        poly = hull(image(1, cloud))
+        omega = PointSet(image(1, brute_force_integer_points(solid, 1).points))
+        assert (poly.affine_dim, poly.integer_points(1)) == (3, omega)
+        reports = list(_equality_reports(poly, range(1, 4)))
+        for r in reports:
+            sums = folded_minkowski_power(omega, r.n)
+            missing = [x for x in image(r.n, brute_force_integer_points(solid, r.n).points) if x not in sums]
+            assert (r.holds, r.witness) == (not missing, missing[0] if missing else None)
+        assert [r.holds for r in reports] == holds
 
     @given(st.integers(0, 10**6), st.integers(1, 6), st.integers(0, 5))
     @settings(max_examples=90, deadline=None)
@@ -339,8 +386,9 @@ class TestEqualityByLines:
         ids=["sigma-5-2", "skew-triangle", "hexagon"],
     )
     def test_no_point_of_a_dilation_is_built_past_n_1(self, monkeypatch, vertices):
-        # the scan of Omega lists its points; at n >= 2 only the lines' first points are
-        # lifted, and a failing n decodes its witness alone
+        # the scan of Omega lists its points in Q's frame; at n >= 2 only the runs' first
+        # points are encoded, and a failing n decodes and lifts its witness alone; a
+        # polygon (k <= 2) is answered with no scan at all
         p = LatticePolytope(vertices)
         expected, omega = per_point_equality_reports(p, range(1, 5)), p.integer_points(1)
         built, real = [], geometry.run_points
@@ -352,15 +400,15 @@ class TestEqualityByLines:
 
         monkeypatch.setattr(geometry, "run_points", counted)
         assert check_equality_range(p, range(1, 5)) == expected
-        assert built == [len(omega)]
+        assert built == ([len(omega)] if p.affine_dim >= 3 else [])
 
     def test_one_point_stays_one_point(self):
         point = LatticePolytope([(2, -1, 5)])
-        assert point.lines(4) == ([(8, -4, 20)], [1], (0, 0, 0))
         assert check_equality_range(point, range(1, 7)) == per_point_equality_reports(point, range(1, 7))
 
 
 HEXAGON = [(0, 0), (2, 0), (3, 1), (3, 3), (1, 3), (0, 2)]
+SKEW_TRIANGLE = [(0, 0, 0), (40, 0, -1), (0, 40, -1)]
 
 
 def differential_polytope(seed: int) -> LatticePolytope:
@@ -379,6 +427,20 @@ def differential_polytope(seed: int) -> LatticePolytope:
     return hull([v, tuple(map(operator.add, v, w))])
 
 
+@st.composite
+def low_dimensional_polytopes(draw):
+    """A point, a segment or a polygon (k <= 2) in Z^2..Z^5: the hull of k+1 to 6 points of
+    [-2, 2]^k mapped into Z^d by y -> v + yM, M an integer k x d matrix of rank k with
+    entries in [-2, 2] and v in [-3, 3]^d."""
+    d, k = draw(st.integers(2, 5)), draw(st.sampled_from([2, 1, 0]))
+    cloud = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * k), min_size=k + 1, max_size=6))
+    matrix = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=k, max_size=k))
+    assume(rank(matrix) == k)
+    v = draw(st.tuples(*[st.integers(-3, 3)] * d))
+    columns = [[row[j] for row in matrix] for j in range(d)]  # d columns, empty ones when k = 0
+    return hull(tuple(c + dot(y, col) for c, col in zip(v, columns)) for y in cloud)
+
+
 def top_n(poly: LatticePolytope) -> int:
     """The largest n the differential tests compute: 8, or 5 for a 4-D polytope."""
     return 5 if poly.affine_dim == 4 else 8
@@ -395,6 +457,14 @@ class TestStopAtTheTheorem:
         # single n up to 8 (count 1), steps 1..3, and empty ranges (count 0)
         poly = differential_polytope(seed)
         ns = range(min(lo, top_n(poly)), top_n(poly) + 1, step)[:count]
+        assert check_equality_range(poly, ns) == per_point_equality_reports(poly, ns)
+
+    @given(low_dimensional_polytopes(), st.integers(1, 8), st.integers(1, 4), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_k_at_most_2_matches_every_n_computed(self, poly, lo, count, step):
+        # a point, a segment or a polygon is answered from n = 1 with no ball; the oracle
+        # computes each n of the range
+        ns = range(lo, lo + count * step, step)
         assert check_equality_range(poly, ns) == per_point_equality_reports(poly, ns)
 
     def test_first_seeds_past_k_minus_1(self):
@@ -425,16 +495,18 @@ class TestStopAtTheTheorem:
     @pytest.mark.parametrize(
         "vertices, ns, scans, radii",
         [
-            (HEXAGON, range(1, 26), [1], [1]),
-            (HEXAGON, range(25, 26), [1, 25], [25]),
-            (HEXAGON, range(25, 31), [1, 25], [25]),
+            # k <= 2: every n holds by the theorem from n = 1, with no scan and no ball
+            (HEXAGON, range(1, 26), [], []),
+            (HEXAGON, range(25, 26), [], []),
+            (HEXAGON, range(25, 31), [], []),
+            (SKEW_TRIANGLE, range(3, 10), [], []),
             (cube(3, 0, 2).vertices, range(1, 11), [1, 2], [1, 2]),
             (sigma(5, 2).vertices, range(1, 6), [1, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
             (sigma(4, 2).vertices, range(1, 7), [1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6]),
             # a range past max(k - 1, 1) computes its first n: the scan of Omega, then nP
             (sigma(3, 2).vertices, range(4, 5), [1, 4], [4]),
         ],
-        ids=["hexagon-1-25", "hexagon-25", "hexagon-25-30", "cube-3-0-2-1-10", "sigma-5-2-1-5", "sigma-4-2-1-6", "sigma-3-2-4"],
+        ids=["hexagon-1-25", "hexagon-25", "hexagon-25-30", "skew-triangle-3-9", "cube-3-0-2-1-10", "sigma-5-2-1-5", "sigma-4-2-1-6", "sigma-3-2-4"],
     )
     def test_work_pins(self, monkeypatch, vertices, ns, scans, radii):
         # line scans (the scan of Omega at 1) and the radii the one ball stream yields,
@@ -466,22 +538,23 @@ class TestStopAtTheTheorem:
         ids=["cube-3-0-2-1-10", "sigma-3-2-2-5"],
     )
     def test_guard_runs_on_every_n_computed(self, monkeypatch, vertices, ns, computed):
-        # the last line of nP holds n times the lex-max vertex, a sum: dropping it at
-        # one n leaves a sum outside the lines read, which the guard reports if n is
-        # computed (n = 1 reads Omega, not lines)
-        p, real = LatticePolytope(vertices), LatticePolytope.lines
+        # the last run of nQ ends at n times Q's lex-max vertex, a sum: dropping it at
+        # one n leaves a sum outside the runs read, which the guard reports if n is
+        # computed (at n = 1 the runs are Omega's own, so n starts at 2)
+        p, real = LatticePolytope(vertices), LatticePolytope.line_runs
+        expected = per_point_equality_reports(p, ns)  # the oracle scans nP too: read it unpatched
         for bad in range(2, ns[-1] + 1):
 
             def dropped(self, n, cap=None, bad=bad):
-                firsts, counts, step = real(self, n, cap)
-                return (firsts[:-1], counts[:-1], step) if n == bad else (firsts, counts, step)
+                runs = real(self, n, cap)
+                return runs[:-1] if n == bad else runs
 
-            monkeypatch.setattr(LatticePolytope, "lines", dropped)
+            monkeypatch.setattr(LatticePolytope, "line_runs", dropped)
             if bad in computed:
                 with pytest.raises(RuntimeError, match="sums escaped the dilation"):
                     check_equality_range(p, ns)
             else:
-                assert check_equality_range(p, ns) == per_point_equality_reports(p, ns)
+                assert check_equality_range(p, ns) == expected
 
 
 def equality_case(seed: int):

@@ -113,14 +113,14 @@ def test_planar_equality_reports_a_failing_n_with_its_witness(monkeypatch):
 
 
 def test_planar_equality_raises_on_a_sum_outside_the_dilation(monkeypatch):
-    # nP less its last line (n times the lex-max vertex, a sum) at n = 3: the
-    # guard of every computed n reports the escaped sum
-    real = LatticePolytope.lines
+    # nQ less its last run (which ends at n times Q's lex-max vertex, a sum) at
+    # n = 3: the guard of every computed n reports the escaped sum
+    real = LatticePolytope.line_runs
 
     def dropped(self, n, cap=None):
-        firsts, counts, step = real(self, n, cap)
-        return (firsts[:-1], counts[:-1], step) if n == 3 else (firsts, counts, step)
+        runs = real(self, n, cap)
+        return runs[:-1] if n == 3 else runs
 
-    monkeypatch.setattr(LatticePolytope, "lines", dropped)
+    monkeypatch.setattr(LatticePolytope, "line_runs", dropped)
     with pytest.raises(RuntimeError, match="sums escaped the dilation"):
         verify._claim_polygon_equality(0, quick=True)

@@ -117,8 +117,8 @@ and, in a temporary work directory of its own, runs every command of this list:
   conv{(0,0), (2,0), (3,1), (3,3), (1,3), (0,2)}, over 1..6 on
   `cube(3, 0, 2)`, over 1..3 on the skew triangle conv{0, (40, 0, -1),
   (0, 40, -1)} and the segment conv{0, (6, 10, 15, -3)} that CI writes, and
-  over 1..6 on a one-point polytope in Z^5 (each line of nP tested as a range
-  of codes, consecutive or stepping by a row of the lattice basis); and
+  over 1..6 on a one-point polytope in Z^5 (each run of nQ, Q the polytope in
+  its own lattice, tested as one range of consecutive codes); and
   `word-ball` and `boundary` at 5 and `check-boundary` over 1..5 on the
   GL(2, Z) group {I} (empty boundaries) and on `z1-segment` (sets written by
   their element shape);
@@ -126,8 +126,13 @@ and, in a temporary work directory of its own, runs every command of this list:
   holds at every later n), on the files above and bundled datasets, as JSON
   and with `--pretty`: over 1..50 on the hexagon and `cube(3, 0, 2)`; at one
   n past k - 1, where equality holds (the hexagon at 25, `cube(3, 0, 2)` at
-  10) or fails (`sigma-3-2` at 4, `sigma-5-2` at 5); and over 3..9 on the
-  skew triangle and the 4-D segment;
+  10) or fails (`sigma-3-2` at 4, `sigma-5-2` at 5); over 3..9 on the
+  skew triangle and the 4-D segment; at one n past 1 on points, segments and
+  polygons, which hold at every n from n = 1 (the hexagon at 40, the skew
+  triangle at 12, the 4-D segment at 20 and the one-point polytope in Z^5 at
+  9); and over ranges past 1 on lower-dimensional polytopes of dimension 3,
+  computed in their own lattice (sigma(3, 2) in Z^4 over 2..6 and the
+  3-dimensional polytope in Z^5 over 2..5);
 - each bound (`--cap`, `--budget`, `--point-cap`) at -1, 0 and 1; at 0 and
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
@@ -292,9 +297,9 @@ DEEP_SEARCH_ARGS = [
 ]
 
 # Inputs of the paths that keep n-fold sums and word balls in codes until they
-# are printed: lines of nP tested as ranges of codes (long ranges on a hexagon
-# and on cube(3, 0, 2), the skew triangle and the 4-D segment that CI writes,
-# whose lines step by a row of their lattice basis, and a one-point polytope),
+# are printed: runs of nQ, Q the polytope in its own lattice, tested as ranges of
+# codes (long ranges on a hexagon and on cube(3, 0, 2), the skew triangle and the
+# 4-D segment that CI writes, lower-dimensional, and a one-point polytope),
 # and sets written by their element shape (the GL(2, Z) group {I}, whose
 # boundaries are empty, and the bundled Z^1 group of `z1-segment`).
 CODE_PATH_POLYTOPES = {
@@ -308,8 +313,10 @@ CODE_PATH_POLYTOPES = {
 # every later n) on the CODE_PATH_POLYTOPES files and bundled sigma(d, m):
 # ranges over 1..50 answered at n = 1 (the hexagon) and n = 2 (cube(3, 0, 2)),
 # one n past k - 1 where equality holds (the hexagon at 25, cube(3, 0, 2) at
-# 10) or fails (sigma(3, 2) at 4, sigma(5, 2) at 5), and ranges past k - 1 on
-# the skew triangle and the 4-D segment.
+# 10) or fails (sigma(3, 2) at 4, sigma(5, 2) at 5), ranges past k - 1 on
+# the skew triangle and the 4-D segment, one n past 1 on inputs of dimension
+# k <= 2, which hold from n = 1, and ranges past 1 on the LOWER_DIMENSIONAL and
+# SHADOW_POLYTOPES files of dimension 3 in Z^4 and Z^5.
 THEOREM_STOP_COMMANDS = [
     ["check-equality", "hexagon.json", "1..50"],
     ["check-equality", "cube-3-0-2-lines.json", "1..50"],
@@ -319,6 +326,12 @@ THEOREM_STOP_COMMANDS = [
     ["check-equality", "sigma-5-2", "5"],
     ["check-equality", "ci-skew-triangle.json", "3..9"],
     ["check-equality", "ci-segment-4d.json", "3..9"],
+    ["check-equality", "hexagon.json", "40"],
+    ["check-equality", "ci-skew-triangle.json", "12"],
+    ["check-equality", "ci-segment-4d.json", "20"],
+    ["check-equality", "point-5d.json", "9"],
+    ["check-equality", "sigma-3-2-4d.json", "2..6"],
+    ["check-equality", "solid-3d-in-5d.json", "2..5"],
 ]
 CODE_PATH_GROUPS = {
     "gl2z-identity.json": {"kind": "gl2z", "generators": [[[1, 0], [0, 1]]]},
