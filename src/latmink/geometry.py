@@ -547,8 +547,20 @@ class LatticePolytope:
     def _walk(self) -> Callable[[int], list[tuple[Point, int, int]]]:
         """The walk of Q's scan plan (k >= 1): `_line_scan` of Q's planes, with `_shadow`'s
         when k >= 3, and box(1), built at the first scan, after its cap check, and walked
-        at every n."""
-        return _line_scan(self._planes + self._shadow if self.affine_dim >= 3 else self._planes, *self.box(1))
+        at every n. When k >= 5, each level j = 1..k-3 is cut too, by the facets of the
+        hull of Q's corners projected on coordinates 0..j, padded with zeros: the
+        projection of conv V is the hull of the projected V, so each facet holds on every
+        point of nQ, and a prefix it leaves out has no point above it. By the one cut rule
+        a facet cuts the coordinate of its last nonzero coefficient, at most j. Each hull
+        is built from the corners of the one above it, whose projection is the same.
+        (At k = 4 the one level cut cost more than it saved on the 4-D workload clouds.)"""
+        k, corners = self.affine_dim, self._corners
+        planes = self._planes + self._shadow if k >= 3 else self._planes
+        for j in range(k - 3, 0, -1) if k >= 5 else ():
+            level = LatticePolytope([c[: j + 1] for c in corners])
+            planes += tuple((a + (0,) * (k - 1 - j), b) for a, b in level._planes)
+            corners = level._corners
+        return _line_scan(planes, *self.box(1))
 
     def line_runs(self, n: int, cap: int | None = None) -> list[tuple[Point, int, int]]:
         """The integer points of nQ (nP when full-dimensional; a point has no runs) as

@@ -9,8 +9,9 @@ exactly n. All interior/boundary notions use left multiplication.
 Balls come from one engine, BallCodec.layers, which yields the ball and the
 fresh layer of each radius its caller asks for, within its codec's radius
 (ball_layers and word_ball take it as n). It multiplies only the fresh layer,
-over codes and by every generator but the identity, checks the cap once per
-layer, and stops at the first empty layer, past which all balls are the same.
+over codes and by every generator but the identity, into one set per layer,
+checks the cap once per layer, and stops at the first empty layer, past which
+all balls are the same.
 
 S*ball(n-1) lies in ball(n), so ball(n-1) is interior to ball(n): the
 boundary of ball(n) is its fresh layer less the layer's interior within
@@ -25,7 +26,9 @@ interior test w*a on it. On the box |x_i| <= R the code is an injective
 homomorphism, ordered as lex order: a product is one int addition. A GL(2, Z)
 matrix is the flat tuple (a, b, c, d), not an int: a radix would grow as
 (max row norm)^(radius + 1). Both codes sort as their elements do, so sorted
-codes decode in canonical order, only where returned.
+codes decode in canonical order, and are decoded only where returned: a
+GL(2, Z) set keeps its sorted codes as rows and nests them into matrices only
+when its elements are read, which a report written by serialize never does.
 
 Whether a given generating set generates the whole group as a semigroup is
 not verified (undecidable here for matrix groups); callers are trusted on it.
@@ -34,7 +37,7 @@ not verified (undecidable here for matrix groups); callers are trusted on it.
 from __future__ import annotations
 
 import itertools
-from operator import add
+from operator import add, not_
 from typing import Iterable, Iterator, Sequence
 
 from .geometry import SEQUENCES, LatticePolytope, ResourceLimitError, as_point, quoted_prefix
@@ -50,28 +53,44 @@ Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 GL2Z_IDENTITY: Matrix2 = ((1, 0), (0, 1))
 
 
+def _matrices(rows: Iterable[tuple]) -> list[Matrix2]:
+    """The matrices ((a, b), (c, d)) of flat rows (a, b, c, d): the one nesting of GL(2, Z) codes."""
+    return [((a, b), (c, d)) for a, b, c, d in rows]
+
+
 class ElementSet:
     """Deduplicated finite set of group elements in canonical sorted order. Its
     member set is built at the first in, difference or issubset, then kept.
 
-    shape is the dimensions every element has as an int array, when the set's
-    builder knows them: (d,) for Z^d and (2, 2) for GL(2, Z) in the sets
-    BallCodec.elements builds, and in their differences; None in a set built
-    from a caller's elements. serialize writes a set with a shape by one
-    template, and every other set element by element."""
+    rows and shape are the elements as flat int rows, in the same order, and
+    the dimensions each row nests into, when the set's builder knows them: the
+    sets BallCodec.elements builds, and their differences; both are None in a
+    set built from a caller's elements. A Z^d row, of shape (d,), is its
+    element. A GL(2, Z) row is a flat code (a, b, c, d), of shape (2, 2): its
+    matrix ((a, b), (c, d)) is built at the first read of elements, which in,
+    ==, hash, difference and issubset make, and iteration, lazy, at its first
+    item. serialize writes a set with rows from its rows, by one template, and
+    every other set element by element."""
 
-    __slots__ = ("elements", "shape", "_set")
+    __slots__ = ("_elements", "rows", "shape", "_set")
 
     def __init__(self, elements: Iterable):
-        self.elements, self.shape, self._set = tuple(sorted(set(elements))), None, None
+        self._elements, self.rows, self.shape, self._set = tuple(sorted(set(elements))), None, None, None
 
     @classmethod
-    def _canonical(cls, items: tuple, shape: tuple[int, ...] | None = None) -> "ElementSet":
-        """The set of items, a tuple already distinct and in canonical order,
-        each an int array of this shape when it is given."""
+    def _canonical(cls, elements: tuple | None, shape: tuple | None = None, rows: tuple | None = None) -> "ElementSet":
+        """The set of elements, a tuple already distinct and in canonical order,
+        with their rows of this shape when given; elements None for the
+        matrices of GL(2, Z) rows, nested at their first read."""
         self = cls.__new__(cls)
-        self.elements, self.shape, self._set = items, shape, None
+        self._elements, self.shape, self.rows, self._set = elements, shape, rows, None
         return self
+
+    @property
+    def elements(self) -> tuple:
+        if self._elements is None:
+            self._elements = tuple(_matrices(self.rows))
+        return self._elements
 
     @property
     def _members(self) -> frozenset:
@@ -83,10 +102,10 @@ class ElementSet:
         return x in self._members
 
     def __iter__(self):
-        return iter(self.elements)
+        yield from self.elements  # a generator: nothing is nested before the first item is read
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.elements if self.rows is None else self.rows)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ElementSet) and self.elements == other.elements
@@ -95,10 +114,12 @@ class ElementSet:
         return hash(self.elements)
 
     def __repr__(self) -> str:
-        return f"ElementSet({len(self.elements)} elements)"
+        return f"ElementSet({len(self)} elements)"
 
     def difference(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet._canonical(tuple(itertools.filterfalse(other._members.__contains__, self.elements)), self.shape)
+        outside = list(map(not_, map(other._members.__contains__, self.elements)))
+        rows = self.rows and tuple(itertools.compress(self.rows, outside))
+        return ElementSet._canonical(tuple(itertools.compress(self.elements, outside)), self.shape, rows)
 
     def issubset(self, other: "ElementSet") -> bool:
         return self._members <= other._members
@@ -161,18 +182,24 @@ class GroupPresentation:
         """Group product a * b."""
         if self.kind == KIND_ZD:
             return tuple(map(add, a, b))
-        [(p, q, r, s)] = _gl2z_products([b[0] + b[1]], [a[0] + a[1]])
-        return (p, q), (r, s)
+        [product] = _matrices(_gl2z_products_by([b[0] + b[1]], a[0] + a[1]))
+        return product
 
     def __repr__(self) -> str:
         where = f"Z^{self.dim}" if self.kind == KIND_ZD else "GL(2,Z)"
         return f"GroupPresentation({where}, {len(self.generators)} generators)"
 
 
-def _gl2z_products(elements: Iterable[tuple], gens: Sequence[tuple]) -> list[tuple]:
-    """BallCodec.products for GL(2, Z) on flat matrices (a, b, c, d): one tuple per product."""
-    return [(p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
-            for a, b, c, d in elements for p, q, r, s in gens]
+def _gl2z_product_set(codes: Iterable[tuple], gens: Sequence[tuple]) -> set[tuple]:
+    """BallCodec.product_set for GL(2, Z) on flat matrices (a, b, c, d)."""
+    return {(p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
+            for a, b, c, d in codes for p, q, r, s in gens}
+
+
+def _gl2z_products_by(codes: Iterable[tuple], w: tuple) -> list[tuple]:
+    """BallCodec.products_by for GL(2, Z) on flat matrices (a, b, c, d)."""
+    p, q, r, s = w
+    return [(p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d) for a, b, c, d in codes]
 
 
 class BallCodec:
@@ -180,8 +207,11 @@ class BallCodec:
     docstring); Z^d codes take bound = extent + (radius + 1) * max|g|, at least
     1, for extent the largest coordinate of members, so layers takes no radius
     past it.
-    encode and decode map lists of elements and codes; products(xs, gens)
-    lists g * x for each x of xs and, within it, each g of gens in order."""
+    encode and decode map lists of elements and codes, and rows maps sorted
+    codes to the rows of their ElementSet: Z^d codes decoded, GL(2, Z) codes as
+    they are. Two product kernels per kind: product_set(codes, gens) is the set
+    of g * x for x in codes and g in gens, and products_by(codes, w) lists
+    w * x for each x of codes in order."""
 
     def __init__(self, group: GroupPresentation, radius: int, members: Iterable = ()):
         if radius < 0:
@@ -203,20 +233,24 @@ class BallCodec:
 
             self.encode = encode
             self.decode = lambda codes: zip(*[[(c + offset) // w % base - bound for c in codes] for w in weights])
-            self.products = lambda codes, by: [x + w for x in codes for w in by]
+            self.rows = self.decode
+            self.product_set = lambda codes, by: {x + w for x in codes for w in by}
+            self.products_by = lambda codes, w: [x + w for x in codes]
             self.shape = (group.dim,)
         else:
             self.encode = lambda xs: [r0 + r1 for r0, r1 in xs]
-            self.decode = lambda codes: [((a, b), (c, d)) for a, b, c, d in codes]
-            self.products = _gl2z_products
+            self.decode, self.rows = _matrices, iter
+            self.product_set, self.products_by = _gl2z_product_set, _gl2z_products_by
             self.shape = (2, 2)
         [self.identity] = self.encode([group.identity])
         self.generators = tuple(self.encode(gens))
 
     def elements(self, codes: Iterable) -> ElementSet:
-        """The decoded elements of codes, with the codec's element shape: sorted
-        codes decode in canonical order."""
-        return ElementSet._canonical(tuple(self.decode(sorted(codes))), self.shape)
+        """The set of codes, with its rows of the codec's element shape: sorted
+        codes give rows in canonical order, each a Z^d element, or a GL(2, Z)
+        code left for the set to nest at its first read of elements."""
+        rows = tuple(self.rows(sorted(codes)))
+        return ElementSet._canonical(rows if len(self.shape) == 1 else None, self.shape, rows)
 
     def layers(self, ns: range, cap: int | None = None) -> Iterator[tuple[int, set, set]]:
         """Yield (n, ball(n), layer(n)), the last two as sets of codes, for each n
@@ -238,7 +272,8 @@ class BallCodec:
                 yield m, ball, layer
                 ns = ns[1:]
             else:
-                layer = set(self.products(layer, movers)) - ball
+                layer = self.product_set(layer, movers)
+                layer -= ball
                 if layer and len(ball) + len(layer) > cap:
                     raise ResourceLimitError(f"word ball exceeded {cap} elements")
                 ball |= layer
@@ -258,7 +293,7 @@ class BallCodec:
         for w in self.generators:
             if not items:
                 break
-            hits = map(within.__contains__, items if w == self.identity else self.products(items, (w,)))
+            hits = map(within.__contains__, items if w == self.identity else self.products_by(items, w))
             items = list(itertools.compress(items, hits))
         return set(items)
 

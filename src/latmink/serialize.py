@@ -29,14 +29,16 @@ an int subclass, a non-str key) raises TypeError, so floats and unordered
 sets never reach a report. With an indent the standard library encodes in
 pure Python, element by element; `dumps` instead writes each rectangular int
 array (points, Z^d elements, GL(2, Z) matrices, in lists or tuples) with one
-%-template filled at C speed. A set whose builder fixed the shape of its
-elements, every PointSet ((dim,)) and the ElementSets of BallCodec.elements
-(ElementSet.shape: (d,) or (2, 2)), is flattened at C speed and written by the
-template of that shape, with no walk of the levels to find it; one check that
-every leaf is an int stays, and a set that fails it, like every other value,
-takes the generic walk, which raises TypeError on a leaf that is not an int
-or a bool. The two-stage form, the JSON data first (`oracle_to_json` in the
-tests' conftest) and then the standard library's text, is its test oracle.
+%-template filled at C speed. A set whose builder fixed its elements as flat
+int rows of one shape, every PointSet (its points, of shape (dim,)) and the
+ElementSets of BallCodec.elements (ElementSet.rows, of shape (d,) or (2, 2)),
+is written from its rows: one `chain.from_iterable` of the rows fills the
+template of that shape, with no walk of the levels to find it and no GL(2, Z)
+matrix nested. One check that every leaf is an int stays, and a set that
+fails it, like every other value, takes the generic walk of its elements,
+which raises TypeError on a leaf that is not an int or a bool. The two-stage
+form, the JSON data first (`oracle_to_json` in the tests' conftest) and then
+the standard library's text, is its test oracle.
 """
 
 from __future__ import annotations
@@ -169,9 +171,10 @@ _FORMS = {
     GroupPresentation: group_to_dict,
     Fraction: str,
 }
-# The shape of the elements of a library set, as ElementSet.shape: a PointSet's
-# points have dim coordinates by construction.
-_SHAPES = {PointSet: lambda s: (s.dim,), ElementSet: lambda s: s.shape}
+# The flat int rows of a library set's elements and the shape each row nests
+# into, as ElementSet.rows and .shape: a PointSet's points are rows of dim
+# coordinates by construction.
+_ROWS = {PointSet: lambda s: (s.points, (s.dim,)), ElementSet: lambda s: (s.rows, s.shape)}
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 
@@ -209,16 +212,12 @@ def _text(value, newline: str) -> str:
         return _LITERALS[value]
     form = _FORMS.get(kind)
     if form is not None:
-        items = form(value)
-        shape = _SHAPES[kind](value) if kind in _SHAPES and items else None
-        if shape is not None:
-            leaves = items
-            for _ in shape:
-                leaves = chain.from_iterable(leaves)
-            leaves = tuple(leaves)
+        rows, shape = _ROWS[kind](value) if kind in _ROWS else (None, None)
+        if rows:
+            leaves = tuple(chain.from_iterable(rows))
             if set(map(type, leaves)) == {int}:  # the one leaf check: else the generic walk raises or writes a bool
-                return _template([len(items), *shape], newline) % leaves
-        return _text(items, newline)
+                return _template([len(rows), *shape], newline) % leaves
+        return _text(form(value), newline)
     if issubclass(kind, Record):
         return _text(vars(value), newline)
     raise TypeError(f"no report text for {kind.__name__}")

@@ -497,12 +497,13 @@ def brute_force_boundary(group, subset: ElementSet) -> ElementSet:
 
 
 def table_interior(codec: BallCodec, codes, within: set) -> set:
-    """BallCodec.interior by the full product table: w*a for every code a and
-    every generator w, identity included, then all() over each code's run."""
-    items = list(codes)
-    gens = codec.generators
-    hits = map(within.__contains__, codec.products(items, gens))
-    return set(itertools.compress(items, map(all, zip(*[hits] * len(gens)))))
+    """BallCodec.interior by the full product table on decoded elements: the codes
+    a whose element's w*a, formed by tuple products for every generator w,
+    identity included, lies among the elements of within; no kernel of the codec
+    forms a product."""
+    items, members = list(codes), set(codec.decode(list(within)))
+    gens = list(codec.decode(list(codec.generators)))
+    return {c for c, a in zip(items, codec.decode(items)) if all(_product(w, a) in members for w in gens)}
 
 
 def full_ball_boundary_reports(group, ns: range, cap=None) -> list:

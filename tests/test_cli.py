@@ -422,6 +422,24 @@ class TestGroupCommands:
         assert code == 0
         assert doc["result"]["count"] == 6
 
+    def test_json_word_ball_nests_no_matrix(self, capsys, monkeypatch):
+        # the JSON report is written from the ball's rows; --pretty reads its
+        # elements, so all 1,876 matrices of the radius-7 ball are nested there
+        nested, real = [], groups._matrices
+
+        def counted(rows):
+            out = real(rows)
+            nested.append(len(out))
+            return out
+
+        monkeypatch.setattr(groups, "_matrices", counted)
+        code, doc, _ = run_json(capsys, "word-ball", "gl2z-swap-shear", "7")
+        assert (code, doc["result"]["count"], len(doc["result"]["elements"]), nested) == (0, 1876, 1876, [])
+        code, out, _ = run(capsys, "--pretty", "word-ball", "gl2z-swap-shear", "7")
+        lines = out.splitlines()
+        assert (code, lines[0], len(lines), nested) == (0, "1876 elements in the radius-7 ball:", 1877, [1876])
+        assert [json.loads(line) for line in lines[1:]] == doc["result"]["elements"]
+
     def test_boundary_z1(self, capsys):
         code, doc, _ = run_json(capsys, "boundary", "z1-segment.json", "2")
         assert code == 0

@@ -1157,6 +1157,52 @@ class TestShadow:
             assert "_shadow" not in vars(p)
 
 
+class TestLevelCuts:
+    """At k >= 5 the scan plan cuts each level j = 1..k-3 by the facets of the hull of
+    Q's corners projected on coordinates 0..j: the runs stay those of a scan of every
+    point of the box, and a prefix outside a projection is never entered."""
+
+    @pytest.mark.parametrize("d, m, top", [(5, 2, 3), (5, 3, 2), (5, 5, 2), (6, 2, 2), (6, 3, 2)])
+    def test_sigma_runs_match_a_scan_of_every_point(self, d, m, top):
+        p = LatticePolytope(sigma(d, m).vertices)
+        for n in range(top + 1):
+            assert p.line_runs(n) == box_scan_runs(p, n)
+
+    @given(st.one_of(solid_clouds(min_dim=5, max_dim=6, k=5), solid_clouds(min_dim=6, max_dim=6, k=6)), st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_runs_match_a_scan_of_every_point(self, pts, n):
+        p = hull(pts)
+        assume(p.affine_dim >= 5 and box_size(p, n) <= 20000)
+        assert p.line_runs(n) == box_scan_runs(p, n)
+
+    @given(st.one_of(solid_clouds(min_dim=6, max_dim=6, k=5), solid_clouds(min_dim=7, max_dim=7, k=5),
+                     solid_clouds(min_dim=7, max_dim=7, k=6)), st.integers(0, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_runs_match_in_the_frame(self, pts, n):
+        # 5- and 6-dimensional polytopes in Z^6 and Z^7: the levels are the lattice frame's coordinates
+        p = hull(pts)
+        assume(p.affine_dim >= 5 and not p.is_full_dimensional and geometry.box_count(*p.box(n)) <= 20000)
+        assert p.line_runs(n) == box_scan_runs(p, n)
+
+    def test_prefixes_entered(self):
+        # sigma(6, 2) at n = 5, 462 lines: with only Q's facets and its shadow the
+        # scan entered 1,715 prefixes (121 at level 2 and 1,331 at level 3) and
+        # computed 16,567 intervals; the cuts of levels 1 and 2 leave 430 and 892
+        p = LatticePolytope(sigma(6, 2).vertices)
+        calls = scan_calls(p, 5)
+        assert [sum(j == i for j, _, _ in calls) for i in range(5)] == [1, 11, 46, 121, 251]
+        assert [lines_examined(p, 5, j) for j in range(1, 6)] == [11, 46, 121, 251, 462]
+        assert len(p.line_runs(5)) == 462
+
+    def test_four_coordinates_take_no_level_cut(self):
+        # at k = 4 the plan is Q's facets and its shadow, as before the level cuts
+        p = LatticePolytope(sigma(4, 2).vertices)
+        plans = []
+        with mock.patch.object(geometry, "_line_scan", lambda planes, *box: plans.append(planes)):
+            p._walk
+        assert plans == [p._planes + p._shadow]
+
+
 class TestLatticeFrame:
     """A lower-dimensional polytope in its own lattice: the basis B of (aff P - v0) & Z^d,
     and the points it lists against the projection and lift it replaced."""

@@ -254,13 +254,13 @@ class TestBallEngine:
         # later ball is the same, so the stream to radius 50 multiplies only
         # the layers before that one
         codec, multiplied = BallCodec(group, 50), []
-        products = codec.products
+        product_set = codec.product_set
 
-        def counting_products(elements, gens):
-            multiplied.append(len(elements))
-            return products(elements, gens)
+        def counting_product_set(codes, gens):
+            multiplied.append(len(codes))
+            return product_set(codes, gens)
 
-        monkeypatch.setattr(codec, "products", counting_products)
+        monkeypatch.setattr(codec, "product_set", counting_product_set)
         [(n, ball, layer)] = codec.layers(range(50, 51))
         assert (n, codec.elements(ball), layer) == (50, brute_force_word_ball(group, len(sizes)), set())
         assert multiplied == sizes
@@ -273,14 +273,13 @@ class TestBallEngine:
         from latmink import groups
 
         calls = [0]
-        products = groups._gl2z_products
+        product_set = groups._gl2z_product_set
 
-        def counting_products(elements, gens):
-            formed = products(elements, gens)
-            calls[0] += len(formed)
-            return formed
+        def counting_product_set(codes, gens):
+            calls[0] += len(codes) * len(gens)
+            return product_set(codes, gens)
 
-        monkeypatch.setattr(groups, "_gl2z_products", counting_products)
+        monkeypatch.setattr(groups, "_gl2z_product_set", counting_product_set)
         with pytest.raises(ResourceLimitError):
             word_ball(gl2z, 40, cap=2000)
         assert 0 < calls[0] < len(gl2z.generators) * 2000
@@ -551,6 +550,51 @@ class TestFlatGL2ZCodes:
         assert codec.encode(got.elements) == sorted(codes)
 
 
+class TestRowsSets:
+    """A GL(2, Z) set of BallCodec.elements holds its sorted codes as rows and
+    nests them into matrices at its first read of elements; the eager set of
+    the same matrices, built from a caller's elements, is the oracle."""
+
+    @staticmethod
+    def eager(codes) -> ElementSet:
+        return ElementSet(((a, b), (c, d)) for a, b, c, d in codes)
+
+    @given(st.one_of(gl2z_groups, huge_gl2z_groups()), st.integers(0, 3), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_rows_set_is_the_eager_set(self, group, n, data):
+        codec = BallCodec(group, n)
+        [(_, ball, _)] = codec.layers(range(n, n + 1))
+        pool = sorted(ball)
+        codes, others = data.draw(st.sets(st.sampled_from(pool))), data.draw(st.sets(st.sampled_from(pool)))
+        eager, other = self.eager(codes), self.eager(others)
+        rows = codec.elements(codes)
+        assert (rows.rows, rows.shape, rows._elements) == (tuple(sorted(codes)), (2, 2), None)
+        assert len(rows) == len(eager) and repr(rows) == repr(eager)
+        items = iter(rows)
+        assert rows._elements is None  # iteration nests nothing before its first item
+        assert list(items) == list(eager) and rows.elements == eager.elements
+        probes = [((a, b), (c, d)) for a, b, c, d in pool] + [GL2Z_IDENTITY, ((0, 1), (1, 0))]
+        for read in (
+            lambda s: s.elements,
+            lambda s: [x in s for x in probes],
+            lambda s: (s == other, other == s, s == rows, s != eager),
+            lambda s: hash(s),
+            lambda s: len(s.difference(other)),
+            lambda s: s.difference(other).elements,
+            lambda s: s.issubset(other),
+            lambda s: other.issubset(s),
+        ):
+            assert read(codec.elements(codes)) == read(eager)
+        difference = codec.elements(codes).difference(codec.elements(others))
+        assert (difference.rows, difference.shape) == (tuple(sorted(codes - others)), (2, 2))
+        assert difference == eager.difference(other)
+
+    def test_a_rows_set_of_the_radius_7_ball(self, gl2z):
+        ball = word_ball(gl2z, 7)
+        assert (len(ball), ball._elements) == (1876, None)
+        assert ball == brute_force_word_ball(gl2z, 7) and ball._elements is not None
+
+
 # The benchmark's Z^d polytope groups, (polytope, largest n of its boundary range).
 ZD_CASES = [
     (cross_polytope(2), 6),
@@ -610,19 +654,23 @@ class TestFreshLayerBoundary:
 
     @staticmethod
     def products_formed(monkeypatch, group, ns) -> int:
-        """The items BallCodec.products returns in check_boundary_equality_range(group, ns)."""
+        """The products the two kernels of BallCodec form in check_boundary_equality_range(group, ns):
+        product_set one for each code and generator, products_by one for each code."""
         counted, init = [0], BallCodec.__init__
 
         def counting_init(codec, *args):
             init(codec, *args)
-            products = codec.products
+            product_set, products_by = codec.product_set, codec.products_by
 
-            def counting_products(codes, by):
-                out = products(codes, by)
-                counted[0] += len(out)
-                return out
+            def counting_product_set(codes, by):
+                counted[0] += len(codes) * len(by)
+                return product_set(codes, by)
 
-            codec.products = counting_products
+            def counting_products_by(codes, w):
+                counted[0] += len(codes)
+                return products_by(codes, w)
+
+            codec.product_set, codec.products_by = counting_product_set, counting_products_by
 
         monkeypatch.setattr(BallCodec, "__init__", counting_init)
         check_boundary_equality_range(group, ns)

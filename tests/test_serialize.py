@@ -23,7 +23,7 @@ from latmink import (
     validate_triangulation,
 )
 from latmink.geometry import LatticePolytope, PointSet, ResourceLimitError
-from latmink.groups import ElementSet, ball_boundary, word_ball
+from latmink.groups import BallCodec, ElementSet, ball_boundary, word_ball
 from latmink.triangulation import LatticeSimplex, Triangulation
 from latmink.verify import ClaimResult
 
@@ -437,6 +437,22 @@ class TestShapedSets:
         assert serialize.dumps(report) == oracle_text(report)
         assert calls == []
 
+    @given(
+        st.sets(st.tuples(*[st.one_of(st.integers(-3, 3), st.integers(-(10**30), 10**30))] * 4), min_size=1, max_size=30),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_sets_match_the_oracle_without_a_matrix(self, codes, nested):
+        # a GL(2, Z) set is written from its rows: none of its matrices is built,
+        # unless read before (nested); the oracle reads them element by element
+        value = BallCodec(self.GL2Z_IDENTITY_ONLY, 0).elements(codes)
+        if nested:
+            value.elements
+        report = {"result": {"elements": value, "count": len(value)}}
+        text = serialize.dumps(report)
+        assert (value._elements is None) != nested
+        assert text == oracle_text(report)
+
     def test_codec_shapes(self):
         assert word_ball(GroupPresentation.zd(5, [(0,) * 5, (1, 0, 0, 0, 0)]), 2).shape == (5,)
         assert word_ball(GroupPresentation.gl2z(gl2z_swap_shear_generators()), 2).shape == (2, 2)
@@ -460,15 +476,16 @@ class TestShapedSets:
     def test_a_difference_keeps_the_shape(self):
         group = GroupPresentation.gl2z(gl2z_swap_shear_generators())
         ball = word_ball(group, 3)
-        assert ball.difference(word_ball(group, 1)).shape == (2, 2)
+        difference = ball.difference(word_ball(group, 1))
+        assert (difference.shape, difference.rows) == ((2, 2), tuple(a + b for a, b in difference.elements))
         assert ElementSet(ball.elements).difference(ball).shape is None
 
     @pytest.mark.parametrize(
         "value",
         [
             PointSet._canonical(((1, 2), (3, 0.5)), 2),
-            ElementSet._canonical(((1, 2), (3, 0.5)), (2,)),
-            ElementSet._canonical((((1, 0), (0, 1)), ((1, 0.5), (0, 1))), (2, 2)),
+            ElementSet._canonical(((1, 2), (3, 0.5)), (2,), ((1, 2), (3, 0.5))),
+            ElementSet._canonical(None, (2, 2), ((1, 0, 0, 1), (1, 0.5, 0, 1))),
             ElementSet([(1, 2), (3, 0.5)]),
         ],
         ids=["point-set", "shaped-zd", "shaped-gl2z", "caller-built"],

@@ -133,6 +133,12 @@ and, in a temporary work directory of its own, runs every command of this list:
   9); and over ranges past 1 on lower-dimensional polytopes of dimension 3,
   computed in their own lattice (sigma(3, 2) in Z^4 over 2..6 and the
   3-dimensional polytope in Z^5 over 2..5);
+- scans cut at every level of a polytope of dimension k >= 5 and GL(2, Z)
+  balls written from their rows, as JSON and with `--pretty`:
+  `check-equality` over 1..5 on sigma(5, 5) (sigma(6, 2) over 1..5 is in the
+  list above), `points` at 1 on conv{0, 20000 e1, e2, ..., e5}, written into
+  the work directory, and `word-ball` at 7 (1,876 elements) and 8 on
+  `gl2z-swap-shear`;
 - each bound (`--cap`, `--budget`, `--point-cap`) at -1, 0 and 1; at 0 and
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
@@ -333,6 +339,17 @@ THEOREM_STOP_COMMANDS = [
     ["check-equality", "sigma-3-2-4d.json", "2..6"],
     ["check-equality", "solid-3d-in-5d.json", "2..5"],
 ]
+# Scans cut at every level (k >= 5) and GL(2, Z) balls written from their rows:
+# check-equality over 1..5 on sigma(5, 5) (sigma(6, 2) over 1..5 is among the
+# SHADOW_POLYTOPES commands), points at 1 on the long simplex
+# conv{0, 20000 e1, e2, ..., e5}, whose box holds 80,004 prefixes at coordinate 3,
+# and word-ball at 7 and 8 on gl2z-swap-shear (1,876 elements at 7).
+LEVEL_CUT_POLYTOPES = {
+    "sigma-5-5": ([[0] * 5] + [[int(i == j) for j in range(5)] for i in range(4)] + [[-1] * 4 + [5]], "check-equality", "1..5"),
+    "long-simplex-5d": ([[0] * 5, [20000, 0, 0, 0, 0]] + [[int(i == j) for j in range(5)] for i in range(1, 5)], "points", "1"),
+}
+ROWS_COMMANDS = [["word-ball", "gl2z-swap-shear", "7"], ["word-ball", "gl2z-swap-shear", "8"]]
+
 CODE_PATH_GROUPS = {
     "gl2z-identity.json": {"kind": "gl2z", "generators": [[[1, 0], [0, 1]]]},
     "z1-segment": None,  # bundled
@@ -500,6 +517,18 @@ def _code_path_commands(work: Path):
             (work / path).write_text(json.dumps(doc))
         commands += [["word-ball", path, "5"], ["boundary", path, "5"], ["check-boundary", path, "1..5"]]
     commands += THEOREM_STOP_COMMANDS
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
+def _level_cut_commands(work: Path):
+    """Write each LEVEL_CUT_POLYTOPES polytope into work as NAME.json and return
+    its command, and the ROWS_COMMANDS, JSON first, then --pretty."""
+    commands = []
+    for name, (vertices, command, arg) in LEVEL_CUT_POLYTOPES.items():
+        path = f"{name}.json"
+        (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        commands.append([command, path, arg])
+    commands += ROWS_COMMANDS
     return commands + [["--pretty", *argv] for argv in commands]
 
 
@@ -747,7 +776,7 @@ def digests(root: Path) -> list:
             run(argv, after)
         for argv in _deep_search_commands(Path(tmp)) + _seeded_search_commands(Path(tmp)) + _boundary_commands(Path(tmp)):
             run(argv)
-        for argv in _code_path_commands(Path(tmp)):
+        for argv in _code_path_commands(Path(tmp)) + _level_cut_commands(Path(tmp)):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
