@@ -4,8 +4,10 @@ Compares the integer points of a dilated lattice polytope with the n-fold
 Minkowski sums of its integer points, classifies and searches for primitive
 triangulations (which guarantee the two coincide), and contrasts the
 combinatorial boundary of word balls in finitely generated groups with
-their fresh layer. Rational scalars are fractions.Fraction throughout; no
-code path touches floating point.
+their fresh layer. Predicates decide in integers: a rational point is read
+once as an integer point over one denominator, and no predicate computes
+with fractions.Fraction, which is kept for rational answers such as volumes
+and barycentric coordinates. No code path computes in floating point.
 """
 
 from .geometry import (

@@ -14,9 +14,12 @@ facets. A lower-dimensional polytope P is hulled and scanned in its own
 lattice (aff P - v0) & Z^d, where all its lattice points lie; the readers of
 the scan's runs (`line_runs`) work there too, and a point leaves the frame only
 when it is handed out (`_lift`), as integer_points' points or the equality
-test's witness are. All queries --
-membership, integer point enumeration, volume -- are exact: coordinates are
-Python ints and derived scalars are fractions.Fraction.
+test's witness are. All queries -- membership, integer point enumeration,
+volume -- are exact: coordinates are Python ints, and a rational point is
+read once as an integer point x over one denominator s (`as_rational_point`),
+so every predicate decides by one integer rule: x/s lies beneath the plane
+(a, b) iff s b - <a, x> >= 0 (`Halfspace.slack`). fractions.Fraction is built
+only for a rational answer, such as a volume.
 
 Integer points are listed line by line along the last scanned coordinate, by one
 rule: each plane cuts the coordinate of its last nonzero coefficient, given the
@@ -39,14 +42,13 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import factorial, gcd, isfinite, prod
+from math import factorial, gcd, isfinite, lcm, prod
 from operator import floordiv, mul, neg, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import linalg
 
 Point = tuple[int, ...]
-RationalPoint = tuple[int | Fraction, ...]
 
 DEFAULT_BOX_CAP = 10**8
 SEQUENCES = (tuple, list)  # the containers a point, a matrix or a matrix row may come in
@@ -106,15 +108,19 @@ def as_points(points: Iterable, dim: int | None = None) -> list[Point]:
     return pts
 
 
-def as_rational_point(coords: Sequence) -> RationalPoint:
-    """Validate one rational point: as_point's rule, but Fractions and finite floats are read exactly too."""
+def as_rational_point(coords: Sequence) -> tuple[Point, int]:
+    """Validate one rational point q -- as_point's rule, but Fractions and finite floats are read
+    exactly too -- and return it as (x, den): x the integer point and den >= 1 the least
+    denominator with q = x/den, the lcm of the coordinates' denominators (so gcd(den, *x) == 1)."""
     if not isinstance(coords, SEQUENCES) or not coords:
         as_point(coords)  # raises as_point's error for the container
     for c in coords:
         if type(c) not in _RATIONALS or type(c) is float and not isfinite(c):
             what = repr(c) if type(c) is float else type(c).__name__  # inf or nan: a short repr
             raise ValueError(f"rational coordinates must be ints, Fractions or finite floats, got {what}")
-    return tuple(c if type(c) is int else Fraction(c) for c in coords)
+    ratios = [c.as_integer_ratio() for c in coords]  # lowest terms, positive denominator; exact for a float
+    den = lcm(*(q for _, q in ratios))
+    return tuple(p * (den // q) for p, q in ratios), den
 
 
 def dot(a: Sequence, b: Sequence):
@@ -133,9 +139,10 @@ class Halfspace(NamedTuple):
     normal: Point
     offset: int
 
-    def slack(self, point: Sequence):
-        """offset - <normal, point>; nonnegative inside the halfspace."""
-        return self.offset - dot(self.normal, point)
+    def slack(self, point: Sequence, scale: int = 1):
+        """scale * offset - <normal, point>: scale times the slack of point/scale, so for scale >= 1
+        nonnegative iff point/scale lies inside the halfspace, and positive iff strictly inside."""
+        return scale * self.offset - dot(self.normal, point)
 
 
 def barycentric_forms(points: Sequence[Point]) -> tuple[int, list[Point]]:
@@ -177,13 +184,15 @@ def _affine_frame(points: Sequence[Point]) -> tuple[list[int], linalg.Echelon]:
     return sorted(frame), echelon
 
 
-def _in_frame(x: Iterable, origin: Point, basis: Sequence[Sequence[int]], div=floordiv) -> list | None:
-    """The y with x = origin + yB, B the echelon rows of basis, read off B's pivot columns row by row,
-    div dividing by each pivot (floordiv on the lattice, else Fraction); None if there is none."""
+def _in_frame(x: Iterable, origin: Iterable, basis: Sequence[Sequence[int]]) -> list | None:
+    """The integer y with x = origin + yB, B the echelon rows of basis, a basis of the lattice
+    lin(B) & Z^d, read off B's pivot columns row by row; None if there is none. For integer x
+    and origin, x - origin is an integer vector, so it lies in lin(B) iff it is in that lattice,
+    and then every y read off is exact: None means x - origin is off lin(B)."""
     r, y = list(map(sub, x, origin)), []
     for row in basis:
         pivot = next(j for j, a in enumerate(row) if a)
-        y.append(div(r[pivot], row[pivot]))
+        y.append(r[pivot] // row[pivot])
         r = [a - y[-1] * b for a, b in zip(r, row)]
     return None if any(r) else y
 
@@ -477,16 +486,19 @@ class LatticePolytope:
         return self._planes
 
     def contains(self, point: Iterable, strict: bool = False) -> bool:
-        """Exact membership of a rational point: a lower-dimensional polytope solves its y in
-        the frame (False off the affine hull) and tests y on Q's planes, a full-dimensional one
-        the point on its facets. With strict=True this tests membership in the topological
-        interior, which a lower-dimensional polytope does not have."""
-        q = as_rational_point(point)
-        if len(q) != self.dim:
-            raise ValueError(f"point has dimension {len(q)}, expected {self.dim}")
-        if self._basis is not None and (strict or (q := _in_frame(q, self.vertices[0], self._basis, Fraction)) is None):
+        """Exact membership of a rational point q = x/den (`as_rational_point`), in integers:
+        each plane is tested by its slack at scale den. A full-dimensional polytope tests x on
+        its facets. A lower-dimensional one maps x by `_in_frame(x, den v0, B)`: q lies on aff P
+        iff the integer vector x - den v0 lies in lin(P - v0), so iff it is in the lattice B
+        spans, and then its y is integral and q = v0 + (y/den)B; off aff P it is False, else
+        y is tested on Q's planes at scale den. With strict=True this tests membership in the
+        topological interior, which a lower-dimensional polytope does not have."""
+        x, den = as_rational_point(point)
+        if len(x) != self.dim:
+            raise ValueError(f"point has dimension {len(x)}, expected {self.dim}")
+        if self._basis is not None and (strict or (x := _in_frame(x, [den * c for c in self.vertices[0]], self._basis)) is None):
             return False  # an empty interior, or off the affine hull
-        return all(h.slack(q) > 0 if strict else h.slack(q) >= 0 for h in self._planes)
+        return all(h.slack(x, den) > 0 if strict else h.slack(x, den) >= 0 for h in self._planes)
 
     def box(self, n: int) -> tuple[list[int], list[int]]:
         """The corners of the bounding box of nQ (n >= 0), the box integer_points

@@ -28,7 +28,7 @@ from operator import add, sub
 from typing import Iterator
 
 from . import geometry, linalg
-from .geometry import LatticePolytope, Point, PointSet, ResourceLimitError, as_point, box_count, check_box, dot
+from .geometry import LatticePolytope, Point, PointSet, ResourceLimitError, as_point, box_count, check_box
 from .groups import BallCodec, GroupPresentation, word_ball
 from .records import Record
 from .triangulation import Triangulation
@@ -199,7 +199,10 @@ class Decomposition(Record):
 def decomposition_target(poly: LatticePolytope, n: int, x) -> Point:
     """x as a point of the n-fold dilation for decompose, checked without a
     triangulation, so before any search for one: ValueError unless n >= 1 and
-    x is an integer point of nP, ResourceLimitError if n is over DEFAULT_BOX_CAP."""
+    x is an integer point of nP, ResourceLimitError if n is over DEFAULT_BOX_CAP.
+    x is in nP iff x/n is in P: the Fractions x/n are only read, and
+    `LatticePolytope.contains` decides in integers, at their least common
+    denominator."""
     x = as_point(x)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -219,12 +222,12 @@ def decompose(
     """Write x, an integer point of the n-fold dilation, as n summands.
 
     Requires tri to be a primitive triangulation of poly. Each simplex is
-    tested on the integers n * offset - <normal, x> over its facets, n times
-    the slacks of x/n; the first one with all of them >= 0 holds x/n. The
-    multiplicity of a vertex is that integer over the vertex's own slack on
-    its opposite facet (its lattice height, 1 on a unit simplex), n times its
-    barycentric coordinate. The n summands are n points of the report, so n
-    over DEFAULT_BOX_CAP raises ResourceLimitError before any work.
+    tested on the integers h.slack(x, n) = n * offset - <normal, x> over its
+    facets h, n times the slacks of x/n; the first one with all of them >= 0
+    holds x/n. The multiplicity of a vertex is that integer over the vertex's
+    own slack on its opposite facet (its lattice height, 1 on a unit simplex),
+    n times its barycentric coordinate. The n summands are n points of the
+    report, so n over DEFAULT_BOX_CAP raises ResourceLimitError before any work.
 
     The triangulation is not validated, but the d+1 vertices of the simplex
     picked are checked against poly: a summand outside P would be a false
@@ -234,7 +237,7 @@ def decompose(
     if tri.polytope != poly:
         raise ValueError("triangulation belongs to a different polytope")
     for index, simplex in enumerate(tri.simplices):
-        slacks = [n * h.offset - dot(h.normal, x) for h in simplex.facets]
+        slacks = [h.slack(x, n) for h in simplex.facets]
         if min(slacks) >= 0:
             break
     else:

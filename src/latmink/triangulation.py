@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from operator import and_
 from typing import Iterable, Sequence
 
@@ -96,12 +96,13 @@ class LatticeSimplex:
         return Fraction(self.normalized_volume, factorial(self.dim))
 
     def barycentric(self, point: Iterable) -> tuple[Fraction, ...]:
-        """Unique barycentric coordinates of a rational point: a vertex's is the
-        point's slack on the opposite facet over the vertex's own slack there."""
-        q = as_rational_point(point)
-        if len(q) != self.dim:
+        """Unique barycentric coordinates of a rational point x/den: a vertex's is the point's
+        slack on the opposite facet over the vertex's own slack there, h.slack(x, den) over
+        den * h.slack(v), one Fraction each."""
+        x, den = as_rational_point(point)
+        if len(x) != self.dim:
             raise ValueError("dimension mismatch")
-        return tuple(Fraction(h.slack(q), h.slack(v)) for v, h in zip(self.vertices, self.facets))
+        return tuple(Fraction(h.slack(x, den), den * h.slack(v)) for v, h in zip(self.vertices, self.facets))
 
     def contains(self, point: Iterable) -> bool:
         return all(c >= 0 for c in self.barycentric(point))
@@ -273,10 +274,11 @@ class TriangulationReport(Record):
     problems: tuple[str, ...]
 
 
-def _intersection_vertices(a: LatticeSimplex, b: LatticeSimplex) -> set:
-    """Vertices of a ∩ b: each d-subset of facets, normals N and offsets c, is solved by Cramer's
-    rule in integers, x = num / den with num = ±adj(N) c and den = |det N|, and x is kept when
-    den * offset >= <normal, num> on every facet. Only the kept points become Fractions."""
+def _intersection_vertices(a: LatticeSimplex, b: LatticeSimplex) -> set[tuple[Point, int]]:
+    """Vertices of a ∩ b as integer pairs (num, den), the vertex num / den in lowest terms with
+    den > 0: each d-subset of facets, normals N and offsets c, is solved by Cramer's rule in
+    integers, adj(N) c over det N, divided by their gcd times the sign of det N, and kept when
+    h.slack(num, den) >= 0 on every facet h. No Fraction is built."""
     halfspaces = list(dict.fromkeys(a.facets + b.facets))
     found = set()
     for subset in itertools.combinations(halfspaces, a.dim):
@@ -284,10 +286,10 @@ def _intersection_vertices(a: LatticeSimplex, b: LatticeSimplex) -> set:
         if den == 0:
             continue
         num = [dot(row, [h.offset for h in subset]) for row in adj]
-        if den < 0:
-            den, num = -den, [-x for x in num]
-        if all(den * h.offset >= dot(h.normal, num) for h in halfspaces):
-            found.add(tuple(Fraction(x, den) for x in num))
+        div = gcd(den, *num) if den > 0 else -gcd(den, *num)
+        num, den = tuple(x // div for x in num), den // div
+        if all(h.slack(num, den) >= 0 for h in halfspaces):
+            found.add((num, den))
     return found
 
 
@@ -325,7 +327,10 @@ def _pair_problem(a: LatticeSimplex, b: LatticeSimplex) -> str | None:
     on every facet of a opposite an unshared vertex, a ∩ b is the hull of the
     shared vertices: None. If not, a ∩ b is full-dimensional (the interiors
     intersect) iff the centroid of X is strictly inside a and b; else it lies
-    in the boundary of one and is not a face of both.
+    in the boundary of one and is not a face of both. The centroid is not
+    built: every vertex of X has slack >= 0 on every facet h of a and b, and
+    slack is affine, so the centroid's slack on h, the mean of theirs, is
+    > 0 iff some vertex of X has slack > 0 on h.
     """
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
@@ -336,10 +341,9 @@ def _pair_problem(a: LatticeSimplex, b: LatticeSimplex) -> str | None:
         return "have intersecting interiors"
     xs = _intersection_vertices(a, b)
     off_face = [h for v, h in zip(a.vertices, a.facets) if v not in common]
-    if all(h.slack(x) == 0 for x in xs for h in off_face):
+    if all(h.slack(num, den) == 0 for num, den in xs for h in off_face):
         return None
-    centroid = tuple(sum(c) / len(xs) for c in zip(*xs))
-    if all(h.slack(centroid) > 0 for h in a.facets + b.facets):
+    if all(any(h.slack(num, den) > 0 for num, den in xs) for h in a.facets + b.facets):
         return "have intersecting interiors"
     return "do not meet face-to-face"
 

@@ -60,7 +60,7 @@ from latmink import (
     triangulation,
 )
 from latmink import geometry
-from latmink.geometry import _affine_frame, _Face, Halfspace, as_point, as_rational_point, barycentric_forms, dot, edge_rows
+from latmink.geometry import _affine_frame, _Face, Halfspace, as_point, barycentric_forms, dot, edge_rows
 from latmink.groups import BallCodec, BoundaryReport
 from latmink.minkowski import EqualityReport, _translated_group
 from latmink.records import Record
@@ -239,8 +239,9 @@ def lp_vertices(points) -> tuple:
 
 
 def lp_contains(poly: LatticePolytope, point) -> bool:
-    """Membership decided by LP feasibility over the vertices, not by the facets."""
-    q = as_rational_point(point)
+    """Membership decided by LP feasibility over the vertices, not by the facets. The point is
+    read by Fraction(c) here, not by the library's integer reading (as_rational_point)."""
+    q = tuple(map(Fraction, point))
     if len(q) != poly.dim:
         raise ValueError(f"point has dimension {len(q)}, expected {poly.dim}")
     return lp.point_in_convex_hull(poly.vertices, q)

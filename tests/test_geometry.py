@@ -39,6 +39,7 @@ from latmink.geometry import (
     _beneath_beyond,
     as_point,
     as_points,
+    as_rational_point,
     barycentric_forms,
     dot,
     edge_rows,
@@ -171,6 +172,47 @@ class TestAsPoint:
     def test_point_list_must_be_iterable(self, entry, points, name):
         with pytest.raises(ValueError, match=f"^a point list must be iterable, got {name}$"):
             entry(points)
+
+
+rational_coordinates = st.one_of(
+    st.integers(-10**20, 10**20),
+    st.fractions(max_denominator=10**6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.1, 0.2, 0.3, -0.7, 1 / 3, 2.675, 1e-300, 5e-324]),  # binary fractions up to 2^1074
+)
+
+
+class TestAsRationalPoint:
+    @given(st.lists(rational_coordinates, min_size=1, max_size=5), st.sampled_from([tuple, list]))
+    @settings(max_examples=200, deadline=None)
+    def test_integer_point_over_the_least_denominator(self, coords, container):
+        x, den = as_rational_point(container(coords))
+        assert type(den) is int and den >= 1 and all(type(c) is int for c in x)
+        assert tuple(Fraction(c, den) for c in x) == tuple(map(Fraction, coords))
+        assert math.gcd(den, *x) == 1  # so den is the least: x/den is in lowest terms
+
+    def test_binary_fractions_are_read_exactly(self):
+        assert as_rational_point((0.1, 1)) == ((3602879701896397, 2**55), 2**55)
+        assert as_rational_point([Fraction(1, 6), 0.25, 2]) == ((2, 3, 24), 12)
+        assert as_rational_point((3, -4)) == ((3, -4), 1)
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ("11", "a point must be a tuple or list, got str"),
+            ({1: 0}, "a point must be a tuple or list, got dict"),
+            ((), "points must have dimension >= 1"),
+            ([True, 0], "rational coordinates must be ints, Fractions or finite floats, got bool"),
+            ((float("inf"), 0), "rational coordinates must be ints, Fractions or finite floats, got inf"),
+            ((0, float("nan")), "rational coordinates must be ints, Fractions or finite floats, got nan"),
+            (("1", 0), "rational coordinates must be ints, Fractions or finite floats, got str"),
+            ((None,), "rational coordinates must be ints, Fractions or finite floats, got NoneType"),
+        ],
+    )
+    def test_error_texts(self, point, message):
+        with pytest.raises(ValueError) as info:
+            as_rational_point(point)
+        assert str(info.value) == message
 
 
 class TestPointSet:

@@ -1,5 +1,7 @@
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -155,3 +157,36 @@ class TestPointInConvexHull:
     def test_outside_bounding_box_is_outside(self, points):
         beyond = max(x for p in points for x in p) + 1
         assert not lp.point_in_convex_hull(points, (beyond, 0))
+
+
+def lp_imports(source: str) -> list[int]:
+    """The lines of the imports of a module named lp in source, read off its syntax tree:
+    `import latmink.lp`, `from latmink import lp`, `from . import lp`, `from .lp import x`."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any("lp" in name.split(".") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestOracleIndependence:
+    """lp is the slow reference form of membership and of the pair test, and the fast paths
+    are checked against it: no library module may import it."""
+
+    def test_scan_finds_every_import_form(self):
+        source = "import latmink.lp\nfrom latmink import lp\nfrom . import lp\nfrom .lp import maximize\nimport help\n"
+        assert lp_imports(source) == [1, 2, 3, 4]
+        assert lp_imports("from . import linalg\nfrom .geometry import Point\nimport alpha.lpx\n") == []
+
+    def test_no_library_module_imports_lp(self):
+        package = Path(lp.__file__).resolve().parent
+        modules = sorted(package.glob("*.py"))
+        assert len(modules) >= 10
+        found = {path.name: lp_imports(path.read_text()) for path in modules}
+        assert {name: lines for name, lines in found.items() if lines} == {}

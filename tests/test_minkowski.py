@@ -29,7 +29,7 @@ from latmink import (
 )
 from latmink import geometry
 from latmink.geometry import dot
-from latmink.minkowski import _equality_reports
+from latmink.minkowski import _equality_reports, decomposition_target
 from latmink.triangulation import DEFAULT_POINT_CAP
 from latmink.verify import orthant_fan, symmetric_example_polytope
 
@@ -37,6 +37,7 @@ from conftest import (
     brute_force_integer_points,
     folded_minkowski_power,
     is_n_fold_sum,
+    lp_contains,
     per_point_equality_reports,
     rank,
     unimodular,
@@ -690,6 +691,39 @@ class TestDecompose:
                 assert all(m.denominator == 1 for m in multiplicities)
                 expected = [v for v, m in zip(first.vertices, multiplicities) for _ in range(int(m))]
                 assert dec.summands == tuple(sorted(expected))
+
+
+@st.composite
+def translated_clouds(draw):
+    """Points base + sum c_j u_j in Z^d for d <= 4, c_j in {0, 1}, with k <= d directions
+    u_j: full-dimensional or lower-dimensional polytopes, mostly off the origin."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(0, d))
+    base = draw(st.tuples(*[st.integers(-5, 5)] * d))
+    dirs = [draw(st.tuples(*[st.integers(-2, 2)] * d)) for _ in range(k)]
+    coeffs = draw(st.lists(st.tuples(*[st.integers(0, 1)] * k), min_size=1, max_size=8))
+    return [tuple(b + sum(c * u[i] for c, u in zip(cs, dirs)) for i, b in enumerate(base)) for cs in coeffs]
+
+
+class TestDecompositionTarget:
+    @given(translated_clouds(), st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lp_membership(self, pts, n, data):
+        # points of nP (sums of n vertices), points n v0 + sum m_j (v_j - v0) of aff(nP)
+        # inside or outside nP, and those points moved by a unit vector, mostly off aff(nP)
+        poly = hull(pts)
+        v0, verts = poly.vertices[0], poly.vertices
+        summed = data.draw(st.lists(st.sampled_from(verts), min_size=n, max_size=n))
+        weights = data.draw(st.lists(st.integers(-1, n + 1), min_size=len(verts), max_size=len(verts)))
+        on_aff = tuple(n * a + sum(m * (v[i] - a) for m, v in zip(weights, verts)) for i, a in enumerate(v0))
+        unit = data.draw(st.integers(0, poly.dim - 1))
+        moved = tuple(c + (i == unit) for i, c in enumerate(on_aff))
+        for x in (tuple(map(sum, zip(*summed))), on_aff, moved):
+            if lp_contains(poly, [Fraction(c, n) for c in x]):
+                assert decomposition_target(poly, n, x) == x
+            else:
+                with pytest.raises(ValueError, match=f"is not in the {n}-fold dilation$"):
+                    decomposition_target(poly, n, x)
 
 
 class TestGeneratesZd:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -451,7 +452,9 @@ class TestPairTestAgainstOracles:
     @_with_touching_pairs
     @settings(max_examples=100, deadline=None)
     def test_intersection_vertices_match_fraction_solves(self, pair):
-        assert triangulation._intersection_vertices(*pair) == conftest._intersection_vertices(*pair)
+        pairs = triangulation._intersection_vertices(*pair)
+        assert all(den > 0 and gcd(den, *num) == 1 for num, den in pairs)  # lowest terms: one pair a vertex
+        assert {tuple(Fraction(c, den) for c in num) for num, den in pairs} == conftest._intersection_vertices(*pair)
 
     @given(simplex_pairs())
     @_with_touching_pairs

@@ -139,6 +139,14 @@ and, in a temporary work directory of its own, runs every command of this list:
   list above), `points` at 1 on conv{0, 20000 e1, e2, ..., e5}, written into
   the work directory, and `word-ball` at 7 (1,876 elements) and 8 on
   `gl2z-swap-shear`;
+- `decompose` on three lower-dimensional polytopes off the origin, written
+  into the work directory (conv{(1,2,3), (41,2,2), (1,42,2)}, a segment in Z^4
+  and a triangle in Z^4), at points x of nP that are not n times a lattice
+  point (such as 2 42,4,5 and 3 43,6,8), points of aff(nP) outside nP and
+  points off aff(nP), and at full-dimensional points just outside nP on
+  bundled datasets, as JSON and with `--pretty`, so that membership of x/n in
+  the polytope's own lattice, at a denominator > 1 with the frame's origin a
+  multiple of a vertex v0 != 0, is compared too;
 - each bound (`--cap`, `--budget`, `--point-cap`) at -1, 0 and 1; at 0 and
   -1 the parser exits 2, so these commands differ against a checkout whose
   parser still takes non-positive bounds;
@@ -598,6 +606,46 @@ def _decompose_commands(data: Path):
     return commands + [["--pretty", *argv] for argv in commands]
 
 
+# Lower-dimensional polytopes off the origin, with decompose points x at n of
+# three kinds: x/n in P but x not n times a lattice point, x on aff(nP) outside
+# nP, and x off aff(nP). Membership reads x/n at a denominator > 1 in the
+# polytope's own lattice, whose origin is then a multiple of a vertex v0 != 0;
+# each point in nP goes on to the search, which rejects the polytope.
+DECOMPOSE_LOWER_DIMENSIONAL = {
+    "skew-triangle-off-origin-3d": (
+        [[1, 2, 3], [41, 2, 2], [1, 42, 2]],
+        [("2", "42,4,5"), ("3", "43,6,8"), ("3", "43,46,7"), ("2", "122,4,3"), ("2", "42,4,6"), ("3", "43,6,9")],
+    ),
+    "segment-off-origin-4d": (
+        [[1, -1, 2, 0], [7, 9, 17, -3]],
+        [("2", "8,8,19,-3"), ("3", "15,17,36,-6"), ("2", "20,28,49,-9"), ("2", "8,8,19,-2")],
+    ),
+    "triangle-off-origin-4d": (
+        [[2, 1, -1, 3], [6, 3, 2, 8], [4, 7, 4, 4]],
+        [("2", "8,4,1,11"), ("3", "12,11,5,15"), ("2", "16,8,7,21"), ("2", "8,4,1,12")],
+    ),
+}
+
+# Full-dimensional points just outside nP, at n = 2 and 3 on bundled datasets.
+DECOMPOSE_OUTSIDE = [
+    ("unit-square", "2", "3,0"), ("unit-square", "3", "2,4"), ("cross-2d", "2", "2,1"), ("cross-2d", "3", "0,4"),
+    ("unit-cube", "3", "3,3,4"), ("cross-3d", "3", "2,2,0"), ("cross-3d", "2", "1,1,1"), ("sigma-3-2", "2", "0,0,5"),
+]
+
+
+def _decompose_frame_commands(work: Path):
+    """Write each DECOMPOSE_LOWER_DIMENSIONAL polytope into work as NAME.json and
+    return decompose at its points, then at the DECOMPOSE_OUTSIDE points, JSON
+    first, then --pretty."""
+    commands = []
+    for name, (vertices, points) in DECOMPOSE_LOWER_DIMENSIONAL.items():
+        path = f"{name}.json"
+        (work / path).write_text(json.dumps({"dim": len(vertices[0]), "vertices": vertices}))
+        commands += [["decompose", path, n, point] for n, point in points]
+    commands += [["decompose", name, n, point] for name, n, point in DECOMPOSE_OUTSIDE]
+    return commands + [["--pretty", *argv] for argv in commands]
+
+
 # Polytopes whose searched triangulation decompose reads back from documents that
 # list the polytope in other ways: (canonical vertices, a lattice point that is not
 # a vertex, targets in the 2-fold dilation).
@@ -776,7 +824,7 @@ def digests(root: Path) -> list:
             run(argv, after)
         for argv in _deep_search_commands(Path(tmp)) + _seeded_search_commands(Path(tmp)) + _boundary_commands(Path(tmp)):
             run(argv)
-        for argv in _code_path_commands(Path(tmp)) + _level_cut_commands(Path(tmp)):
+        for argv in _code_path_commands(Path(tmp)) + _level_cut_commands(Path(tmp)) + _decompose_frame_commands(Path(tmp)):
             run(argv)
         for argv in VERIFY_COMMANDS + CAPPED_COMMANDS + LARGE_COMMANDS + BOUND_COMMANDS + PARSER_COMMANDS:
             run(argv)
